@@ -535,15 +535,9 @@ let run_graph_bench () =
         end;
         result)
   in
-  (match E.failed_gates (E.gates runs serving) with
-  | [] -> ()
-  | fs ->
-    List.iter
-      (fun (g : E.gate) ->
-        Printf.eprintf "graph bench: gate failed: %s: %s\n" g.E.gate_name
-          g.E.gate_detail)
-      fs;
-    exit 1);
+  if not (Mikpoly_experiments.Exp.report_failed_gates
+            ~prefix:"graph bench: gate failed" (E.gates runs serving))
+  then exit 1;
   let n_gates = List.length (E.gates runs serving) in
   Printf.printf "graph bench: %d gates hold, report identical across --jobs\n"
     n_gates;
@@ -798,15 +792,9 @@ let run_fleet_bench () =
         end;
         result)
   in
-  (match E.failed_gates (E.gates r) with
-  | [] -> ()
-  | fs ->
-    List.iter
-      (fun (g : E.gate) ->
-        Printf.eprintf "fleet bench: gate failed: %s: %s\n" g.E.gate_name
-          g.E.gate_detail)
-      fs;
-    exit 1);
+  if not (Mikpoly_experiments.Exp.report_failed_gates
+            ~prefix:"fleet bench: gate failed" (E.gates r))
+  then exit 1;
   Printf.printf "fleet bench: %d gates hold, report identical across --jobs\n"
     (List.length (E.gates r));
   let path = "BENCH_fleet.json" in
@@ -850,15 +838,9 @@ let run_rank_bench () =
         end;
         result)
   in
-  (match E.failed_gates (E.gates r) with
-  | [] -> ()
-  | fs ->
-    List.iter
-      (fun (g : E.gate) ->
-        Printf.eprintf "rank bench: gate failed: %s: %s\n" g.E.gate_name
-          g.E.gate_detail)
-      fs;
-    exit 1);
+  if not (Mikpoly_experiments.Exp.report_failed_gates
+            ~prefix:"rank bench: gate failed" (E.gates r))
+  then exit 1;
   Printf.printf "rank bench: %d gates hold, report identical across --jobs\n"
     (List.length (E.gates r));
   let path = "BENCH_rank.json" in
@@ -903,16 +885,9 @@ let run_hetero_bench () =
         end;
         result)
   in
-  (match E.failed_gates (E.gates r) with
-  | [] -> ()
-  | fs ->
-    List.iter
-      (fun (g : E.gate) ->
-        Printf.eprintf "hetero bench: gate failed: %s: %s
-" g.E.gate_name
-          g.E.gate_detail)
-      fs;
-    exit 1);
+  if not (Mikpoly_experiments.Exp.report_failed_gates
+            ~prefix:"hetero bench: gate failed" (E.gates r))
+  then exit 1;
   Printf.printf "hetero bench: %d gates hold, report identical across --jobs
 "
     (List.length (E.gates r));

@@ -42,6 +42,11 @@ let load_ranker ~hw = function
         path e;
       None)
 
+(* Exit status of a subcommand with acceptance gates: 1, after printing
+   each failed gate to stderr, unless every gate holds. *)
+let gate_exit ~prefix gates =
+  if Mikpoly_experiments.Exp.report_failed_gates ~prefix gates then 0 else 1
+
 let run_experiments jobs seed adapt ranker ids quick csv =
   set_jobs jobs;
   set_seed seed;
@@ -226,7 +231,10 @@ let serve jobs seed quick csv npu adapt_on ranker replicas requests rate cache
       Printf.eprintf "bad --batcher %S (greedy|timeout|slo)\n" s;
       exit 2
   in
-  if replicas < 1 || requests < 1 || cache < 0 || max_batch < 1
+  let count =
+    match requests with Some n -> n | None -> if quick then 16 else 96
+  in
+  if replicas < 1 || count < 1 || cache < 0 || max_batch < 1
      || not (rate > 0.) || window < 0.
   then begin
     Printf.eprintf
@@ -234,7 +242,6 @@ let serve jobs seed quick csv npu adapt_on ranker replicas requests rate cache
        --max-batch >= 1, --rate > 0 and --window >= 0\n";
     exit 2
   end;
-  let count = if quick then min requests 16 else requests in
   let trace =
     Request.poisson
       ~seed:(Mikpoly_util.Prng.default_seed ~fallback:0x5E2 ())
@@ -322,6 +329,9 @@ let adapt jobs seed quick csv npu severity trace_len save_path =
     Printf.eprintf "bad --severity: %g (expected 0 <= s < 1)\n" severity;
     exit 2
   end;
+  let trace_len =
+    match trace_len with Some n -> n | None -> if quick then 24 else 48
+  in
   if trace_len < 2 then begin
     Printf.eprintf "bad --trace: %d (expected >= 2)\n" trace_len;
     exit 2
@@ -334,7 +344,7 @@ let adapt jobs seed quick csv npu severity trace_len save_path =
     Scenario.run
       ~seed:(Mikpoly_util.Prng.default_seed ~fallback:0xADA ())
       ~severity
-      ~trace:(if quick then min trace_len 24 else trace_len)
+      ~trace:trace_len
       compiler
   in
   let stats = Adapter.stats r.adapter in
@@ -532,15 +542,7 @@ let graph jobs quick csv out =
       output_string oc
         (Mikpoly_telemetry.Json.to_string (E.json ~quick runs serving)));
   Printf.printf "wrote %s\n" out;
-  match E.failed_gates (E.gates runs serving) with
-  | [] -> 0
-  | fs ->
-    List.iter
-      (fun (g : E.gate) ->
-        Printf.eprintf "graph gate failed: %s: %s\n" g.E.gate_name
-          g.E.gate_detail)
-      fs;
-    1
+  gate_exit ~prefix:"graph gate failed" (E.gates runs serving)
 
 (* Multi-tenant fleet serving: the WFQ / coalescing / warm-store /
    autoscaler ladder against the tenant-blind scheduler on a heavy-tail
@@ -603,15 +605,7 @@ let fleet jobs quick csv out store ranker =
     (fun () ->
       output_string oc (Mikpoly_telemetry.Json.to_string (E.json r)));
   Printf.printf "wrote %s\n" out;
-  match E.failed_gates (E.gates r) with
-  | [] -> 0
-  | fs ->
-    List.iter
-      (fun (g : E.gate) ->
-        Printf.eprintf "fleet gate failed: %s: %s\n" g.E.gate_name
-          g.E.gate_detail)
-      fs;
-    1
+  gate_exit ~prefix:"fleet gate failed" (E.gates r)
 
 (* Heterogeneous mixed GPU+NPU fleet serving: device-class-keyed
    stores, cost-model routing, the per-class health plane (breaker,
@@ -635,18 +629,8 @@ let hetero jobs quick csv out =
     ~finally:(fun () -> close_out oc)
     (fun () ->
       output_string oc (Mikpoly_telemetry.Json.to_string (E.json r)));
-  Printf.printf "wrote %s
-" out;
-  match E.failed_gates (E.gates r) with
-  | [] -> 0
-  | fs ->
-    List.iter
-      (fun (g : E.gate) ->
-        Printf.eprintf "hetero gate failed: %s: %s
-" g.E.gate_name
-          g.E.gate_detail)
-      fs;
-    1
+  Printf.printf "wrote %s\n" out;
+  gate_exit ~prefix:"hetero gate failed" (E.gates r)
 
 (* Train and evaluate the learned candidate-ordering ranker (lib/rank):
    harvest simulator observations on both platforms, fit the
@@ -677,15 +661,7 @@ let rank jobs seed quick csv out save =
     Mikpoly_rank.Ranker.save ~path r.E.r_gpu_ranker;
     Printf.printf "saved ranker model to %s\n" path
   | None -> ());
-  match E.failed_gates (E.gates r) with
-  | [] -> 0
-  | fs ->
-    List.iter
-      (fun (g : E.gate) ->
-        Printf.eprintf "rank gate failed: %s: %s\n" g.E.gate_name
-          g.E.gate_detail)
-      fs;
-    1
+  gate_exit ~prefix:"rank gate failed" (E.gates r)
 
 (* Run a target under the span tracer and export the observability
    artifacts: a Chrome/Perfetto trace, the flat profile and the metrics
@@ -892,7 +868,11 @@ let serve_cmd =
     Arg.(value & opt int 2 & info [ "replicas" ] ~docv:"N" ~doc:"Engine replicas.")
   in
   let requests =
-    Arg.(value & opt int 96 & info [ "requests" ] ~docv:"N" ~doc:"Trace length.")
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "requests" ] ~docv:"N"
+          ~doc:"Trace length (default 96, or 16 with --quick).")
   in
   let rate =
     Arg.(value & opt float 30. & info [ "rate" ] ~docv:"R"
@@ -938,8 +918,10 @@ let adapt_cmd =
   in
   let trace_len =
     Arg.(
-      value & opt int 48
-      & info [ "trace" ] ~docv:"N" ~doc:"Observation-trace length.")
+      value
+      & opt (some int) None
+      & info [ "trace" ] ~docv:"N"
+          ~doc:"Observation-trace length (default 48, or 24 with --quick).")
   in
   let save =
     Arg.(

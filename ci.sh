@@ -59,56 +59,66 @@ rm -f "$profile_out"
 # Serving with the adaptation loop attached must run clean too.
 dune exec bin/mikpoly_cli.exe -- serve --quick --adapt
 
+# Subsystem smoke tests share one shape: run the subcommand, require a
+# non-empty report carrying every expected verdict, then rerun it — once
+# as is and once under 4 worker domains — and require byte-identical
+# reports. The reports hold only simulated quantities, so any difference
+# across repeats or --jobs counts is a determinism bug.
+#   check_report SINK VERDICTS SUBCOMMAND ARGS...
+# SINK is "out" for subcommands writing their JSON report via --out, or
+# "stdout" to compare what the subcommand prints.
+report() {
+  sink=$1
+  file=$2
+  shift 2
+  if [ "$sink" = stdout ]; then
+    dune exec bin/mikpoly_cli.exe -- "$@" > "$file"
+  else
+    dune exec bin/mikpoly_cli.exe -- "$@" --out "$file"
+  fi
+}
+check_report() {
+  sink=$1
+  verdicts=$2
+  shift 2
+  report_a="${TMPDIR:-/tmp}/mikpoly_ci_report_a"
+  report_b="${TMPDIR:-/tmp}/mikpoly_ci_report_b"
+  report "$sink" "$report_a" "$@"
+  test -s "$report_a"
+  for verdict in $verdicts; do
+    grep -q "$verdict" "$report_a"
+  done
+  report "$sink" "$report_b" "$@"
+  cmp "$report_a" "$report_b"
+  report "$sink" "$report_b" "$@" --jobs 4
+  cmp "$report_a" "$report_b"
+  rm -f "$report_a" "$report_b"
+}
+
+echo "== serve determinism =="
+# The single-tenant scheduler's CSV table: byte-identical across repeats
+# and --jobs counts, like the fleet and hetero reports below.
+check_report stdout "" serve --quick --csv
+
 echo "== chaos smoke test =="
 # The seeded fault-injection A/B end to end: the subcommand exits
 # non-zero unless faults were injected, no request was lost silently,
 # resilience strictly beats the unprotected arm, and the degradation
-# ladder serves every request from a corrupted kernel store. The JSON
-# report holds only simulated quantities, so the same seed must produce
-# byte-identical files across runs and across --jobs counts.
-chaos_a="${TMPDIR:-/tmp}/mikpoly_ci_chaos_a.json"
-chaos_b="${TMPDIR:-/tmp}/mikpoly_ci_chaos_b.json"
-dune exec bin/mikpoly_cli.exe -- chaos --quick --seed 7 --out "$chaos_a"
-test -s "$chaos_a"
-grep -q '"silent_losses":0' "$chaos_a"
-dune exec bin/mikpoly_cli.exe -- chaos --quick --seed 7 --jobs 4 --out "$chaos_b"
-cmp "$chaos_a" "$chaos_b"
-rm -f "$chaos_a" "$chaos_b"
+# ladder serves every request from a corrupted kernel store.
+check_report out '"silent_losses":0' chaos --quick --seed 7
 
 echo "== graph smoke test =="
 # Whole-model graph serving end to end: rewrite passes, memory planning,
 # pipelined compile/execute and the whole-graph vs per-op serving A/B.
-# The subcommand exits non-zero if any acceptance gate fails; the JSON
-# report holds only simulated quantities, so runs must produce
-# byte-identical files across repeats and across --jobs counts.
-graph_a="${TMPDIR:-/tmp}/mikpoly_ci_graph_a.json"
-graph_b="${TMPDIR:-/tmp}/mikpoly_ci_graph_b.json"
-dune exec bin/mikpoly_cli.exe -- graph --quick --out "$graph_a"
-test -s "$graph_a"
-grep -q '"gates_ok":true' "$graph_a"
-dune exec bin/mikpoly_cli.exe -- graph --quick --out "$graph_b"
-cmp "$graph_a" "$graph_b"
-dune exec bin/mikpoly_cli.exe -- graph --quick --jobs 4 --out "$graph_b"
-cmp "$graph_a" "$graph_b"
-rm -f "$graph_a" "$graph_b"
+# The subcommand exits non-zero if any acceptance gate fails.
+check_report out '"gates_ok":true' graph --quick
 
 echo "== fleet smoke test =="
 # Multi-tenant fleet serving end to end: weighted fair queueing,
 # shape-aware coalescing, the learned warm store and the autoscaler
 # on the heavy-tail multi-tenant trace. The subcommand exits non-zero
-# if any acceptance gate fails; the JSON report holds only simulated
-# quantities, so runs must produce byte-identical files across repeats
-# and across --jobs counts.
-fleet_a="${TMPDIR:-/tmp}/mikpoly_ci_fleet_a.json"
-fleet_b="${TMPDIR:-/tmp}/mikpoly_ci_fleet_b.json"
-dune exec bin/mikpoly_cli.exe -- fleet --quick --out "$fleet_a"
-test -s "$fleet_a"
-grep -q '"gates_ok":true' "$fleet_a"
-dune exec bin/mikpoly_cli.exe -- fleet --quick --out "$fleet_b"
-cmp "$fleet_a" "$fleet_b"
-dune exec bin/mikpoly_cli.exe -- fleet --quick --jobs 4 --out "$fleet_b"
-cmp "$fleet_a" "$fleet_b"
-rm -f "$fleet_a" "$fleet_b"
+# if any acceptance gate fails.
+check_report out '"gates_ok":true' fleet --quick
 
 echo "== parallel-win =="
 # The parallel-polymerization acceptance gate. The bench itself exits
@@ -151,25 +161,15 @@ echo "== rank smoke test =="
 # fingerprints, evaluate held-out ranking quality vs calibrated Eq. 2,
 # the GPU->NPU warm start, and the deadline A/B (untruncated searches
 # must stay bit-identical with the ranker on or off). The subcommand
-# exits non-zero if any acceptance gate fails; the JSON report holds
-# only simulated quantities, so runs must produce byte-identical files
-# across repeats and across --jobs counts. The saved model must be a
+# exits non-zero if any acceptance gate fails. The saved model must be a
 # non-empty versioned artifact, and a serve run loading it must pass.
-rank_a="${TMPDIR:-/tmp}/mikpoly_ci_rank_a.json"
-rank_b="${TMPDIR:-/tmp}/mikpoly_ci_rank_b.json"
 rank_model="${TMPDIR:-/tmp}/mikpoly_ci_rank.model"
-dune exec bin/mikpoly_cli.exe -- rank --quick --out "$rank_a" --save "$rank_model"
-test -s "$rank_a"
-grep -q '"gates_ok":true' "$rank_a"
+check_report out '"gates_ok":true' rank --quick --save "$rank_model"
 test -s "$rank_model"
 head -1 "$rank_model" | grep -q "mikpoly-rank"
-dune exec bin/mikpoly_cli.exe -- rank --quick --out "$rank_b"
-cmp "$rank_a" "$rank_b"
-dune exec bin/mikpoly_cli.exe -- rank --quick --jobs 4 --out "$rank_b"
-cmp "$rank_a" "$rank_b"
 # Serving with the trained ranker ordering the search must run clean.
 dune exec bin/mikpoly_cli.exe -- serve --quick --ranker "$rank_model"
-rm -f "$rank_a" "$rank_b" "$rank_model"
+rm -f "$rank_model"
 
 echo "== rank bench =="
 dune exec bench/main.exe -- --quick --skip-experiments --skip-micro --skip-telemetry --skip-parallel --skip-graph --skip-adapt --skip-resilience --skip-fleet --skip-hetero
@@ -182,20 +182,8 @@ echo "== hetero smoke test =="
 # breaker with trip-drain and half-open probes, hedged dispatch and the
 # brown-out ladder, against equal-PE single-backend fleets and the
 # chaos failover A/B. The subcommand exits non-zero if any acceptance
-# gate fails; the JSON report holds only simulated quantities, so runs
-# must produce byte-identical files across repeats and across --jobs
-# counts.
-hetero_a="${TMPDIR:-/tmp}/mikpoly_ci_hetero_a.json"
-hetero_b="${TMPDIR:-/tmp}/mikpoly_ci_hetero_b.json"
-dune exec bin/mikpoly_cli.exe -- hetero --quick --out "$hetero_a"
-test -s "$hetero_a"
-grep -q '"gates_ok":true' "$hetero_a"
-grep -q '"silent_losses":0' "$hetero_a"
-dune exec bin/mikpoly_cli.exe -- hetero --quick --out "$hetero_b"
-cmp "$hetero_a" "$hetero_b"
-dune exec bin/mikpoly_cli.exe -- hetero --quick --jobs 4 --out "$hetero_b"
-cmp "$hetero_a" "$hetero_b"
-rm -f "$hetero_a" "$hetero_b"
+# gate fails.
+check_report out '"gates_ok":true "silent_losses":0' hetero --quick
 
 echo "== hetero bench =="
 dune exec bench/main.exe -- --quick --skip-experiments --skip-micro --skip-telemetry --skip-parallel --skip-graph --skip-adapt --skip-resilience --skip-fleet --skip-rank

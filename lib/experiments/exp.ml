@@ -43,6 +43,17 @@ let speedup_row table ~label speedups =
         string_of_int (List.length speedups);
       ]
 
+type gate = { gate_name : string; gate_ok : bool; gate_detail : string }
+
+let failed_gates gs = List.filter (fun g -> not g.gate_ok) gs
+
+let report_failed_gates ~prefix gs =
+  let failed = failed_gates gs in
+  List.iter
+    (fun g -> Printf.eprintf "%s: %s: %s\n" prefix g.gate_name g.gate_detail)
+    failed;
+  failed = []
+
 let flops_buckets ~flops ~speedup cases =
   let bucket_of c =
     let f = flops c in

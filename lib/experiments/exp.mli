@@ -34,6 +34,16 @@ val speedup_row :
 val speedup_table : title:string -> Mikpoly_util.Table.t
 (** A table with the standard speedup-summary header. *)
 
+type gate = { gate_name : string; gate_ok : bool; gate_detail : string }
+(** One hard acceptance claim of a subsystem experiment, as checked by
+    its CLI subcommand, its bench stage and its JSON report. *)
+
+val failed_gates : gate list -> gate list
+
+val report_failed_gates : prefix:string -> gate list -> bool
+(** Print each failed gate to stderr as [prefix: name: detail]; [true]
+    when every gate holds. *)
+
 val flops_buckets :
   flops:('a -> float) -> speedup:('a -> float) -> 'a list ->
   (string * float * int) list

@@ -157,8 +157,6 @@ let results ~quick compiler =
 
 (* --- Acceptance gates (shared by the CLI subcommand and the bench) --- *)
 
-type gate = { gate_name : string; gate_ok : bool; gate_detail : string }
-
 let attainment r tier =
   match
     List.find_opt (fun tm -> tm.F.tm_tier = tier) r.F.tiers
@@ -175,28 +173,28 @@ let gates r =
   let be = attainment r.r_full Tenant.Best_effort in
   [
     {
-      gate_name = "fleet_goodput_beats_baseline";
+      Exp.gate_name = "fleet_goodput_beats_baseline";
       gate_ok = m_full.Metrics.goodput_rps > r.r_baseline.Metrics.goodput_rps;
       gate_detail =
         Printf.sprintf "fleet %.3f req/s vs scheduler %.3f req/s (equal replicas)"
           m_full.Metrics.goodput_rps r.r_baseline.Metrics.goodput_rps;
     };
     {
-      gate_name = "no_tier_starved";
+      Exp.gate_name = "no_tier_starved";
       gate_ok = gold > 0. && silver > 0. && be > 0.;
       gate_detail =
         Printf.sprintf "attainment gold %.3f / silver %.3f / best-effort %.3f"
           gold silver be;
     };
     {
-      gate_name = "tier_order_respected";
+      Exp.gate_name = "tier_order_respected";
       gate_ok = gold >= silver && silver >= be;
       gate_detail =
         Printf.sprintf "gold %.3f >= silver %.3f >= best-effort %.3f" gold
           silver be;
     };
     {
-      gate_name = "coalescing_cuts_stalls";
+      Exp.gate_name = "coalescing_cuts_stalls";
       gate_ok =
         r.r_coalesce.F.compile_stall_seconds
         < r.r_wfq.F.compile_stall_seconds;
@@ -206,7 +204,7 @@ let gates r =
           r.r_wfq.F.compile_stall_seconds;
     };
     {
-      gate_name = "warm_store_engaged";
+      Exp.gate_name = "warm_store_engaged";
       gate_ok =
         r.r_full.F.warm_hits > 0
         && r.r_full.F.compile_stall_seconds
@@ -217,14 +215,14 @@ let gates r =
           r.r_coalesce.F.compile_stall_seconds;
     };
     {
-      gate_name = "autoscaler_cheaper_than_static";
+      Exp.gate_name = "autoscaler_cheaper_than_static";
       gate_ok = r.r_auto.F.replica_seconds < r.r_static.F.replica_seconds;
       gate_detail =
         Printf.sprintf "auto %.3f replica-s vs static %.3f replica-s"
           r.r_auto.F.replica_seconds r.r_static.F.replica_seconds;
     };
     {
-      gate_name = "autoscaler_holds_slo";
+      Exp.gate_name = "autoscaler_holds_slo";
       gate_ok =
         m_auto.Metrics.slo_attainment
         >= m_static.Metrics.slo_attainment -. slo_tolerance;
@@ -234,7 +232,7 @@ let gates r =
           slo_tolerance;
     };
     {
-      gate_name = "no_request_lost";
+      Exp.gate_name = "no_request_lost";
       gate_ok =
         List.for_all
           (fun (o : F.outcome) ->
@@ -246,8 +244,6 @@ let gates r =
           (List.length r.r_trace);
     };
   ]
-
-let failed_gates gs = List.filter (fun g -> not g.gate_ok) gs
 
 (* JSON for BENCH_fleet.json and the CLI's --out: simulated quantities
    only, so the bytes are identical across runs and job counts. *)
@@ -316,12 +312,12 @@ let json r =
              (fun g ->
                J.Obj
                  [
-                   ("name", J.String g.gate_name);
-                   ("ok", J.Bool g.gate_ok);
-                   ("detail", J.String g.gate_detail);
+                   ("name", J.String g.Exp.gate_name);
+                   ("ok", J.Bool g.Exp.gate_ok);
+                   ("detail", J.String g.Exp.gate_detail);
                  ])
              gs) );
-      ("gates_ok", J.Bool (failed_gates gs = []));
+      ("gates_ok", J.Bool (Exp.failed_gates gs = []));
     ]
 
 (* --- Human-readable report --- *)
@@ -399,7 +395,7 @@ let report r =
         ])
     r.r_full.F.tiers;
   let m_full = metrics r.r_full in
-  let failed = failed_gates (gates r) in
+  let failed = Exp.failed_gates (gates r) in
   {
     Exp.id = "fleet";
     title = "Multi-tenant fleet serving (new subsystem)";
@@ -426,7 +422,7 @@ let report r =
           Printf.sprintf "GATE FAILURES: %s"
             (String.concat "; "
                (List.map
-                  (fun g -> g.gate_name ^ " (" ^ g.gate_detail ^ ")")
+                  (fun g -> g.Exp.gate_name ^ " (" ^ g.Exp.gate_detail ^ ")")
                   fs)));
       ];
   }

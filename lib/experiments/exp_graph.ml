@@ -157,8 +157,6 @@ let serving_ab ~quick compiler =
    more than naive, and whole-graph serving attains at least the
    per-op stream's SLO fraction. *)
 
-type gate = { gate_name : string; gate_ok : bool; gate_detail : string }
-
 let gates runs serving =
   let per_bound mr f =
     List.map (fun br -> f mr br) mr.mr_bounds
@@ -168,7 +166,7 @@ let gates runs serving =
       (fun mr ->
         per_bound mr (fun mr br ->
             {
-              gate_name =
+              Exp.gate_name =
                 Printf.sprintf "overlap_beats_sequential[%s@%s]" mr.mr_model
                   (env_label br.br_env);
               gate_ok = br.br_ovl.Executor.r_e2e_seconds < br.br_seq.Executor.r_e2e_seconds;
@@ -182,7 +180,7 @@ let gates runs serving =
     List.map
       (fun mr ->
         {
-          gate_name = Printf.sprintf "rewrite_shrinks[%s]" mr.mr_model;
+          Exp.gate_name = Printf.sprintf "rewrite_shrinks[%s]" mr.mr_model;
           gate_ok = mr.mr_ops_after < mr.mr_ops_before;
           gate_detail =
             Printf.sprintf "%d ops -> %d ops" mr.mr_ops_before mr.mr_ops_after;
@@ -194,7 +192,7 @@ let gates runs serving =
       (fun mr ->
         per_bound mr (fun mr br ->
             {
-              gate_name =
+              Exp.gate_name =
                 Printf.sprintf "plan_within_naive[%s@%s]" mr.mr_model
                   (env_label br.br_env);
               gate_ok =
@@ -207,7 +205,7 @@ let gates runs serving =
   in
   let slo =
     {
-      gate_name = "graph_slo_at_least_per_op";
+      Exp.gate_name = "graph_slo_at_least_per_op";
       gate_ok =
         serving.sr_graph.Metrics.slo_attainment
         >= serving.sr_per_op.Metrics.slo_attainment;
@@ -218,8 +216,6 @@ let gates runs serving =
     }
   in
   overlap @ shrink @ plan @ [ slo ]
-
-let failed_gates gs = List.filter (fun g -> not g.gate_ok) gs
 
 (* JSON for BENCH_graph.json and the CLI's --out: simulated quantities
    only, so the bytes are identical across runs and job counts. *)
@@ -303,12 +299,12 @@ let json ~quick runs serving =
              (fun g ->
                J.Obj
                  [
-                   ("name", J.String g.gate_name);
-                   ("ok", J.Bool g.gate_ok);
-                   ("detail", J.String g.gate_detail);
+                   ("name", J.String g.Exp.gate_name);
+                   ("ok", J.Bool g.Exp.gate_ok);
+                   ("detail", J.String g.Exp.gate_detail);
                  ])
              gs) );
-      ("gates_ok", J.Bool (failed_gates gs = []));
+      ("gates_ok", J.Bool (Exp.failed_gates gs = []));
     ]
 
 let pass_rewrites mr name =
@@ -377,7 +373,7 @@ let report runs serving =
     (Metrics.to_row
        ~label:(Printf.sprintf "per-op x%d" serving.sr_ops_per_request)
        serving.sr_per_op);
-  let failed = failed_gates (gates runs serving) in
+  let failed = Exp.failed_gates (gates runs serving) in
   {
     Exp.id = "graph";
     title = "Whole-model graph serving (new subsystem)";
@@ -404,7 +400,7 @@ let report runs serving =
         | fs ->
           Printf.sprintf "GATE FAILURES: %s"
             (String.concat "; "
-               (List.map (fun g -> g.gate_name ^ " (" ^ g.gate_detail ^ ")") fs)));
+               (List.map (fun g -> g.Exp.gate_name ^ " (" ^ g.Exp.gate_detail ^ ")") fs)));
       ];
   }
 

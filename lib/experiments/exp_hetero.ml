@@ -231,8 +231,6 @@ let results ~quick =
 
 (* --- Acceptance gates (shared by the CLI subcommand and the bench) --- *)
 
-type gate = { gate_name : string; gate_ok : bool; gate_detail : string }
-
 let class_stat r name f =
   match
     List.find_opt (fun cs -> cs.H.cs_backend = name) r.H.o_classes
@@ -259,21 +257,21 @@ let gates r =
   in
   [
     {
-      gate_name = "mixed_beats_gpu_only";
+      Exp.gate_name = "mixed_beats_gpu_only";
       gate_ok = m_mixed.Metrics.goodput_rps > m_gpu.Metrics.goodput_rps;
       gate_detail =
         Printf.sprintf "mixed %.3f req/s (312 PEs) vs gpu-only %.3f (324 PEs)"
           m_mixed.Metrics.goodput_rps m_gpu.Metrics.goodput_rps;
     };
     {
-      gate_name = "mixed_beats_npu_only";
+      Exp.gate_name = "mixed_beats_npu_only";
       gate_ok = m_mixed.Metrics.goodput_rps > m_npu.Metrics.goodput_rps;
       gate_detail =
         Printf.sprintf "mixed %.3f req/s (312 PEs) vs npu-only %.3f (320 PEs)"
           m_mixed.Metrics.goodput_rps m_npu.Metrics.goodput_rps;
     };
     {
-      gate_name = "both_classes_serve";
+      Exp.gate_name = "both_classes_serve";
       gate_ok =
         class_stat r.r_mixed "gpu" (fun cs -> cs.H.cs_completed) > 0
         && class_stat r.r_mixed "npu" (fun cs -> cs.H.cs_completed) > 0;
@@ -283,7 +281,7 @@ let gates r =
           (class_stat r.r_mixed "npu" (fun cs -> cs.H.cs_completed));
     };
     {
-      gate_name = "failover_beats_no_failover";
+      Exp.gate_name = "failover_beats_no_failover";
       gate_ok =
         m_chaos.Metrics.slo_attainment > m_nofail.Metrics.slo_attainment;
       gate_detail =
@@ -292,7 +290,7 @@ let gates r =
           m_chaos.Metrics.slo_attainment m_nofail.Metrics.slo_attainment;
     };
     {
-      gate_name = "breaker_engaged";
+      Exp.gate_name = "breaker_engaged";
       gate_ok =
         class_stat r.r_chaos "gpu" (fun cs -> cs.H.cs_trips) > 0
         && r.r_chaos.H.o_reroutes > 0
@@ -304,7 +302,7 @@ let gates r =
           (class_stat r.r_chaos "gpu" (fun cs -> cs.H.cs_probes));
     };
     {
-      gate_name = "breaker_recovers";
+      Exp.gate_name = "breaker_recovers";
       gate_ok =
         (match
            List.find_opt
@@ -325,14 +323,14 @@ let gates r =
           (class_stat r.r_chaos "gpu" (fun cs -> cs.H.cs_completed));
     };
     {
-      gate_name = "hedging_engaged";
+      Exp.gate_name = "hedging_engaged";
       gate_ok = r.r_chaos.H.o_hedges > 0;
       gate_detail =
         Printf.sprintf "%d hedge clones, %d losing copies cancelled at grant"
           r.r_chaos.H.o_hedges r.r_chaos.H.o_hedge_cancels;
     };
     {
-      gate_name = "brownout_ladder";
+      Exp.gate_name = "brownout_ladder";
       gate_ok =
         (match brown_gpu with
         | Some cs ->
@@ -350,14 +348,14 @@ let gates r =
         | None -> "gpu class missing");
     };
     {
-      gate_name = "ratelimit_engaged";
+      Exp.gate_name = "ratelimit_engaged";
       gate_ok = List.length r.r_mixed.H.o_rate_limited > 0;
       gate_detail =
         Printf.sprintf "%d requests shed at the door in the mixed arm"
           (List.length r.r_mixed.H.o_rate_limited);
     };
     {
-      gate_name = "no_silent_losses";
+      Exp.gate_name = "no_silent_losses";
       gate_ok = List.for_all (fun (o : H.outcome) -> o.H.o_conserved) arms;
       gate_detail =
         Printf.sprintf
@@ -368,8 +366,6 @@ let gates r =
           r.r_chaos.H.o_status_digest;
     };
   ]
-
-let failed_gates gs = List.filter (fun g -> not g.gate_ok) gs
 
 (* JSON for BENCH_hetero.json and the CLI's --out: simulated quantities
    only, so the bytes are identical across runs and job counts. *)
@@ -484,12 +480,12 @@ let json r =
              (fun g ->
                J.Obj
                  [
-                   ("name", J.String g.gate_name);
-                   ("ok", J.Bool g.gate_ok);
-                   ("detail", J.String g.gate_detail);
+                   ("name", J.String g.Exp.gate_name);
+                   ("ok", J.Bool g.Exp.gate_ok);
+                   ("detail", J.String g.Exp.gate_detail);
                  ])
              gs) );
-      ("gates_ok", J.Bool (failed_gates gs = []));
+      ("gates_ok", J.Bool (Exp.failed_gates gs = []));
     ]
 
 (* --- Human-readable report --- *)
@@ -560,7 +556,7 @@ let report r =
   let m_npu = metrics r.r_npu_only in
   let m_chaos = metrics r.r_chaos in
   let m_nofail = metrics r.r_no_failover in
-  let failed = failed_gates (gates r) in
+  let failed = Exp.failed_gates (gates r) in
   {
     Exp.id = "hetero";
     title = "Heterogeneous mixed-fleet serving with cross-device failover";
@@ -589,7 +585,7 @@ let report r =
           Printf.sprintf "GATE FAILURES: %s"
             (String.concat "; "
                (List.map
-                  (fun g -> g.gate_name ^ " (" ^ g.gate_detail ^ ")")
+                  (fun g -> g.Exp.gate_name ^ " (" ^ g.Exp.gate_detail ^ ")")
                   fs)));
       ];
   }

@@ -144,11 +144,9 @@ let results ~quick =
 
 (* --- Acceptance gates (shared by the CLI subcommand and the bench) --- *)
 
-type gate = { gate_name : string; gate_ok : bool; gate_detail : string }
-
 let tau_gate name (arm : arm) =
   {
-    gate_name = name ^ "_tau_beats_calibrated";
+    Exp.gate_name = name ^ "_tau_beats_calibrated";
     gate_ok = arm.a_learned.Ranking.tau > arm.a_cal.Ranking.tau;
     gate_detail =
       Printf.sprintf "learned tau %.4f vs calibrated %.4f (raw %.4f) on %s"
@@ -158,7 +156,7 @@ let tau_gate name (arm : arm) =
 
 let regret_gate name (arm : arm) =
   {
-    gate_name = name ^ "_regret_beats_calibrated";
+    Exp.gate_name = name ^ "_regret_beats_calibrated";
     gate_ok =
       arm.a_learned.Ranking.top1_regret < arm.a_cal.Ranking.top1_regret;
     gate_detail =
@@ -194,7 +192,7 @@ let gates r =
           r.r_cold.Ranking.tau r.r_transfer_examples;
     };
     {
-      gate_name = "ordering_never_changes_program";
+      Exp.gate_name = "ordering_never_changes_program";
       gate_ok = r.r_ab.Ranker.ab_identical;
       gate_detail =
         Printf.sprintf
@@ -203,7 +201,7 @@ let gates r =
           r.r_ab.Ranker.ab_shapes;
     };
     {
-      gate_name = "fewer_candidates_to_winner";
+      Exp.gate_name = "fewer_candidates_to_winner";
       gate_ok =
         r.r_ab.Ranker.ab_first_hit_ranked < r.r_ab.Ranker.ab_first_hit_plain;
       gate_detail =
@@ -214,7 +212,7 @@ let gates r =
           r.r_ab.Ranker.ab_shapes;
     };
     {
-      gate_name = "deadline_degrades_no_worse";
+      Exp.gate_name = "deadline_degrades_no_worse";
       gate_ok =
         r.r_ab.Ranker.ab_deadline_matches_ranked
         >= r.r_ab.Ranker.ab_deadline_matches_plain;
@@ -227,8 +225,6 @@ let gates r =
           r.r_ab.Ranker.ab_rescues;
     };
   ]
-
-let failed_gates gs = List.filter (fun g -> not g.gate_ok) gs
 
 (* JSON for BENCH_rank.json and the CLI's --out: simulated quantities
    only, so the bytes are identical across runs and job counts. *)
@@ -291,12 +287,12 @@ let json r =
              (fun g ->
                J.Obj
                  [
-                   ("name", J.String g.gate_name);
-                   ("ok", J.Bool g.gate_ok);
-                   ("detail", J.String g.gate_detail);
+                   ("name", J.String g.Exp.gate_name);
+                   ("ok", J.Bool g.Exp.gate_ok);
+                   ("detail", J.String g.Exp.gate_detail);
                  ])
              gs) );
-      ("gates_ok", J.Bool (failed_gates gs = []));
+      ("gates_ok", J.Bool (Exp.failed_gates gs = []));
     ]
 
 (* --- Human-readable report --- *)
@@ -346,7 +342,7 @@ let report r =
       string_of_int ab.Ranker.ab_deadline_matches_ranked;
       string_of_int ab.Ranker.ab_shapes;
     ];
-  let failed = failed_gates (gates r) in
+  let failed = Exp.failed_gates (gates r) in
   {
     Exp.id = "rank";
     title = "Learned candidate ranking (new subsystem)";
@@ -381,7 +377,7 @@ let report r =
           Printf.sprintf "GATE FAILURES: %s"
             (String.concat "; "
                (List.map
-                  (fun g -> g.gate_name ^ " (" ^ g.gate_detail ^ ")")
+                  (fun g -> g.Exp.gate_name ^ " (" ^ g.Exp.gate_detail ^ ")")
                   fs)));
       ];
   }

@@ -1,4 +1,5 @@
 module Sch = Mikpoly_serve.Scheduler
+module Replica = Mikpoly_serve.Replica
 module Request = Mikpoly_serve.Request
 module Batcher = Mikpoly_serve.Batcher
 module Bucketing = Mikpoly_serve.Bucketing
@@ -117,45 +118,96 @@ let slo_met (c : Sch.completed) =
   c.Sch.first_token -. r.Request.arrival <= r.Request.slo.Request.ttft
   && c.Sch.finish -. r.Request.arrival <= r.Request.slo.Request.e2e
 
-let to_scheduler_outcome (o : outcome) : Sch.outcome =
-  {
-    Sch.completed = o.completed;
-    dropped = o.dropped;
-    rejected = List.map (fun r -> (r, "rate-limited")) o.rate_limited;
-    timed_out = [];
-    failed = [];
-    steps = o.steps;
-    makespan = o.makespan;
-    compile_stall_seconds = o.compile_stall_seconds;
-    adapt_stall_seconds = 0.;
-    actual_tokens = o.actual_tokens;
-    padded_tokens = o.padded_tokens;
-    cache = o.cache;
-    queue_depth_sum = o.queue_depth_sum;
-    queue_samples = o.queue_samples;
-    retries = o.requeues;
-    crashes = o.crashes;
-    injected_faults = o.injected_faults;
-  }
+let tier_table trace completed =
+  let tenant_of = Tenant.lookup trace in
+  List.map
+    (fun tier ->
+      let reqs =
+        List.length
+          (List.filter
+             (fun (tg : Tenant.tagged) -> tg.Tenant.tenant.Tenant.tier = tier)
+             trace)
+      in
+      let comps =
+        List.filter
+          (fun (c : Sch.completed) ->
+            (tenant_of c.Sch.request.Request.id).Tenant.tier = tier)
+          completed
+      in
+      let met = List.length (List.filter slo_met comps) in
+      {
+        tm_tier = tier;
+        tm_requests = reqs;
+        tm_completed = List.length comps;
+        tm_slo_met = met;
+        tm_attainment =
+          (if reqs = 0 then 1. else float_of_int met /. float_of_int reqs);
+      })
+    Tenant.tiers
 
-type active = {
-  a_tg : Tenant.tagged;
-  mutable a_remaining : int;
-  mutable a_kv : int;
-  mutable a_prefill : int;
-  mutable a_first : float;
-}
+let scheduler_outcome ~completed ~dropped ~rate_limited ~cache counters =
+  Sch.project counters ~completed ~dropped
+    ~rejected:(List.map (fun r -> (r, "rate-limited")) rate_limited)
+    ~timed_out:[] ~failed:[] ~adapt_stall_seconds:0. ~cache
 
-type slot = {
-  sl_idx : int;
-  mutable sl_active : bool;
-  mutable sl_clock : float;
-  mutable sl_act : active list;
-  mutable sl_cache : unit Shape_cache.t;
-  mutable sl_step : int;  (* monotone per slot: the fault-draw key *)
-  mutable sl_down_until : float;
-  mutable sl_spawned : float;
-}
+let to_scheduler_outcome (o : outcome) =
+  scheduler_outcome ~completed:o.completed ~dropped:o.dropped
+    ~rate_limited:o.rate_limited ~cache:o.cache
+    {
+      Replica.steps = o.steps;
+      makespan = o.makespan;
+      stall = o.compile_stall_seconds;
+      actual_tokens = o.actual_tokens;
+      padded_tokens = o.padded_tokens;
+      queue_depth_sum = o.queue_depth_sum;
+      queue_samples = o.queue_samples;
+      crashes = o.crashes;
+      injected = o.injected_faults;
+      requeues = o.requeues;
+    }
+
+let by_arrival trace =
+  List.stable_sort
+    (fun (a : Tenant.tagged) (b : Tenant.tagged) ->
+      Request.compare_arrival a.Tenant.req b.Tenant.req)
+    trace
+
+let limiter =
+  Option.map (fun base ->
+      Ratelimit.create
+        ~rate_for:(fun t -> Ratelimit.for_tier ~base t.Tenant.tier)
+        ())
+
+let aged_time batcher q ~in_flight tg =
+  let arrival = tg.Tenant.req.Request.arrival in
+  match batcher with
+  | Batcher.Greedy _ | Batcher.Slo_aware _ -> arrival
+  | Batcher.Timeout { window; max_batch } ->
+    if Wfq.length q + in_flight >= max_batch then arrival
+    else arrival +. window
+
+let earliest q time =
+  if Wfq.is_empty q then None
+  else
+    Some
+      (List.fold_left
+         (fun acc tg -> Float.min acc (time tg))
+         infinity (Wfq.to_list q))
+
+let grant batcher q ~now ~in_flight offer =
+  let table = Hashtbl.create 8 in
+  List.iter (fun tg -> Hashtbl.replace table tg.Tenant.req.Request.id tg) offer;
+  let tagged_of (req : Request.t) = Hashtbl.find table req.Request.id in
+  let d =
+    Batcher.admit batcher ~now ~in_flight
+      ~waiting:(List.map (fun tg -> tg.Tenant.req) offer)
+  in
+  List.iter
+    (fun req -> Wfq.push_front q (tagged_of req))
+    (List.rev d.Batcher.deferred);
+  (d, tagged_of)
+
+type slot = Tenant.tagged Replica.slot
 
 (* Event kinds in tie priority order: a crash preempts the arrival it
    races, arrivals land before the background planes run, and the
@@ -185,19 +237,13 @@ let run ?(faults = Plan.none) config engine trace =
         (min config.replicas a.Autoscaler.max_replicas)
     | None -> config.replicas
   in
-  let slots =
-    Array.init max_slots (fun i ->
-        {
-          sl_idx = i;
-          sl_active = i < init_active;
-          sl_clock = 0.;
-          sl_act = [];
-          sl_cache = Shape_cache.create ~capacity:config.cache_capacity;
-          sl_step = 0;
-          sl_down_until = 0.;
-          sl_spawned = 0.;
-        })
+  let slots : slot array =
+    Array.init max_slots (fun index ->
+        Replica.slot ~index ~capacity:config.cache_capacity)
   in
+  (* Autoscaler state per slot: in service or not, and since when. *)
+  let live = Array.init max_slots (fun i -> i < init_active) in
+  let spawned = Array.make max_slots 0. in
   Tm.Metrics.gauge_add g_replicas (float_of_int init_active);
   let q = Wfq.create () in
   let learner =
@@ -225,9 +271,11 @@ let run ?(faults = Plan.none) config engine trace =
       Some (Shape_cache.create_weighted ~weight ~capacity:w.warm_capacity)
     | _ -> None
   in
-  let register_warm_shapes b shapes =
+  let warm_shapes ~tokens =
+    let shapes = engine.Sch.step_shapes ~tokens in
     List.iter
-      (fun ((shape : Shape_cache.key), _) -> Hashtbl.replace warm_sig shape b)
+      (fun ((shape : Shape_cache.key), _) ->
+        Hashtbl.replace warm_sig shape tokens)
       shapes;
     shapes
   in
@@ -236,35 +284,12 @@ let run ?(faults = Plan.none) config engine trace =
      head request ages past [steal_age] — then the stealing slot claims
      it. *)
   let owner : (int, int) Hashtbl.t = Hashtbl.create 32 in
-  let pending =
-    ref
-      (List.stable_sort
-         (fun (a : Tenant.tagged) (b : Tenant.tagged) ->
-           Request.compare_arrival a.Tenant.req b.Tenant.req)
-         trace)
-  in
+  let pending = ref (by_arrival trace) in
+  let c = Replica.counters () in
   let completed = ref [] in
   let dropped = ref [] in
   let rate_limited = ref [] in
-  let limiter =
-    match config.ratelimit with
-    | Some base ->
-      Some
-        (Ratelimit.create
-           ~rate_for:(fun t -> Ratelimit.for_tier ~base t.Tenant.tier)
-           ())
-    | None -> None
-  in
-  let steps = ref 0 in
-  let stall_total = ref 0. in
-  let actual_tokens = ref 0 in
-  let padded_tokens = ref 0 in
-  let qsum = ref 0 in
-  let qsamples = ref 0 in
-  let makespan = ref 0. in
-  let crash_count = ref 0 in
-  let injected = ref 0 in
-  let requeues = ref 0 in
+  let limiter = limiter config.ratelimit in
   let warm_hits = ref 0 in
   let warm_compiles = ref 0 in
   let warm_bg_clock = ref 0. in
@@ -293,21 +318,10 @@ let run ?(faults = Plan.none) config engine trace =
   in
   let owner_of s =
     match Hashtbl.find_opt owner s with
-    | Some i when slots.(i).sl_active -> Some i
+    | Some i when live.(i) -> Some i
     | _ -> None
   in
-  (* Policy-aging instant for a queued request, mirroring the
-     [Batcher] predicates over the fleet-wide queue: a Timeout batcher
-     holds a request back for its window unless the shared queue alone
-     can fill the batch. *)
-  let aged_time in_flight tg =
-    let arrival = tg.Tenant.req.Request.arrival in
-    match config.batcher with
-    | Batcher.Greedy _ | Batcher.Slo_aware _ -> arrival
-    | Batcher.Timeout { window; max_batch } ->
-      if Wfq.length q + in_flight >= max_batch then arrival
-      else arrival +. window
-  in
+  let aged_time in_flight tg = aged_time config.batcher q ~in_flight tg in
   (* Earliest instant slot [r] may take this request as a group leader.
      Affinity never un-work-conserves the fleet: a busy or down owner is
      stolen from immediately (its cache locality is moot — it cannot
@@ -316,43 +330,32 @@ let run ?(faults = Plan.none) config engine trace =
      deferred to, and at most until the request ages past [steal_age].
      Owner state is read at evaluation time; the event loop recomputes
      slot wake-ups every iteration, so the answer is always current. *)
-  let affinity_time r in_flight tg =
+  let affinity_time (r : slot) in_flight tg =
     let aged = aged_time in_flight tg in
     if not config.coalesce then aged
     else
       match owner_of (signature tg) with
       | None -> aged
-      | Some i when i = r.sl_idx -> aged
+      | Some i when i = r.index -> aged
       | Some i ->
         let o = slots.(i) in
-        if o.sl_act <> [] || o.sl_down_until > aged then aged
+        if o.act <> [] || o.down_until > aged then aged
         else Float.max aged (tg.Tenant.req.Request.arrival +. config.steal_age)
   in
-  let slot_next_time r =
-    if not r.sl_active then None
-    else
-      let base = Float.max r.sl_clock r.sl_down_until in
-      if r.sl_act <> [] then Some base
-      else if Wfq.is_empty q then None
-      else begin
-        let earliest =
-          List.fold_left
-            (fun acc tg -> Float.min acc (affinity_time r 0 tg))
-            infinity (Wfq.to_list q)
-        in
-        Some (Float.max base earliest)
-      end
+  let slot_next_time (r : slot) =
+    if not live.(r.index) then None
+    else Replica.ready_at r (fun () -> earliest q (affinity_time r 0))
   in
   let active_slots () =
-    Array.to_list slots |> List.filter (fun r -> r.sl_active)
+    Array.to_list slots |> List.filter (fun (r : slot) -> live.(r.index))
   in
   let work_remains () =
     !pending <> []
     || (not (Wfq.is_empty q))
-    || Array.exists (fun r -> r.sl_active && r.sl_act <> []) slots
+    || Array.exists (fun (r : slot) -> live.(r.index) && r.act <> []) slots
   in
   let resolve_drop (req : Request.t) =
-    dropped := !dropped @ [ req ];
+    dropped := req :: !dropped;
     incr resolved;
     Tm.Metrics.incr m_dropped
   in
@@ -361,22 +364,14 @@ let run ?(faults = Plan.none) config engine trace =
     | [] -> ()
     | actives ->
       let r = List.nth actives (target mod List.length actives) in
-      incr crash_count;
-      incr injected;
       Tm.Metrics.incr m_crashes;
       (* In-flight work bounces back to the front of its tenants' lanes
          uncharged — progress (tokens, KV) is lost with the process, but
          the requests are not. *)
-      requeues := !requeues + List.length r.sl_act;
-      List.iter
-        (fun a -> Wfq.push_front q a.a_tg)
-        (List.rev r.sl_act);
-      r.sl_act <- [];
-      retired_caches := Shape_cache.stats r.sl_cache :: !retired_caches;
-      r.sl_cache <- Shape_cache.create ~capacity:config.cache_capacity;
-      r.sl_down_until <- now +. faults.Plan.restart_delay;
-      r.sl_clock <- Float.max r.sl_clock r.sl_down_until;
-      makespan := Float.max !makespan r.sl_down_until
+      retired_caches :=
+        Replica.crash c r ~now ~restart_delay:faults.Plan.restart_delay
+          ~requeue:(Wfq.push_front q)
+        :: !retired_caches
   in
   let do_refresh w ~now =
     match (learner, warm_store) with
@@ -394,8 +389,7 @@ let run ?(faults = Plan.none) config engine trace =
             List.filter_map
               (fun (shape, _) ->
                 if Shape_cache.mem ws shape then None else Some shape)
-              (register_warm_shapes signature
-                 (engine.Sch.step_shapes ~tokens:signature)))
+              (warm_shapes ~tokens:signature))
           top
       in
       if missing <> [] then
@@ -408,32 +402,30 @@ let run ?(faults = Plan.none) config engine trace =
                 (* One background worker compiles serially, off every
                    replica's critical path; the program only becomes
                    warm once its compile finishes on that clock. *)
-                let c = engine.Sch.compile_seconds shape in
-                warm_bg_clock := Float.max !warm_bg_clock now +. c;
-                warm_bg_seconds := !warm_bg_seconds +. c;
+                let cost = engine.Sch.compile_seconds shape in
+                warm_bg_clock := Float.max !warm_bg_clock now +. cost;
+                warm_bg_seconds := !warm_bg_seconds +. cost;
                 Shape_cache.add ws shape !warm_bg_clock;
                 incr warm_compiles;
                 Tm.Metrics.incr m_warm_compiles
               end)
-            (register_warm_shapes signature
-               (engine.Sch.step_shapes ~tokens:signature)))
+            (warm_shapes ~tokens:signature))
         top
     | _ -> ()
   in
   let spawn ~now =
     let rec find i =
       if i >= max_slots then None
-      else if not slots.(i).sl_active then Some slots.(i)
+      else if not live.(i) then Some slots.(i)
       else find (i + 1)
     in
     match find 0 with
     | None -> false
     | Some r ->
-      r.sl_active <- true;
-      r.sl_spawned <- now;
-      r.sl_clock <- now;
-      r.sl_down_until <- 0.;
-      r.sl_cache <- Shape_cache.create ~capacity:config.cache_capacity;
+      live.(r.index) <- true;
+      spawned.(r.index) <- now;
+      r.clock <- now;
+      r.down_until <- 0.;
       incr scale_ups;
       Tm.Metrics.incr m_scale_ups;
       Tm.Metrics.gauge_add g_replicas 1.;
@@ -445,16 +437,15 @@ let run ?(faults = Plan.none) config engine trace =
        busy or down, hold — never kill in-flight work for efficiency. *)
     let candidates =
       List.filter
-        (fun r -> r.sl_act = [] && r.sl_down_until <= now)
+        (fun (r : slot) -> r.act = [] && r.down_until <= now)
         (active_slots ())
     in
     match List.rev candidates with
     | [] -> false
     | r :: _ ->
-      r.sl_active <- false;
-      replica_acc := !replica_acc +. (now -. r.sl_spawned);
-      retired_caches := Shape_cache.stats r.sl_cache :: !retired_caches;
-      r.sl_cache <- Shape_cache.create ~capacity:config.cache_capacity;
+      live.(r.index) <- false;
+      replica_acc := !replica_acc +. (now -. spawned.(r.index));
+      retired_caches := Replica.retire r :: !retired_caches;
       incr scale_downs;
       Tm.Metrics.incr m_scale_downs;
       Tm.Metrics.gauge_add g_replicas (-1.);
@@ -462,7 +453,7 @@ let run ?(faults = Plan.none) config engine trace =
   in
   let do_tick a ~now =
     let live, down =
-      List.partition (fun r -> r.sl_down_until <= now) (active_slots ())
+      List.partition (fun (r : slot) -> r.down_until <= now) (active_slots ())
     in
     let n_live = max 1 (List.length live) in
     let signal =
@@ -473,8 +464,7 @@ let run ?(faults = Plan.none) config engine trace =
           (if !resolved = 0 then 1.
            else float_of_int !met_count /. float_of_int !resolved);
         stall_ratio =
-          (if now <= 0. then 0.
-           else !stall_total /. (now *. float_of_int n_live));
+          (if now <= 0. then 0. else c.stall /. (now *. float_of_int n_live));
         live_replicas = List.length live;
         down_replicas = List.length down;
       }
@@ -484,14 +474,14 @@ let run ?(faults = Plan.none) config engine trace =
     | Autoscaler.Scale_up -> if spawn ~now then last_change := now
     | Autoscaler.Scale_down -> if retire ~now then last_change := now
   in
-  let do_step r ~now =
+  let do_step (r : slot) ~now =
     (* Admission: pull an offer from the fleet queue in WFQ order (the
        first grant is affinity-restricted when coalescing), then let the
        Batcher policy rule on it. By construction the offer is already
        policy-eligible, so the batcher admits or sheds — a deferral
        would only mean the fleet-level aging predicate and the batcher
        disagreed, and then the request simply returns to its lane. *)
-    let in_flight = List.length r.sl_act in
+    let in_flight = List.length r.act in
     let cap = Batcher.max_batch config.batcher - in_flight in
     let offer =
       if cap <= 0 || Wfq.is_empty q then []
@@ -503,225 +493,90 @@ let run ?(faults = Plan.none) config engine trace =
             (not config.coalesce) || signature leader = signature tg)
           ()
     in
-    let tagged_of =
-      let table = Hashtbl.create 8 in
-      List.iter
-        (fun tg -> Hashtbl.replace table tg.Tenant.req.Request.id tg)
-        offer;
-      fun (req : Request.t) -> Hashtbl.find table req.Request.id
-    in
-    let d =
-      Batcher.admit config.batcher ~now ~in_flight
-        ~waiting:(List.map (fun tg -> tg.Tenant.req) offer)
-    in
-    List.iter
-      (fun req -> Wfq.push_front q (tagged_of req))
-      (List.rev d.Batcher.deferred);
+    let d, tagged_of = grant config.batcher q ~now ~in_flight offer in
     List.iter resolve_drop d.Batcher.dropped;
     (match offer with
     | leader :: _ when config.coalesce ->
       let s = signature leader in
-      Hashtbl.replace owner s r.sl_idx;
+      Hashtbl.replace owner s r.index;
       if
         List.length offer > 1
         && List.for_all (fun tg -> signature tg = s) offer
       then incr coalesced_groups
     | _ -> ());
-    r.sl_act <-
-      r.sl_act
-      @ List.map
-          (fun (req : Request.t) ->
-            let tg = tagged_of req in
-            {
-              a_tg = tg;
-              a_remaining = req.Request.output_len;
-              a_kv = 0;
-              a_prefill = req.Request.prompt_len;
-              a_first = nan;
-            })
-          d.Batcher.admitted;
-    if r.sl_act = [] then
-      (* SLO shedding may have emptied the offer; otherwise nudge the
-         clock so an admit-nothing policy step cannot livelock. *)
-      r.sl_clock <- (if d.Batcher.dropped <> [] then now else now +. 1e-6)
+    Replica.admit r ~item:tagged_of d.Batcher.admitted;
+    if r.act = [] then Replica.idle r ~now ~shed:(d.Batcher.dropped <> [])
     else begin
-      incr qsamples;
-      qsum := !qsum + Wfq.length q;
-      let tokens =
-        List.fold_left
-          (fun acc a -> acc + if a.a_prefill > 0 then a.a_prefill else 1)
-          0 r.sl_act
+      let b =
+        Replica.batch c r ~queued:(Wfq.length q) ~bucketing:config.bucketing
+          ~coalesce:config.coalesce ~step_shapes:warm_shapes
       in
-      let kv_tokens = List.fold_left (fun acc a -> acc + a.a_kv) 0 r.sl_act in
-      (* Coalesced batches pad each member to its own bucket, so a group
-         of k same-signature prefills runs the k x bucket polymerized
-         program exactly — the step shape repeats whenever the same
-         group composition recurs, instead of chasing the bucket of an
-         arbitrary mixed sum. Uncoalesced admission keeps the
-         scheduler's bucket-of-the-sum model. *)
-      let btokens =
-        if config.coalesce then
-          List.fold_left
-            (fun acc a ->
-              acc
-              + if a.a_prefill > 0 then
-                  Bucketing.bucket config.bucketing a.a_prefill
-                else 1)
-            0 r.sl_act
-        else Bucketing.bucket config.bucketing tokens
-      in
-      actual_tokens := !actual_tokens + tokens;
-      padded_tokens := !padded_tokens + btokens;
       (* Program lookup ladder: replica cache, then the fleet-shared
          warm store (stall-free if its background compile finished by
          [now]), then an on-path compile that stalls this step — and
          publishes the program fleet-wide, so no other replica ever
-         compiles this shape again. *)
-      let stall = ref 0. in
-      (* Coalesced batches launch the *bucket's* polymerized program per
-         member — k same-signature prefills reuse one compiled program
-         whatever k is (the runtime glues k micro-kernel instances), so
-         the compile key is the bucket, never the k x bucket product.
-         Uncoalesced batches compile for the bucket of the mixed sum,
-         like the baseline scheduler. *)
-      let launch_shapes =
-        if config.coalesce then begin
-          let prefills = List.filter (fun a -> a.a_prefill > 0) r.sl_act in
-          let decodes = List.length r.sl_act - List.length prefills in
-          let buckets =
-            List.sort_uniq compare
-              (List.map
-                 (fun a -> Bucketing.bucket config.bucketing a.a_prefill)
-                 prefills)
-          in
-          List.concat_map
-            (fun b -> register_warm_shapes b (engine.Sch.step_shapes ~tokens:b))
-            buckets
-          @ (if decodes > 0 then
-               let db = Bucketing.bucket config.bucketing decodes in
-               register_warm_shapes db (engine.Sch.step_shapes ~tokens:db)
-             else [])
-        end
-        else register_warm_shapes btokens (engine.Sch.step_shapes ~tokens:btokens)
+         compiles this shape again. Publishes are admitted at the
+         learner masses of [now]. *)
+      warm_now := now;
+      let stall =
+        Replica.lookup r ~now ~compile:engine.Sch.compile_seconds
+          ~store:warm_store
+          ~on_store_hit:(fun () ->
+            incr warm_hits;
+            Tm.Metrics.incr m_warm_hits)
+          b.shapes
       in
-      List.iter
-        (fun (shape, launches) ->
-          for _ = 1 to launches do
-            match Shape_cache.find r.sl_cache shape with
-            | Some () -> ()
-            | None -> (
-              let warm_ready =
-                match warm_store with
-                | Some ws -> (
-                  match Shape_cache.find ws shape with
-                  | Some ready when ready <= now -> true
-                  | _ -> false)
-                | None -> false
-              in
-              if warm_ready then begin
-                incr warm_hits;
-                Tm.Metrics.incr m_warm_hits;
-                Shape_cache.add r.sl_cache shape ()
-              end
-              else begin
-                let c = engine.Sch.compile_seconds shape in
-                stall := !stall +. c;
-                Shape_cache.add r.sl_cache shape ();
-                match warm_store with
-                | Some ws ->
-                  warm_now := now;
-                  Shape_cache.add ws shape (now +. !stall)
-                | None -> ()
-              end)
-          done)
-        launch_shapes;
-      let step_idx = r.sl_step in
-      r.sl_step <- r.sl_step + 1;
-      let slowdown = Plan.step_slowdown faults ~replica:r.sl_idx ~step:step_idx in
-      if slowdown > 1. then incr injected;
+      let step_idx = Replica.next_step r in
+      let slowdown = Plan.step_slowdown faults ~replica:r.index ~step:step_idx in
+      if slowdown > 1. then c.injected <- c.injected + 1;
       let dt =
-        (engine.Sch.step_seconds ~tokens:btokens ~kv_tokens +. !stall)
+        (engine.Sch.step_seconds ~tokens:b.btokens ~kv_tokens:b.kv_tokens
+        +. stall)
         *. slowdown
       in
-      stall_total := !stall_total +. !stall;
+      c.stall <- c.stall +. stall;
       Tm.Metrics.incr m_steps;
       let fin = now +. dt in
-      if Plan.step_fails faults ~replica:r.sl_idx ~step:step_idx then begin
+      if Plan.step_fails faults ~replica:r.index ~step:step_idx then begin
         (* Transient step fault: device time elapses, the step's work is
            lost, and the batch bounces back to its lanes for a fresh
            attempt (progress restarts, like a crash). *)
-        incr injected;
-        requeues := !requeues + List.length r.sl_act;
-        List.iter (fun a -> Wfq.push_front q a.a_tg) (List.rev r.sl_act);
-        r.sl_act <- []
+        c.injected <- c.injected + 1;
+        c.requeues <- c.requeues + Replica.evict r ~requeue:(Wfq.push_front q)
       end
       else
-        r.sl_act <-
-          List.filter
-            (fun a ->
-              if a.a_prefill > 0 then begin
-                a.a_kv <- a.a_prefill;
-                a.a_prefill <- 0;
-                true
-              end
-              else begin
-                a.a_kv <- a.a_kv + 1;
-                a.a_remaining <- a.a_remaining - 1;
-                if Float.is_nan a.a_first then a.a_first <- fin;
-                if a.a_remaining = 0 then begin
-                  let c =
-                    {
-                      Sch.request = a.a_tg.Tenant.req;
-                      first_token = a.a_first;
-                      finish = fin;
-                      replica = r.sl_idx;
-                    }
-                  in
-                  completed := c :: !completed;
-                  incr resolved;
-                  if slo_met c then incr met_count;
-                  Tm.Metrics.incr m_completed;
-                  false
-                end
-                else true
-              end)
-            r.sl_act;
-      r.sl_clock <- fin;
-      makespan := Float.max !makespan fin;
-      incr steps
+        Replica.advance r ~fin ~on_done:(fun _ done_ ->
+            completed := done_ :: !completed;
+            incr resolved;
+            if slo_met done_ then incr met_count;
+            Tm.Metrics.incr m_completed);
+      Replica.close_step c r ~clock:fin
     end
   in
-  let rec loop () =
-    let best = ref None in
-    let consider time prio payload =
-      match !best with
-      | Some (bt, bp, _) when bt < time || (bt = time && bp <= prio) -> ()
-      | _ -> best := Some (time, prio, payload)
-    in
-    (match !crashes_left with
-    | (t, i) :: _ -> consider t prio_crash (`Crash i)
-    | [] -> ());
-    (match !pending with
-    | tg :: _ -> consider tg.Tenant.req.Request.arrival prio_arrival `Arrival
-    | [] -> ());
-    if work_remains () then begin
-      (match config.warm with
-      | Some w -> consider !next_refresh prio_refresh (`Refresh w)
-      | None -> ());
-      match config.autoscale with
-      | Some a -> consider !next_tick prio_scale (`Tick a)
-      | None -> ()
-    end;
-    Array.iter
-      (fun r ->
-        match slot_next_time r with
-        | Some t -> consider t prio_step (`Step r)
-        | None -> ())
-      slots;
-    match !best with
-    | None -> ()
-    | Some (t, _, payload) ->
-      (match payload with
+  Replica.drive
+    ~candidates:(fun n ->
+      (match !crashes_left with
+      | (t, i) :: _ -> Replica.consider n t prio_crash (`Crash i)
+      | [] -> ());
+      (match !pending with
+      | tg :: _ ->
+        Replica.consider n tg.Tenant.req.Request.arrival prio_arrival `Arrival
+      | [] -> ());
+      if work_remains () then begin
+        (match config.warm with
+        | Some w -> Replica.consider n !next_refresh prio_refresh (`Refresh w)
+        | None -> ());
+        match config.autoscale with
+        | Some a -> Replica.consider n !next_tick prio_scale (`Tick a)
+        | None -> ()
+      end;
+      Array.iter
+        (fun r ->
+          match slot_next_time r with
+          | Some t -> Replica.consider n t prio_step (`Step r)
+          | None -> ())
+        slots)
+    ~fire:(fun t -> function
       | `Crash i ->
         crashes_left := List.tl !crashes_left;
         do_crash i ~now:t
@@ -736,7 +591,7 @@ let run ?(faults = Plan.none) config engine trace =
         if not admitted then begin
           (* Shed at the door, before the WFQ and before the learner —
              rate-limited traffic must not train the warm store. *)
-          rate_limited := !rate_limited @ [ tg.Tenant.req ];
+          rate_limited := tg.Tenant.req :: !rate_limited;
           incr resolved
         end
         else begin
@@ -757,74 +612,41 @@ let run ?(faults = Plan.none) config engine trace =
         do_tick a ~now:t;
         next_tick := !next_tick +. a.Autoscaler.interval
       | `Step r -> do_step r ~now:t);
-      loop ()
-  in
-  loop ();
+  let actives = active_slots () in
   let replica_seconds =
     !replica_acc
     +. List.fold_left
-         (fun acc r -> acc +. Float.max 0. (!makespan -. r.sl_spawned))
-         0. (active_slots ())
+         (fun acc (r : slot) ->
+           acc +. Float.max 0. (c.makespan -. spawned.(r.index)))
+         0. actives
   in
-  Tm.Metrics.gauge_add g_replicas
-    (-.float_of_int (List.length (active_slots ())));
-  let tenant_of = Tenant.lookup trace in
-  let tiers =
-    List.map
-      (fun tier ->
-        let of_tier id = (tenant_of id).Tenant.tier = tier in
-        let reqs =
-          List.length
-            (List.filter
-               (fun (tg : Tenant.tagged) ->
-                 tg.Tenant.tenant.Tenant.tier = tier)
-               trace)
-        in
-        let comps =
-          List.filter
-            (fun (c : Sch.completed) -> of_tier c.Sch.request.Request.id)
-            !completed
-        in
-        let met = List.length (List.filter slo_met comps) in
-        {
-          tm_tier = tier;
-          tm_requests = reqs;
-          tm_completed = List.length comps;
-          tm_slo_met = met;
-          tm_attainment =
-            (if reqs = 0 then 1.
-             else float_of_int met /. float_of_int reqs);
-        })
-      Tenant.tiers
-  in
+  Tm.Metrics.gauge_add g_replicas (-.float_of_int (List.length actives));
   {
     completed = List.rev !completed;
-    dropped = !dropped;
-    rate_limited = !rate_limited;
-    steps = !steps;
-    makespan = !makespan;
-    compile_stall_seconds = !stall_total;
-    actual_tokens = !actual_tokens;
-    padded_tokens = !padded_tokens;
+    dropped = List.rev !dropped;
+    rate_limited = List.rev !rate_limited;
+    steps = c.steps;
+    makespan = c.makespan;
+    compile_stall_seconds = c.stall;
+    actual_tokens = c.actual_tokens;
+    padded_tokens = c.padded_tokens;
     cache =
-      (Array.to_list slots
-      |> List.filter (fun r -> r.sl_active)
-      |> List.map (fun r -> Shape_cache.stats r.sl_cache))
+      List.map (fun (r : slot) -> Shape_cache.stats r.cache) actives
       @ List.rev !retired_caches;
     warm_stats = Option.map Shape_cache.stats warm_store;
     warm_hits = !warm_hits;
     warm_compiles = !warm_compiles;
     warm_background_seconds = !warm_bg_seconds;
     coalesced_groups = !coalesced_groups;
-    queue_depth_sum = !qsum;
-    queue_samples = !qsamples;
-    crashes = !crash_count;
-    injected_faults = !injected;
-    requeues = !requeues;
+    queue_depth_sum = c.queue_depth_sum;
+    queue_samples = c.queue_samples;
+    crashes = c.crashes;
+    injected_faults = c.injected;
+    requeues = c.requeues;
     scale_ups = !scale_ups;
     scale_downs = !scale_downs;
     peak_replicas = !peak;
     replica_seconds;
     lanes = Wfq.stats q;
-    tiers;
+    tiers = tier_table trace !completed;
   }

@@ -1,12 +1,14 @@
-(** Multi-tenant continuous-batching fleet over the {!Mikpoly_serve}
-    scheduler primitives.
+(** Multi-tenant continuous-batching fleet.
 
-    One fleet-wide weighted-fair queue ({!Wfq}) feeds N replica slots
-    running the same event-clock simulation contract as
-    {!Mikpoly_serve.Scheduler.run}: bit-identical outcomes for a given
-    (config, engine, trace, fault plan), independent of [--jobs] and of
-    wall-clock time. On top of plain WFQ dispatch the fleet adds three
-    compile-aware planes:
+    One fleet-wide weighted-fair queue ({!Wfq}) feeds N
+    {!Mikpoly_serve.Replica} slots. The replica step — in-flight batch,
+    token advance, program lookup ladder, crash requeue and the
+    next-event pick — is the one {!Mikpoly_serve.Scheduler.run} uses
+    (DESIGN.md §7), with the same contract: bit-identical outcomes for a
+    given (config, engine, trace, fault plan), independent of [--jobs]
+    and of wall-clock time. The fleet adds only its policies: the shared
+    queue with owner affinity and stealing, and three compile-aware
+    planes:
 
     - {b Shape-aware coalescing} ([coalesce]): each admission pulls a
       group of requests sharing one bucketed shape signature, so the
@@ -94,6 +96,57 @@ type outcome = {
 
 val slo_met : Mikpoly_serve.Scheduler.completed -> bool
 (** Both the TTFT and the end-to-end budget were met. *)
+
+val tier_table :
+  Tenant.tagged list ->
+  Mikpoly_serve.Scheduler.completed list ->
+  tier_metrics list
+(** One row per tier over a tagged trace and its completions (in any
+    order): dropped and rate-limited requests count against attainment. *)
+
+(** {2 Tenant front end}
+
+    The WFQ-side pieces {!run} shares with [Mikpoly_hetero.Hetero]. *)
+
+val by_arrival : Tenant.tagged list -> Tenant.tagged list
+(** Stable sort by arrival time. *)
+
+val limiter : Ratelimit.config option -> Ratelimit.t option
+(** Per-tenant buckets scaled by tier ({!Ratelimit.for_tier}). *)
+
+val aged_time :
+  Mikpoly_serve.Batcher.policy -> Wfq.t -> in_flight:int -> Tenant.tagged ->
+  float
+(** Policy-aging instant of a queued request, mirroring the
+    {!Mikpoly_serve.Batcher} predicates over a shared queue: a Timeout
+    batcher holds a request back for its window unless the queue plus
+    [in_flight] can fill the batch. *)
+
+val earliest : Wfq.t -> (Tenant.tagged -> float) -> float option
+(** The minimum of [time] over the queue; [None] when it is empty. *)
+
+val grant :
+  Mikpoly_serve.Batcher.policy ->
+  Wfq.t ->
+  now:float ->
+  in_flight:int ->
+  Tenant.tagged list ->
+  Mikpoly_serve.Batcher.decision * (Mikpoly_serve.Request.t -> Tenant.tagged)
+(** Let the batcher rule on an offer taken from the queue: deferred
+    requests return to their lane heads; the decision comes back with
+    the map from each offered request to its tagged form. *)
+
+val scheduler_outcome :
+  completed:Mikpoly_serve.Scheduler.completed list ->
+  dropped:Mikpoly_serve.Request.t list ->
+  rate_limited:Mikpoly_serve.Request.t list ->
+  cache:Mikpoly_serve.Shape_cache.stats list ->
+  Mikpoly_serve.Replica.counters ->
+  Mikpoly_serve.Scheduler.outcome
+(** The tenant fleets' projection onto the scheduler outcome, shared
+    with [Mikpoly_hetero.Hetero]: rate-limited requests surface as
+    rejections (reason ["rate-limited"]); fields a fleet does not model
+    — retry budgets, timeouts, adaptation — are zero/empty. *)
 
 val run :
   ?faults:Mikpoly_fault.Plan.t ->

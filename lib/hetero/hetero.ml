@@ -1,4 +1,5 @@
 module Sch = Mikpoly_serve.Scheduler
+module Replica = Mikpoly_serve.Replica
 module Request = Mikpoly_serve.Request
 module Batcher = Mikpoly_serve.Batcher
 module Bucketing = Mikpoly_serve.Bucketing
@@ -115,22 +116,9 @@ type outcome = {
   o_conserved : bool;
 }
 
-type active = {
-  a_tg : Tenant.tagged;
-  mutable a_remaining : int;
-  mutable a_kv : int;
-  mutable a_prefill : int;
-  mutable a_first : float;
-}
-
-type slot = {
-  sl_global : int;  (* fleet-wide replica index: the fault-draw key *)
-  mutable sl_clock : float;
-  mutable sl_act : active list;
-  mutable sl_cache : unit Shape_cache.t;
-  mutable sl_step : int;
-  mutable sl_down_until : float;
-}
+(* A replica slot; its index is the fleet-wide replica number, the
+   fault-draw key. *)
+type slot = Tenant.tagged Replica.slot
 
 type cls = {
   c_idx : int;
@@ -179,16 +167,9 @@ let run ?(faults = Plan.none) config trace =
          (fun i (b : Backend.t) ->
            let slots =
              Array.init b.Backend.bk_replicas (fun _ ->
-                 let g = !next_global in
+                 let index = !next_global in
                  incr next_global;
-                 {
-                   sl_global = g;
-                   sl_clock = 0.;
-                   sl_act = [];
-                   sl_cache = Shape_cache.create ~capacity:config.cache_capacity;
-                   sl_step = 0;
-                   sl_down_until = 0.;
-                 })
+                 Replica.slot ~index ~capacity:config.cache_capacity)
            in
            {
              c_idx = i;
@@ -214,22 +195,8 @@ let run ?(faults = Plan.none) config trace =
          config.backends)
   in
   let n_classes = Array.length classes in
-  let pending =
-    ref
-      (List.stable_sort
-         (fun (a : Tenant.tagged) (b : Tenant.tagged) ->
-           Request.compare_arrival a.Tenant.req b.Tenant.req)
-         trace)
-  in
-  let limiter =
-    match config.ratelimit with
-    | Some base ->
-      Some
-        (Ratelimit.create
-           ~rate_for:(fun t -> Ratelimit.for_tier ~base t.Tenant.tier)
-           ())
-    | None -> None
-  in
+  let pending = ref (Fleet.by_arrival trace) in
+  let limiter = Fleet.limiter config.ratelimit in
   (* The request ledger: exactly one terminal status per trace request,
      however many copies hedging and trip drains put in flight.
      [copies] counts live copies (queued or running); [running] marks
@@ -239,19 +206,10 @@ let run ?(faults = Plan.none) config trace =
   let running : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let hedged : (int, unit) Hashtbl.t = Hashtbl.create 64 in
   let statuses : (int, status) Hashtbl.t = Hashtbl.create 256 in
+  let k = Replica.counters () in
   let completed = ref [] in
   let dropped = ref [] in
   let rate_limited = ref [] in
-  let steps = ref 0 in
-  let stall_total = ref 0. in
-  let actual_tokens = ref 0 in
-  let padded_tokens = ref 0 in
-  let qsum = ref 0 in
-  let qsamples = ref 0 in
-  let makespan = ref 0. in
-  let crash_count = ref 0 in
-  let injected = ref 0 in
-  let requeues = ref 0 in
   let reroutes = ref 0 in
   let hedges = ref 0 in
   let hedge_cancels = ref 0 in
@@ -262,7 +220,7 @@ let run ?(faults = Plan.none) config trace =
     Bucketing.bucket config.bucketing tg.Tenant.req.Request.prompt_len
   in
   let inflight c =
-    Array.fold_left (fun acc s -> acc + List.length s.sl_act) 0 c.c_slots
+    Array.fold_left (fun acc (s : slot) -> acc + List.length s.act) 0 c.c_slots
   in
   let queued_total () =
     Array.fold_left (fun acc c -> acc + Wfq.length c.c_q) 0 classes
@@ -273,8 +231,8 @@ let run ?(faults = Plan.none) config trace =
       incr resolved;
       match st with
       | Completed -> ()
-      | Dropped -> dropped := !dropped @ [ req ]
-      | Rate_limited -> rate_limited := !rate_limited @ [ req ]
+      | Dropped -> dropped := req :: !dropped
+      | Rate_limited -> rate_limited := req :: !rate_limited
     end
   in
   let drop_copy (req : Request.t) =
@@ -282,6 +240,17 @@ let run ?(faults = Plan.none) config trace =
     let n = (match Hashtbl.find_opt copies id with Some n -> n | None -> 1) - 1 in
     Hashtbl.replace copies id n;
     n
+  in
+  (* Evicted in-flight copies stop running and go back to a lane head. *)
+  let requeue_into q (tg : Tenant.tagged) =
+    Hashtbl.remove running tg.Tenant.req.Request.id;
+    Wfq.push_front q tg
+  in
+  (* A failed step's batch bounces back to its own class's lanes. *)
+  let bounce c s =
+    let n = Replica.evict s ~requeue:(requeue_into c.c_q) in
+    c.c_requeues <- c.c_requeues + n;
+    k.requeues <- k.requeues + n
   in
   (* Snapshot one class for the router: predicted service for this
      bucketed shape, recompile-on-arrival cost for the shapes missing
@@ -307,8 +276,10 @@ let run ?(faults = Plan.none) config trace =
         0. (Wfq.to_list c.c_q)
       |> fun q ->
       Array.fold_left
-        (fun acc s ->
-          List.fold_left (fun acc a -> acc +. service_of a.a_tg) acc s.sl_act)
+        (fun acc (s : slot) ->
+          List.fold_left
+            (fun acc (a : _ Replica.active) -> acc +. service_of a.item)
+            acc s.act)
         q c.c_slots
     in
     {
@@ -425,7 +396,7 @@ let run ?(faults = Plan.none) config trace =
      then the waiting queue in WFQ order — onto the least-loaded
      surviving class. Recompile-on-arrival is charged there naturally,
      as ordinary class-store misses on the event clock. *)
-  let drain c ~now:_ =
+  let drain c =
     c.c_drains <- c.c_drains + 1;
     Tm.Metrics.incr m_trips;
     let target =
@@ -450,39 +421,20 @@ let run ?(faults = Plan.none) config trace =
     | None ->
       (* Single-class fleet: nothing to fail over to — bounce in-flight
          work back to the class's own lanes. *)
-      Array.iter
-        (fun s ->
-          c.c_requeues <- c.c_requeues + List.length s.sl_act;
-          requeues := !requeues + List.length s.sl_act;
-          List.iter
-            (fun a ->
-              Hashtbl.remove running a.a_tg.Tenant.req.Request.id;
-              Wfq.push_front c.c_q a.a_tg)
-            (List.rev s.sl_act);
-          s.sl_act <- [])
-        c.c_slots
+      Array.iter (bounce c) c.c_slots
     | Some tgt ->
+      let moved n =
+        c.c_rr_out <- c.c_rr_out + n;
+        tgt.c_rr_in <- tgt.c_rr_in + n;
+        reroutes := !reroutes + n;
+        Tm.Metrics.add m_reroutes n
+      in
       Array.iter
-        (fun s ->
-          let n = List.length s.sl_act in
-          c.c_rr_out <- c.c_rr_out + n;
-          tgt.c_rr_in <- tgt.c_rr_in + n;
-          reroutes := !reroutes + n;
-          Tm.Metrics.add m_reroutes n;
-          List.iter
-            (fun a ->
-              Hashtbl.remove running a.a_tg.Tenant.req.Request.id;
-              Wfq.push_front tgt.c_q a.a_tg)
-            (List.rev s.sl_act);
-          s.sl_act <- [])
+        (fun s -> moved (Replica.evict s ~requeue:(requeue_into tgt.c_q)))
         c.c_slots;
       let waiting = Wfq.to_list c.c_q in
       c.c_q <- Wfq.create ();
-      let n = List.length waiting in
-      c.c_rr_out <- c.c_rr_out + n;
-      tgt.c_rr_in <- tgt.c_rr_in + n;
-      reroutes := !reroutes + n;
-      Tm.Metrics.add m_reroutes n;
+      moved (List.length waiting);
       List.iter (fun tg -> Wfq.push tgt.c_q tg) waiting
   in
   let do_crash target ~now =
@@ -492,54 +444,21 @@ let run ?(faults = Plan.none) config trace =
     match all with
     | [] -> ()
     | _ ->
-      let c, s = List.nth all (target mod List.length all) in
-      incr crash_count;
-      incr injected;
-      c.c_requeues <- c.c_requeues + List.length s.sl_act;
-      requeues := !requeues + List.length s.sl_act;
-      List.iter
-        (fun a ->
-          Hashtbl.remove running a.a_tg.Tenant.req.Request.id;
-          Wfq.push_front c.c_q a.a_tg)
-        (List.rev s.sl_act);
-      s.sl_act <- [];
-      c.c_retired <- Shape_cache.stats s.sl_cache :: c.c_retired;
-      s.sl_cache <- Shape_cache.create ~capacity:config.cache_capacity;
-      s.sl_down_until <- now +. faults.Plan.restart_delay;
-      s.sl_clock <- Float.max s.sl_clock s.sl_down_until;
-      makespan := Float.max !makespan s.sl_down_until
+      let c, (s : slot) = List.nth all (target mod List.length all) in
+      c.c_requeues <- c.c_requeues + List.length s.act;
+      c.c_retired <-
+        Replica.crash k s ~now ~restart_delay:faults.Plan.restart_delay
+          ~requeue:(requeue_into c.c_q)
+        :: c.c_retired
   in
   let aged_time c in_flight tg =
-    let arrival = tg.Tenant.req.Request.arrival in
-    match config.batcher with
-    | Batcher.Greedy _ | Batcher.Slo_aware _ -> arrival
-    | Batcher.Timeout { window; max_batch } ->
-      if Wfq.length c.c_q + in_flight >= max_batch then arrival
-      else arrival +. window
+    Fleet.aged_time config.batcher c.c_q ~in_flight tg
   in
   let slot_next_time c s =
-    let base = Float.max s.sl_clock s.sl_down_until in
-    if s.sl_act <> [] then Some base
-    else if Wfq.is_empty c.c_q then None
-    else begin
-      let earliest =
-        List.fold_left
-          (fun acc tg -> Float.min acc (aged_time c 0 tg))
-          infinity (Wfq.to_list c.c_q)
-      in
-      Some (Float.max base earliest)
-    end
+    Replica.ready_at s (fun () -> Fleet.earliest c.c_q (aged_time c 0))
   in
-  let work_remains () =
-    !pending <> []
-    || Array.exists
-         (fun c ->
-           (not (Wfq.is_empty c.c_q))
-           || Array.exists (fun s -> s.sl_act <> []) c.c_slots)
-         classes
-  in
-  let do_step c s ~now =
-    let in_flight = List.length s.sl_act in
+  let do_step c (s : slot) ~now =
+    let in_flight = List.length s.act in
     let cap = Batcher.max_batch config.batcher - in_flight in
     let offer =
       if cap <= 0 || Wfq.is_empty c.c_q then []
@@ -571,20 +490,7 @@ let run ?(faults = Plan.none) config trace =
         ignore (drop_copy tg.Tenant.req);
         incr hedge_cancels)
       stale;
-    let tagged_of =
-      let table = Hashtbl.create 8 in
-      List.iter
-        (fun tg -> Hashtbl.replace table tg.Tenant.req.Request.id tg)
-        fresh;
-      fun (req : Request.t) -> Hashtbl.find table req.Request.id
-    in
-    let d =
-      Batcher.admit config.batcher ~now ~in_flight
-        ~waiting:(List.map (fun tg -> tg.Tenant.req) fresh)
-    in
-    List.iter
-      (fun req -> Wfq.push_front c.c_q (tagged_of req))
-      (List.rev d.Batcher.deferred);
+    let d, tagged_of = Fleet.grant config.batcher c.c_q ~now ~in_flight fresh in
     List.iter
       (fun (req : Request.t) ->
         (* The batcher shed one copy; the request only resolves as
@@ -595,116 +501,51 @@ let run ?(faults = Plan.none) config trace =
     List.iter
       (fun (req : Request.t) -> Hashtbl.replace running req.Request.id ())
       d.Batcher.admitted;
-    s.sl_act <-
-      s.sl_act
-      @ List.map
-          (fun (req : Request.t) ->
-            {
-              a_tg = tagged_of req;
-              a_remaining = req.Request.output_len;
-              a_kv = 0;
-              a_prefill = req.Request.prompt_len;
-              a_first = nan;
-            })
-          d.Batcher.admitted;
-    if s.sl_act = [] then
-      s.sl_clock <- (if d.Batcher.dropped <> [] then now else now +. 1e-6)
+    Replica.admit s ~item:tagged_of d.Batcher.admitted;
+    if s.act = [] then Replica.idle s ~now ~shed:(d.Batcher.dropped <> [])
     else begin
-      incr qsamples;
-      qsum := !qsum + queued_total ();
       let engine = c.c_backend.Backend.bk_engine in
-      let tokens =
-        List.fold_left
-          (fun acc a -> acc + if a.a_prefill > 0 then a.a_prefill else 1)
-          0 s.sl_act
+      let b =
+        Replica.batch k s ~queued:(queued_total ())
+          ~bucketing:config.bucketing ~coalesce:config.coalesce
+          ~step_shapes:engine.Sch.step_shapes
       in
-      let kv_tokens = List.fold_left (fun acc a -> acc + a.a_kv) 0 s.sl_act in
-      let btokens =
-        if config.coalesce then
-          List.fold_left
-            (fun acc a ->
-              acc
-              + if a.a_prefill > 0 then
-                  Bucketing.bucket config.bucketing a.a_prefill
-                else 1)
-            0 s.sl_act
-        else Bucketing.bucket config.bucketing tokens
-      in
-      actual_tokens := !actual_tokens + tokens;
-      padded_tokens := !padded_tokens + btokens;
       (* Program lookup ladder: replica cache, then the class-shared
          store (stall-free once its publishing compile finished), then
          an on-path compile that stalls this step and publishes
          class-wide — never fleet-wide: the other device class has a
          different fingerprint and different micro-kernels. *)
-      let stall = ref 0. in
-      let launch_shapes =
-        if config.coalesce then begin
-          let prefills = List.filter (fun a -> a.a_prefill > 0) s.sl_act in
-          let decodes = List.length s.sl_act - List.length prefills in
-          let buckets =
-            List.sort_uniq compare
-              (List.map
-                 (fun a -> Bucketing.bucket config.bucketing a.a_prefill)
-                 prefills)
-          in
-          List.concat_map
-            (fun b -> engine.Sch.step_shapes ~tokens:b)
-            buckets
-          @ (if decodes > 0 then
-               engine.Sch.step_shapes
-                 ~tokens:(Bucketing.bucket config.bucketing decodes)
-             else [])
-        end
-        else engine.Sch.step_shapes ~tokens:btokens
+      let stall =
+        Replica.lookup s ~now ~compile:engine.Sch.compile_seconds
+          ~store:(Some c.c_store) ~on_store_hit:ignore b.shapes
       in
-      List.iter
-        (fun ((shape : Shape_cache.key), launches) ->
-          for _ = 1 to launches do
-            match Shape_cache.find s.sl_cache shape with
-            | Some () -> ()
-            | None ->
-              let store_ready =
-                match Shape_cache.find c.c_store shape with
-                | Some ready when ready <= now -> true
-                | _ -> false
-              in
-              if store_ready then Shape_cache.add s.sl_cache shape ()
-              else begin
-                let cst = engine.Sch.compile_seconds shape in
-                stall := !stall +. cst;
-                Shape_cache.add s.sl_cache shape ();
-                Shape_cache.add c.c_store shape (now +. !stall)
-              end
-          done)
-        launch_shapes;
-      let step_idx = s.sl_step in
-      s.sl_step <- s.sl_step + 1;
+      let step_idx = Replica.next_step s in
       let base_slow =
-        Plan.step_slowdown faults ~replica:s.sl_global ~step:step_idx
+        Plan.step_slowdown faults ~replica:s.index ~step:step_idx
       in
-      if base_slow > 1. then incr injected;
+      if base_slow > 1. then k.injected <- k.injected + 1;
       let cls_slow = Plan.class_slowdown faults ~cls:c.c_idx ~now in
       if cls_slow > 1. then begin
-        incr injected;
+        k.injected <- k.injected + 1;
         c.c_brownout_steps <- c.c_brownout_steps + 1
       end;
       let slowdown = base_slow *. cls_slow in
       let dt =
-        (engine.Sch.step_seconds ~tokens:btokens ~kv_tokens +. !stall)
+        (engine.Sch.step_seconds ~tokens:b.btokens ~kv_tokens:b.kv_tokens
+        +. stall)
         *. slowdown
       in
-      stall_total := !stall_total +. !stall;
-      c.c_stall <- c.c_stall +. !stall;
+      k.stall <- k.stall +. stall;
+      c.c_stall <- c.c_stall +. stall;
       c.c_service <- c.c_service +. dt;
       c.c_steps <- c.c_steps + 1;
       let fin = now +. dt in
       let down = Plan.class_down faults ~cls:c.c_idx ~now in
-      if down then incr injected;
+      if down then k.injected <- k.injected + 1;
       let fails =
-        down || Plan.step_fails faults ~replica:s.sl_global ~step:step_idx
+        down || Plan.step_fails faults ~replica:s.index ~step:step_idx
       in
-      if fails && not down then incr injected;
+      if fails && not down then k.injected <- k.injected + 1;
       (* Health sees every step, in both arms — the no-failover arm
          records the same trips, it just never acts on them. *)
       let verdict =
@@ -714,86 +555,44 @@ let run ?(faults = Plan.none) config trace =
         if config.failover && verdict = `Tripped then
           (* The trip edge: this replica's batch and everything else the
              class holds drains to the surviving class. *)
-          drain c ~now:fin
-        else begin
-          c.c_requeues <- c.c_requeues + List.length s.sl_act;
-          requeues := !requeues + List.length s.sl_act;
-          List.iter
-            (fun a ->
-              Hashtbl.remove running a.a_tg.Tenant.req.Request.id;
-              Wfq.push_front c.c_q a.a_tg)
-            (List.rev s.sl_act)
-        end;
-        s.sl_act <- []
+          drain c
+        else bounce c s
       end
       else
-        s.sl_act <-
-          List.filter
-            (fun a ->
-              if a.a_prefill > 0 then begin
-                a.a_kv <- a.a_prefill;
-                a.a_prefill <- 0;
-                true
-              end
-              else begin
-                a.a_kv <- a.a_kv + 1;
-                a.a_remaining <- a.a_remaining - 1;
-                if Float.is_nan a.a_first then a.a_first <- fin;
-                if a.a_remaining = 0 then begin
-                  let req = a.a_tg.Tenant.req in
-                  Hashtbl.remove running req.Request.id;
-                  ignore (drop_copy req);
-                  let comp =
-                    {
-                      Sch.request = req;
-                      first_token = a.a_first;
-                      finish = fin;
-                      replica = s.sl_global;
-                    }
-                  in
-                  completed := comp :: !completed;
-                  c.c_completed <- c.c_completed + 1;
-                  set_status req Completed;
-                  false
-                end
-                else true
-              end)
-            s.sl_act;
-      s.sl_clock <- fin;
-      makespan := Float.max !makespan fin;
-      incr steps
+        Replica.advance s ~fin ~on_done:(fun _ done_ ->
+            let req = done_.Sch.request in
+            Hashtbl.remove running req.Request.id;
+            ignore (drop_copy req);
+            completed := done_ :: !completed;
+            c.c_completed <- c.c_completed + 1;
+            set_status req Completed);
+      Replica.close_step k s ~clock:fin
     end
   in
-  let rec loop () =
-    let best = ref None in
-    let consider time prio payload =
-      match !best with
-      | Some (bt, bp, _) when bt < time || (bt = time && bp <= prio) -> ()
-      | _ -> best := Some (time, prio, payload)
-    in
-    (match !crashes_left with
-    | (t, i) :: _ -> consider t prio_crash (`Crash i)
-    | [] -> ());
-    (match !pending with
-    | tg :: _ -> consider tg.Tenant.req.Request.arrival prio_arrival `Arrival
-    | [] -> ());
-    (match hedge_next () with
-    | Some (t, c, tg) -> consider t prio_hedge (`Hedge (c, tg))
-    | None -> ());
-    Array.iter
-      (fun c ->
-        Array.iter
-          (fun s ->
-            match slot_next_time c s with
-            | Some t -> consider t prio_step (`Step (c, s))
-            | None -> ())
-          c.c_slots)
-      classes;
-    match !best with
-    | None -> ()
-    | Some (t, _, payload) ->
+  Replica.drive
+    ~candidates:(fun n ->
+      (match !crashes_left with
+      | (t, i) :: _ -> Replica.consider n t prio_crash (`Crash i)
+      | [] -> ());
+      (match !pending with
+      | tg :: _ ->
+        Replica.consider n tg.Tenant.req.Request.arrival prio_arrival `Arrival
+      | [] -> ());
+      (match hedge_next () with
+      | Some (t, c, tg) -> Replica.consider n t prio_hedge (`Hedge (c, tg))
+      | None -> ());
+      Array.iter
+        (fun c ->
+          Array.iter
+            (fun s ->
+              match slot_next_time c s with
+              | Some t -> Replica.consider n t prio_step (`Step (c, s))
+              | None -> ())
+            c.c_slots)
+        classes)
+    ~fire:(fun t ev ->
       floor_now := Float.max !floor_now t;
-      (match payload with
+      match ev with
       | `Crash i ->
         crashes_left := List.tl !crashes_left;
         do_crash i ~now:t
@@ -803,38 +602,6 @@ let run ?(faults = Plan.none) config trace =
         do_arrival tg ~now:t
       | `Hedge (c, tg) -> do_hedge c tg ~now:t
       | `Step (c, s) -> do_step c s ~now:t);
-      if work_remains () || !pending <> [] || !crashes_left <> [] then loop ()
-      else ()
-  in
-  loop ();
-  let tenant_of = Tenant.lookup trace in
-  let tiers =
-    List.map
-      (fun tier ->
-        let of_tier id = (tenant_of id).Tenant.tier = tier in
-        let reqs =
-          List.length
-            (List.filter
-               (fun (tg : Tenant.tagged) -> tg.Tenant.tenant.Tenant.tier = tier)
-               trace)
-        in
-        let comps =
-          List.filter
-            (fun (comp : Sch.completed) ->
-              of_tier comp.Sch.request.Request.id)
-            !completed
-        in
-        let met = List.length (List.filter Fleet.slo_met comps) in
-        {
-          Fleet.tm_tier = tier;
-          tm_requests = reqs;
-          tm_completed = List.length comps;
-          tm_slo_met = met;
-          tm_attainment =
-            (if reqs = 0 then 1. else float_of_int met /. float_of_int reqs);
-        })
-      Tenant.tiers
-  in
   let class_stats =
     Array.to_list classes
     |> List.map (fun c ->
@@ -865,7 +632,7 @@ let run ?(faults = Plan.none) config trace =
              cs_final_level = Health.level_name (Health.level c.c_health);
              cs_cache =
                (Array.to_list c.c_slots
-               |> List.map (fun s -> Shape_cache.stats s.sl_cache))
+               |> List.map (fun (s : slot) -> Shape_cache.stats s.cache))
                @ List.rev c.c_retired;
              cs_store = Shape_cache.stats c.c_store;
            })
@@ -894,48 +661,44 @@ let run ?(faults = Plan.none) config trace =
   in
   {
     o_completed = List.rev !completed;
-    o_dropped = !dropped;
-    o_rate_limited = !rate_limited;
-    o_steps = !steps;
-    o_makespan = !makespan;
-    o_stall_seconds = !stall_total;
-    o_actual_tokens = !actual_tokens;
-    o_padded_tokens = !padded_tokens;
-    o_queue_depth_sum = !qsum;
-    o_queue_samples = !qsamples;
-    o_crashes = !crash_count;
-    o_injected_faults = !injected;
-    o_requeues = !requeues;
+    o_dropped = List.rev !dropped;
+    o_rate_limited = List.rev !rate_limited;
+    o_steps = k.steps;
+    o_makespan = k.makespan;
+    o_stall_seconds = k.stall;
+    o_actual_tokens = k.actual_tokens;
+    o_padded_tokens = k.padded_tokens;
+    o_queue_depth_sum = k.queue_depth_sum;
+    o_queue_samples = k.queue_samples;
+    o_crashes = k.crashes;
+    o_injected_faults = k.injected;
+    o_requeues = k.requeues;
     o_reroutes = !reroutes;
     o_hedges = !hedges;
     o_hedge_cancels = !hedge_cancels;
     o_classes = class_stats;
-    o_tiers = tiers;
+    o_tiers = Fleet.tier_table trace !completed;
     o_statuses = status_pairs;
     o_status_digest = digest;
     o_conserved = conserved;
   }
 
-let to_scheduler_outcome (o : outcome) : Sch.outcome =
-  {
-    Sch.completed = o.o_completed;
-    dropped = o.o_dropped;
-    rejected = List.map (fun r -> (r, "rate-limited")) o.o_rate_limited;
-    timed_out = [];
-    failed = [];
-    steps = o.o_steps;
-    makespan = o.o_makespan;
-    compile_stall_seconds = o.o_stall_seconds;
-    adapt_stall_seconds = 0.;
-    actual_tokens = o.o_actual_tokens;
-    padded_tokens = o.o_padded_tokens;
-    cache = List.concat_map (fun cs -> cs.cs_cache) o.o_classes;
-    queue_depth_sum = o.o_queue_depth_sum;
-    queue_samples = o.o_queue_samples;
-    retries = o.o_requeues;
-    crashes = o.o_crashes;
-    injected_faults = o.o_injected_faults;
-  }
+let to_scheduler_outcome (o : outcome) =
+  Fleet.scheduler_outcome ~completed:o.o_completed ~dropped:o.o_dropped
+    ~rate_limited:o.o_rate_limited
+    ~cache:(List.concat_map (fun cs -> cs.cs_cache) o.o_classes)
+    {
+      Replica.steps = o.o_steps;
+      makespan = o.o_makespan;
+      stall = o.o_stall_seconds;
+      actual_tokens = o.o_actual_tokens;
+      padded_tokens = o.o_padded_tokens;
+      queue_depth_sum = o.o_queue_depth_sum;
+      queue_samples = o.o_queue_samples;
+      crashes = o.o_crashes;
+      injected = o.o_injected_faults;
+      requeues = o.o_requeues;
+    }
 
 let cache_labels (o : outcome) =
   List.concat_map

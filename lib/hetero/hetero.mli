@@ -2,10 +2,13 @@
     one fleet, with cost-model routing and fault-plane-integrated
     cross-device failover.
 
-    Each {!Backend.t} contributes replicas of one device class; every
-    class has its own WFQ, its own {!Health.t} (circuit breaker +
-    brown-out ladder) and a class-shared program store keyed by the
-    class hardware fingerprint. A {!Router} places each arrival on the
+    Each {!Backend.t} contributes {!Mikpoly_serve.Replica} slots of one
+    device class, stepped exactly as in the scheduler and the fleet
+    (DESIGN.md §7) with the class-shared program store as the lookup
+    ladder's second rung; this module adds only the policies below.
+    Every class has its own WFQ, its own {!Health.t} (circuit breaker +
+    brown-out ladder) and that store, keyed by the class hardware
+    fingerprint. A {!Router} places each arrival on the
     class where the calibrated cost model predicts its bucketed shape
     runs cheapest — subject to live queue state, the class store's
     warm-cache contents, and per-class health.

@@ -190,7 +190,7 @@ type config = {
   cache_capacity : int;
 }
 
-type completed = {
+type completed = Replica.completed = {
   request : Request.t;
   first_token : float;
   finish : float;
@@ -238,31 +238,34 @@ type outcome = {
   injected_faults : int;
 }
 
+let project (c : Replica.counters) ~completed ~dropped ~rejected ~timed_out
+    ~failed ~adapt_stall_seconds ~cache =
+  {
+    completed;
+    dropped;
+    rejected;
+    timed_out;
+    failed;
+    steps = c.steps;
+    makespan = c.makespan;
+    compile_stall_seconds = c.stall;
+    adapt_stall_seconds;
+    actual_tokens = c.actual_tokens;
+    padded_tokens = c.padded_tokens;
+    cache;
+    queue_depth_sum = c.queue_depth_sum;
+    queue_samples = c.queue_samples;
+    retries = c.requeues;
+    crashes = c.crashes;
+    injected_faults = c.injected;
+  }
+
 let statuses (o : outcome) =
   List.map (fun (c : completed) -> (c.request, Completed)) o.completed
   @ List.map (fun q -> (q, Rejected "batcher shed")) o.dropped
   @ List.map (fun (q, why) -> (q, Rejected why)) o.rejected
   @ List.map (fun q -> (q, Timed_out)) o.timed_out
   @ List.map (fun (q, why) -> (q, Failed why)) o.failed
-
-type active_req = {
-  areq : Request.t;
-  mutable remaining : int;
-  mutable kv : int;
-  mutable prefill : int;  (** prompt tokens not yet consumed *)
-  mutable first_token : float;
-}
-
-type replica_state = {
-  idx : int;
-  mutable clock : float;  (** time the replica is next free *)
-  mutable waiting : Request.t list;  (** arrival order *)
-  mutable act : active_req list;
-  mutable rcache : unit Shape_cache.t;  (** replaced on crash *)
-  mutable step_no : int;  (** per-replica step index: the fault-draw key *)
-  mutable down_until : float;  (** crash restart: no progress before this *)
-  mutable fail_streak : int;  (** consecutive failed attempts, for backoff *)
-}
 
 module Shape_set = Set.Make (struct
   type t = int * int * int
@@ -306,6 +309,14 @@ let precompile ~jobs config engine =
         ignore (engine.precompile_batch ~jobs (Array.to_list arr));
         Array.iter (fun s -> ignore (engine.compile_seconds s)) arr)
 
+(* Event kinds in tie priority order: an arrival lands before a crash
+   at the same instant, and the crash before the replica step. *)
+let prio_arrival = 0
+
+let prio_crash = 1
+
+let prio_step = 2
+
 let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
     config engine requests =
   if config.replicas < 1 then invalid_arg "Scheduler.run: replicas must be >= 1";
@@ -322,39 +333,35 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
   let tracing = Tm.Tracer.enabled () in
   if tracing then Tm.Tracer.set_units ~track:serve_track ~per_second:1.0;
   let reps =
-    Array.init config.replicas (fun idx ->
-        {
-          idx;
-          clock = 0.;
-          waiting = [];
-          act = [];
-          rcache = Shape_cache.create ~capacity:config.cache_capacity;
-          step_no = 0;
-          down_until = 0.;
-          fail_streak = 0;
-        })
+    Array.init config.replicas (fun index ->
+        Replica.slot ~index ~capacity:config.cache_capacity)
   in
+  (* Per-replica FIFO queues, arrival order, and consecutive failed
+     attempts for backoff. *)
+  let waiting = Array.make config.replicas [] in
+  let fail_streak = Array.make config.replicas 0 in
+  let c = Replica.counters () in
   let pending = ref (List.stable_sort Request.compare_arrival requests) in
   let completed = ref [] in
   let dropped = ref [] in
   let rejected = ref [] in
   let timed_out = ref [] in
   let failed = ref [] in
-  let steps = ref 0 in
-  let stall_total = ref 0. in
   let adapt_total = ref 0. in
-  let actual_tokens = ref 0 in
-  let padded_tokens = ref 0 in
-  let qsum = ref 0 in
-  let qsamples = ref 0 in
-  let makespan = ref 0. in
-  let retries = ref 0 in
-  let crash_count = ref 0 in
-  let injected = ref 0 in
   (* Per-request failed-attempt count (by request id), surviving crash
      re-queues; reset by any successful step the request is part of. *)
   let attempts : (int, int) Hashtbl.t = Hashtbl.create 64 in
   let attempts_of id = Option.value (Hashtbl.find_opt attempts id) ~default:0 in
+  (* Charge one failed attempt to every member of a batch; split it into
+     those with retries left and those whose budget is spent. *)
+  let charge res act =
+    List.partition
+      (fun (a : _ Replica.active) ->
+        let n = attempts_of a.req.Request.id + 1 in
+        Hashtbl.replace attempts a.req.Request.id n;
+        n < res.retry.max_attempts)
+      act
+  in
   (* Caches retired by crashes, so the outcome still accounts for their
      hits and misses. *)
   let retired_caches = ref [] in
@@ -371,47 +378,37 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
     timed_out := req :: !timed_out;
     Tm.Metrics.incr m_timed_out
   in
-  let outstanding r = List.length r.waiting + List.length r.act in
+  let outstanding i = List.length waiting.(i) + List.length reps.(i).act in
   let assign req =
     (* Least outstanding work wins; ties go to the lowest index so the
        routing is deterministic. *)
-    let best = ref reps.(0) in
-    Array.iter (fun r -> if outstanding r < outstanding !best then best := r) reps;
-    let r = !best in
+    let i = ref 0 in
+    Array.iteri (fun j _ -> if outstanding j < outstanding !i then i := j) reps;
+    let i = !i in
     (* Load-shedding admission: a bounded queue refuses (or evicts) work
        instead of letting latency grow without bound under overload. *)
     match resilience with
-    | Some res when res.max_queue > 0 && List.length r.waiting >= res.max_queue
-      -> (
+    | Some res
+      when res.max_queue > 0 && List.length waiting.(i) >= res.max_queue -> (
       match res.shed with
       | `Reject_new -> reject req "queue full"
       | `Drop_oldest -> (
-        match r.waiting with
+        match waiting.(i) with
         | oldest :: rest ->
           reject oldest "queue full (dropped oldest)";
-          r.waiting <- rest @ [ req ]
-        | [] -> r.waiting <- [ req ]))
-    | _ -> r.waiting <- r.waiting @ [ req ]
+          waiting.(i) <- rest @ [ req ]
+        | [] -> waiting.(i) <- [ req ]))
+    | _ -> waiting.(i) <- waiting.(i) @ [ req ]
   in
   (* Time at which a replica can next make progress, None if it is idle
      with an empty queue; a crashed replica makes no progress before its
      restart completes. *)
-  let next_time r =
-    let base =
-      if r.act <> [] then Some r.clock
-      else
-        match Batcher.next_eligible config.batcher ~waiting:r.waiting with
-        | None -> None
-        | Some t -> Some (max r.clock t)
-    in
-    match base with
-    | Some t when t < r.down_until -> Some r.down_until
-    | other -> other
+  let next_time (r : _ Replica.slot) =
+    Replica.ready_at r (fun () ->
+        Batcher.next_eligible config.batcher ~waiting:waiting.(r.index))
   in
   let do_crash i ~now =
     let r = reps.(i) in
-    incr crash_count;
-    incr injected;
     Tm.Metrics.incr m_crashes;
     (* In-flight work is lost (tokens and KV state restart from scratch).
        With resilience the requests re-queue at the head of the replica's
@@ -419,40 +416,33 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
        loudly, never silently. The waiting queue is a front-end buffer
        and survives the crash in both arms. *)
     (match resilience with
-    | None -> List.iter (fun a -> fail a.areq "replica crash") r.act
+    | None ->
+      List.iter (fun (a : _ Replica.active) -> fail a.req "replica crash") r.act;
+      r.act <- []
     | Some res ->
-      let back, lost =
-        List.partition
-          (fun a ->
-            let n = attempts_of a.areq.Request.id + 1 in
-            Hashtbl.replace attempts a.areq.Request.id n;
-            n < res.retry.max_attempts)
-          r.act
-      in
-      retries := !retries + List.length back;
+      let back, lost = charge res r.act in
       Tm.Metrics.add m_retries (List.length back);
-      List.iter (fun a -> fail a.areq "replica crash") lost;
-      r.waiting <- List.map (fun a -> a.areq) back @ r.waiting);
-    r.act <- [];
+      List.iter (fun (a : _ Replica.active) -> fail a.req "replica crash") lost;
+      r.act <- back);
     (* The shape cache dies with the process: programs must be
        re-polymerized after restart. *)
-    retired_caches := Shape_cache.stats r.rcache :: !retired_caches;
-    r.rcache <- Shape_cache.create ~capacity:config.cache_capacity;
-    r.fail_streak <- 0;
-    r.down_until <- now +. faults.Plan.restart_delay;
-    r.clock <- Float.max r.clock r.down_until;
-    makespan := Float.max !makespan r.down_until;
+    retired_caches :=
+      Replica.crash c r ~now ~restart_delay:faults.Plan.restart_delay
+        ~requeue:(fun q -> waiting.(i) <- q :: waiting.(i))
+      :: !retired_caches;
+    fail_streak.(i) <- 0;
     if tracing then
-      Tm.Tracer.emit ~track:serve_track ~lane:r.idx ~name:"crash" ~start:now
+      Tm.Tracer.emit ~track:serve_track ~lane:i ~name:"crash" ~start:now
         ~finish:r.down_until ()
   in
-  let step r ~now =
+  let step (r : Request.t Replica.slot) ~now =
+    let i = r.index in
     let d =
       Batcher.admit config.batcher ~now ~in_flight:(List.length r.act)
-        ~waiting:r.waiting
+        ~waiting:waiting.(i)
     in
-    r.waiting <- d.Batcher.deferred;
-    dropped := !dropped @ d.Batcher.dropped;
+    waiting.(i) <- d.Batcher.deferred;
+    dropped := List.rev_append d.Batcher.dropped !dropped;
     if d.Batcher.dropped <> [] then
       Tm.Metrics.add m_dropped (List.length d.Batcher.dropped);
     (* Queue-phase attribution: one span per admitted request covering
@@ -460,78 +450,43 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
     if tracing then
       List.iter
         (fun (q : Request.t) ->
-          Tm.Tracer.emit ~track:serve_track ~lane:r.idx
+          Tm.Tracer.emit ~track:serve_track ~lane:i
             ~attrs:[ ("request", string_of_int q.id) ]
             ~name:"queue"
             ~start:(Float.min q.arrival now)
             ~finish:now ())
         d.Batcher.admitted;
-    r.act <-
-      r.act
-      @ List.map
-          (fun (q : Request.t) ->
-            {
-              areq = q;
-              remaining = q.output_len;
-              kv = 0;
-              prefill = q.prompt_len;
-              first_token = nan;
-            })
-          d.Batcher.admitted;
-    if r.act = [] then
-      (* Normally SLO shedding just emptied the queue. If a policy
-         admitted nothing from a non-empty queue on an idle replica, a
-         stuck clock would livelock the event loop — nudge it forward so
-         the simulation always terminates. *)
-      r.clock <-
-        (if d.Batcher.dropped <> [] then now else now +. 1e-6)
+    Replica.admit r ~item:Fun.id d.Batcher.admitted;
+    if r.act = [] then Replica.idle r ~now ~shed:(d.Batcher.dropped <> [])
     else begin
-      qsamples := !qsamples + 1;
-      qsum :=
-        !qsum + Array.fold_left (fun acc rr -> acc + List.length rr.waiting) 0 reps;
-      let tokens =
-        List.fold_left
-          (fun acc a -> acc + if a.prefill > 0 then a.prefill else 1)
-          0 r.act
+      let queued = Array.fold_left (fun acc w -> acc + List.length w) 0 waiting in
+      let b =
+        Replica.batch c r ~queued ~bucketing:config.bucketing ~coalesce:false
+          ~step_shapes:engine.step_shapes
       in
-      let kv_tokens = List.fold_left (fun acc a -> acc + a.kv) 0 r.act in
-      let btokens = Bucketing.bucket config.bucketing tokens in
-      actual_tokens := !actual_tokens + tokens;
-      padded_tokens := !padded_tokens + btokens;
       (* Every micro-kernel launch consults the program cache; only
          misses pay the polymerization stall. At capacity 0 nothing is
          retained, so all launches of a step recompile. *)
-      let stall = ref 0. in
-      List.iter
-        (fun (shape, launches) ->
-          for _ = 1 to launches do
-            match Shape_cache.find r.rcache shape with
-            | Some () -> ()
-            | None ->
-              stall := !stall +. engine.compile_seconds shape;
-              Shape_cache.add r.rcache shape ()
-          done)
-        (engine.step_shapes ~tokens:btokens);
-      (* The per-replica step index keys every fault draw: it advances on
-         each attempt, so a retried step re-draws — the failure is
-         transient — while the sequence stays independent of anything
-         outside this replica. *)
-      let step_idx = r.step_no in
-      r.step_no <- r.step_no + 1;
-      let slowdown = Plan.step_slowdown faults ~replica:r.idx ~step:step_idx in
+      let stall =
+        Replica.lookup r ~now ~compile:engine.compile_seconds ~store:None
+          ~on_store_hit:ignore b.shapes
+      in
+      let step_idx = Replica.next_step r in
+      let slowdown = Plan.step_slowdown faults ~replica:i ~step:step_idx in
       if slowdown > 1. then begin
-        incr injected;
+        c.injected <- c.injected + 1;
         Tm.Metrics.incr m_stragglers
       end;
       let dt =
-        (engine.step_seconds ~tokens:btokens ~kv_tokens +. !stall) *. slowdown
+        (engine.step_seconds ~tokens:b.btokens ~kv_tokens:b.kv_tokens +. stall)
+        *. slowdown
       in
-      stall_total := !stall_total +. !stall;
+      c.stall <- c.stall +. stall;
       Tm.Metrics.incr m_steps;
-      if !stall > 0. then Tm.Metrics.observe m_stall !stall;
-      let step_fault = Plan.step_fails faults ~replica:r.idx ~step:step_idx in
+      if stall > 0. then Tm.Metrics.observe m_stall stall;
+      let step_fault = Plan.step_fails faults ~replica:i ~step:step_idx in
       if step_fault then begin
-        incr injected;
+        c.injected <- c.injected + 1;
         Tm.Metrics.incr m_step_faults
       end;
       let attempt_cut =
@@ -543,112 +498,77 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
         (* A failed attempt: its device time elapses on the event clock
            (up to the attempt timeout) but the step's work is lost. *)
         let elapsed =
-          match attempt_cut with Some c -> Float.min c dt | None -> dt
+          match attempt_cut with Some cut -> Float.min cut dt | None -> dt
         in
         let fin = now +. elapsed in
         if tracing then
-          Tm.Tracer.emit ~track:serve_track ~lane:r.idx
+          Tm.Tracer.emit ~track:serve_track ~lane:i
             ~attrs:[ ("batch", string_of_int (List.length r.act)) ]
             ~name:(if step_fault then "step_fault" else "step_timeout")
             ~start:now ~finish:fin ();
-        (match resilience with
+        match resilience with
         | None ->
           (* No retry machinery: every request in the failed step is a
              loud failure — never a silent loss. *)
-          List.iter (fun a -> fail a.areq "step fault") r.act;
+          List.iter (fun (a : _ Replica.active) -> fail a.req "step fault") r.act;
           r.act <- [];
-          r.clock <- fin
+          Replica.close_step c r ~clock:fin
         | Some res ->
-          let keep, lost =
-            List.partition
-              (fun a ->
-                let n = attempts_of a.areq.Request.id + 1 in
-                Hashtbl.replace attempts a.areq.Request.id n;
-                n < res.retry.max_attempts)
-              r.act
-          in
-          retries := !retries + List.length keep;
+          let keep, lost = charge res r.act in
+          c.requeues <- c.requeues + List.length keep;
           Tm.Metrics.add m_retries (List.length keep);
           List.iter
-            (fun a ->
-              if step_fault then fail a.areq "retries exhausted"
-              else time_out a.areq)
+            (fun (a : _ Replica.active) ->
+              if step_fault then fail a.req "retries exhausted"
+              else time_out a.req)
             lost;
           r.act <- keep;
           (* Exponential backoff with deterministic seed-keyed jitter
              before the retry attempt, charged on the event clock. *)
-          r.fail_streak <- r.fail_streak + 1;
+          fail_streak.(i) <- fail_streak.(i) + 1;
           let delay =
             Retry.delay_after res.retry ~seed:faults.Plan.seed
-              ~attempt:r.fail_streak
+              ~attempt:fail_streak.(i)
           in
-          r.clock <- fin +. delay);
-        makespan := Float.max !makespan r.clock;
-        incr steps
+          Replica.close_step c r ~clock:(fin +. delay)
       end
       else begin
         let fin = now +. dt in
         if tracing then begin
-          Tm.Tracer.emit ~track:serve_track ~lane:r.idx
+          Tm.Tracer.emit ~track:serve_track ~lane:i
             ~attrs:
               [
                 ("batch", string_of_int (List.length r.act));
-                ("tokens", string_of_int btokens);
-                ("kv_tokens", string_of_int kv_tokens);
+                ("tokens", string_of_int b.btokens);
+                ("kv_tokens", string_of_int b.kv_tokens);
               ]
             ~name:"step" ~start:now ~finish:fin ();
-          if !stall > 0. then
-            Tm.Tracer.emit ~track:serve_track ~lane:r.idx ~name:"compile_stall"
-              ~start:now
-              ~finish:(now +. !stall)
-              ()
+          if stall > 0. then
+            Tm.Tracer.emit ~track:serve_track ~lane:i ~name:"compile_stall"
+              ~start:now ~finish:(now +. stall) ()
         end;
-        r.fail_streak <- 0;
-        r.act <-
-          List.filter
-            (fun a ->
-              if attempts_of a.areq.Request.id > 0 then
-                Hashtbl.replace attempts a.areq.Request.id 0;
-              if a.prefill > 0 then begin
-                a.kv <- a.prefill;
-                a.prefill <- 0;
-                true
-              end
-              else begin
-                a.kv <- a.kv + 1;
-                a.remaining <- a.remaining - 1;
-                if Float.is_nan a.first_token then a.first_token <- fin;
-                if a.remaining = 0 then begin
-                  completed :=
-                    {
-                      request = a.areq;
-                      first_token = a.first_token;
-                      finish = fin;
-                      replica = r.idx;
-                    }
-                    :: !completed;
-                  let ttft = a.first_token -. a.areq.Request.arrival in
-                  Tm.Metrics.incr m_completed;
-                  Tm.Metrics.observe m_ttft ttft;
-                  (* Whole-request span: arrival to last token, TTFT in the
-                     attributes so Perfetto shows the attribution inline. *)
-                  if tracing then
-                    Tm.Tracer.emit ~track:serve_track ~lane:r.idx
-                      ~attrs:
-                        [
-                          ("request", string_of_int a.areq.Request.id);
-                          ("ttft_ms", Printf.sprintf "%.2f" (1e3 *. ttft));
-                        ]
-                      ~name:"request" ~start:a.areq.Request.arrival ~finish:fin
-                      ();
-                  false
-                end
-                else true
-              end)
-            r.act;
-        r.clock <- fin;
-        makespan := max !makespan fin;
-        incr steps
+        fail_streak.(i) <- 0;
+        List.iter
+          (fun (a : _ Replica.active) ->
+            if attempts_of a.req.Request.id > 0 then
+              Hashtbl.replace attempts a.req.Request.id 0)
+          r.act;
+        Replica.advance r ~fin ~on_done:(fun a done_ ->
+            completed := done_ :: !completed;
+            let ttft = a.first_token -. a.req.Request.arrival in
+            Tm.Metrics.incr m_completed;
+            Tm.Metrics.observe m_ttft ttft;
+            (* Whole-request span: arrival to last token, TTFT in the
+               attributes so Perfetto shows the attribution inline. *)
+            if tracing then
+              Tm.Tracer.emit ~track:serve_track ~lane:i
+                ~attrs:
+                  [
+                    ("request", string_of_int a.req.Request.id);
+                    ("ttft_ms", Printf.sprintf "%.2f" (1e3 *. ttft));
+                  ]
+                ~name:"request" ~start:a.req.Request.arrival ~finish:fin ());
+        Replica.close_step c r ~clock:fin
       end;
       (* Adaptation work triggered during this step — drift-reaction
          recompiles reported by an online adapter — stalls this replica,
@@ -658,82 +578,41 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
         adapt_total := !adapt_total +. astall;
         let stall_start = r.clock in
         r.clock <- r.clock +. astall;
-        makespan := max !makespan r.clock;
+        c.makespan <- Float.max c.makespan r.clock;
         Tm.Metrics.observe m_adapt_stall astall;
         if tracing then
-          Tm.Tracer.emit ~track:serve_track ~lane:r.idx ~name:"adapt_stall"
+          Tm.Tracer.emit ~track:serve_track ~lane:i ~name:"adapt_stall"
             ~start:stall_start ~finish:r.clock ()
       end
     end
   in
-  let rec loop () =
-    let best = ref None in
-    Array.iter
-      (fun r ->
-        match next_time r with
-        | None -> ()
-        | Some t -> (
-          match !best with
-          | Some (bt, _) when bt <= t -> ()
-          | _ -> best := Some (t, r)))
-      reps;
-    (* Event priority at a tie: crash, then arrival, then step — fixed,
-       so the interleaving is deterministic. *)
-    let crash = match !crashes_left with [] -> None | c :: rest -> Some (c, rest) in
-    let horizon =
-      match (!best, crash) with
-      | None, None -> None
-      | Some (t, _), None -> Some t
-      | None, Some ((t, _), _) -> Some t
-      | Some (ts, _), Some ((tc, _), _) -> Some (Float.min ts tc)
-    in
-    match (horizon, !pending) with
-    | None, [] -> ()
-    | None, p :: rest ->
-      pending := rest;
-      assign p;
-      loop ()
-    | Some t, p :: rest when p.Request.arrival <= t ->
-      pending := rest;
-      assign p;
-      loop ()
-    | Some _, _ -> (
-      match (!best, crash) with
-      | Some (ts, r), Some ((tc, i), rest) ->
-        if tc <= ts then begin
-          crashes_left := rest;
-          do_crash i ~now:tc
-        end
-        else step r ~now:ts;
-        loop ()
-      | Some (ts, r), None ->
-        step r ~now:ts;
-        loop ()
-      | None, Some ((tc, i), rest) ->
-        crashes_left := rest;
-        do_crash i ~now:tc;
-        loop ()
-      | None, None -> assert false)
-  in
-  loop ();
-  {
-    completed = List.rev !completed;
-    dropped = !dropped;
-    rejected = List.rev !rejected;
-    timed_out = List.rev !timed_out;
-    failed = List.rev !failed;
-    steps = !steps;
-    makespan = !makespan;
-    compile_stall_seconds = !stall_total;
-    adapt_stall_seconds = !adapt_total;
-    actual_tokens = !actual_tokens;
-    padded_tokens = !padded_tokens;
-    cache =
-      Array.to_list (Array.map (fun r -> Shape_cache.stats r.rcache) reps)
-      @ List.rev !retired_caches;
-    queue_depth_sum = !qsum;
-    queue_samples = !qsamples;
-    retries = !retries;
-    crashes = !crash_count;
-    injected_faults = !injected;
-  }
+  Replica.drive
+    ~candidates:(fun n ->
+      (match !pending with
+      | p :: _ -> Replica.consider n p.Request.arrival prio_arrival `Arrival
+      | [] -> ());
+      (match !crashes_left with
+      | (t, i) :: _ -> Replica.consider n t prio_crash (`Crash i)
+      | [] -> ());
+      Array.iter
+        (fun r ->
+          match next_time r with
+          | Some t -> Replica.consider n t prio_step (`Step r)
+          | None -> ())
+        reps)
+    ~fire:(fun t -> function
+      | `Arrival ->
+        let p = List.hd !pending in
+        pending := List.tl !pending;
+        assign p
+      | `Crash i ->
+        crashes_left := List.tl !crashes_left;
+        do_crash i ~now:t
+      | `Step r -> step r ~now:t);
+  project c ~completed:(List.rev !completed) ~dropped:(List.rev !dropped)
+    ~rejected:(List.rev !rejected) ~timed_out:(List.rev !timed_out)
+    ~failed:(List.rev !failed) ~adapt_stall_seconds:!adapt_total
+    ~cache:
+      (Array.to_list
+         (Array.map (fun (r : _ Replica.slot) -> Shape_cache.stats r.cache) reps)
+      @ List.rev !retired_caches)

@@ -68,7 +68,7 @@ type config = {
   cache_capacity : int;  (** per replica; 0 disables program caching *)
 }
 
-type completed = {
+type completed = Replica.completed = {
   request : Request.t;
   first_token : float;  (** absolute time of the first decoded token *)
   finish : float;
@@ -123,6 +123,20 @@ type outcome = {
   crashes : int;  (** replica crash events that fired *)
   injected_faults : int;  (** step faults + stragglers + crashes *)
 }
+
+val project :
+  Replica.counters ->
+  completed:completed list ->
+  dropped:Request.t list ->
+  rejected:(Request.t * string) list ->
+  timed_out:Request.t list ->
+  failed:(Request.t * string) list ->
+  adapt_stall_seconds:float ->
+  cache:Shape_cache.stats list ->
+  outcome
+(** The one projection of a loop's {!Replica.counters} and terminal
+    lists onto an outcome ([retries] are the counters' requeues), shared
+    by every serving loop so the {!Metrics} pipeline applies to all. *)
 
 val statuses : outcome -> (Request.t * status) list
 (** Terminal status of every request the run touched, in no particular

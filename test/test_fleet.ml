@@ -472,6 +472,43 @@ let test_fleet_scheduler_projection () =
   Alcotest.(check int) "tier rows partition the trace" (List.length tr)
     tier_reqs
 
+(* The full fleet (coalescing, warm store, autoscaler) under a crash
+   plan, reduced to a pinned fingerprint: status digest, steps, the
+   exact bits of makespan and stall, and every cache's hits/misses (warm
+   store last). *)
+let test_fleet_pinned () =
+  let tr = trace ~count:16 () in
+  let plan =
+    Plan.make ~crashes:[ (0.02, 0); (0.06, 1) ] ~restart_delay:0.05 ~seed:3 ()
+  in
+  let o = Fleet.run ~faults:plan full_config engine tr in
+  let statuses =
+    List.map
+      (fun (c : Scheduler.completed) -> (c.request.Request.id, "completed"))
+      o.Fleet.completed
+    @ List.map (fun (r : Request.t) -> (r.Request.id, "dropped")) o.Fleet.dropped
+    @ List.map
+        (fun (r : Request.t) -> (r.Request.id, "rate-limited"))
+        o.Fleet.rate_limited
+  in
+  let digest =
+    List.map (fun (id, st) -> Printf.sprintf "%d=%s" id st) statuses
+    |> List.sort compare |> String.concat "\n"
+    |> Mikpoly_util.Checksum.fnv1a64_hex
+  in
+  let caches = o.Fleet.cache @ Option.to_list o.Fleet.warm_stats in
+  Alcotest.(check string)
+    "fingerprint"
+    "c0fe7e1c0707d0ad steps=95 makespan=0x1.2131a07066c95p-1 \
+     stall=0x1.cac083126e979p-7 caches=754/14;0/0;90/14;50/6;20/14"
+    (Printf.sprintf "%s steps=%d makespan=%h stall=%h caches=%s" digest
+       o.Fleet.steps o.Fleet.makespan o.Fleet.compile_stall_seconds
+       (String.concat ";"
+          (List.map
+             (fun (s : Mikpoly_serve.Shape_cache.stats) ->
+               Printf.sprintf "%d/%d" s.hits s.misses)
+             caches)))
+
 let () =
   Alcotest.run "fleet"
     [
@@ -533,5 +570,6 @@ let () =
             test_fleet_autoscaler_stays_in_bounds;
           Alcotest.test_case "scheduler projection" `Quick
             test_fleet_scheduler_projection;
+          Alcotest.test_case "pinned crash outcome" `Quick test_fleet_pinned;
         ] );
     ]

@@ -507,6 +507,40 @@ let test_hetero_scheduler_projection () =
     (List.length s.Scheduler.cache)
     (List.length (Hetero.cache_labels o))
 
+(* An outage, two crashes and hedging on the mixed fleet, reduced to a
+   pinned fingerprint: status digest, steps, the exact bits of makespan
+   and stall, and every replica cache's and class store's hits/misses. *)
+let test_hetero_pinned () =
+  let plan =
+    Plan.make
+      ~outages:[ Plan.outage ~cls:1 ~start:0.001 ~stop:0.015 ]
+      ~crashes:[ (0.004, 0); (0.006, 2) ]
+      ~restart_delay:0.003 ~seed:7 ()
+  in
+  let o =
+    Hetero.run ~faults:plan
+      (config ~hedge:Hetero.default_hedge
+         [ fast_backend ~replicas:2 (); slow_backend ~replicas:2 () ])
+      (trace ~count:8 ())
+  in
+  let caches =
+    List.concat_map
+      (fun cs -> cs.Hetero.cs_cache @ [ cs.Hetero.cs_store ])
+      o.Hetero.o_classes
+  in
+  Alcotest.(check string)
+    "fingerprint"
+    "63880c8a738694bf steps=50 makespan=0x1.a598ec56a407dp-5 \
+     stall=0x1.92a737110e455p-17 caches=2/4;8/5;0/2;6/5;11/5;9/3;0/1;3/6"
+    (Printf.sprintf "%s steps=%d makespan=%h stall=%h caches=%s"
+       o.Hetero.o_status_digest o.Hetero.o_steps o.Hetero.o_makespan
+       o.Hetero.o_stall_seconds
+       (String.concat ";"
+          (List.map
+             (fun (s : Mikpoly_serve.Shape_cache.stats) ->
+               Printf.sprintf "%d/%d" s.hits s.misses)
+             caches)))
+
 let () =
   Alcotest.run "hetero"
     [
@@ -559,5 +593,6 @@ let () =
             test_hetero_ratelimit_statuses;
           Alcotest.test_case "scheduler projection" `Quick
             test_hetero_scheduler_projection;
+          Alcotest.test_case "pinned chaos outcome" `Quick test_hetero_pinned;
         ] );
     ]

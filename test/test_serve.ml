@@ -360,6 +360,193 @@ let test_heavy_tail_traces () =
     (Invalid_argument "Request: Log_normal sigma must be positive") (fun () ->
       ignore (gen (Request.Log_normal { sigma = -1. })))
 
+(* --- Replica --- *)
+
+let test_replica_advance () =
+  let s = Replica.slot ~index:3 ~capacity:4 in
+  let r = req ~id:7 ~arrival:0. ~prompt:5 ~output:3 () in
+  Replica.admit s ~item:Fun.id [ r ];
+  let finished = ref [] in
+  let decode_steps = ref 0 in
+  let step fin =
+    let prefilling =
+      List.exists (fun (a : _ Replica.active) -> a.prefill > 0) s.act
+    in
+    if not prefilling then incr decode_steps;
+    Replica.advance s ~fin ~on_done:(fun _ c -> finished := c :: !finished)
+  in
+  step 1.;
+  (match s.act with
+  | [ a ] ->
+    Alcotest.(check int) "prompt consumed in one step" 0 a.prefill;
+    Alcotest.(check int) "KV holds the prompt" 5 a.kv;
+    Alcotest.(check int) "no token decoded yet" 3 a.remaining;
+    Alcotest.(check bool) "no first token yet" true (Float.is_nan a.first_token)
+  | _ -> Alcotest.fail "prefill must keep the request in flight");
+  step 2.;
+  (match s.act with
+  | [ a ] ->
+    Alcotest.(check (float 0.)) "first token at the first decode step" 2.
+      a.first_token;
+    Alcotest.(check int) "one token per step" 2 a.remaining
+  | _ -> Alcotest.fail "decoding must keep the request in flight");
+  step 3.;
+  Alcotest.(check int) "not done with a token left" 0 (List.length !finished);
+  step 4.;
+  Alcotest.(check int) "leaves the batch" 0 (List.length s.act);
+  Alcotest.(check int) "served tokens = output_len" r.output_len !decode_steps;
+  match !finished with
+  | [ c ] ->
+    Alcotest.(check int) "the request" 7 c.Replica.request.Request.id;
+    Alcotest.(check (float 0.)) "first token" 2. c.Replica.first_token;
+    Alcotest.(check (float 0.)) "finish" 4. c.Replica.finish;
+    Alcotest.(check int) "replica" 3 c.Replica.replica
+  | _ -> Alcotest.fail "exactly one completion"
+
+let test_replica_evict_and_crash () =
+  let s = Replica.slot ~index:0 ~capacity:4 in
+  let admit ids =
+    Replica.admit s
+      ~item:(fun (r : Request.t) -> r.id)
+      (List.map (fun id -> req ~id ~arrival:0. ()) ids)
+  in
+  (* Pushing each evicted member to the lane head must leave the batch
+     there in its original order, ahead of what was already queued. *)
+  admit [ 1; 2; 3 ];
+  let lane = ref [ 9 ] in
+  let n = Replica.evict s ~requeue:(fun id -> lane := id :: !lane) in
+  Alcotest.(check int) "evicted" 3 n;
+  Alcotest.(check (list int)) "batch at the lane head" [ 1; 2; 3; 9 ] !lane;
+  Alcotest.(check int) "batch emptied" 0 (List.length s.act);
+  admit [ 4; 5 ];
+  Shape_cache.add s.cache (1, 1, 1) ();
+  ignore (Shape_cache.find s.cache (1, 1, 1));
+  let c = Replica.counters () in
+  let lane = ref [] in
+  let retired =
+    Replica.crash c s ~now:1. ~restart_delay:0.5 ~requeue:(fun id ->
+        lane := id :: !lane)
+  in
+  Alcotest.(check (list int)) "crash requeues in order" [ 4; 5 ] !lane;
+  Alcotest.(check int) "requeues counted" 2 c.requeues;
+  Alcotest.(check int) "crash counted" 1 c.crashes;
+  Alcotest.(check int) "retired cache's hits kept" 1 retired.Shape_cache.hits;
+  Alcotest.(check int) "fresh cache" 0 (Shape_cache.size s.cache);
+  Alcotest.(check int) "same capacity" 4 (Shape_cache.capacity s.cache);
+  Alcotest.(check (float 0.)) "down until restart" 1.5 s.down_until;
+  Alcotest.(check (float 0.)) "clock waits for restart" 1.5 s.clock;
+  Alcotest.(check (float 0.)) "makespan covers restart" 1.5 c.makespan
+
+let test_replica_ladder () =
+  let s = Replica.slot ~index:0 ~capacity:8 in
+  let store = Shape_cache.create ~capacity:8 in
+  let store_hits = ref 0 in
+  let look ?(now = 1.) shapes =
+    Replica.lookup s ~now ~compile:(fun _ -> 0.25) ~store:(Some store)
+      ~on_store_hit:(fun () -> incr store_hits)
+      shapes
+  in
+  Shape_cache.add store (1, 1, 1) 1.;
+  Alcotest.(check (float 0.)) "store entry ready at now: free" 0.
+    (look [ ((1, 1, 1), 1) ]);
+  Alcotest.(check int) "store hit reported" 1 !store_hits;
+  Alcotest.(check (float 0.)) "replica cache hit: free" 0.
+    (look [ ((1, 1, 1), 3) ]);
+  Alcotest.(check int) "store not consulted on a cache hit" 1 !store_hits;
+  Shape_cache.add store (2, 2, 2) 1.5;
+  Alcotest.(check (float 0.)) "entry not ready yet: compile" 0.25
+    (look [ ((2, 2, 2), 1) ]);
+  Alcotest.(check (option (float 0.))) "republished at now + stall"
+    (Some 1.25) (Shape_cache.find store (2, 2, 2));
+  Alcotest.(check (float 0.)) "missing entries: compile each" 0.5
+    (look [ ((3, 3, 3), 1); ((4, 4, 4), 1) ]);
+  Alcotest.(check (option (float 0.))) "first published at its stall"
+    (Some 1.25) (Shape_cache.find store (3, 3, 3));
+  Alcotest.(check (option (float 0.))) "second behind the first"
+    (Some 1.5) (Shape_cache.find store (4, 4, 4));
+  Alcotest.(check int) "only the ready entry was a store hit" 1 !store_hits;
+  let bare = Replica.slot ~index:1 ~capacity:8 in
+  Alcotest.(check (float 0.)) "no store: one compile, then cache hits" 0.25
+    (Replica.lookup bare ~now:0. ~compile:(fun _ -> 0.25) ~store:None
+       ~on_store_hit:ignore
+       [ ((5, 5, 5), 3) ])
+
+let test_replica_next_event () =
+  let pending =
+    ref [ (2., 0, "late"); (1., 2, "step"); (1., 1, "first"); (1., 1, "second") ]
+  in
+  let fired = ref [] in
+  Replica.drive
+    ~candidates:(fun n ->
+      List.iter (fun (t, prio, ev) -> Replica.consider n t prio ev) !pending)
+    ~fire:(fun _ ev ->
+      fired := ev :: !fired;
+      pending := List.filter (fun (_, _, e) -> e <> ev) !pending);
+  Alcotest.(check (list string))
+    "earliest, then lowest priority, then first considered"
+    [ "first"; "second"; "step"; "late" ]
+    (List.rev !fired)
+
+(* --- Pinned outcome ---
+
+   The scheduler on a crash + step-fault + straggler plan with retries,
+   reduced to a fingerprint: status digest, step count, the exact bits
+   of makespan and compile stall, and every cache's hits/misses. The
+   literal pins the exact numbers, so any one-bit drift in the shared
+   [Replica] step machinery fails here. *)
+
+let fast_retry =
+  {
+    Scheduler.retry =
+      {
+        Mikpoly_fault.Retry.max_attempts = 4;
+        base_delay = 1e-3;
+        max_delay = 20e-3;
+        jitter = 0.25;
+      };
+    attempt_timeout = infinity;
+    max_queue = 0;
+    shed = `Reject_new;
+  }
+
+let fingerprint ~digest ~steps ~makespan ~stall caches =
+  Printf.sprintf "%s steps=%d makespan=%h stall=%h caches=%s" digest steps
+    makespan stall
+    (String.concat ";"
+       (List.map
+          (fun (s : Shape_cache.stats) -> Printf.sprintf "%d/%d" s.hits s.misses)
+          caches))
+
+let test_scheduler_pinned () =
+  let faults =
+    Mikpoly_fault.Plan.make ~step_fail_rate:0.2 ~straggler_rate:0.1
+      ~crashes:[ (0.05, 0); (0.15, 1) ]
+      ~restart_delay:0.02 ~seed:5 ()
+  in
+  let o =
+    Scheduler.run ~faults ~resilience:fast_retry config
+      (Scheduler.synthetic_engine ()) trace
+  in
+  let digest =
+    Scheduler.statuses o
+    |> List.map (fun ((r : Request.t), st) ->
+           Printf.sprintf "%d=%s" r.id
+             (match st with
+             | Scheduler.Completed -> "completed"
+             | Scheduler.Rejected why -> "rejected:" ^ why
+             | Scheduler.Timed_out -> "timed_out"
+             | Scheduler.Failed why -> "failed:" ^ why))
+    |> List.sort compare |> String.concat "\n"
+    |> Mikpoly_util.Checksum.fnv1a64_hex
+  in
+  Alcotest.(check string)
+    "fingerprint"
+    "63880c8a738694bf steps=96 makespan=0x1.f6d00f19d1ea5p-2 \
+     stall=0x1.54c985f06f696p-8 caches=480/16;102/2;38/2;122/6"
+    (fingerprint ~digest
+       ~steps:o.Scheduler.steps ~makespan:o.Scheduler.makespan
+       ~stall:o.Scheduler.compile_stall_seconds o.Scheduler.cache)
+
 let () =
   Alcotest.run "serve"
     [
@@ -397,5 +584,14 @@ let () =
             test_adapt_hook_charges_stall;
           Alcotest.test_case "poisson trace" `Quick test_poisson_trace_properties;
           Alcotest.test_case "heavy-tail traces" `Quick test_heavy_tail_traces;
+          Alcotest.test_case "pinned chaos outcome" `Quick test_scheduler_pinned;
+        ] );
+      ( "replica",
+        [
+          Alcotest.test_case "token advance" `Quick test_replica_advance;
+          Alcotest.test_case "evict and crash order" `Quick
+            test_replica_evict_and_crash;
+          Alcotest.test_case "lookup ladder" `Quick test_replica_ladder;
+          Alcotest.test_case "next event" `Quick test_replica_next_event;
         ] );
     ]
