@@ -7,39 +7,49 @@
    polymerization search, the Equation-2 cost model, the device simulator,
    …) — the quantities Figure 12a's overhead analysis depends on.
 
-   Usage: main.exe [--quick] [--skip-experiments] [--skip-micro]
-          [--skip-telemetry] [--skip-parallel] [--skip-graph]
-          [--skip-adapt] [--skip-resilience] [--skip-fleet]
-          [--skip-rank] [--skip-hetero] [ids...] *)
+   Usage: main.exe [--quick] [--only STAGE,...] [ids...]
+
+   Stages, in run order: experiments, micro, telemetry, parallel, graph,
+   adapt, resilience, fleet, rank, hetero. Every stage runs unless
+   [--only] names a subset. A failing stage does not stop the others:
+   each failure is printed and the run exits 1 at the end. [ids]
+   restrict the experiments stage to those experiment ids. *)
 
 open Bechamel
 open Toolkit
 
 let quick = Array.exists (( = ) "--quick") Sys.argv
 
-let skip_experiments = Array.exists (( = ) "--skip-experiments") Sys.argv
+let only, selected_ids =
+  let rec parse only ids = function
+    | [] -> (only, List.rev ids)
+    | "--only" :: v :: rest -> parse (Some v) ids rest
+    | a :: rest when String.starts_with ~prefix:"--" a -> parse only ids rest
+    | a :: rest -> parse only (a :: ids) rest
+  in
+  let only, ids = parse None [] (List.tl (Array.to_list Sys.argv)) in
+  (Option.map (String.split_on_char ',') only, ids)
 
-let skip_micro = Array.exists (( = ) "--skip-micro") Sys.argv
+(* A stage reports a failure by raising; the runner records it and goes
+   on with the next stage. *)
+exception Stage_failed of string
 
-let skip_telemetry = Array.exists (( = ) "--skip-telemetry") Sys.argv
+let fail fmt = Printf.ksprintf (fun msg -> raise (Stage_failed msg)) fmt
 
-let skip_parallel = Array.exists (( = ) "--skip-parallel") Sys.argv
+let write_file path contents =
+  let oc = open_out path in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc contents);
+  Printf.printf "wrote %s\n%!" path
 
-let skip_graph = Array.exists (( = ) "--skip-graph") Sys.argv
-
-let skip_adapt = Array.exists (( = ) "--skip-adapt") Sys.argv
-
-let skip_resilience = Array.exists (( = ) "--skip-resilience") Sys.argv
-
-let skip_fleet = Array.exists (( = ) "--skip-fleet") Sys.argv
-
-let skip_rank = Array.exists (( = ) "--skip-rank") Sys.argv
-
-let skip_hetero = Array.exists (( = ) "--skip-hetero") Sys.argv
-
-let selected_ids =
-  Array.to_list Sys.argv |> List.tl
-  |> List.filter (fun a -> not (String.length a >= 2 && String.sub a 0 2 = "--"))
+(* Print each failed gate to stderr; fail the stage if any did. *)
+let check_gates name gates =
+  let prefix = name ^ " bench: gate failed" in
+  if not (Mikpoly_experiments.Exp.report_failed_gates ~prefix gates) then
+    fail "%d of %d gates failed"
+      (List.length (Mikpoly_experiments.Exp.failed_gates gates))
+      (List.length gates)
 
 let experiments () =
   match selected_ids with
@@ -278,20 +288,14 @@ let run_telemetry_overhead () =
           Mikpoly_serve.Scheduler.run sched_config engine trace);
     ]
   in
-  let path = "BENCH_telemetry.json" in
-  let json =
-    Json.Obj
-      [
-        ("reps_per_batch", Json.Number (float_of_int reps));
-        ("batches", Json.Number (float_of_int batches));
-        ("benchmarks", Json.List rows);
-      ]
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Json.to_string json));
-  Printf.printf "wrote %s\n%!" path
+  write_file "BENCH_telemetry.json"
+    (Json.to_string
+       (Json.Obj
+          [
+            ("reps_per_batch", Json.Number (float_of_int reps));
+            ("batches", Json.Number (float_of_int batches));
+            ("benchmarks", Json.List rows);
+          ]))
 
 (* --- Parallel search scaling: jobs sweep over the Table-3 GEMM suite ---
 
@@ -373,11 +377,7 @@ let run_parallel_bench () =
   List.iter
     (fun (j, (_, _, compileds)) ->
       if Array.map fingerprint compileds <> Array.map fingerprint reference
-      then begin
-        Printf.eprintf
-          "parallel bench: programs at jobs=%d differ from jobs=1\n" j;
-        exit 1
-      end)
+      then fail "programs at jobs=%d differ from jobs=1" j)
     timed;
   let sum_candidates cs =
     Array.fold_left
@@ -410,15 +410,9 @@ let run_parallel_bench () =
   Printf.printf
     "analytic pruning: %d candidates scored vs %d unpruned (%.1fx fewer)\n"
     pruned_cand unpruned_cand reduction;
-  if Array.map fingerprint unpruned <> Array.map fingerprint reference then begin
-    Printf.eprintf "parallel bench: pruned programs differ from unpruned\n";
-    exit 1
-  end;
-  if reduction < 5. then begin
-    Printf.eprintf
-      "parallel bench: pruning reduction %.2fx below the 5x gate\n" reduction;
-    exit 1
-  end;
+  if Array.map fingerprint unpruned <> Array.map fingerprint reference then
+    fail "pruned programs differ from unpruned";
+  if reduction < 5. then fail "pruning reduction %.2fx below the 5x gate" reduction;
   let t1 = match timed with (_, (t, _, _)) :: _ -> t | [] -> nan in
   let rows =
     List.map
@@ -459,14 +453,10 @@ let run_parallel_bench () =
          within 10% of plain sequential *)
       wall_at 4 <= t1 *. 1.10 && wall_at 8 <= t1 *. 1.10
   in
-  if not gate_ok then begin
-    Printf.eprintf
-      "parallel bench: %s gate failed (jobs1 %.4fs, jobs4 %.4fs, jobs8 %.4fs)\n"
+  if not gate_ok then
+    fail "%s gate failed (jobs1 %.4fs, jobs4 %.4fs, jobs8 %.4fs)"
       (if multicore then "speedup" else "single-core overhead")
       t1 (wall_at 4) (wall_at 8);
-    exit 1
-  end;
-  let path = "BENCH_parallel.json" in
   let json =
     Json.Obj
       [
@@ -495,58 +485,7 @@ let run_parallel_bench () =
         ("sweep", Json.List rows);
       ]
   in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Json.to_string json));
-  Printf.printf "wrote %s\n%!" path
-
-(* --- Whole-model graph serving: acceptance gates + jobs invariance ---
-
-   Runs the lib/graph pipeline (rewrite passes, memory planning,
-   pipelined compile/execute) over the model-graph suite plus the
-   whole-graph vs per-operator serving A/B, asserts the acceptance
-   gates hard (pipelining strictly beats sequential compile-then-execute
-   on every model and binding, rewriting strictly shrinks every model,
-   planning never exceeds naive allocation, whole-graph SLO attainment
-   is at least the per-op stream's), re-runs everything on a fresh
-   compiler at a different worker-domain count and requires the
-   byte-identical report, then writes BENCH_graph.json. *)
-
-let run_graph_bench () =
-  let module E = Mikpoly_experiments.Exp_graph in
-  let saved_jobs = Mikpoly_util.Domain_pool.default_jobs () in
-  let render jobs =
-    Mikpoly_util.Domain_pool.set_default_jobs jobs;
-    let compiler = Mikpoly_core.Compiler.create Mikpoly_accel.Hardware.a100 in
-    let runs = E.model_runs ~quick compiler in
-    let serving = E.serving_ab ~quick compiler in
-    (runs, serving, Mikpoly_telemetry.Json.to_string (E.json ~quick runs serving))
-  in
-  let runs, serving, json1 = Fun.protect
-      ~finally:(fun () -> Mikpoly_util.Domain_pool.set_default_jobs saved_jobs)
-      (fun () ->
-        let result = render 1 in
-        let _, _, json4 = render 4 in
-        let _, _, json1 = result in
-        if json1 <> json4 then begin
-          Printf.eprintf "graph bench: report at jobs=4 differs from jobs=1\n";
-          exit 1
-        end;
-        result)
-  in
-  if not (Mikpoly_experiments.Exp.report_failed_gates
-            ~prefix:"graph bench: gate failed" (E.gates runs serving))
-  then exit 1;
-  let n_gates = List.length (E.gates runs serving) in
-  Printf.printf "graph bench: %d gates hold, report identical across --jobs\n"
-    n_gates;
-  let path = "BENCH_graph.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc json1);
-  Printf.printf "wrote %s\n%!" path
+  write_file "BENCH_parallel.json" (Json.to_string json)
 
 (* --- Online adaptation: drift scenario plus a serving SLO A/B ---
 
@@ -572,22 +511,13 @@ let run_adapt_bench () =
     (100. *. r.after.top1_regret)
     stats.drift_events r.reaction_observations
     (Mikpoly_util.Table.fmt_time_us r.stall_seconds);
-  if stats.drift_events < 1 then begin
-    Printf.eprintf "adapt bench: the drift detector never fired\n";
-    exit 1
-  end;
-  if not (r.after.tau > r.before.tau) then begin
-    Printf.eprintf
-      "adapt bench: calibration did not improve Kendall-tau (%.4f -> %.4f)\n"
-      r.before.tau r.after.tau;
-    exit 1
-  end;
-  if r.after.top1_regret > r.before.top1_regret +. 1e-9 then begin
-    Printf.eprintf
-      "adapt bench: top-1 regret regressed (%.4f -> %.4f)\n"
-      r.before.top1_regret r.after.top1_regret;
-    exit 1
-  end;
+  if stats.drift_events < 1 then fail "the drift detector never fired";
+  if not (r.after.tau > r.before.tau) then
+    fail "calibration did not improve Kendall-tau (%.4f -> %.4f)" r.before.tau
+      r.after.tau;
+  if r.after.top1_regret > r.before.top1_regret +. 1e-9 then
+    fail "top-1 regret regressed (%.4f -> %.4f)" r.before.top1_regret
+      r.after.top1_regret;
   (* Serving A/B on a healthy device: same trace and config, with and
      without the adaptation loop attached. The detector must stay quiet
      and SLO attainment must not drop. *)
@@ -626,13 +556,9 @@ let run_adapt_bench () =
     (100. *. without.slo_attainment)
     (100. *. with_adapt.slo_attainment)
     (Mikpoly_util.Table.fmt_time_us with_adapt.adapt_stall_seconds);
-  if with_adapt.slo_attainment < without.slo_attainment -. 1e-9 then begin
-    Printf.eprintf
-      "adapt bench: SLO attainment regressed with adaptation (%.4f -> %.4f)\n"
+  if with_adapt.slo_attainment < without.slo_attainment -. 1e-9 then
+    fail "SLO attainment regressed with adaptation (%.4f -> %.4f)"
       without.slo_attainment with_adapt.slo_attainment;
-    exit 1
-  end;
-  let path = "BENCH_adapt.json" in
   let json =
     Json.Obj
       [
@@ -654,11 +580,7 @@ let run_adapt_bench () =
           Json.Number with_adapt.adapt_stall_seconds );
       ]
   in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Json.to_string json));
-  Printf.printf "wrote %s\n%!" path
+  write_file "BENCH_adapt.json" (Json.to_string json)
 
 (* Resilience chaos bench: the acceptance gate of the fault-injection
    plane.
@@ -671,16 +593,11 @@ let run_adapt_bench () =
    and 4 worker domains. Writes BENCH_resilience.json. *)
 
 let run_resilience_bench () =
-  let open Mikpoly_telemetry in
   let module R = Mikpoly_serve.Resilience in
-  let hw = Mikpoly_accel.Hardware.a100 in
-  let compiler = Mikpoly_core.Compiler.create hw in
-  let ab, n_req =
-    Mikpoly_experiments.Exp_resilience.chaos_ab ~jobs:1 ~quick compiler
-  in
-  let ab4, _ =
-    Mikpoly_experiments.Exp_resilience.chaos_ab ~jobs:4 ~quick compiler
-  in
+  let module E = Mikpoly_experiments.Exp_resilience in
+  let compiler = Mikpoly_core.Compiler.create Mikpoly_accel.Hardware.a100 in
+  let ab, n_req = E.chaos_ab ~jobs:1 ~quick compiler in
+  let ab4, _ = E.chaos_ab ~jobs:4 ~quick compiler in
   let on = ab.R.with_resilience and off = ab.R.without_resilience in
   Printf.printf
     "resilience chaos A/B: %d requests, %d injected fault(s) (%d crash(es)); \
@@ -691,222 +608,140 @@ let run_resilience_bench () =
     (100. *. off.R.metrics.Mikpoly_serve.Metrics.slo_attainment)
     on.R.metrics.Mikpoly_serve.Metrics.retries on.R.silent_losses
     off.R.silent_losses;
-  if on.R.injected_faults = 0 || off.R.injected_faults = 0 then begin
-    Printf.eprintf "resilience bench: the fault plan injected nothing\n";
-    exit 1
-  end;
-  if not (R.no_silent_losses ab) then begin
-    Printf.eprintf
-      "resilience bench: a request was lost silently (on %d, off %d)\n"
-      on.R.silent_losses off.R.silent_losses;
-    exit 1
-  end;
-  if not (R.resilience_wins ab) then begin
-    Printf.eprintf
-      "resilience bench: resilience did not beat the unprotected arm \
-       (%.4f vs %.4f)\n"
-      on.R.metrics.Mikpoly_serve.Metrics.slo_attainment
-      off.R.metrics.Mikpoly_serve.Metrics.slo_attainment;
-    exit 1
-  end;
-  if
-    ab4.R.with_resilience.R.status_digest <> on.R.status_digest
-    || ab4.R.without_resilience.R.status_digest <> off.R.status_digest
-  then begin
-    Printf.eprintf
-      "resilience bench: outcomes differ across worker-domain counts\n";
-    exit 1
-  end;
-  let path = "BENCH_resilience.json" in
-  let arm name (a : R.arm) =
-    ( name,
-      Json.Obj
-        [
-          ( "slo_attainment",
-            Json.Number a.R.metrics.Mikpoly_serve.Metrics.slo_attainment );
-          ( "completed",
-            Json.Number
-              (float_of_int a.R.metrics.Mikpoly_serve.Metrics.completed) );
-          ( "failed",
-            Json.Number (float_of_int a.R.metrics.Mikpoly_serve.Metrics.failed)
-          );
-          ( "timed_out",
-            Json.Number
-              (float_of_int a.R.metrics.Mikpoly_serve.Metrics.timed_out) );
-          ( "retries",
-            Json.Number (float_of_int a.R.metrics.Mikpoly_serve.Metrics.retries)
-          );
-          ("injected_faults", Json.Number (float_of_int a.R.injected_faults));
-          ("crashes", Json.Number (float_of_int a.R.crashes));
-          ("silent_losses", Json.Number (float_of_int a.R.silent_losses));
-          ("status_digest", Json.String a.R.status_digest);
-        ] )
+  let jobs_invariant =
+    {
+      Mikpoly_experiments.Exp.gate_name = "jobs_invariant";
+      gate_ok =
+        ab4.R.with_resilience.R.status_digest = on.R.status_digest
+        && ab4.R.without_resilience.R.status_digest = off.R.status_digest;
+      gate_detail = "outcomes differ across worker-domain counts";
+    }
   in
-  let json =
-    Json.Obj
-      [
-        ("requests", Json.Number (float_of_int n_req));
-        ("seed", Json.Number (float_of_int ab.R.faults.Mikpoly_fault.Plan.seed));
-        arm "with_resilience" on;
-        arm "without_resilience" off;
-        ("jobs_invariant", Json.Bool true);
-      ]
+  check_gates "resilience" (E.gates ab @ [ jobs_invariant ]);
+  write_file "BENCH_resilience.json"
+    (Mikpoly_telemetry.Json.to_string
+       (E.ab_json ab ~requests:n_req
+          [ ("jobs_invariant", Mikpoly_telemetry.Json.Bool true) ]))
+
+(* --- Gated subsystem reports: acceptance gates + jobs invariance ---
+
+   Each row renders one subsystem's experiment report on a fresh
+   compiler: its JSON (simulated quantities only) and its acceptance
+   gates. The runner renders at 1 and at 4 worker domains, requires the
+   byte-identical report, asserts every gate, then writes
+   BENCH_<name>.json.
+
+   - graph: the lib/graph pipeline (rewrite passes, memory planning,
+     pipelined compile/execute) over the model-graph suite plus the
+     whole-graph vs per-operator serving A/B — pipelining strictly beats
+     sequential on every model and binding, rewriting strictly shrinks
+     every model, planning never exceeds naive allocation, whole-graph
+     SLO attainment is at least the per-op stream's.
+   - fleet: WFQ + coalescing + warm store + autoscaler vs the
+     tenant-blind scheduler on the heavy-tail multi-tenant trace — fleet
+     goodput beats the baseline at equal replicas, no tier starved and
+     the tier order respected, coalescing strictly cuts compile stalls,
+     the warm store engages, the autoscaler meets SLO on fewer
+     replica-seconds than the static fleet.
+   - rank: the lib/rank offline-train / online-order pipeline under the
+     stale-model drift regime on both fingerprints — held-out tau and
+     top-1 regret strictly better than calibrated Eq. 2, the GPU→NPU
+     warm start beats a cold fit, untruncated searches bit-identical
+     with the ranker on or off, fewer scored candidates to the winner.
+   - hetero: the mixed GPU+NPU fleet against the equal-PE single-backend
+     baselines and the chaos failover pair — mixed strictly beats both
+     on goodput, failover strictly beats no-failover on SLO attainment
+     under the same outage, the breaker trips and re-closes, hedges and
+     the brown-out ladder engage, no admitted request silently lost. *)
+
+let gated_reports =
+  let module Ex = Mikpoly_experiments in
+  let a100 () = Mikpoly_core.Compiler.create Mikpoly_accel.Hardware.a100 in
+  [
+    ( "graph",
+      fun () ->
+        let compiler = a100 () in
+        let runs = Ex.Exp_graph.model_runs ~quick compiler in
+        let serving = Ex.Exp_graph.serving_ab ~quick compiler in
+        (Ex.Exp_graph.json ~quick runs serving, Ex.Exp_graph.gates runs serving) );
+    ( "fleet",
+      fun () ->
+        let r = Ex.Exp_fleet.results ~quick (a100 ()) in
+        (Ex.Exp_fleet.json r, Ex.Exp_fleet.gates r) );
+    ( "rank",
+      fun () ->
+        let r = Ex.Exp_rank.results ~quick in
+        (Ex.Exp_rank.json r, Ex.Exp_rank.gates r) );
+    ( "hetero",
+      fun () ->
+        let r = Ex.Exp_hetero.results ~quick in
+        (Ex.Exp_hetero.json r, Ex.Exp_hetero.gates r) );
+  ]
+
+let run_gated_report name render () =
+  let module Dp = Mikpoly_util.Domain_pool in
+  let saved_jobs = Dp.default_jobs () in
+  let at jobs =
+    Dp.set_default_jobs jobs;
+    let json, gates = render () in
+    (Mikpoly_telemetry.Json.to_string json, gates)
   in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Json.to_string json));
-  Printf.printf "wrote %s\n%!" path
-
-(* --- Multi-tenant fleet serving: acceptance gates + jobs invariance ---
-
-   Runs the lib/fleet goodput A/B (WFQ + coalescing + warm store +
-   autoscaler vs the tenant-blind scheduler) on the heavy-tail
-   multi-tenant trace, asserts the acceptance gates hard (fleet goodput
-   beats the baseline at equal replicas, no tier starved and the tier
-   order respected, coalescing strictly cuts compile stalls, the warm
-   store engages, the autoscaler meets SLO on fewer replica-seconds
-   than the static fleet), re-runs everything on a fresh compiler at a
-   different worker-domain count and requires the byte-identical
-   report, then writes BENCH_fleet.json. *)
-
-let run_fleet_bench () =
-  let module E = Mikpoly_experiments.Exp_fleet in
-  let saved_jobs = Mikpoly_util.Domain_pool.default_jobs () in
-  let render jobs =
-    Mikpoly_util.Domain_pool.set_default_jobs jobs;
-    let compiler = Mikpoly_core.Compiler.create Mikpoly_accel.Hardware.a100 in
-    let r = E.results ~quick compiler in
-    (r, Mikpoly_telemetry.Json.to_string (E.json r))
-  in
-  let r, json1 =
+  let (json1, gates), (json4, _) =
     Fun.protect
-      ~finally:(fun () -> Mikpoly_util.Domain_pool.set_default_jobs saved_jobs)
+      ~finally:(fun () -> Dp.set_default_jobs saved_jobs)
       (fun () ->
-        let result = render 1 in
-        let _, json4 = render 4 in
-        let _, json1 = result in
-        if json1 <> json4 then begin
-          Printf.eprintf "fleet bench: report at jobs=4 differs from jobs=1\n";
-          exit 1
-        end;
-        result)
+        let r1 = at 1 in
+        (r1, at 4))
   in
-  if not (Mikpoly_experiments.Exp.report_failed_gates
-            ~prefix:"fleet bench: gate failed" (E.gates r))
-  then exit 1;
-  Printf.printf "fleet bench: %d gates hold, report identical across --jobs\n"
-    (List.length (E.gates r));
-  let path = "BENCH_fleet.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc json1);
-  Printf.printf "wrote %s\n%!" path
+  if json1 <> json4 then fail "report at jobs=4 differs from jobs=1";
+  check_gates name gates;
+  Printf.printf "%s bench: %d gates hold, report identical across --jobs\n"
+    name (List.length gates);
+  write_file ("BENCH_" ^ name ^ ".json") json1
 
-(* --- Learned candidate ranking: acceptance gates + jobs invariance ---
-
-   Runs the lib/rank offline-train / online-order pipeline under the
-   stale-model drift regime on both fingerprints, asserts the acceptance
-   gates hard (held-out tau and top-1 regret strictly better than
-   calibrated Eq. 2 fit from the same observations on both platforms, the
-   GPU→NPU warm start beats a cold fit of the same budget on top-1
-   regret, untruncated searches bit-identical with the ranker on or off,
-   strictly fewer scored candidates to reach the search winner, and
-   deadline-truncated searches keeping the full-search program at least
-   as often), re-renders at a different worker-domain count and requires
-   the byte-identical report, then writes BENCH_rank.json. *)
-
-let run_rank_bench () =
-  let module E = Mikpoly_experiments.Exp_rank in
-  let saved_jobs = Mikpoly_util.Domain_pool.default_jobs () in
-  let render jobs =
-    Mikpoly_util.Domain_pool.set_default_jobs jobs;
-    let r = E.results ~quick in
-    (r, Mikpoly_telemetry.Json.to_string (E.json r))
+let stages =
+  let gated name =
+    (name, run_gated_report name (List.assoc name gated_reports))
   in
-  let r, json1 =
-    Fun.protect
-      ~finally:(fun () -> Mikpoly_util.Domain_pool.set_default_jobs saved_jobs)
-      (fun () ->
-        let result = render 1 in
-        let _, json4 = render 4 in
-        let _, json1 = result in
-        if json1 <> json4 then begin
-          Printf.eprintf "rank bench: report at jobs=4 differs from jobs=1\n";
-          exit 1
-        end;
-        result)
-  in
-  if not (Mikpoly_experiments.Exp.report_failed_gates
-            ~prefix:"rank bench: gate failed" (E.gates r))
-  then exit 1;
-  Printf.printf "rank bench: %d gates hold, report identical across --jobs\n"
-    (List.length (E.gates r));
-  let path = "BENCH_rank.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc json1);
-  Printf.printf "wrote %s\n%!" path
-
-(* --- Heterogeneous fleet: acceptance gates + jobs invariance ---
-
-   Runs the lib/hetero mixed GPU+NPU fleet against the equal-PE
-   single-backend baselines and the chaos failover pair, asserts the
-   acceptance gates hard (mixed strictly beats both single-backend
-   fleets on goodput at equal-or-fewer PEs, failover strictly beats
-   no-failover on SLO attainment under the same outage, the breaker
-   trips and re-closes through a half-open probe, hedges and the
-   brown-out ladder engage, and every arm conserves its terminal-status
-   ledger — no admitted request silently lost), re-renders at a
-   different worker-domain count and requires the byte-identical
-   report, then writes BENCH_hetero.json. *)
-
-let run_hetero_bench () =
-  let module E = Mikpoly_experiments.Exp_hetero in
-  let saved_jobs = Mikpoly_util.Domain_pool.default_jobs () in
-  let render jobs =
-    Mikpoly_util.Domain_pool.set_default_jobs jobs;
-    let r = E.results ~quick in
-    (r, Mikpoly_telemetry.Json.to_string (E.json r))
-  in
-  let r, json1 =
-    Fun.protect
-      ~finally:(fun () -> Mikpoly_util.Domain_pool.set_default_jobs saved_jobs)
-      (fun () ->
-        let result = render 1 in
-        let _, json4 = render 4 in
-        let _, json1 = result in
-        if json1 <> json4 then begin
-          Printf.eprintf "hetero bench: report at jobs=4 differs from jobs=1
-";
-          exit 1
-        end;
-        result)
-  in
-  if not (Mikpoly_experiments.Exp.report_failed_gates
-            ~prefix:"hetero bench: gate failed" (E.gates r))
-  then exit 1;
-  Printf.printf "hetero bench: %d gates hold, report identical across --jobs
-"
-    (List.length (E.gates r));
-  let path = "BENCH_hetero.json" in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc json1);
-  Printf.printf "wrote %s
-%!" path
+  [
+    ("experiments", run_experiments);
+    ("micro", run_micro);
+    ("telemetry", run_telemetry_overhead);
+    ("parallel", run_parallel_bench);
+    gated "graph";
+    ("adapt", run_adapt_bench);
+    ("resilience", run_resilience_bench);
+    gated "fleet";
+    gated "rank";
+    gated "hetero";
+  ]
 
 let () =
-  if not skip_experiments then run_experiments ();
-  if not skip_micro then run_micro ();
-  if not skip_telemetry then run_telemetry_overhead ();
-  if not skip_parallel then run_parallel_bench ();
-  if not skip_graph then run_graph_bench ();
-  if not skip_adapt then run_adapt_bench ();
-  if not skip_resilience then run_resilience_bench ();
-  if not skip_fleet then run_fleet_bench ();
-  if not skip_rank then run_rank_bench ();
-  if not skip_hetero then run_hetero_bench ()
+  (match only with
+  | Some names ->
+    List.iter
+      (fun n ->
+        if not (List.mem_assoc n stages) then begin
+          Printf.eprintf "bad --only: unknown stage %S (expected %s)\n" n
+            (String.concat ", " (List.map fst stages));
+          exit 2
+        end)
+      names
+  | None -> ());
+  let failed =
+    List.filter
+      (fun (name, run) ->
+        match only with
+        | Some names when not (List.mem name names) -> false
+        | _ -> (
+          match run () with
+          | () -> false
+          | exception Stage_failed msg ->
+            Printf.eprintf "%s bench: %s\n%!" name msg;
+            true))
+      stages
+  in
+  if failed <> [] then begin
+    Printf.eprintf "failed stages: %s\n" (String.concat ", " (List.map fst failed));
+    exit 1
+  end

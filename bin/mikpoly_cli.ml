@@ -42,10 +42,26 @@ let load_ranker ~hw = function
         path e;
       None)
 
-(* Exit status of a subcommand with acceptance gates: 1, after printing
-   each failed gate to stderr, unless every gate holds. *)
-let gate_exit ~prefix gates =
+(* Write a subcommand's JSON report to [out], then exit 1 — after
+   printing each failed gate to stderr — unless every gate holds. *)
+let write_and_gate ~out ~prefix json gates =
+  let oc = open_out out in
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> output_string oc (Mikpoly_telemetry.Json.to_string json));
+  Printf.printf "wrote %s\n" out;
   if Mikpoly_experiments.Exp.report_failed_gates ~prefix gates then 0 else 1
+
+(* The tail every gated experiment subcommand shares: print the report
+   (its tables as CSV with --csv), then write its JSON and gate. *)
+let report_tail ~csv ~out ~prefix (report : Mikpoly_experiments.Exp.report)
+    json gates =
+  if csv then
+    List.iter
+      (fun t -> print_endline (Mikpoly_util.Table.to_csv t))
+      report.Mikpoly_experiments.Exp.tables
+  else print_string (Mikpoly_experiments.Exp.render report);
+  write_and_gate ~out ~prefix json gates
 
 let run_experiments jobs seed adapt ranker ids quick csv =
   set_jobs jobs;
@@ -400,13 +416,10 @@ let chaos jobs seed quick csv out =
   set_jobs jobs;
   set_seed seed;
   let open Mikpoly_serve in
+  let module E = Mikpoly_experiments.Exp_resilience in
   let hw = Mikpoly_accel.Hardware.a100 in
   let compiler = Mikpoly_core.Compiler.create hw in
-  let ab, n_req =
-    Mikpoly_experiments.Exp_resilience.chaos_ab ~quick compiler
-  in
-  let on = ab.Resilience.with_resilience in
-  let off = ab.Resilience.without_resilience in
+  let ab, n_req = E.chaos_ab ~quick compiler in
   let table =
     Mikpoly_util.Table.create
       ~title:
@@ -422,58 +435,14 @@ let chaos jobs seed quick csv out =
         a.Resilience.status_digest;
       ]
   in
-  Mikpoly_util.Table.add_row table (arm_row off);
-  Mikpoly_util.Table.add_row table (arm_row on);
-  let ladder, ladder_rows, ladder_req =
-    Mikpoly_experiments.Exp_resilience.ladder_table ~quick
-  in
-  if csv then begin
-    print_endline (Mikpoly_util.Table.to_csv table);
-    print_endline (Mikpoly_util.Table.to_csv ladder)
-  end
-  else begin
-    print_endline (Mikpoly_util.Table.render table);
-    print_endline (Mikpoly_util.Table.render ladder)
-  end;
-  let ladder_ok =
-    List.for_all
-      (fun (name, served, safe_generic) ->
-        served = ladder_req && (name = "intact" || safe_generic > 0))
-      ladder_rows
-  in
+  Mikpoly_util.Table.add_row table (arm_row ab.Resilience.without_resilience);
+  Mikpoly_util.Table.add_row table (arm_row ab.Resilience.with_resilience);
+  let ladder, ladder_rows, ladder_req = E.ladder_table ~quick in
+  let ladder_gate = E.ladder_gate ~requests:ladder_req ladder_rows in
   let json =
     let open Mikpoly_telemetry in
-    let arm name (a : Resilience.arm) =
-      let m = a.Resilience.metrics in
-      ( name,
-        Json.Obj
-          [
-            ( "slo_attainment",
-              Json.Number m.Mikpoly_serve.Metrics.slo_attainment );
-            ( "completed",
-              Json.Number (float_of_int m.Mikpoly_serve.Metrics.completed) );
-            ( "failed",
-              Json.Number (float_of_int m.Mikpoly_serve.Metrics.failed) );
-            ( "timed_out",
-              Json.Number (float_of_int m.Mikpoly_serve.Metrics.timed_out) );
-            ( "retries",
-              Json.Number (float_of_int m.Mikpoly_serve.Metrics.retries) );
-            ( "injected_faults",
-              Json.Number (float_of_int a.Resilience.injected_faults) );
-            ("crashes", Json.Number (float_of_int a.Resilience.crashes));
-            ( "silent_losses",
-              Json.Number (float_of_int a.Resilience.silent_losses) );
-            ("status_digest", Json.String a.Resilience.status_digest);
-          ] )
-    in
-    Json.Obj
+    E.ab_json ab ~requests:n_req
       [
-        ("requests", Json.Number (float_of_int n_req));
-        ( "seed",
-          Json.Number
-            (float_of_int ab.Resilience.faults.Mikpoly_fault.Plan.seed) );
-        arm "with_resilience" on;
-        arm "without_resilience" off;
         ( "ladder",
           Json.List
             (List.map
@@ -490,32 +459,15 @@ let chaos jobs seed quick csv out =
                      ("reached_safe_generic", Json.Bool (safe_generic > 0));
                    ])
                ladder_rows) );
-        ("ladder_ok", Json.Bool ladder_ok);
+        ("ladder_ok", Json.Bool ladder_gate.Mikpoly_experiments.Exp.gate_ok);
       ]
   in
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Mikpoly_telemetry.Json.to_string json));
-  Printf.printf "wrote %s\n" out;
-  let fail msg =
-    Printf.eprintf "chaos failed: %s\n" msg;
-    1
-  in
-  if on.Resilience.injected_faults = 0 || off.Resilience.injected_faults = 0
-  then fail "the fault plan injected nothing"
-  else if not (Resilience.no_silent_losses ab) then
-    fail "a request was lost silently"
-  else if not (Resilience.resilience_wins ab) then
-    Printf.ksprintf fail
-      "resilience did not beat the unprotected arm (SLO %.4f vs %.4f)"
-      on.Resilience.metrics.Metrics.slo_attainment
-      off.Resilience.metrics.Metrics.slo_attainment
-  else if not ladder_ok then
-    fail
-      "the degradation ladder lost requests (or never reached the safe \
-       generic rung) on a corrupted kernel store"
-  else 0
+  List.iter
+    (fun t ->
+      print_endline
+        (if csv then Mikpoly_util.Table.to_csv t else Mikpoly_util.Table.render t))
+    [ table; ladder ];
+  write_and_gate ~out ~prefix:"chaos failed" json (E.gates ab @ [ ladder_gate ])
 
 (* Whole-model graph serving: rewrite passes, memory planning and
    pipelined compile/execute per model, plus the whole-graph vs
@@ -529,20 +481,8 @@ let graph jobs quick csv out =
   let compiler = Mikpoly_experiments.Backends.gpu () in
   let runs = E.model_runs ~quick compiler in
   let serving = E.serving_ab ~quick compiler in
-  let report = E.report runs serving in
-  if csv then
-    List.iter
-      (fun t -> print_endline (Mikpoly_util.Table.to_csv t))
-      report.Mikpoly_experiments.Exp.tables
-  else print_string (Mikpoly_experiments.Exp.render report);
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc
-        (Mikpoly_telemetry.Json.to_string (E.json ~quick runs serving)));
-  Printf.printf "wrote %s\n" out;
-  gate_exit ~prefix:"graph gate failed" (E.gates runs serving)
+  report_tail ~csv ~out ~prefix:"graph gate failed" (E.report runs serving)
+    (E.json ~quick runs serving) (E.gates runs serving)
 
 (* Multi-tenant fleet serving: the WFQ / coalescing / warm-store /
    autoscaler ladder against the tenant-blind scheduler on a heavy-tail
@@ -593,19 +533,8 @@ let fleet jobs quick csv out store ranker =
       compiler
   in
   let r = E.results ~quick compiler in
-  let report = E.report r in
-  if csv then
-    List.iter
-      (fun t -> print_endline (Mikpoly_util.Table.to_csv t))
-      report.Mikpoly_experiments.Exp.tables
-  else print_string (Mikpoly_experiments.Exp.render report);
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Mikpoly_telemetry.Json.to_string (E.json r)));
-  Printf.printf "wrote %s\n" out;
-  gate_exit ~prefix:"fleet gate failed" (E.gates r)
+  report_tail ~csv ~out ~prefix:"fleet gate failed" (E.report r) (E.json r)
+    (E.gates r)
 
 (* Heterogeneous mixed GPU+NPU fleet serving: device-class-keyed
    stores, cost-model routing, the per-class health plane (breaker,
@@ -618,19 +547,8 @@ let hetero jobs quick csv out =
   set_jobs jobs;
   let module E = Mikpoly_experiments.Exp_hetero in
   let r = E.results ~quick in
-  let report = E.report r in
-  if csv then
-    List.iter
-      (fun t -> print_endline (Mikpoly_util.Table.to_csv t))
-      report.Mikpoly_experiments.Exp.tables
-  else print_string (Mikpoly_experiments.Exp.render report);
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Mikpoly_telemetry.Json.to_string (E.json r)));
-  Printf.printf "wrote %s\n" out;
-  gate_exit ~prefix:"hetero gate failed" (E.gates r)
+  report_tail ~csv ~out ~prefix:"hetero gate failed" (E.report r) (E.json r)
+    (E.gates r)
 
 (* Train and evaluate the learned candidate-ordering ranker (lib/rank):
    harvest simulator observations on both platforms, fit the
@@ -645,23 +563,16 @@ let rank jobs seed quick csv out save =
   set_seed seed;
   let module E = Mikpoly_experiments.Exp_rank in
   let r = E.results ~quick in
-  let report = E.report r in
-  if csv then
-    List.iter
-      (fun t -> print_endline (Mikpoly_util.Table.to_csv t))
-      report.Mikpoly_experiments.Exp.tables
-  else print_string (Mikpoly_experiments.Exp.render report);
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Mikpoly_telemetry.Json.to_string (E.json r)));
-  Printf.printf "wrote %s\n" out;
+  let status =
+    report_tail ~csv ~out ~prefix:"rank gate failed" (E.report r) (E.json r)
+      (E.gates r)
+  in
   (match save with
   | Some path ->
     Mikpoly_rank.Ranker.save ~path r.E.r_gpu_ranker;
     Printf.printf "saved ranker model to %s\n" path
   | None -> ());
-  gate_exit ~prefix:"rank gate failed" (E.gates r)
+  status
 
 (* Run a target under the span tracer and export the observability
    artifacts: a Chrome/Perfetto trace, the flat profile and the metrics

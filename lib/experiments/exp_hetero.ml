@@ -31,7 +31,7 @@ open Mikpoly_util
 open Mikpoly_serve
 module H = Mikpoly_hetero.Hetero
 module Backend = Mikpoly_hetero.Backend
-module Health = Mikpoly_hetero.Health
+module Health = Mikpoly_fleet.Health
 module Engines = Mikpoly_hetero.Engines
 module Tenant = Mikpoly_fleet.Tenant
 module Ratelimit = Mikpoly_fleet.Ratelimit

@@ -69,6 +69,67 @@ let arm_row (a : Resilience.arm) =
   Metrics.to_row ~label:a.arm_name a.metrics
   @ [ string_of_int a.injected_faults; string_of_int a.silent_losses ]
 
+(* The chaos A/B as JSON — simulated quantities only, so the bytes are
+   identical across runs and job counts — with [extra] fields after the
+   two arms. Shared by [mikpoly_cli chaos --out] and
+   BENCH_resilience.json. *)
+let ab_json (ab : Resilience.ab) ~requests extra =
+  let module J = Mikpoly_telemetry.Json in
+  let arm name (a : Resilience.arm) =
+    let m = a.metrics in
+    ( name,
+      J.Obj
+        [
+          ("slo_attainment", J.Number m.Metrics.slo_attainment);
+          ("completed", J.Number (float_of_int m.Metrics.completed));
+          ("failed", J.Number (float_of_int m.Metrics.failed));
+          ("timed_out", J.Number (float_of_int m.Metrics.timed_out));
+          ("retries", J.Number (float_of_int m.Metrics.retries));
+          ("injected_faults", J.Number (float_of_int a.injected_faults));
+          ("crashes", J.Number (float_of_int a.crashes));
+          ("silent_losses", J.Number (float_of_int a.silent_losses));
+          ("status_digest", J.String a.status_digest);
+        ] )
+  in
+  J.Obj
+    ([
+       ("requests", J.Number (float_of_int requests));
+       ("seed", J.Number (float_of_int ab.Resilience.faults.Plan.seed));
+       arm "with_resilience" ab.Resilience.with_resilience;
+       arm "without_resilience" ab.Resilience.without_resilience;
+     ]
+    @ extra)
+
+(* The chaos A/B's acceptance gates: faults were injected in both arms,
+   neither arm lost a request silently, and resilience strictly beats
+   the unprotected arm on SLO attainment. *)
+let gates (ab : Resilience.ab) =
+  let on = ab.Resilience.with_resilience in
+  let off = ab.Resilience.without_resilience in
+  [
+    {
+      Exp.gate_name = "faults_injected";
+      gate_ok = on.injected_faults > 0 && off.injected_faults > 0;
+      gate_detail =
+        Printf.sprintf "%d fault(s) injected with resilience, %d without"
+          on.injected_faults off.injected_faults;
+    };
+    {
+      Exp.gate_name = "no_silent_losses";
+      gate_ok = Resilience.no_silent_losses ab;
+      gate_detail =
+        Printf.sprintf "silent losses: %d with resilience, %d without"
+          on.silent_losses off.silent_losses;
+    };
+    {
+      Exp.gate_name = "resilience_wins";
+      gate_ok = Resilience.resilience_wins ab;
+      gate_detail =
+        Printf.sprintf "SLO attainment %.4f with resilience vs %.4f without"
+          on.metrics.Metrics.slo_attainment off.metrics.Metrics.slo_attainment;
+    };
+  ]
+
 (* Stage 2: corrupt the tuned kernel set on disk in every mode and show
    the ladder serving every request anyway from the safe generic rung. *)
 let ladder_table ~quick =
@@ -126,6 +187,22 @@ let ladder_table ~quick =
       cases
   in
   (table, rows, n_req)
+
+(* The ladder's gate over [ladder_table]'s rows: every store serves every
+   request, and every corrupted store gets there on the safe generic
+   rung. *)
+let ladder_gate ~requests rows =
+  {
+    Exp.gate_name = "ladder_serves_all";
+    gate_ok =
+      List.for_all
+        (fun (name, served, safe_generic) ->
+          served = requests && (name = "intact" || safe_generic > 0))
+        rows;
+    gate_detail =
+      "the degradation ladder lost requests (or never reached the safe \
+       generic rung) on a corrupted kernel store";
+  }
 
 (* Stage 3: bursty overload against a bounded queue — shedding trades a
    few loud rejections for bounded latency on what it admits. *)

@@ -28,6 +28,14 @@ let m_crashes = Tm.Metrics.counter "fleet.crashes"
 
 let g_replicas = Tm.Metrics.gauge "fleet.replicas"
 
+let m_routed = Tm.Metrics.counter "hetero.routed"
+
+let m_reroutes = Tm.Metrics.counter "hetero.reroutes"
+
+let m_trips = Tm.Metrics.counter "hetero.trips"
+
+let m_hedges = Tm.Metrics.counter "hetero.hedges"
+
 type warm_config = {
   warm_top_k : int;
   warm_interval : float;
@@ -113,28 +121,21 @@ type outcome = {
   tiers : tier_metrics list;
 }
 
-let slo_met (c : Sch.completed) =
-  let r = c.Sch.request in
-  c.Sch.first_token -. r.Request.arrival <= r.Request.slo.Request.ttft
-  && c.Sch.finish -. r.Request.arrival <= r.Request.slo.Request.e2e
-
 let tier_table trace completed =
   let tenant_of = Tenant.lookup trace in
   List.map
     (fun tier ->
+      let of_tier (t : Tenant.t) = t.Tenant.tier = tier in
       let reqs =
         List.length
-          (List.filter
-             (fun (tg : Tenant.tagged) -> tg.Tenant.tenant.Tenant.tier = tier)
-             trace)
+          (List.filter (fun (tg : Tenant.tagged) -> of_tier tg.Tenant.tenant) trace)
       in
       let comps =
         List.filter
-          (fun (c : Sch.completed) ->
-            (tenant_of c.Sch.request.Request.id).Tenant.tier = tier)
+          (fun (c : Sch.completed) -> of_tier (tenant_of c.Sch.request.Request.id))
           completed
       in
-      let met = List.length (List.filter slo_met comps) in
+      let met = List.length (List.filter Mikpoly_serve.Metrics.slo_met comps) in
       {
         tm_tier = tier;
         tm_requests = reqs;
@@ -145,14 +146,8 @@ let tier_table trace completed =
       })
     Tenant.tiers
 
-let scheduler_outcome ~completed ~dropped ~rate_limited ~cache counters =
-  Sch.project counters ~completed ~dropped
-    ~rejected:(List.map (fun r -> (r, "rate-limited")) rate_limited)
-    ~timed_out:[] ~failed:[] ~adapt_stall_seconds:0. ~cache
-
 let to_scheduler_outcome (o : outcome) =
-  scheduler_outcome ~completed:o.completed ~dropped:o.dropped
-    ~rate_limited:o.rate_limited ~cache:o.cache
+  Sch.project
     {
       Replica.steps = o.steps;
       makespan = o.makespan;
@@ -165,6 +160,74 @@ let to_scheduler_outcome (o : outcome) =
       injected = o.injected_faults;
       requeues = o.requeues;
     }
+    ~completed:o.completed ~dropped:o.dropped
+    ~rejected:(List.map (fun r -> (r, "rate-limited")) o.rate_limited)
+    ~timed_out:[] ~failed:[] ~adapt_stall_seconds:0. ~cache:o.cache
+
+type hedge_config = {
+  hedge_tiers : Tenant.tier list;
+  hedge_slack : float;
+}
+
+type status = Completed | Dropped | Rate_limited
+
+let status_name = function
+  | Completed -> "completed"
+  | Dropped -> "dropped"
+  | Rate_limited -> "rate-limited"
+
+type placement = {
+  devices : (Sch.engine * int) list;
+  class_store : bool;
+  health : Health.config;
+  degraded_max_tokens : int;
+  hedge : hedge_config option;
+  failover : bool;
+}
+
+type slot = Tenant.tagged Replica.slot
+
+type cls = {
+  c_idx : int;
+  c_engine : Sch.engine;
+  c_slots : slot array;
+  mutable c_q : Wfq.t;
+  c_health : Health.t;
+  c_store : float Shape_cache.t option;
+  mutable c_retired : Shape_cache.stats list;
+  mutable c_routed : int;
+  mutable c_completed : int;
+  mutable c_steps : int;
+  mutable c_stall : float;
+  mutable c_service : float;
+  mutable c_requeues : int;
+  mutable c_rr_out : int;
+  mutable c_rr_in : int;
+  mutable c_hedges_in : int;
+  mutable c_forced : int;
+  mutable c_drains : int;
+  mutable c_brownout_steps : int;
+}
+
+type ledger = {
+  classes : cls array;
+  status_of : int -> status option;
+  resolved : int;
+  reroutes : int;
+  hedges : int;
+  hedge_cancels : int;
+}
+
+(* Request ids and shape signatures key the loop's tables. They are
+   plain ints, so they hash as themselves instead of through the
+   polymorphic hash. *)
+module Ids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x = x land max_int
+end)
 
 let by_arrival trace =
   List.stable_sort
@@ -172,32 +235,18 @@ let by_arrival trace =
       Request.compare_arrival a.Tenant.req b.Tenant.req)
     trace
 
-let limiter =
-  Option.map (fun base ->
-      Ratelimit.create
-        ~rate_for:(fun t -> Ratelimit.for_tier ~base t.Tenant.tier)
-        ())
-
-let aged_time batcher q ~in_flight tg =
-  let arrival = tg.Tenant.req.Request.arrival in
-  match batcher with
-  | Batcher.Greedy _ | Batcher.Slo_aware _ -> arrival
-  | Batcher.Timeout { window; max_batch } ->
-    if Wfq.length q + in_flight >= max_batch then arrival
-    else arrival +. window
-
 let earliest q time =
   if Wfq.is_empty q then None
   else
     Some
-      (List.fold_left
-         (fun acc tg -> Float.min acc (time tg))
-         infinity (Wfq.to_list q))
+      (List.fold_left (fun acc tg -> Float.min acc (time tg)) infinity (Wfq.to_list q))
 
+(* Let the batcher rule on an offer taken from the queue: deferred
+   requests return to their lane heads. *)
 let grant batcher q ~now ~in_flight offer =
-  let table = Hashtbl.create 8 in
-  List.iter (fun tg -> Hashtbl.replace table tg.Tenant.req.Request.id tg) offer;
-  let tagged_of (req : Request.t) = Hashtbl.find table req.Request.id in
+  let table = Ids.create 8 in
+  List.iter (fun tg -> Ids.replace table tg.Tenant.req.Request.id tg) offer;
+  let tagged_of (req : Request.t) = Ids.find table req.Request.id in
   let d =
     Batcher.admit batcher ~now ~in_flight
       ~waiting:(List.map (fun tg -> tg.Tenant.req) offer)
@@ -207,49 +256,42 @@ let grant batcher q ~now ~in_flight offer =
     (List.rev d.Batcher.deferred);
   (d, tagged_of)
 
-type slot = Tenant.tagged Replica.slot
-
 (* Event kinds in tie priority order: a crash preempts the arrival it
-   races, arrivals land before the background planes run, and the
-   replica step goes last so it sees the freshest queue — all fixed, so
-   the interleaving is deterministic. *)
-let prio_crash = 0
+   races, arrivals land before the control planes act, and replica
+   steps go last so they see the freshest queues — all fixed, so the
+   interleaving is deterministic. A one-class fleet has no hedges and
+   the mixed fleet no refresh or tick, so each keeps its own order:
+   crash < arrival < refresh < tick < step, and
+   crash < arrival < hedge < step. *)
+let consider n t ev =
+  Replica.consider n t
+    (match ev with
+    | `Crash _ -> 0
+    | `Arrival -> 1
+    | `Hedge _ -> 2
+    | `Refresh _ -> 3
+    | `Tick _ -> 4
+    | `Step _ -> 5)
+    ev
 
-let prio_arrival = 1
-
-let prio_refresh = 2
-
-let prio_scale = 3
-
-let prio_step = 4
-
-let run ?(faults = Plan.none) config engine trace =
+let serve ?(faults = Plan.none) config p trace =
   validate config;
-  let max_slots =
-    match config.autoscale with
-    | Some a -> max config.replicas a.Autoscaler.max_replicas
-    | None -> config.replicas
-  in
-  let init_active =
+  let sizes n =
     match config.autoscale with
     | Some a ->
-      max a.Autoscaler.min_replicas
-        (min config.replicas a.Autoscaler.max_replicas)
-    | None -> config.replicas
+      ( max n a.Autoscaler.max_replicas,
+        max a.Autoscaler.min_replicas (min n a.Autoscaler.max_replicas) )
+    | None -> (n, n)
   in
-  let slots : slot array =
-    Array.init max_slots (fun index ->
-        Replica.slot ~index ~capacity:config.cache_capacity)
-  in
-  (* Autoscaler state per slot: in service or not, and since when. *)
-  let live = Array.init max_slots (fun i -> i < init_active) in
-  let spawned = Array.make max_slots 0. in
-  Tm.Metrics.gauge_add g_replicas (float_of_int init_active);
-  let q = Wfq.create () in
+  let sized = List.map (fun (engine, n) -> (engine, sizes n)) p.devices in
+  let n_slots = List.fold_left (fun acc (_, (n, _)) -> acc + n) 0 sized in
+  (* Per slot, by global index: in service or not and since when (the
+     autoscaler's state), and the slot's class. *)
+  let live = Array.make n_slots false in
+  let spawned = Array.make n_slots 0. in
+  let cls_of = Array.make n_slots 0 in
   let learner =
-    match config.warm with
-    | Some w -> Some (Learner.create ~half_life:w.warm_half_life ())
-    | None -> None
+    Option.map (fun w -> Learner.create ~half_life:w.warm_half_life ()) config.warm
   in
   (* Warm-store admission is mass-aware, not LRU: a warm entry's weight
      is its bucket's decayed learner mass at the moment an admission
@@ -257,10 +299,11 @@ let run ?(faults = Plan.none) config engine trace =
      entries and can never evict a heavy-tail tenant's hot bucket.
      [warm_sig] remembers which bucket produced each warm shape (filled
      wherever [step_shapes] expands a bucket) and [warm_now] tracks the
-     event clock the decay is evaluated at. *)
+     event clock the decay is evaluated at. Without the warm plane a
+     class may still share an LRU store among its replicas. *)
   let warm_sig : (Shape_cache.key, int) Hashtbl.t = Hashtbl.create 64 in
   let warm_now = ref 0. in
-  let warm_store =
+  let store () =
     match (config.warm, learner) with
     | Some w, Some l ->
       let weight shape =
@@ -269,157 +312,420 @@ let run ?(faults = Plan.none) config engine trace =
         | None -> 0.
       in
       Some (Shape_cache.create_weighted ~weight ~capacity:w.warm_capacity)
+    | _ when p.class_store -> Some (Shape_cache.create ~capacity:config.cache_capacity)
     | _ -> None
   in
-  let warm_shapes ~tokens =
-    let shapes = engine.Sch.step_shapes ~tokens in
-    List.iter
-      (fun ((shape : Shape_cache.key), _) ->
-        Hashtbl.replace warm_sig shape tokens)
-      shapes;
-    shapes
+  let next_index = ref 0 in
+  let classes =
+    Array.of_list
+      (List.mapi
+         (fun i (engine, (total, active)) ->
+           let slot j =
+             let index = !next_index in
+             incr next_index;
+             live.(index) <- j < active;
+             cls_of.(index) <- i;
+             Replica.slot ~index ~capacity:config.cache_capacity
+           in
+           {
+             c_idx = i;
+             c_engine = engine;
+             c_slots = Array.init total slot;
+             c_q = Wfq.create ();
+             c_health = Health.create p.health;
+             c_store = store ();
+             c_retired = [];
+             c_routed = 0;
+             c_completed = 0;
+             c_steps = 0;
+             c_stall = 0.;
+             c_service = 0.;
+             c_requeues = 0;
+             c_rr_out = 0;
+             c_rr_in = 0;
+             c_hedges_in = 0;
+             c_forced = 0;
+             c_drains = 0;
+             c_brownout_steps = 0;
+           })
+         sized)
   in
-  (* Coalescing affinity: which slot last led a group for a signature.
-     A signature stays sticky to its owner until the owner retires or a
-     head request ages past [steal_age] — then the stealing slot claims
-     it. *)
-  let owner : (int, int) Hashtbl.t = Hashtbl.create 32 in
+  let n_classes = Array.length classes in
+  let slots = Array.concat (List.map (fun c -> c.c_slots) (Array.to_list classes)) in
+  let live_slots () =
+    List.filter (fun (s : slot) -> live.(s.index)) (Array.to_list slots)
+  in
+  let peak = ref (List.length (live_slots ())) in
+  Tm.Metrics.gauge_add g_replicas (float_of_int !peak);
   let pending = ref (by_arrival trace) in
-  let c = Replica.counters () in
-  let completed = ref [] in
-  let dropped = ref [] in
-  let rate_limited = ref [] in
-  let limiter = limiter config.ratelimit in
-  let warm_hits = ref 0 in
-  let warm_compiles = ref 0 in
-  let warm_bg_clock = ref 0. in
-  let warm_bg_seconds = ref 0. in
-  let coalesced_groups = ref 0 in
-  let scale_ups = ref 0 in
-  let scale_downs = ref 0 in
-  let retired_caches = ref [] in
-  let replica_acc = ref 0. in
-  let peak = ref init_active in
-  let met_count = ref 0 in
-  let resolved = ref 0 in
+  let limiter =
+    Option.map
+      (fun base ->
+        Ratelimit.create ~rate_for:(fun t -> Ratelimit.for_tier ~base t.Tenant.tier) ())
+      config.ratelimit
+  in
+  (* The request ledger: exactly one terminal status per trace request,
+     however many copies hedging and trip drains put in flight.
+     [copies] counts live copies (queued or running); [running] marks
+     the admitted copy so a sibling reaching a grant is discarded;
+     [statuses] is write-once. *)
+  let copies : int Ids.t = Ids.create 256 in
+  let running : unit Ids.t = Ids.create 64 in
+  let hedged : unit Ids.t = Ids.create 64 in
+  let statuses : status Ids.t = Ids.create 256 in
+  (* Coalescing affinity, per class: signature -> the slot that last led
+     a group for it. *)
+  let owners = Array.map (fun _ -> Ids.create 32) classes in
+  let k = Replica.counters () in
+  let completed = ref [] and dropped = ref [] and rate_limited = ref [] in
+  let warm_hits = ref 0 and warm_compiles = ref 0 in
+  let warm_bg_clock = ref 0. and warm_bg_seconds = ref 0. in
+  let coalesced_groups = ref 0 and met_count = ref 0 in
+  let scale_ups = ref 0 and scale_downs = ref 0 and replica_acc = ref 0. in
+  let reroutes = ref 0 and hedges = ref 0 and hedge_cancels = ref 0 in
   let crashes_left = ref faults.Plan.crashes in
+  let floor_now = ref 0. and last_change = ref 0. in
   let next_refresh =
     ref (match config.warm with Some w -> w.warm_interval | None -> infinity)
   in
   let next_tick =
-    ref
-      (match config.autoscale with
-      | Some a -> a.Autoscaler.interval
-      | None -> infinity)
+    ref (match config.autoscale with Some a -> a.Autoscaler.interval | None -> infinity)
   in
-  let last_change = ref 0. in
   let signature tg =
     Bucketing.bucket config.bucketing tg.Tenant.req.Request.prompt_len
   in
-  let owner_of s =
-    match Hashtbl.find_opt owner s with
-    | Some i when live.(i) -> Some i
-    | _ -> None
+  let step_shapes c ~tokens =
+    let shapes = c.c_engine.Sch.step_shapes ~tokens in
+    if Option.is_some learner then
+      List.iter (fun (shape, _) -> Hashtbl.replace warm_sig shape tokens) shapes;
+    shapes
   in
-  let aged_time in_flight tg = aged_time config.batcher q ~in_flight tg in
-  (* Earliest instant slot [r] may take this request as a group leader.
-     Affinity never un-work-conserves the fleet: a busy or down owner is
-     stolen from immediately (its cache locality is moot — it cannot
-     serve now, and the warm store shares programs anyway); only an
-     idle, live owner — which is about to take the request itself — is
-     deferred to, and at most until the request ages past [steal_age].
-     Owner state is read at evaluation time; the event loop recomputes
-     slot wake-ups every iteration, so the answer is always current. *)
-  let affinity_time (r : slot) in_flight tg =
-    let aged = aged_time in_flight tg in
-    if not config.coalesce then aged
-    else
-      match owner_of (signature tg) with
-      | None -> aged
-      | Some i when i = r.index -> aged
-      | Some i ->
-        let o = slots.(i) in
-        if o.act <> [] || o.down_until > aged then aged
-        else Float.max aged (tg.Tenant.req.Request.arrival +. config.steal_age)
+  let inflight c =
+    Array.fold_left (fun acc (s : slot) -> acc + List.length s.act) 0 c.c_slots
   in
-  let slot_next_time (r : slot) =
-    if not live.(r.index) then None
-    else Replica.ready_at r (fun () -> earliest q (affinity_time r 0))
-  in
-  let active_slots () =
-    Array.to_list slots |> List.filter (fun (r : slot) -> live.(r.index))
+  let queued_total () =
+    Array.fold_left (fun acc c -> acc + Wfq.length c.c_q) 0 classes
   in
   let work_remains () =
     !pending <> []
-    || (not (Wfq.is_empty q))
-    || Array.exists (fun (r : slot) -> live.(r.index) && r.act <> []) slots
+    || Array.exists (fun c -> not (Wfq.is_empty c.c_q)) classes
+    || Array.exists (fun (s : slot) -> live.(s.index) && s.act <> []) slots
   in
-  let resolve_drop (req : Request.t) =
-    dropped := req :: !dropped;
-    incr resolved;
-    Tm.Metrics.incr m_dropped
+  let set_status (req : Request.t) st =
+    if not (Ids.mem statuses req.Request.id) then begin
+      Ids.replace statuses req.Request.id st;
+      Ids.remove copies req.Request.id;
+      match st with
+      | Completed -> ()
+      | Dropped ->
+        dropped := req :: !dropped;
+        Tm.Metrics.incr m_dropped
+      | Rate_limited -> rate_limited := req :: !rate_limited
+    end
+  in
+  let add_copies (req : Request.t) d =
+    let n = d + Option.value ~default:1 (Ids.find_opt copies req.Request.id) in
+    Ids.replace copies req.Request.id n;
+    n
+  in
+  (* Evicted in-flight copies stop running and go back to a lane head,
+     uncharged — progress (tokens, KV) is lost, the requests are not. *)
+  let requeue_into q (tg : Tenant.tagged) =
+    Ids.remove running tg.Tenant.req.Request.id;
+    Wfq.push_front q tg
+  in
+  (* A failed step's batch bounces back to its own class's lanes. *)
+  let bounce c s =
+    let n = Replica.evict s ~requeue:(requeue_into c.c_q) in
+    c.c_requeues <- c.c_requeues + n;
+    k.requeues <- k.requeues + n
+  in
+  (* Snapshot one class for the router: predicted service for this
+     bucketed shape, recompile-on-arrival cost for the shapes missing
+     from the class store, live backlog, and the health verdict (the
+     no-failover arm routes health-blind — its whole point). With one
+     class there is only one place a request can go: the router still
+     applies the health gate (probe commit, forced flag), but the cost
+     terms — the backlog is an O(queue) fold — cannot change its pick,
+     so they are left at zero. *)
+  let view_of ~now ~btokens c =
+    let engine = c.c_engine in
+    let service_of tg' =
+      engine.Sch.step_seconds ~tokens:(signature tg') ~kv_tokens:0
+    in
+    let service, cold, backlog =
+      if n_classes = 1 then (0., 0., 0.)
+      else
+        let service = engine.Sch.step_seconds ~tokens:btokens ~kv_tokens:0 in
+        let cold =
+          List.fold_left
+            (fun acc (shape, _) ->
+              match c.c_store with
+              | Some st when Shape_cache.mem st shape -> acc
+              | _ -> acc +. engine.Sch.compile_seconds shape)
+            0.
+            (engine.Sch.step_shapes ~tokens:btokens)
+        in
+        let queued =
+          List.fold_left (fun acc tg' -> acc +. service_of tg') 0. (Wfq.to_list c.c_q)
+        in
+        ( service,
+          cold,
+          Array.fold_left
+            (fun acc (s : slot) ->
+              List.fold_left
+                (fun acc (a : _ Replica.active) -> acc +. service_of a.item)
+                acc s.act)
+            queued c.c_slots )
+    in
+    {
+      Router.cv_class = c.c_idx;
+      cv_level = (if p.failover then Health.level c.c_health else Health.Healthy);
+      cv_probe_ready = p.failover && Health.probe_ready c.c_health ~now;
+      cv_replicas = Array.length c.c_slots;
+      cv_queue = Wfq.length c.c_q;
+      cv_inflight = inflight c;
+      cv_service = service;
+      cv_cold_compile = cold;
+      cv_backlog = backlog;
+    }
+  in
+  (* Route [tg] among the classes other than [except] and queue it on
+     the pick, unless the router was forced and [forced_ok] is not —
+     a hedge only goes to a class willing to take the shape, since a
+     forced fallback would just double the load on a sick fleet. *)
+  let place ~now ~except ~forced_ok tg =
+    let b = signature tg in
+    let views =
+      Array.to_list classes
+      |> List.filter (fun o -> o.c_idx <> except)
+      |> List.map (fun o -> view_of ~now ~btokens:b o)
+    in
+    let d =
+      Router.route ~degraded_max_tokens:p.degraded_max_tokens
+        ~ttft_budget:tg.Tenant.req.Request.slo.Request.ttft ~tokens:b views
+    in
+    if forced_ok || not d.Router.d_forced then begin
+      let c = classes.(d.Router.d_class) in
+      if d.Router.d_probe then ignore (Health.admit_probe c.c_health ~now);
+      if d.Router.d_forced then c.c_forced <- c.c_forced + 1;
+      c.c_routed <- c.c_routed + 1;
+      Tm.Metrics.incr m_routed;
+      Wfq.push c.c_q tg;
+      Some c
+    end
+    else None
+  in
+  let do_arrival tg ~now =
+    let admitted =
+      match limiter with Some l -> Ratelimit.admit l ~now tg | None -> true
+    in
+    if not admitted then
+      (* Shed at the door, before any queue, router or cache — and
+         before the learner: rate-limited traffic must not train the
+         warm store. *)
+      set_status tg.Tenant.req Rate_limited
+    else begin
+      (match learner with
+      | Some l ->
+        Learner.observe l ~now ~tenant:tg.Tenant.tenant.Tenant.tenant_id
+          ~signature:(signature tg)
+          ~weight:(float_of_int (Tenant.weight tg.Tenant.tenant.Tenant.tier))
+      | None -> ());
+      Ids.replace copies tg.Tenant.req.Request.id 1;
+      ignore (place ~now ~except:(-1) ~forced_ok:true tg)
+    end
+  in
+  (* Hedged dispatch: a hedge-tier request still queued at
+     [arrival + slack · TTFT-budget] gets a clone on the best other
+     class; the first copy to reach an admission grant wins. *)
+  let hedge_plane =
+    match p.hedge with
+    | Some h when p.failover && n_classes > 1 -> Some h
+    | _ -> None
+  in
+  let hedge_next h =
+    let best = ref None in
+    Array.iter
+      (fun c ->
+        List.iter
+          (fun (tg : Tenant.tagged) ->
+            let req = tg.Tenant.req in
+            let id = req.Request.id in
+            if
+              List.mem tg.Tenant.tenant.Tenant.tier h.hedge_tiers
+              && (not (Ids.mem hedged id))
+              && not (Ids.mem statuses id)
+            then begin
+              let t =
+                Float.max !floor_now
+                  (req.Request.arrival +. (h.hedge_slack *. req.Request.slo.Request.ttft))
+              in
+              match !best with
+              | Some (bt, _, (b : Tenant.tagged))
+                when bt < t || (bt = t && b.Tenant.req.Request.id <= id) -> ()
+              | _ -> best := Some (t, c, tg)
+            end)
+          (Wfq.to_list c.c_q))
+      classes;
+    !best
+  in
+  let do_hedge c tg ~now =
+    let req = tg.Tenant.req in
+    Ids.replace hedged req.Request.id ();
+    match place ~now ~except:c.c_idx ~forced_ok:false tg with
+    | None -> ()
+    | Some tgt ->
+      ignore (add_copies req 1);
+      tgt.c_hedges_in <- tgt.c_hedges_in + 1;
+      incr hedges;
+      Tm.Metrics.incr m_hedges
+  in
+  (* Breaker trip: drain the whole class — every replica's in-flight
+     batch back through [push_front] (they were already admitted once),
+     then the waiting queue in WFQ order — onto the least-loaded
+     surviving class, non-evicted first. Recompile-on-arrival is charged
+     there naturally, as ordinary class-store misses on the event
+     clock. *)
+  let drain c =
+    c.c_drains <- c.c_drains + 1;
+    Tm.Metrics.incr m_trips;
+    let target =
+      Array.fold_left
+        (fun best o ->
+          let key () =
+            ( p.failover && Health.level o.c_health = Health.Evicted,
+              Wfq.length o.c_q + inflight o )
+          in
+          if o.c_idx = c.c_idx then best
+          else
+            match best with
+            | Some (bk, _) when bk <= key () -> best
+            | _ -> Some (key (), o))
+        None classes
+    in
+    match target with
+    | None ->
+      (* Single-class fleet: nothing to fail over to — bounce in-flight
+         work back to the class's own lanes. *)
+      Array.iter (bounce c) c.c_slots
+    | Some (_, tgt) ->
+      let moved n =
+        c.c_rr_out <- c.c_rr_out + n;
+        tgt.c_rr_in <- tgt.c_rr_in + n;
+        reroutes := !reroutes + n;
+        Tm.Metrics.add m_reroutes n
+      in
+      Array.iter
+        (fun s -> moved (Replica.evict s ~requeue:(requeue_into tgt.c_q)))
+        c.c_slots;
+      let waiting = Wfq.to_list c.c_q in
+      c.c_q <- Wfq.create ();
+      moved (List.length waiting);
+      List.iter (fun tg -> Wfq.push tgt.c_q tg) waiting
   in
   let do_crash target ~now =
-    match active_slots () with
+    match live_slots () with
     | [] -> ()
     | actives ->
-      let r = List.nth actives (target mod List.length actives) in
+      let (s : slot) = List.nth actives (target mod List.length actives) in
+      let c = classes.(cls_of.(s.index)) in
       Tm.Metrics.incr m_crashes;
-      (* In-flight work bounces back to the front of its tenants' lanes
-         uncharged — progress (tokens, KV) is lost with the process, but
-         the requests are not. *)
-      retired_caches :=
-        Replica.crash c r ~now ~restart_delay:faults.Plan.restart_delay
-          ~requeue:(Wfq.push_front q)
-        :: !retired_caches
+      c.c_requeues <- c.c_requeues + List.length s.act;
+      c.c_retired <-
+        Replica.crash k s ~now ~restart_delay:faults.Plan.restart_delay
+          ~requeue:(requeue_into c.c_q)
+        :: c.c_retired
   in
-  let do_refresh w ~now =
-    match (learner, warm_store) with
-    | Some l, Some ws ->
-      warm_now := now;
-      let top = Learner.top_k l ~now ~k:w.warm_top_k in
-      (* Batch prewarm (wall clock only): every shape this refresh will
-         compile goes through one coarse batched search, so the modeled
-         [compile_seconds] lookups below are memo hits. The simulated
-         event-clock math is unchanged — the background worker still
-         charges each shape's modeled cost serially on its own clock. *)
-      let missing =
-        List.concat_map
-          (fun (signature, _) ->
-            List.filter_map
-              (fun (shape, _) ->
-                if Shape_cache.mem ws shape then None else Some shape)
-              (warm_shapes ~tokens:signature))
-          top
-      in
-      if missing <> [] then
-        ignore (engine.Sch.precompile_batch ~jobs:0 missing);
-      List.iter
-        (fun (signature, _) ->
+  (* Policy-aging instant of a queued request, mirroring the Batcher
+     predicates over a shared queue: a Timeout batcher holds a request
+     back for its window unless the queue plus [in_flight] can fill the
+     batch. *)
+  let aged_time c in_flight tg =
+    let arrival = tg.Tenant.req.Request.arrival in
+    match config.batcher with
+    | Batcher.Greedy _ | Batcher.Slo_aware _ -> arrival
+    | Batcher.Timeout { window; max_batch } ->
+      if Wfq.length c.c_q + in_flight >= max_batch then arrival
+      else arrival +. window
+  in
+  (* Earliest instant slot [r] may take this request as a group leader.
+     Coalescing affinity: a signature is sticky to the slot that last
+     led a group for it, within its class, until that owner retires or
+     the request ages past [steal_age]. Affinity never un-work-conserves
+     the fleet: a busy or down owner is stolen from immediately (its
+     cache locality is moot — it cannot serve now, and the shared store
+     shares programs anyway); only an idle, live owner — which is about
+     to take the request itself — is deferred to. Owner state is read
+     at evaluation time; the event loop recomputes slot wake-ups every
+     iteration, so the answer is always current.
+     At [steal_age = 0] this is exactly [aged_time]: the deferral ends
+     at [max aged (arrival + 0)] and [aged >= arrival] (the Timeout
+     window is never negative), so [Wfq.take]'s [~first] filter equals
+     its [~eligible] one — the mixed fleet runs that way, and skips the
+     owner lookup. *)
+  let affinity_time c (r : slot) in_flight tg =
+    let aged = aged_time c in_flight tg in
+    if (not config.coalesce) || config.steal_age = 0. then aged
+    else
+      match Ids.find_opt owners.(c.c_idx) (signature tg) with
+      | Some i when live.(i) && i <> r.index ->
+        let o = slots.(i) in
+        if o.act <> [] || o.down_until > aged then aged
+        else Float.max aged (tg.Tenant.req.Request.arrival +. config.steal_age)
+      | _ -> aged
+  in
+  let slot_next_time c (r : slot) =
+    if not live.(r.index) then None
+    else Replica.ready_at r (fun () -> earliest c.c_q (affinity_time c r 0))
+  in
+  let do_refresh w l ~now =
+    warm_now := now;
+    let top = Learner.top_k l ~now ~k:w.warm_top_k in
+    Array.iter
+      (fun c ->
+        match c.c_store with
+        | None -> ()
+        | Some ws ->
+          let engine = c.c_engine in
+          (* Batch prewarm (wall clock only): every shape this refresh
+             will compile goes through one coarse batched search, so the
+             modeled [compile_seconds] lookups below are memo hits. The
+             simulated event-clock math is unchanged — the background
+             worker still charges each shape's modeled cost serially on
+             its own clock. *)
+          let missing =
+            List.concat_map
+              (fun (signature, _) ->
+                List.filter_map
+                  (fun (shape, _) ->
+                    if Shape_cache.mem ws shape then None else Some shape)
+                  (step_shapes c ~tokens:signature))
+              top
+          in
+          if missing <> [] then ignore (engine.Sch.precompile_batch ~jobs:0 missing);
           List.iter
-            (fun (shape, _) ->
-              if not (Shape_cache.mem ws shape) then begin
-                (* One background worker compiles serially, off every
-                   replica's critical path; the program only becomes
-                   warm once its compile finishes on that clock. *)
-                let cost = engine.Sch.compile_seconds shape in
-                warm_bg_clock := Float.max !warm_bg_clock now +. cost;
-                warm_bg_seconds := !warm_bg_seconds +. cost;
-                Shape_cache.add ws shape !warm_bg_clock;
-                incr warm_compiles;
-                Tm.Metrics.incr m_warm_compiles
-              end)
-            (warm_shapes ~tokens:signature))
-        top
-    | _ -> ()
+            (fun (signature, _) ->
+              List.iter
+                (fun (shape, _) ->
+                  if not (Shape_cache.mem ws shape) then begin
+                    (* One background worker compiles serially, off
+                       every replica's critical path; the program only
+                       becomes warm once its compile finishes on that
+                       clock. *)
+                    let cost = engine.Sch.compile_seconds shape in
+                    warm_bg_clock := Float.max !warm_bg_clock now +. cost;
+                    warm_bg_seconds := !warm_bg_seconds +. cost;
+                    Shape_cache.add ws shape !warm_bg_clock;
+                    incr warm_compiles;
+                    Tm.Metrics.incr m_warm_compiles
+                  end)
+                (step_shapes c ~tokens:signature))
+            top)
+      classes
   in
   let spawn ~now =
-    let rec find i =
-      if i >= max_slots then None
-      else if not live.(i) then Some slots.(i)
-      else find (i + 1)
-    in
-    match find 0 with
+    match List.find_opt (fun (s : slot) -> not live.(s.index)) (Array.to_list slots) with
     | None -> false
     | Some r ->
       live.(r.index) <- true;
@@ -429,43 +735,42 @@ let run ?(faults = Plan.none) config engine trace =
       incr scale_ups;
       Tm.Metrics.incr m_scale_ups;
       Tm.Metrics.gauge_add g_replicas 1.;
-      peak := max !peak (List.length (active_slots ()));
+      peak := max !peak (List.length (live_slots ()));
       true
   in
   let retire ~now =
     (* Retire the youngest idle, healthy replica; if every replica is
        busy or down, hold — never kill in-flight work for efficiency. *)
-    let candidates =
-      List.filter
-        (fun (r : slot) -> r.act = [] && r.down_until <= now)
-        (active_slots ())
-    in
-    match List.rev candidates with
+    match
+      List.rev
+        (List.filter (fun (r : slot) -> r.act = [] && r.down_until <= now) (live_slots ()))
+    with
     | [] -> false
     | r :: _ ->
+      let c = classes.(cls_of.(r.index)) in
       live.(r.index) <- false;
       replica_acc := !replica_acc +. (now -. spawned.(r.index));
-      retired_caches := Replica.retire r :: !retired_caches;
+      c.c_retired <- Replica.retire r :: c.c_retired;
       incr scale_downs;
       Tm.Metrics.incr m_scale_downs;
       Tm.Metrics.gauge_add g_replicas (-1.);
       true
   in
   let do_tick a ~now =
-    let live, down =
-      List.partition (fun (r : slot) -> r.down_until <= now) (active_slots ())
+    let up, down =
+      List.partition (fun (r : slot) -> r.down_until <= now) (live_slots ())
     in
-    let n_live = max 1 (List.length live) in
+    let n_up = max 1 (List.length up) in
+    let resolved = Ids.length statuses in
     let signal =
       {
-        Autoscaler.queue_depth =
-          float_of_int (Wfq.length q) /. float_of_int n_live;
+        Autoscaler.queue_depth = float_of_int (queued_total ()) /. float_of_int n_up;
         slo_attainment =
-          (if !resolved = 0 then 1.
-           else float_of_int !met_count /. float_of_int !resolved);
+          (if resolved = 0 then 1.
+           else float_of_int !met_count /. float_of_int resolved);
         stall_ratio =
-          (if now <= 0. then 0. else c.stall /. (now *. float_of_int n_live));
-        live_replicas = List.length live;
+          (if now <= 0. then 0. else k.stall /. (now *. float_of_int n_up));
+        live_replicas = List.length up;
         down_replicas = List.length down;
       }
     in
@@ -474,179 +779,238 @@ let run ?(faults = Plan.none) config engine trace =
     | Autoscaler.Scale_up -> if spawn ~now then last_change := now
     | Autoscaler.Scale_down -> if retire ~now then last_change := now
   in
-  let do_step (r : slot) ~now =
-    (* Admission: pull an offer from the fleet queue in WFQ order (the
+  let do_step c (r : slot) ~now =
+    (* Admission: pull an offer from the class queue in WFQ order (the
        first grant is affinity-restricted when coalescing), then let the
        Batcher policy rule on it. By construction the offer is already
        policy-eligible, so the batcher admits or sheds — a deferral
-       would only mean the fleet-level aging predicate and the batcher
+       would only mean the queue-level aging predicate and the batcher
        disagreed, and then the request simply returns to its lane. *)
     let in_flight = List.length r.act in
     let cap = Batcher.max_batch config.batcher - in_flight in
     let offer =
-      if cap <= 0 || Wfq.is_empty q then []
+      if cap <= 0 || Wfq.is_empty c.c_q then []
       else
-        Wfq.take q ~max:cap
-          ~eligible:(fun tg -> aged_time in_flight tg <= now)
-          ~first:(fun tg -> affinity_time r in_flight tg <= now)
+        Wfq.take c.c_q ~max:cap
+          ~eligible:(fun tg -> aged_time c in_flight tg <= now)
+          ~first:(fun tg -> affinity_time c r in_flight tg <= now)
           ~group:(fun leader tg ->
             (not config.coalesce) || signature leader = signature tg)
           ()
     in
-    let d, tagged_of = grant config.batcher q ~now ~in_flight offer in
-    List.iter resolve_drop d.Batcher.dropped;
     (match offer with
     | leader :: _ when config.coalesce ->
       let s = signature leader in
-      Hashtbl.replace owner s r.index;
-      if
-        List.length offer > 1
-        && List.for_all (fun tg -> signature tg = s) offer
+      Ids.replace owners.(c.c_idx) s r.index;
+      if List.length offer > 1 && List.for_all (fun tg -> signature tg = s) offer
       then incr coalesced_groups
     | _ -> ());
+    (* Cancel-at-grant: a copy whose sibling is already running (or
+       whose request already resolved) is discarded here, before the
+       batcher ever sees it — the hedge's loser, or work drained twice.
+       A duplicate inside one offer keeps only its first copy. *)
+    let seen = Ids.create 8 in
+    let fresh, stale =
+      List.partition
+        (fun (tg : Tenant.tagged) ->
+          let id = tg.Tenant.req.Request.id in
+          let dup = Ids.mem seen id in
+          Ids.replace seen id ();
+          (not dup) && (not (Ids.mem running id)) && not (Ids.mem statuses id))
+        offer
+    in
+    List.iter
+      (fun (tg : Tenant.tagged) ->
+        ignore (add_copies tg.Tenant.req (-1));
+        incr hedge_cancels)
+      stale;
+    let d, tagged_of = grant config.batcher c.c_q ~now ~in_flight fresh in
+    List.iter
+      (fun (req : Request.t) ->
+        (* The batcher shed one copy; the request only resolves as
+           dropped when no sibling copy remains in flight. *)
+        if add_copies req (-1) <= 0 then set_status req Dropped
+        else incr hedge_cancels)
+      d.Batcher.dropped;
+    List.iter
+      (fun (req : Request.t) -> Ids.replace running req.Request.id ())
+      d.Batcher.admitted;
     Replica.admit r ~item:tagged_of d.Batcher.admitted;
     if r.act = [] then Replica.idle r ~now ~shed:(d.Batcher.dropped <> [])
     else begin
+      let engine = c.c_engine in
       let b =
-        Replica.batch c r ~queued:(Wfq.length q) ~bucketing:config.bucketing
-          ~coalesce:config.coalesce ~step_shapes:warm_shapes
+        Replica.batch k r ~queued:(queued_total ()) ~bucketing:config.bucketing
+          ~coalesce:config.coalesce ~step_shapes:(step_shapes c)
       in
-      (* Program lookup ladder: replica cache, then the fleet-shared
-         warm store (stall-free if its background compile finished by
-         [now]), then an on-path compile that stalls this step — and
-         publishes the program fleet-wide, so no other replica ever
-         compiles this shape again. Publishes are admitted at the
-         learner masses of [now]. *)
+      (* Program lookup ladder: replica cache, then the class-shared
+         store (stall-free if its background or publishing compile
+         finished by [now]), then an on-path compile that stalls this
+         step and publishes class-wide — so no sibling replica compiles
+         this shape again, while another device class, with its own
+         fingerprint and micro-kernels, never sees it. Publishes to a
+         warm store are admitted at the learner masses of [now]. *)
       warm_now := now;
       let stall =
-        Replica.lookup r ~now ~compile:engine.Sch.compile_seconds
-          ~store:warm_store
+        Replica.lookup r ~now ~compile:engine.Sch.compile_seconds ~store:c.c_store
           ~on_store_hit:(fun () ->
             incr warm_hits;
             Tm.Metrics.incr m_warm_hits)
           b.shapes
       in
       let step_idx = Replica.next_step r in
-      let slowdown = Plan.step_slowdown faults ~replica:r.index ~step:step_idx in
-      if slowdown > 1. then c.injected <- c.injected + 1;
+      let base_slow = Plan.step_slowdown faults ~replica:r.index ~step:step_idx in
+      if base_slow > 1. then k.injected <- k.injected + 1;
+      let cls_slow = Plan.class_slowdown faults ~cls:c.c_idx ~now in
+      if cls_slow > 1. then begin
+        k.injected <- k.injected + 1;
+        c.c_brownout_steps <- c.c_brownout_steps + 1
+      end;
+      let slowdown = base_slow *. cls_slow in
       let dt =
-        (engine.Sch.step_seconds ~tokens:b.btokens ~kv_tokens:b.kv_tokens
-        +. stall)
+        (engine.Sch.step_seconds ~tokens:b.btokens ~kv_tokens:b.kv_tokens +. stall)
         *. slowdown
       in
-      c.stall <- c.stall +. stall;
+      k.stall <- k.stall +. stall;
+      c.c_stall <- c.c_stall +. stall;
+      c.c_service <- c.c_service +. dt;
+      c.c_steps <- c.c_steps + 1;
       Tm.Metrics.incr m_steps;
       let fin = now +. dt in
-      if Plan.step_fails faults ~replica:r.index ~step:step_idx then begin
-        (* Transient step fault: device time elapses, the step's work is
-           lost, and the batch bounces back to its lanes for a fresh
-           attempt (progress restarts, like a crash). *)
-        c.injected <- c.injected + 1;
-        c.requeues <- c.requeues + Replica.evict r ~requeue:(Wfq.push_front q)
+      let down = Plan.class_down faults ~cls:c.c_idx ~now in
+      if down then k.injected <- k.injected + 1;
+      let fails = down || Plan.step_fails faults ~replica:r.index ~step:step_idx in
+      if fails && not down then k.injected <- k.injected + 1;
+      (* Health sees every step, whether or not failover acts on it —
+         the no-failover arm records the same trips. *)
+      let verdict = Health.observe c.c_health ~now:fin ~slowdown ~failed:fails in
+      if fails then begin
+        if p.failover && verdict = `Tripped then
+          (* The trip edge: this replica's batch and everything else the
+             class holds drains to the surviving class. *)
+          drain c
+        else
+          (* A transient step fault: device time elapses, the step's
+             work is lost, and the batch bounces back to its lanes for a
+             fresh attempt (progress restarts, like a crash). *)
+          bounce c r
       end
       else
         Replica.advance r ~fin ~on_done:(fun _ done_ ->
+            let req = done_.Sch.request in
+            Ids.remove running req.Request.id;
             completed := done_ :: !completed;
-            incr resolved;
-            if slo_met done_ then incr met_count;
-            Tm.Metrics.incr m_completed);
-      Replica.close_step c r ~clock:fin
+            c.c_completed <- c.c_completed + 1;
+            if Mikpoly_serve.Metrics.slo_met done_ then incr met_count;
+            Tm.Metrics.incr m_completed;
+            set_status req Completed);
+      Replica.close_step k r ~clock:fin
     end
   in
   Replica.drive
     ~candidates:(fun n ->
-      (match !crashes_left with
-      | (t, i) :: _ -> Replica.consider n t prio_crash (`Crash i)
-      | [] -> ());
+      (match !crashes_left with (t, i) :: _ -> consider n t (`Crash i) | [] -> ());
       (match !pending with
-      | tg :: _ ->
-        Replica.consider n tg.Tenant.req.Request.arrival prio_arrival `Arrival
+      | tg :: _ -> consider n tg.Tenant.req.Request.arrival `Arrival
       | [] -> ());
+      (match Option.bind hedge_plane hedge_next with
+      | Some (t, c, tg) -> consider n t (`Hedge (c, tg))
+      | None -> ());
       if work_remains () then begin
-        (match config.warm with
-        | Some w -> Replica.consider n !next_refresh prio_refresh (`Refresh w)
-        | None -> ());
+        (match (config.warm, learner) with
+        | Some w, Some l -> consider n !next_refresh (`Refresh (w, l))
+        | _ -> ());
         match config.autoscale with
-        | Some a -> Replica.consider n !next_tick prio_scale (`Tick a)
+        | Some a -> consider n !next_tick (`Tick a)
         | None -> ()
       end;
       Array.iter
-        (fun r ->
-          match slot_next_time r with
-          | Some t -> Replica.consider n t prio_step (`Step r)
-          | None -> ())
-        slots)
-    ~fire:(fun t -> function
+        (fun c ->
+          Array.iter
+            (fun r ->
+              match slot_next_time c r with
+              | Some t -> consider n t (`Step (c, r))
+              | None -> ())
+            c.c_slots)
+        classes)
+    ~fire:(fun t ev ->
+      floor_now := Float.max !floor_now t;
+      match ev with
       | `Crash i ->
         crashes_left := List.tl !crashes_left;
         do_crash i ~now:t
       | `Arrival ->
         let tg = List.hd !pending in
         pending := List.tl !pending;
-        let admitted =
-          match limiter with
-          | Some l -> Ratelimit.admit l ~now:t tg
-          | None -> true
-        in
-        if not admitted then begin
-          (* Shed at the door, before the WFQ and before the learner —
-             rate-limited traffic must not train the warm store. *)
-          rate_limited := tg.Tenant.req :: !rate_limited;
-          incr resolved
-        end
-        else begin
-          (match learner with
-          | Some l ->
-            Learner.observe l ~now:t
-              ~tenant:tg.Tenant.tenant.Tenant.tenant_id
-              ~signature:(signature tg)
-              ~weight:
-                (float_of_int (Tenant.weight tg.Tenant.tenant.Tenant.tier))
-          | None -> ());
-          Wfq.push q tg
-        end
-      | `Refresh w ->
-        do_refresh w ~now:t;
+        do_arrival tg ~now:t
+      | `Hedge (c, tg) -> do_hedge c tg ~now:t
+      | `Refresh (w, l) ->
+        do_refresh w l ~now:t;
         next_refresh := !next_refresh +. w.warm_interval
       | `Tick a ->
         do_tick a ~now:t;
         next_tick := !next_tick +. a.Autoscaler.interval
-      | `Step r -> do_step r ~now:t);
-  let actives = active_slots () in
-  let replica_seconds =
-    !replica_acc
-    +. List.fold_left
-         (fun acc (r : slot) ->
-           acc +. Float.max 0. (c.makespan -. spawned.(r.index)))
-         0. actives
-  in
+      | `Step (c, r) -> do_step c r ~now:t);
+  let actives = live_slots () in
   Tm.Metrics.gauge_add g_replicas (-.float_of_int (List.length actives));
-  {
-    completed = List.rev !completed;
-    dropped = List.rev !dropped;
-    rate_limited = List.rev !rate_limited;
-    steps = c.steps;
-    makespan = c.makespan;
-    compile_stall_seconds = c.stall;
-    actual_tokens = c.actual_tokens;
-    padded_tokens = c.padded_tokens;
-    cache =
-      List.map (fun (r : slot) -> Shape_cache.stats r.cache) actives
-      @ List.rev !retired_caches;
-    warm_stats = Option.map Shape_cache.stats warm_store;
-    warm_hits = !warm_hits;
-    warm_compiles = !warm_compiles;
-    warm_background_seconds = !warm_bg_seconds;
-    coalesced_groups = !coalesced_groups;
-    queue_depth_sum = c.queue_depth_sum;
-    queue_samples = c.queue_samples;
-    crashes = c.crashes;
-    injected_faults = c.injected;
-    requeues = c.requeues;
-    scale_ups = !scale_ups;
-    scale_downs = !scale_downs;
-    peak_replicas = !peak;
-    replica_seconds;
-    lanes = Wfq.stats q;
-    tiers = tier_table trace !completed;
-  }
+  ( {
+      completed = List.rev !completed;
+      dropped = List.rev !dropped;
+      rate_limited = List.rev !rate_limited;
+      steps = k.steps;
+      makespan = k.makespan;
+      compile_stall_seconds = k.stall;
+      actual_tokens = k.actual_tokens;
+      padded_tokens = k.padded_tokens;
+      cache =
+        List.concat_map
+          (fun c ->
+            List.filter_map
+              (fun (r : slot) ->
+                if live.(r.index) then Some (Shape_cache.stats r.cache) else None)
+              (Array.to_list c.c_slots)
+            @ List.rev c.c_retired)
+          (Array.to_list classes);
+      warm_stats =
+        Option.bind learner (fun _ -> Option.map Shape_cache.stats classes.(0).c_store);
+      warm_hits = !warm_hits;
+      warm_compiles = !warm_compiles;
+      warm_background_seconds = !warm_bg_seconds;
+      coalesced_groups = !coalesced_groups;
+      queue_depth_sum = k.queue_depth_sum;
+      queue_samples = k.queue_samples;
+      crashes = k.crashes;
+      injected_faults = k.injected;
+      requeues = k.requeues;
+      scale_ups = !scale_ups;
+      scale_downs = !scale_downs;
+      peak_replicas = !peak;
+      replica_seconds =
+        !replica_acc
+        +. List.fold_left
+             (fun acc (r : slot) -> acc +. Float.max 0. (k.makespan -. spawned.(r.index)))
+             0. actives;
+      lanes = List.concat_map (fun c -> Wfq.stats c.c_q) (Array.to_list classes);
+      tiers = tier_table trace !completed;
+    },
+    {
+      classes;
+      status_of = Ids.find_opt statuses;
+      resolved = Ids.length statuses;
+      reroutes = !reroutes;
+      hedges = !hedges;
+      hedge_cancels = !hedge_cancels;
+    } )
+
+let run ?faults config engine trace =
+  fst
+    (serve ?faults config
+       {
+         devices = [ (engine, config.replicas) ];
+         class_store = false;
+         health = Health.default;
+         degraded_max_tokens = max_int;
+         hedge = None;
+         failover = false;
+       }
+       trace)

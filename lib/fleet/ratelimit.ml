@@ -20,7 +20,6 @@ let for_tier ~base tier =
 
 type bucket = {
   b_config : config;
-  b_tenant : Tenant.t;
   mutable b_tokens : float;
   mutable b_refilled : float;  (* event-clock instant of the last refill *)
   mutable b_admitted : int;
@@ -45,7 +44,6 @@ let bucket t (tenant : Tenant.t) =
     let b =
       {
         b_config = config;
-        b_tenant = tenant;
         b_tokens = config.rl_burst;
         b_refilled = 0.;
         b_admitted = 0;
@@ -81,20 +79,13 @@ type stats = {
   rl_tenants : int;
 }
 
-let sorted_buckets t =
-  Hashtbl.fold (fun _ b acc -> b :: acc) t.buckets []
-  |> List.sort (fun a b -> Tenant.compare_by_id a.b_tenant b.b_tenant)
-
 let stats t =
-  List.fold_left
-    (fun acc b ->
+  Hashtbl.fold
+    (fun _ b acc ->
       {
         rl_admitted = acc.rl_admitted + b.b_admitted;
         rl_shed = acc.rl_shed + b.b_shed;
         rl_tenants = acc.rl_tenants + 1;
       })
+    t.buckets
     { rl_admitted = 0; rl_shed = 0; rl_tenants = 0 }
-    (sorted_buckets t)
-
-let shed_by_tenant t =
-  List.map (fun b -> (b.b_tenant, b.b_shed)) (sorted_buckets t)

@@ -48,7 +48,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val shed_by_tenant : t -> (Tenant.t * int) list
-(** Per-tenant shed counts in tenant-id order (admitted-only tenants
-    included with 0). *)

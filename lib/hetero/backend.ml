@@ -21,6 +21,3 @@ let make ?name ~hw ~replicas engine =
     bk_replicas = replicas;
     bk_engine = engine;
   }
-
-let total_pes backends =
-  List.fold_left (fun acc b -> acc + (b.bk_pes * b.bk_replicas)) 0 backends

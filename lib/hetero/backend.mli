@@ -29,7 +29,3 @@ val make :
   t
 (** [name] defaults to {!kind_name} of the hardware. Raises
     [Invalid_argument] when [replicas < 1]. *)
-
-val total_pes : t list -> int
-(** Σ replicas · PEs-per-replica — the capacity side of the equal-PE
-    mixed-vs-single-backend comparison. *)

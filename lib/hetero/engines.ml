@@ -22,28 +22,6 @@ let conv_shapes ~batch =
   List.map (fun (c, launches) -> (Conv_spec.gemm_shape c, launches))
     (conv_stack ~batch)
 
-(* Domain-safe memo, same discipline as the scheduler's engine memos:
-   find under the lock, compute outside it (the compiler takes its own
-   locks), re-check on insert so racing domains converge. *)
-let memo_find_or lock tbl key compute =
-  Mutex.lock lock;
-  let hit = Hashtbl.find_opt tbl key in
-  Mutex.unlock lock;
-  match hit with
-  | Some v -> v
-  | None ->
-    let v = compute () in
-    Mutex.lock lock;
-    let v =
-      match Hashtbl.find_opt tbl key with
-      | Some w -> w
-      | None ->
-        Hashtbl.replace tbl key v;
-        v
-    in
-    Mutex.unlock lock;
-    v
-
 let mixed_engine ?(cnn_cut = 64) compiler =
   if cnn_cut < 2 then invalid_arg "Engines.mixed_engine: cnn_cut must be >= 2";
   let llm = Sch.mikpoly_engine compiler in
@@ -58,7 +36,7 @@ let mixed_engine ?(cnn_cut = 64) compiler =
   let conv_batch ~tokens = max 1 (tokens / 2) in
   let conv_seconds ~tokens =
     let batch = conv_batch ~tokens in
-    memo_find_or conv_lock conv_memo batch (fun () ->
+    Sch.memo_find_or conv_lock conv_memo batch (fun () ->
         List.fold_left
           (fun acc ((m, n, k), launches) ->
             let op = Mikpoly_ir.Operator.gemm ~dtype ~m ~n ~k () in

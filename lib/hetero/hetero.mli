@@ -2,16 +2,19 @@
     one fleet, with cost-model routing and fault-plane-integrated
     cross-device failover.
 
-    Each {!Backend.t} contributes {!Mikpoly_serve.Replica} slots of one
-    device class, stepped exactly as in the scheduler and the fleet
-    (DESIGN.md §7) with the class-shared program store as the lookup
-    ladder's second rung; this module adds only the policies below.
-    Every class has its own WFQ, its own {!Health.t} (circuit breaker +
-    brown-out ladder) and that store, keyed by the class hardware
-    fingerprint. A {!Router} places each arrival on the
-    class where the calibrated cost model predicts its bucketed shape
-    runs cheapest — subject to live queue state, the class store's
-    warm-cache contents, and per-class health.
+    This module is a configuration of the one tenant event loop,
+    {!Mikpoly_fleet.Fleet.serve}; it has no loop of its own. {!run}
+    validates the config, turns each {!Backend.t} into a device class of
+    {!Mikpoly_serve.Replica} slots, and projects the loop's per-class
+    state onto {!class_stats} and {!outcome}. The configuration: every
+    class has its own WFQ, its own {!Mikpoly_fleet.Health.t} (circuit
+    breaker + brown-out ladder) and a class-shared program store, keyed
+    by the class hardware fingerprint — the lookup ladder's second
+    rung. There is no warm plane, no autoscaler and no owner affinity
+    ([steal_age = 0]). A {!Mikpoly_fleet.Router} places each arrival on
+    the class where the calibrated cost model predicts its bucketed
+    shape runs cheapest — subject to live queue state, the class store's
+    contents, and per-class health.
 
     Robustness planes, all on the deterministic event clock:
 
@@ -28,7 +31,8 @@
     - {b hedged dispatch}: a gold-tier request still queued at
       [arrival + hedge_slack · TTFT-budget] is cloned onto the best
       other class; whichever copy is admitted first wins and the loser
-      is discarded at grant — exactly one terminal status per request.
+      is discarded at grant — the loop's ledger keeps exactly one
+      terminal status per request.
     - {b rate limiting}: the {!Mikpoly_fleet.Ratelimit} token bucket
       sheds per-tenant overload at the door, before any queue.
 
@@ -37,7 +41,7 @@
     every tie in the event loop breaks on fixed priorities, then class
     index, then slot index. *)
 
-type hedge_config = {
+type hedge_config = Mikpoly_fleet.Fleet.hedge_config = {
   hedge_tiers : Mikpoly_fleet.Tenant.tier list;
   hedge_slack : float;
       (** fraction of the TTFT budget after which a still-queued
@@ -53,7 +57,7 @@ type config = {
   bucketing : Mikpoly_serve.Bucketing.policy;
   cache_capacity : int;  (** per-replica program-cache LRU capacity *)
   coalesce : bool;  (** same-signature group admission, as in the fleet *)
-  health : Health.config;
+  health : Mikpoly_fleet.Health.config;
   degraded_max_tokens : int;
       (** brown-out ladder middle rung: a [Degraded] class only takes
           requests whose bucketed token count is ≤ this *)
@@ -66,8 +70,11 @@ type config = {
 }
 
 val validate : config -> unit
+(** Raises [Invalid_argument] on nonsensical settings. The rate limit is
+    checked with the rest of the loop's configuration when {!run}
+    starts. *)
 
-type status =
+type status = Mikpoly_fleet.Fleet.status =
   | Completed
   | Dropped  (** shed by the SLO batcher *)
   | Rate_limited  (** refused at the door by the token bucket *)

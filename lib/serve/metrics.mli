@@ -35,6 +35,9 @@ type t = {
   steps : int;
 }
 
+val slo_met : Scheduler.completed -> bool
+(** Both the TTFT and the end-to-end budget were met. *)
+
 val of_outcome : Scheduler.outcome -> t
 (** Total on any outcome, including the empty one (zero rates). A
     request meets its SLO when both its TTFT and end-to-end budgets

@@ -30,6 +30,12 @@ type engine = {
           modeled stalls and simulated outcomes are unchanged. *)
 }
 
+val memo_find_or :
+  Mutex.t -> ('k, 'v) Hashtbl.t -> 'k -> (unit -> 'v) -> 'v
+(** [memo_find_or lock tbl key compute]: the domain-safe memo every
+    engine uses — find under [lock], [compute] outside it, re-check on
+    insert so racing domains converge on one entry. *)
+
 val mikpoly_engine : Mikpoly_core.Compiler.t -> engine
 (** The Llama2-13b continuous-batching engine of
     {!Mikpoly_nn.Inflight}, driven through the MikPoly compiler on the

@@ -362,37 +362,6 @@ let test_simulator_mixed_paths_rejected () =
                 ]
               ~footprint_bytes:0.)))
 
-(* --- Roofline --- *)
-
-let test_roofline_gemm_bounds () =
-  (* Figure 1's shapes are compute-bound; a rank-1-ish GEMM is not. *)
-  let big = Roofline.gemm gpu ~m:4096 ~n:4096 ~k:4096 () in
-  Alcotest.(check bool) "4096^3 compute bound" true (big.bound = Roofline.Compute_bound);
-  (* Figure 1's slow shape: its roofline ceiling (~150 TFLOPS) is far
-     above what cuBLAS achieves (~20 TFLOPS) — the slowness is a
-     utilization problem MikPoly can attack, not a bandwidth wall. *)
-  let odd = Roofline.gemm gpu ~m:105 ~n:1024 ~k:12544 () in
-  Alcotest.(check bool) "(105,1024,12544) ceiling far above observed" true
-    (odd.peak_tflops > 100.);
-  let skinny = Roofline.gemm gpu ~m:1 ~n:1024 ~k:1024 () in
-  Alcotest.(check bool) "matrix-vector memory bound" true
-    (skinny.bound = Roofline.Memory_bound)
-
-let test_roofline_ceiling () =
-  let big = Roofline.gemm gpu ~m:4096 ~n:4096 ~k:4096 () in
-  Alcotest.(check bool) "ceiling = device peak when compute bound" true
-    (abs_float (big.peak_tflops -. Hardware.peak_tflops gpu Hardware.Matrix) < 1.);
-  let skinny = Roofline.gemm gpu ~m:1 ~n:1024 ~k:1024 () in
-  Alcotest.(check bool) "memory-bound ceiling below peak" true
-    (skinny.peak_tflops < Hardware.peak_tflops gpu Hardware.Matrix /. 10.)
-
-let test_roofline_efficiency () =
-  let r = Roofline.gemm gpu ~m:4096 ~n:4096 ~k:4096 () in
-  Alcotest.(check (float 1e-9)) "half of ceiling" 0.5
-    (Roofline.efficiency r ~achieved_tflops:(r.peak_tflops /. 2.));
-  Alcotest.check_raises "invalid" (Invalid_argument "Roofline.analyze: non-positive inputs")
-    (fun () -> ignore (Roofline.analyze gpu ~flops:0. ~footprint_bytes:1. ()))
-
 (* --- Trace --- *)
 
 let test_trace_spans_cover_tasks () =
@@ -528,12 +497,6 @@ let () =
             test_simulator_mixed_paths_rejected;
           Alcotest.test_case "gemm footprint" `Quick test_gemm_footprint;
           qtest prop_simulator_below_peak;
-        ] );
-      ( "roofline",
-        [
-          Alcotest.test_case "gemm bounds" `Quick test_roofline_gemm_bounds;
-          Alcotest.test_case "ceiling" `Quick test_roofline_ceiling;
-          Alcotest.test_case "efficiency" `Quick test_roofline_efficiency;
         ] );
       ( "trace",
         [

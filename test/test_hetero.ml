@@ -9,6 +9,8 @@
 open Mikpoly_hetero
 module Tenant = Mikpoly_fleet.Tenant
 module Ratelimit = Mikpoly_fleet.Ratelimit
+module Health = Mikpoly_fleet.Health
+module Router = Mikpoly_fleet.Router
 module Request = Mikpoly_serve.Request
 module Batcher = Mikpoly_serve.Batcher
 module Bucketing = Mikpoly_serve.Bucketing
@@ -541,6 +543,108 @@ let test_hetero_pinned () =
                Printf.sprintf "%d/%d" s.hits s.misses)
              caches)))
 
+(* --- One loop, one ledger: conservation over random chaos --- *)
+
+module Fleet = Mikpoly_fleet.Fleet
+module Autoscaler = Mikpoly_fleet.Autoscaler
+
+(* A random scenario: trace seed and size (three tenants of 1..21
+   requests, so at most 63, with TTFT budgets tight enough that gold
+   requests get hedged), up to three replica crashes, and one
+   device-class outage window. *)
+let scenario_gen =
+  QCheck.(
+    quad (int_bound 100_000) (int_range 1 21)
+      (list_of_size (Gen.int_bound 3)
+         (pair (float_bound_inclusive 0.05) (int_bound 7)))
+      (pair (float_bound_inclusive 0.03) (float_range 0.001 0.02)))
+
+let scenario ~cls (seed, per_tenant, crashes, (start, len)) =
+  let tagged =
+    Tenant.trace ~seed ~ttft_budget:0.004 ~max_prompt:32 ~max_output:4
+      (List.map
+         (fun tenant -> { Tenant.tenant; rate = 200.; count = per_tenant })
+         [ gold; silver; be ])
+      ()
+  in
+  let plan =
+    Plan.make ~crashes ~restart_delay:0.003
+      ~outages:[ Plan.outage ~cls ~start ~stop:(start +. len) ]
+      ~seed ()
+  in
+  (tagged, plan)
+
+(* Every trace request has exactly one terminal status, completions are
+   distinct, and each completion's clock is monotone. *)
+let ledger_holds tagged ~completed ~dropped ~rate_limited =
+  let id (r : Request.t) = r.Request.id in
+  let completed_ids =
+    List.map (fun (c : Scheduler.completed) -> id c.Scheduler.request) completed
+  in
+  List.sort compare (List.map (fun (tg : Tenant.tagged) -> id tg.Tenant.req) tagged)
+  = List.sort compare
+      (completed_ids @ List.map id dropped @ List.map id rate_limited)
+  && List.length (List.sort_uniq compare completed_ids)
+     = List.length completed_ids
+  && List.for_all
+       (fun (c : Scheduler.completed) ->
+         c.Scheduler.request.Request.arrival <= c.Scheduler.first_token
+         && c.Scheduler.first_token <= c.Scheduler.finish)
+       completed
+
+let prop_fleet_conserves =
+  let engine = Scheduler.synthetic_engine ~compile:1e-3 ~shape_families:2 () in
+  let config =
+    {
+      Fleet.replicas = 2;
+      batcher = Batcher.Greedy { max_batch = 4 };
+      bucketing = Bucketing.Pow2;
+      cache_capacity = 32;
+      coalesce = true;
+      steal_age = 0.005;
+      warm = Some { Fleet.default_warm with warm_interval = 0.01 };
+      autoscale =
+        Some
+          {
+            Autoscaler.min_replicas = 1;
+            max_replicas = 4;
+            up_queue_depth = 4.;
+            down_queue_depth = 1.;
+            slo_floor = 0.9;
+            stall_ceiling = 0.5;
+            cooldown = 0.02;
+            interval = 0.01;
+          };
+      ratelimit = Some { Ratelimit.rl_rate = 100.; rl_burst = 3. };
+    }
+  in
+  QCheck.Test.make ~name:"fleet full config conserves" ~count:40 scenario_gen
+    (fun s ->
+      let tagged, faults = scenario ~cls:0 s in
+      let o = Fleet.run ~faults config engine tagged in
+      ledger_holds tagged ~completed:o.Fleet.completed ~dropped:o.Fleet.dropped
+        ~rate_limited:o.Fleet.rate_limited
+      && o = Fleet.run ~faults config engine tagged)
+
+let prop_hetero_conserves ~failover =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "hetero failover=%b conserves" failover)
+    ~count:40 scenario_gen
+    (fun s ->
+      let tagged, faults = scenario ~cls:1 s in
+      let run () =
+        Hetero.run ~faults
+          (config ~hedge:Hetero.default_hedge ~failover
+             ~ratelimit:{ Ratelimit.rl_rate = 100.; rl_burst = 3. }
+             [ fast_backend ~replicas:2 (); slow_backend ~replicas:2 () ])
+          tagged
+      in
+      let o = run () in
+      o.Hetero.o_conserved
+      && ledger_holds tagged ~completed:o.Hetero.o_completed
+           ~dropped:o.Hetero.o_dropped ~rate_limited:o.Hetero.o_rate_limited
+      && o = run ())
+
 let () =
   Alcotest.run "hetero"
     [
@@ -595,4 +699,11 @@ let () =
             test_hetero_scheduler_projection;
           Alcotest.test_case "pinned chaos outcome" `Quick test_hetero_pinned;
         ] );
+      ( "one loop",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_fleet_conserves;
+            prop_hetero_conserves ~failover:true;
+            prop_hetero_conserves ~failover:false;
+          ] );
     ]
