@@ -643,11 +643,10 @@ let run_resilience_bench () =
      the tier order respected, coalescing strictly cuts compile stalls,
      the warm store engages, the autoscaler meets SLO on fewer
      replica-seconds than the static fleet.
-   - rank: the lib/rank offline-train / online-order pipeline under the
-     stale-model drift regime on both fingerprints — held-out tau and
-     top-1 regret strictly better than calibrated Eq. 2, the GPU→NPU
-     warm start beats a cold fit, untruncated searches bit-identical
-     with the ranker on or off, fewer scored candidates to the winner.
+   - rank: the lib/rank offline ranker under the stale-model drift
+     regime on both fingerprints — held-out tau and top-1 regret
+     strictly better than calibrated Eq. 2, and the GPU→NPU warm start
+     beats a cold fit. The online search does not use the ranker.
    - hetero: the mixed GPU+NPU fleet against the equal-PE single-backend
      baselines and the chaos failover pair — mixed strictly beats both
      on goodput, failover strictly beats no-failover on SLO attainment

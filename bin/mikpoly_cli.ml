@@ -23,25 +23,6 @@ let set_seed = function
     exit 2
   | Some seed -> Mikpoly_util.Prng.set_default_seed seed
 
-(* Load a learned candidate-ordering model (written by [rank --save])
-   for the given platform. Every rejection — truncation, checksum
-   mismatch, wrong schema version, wrong platform or fingerprint — is a
-   warning and a fall-back to the default (calibrated Eq. 2) ordering,
-   never a crash: the ranker only reorders the candidate stream, so
-   serving without it is always safe. *)
-let load_ranker ~hw = function
-  | None -> None
-  | Some path -> (
-    match Mikpoly_rank.Ranker.load ~path ~hw with
-    | Ok r ->
-      Printf.printf "loaded ranker model from %s\n" path;
-      Some (Mikpoly_rank.Ranker.config_ranker r)
-    | Error e ->
-      Printf.eprintf
-        "ranker %s rejected (%s); search keeps the default candidate order\n"
-        path e;
-      None)
-
 (* Write a subcommand's JSON report to [out], then exit 1 — after
    printing each failed gate to stderr — unless every gate holds. *)
 let write_and_gate ~out ~prefix json gates =
@@ -63,12 +44,10 @@ let report_tail ~csv ~out ~prefix (report : Mikpoly_experiments.Exp.report)
   else print_string (Mikpoly_experiments.Exp.render report);
   write_and_gate ~out ~prefix json gates
 
-let run_experiments jobs seed adapt ranker ids quick csv =
+let run_experiments jobs seed adapt ids quick csv =
   set_jobs jobs;
   set_seed seed;
   Mikpoly_experiments.Exp_serving.with_adaptation := adapt;
-  Mikpoly_experiments.Backends.set_ranker
-    (load_ranker ~hw:Mikpoly_accel.Hardware.a100 ranker);
   let experiments =
     match ids with
     | [] -> Mikpoly_experiments.Registry.all
@@ -103,6 +82,10 @@ let list_experiments () =
 
 let compile_shape jobs m n k npu =
   set_jobs jobs;
+  if m < 1 || n < 1 || k < 1 then begin
+    Printf.eprintf "compile: need -m, -n and -k >= 1 (got %d, %d, %d)\n" m n k;
+    exit 2
+  end;
   let hw = if npu then Mikpoly_accel.Hardware.ascend910 else Mikpoly_accel.Hardware.a100 in
   let compiler = Mikpoly_core.Compiler.create hw in
   let op = Mikpoly_ir.Operator.gemm ~m ~n ~k () in
@@ -211,6 +194,10 @@ let show_patterns m n =
   0
 
 let verify count npu =
+  if count < 1 then begin
+    Printf.eprintf "bad --count: %d (expected >= 1)\n" count;
+    exit 2
+  end;
   let hw = if npu then Mikpoly_accel.Hardware.ascend910 else Mikpoly_accel.Hardware.a100 in
   let compiler = Mikpoly_core.Compiler.create hw in
   match Mikpoly_core.Selfcheck.check_random_shapes compiler ~count with
@@ -223,8 +210,8 @@ let verify count npu =
       f.max_abs_diff f.program;
     1
 
-let serve jobs seed quick csv npu adapt_on ranker replicas requests rate cache
-    bucket batcher max_batch window =
+let serve jobs seed quick csv npu adapt_on replicas requests rate cache bucket
+    batcher max_batch window =
   set_jobs jobs;
   set_seed seed;
   let open Mikpoly_serve in
@@ -251,7 +238,7 @@ let serve jobs seed quick csv npu adapt_on ranker replicas requests rate cache
     match requests with Some n -> n | None -> if quick then 16 else 96
   in
   if replicas < 1 || count < 1 || cache < 0 || max_batch < 1
-     || not (rate > 0.) || window < 0.
+     || not (rate > 0.) || not (window >= 0.)
   then begin
     Printf.eprintf
       "serve: need --replicas >= 1, --requests >= 1, --cache >= 0, \
@@ -266,13 +253,7 @@ let serve jobs seed quick csv npu adapt_on ranker replicas requests rate cache
       ~max_output:(if quick then 8 else 48)
       ()
   in
-  let config =
-    {
-      (Mikpoly_core.Config.default hw) with
-      Mikpoly_core.Config.ranker = load_ranker ~hw ranker;
-    }
-  in
-  let compiler = Mikpoly_core.Compiler.create ~config hw in
+  let compiler = Mikpoly_core.Compiler.create hw in
   let adapter =
     if adapt_on then Some (Mikpoly_adapt.Adapter.create compiler) else None
   in
@@ -492,25 +473,19 @@ let graph jobs quick csv out =
    fleet-smoke stage with cmp). With --store, the compiler warm-loads
    its kernel set from a Kernel_store artifact and precompiles every
    admissible bucket program before serving starts. *)
-let fleet jobs quick csv out store ranker =
+let fleet jobs quick csv out store =
   set_jobs jobs;
   let module E = Mikpoly_experiments.Exp_fleet in
   let hw = Mikpoly_accel.Hardware.a100 in
-  let config =
-    {
-      (Mikpoly_core.Config.default hw) with
-      Mikpoly_core.Config.ranker = load_ranker ~hw ranker;
-    }
-  in
   let compiler =
     match store with
-    | None -> Mikpoly_core.Compiler.create ~config hw
+    | None -> Mikpoly_core.Compiler.create hw
     | Some path ->
-      (* The ranker is cache-key-excluded, so the stored kernel set is
-         shared with ranker-less runs. *)
-      ignore (Mikpoly_core.Kernel_store.load_or_create ~path hw config);
+      ignore
+        (Mikpoly_core.Kernel_store.load_or_create ~path hw
+           (Mikpoly_core.Config.default hw));
       let compiler, degraded =
-        Mikpoly_core.Compiler.create_resilient ~config ~store_path:path hw
+        Mikpoly_core.Compiler.create_resilient ~store_path:path hw
       in
       (match degraded with
       | Some reason ->
@@ -550,29 +525,21 @@ let hetero jobs quick csv out =
   report_tail ~csv ~out ~prefix:"hetero gate failed" (E.report r) (E.json r)
     (E.gates r)
 
-(* Train and evaluate the learned candidate-ordering ranker (lib/rank):
+(* Train and evaluate the learned candidate ranker offline (lib/rank):
    harvest simulator observations on both platforms, fit the
    gradient-boosted model and the calibrated-Eq.-2 baseline from the
-   same examples, compare Kendall tau / top-1 regret on held-out shapes,
-   check GPU->NPU transfer and the deadline A/B, with the acceptance
-   gates asserted hard. The JSON report contains only simulated
-   quantities, so two runs — at any --jobs count — must produce
-   byte-identical files (checked by the CI rank-smoke stage with cmp). *)
-let rank jobs seed quick csv out save =
+   same examples, compare Kendall tau / top-1 regret on held-out shapes
+   and check GPU->NPU transfer, with the acceptance gates asserted hard.
+   The JSON report contains only simulated quantities, so two runs — at
+   any --jobs count — must produce byte-identical files (checked by the
+   CI rank-smoke stage with cmp). *)
+let rank jobs seed quick csv out =
   set_jobs jobs;
   set_seed seed;
   let module E = Mikpoly_experiments.Exp_rank in
   let r = E.results ~quick in
-  let status =
-    report_tail ~csv ~out ~prefix:"rank gate failed" (E.report r) (E.json r)
-      (E.gates r)
-  in
-  (match save with
-  | Some path ->
-    Mikpoly_rank.Ranker.save ~path r.E.r_gpu_ranker;
-    Printf.printf "saved ranker model to %s\n" path
-  | None -> ());
-  status
+  report_tail ~csv ~out ~prefix:"rank gate failed" (E.report r) (E.json r)
+    (E.gates r)
 
 (* Run a target under the span tracer and export the observability
    artifacts: a Chrome/Perfetto trace, the flat profile and the metrics
@@ -716,19 +683,6 @@ let adapt_flag =
            prediction residuals, detect drift and charge recompilations \
            on the serving event clock.")
 
-let ranker_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "ranker" ] ~docv:"FILE"
-        ~doc:
-          "Load a learned candidate-ordering model (written by $(b,rank \
-           --save)) and let it order the polymerization search's candidate \
-           stream best-first. Ordering never changes an un-truncated \
-           search's program; a rejected artifact (wrong platform, \
-           fingerprint, schema or checksum) falls back to the default \
-           order with a warning.")
-
 let ids_arg =
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"Experiment ids (default: all).")
 
@@ -736,8 +690,8 @@ let run_cmd =
   let doc = "Run paper-experiment reproductions" in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run_experiments $ jobs_arg $ seed_arg $ adapt_flag $ ranker_arg
-      $ ids_arg $ quick_flag $ csv_flag)
+      const run_experiments $ jobs_arg $ seed_arg $ adapt_flag $ ids_arg
+      $ quick_flag $ csv_flag)
 
 let list_cmd =
   let doc = "List available experiments" in
@@ -812,8 +766,8 @@ let serve_cmd =
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
       const serve $ jobs_arg $ seed_arg $ quick_flag $ csv_flag $ npu
-      $ adapt_flag $ ranker_arg $ replicas $ requests $ rate $ cache $ bucket
-      $ batcher $ max_batch $ window)
+      $ adapt_flag $ replicas $ requests $ rate $ cache $ bucket $ batcher
+      $ max_batch $ window)
 
 let adapt_cmd =
   let doc =
@@ -910,9 +864,7 @@ let fleet_cmd =
              admissible bucket program before serving.")
   in
   Cmd.v (Cmd.info "fleet" ~doc)
-    Term.(
-      const fleet $ jobs_arg $ quick_flag $ csv_flag $ out $ store
-      $ ranker_arg)
+    Term.(const fleet $ jobs_arg $ quick_flag $ csv_flag $ out $ store)
 
 let hetero_cmd =
   let doc =
@@ -935,10 +887,10 @@ let hetero_cmd =
 
 let rank_cmd =
   let doc =
-    "Train the learned candidate-ordering ranker from simulator \
+    "Train the learned candidate ranker offline from simulator \
      observations, compare it against calibrated Equation 2 on held-out \
-     shapes (both fingerprints), check GPU->NPU transfer and the \
-     search-deadline A/B, and write a machine-readable report"
+     shapes (both fingerprints), check GPU->NPU transfer, and write a \
+     machine-readable report"
   in
   let out =
     Arg.(
@@ -949,17 +901,8 @@ let rank_cmd =
             "Report file. Contains only simulated quantities, so runs are \
              byte-identical at any $(b,--jobs) count.")
   in
-  let save =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save" ] ~docv:"FILE"
-          ~doc:
-            "Persist the trained GPU ranker model (versioned, checksummed) \
-             to FILE for $(b,--ranker).")
-  in
   Cmd.v (Cmd.info "rank" ~doc)
-    Term.(const rank $ jobs_arg $ seed_arg $ quick_flag $ csv_flag $ out $ save)
+    Term.(const rank $ jobs_arg $ seed_arg $ quick_flag $ csv_flag $ out)
 
 let verify_cmd =
   let doc = "Numerically verify compiled programs against the reference GEMM" in
@@ -1021,4 +964,17 @@ let main =
       verify_cmd;
       profile_cmd; validate_trace_cmd ]
 
-let () = exit (Cmd.eval' main)
+(* A file named on the command line that cannot be written is a bad
+   argument, not an internal error: one line on stderr and exit 2, the
+   same contract as every other rejected flag. Anything else keeps
+   Cmdliner's internal-error report. *)
+let () =
+  match Cmd.eval' ~catch:false main with
+  | code -> exit code
+  | exception Sys_error e ->
+    Printf.eprintf "mikpoly_cli: %s\n" e;
+    exit 2
+  | exception e ->
+    Printf.eprintf "mikpoly_cli: internal error, uncaught exception: %s\n"
+      (Printexc.to_string e);
+    exit Cmd.Exit.internal_error

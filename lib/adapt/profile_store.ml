@@ -43,8 +43,6 @@ let parse_kernel line =
       parse_curve curve )
   | _ -> failwith "malformed kernel line"
 
-let parse_body lines = List.map parse_kernel lines
-
 let load ~path (hw : Hardware.t) =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
   match open_in path with

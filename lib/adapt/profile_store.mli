@@ -24,10 +24,3 @@ val load :
     reason if the file is malformed, version-bumped, corrupted (checksum
     mismatch), or was recorded on a different platform or hardware
     configuration. *)
-
-val parse_body :
-  string list -> (Calibration.key * Calibration.curve) list
-(** Parse [kernel uM uN uK <curve>] body lines (the inverse of
-    {!Calibration.to_string}, line by line). Raises [Failure] on a
-    malformed line. Exposed for artifacts that embed a calibration
-    section, e.g. the learned-ranker store. *)

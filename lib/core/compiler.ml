@@ -16,17 +16,14 @@ let m_invalidations = Tm.Metrics.counter "compiler.cache.invalidations"
    a degraded serving run is visible in any telemetry dump. *)
 let m_full_search = Tm.Metrics.counter "compiler.ladder.full_search"
 
-let m_best_effort = Tm.Metrics.counter "compiler.ladder.best_effort"
-
 let m_single_pattern = Tm.Metrics.counter "compiler.ladder.single_pattern"
 
 let m_safe_generic = Tm.Metrics.counter "compiler.ladder.safe_generic"
 
-type rung = Full_search | Best_effort | Single_pattern | Safe_generic
+type rung = Full_search | Single_pattern | Safe_generic
 
 let rung_name = function
   | Full_search -> "full-search"
-  | Best_effort -> "best-effort"
   | Single_pattern -> "single-pattern"
   | Safe_generic -> "safe-generic"
 
@@ -71,7 +68,6 @@ type t = {
   mutable cache_evictions : int;
   mutable cache_invalidations : int;
   mutable l_full_search : int;
-  mutable l_best_effort : int;
   mutable l_single_pattern : int;
   mutable l_safe_generic : int;
   mutable correction : (Kernel_set.entry -> float -> float) option;
@@ -112,7 +108,6 @@ let make ?config ?(cache_capacity = 0) ~safe_mode ~kernels hw =
     cache_evictions = 0;
     cache_invalidations = 0;
     l_full_search = 0;
-    l_best_effort = 0;
     l_single_pattern = 0;
     l_safe_generic = 0;
     correction = None;
@@ -187,23 +182,19 @@ let note_rung t rung =
   locked t (fun () ->
       match rung with
       | Full_search -> t.l_full_search <- t.l_full_search + 1
-      | Best_effort -> t.l_best_effort <- t.l_best_effort + 1
       | Single_pattern -> t.l_single_pattern <- t.l_single_pattern + 1
       | Safe_generic -> t.l_safe_generic <- t.l_safe_generic + 1);
   (match rung with
   | Full_search -> Tm.Metrics.incr m_full_search
-  | Best_effort -> Tm.Metrics.incr m_best_effort
   | Single_pattern -> Tm.Metrics.incr m_single_pattern
   | Safe_generic -> Tm.Metrics.incr m_safe_generic);
   Tm.Tracer.annotate "ladder.rung" (rung_name rung)
 
 (* The degradation ladder: every cache-miss compile lands on some rung and
-   always produces a program. Full search (possibly deadline-truncated to
-   best-so-far — that is rung 2, reported by the search itself) → on any
-   search failure, a Pattern-I-only retry → on failure again, the
-   guaranteed-safe generic kernel set scored with the plain model. A
-   safe-mode compiler (kernel store unusable at creation) is permanently
-   on the last rung. *)
+   always produces a program. Full search → on any search failure, a
+   Pattern-I-only retry → on failure again, the guaranteed-safe generic
+   kernel set scored with the plain model. A safe-mode compiler (kernel
+   store unusable at creation) is permanently on the last rung. *)
 let search_ladder t op =
   let scorer = default_scorer t in
   if t.safe_mode then begin
@@ -214,8 +205,7 @@ let search_ladder t op =
   else
     match Polymerize.polymerize ~scorer t.kernels t.config op with
     | c ->
-      note_rung t
-        (if c.Polymerize.deadline_hit then Best_effort else Full_search);
+      note_rung t Full_search;
       c
     | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
     | exception _ -> (
@@ -288,7 +278,7 @@ let cached t op =
    units, so the dispatch amortizes over the whole suite — and each
    result is exactly what a cache-miss compile of that shape would have
    produced (same scorer, same config, deterministic search), with the
-   same Full_search/Best_effort rung accounting. If the batch search
+   same Full_search rung accounting. If the batch search
    itself fails, every shape falls back to the sequential per-shape
    ladder ([compile]), which can still degrade rung by rung. Returns the
    number of fresh compiles; shapes already cached cost nothing and keep
@@ -320,7 +310,7 @@ let warm ?jobs t shapes =
     | Some cs ->
       Array.iteri
         (fun i (c : Polymerize.compiled) ->
-          note_rung t (if c.deadline_hit then Best_effort else Full_search);
+          note_rung t Full_search;
           locked t (fun () ->
               match Hashtbl.find_opt t.cache keys.(i) with
               | Some slot -> touch t slot
@@ -348,7 +338,7 @@ let ladder_stats t =
   locked t (fun () ->
       {
         full_search = t.l_full_search;
-        best_effort = t.l_best_effort;
+        best_effort = 0;
         single_pattern = t.l_single_pattern;
         safe_generic = t.l_safe_generic;
       })

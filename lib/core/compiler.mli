@@ -29,24 +29,16 @@ val safe_mode : t -> bool
 (** Whether the compiler is running on the guaranteed-safe generic set
     ({!create_resilient} with an unusable artifact). *)
 
-type rung =
-  | Full_search  (** the complete configured search ran *)
-  | Best_effort
-      (** [Config.search_deadline_ms] truncated the search: best program
-          found within the budget *)
-  | Single_pattern
+type ladder_stats = {
+  full_search : int;  (** the complete configured search ran *)
+  best_effort : int;
+      (** always [0]: the search has no deadline, so no compile stops
+          at a best-so-far program. Kept because [bench/perf] reads it. *)
+  single_pattern : int;
       (** the full search failed; a Pattern-I-only retry succeeded *)
-  | Safe_generic
+  safe_generic : int;
       (** search on the configured kernel set was impossible or failed
           twice: compiled against {!Kernel_set.safe_generic} *)
-
-val rung_name : rung -> string
-
-type ladder_stats = {
-  full_search : int;
-  best_effort : int;
-  single_pattern : int;
-  safe_generic : int;
 }
 
 val ladder_stats : t -> ladder_stats

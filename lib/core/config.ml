@@ -1,12 +1,5 @@
 open Mikpoly_accel
 
-type ranker = {
-  rk_id : string;
-  rk_score :
-    m:int -> n:int -> k:int -> um:int -> un:int -> uk:int ->
-    wave_capacity:int -> n_tasks:int -> pipe:float -> float;
-}
-
 type t = {
   n_gen : int;
   n_syn : int;
@@ -23,9 +16,7 @@ type t = {
   search_launch_term : bool;
   cut_style : [ `Wave_aligned | `Remainder_only ];
   search_jobs : int;
-  search_deadline_ms : float;
   analytic_prune : bool;
-  ranker : ranker option;
 }
 
 let default (hw : Hardware.t) =
@@ -47,9 +38,7 @@ let default (hw : Hardware.t) =
       search_launch_term = true;
       cut_style = `Wave_aligned;
       search_jobs = 0;
-      search_deadline_ms = 0.;
       analytic_prune = true;
-      ranker = None;
     }
   | Npu ->
     {
@@ -68,9 +57,7 @@ let default (hw : Hardware.t) =
       search_launch_term = true;
       cut_style = `Wave_aligned;
       search_jobs = 0;
-      search_deadline_ms = 0.;
       analytic_prune = true;
-      ranker = None;
     }
 
 let with_path path t =

@@ -27,10 +27,6 @@ let m_pruned_bound = Tm.Metrics.counter "polymerize.pruned_bound"
 
 let m_batches = Tm.Metrics.counter "polymerize.batches"
 
-(* Searches whose visitation order was actually permuted by a
-   [Config.ranker] (identity permutations are not counted). *)
-let m_reorders = Tm.Metrics.counter "rank.reorders"
-
 let prune_counter_values () =
   ( Tm.Metrics.counter_value m_pruned_analytic,
     Tm.Metrics.counter_value m_pruned_bound )
@@ -49,7 +45,6 @@ type compiled = {
   pruned : int;
   pruned_analytic : int;
   search_seconds : float;
-  deadline_hit : bool;
   first_hit : int;
 }
 
@@ -61,10 +56,6 @@ let row_cuts = Strategy_space.row_cuts
 
 let col_cuts = Strategy_space.col_cuts
 
-(* A winning strategy is remembered as (pattern, cuts, pinned kernels);
-   the program is only materialized for the winner. Pins cover the
-   pattern's regions in order; missing trailing pins are resolved with the
-   memoized best single kernel for that region. *)
 let dispatch_seconds = 0.5e-6
 
 let per_candidate_seconds = 15e-9
@@ -72,23 +63,10 @@ let per_candidate_seconds = 15e-9
 let modeled_search_seconds (c : compiled) =
   dispatch_seconds +. (per_candidate_seconds *. float_of_int c.candidates)
 
-(* A [Config.search_deadline_ms] budget, expressed in the same modeled
-   time [modeled_search_seconds] charges, converted to a per-unit
-   candidate quota. Candidates are counted per (pattern × primary) unit
-   in a jobs-independent order, so cutting each unit at its quota makes
-   the best-so-far result of a truncated search bit-identical at every
-   job count — a wall-clock deadline could not promise that. Every unit
-   keeps at least one candidate, so a program always exists (Pattern I
-   is always feasible). *)
-let unit_quota ~deadline_ms ~n_units =
-  if deadline_ms <= 0. then max_int
-  else begin
-    let total =
-      (deadline_ms *. 1e-3 -. dispatch_seconds) /. per_candidate_seconds
-    in
-    max 1 (int_of_float total / max 1 n_units)
-  end
-
+(* A winning strategy is remembered as (pattern, cuts, pinned kernels);
+   the program is only materialized for the winner. Pins cover the
+   pattern's regions in order; missing trailing pins are resolved with the
+   memoized best single kernel for that region. *)
 type choice = {
   c_pattern : Pattern.t;
   c_cuts : int list;
@@ -98,8 +76,7 @@ type choice = {
 
 (* Total order on equal-cost candidates: (pattern, cuts, pinned kernel
    ranks, fill rank). The search keeps the smallest (cost, key), so the
-   winner is independent of enumeration order — the property that makes
-   the domain-parallel search bit-identical to the sequential one. *)
+   winner is independent of enumeration order. *)
 type tie_key = Pattern.t * int list * int list * int
 
 let choice_key (ch : choice) : tie_key =
@@ -108,32 +85,7 @@ let choice_key (ch : choice) : tie_key =
     List.map (fun (e : Kernel_set.entry) -> e.rank) ch.c_pins,
     match ch.c_fill with Some e -> e.rank | None -> -1 )
 
-(* One enumeration unit of the candidate space: a pattern together with
-   one pinned primary kernel (or the whole of Pattern I). Units run
-   sequentially in configuration order within one search — since the
-   coarse-grain rework, the pool's grain is whole shapes
-   ({!search_batch}), never units — but each still carries its own
-   counters so the deadline quota stays a per-unit budget; the
-   best-single memo is shared across units. *)
-type unit_state = {
-  mutable l_best : (float * tie_key * choice) option;
-  mutable l_cand : int;
-  mutable l_pruned : int;
-  mutable l_pruned_a : int;  (** skipped unscored by the analytic filters *)
-  l_quota : int;  (** candidate budget for this unit; [max_int] = none *)
-  mutable l_truncated : bool;  (** the quota cut enumeration short *)
-  memo : (int * int, Kernel_set.entry * float) Hashtbl.t;
-}
-
-type unit_result = {
-  u_best : (float * tie_key * choice) option;
-  u_cand : int;
-  u_pruned : int;
-  u_pruned_a : int;
-  u_truncated : bool;
-}
-
-let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
+let search ?shared_view ~scorer ~tracing (set : Kernel_set.t)
     (config : Config.t) op =
   if Array.length set.entries = 0 then
     invalid_arg "Polymerize.polymerize: empty kernel set";
@@ -210,65 +162,12 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
   in
   let primaries = take config.primary_kernels in
   let secondaries = take config.secondary_kernels in
-  (* Deadline budget: one fixed quota per enumeration unit, computed
-     before any unit runs so it cannot depend on scheduling. *)
-  let n_units =
-    List.fold_left
-      (fun acc (p : Pattern.t) ->
-        acc + match p with Pattern.I -> 1 | _ -> Array.length primaries)
-      0 config.patterns
-  in
-  let quota =
-    unit_quota ~deadline_ms:config.search_deadline_ms ~n_units
-  in
-  (* Learned candidate ordering ([Config.ranker]): one predicted cost per
-     kernel, computed from exactly the quantities Eq. 2 is built from so
-     the offline-trained model sees the same features online. Only the
-     Full objective is ordered — the ablated objectives rank by different
-     quantities, and the simulator oracle must visit everything anyway.
-     Ordering is advisory: every skip below remains a strict comparison
-     against an achievable bound and the winner is the global
-     [(cost, tie_key)] minimum, so a permuted visitation order can change
-     tallies and bound evolution but never the chosen program. *)
-  let ranker =
-    match config.ranker with
-    | Some r when sim_hw = None && objective = Cost_model.Full -> Some r
-    | _ -> None
-  in
-  let rsc =
-    match ranker with
-    | None -> [||]
-    | Some r ->
-      Array.map
-        (fun (e : Kernel_set.entry) ->
-          let n_tasks =
-            icount * (ceil_div m e.desc.um * ceil_div n e.desc.un)
-          in
-          r.Config.rk_score ~m ~n ~k ~um:e.desc.um ~un:e.desc.un
-            ~uk:e.desc.uk ~wave_capacity:e.wave_capacity ~n_tasks
-            ~pipe:pipe.(e.rank))
-        entries
-  in
-  (* Pattern-I visitation order: best-predicted first, ties by Eq.-2 cost
-     then rank so the order is total and deterministic. *)
-  let entry_order =
-    let idx = Array.init n_entries Fun.id in
-    if ranker <> None then
-      Array.sort
-        (fun a b -> compare (rsc.(a), p1.(a), a) (rsc.(b), p1.(b), b))
-        idx;
-    idx
-  in
-  (* Shared branch-and-bound state: the lowest full-candidate cost found
-     by any domain so far. Monotonically non-increasing, so pruning a
-     partial sum that strictly exceeds it can never discard a candidate
-     tying the eventual minimum — which keeps the winner (and its
-     tie-break) independent of domain scheduling. *)
-  let bound = Atomic.make infinity in
-  let rec lower_bound c =
-    let b = Atomic.get bound in
-    if c < b && not (Atomic.compare_and_set bound b c) then lower_bound c
-  in
+  (* Branch-and-bound state: the lowest full-candidate cost found so far.
+     Monotonically non-increasing, so pruning a partial sum that strictly
+     exceeds it can never discard a candidate tying the eventual minimum
+     — the winner and its tie-break do not depend on visitation order. *)
+  let bound = ref infinity in
+  let lower_bound c = if c < !bound then bound := c in
   (* Analytic pre-pruning (Strategy_space). Sound only under the plain
      Eq.-2 Full objective: calibrated corrections are arbitrary per-kernel
      functions that break cross-kernel dominance, the ablated objectives
@@ -306,39 +205,14 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
      Pattern I is actually explored. *)
   if analytic && List.mem Pattern.I config.patterns then
     lower_bound p1.(by_p1.(0));
-  (* The best-single memo is shared by every unit: units run sequentially
-     now, and [best_single] is a pure function of the extent. *)
-  let shared_memo = Hashtbl.create 64 in
-  let fresh_state ~quota () =
-    {
-      l_best = None;
-      l_cand = 0;
-      l_pruned = 0;
-      l_pruned_a = 0;
-      l_quota = quota;
-      l_truncated = false;
-      memo = shared_memo;
-    }
-  in
-  (* One check per candidate: a unit whose quota is spent skips its
-     remaining candidates (recorded as truncation, not pruning). The
-     per-unit candidate sequence is enumeration-order-fixed and
-     jobs-independent, so the cut lands on the same candidate
-     everywhere. *)
-  let budget_ok st =
-    if st.l_cand < st.l_quota then true
-    else begin
-      st.l_truncated <- true;
-      false
-    end
-  in
   (* Best single kernel for a free region, memoized per extent. Dominated
      entries are skipped: the dominator costs no more and sits at a lower
      index, so the lowest-index argmin is unchanged — entry 0 (rank 0) is
      always live, so the scan never comes up empty. *)
-  let best_single st rows cols =
+  let memo = Hashtbl.create 64 in
+  let best_single rows cols =
     let key = (rows, cols) in
-    match Hashtbl.find_opt st.memo key with
+    match Hashtbl.find_opt memo key with
     | Some hit -> hit
     | None ->
       let best_e = ref entries.(0) and best_c = ref infinity in
@@ -352,35 +226,27 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
         end
       done;
       let hit = (!best_e, !best_c) in
-      Hashtbl.add st.memo key hit;
+      Hashtbl.add memo key hit;
       hit
   in
-  (* [scored] counts candidates actually scored, across all units of this
-     search (units run sequentially, so a plain ref is deterministic);
-     [g_first] remembers the count at the moment the eventual winner was
-     first recorded — the "candidates scored to reach the program" the
-     ranker is judged on. *)
-  let scored = ref 0 in
-  let g_best = ref None in
-  let g_first = ref 0 in
-  let count st =
-    st.l_cand <- st.l_cand + 1;
-    incr scored
-  in
-  let record st cost choice =
+  (* The search tallies. [best] is the smallest (cost, tie_key) recorded;
+     [first_hit] is the [candidates] count at the moment it was first
+     recorded. [pruned_a] counts candidates skipped unscored by the
+     analytic filters, [pruned] those cut mid-scoring by the bound. *)
+  let best = ref None in
+  let candidates = ref 0 and pruned = ref 0 and pruned_a = ref 0 in
+  let first_hit = ref 0 in
+  let record cost choice =
     let key = choice_key choice in
-    (match st.l_best with
+    (match !best with
     | Some (bc, bk, _) when (bc, bk) <= (cost, key) -> ()
-    | _ -> st.l_best <- Some (cost, key, choice));
-    (match !g_best with
-    | Some (bc, bk) when (bc, bk) <= (cost, key) -> ()
     | _ ->
-      g_best := Some (cost, key);
-      g_first := !scored);
+      best := Some (cost, key, choice);
+      first_hit := !candidates);
     lower_bound cost
   in
   (* Resolve a choice into concrete (rect, kernel) pairs. *)
-  let resolve st (ch : choice) =
+  let resolve (ch : choice) =
     match Pattern.decompose ch.c_pattern ~m ~n ~cuts:ch.c_cuts with
     | None -> None
     | Some rects ->
@@ -391,7 +257,7 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
           let e =
             match ch.c_fill with
             | Some e -> e
-            | None -> fst (best_single st r.rows r.cols)
+            | None -> fst (best_single r.rows r.cols)
           in
           (r, e) :: zip rs []
         | r :: rs, p :: ps -> (r, p) :: zip rs ps
@@ -399,15 +265,15 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
       Some (zip rects ch.c_pins)
   in
   (* Model scoring of a generic (multi-cut) choice, with region-order
-     pruning against the global bound. Pruning is strict (>): a partial
-     sum equal to the incumbent may still win the tie-break.
+     pruning against the bound. Pruning is strict (>): a partial sum equal
+     to the incumbent may still win the tie-break.
 
      Analytic gate (before the candidate is counted or any free region
      resolved): pinned regions at their exact cost plus free regions at
      their pipeline-depth floor already lower-bound the candidate, so
      strictly exceeding the achievable bound proves it cannot win — the
      expensive best-single scans for the free regions never happen. *)
-  let score_choice_model st (ch : choice) =
+  let score_choice_model (ch : choice) =
     let gated =
       analytic
       && (match Pattern.decompose ch.c_pattern ~m ~n ~cuts:ch.c_cuts with
@@ -421,30 +287,28 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
              | (r : Pattern.rect) :: rs, [] ->
                lb (acc +. floor_cost r.rows r.cols) rs []
            in
-           lb 0. rects ch.c_pins > Atomic.get bound)
+           lb 0. rects ch.c_pins > !bound)
     in
-    if gated then st.l_pruned_a <- st.l_pruned_a + 1
+    if gated then incr pruned_a
     else
-      match resolve st ch with
+      match resolve ch with
       | None -> ()
-      | Some _ when not (budget_ok st) -> ()
       | Some assignment ->
-        count st;
-        let limit = Atomic.get bound in
+        incr candidates;
+        let limit = !bound in
         let rec go acc = function
-          | [] -> record st acc ch
+          | [] -> record acc ch
           | ((r : Pattern.rect), e) :: rest ->
             let acc = acc +. rcost_dims e r.rows r.cols in
-            if acc > limit then st.l_pruned <- st.l_pruned + 1 else go acc rest
+            if acc > limit then incr pruned else go acc rest
         in
         go 0. assignment
   in
-  let score_choice_simulate st (ch : choice) =
-    match resolve st ch with
+  let score_choice_simulate (ch : choice) =
+    match resolve ch with
     | None -> ()
-    | Some _ when not (budget_ok st) -> ()
     | Some assignment ->
-      count st;
+      incr candidates;
       let regions =
         List.map
           (fun ((r : Pattern.rect), (e : Kernel_set.entry)) ->
@@ -458,262 +322,150 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
         Load.make ~regions ~footprint_bytes:(Operator.footprint_bytes op)
       in
       let hw = match sim_hw with Some hw -> hw | None -> set.hw in
-      record st (Simulator.run hw load).cycles ch
+      record (Simulator.run hw load).cycles ch
   in
   let choice pattern cuts pins fill =
     { c_pattern = pattern; c_cuts = cuts; c_pins = pins; c_fill = fill }
   in
   (* Under the oracle, a choice with free slots is additionally enumerated
      with every secondary kernel as a uniform fill. *)
-  let consider st ?(has_free = false) pattern cuts pins =
+  let consider ?(has_free = false) pattern cuts pins =
     match sim_hw with
-    | None -> score_choice_model st (choice pattern cuts pins None)
+    | None -> score_choice_model (choice pattern cuts pins None)
     | Some _ ->
-      score_choice_simulate st (choice pattern cuts pins None);
+      score_choice_simulate (choice pattern cuts pins None);
       if has_free then
         Array.iter
-          (fun e -> score_choice_simulate st (choice pattern cuts pins (Some e)))
+          (fun e -> score_choice_simulate (choice pattern cuts pins (Some e)))
           secondaries
   in
-  (* Fast allocation-free path for Pattern I (a single unit). Under the
-     analytic pruner only live entries whose precomputed cost can still
-     matter are counted: a dominated entry loses to its dominator
-     including the tie-break, and an entry strictly above the achievable
-     bound cannot win — both skips keep the recorded winner identical. *)
-  let pattern_one st =
+  (* Fast allocation-free path for Pattern I. Under the analytic pruner
+     only live entries whose precomputed cost can still matter are
+     counted: a dominated entry loses to its dominator including the
+     tie-break, and an entry strictly above the achievable bound cannot
+     win — both skips keep the recorded winner identical. *)
+  let pattern_one () =
     match sim_hw with
     | None ->
-      for ii = 0 to n_entries - 1 do
-        let i = entry_order.(ii) in
-        if analytic && (not (live_ok i) || p1.(i) > Atomic.get bound) then
-          st.l_pruned_a <- st.l_pruned_a + 1
-        else if budget_ok st then begin
-          count st;
-          record st p1.(i) (choice I [] [ entries.(i) ] None)
+      for i = 0 to n_entries - 1 do
+        if analytic && (not (live_ok i) || p1.(i) > !bound) then incr pruned_a
+        else begin
+          incr candidates;
+          record p1.(i) (choice I [] [ entries.(i) ] None)
         end
       done
     | Some _ ->
-      Array.iter (fun e -> score_choice_simulate st (choice I [] [ e ] None)) entries
+      Array.iter (fun e -> score_choice_simulate (choice I [] [ e ] None)) entries
   in
-  let pattern_two st (e1 : Kernel_set.entry) =
+  let pattern_two (e1 : Kernel_set.entry) =
     List.iter
       (fun r ->
         match sim_hw with
         | None ->
           let c1 = rcost_dims e1 r n in
-          if analytic && c1 +. floor_cost (m - r) n > Atomic.get bound then
-            st.l_pruned_a <- st.l_pruned_a + 1
-          else if budget_ok st then begin
-            count st;
-            if c1 > Atomic.get bound then st.l_pruned <- st.l_pruned + 1
+          if analytic && c1 +. floor_cost (m - r) n > !bound then incr pruned_a
+          else begin
+            incr candidates;
+            if c1 > !bound then incr pruned
             else begin
-              let e2, c2 = best_single st (m - r) n in
-              record st (c1 +. c2) (choice II [ r ] [ e1; e2 ] None)
+              let e2, c2 = best_single (m - r) n in
+              record (c1 +. c2) (choice II [ r ] [ e1; e2 ] None)
             end
           end
-        | Some _ -> consider st ~has_free:true II [ r ] [ e1 ])
+        | Some _ -> consider ~has_free:true II [ r ] [ e1 ])
       (row_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts)
   in
-  let pattern_three st (e1 : Kernel_set.entry) =
+  let pattern_three (e1 : Kernel_set.entry) =
     List.iter
       (fun c ->
         match sim_hw with
         | None ->
           let c1 = rcost_dims e1 m c in
-          if analytic && c1 +. floor_cost m (n - c) > Atomic.get bound then
-            st.l_pruned_a <- st.l_pruned_a + 1
-          else if budget_ok st then begin
-            count st;
-            if c1 > Atomic.get bound then st.l_pruned <- st.l_pruned + 1
+          if analytic && c1 +. floor_cost m (n - c) > !bound then incr pruned_a
+          else begin
+            incr candidates;
+            if c1 > !bound then incr pruned
             else begin
-              let e2, c2 = best_single st m (n - c) in
-              record st (c1 +. c2) (choice III [ c ] [ e1; e2 ] None)
+              let e2, c2 = best_single m (n - c) in
+              record (c1 +. c2) (choice III [ c ] [ e1; e2 ] None)
             end
           end
-        | Some _ -> consider st ~has_free:true III [ c ] [ e1 ])
+        | Some _ -> consider ~has_free:true III [ c ] [ e1 ])
       (col_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts)
   in
-  let two_cut_pattern st pattern (e1 : Kernel_set.entry) =
+  let two_cut_pattern pattern (e1 : Kernel_set.entry) =
     let rcs = row_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts in
     let ccs = col_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts in
     List.iter
       (fun r ->
-        List.iter
-          (fun c -> consider st ~has_free:true pattern [ r; c ] [ e1 ])
-          ccs)
+        List.iter (fun c -> consider ~has_free:true pattern [ r; c ] [ e1 ]) ccs)
       rcs
   in
-  let run_unit_body st (pattern : Pattern.t) (e1 : Kernel_set.entry option) =
-    match (pattern, e1) with
-    | I, _ -> pattern_one st
-    | _, None -> assert false
-    | II, Some e1 -> pattern_two st e1
-    | III, Some e1 -> pattern_three st e1
-    | (IV | V | VI), Some e1 -> two_cut_pattern st pattern e1
-    | VII, Some e1 ->
-      List.iter
-        (fun r1 ->
-          Array.iter
-            (fun (e2 : Kernel_set.entry) ->
-              List.iter
-                (fun dr ->
-                  if r1 + dr < m then
-                    consider st ~has_free:true VII [ r1; r1 + dr ] [ e1; e2 ])
-                (row_cuts ~style:config.cut_style e2 ~rows:(m - r1) ~cols:n ~max_cuts:2))
-            secondaries)
-        (row_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts)
-    | VIII, Some e1 ->
-      List.iter
-        (fun c1 ->
-          Array.iter
-            (fun (e2 : Kernel_set.entry) ->
-              List.iter
-                (fun dc ->
-                  if c1 + dc < n then
-                    consider st ~has_free:true VIII [ c1; c1 + dc ] [ e1; e2 ])
-                (col_cuts ~style:config.cut_style e2 ~rows:m ~cols:(n - c1) ~max_cuts:2))
-            secondaries)
-        (col_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts)
-    | IX, Some e1 ->
-      List.iter
-        (fun r ->
-          Array.iter
-            (fun (e2 : Kernel_set.entry) ->
-              List.iter
-                (fun c -> consider st ~has_free:true IX [ r; c ] [ e1; e2 ])
-                (col_cuts ~style:config.cut_style e2 ~rows:(m - r) ~cols:n ~max_cuts:2))
-            secondaries)
-        (row_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts)
+  (* Patterns run in configuration order, each over its primaries in
+     Pattern-I cost order. The pool's grain is whole shapes
+     ({!search_batch}), never parts of one search, so the bound's
+     evolution and with it every tally is deterministic. *)
+  let explore (p : Pattern.t) =
+    let each f = Array.iter f primaries in
+    match p with
+    | I -> pattern_one ()
+    | II -> each pattern_two
+    | III -> each pattern_three
+    | IV | V | VI -> each (two_cut_pattern p)
+    | VII ->
+      each (fun e1 ->
+          List.iter
+            (fun r1 ->
+              Array.iter
+                (fun (e2 : Kernel_set.entry) ->
+                  List.iter
+                    (fun dr ->
+                      if r1 + dr < m then
+                        consider ~has_free:true VII [ r1; r1 + dr ] [ e1; e2 ])
+                    (row_cuts ~style:config.cut_style e2 ~rows:(m - r1) ~cols:n ~max_cuts:2))
+                secondaries)
+            (row_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts))
+    | VIII ->
+      each (fun e1 ->
+          List.iter
+            (fun c1 ->
+              Array.iter
+                (fun (e2 : Kernel_set.entry) ->
+                  List.iter
+                    (fun dc ->
+                      if c1 + dc < n then
+                        consider ~has_free:true VIII [ c1; c1 + dc ] [ e1; e2 ])
+                    (col_cuts ~style:config.cut_style e2 ~rows:m ~cols:(n - c1) ~max_cuts:2))
+                secondaries)
+            (col_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts))
+    | IX ->
+      each (fun e1 ->
+          List.iter
+            (fun r ->
+              Array.iter
+                (fun (e2 : Kernel_set.entry) ->
+                  List.iter
+                    (fun c -> consider ~has_free:true IX [ r; c ] [ e1; e2 ])
+                    (col_cuts ~style:config.cut_style e2 ~rows:(m - r) ~cols:n ~max_cuts:2))
+                secondaries)
+            (row_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts))
   in
-  let run_unit (pattern, e1) =
-    let st = fresh_state ~quota () in
-    run_unit_body st pattern e1;
-    {
-      u_best = st.l_best;
-      u_cand = st.l_cand;
-      u_pruned = st.l_pruned;
-      u_pruned_a = st.l_pruned_a;
-      u_truncated = st.l_truncated;
-    }
+  let explore_traced (p : Pattern.t) =
+    Tm.Tracer.with_span ("polymerize.pattern." ^ Pattern.to_string p)
+      (fun () ->
+        let c0 = !candidates and p0 = !pruned and a0 = !pruned_a in
+        explore p;
+        Tm.Tracer.annotate "candidates" (string_of_int (!candidates - c0));
+        Tm.Tracer.annotate "pruned" (string_of_int (!pruned - p0));
+        Tm.Tracer.annotate "pruned_analytic" (string_of_int (!pruned_a - a0)))
   in
-  (* The candidate space, flattened to (pattern × primary) units in
-     configuration order. Units run sequentially: per-unit pool
-     submissions lost to dispatch overhead (the pre-rework bench showed
-     0.28× at jobs=2), so the pool's grain is now whole shapes — see
-     {!search_batch}. Sequential units also make the bound's evolution,
-     and with it every per-search tally, deterministic. *)
-  let units =
-    Array.of_list
-      (List.concat_map
-         (fun (p : Pattern.t) ->
-           match p with
-           | I -> [ (p, None) ]
-           | _ ->
-             Array.to_list (Array.map (fun e -> (p, Some e)) primaries))
-         config.patterns)
-  in
-  (* Under a ranker, units run best-predicted-first: a unit is scored by
-     its primary kernel's prediction (the Pattern-I unit by the best
-     prediction overall, since it visits every kernel). The sort key
-     includes the configuration-order index, so ties keep their order and
-     the permutation is total. With a deadline this front-loads the units
-     most likely to contain the winner; without one it only changes
-     visitation order, which the tie-break makes irrelevant. *)
-  let units =
-    if ranker = None then units
-    else begin
-      let unit_score ((_ : Pattern.t), e1) =
-        match e1 with
-        | Some (e : Kernel_set.entry) -> rsc.(e.rank)
-        | None -> Array.fold_left min infinity rsc
-      in
-      let keyed =
-        Array.mapi (fun i u -> (unit_score u, i, u)) units
-      in
-      Array.sort
-        (fun (s1, i1, _) (s2, i2, _) -> compare (s1, i1) (s2, i2))
-        keyed;
-      let permuted =
-        Array.exists (fun i -> let _, j, _ = keyed.(i) in i <> j)
-          (Array.init (Array.length keyed) Fun.id)
-        || Array.exists (fun i -> entry_order.(i) <> i)
-             (Array.init n_entries Fun.id)
-      in
-      if permuted && instrument then Tm.Metrics.incr m_reorders;
-      Array.map (fun (_, _, u) -> u) keyed
-    end
-  in
-  let results =
-    if not tracing then Array.map run_unit units
-    else begin
-      (* Tracing keeps the per-pattern child spans: units of one pattern
-         are contiguous by construction (a ranker permutation may split a
-         pattern across several runs, which just yields several spans). *)
-      let res =
-        Array.make (Array.length units)
-          {
-            u_best = None;
-            u_cand = 0;
-            u_pruned = 0;
-            u_pruned_a = 0;
-            u_truncated = false;
-          }
-      in
-      let i = ref 0 in
-      let n_units = Array.length units in
-      while !i < n_units do
-        let p = fst units.(!i) in
-        Tm.Tracer.with_span ("polymerize.pattern." ^ Pattern.to_string p)
-          (fun () ->
-            let c0 = ref 0 and p0 = ref 0 and a0 = ref 0 in
-            while !i < n_units && fst units.(!i) = p do
-              let r = run_unit units.(!i) in
-              res.(!i) <- r;
-              c0 := !c0 + r.u_cand;
-              p0 := !p0 + r.u_pruned;
-              a0 := !a0 + r.u_pruned_a;
-              incr i
-            done;
-            Tm.Tracer.annotate "candidates" (string_of_int !c0);
-            Tm.Tracer.annotate "pruned" (string_of_int !p0);
-            Tm.Tracer.annotate "pruned_analytic" (string_of_int !a0))
-      done;
-      res
-    end
-  in
-  let merge (best, cand, pruned, pruned_a, trunc) (r : unit_result) =
-    let best =
-      match (best, r.u_best) with
-      | None, b | b, None -> b
-      | (Some (bc, bk, _) as cur), (Some (rc, rk, _) as inc) ->
-        if (rc, rk) < (bc, bk) then inc else cur
-    in
-    ( best,
-      cand + r.u_cand,
-      pruned + r.u_pruned,
-      pruned_a + r.u_pruned_a,
-      trunc || r.u_truncated )
-  in
-  let best, candidates, pruned, pruned_analytic, deadline_hit =
-    Array.fold_left merge (None, 0, 0, 0, false) results
-  in
+  List.iter (if tracing then explore_traced else explore) config.patterns;
   (* Pattern I is always feasible; make sure it was explored even when the
      configuration omits it and every split pattern degenerated. *)
-  let best, candidates, pruned, pruned_analytic, deadline_hit =
-    match best with
-    | Some _ -> (best, candidates, pruned, pruned_analytic, deadline_hit)
-    | None ->
-      merge
-        (best, candidates, pruned, pruned_analytic, deadline_hit)
-        (run_unit (Pattern.I, None))
-  in
-  let cost, _, winner = match best with Some x -> x | None -> assert false in
+  if Option.is_none !best then pattern_one ();
+  let cost, _, winner = match !best with Some x -> x | None -> assert false in
   let assignment =
-    (* Resolution only materializes the winner; it scores nothing, so it
-       runs outside any budget. *)
-    match resolve (fresh_state ~quota:max_int ()) winner with
-    | Some a -> a
-    | None -> assert false
+    match resolve winner with Some a -> a | None -> assert false
   in
   let regions =
     List.map
@@ -730,12 +482,11 @@ let search ?shared_view ~scorer ~instrument ~tracing (set : Kernel_set.t)
     program;
     predicted_cost = cost;
     pattern = winner.c_pattern;
-    candidates;
-    pruned;
-    pruned_analytic;
+    candidates = !candidates;
+    pruned = !pruned;
+    pruned_analytic = !pruned_a;
     search_seconds = Unix.gettimeofday () -. t0;
-    deadline_hit;
-    first_hit = !g_first;
+    first_hit = !first_hit;
   }
 
 let polymerize_with ?shared_view ?(scorer = Model Cost_model.Full)
@@ -751,15 +502,13 @@ let polymerize_with ?shared_view ?(scorer = Model Cost_model.Full)
     c
   in
   if not (instrument && Tm.Tracer.enabled ()) then
-    finish (search ?shared_view ~scorer ~instrument ~tracing:false set config op)
+    finish (search ?shared_view ~scorer ~tracing:false set config op)
   else begin
     let m, n, k = Operator.gemm_shape op in
     Tm.Tracer.with_span "polymerize.search"
       ~attrs:[ ("shape", Printf.sprintf "%dx%dx%d" m n k) ]
       (fun () ->
-        let c =
-          search ?shared_view ~scorer ~instrument ~tracing:true set config op
-        in
+        let c = search ?shared_view ~scorer ~tracing:true set config op in
         Tm.Tracer.annotate "pattern" (Pattern.to_string c.pattern);
         Tm.Tracer.annotate "candidates" (string_of_int c.candidates);
         Tm.Tracer.annotate "pruned" (string_of_int c.pruned);
@@ -767,13 +516,7 @@ let polymerize_with ?shared_view ?(scorer = Model Cost_model.Full)
         finish c)
   end
 
-let polymerize ?scorer ?instrument ?jobs:(_ = 1) (set : Kernel_set.t)
-    (config : Config.t) op =
-  (* [jobs] is accepted for compatibility: since the coarse-grain rework a
-     single-shape search always runs its units sequentially (the
-     per-unit pool dispatch it used to pay was the slowdown the parallel
-     bench measured); parallelism across shapes lives in
-     {!search_batch}. *)
+let polymerize ?scorer ?instrument (set : Kernel_set.t) (config : Config.t) op =
   polymerize_with ?scorer ?instrument set config op
 
 (* Batched suite search: one pool region over whole shapes. Each shape's

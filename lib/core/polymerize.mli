@@ -41,19 +41,10 @@ type compiled = {
           [0] when [Config.analytic_prune] is off or the scorer is not
           the plain [Model Full]. *)
   search_seconds : float;  (** wall-clock online overhead *)
-  deadline_hit : bool;
-      (** [Config.search_deadline_ms] truncated at least one enumeration
-          unit: the result is the best candidate found before the
-          per-unit quota ran out (still deterministic — the quota is a
-          candidate count, not wall-clock, so the cut lands on the same
-          candidate at every job count). *)
   first_hit : int;
       (** how many candidates had been scored when the eventual winner
           was first recorded (1-based; counted across the whole search in
-          visitation order). The figure of merit for [Config.ranker]'s
-          best-first ordering: a good ranker reaches the same program
-          with a strictly smaller [first_hit], which is what lets a
-          [search_deadline_ms] cut keep the full-search winner. *)
+          visitation order) *)
 }
 
 val row_cuts :
@@ -69,31 +60,26 @@ val col_cuts :
   cols:int -> max_cuts:int -> int list
 
 val polymerize :
-  ?scorer:scorer -> ?instrument:bool -> ?jobs:int -> Kernel_set.t ->
-  Config.t -> Mikpoly_ir.Operator.t -> compiled
+  ?scorer:scorer -> ?instrument:bool -> Kernel_set.t -> Config.t ->
+  Mikpoly_ir.Operator.t -> compiled
 (** Raises [Invalid_argument] on an empty kernel set. The result is always
     a valid program for the exact runtime shape — MikPoly has no
     out-of-range failure mode.
 
-    A single-shape search runs its (pattern × primary kernel) units
-    sequentially in configuration order: per-unit pool submissions were
-    far too fine for the pool's dispatch overhead (the pre-rework bench
-    measured 0.28× at jobs=2), so the pool's grain is now whole shapes —
-    see {!search_batch}. [jobs] is accepted for compatibility and does
-    not affect the search; the chosen program, [predicted_cost] {e and}
-    every tally are therefore trivially bit-identical at every job
-    count, and the [candidates]/[pruned]/[pruned_analytic] tallies are
-    always exact.
+    One search runs its patterns sequentially in configuration order,
+    each over its primary kernels in Pattern-I cost order; parallelism is
+    across shapes ({!search_batch}). The chosen program, [predicted_cost]
+    and every tally are therefore deterministic. The winner is the global
+    [(cost, tie_key)] minimum over recorded candidates, and every skip
+    (analytic, bound, partial-sum) is a strict comparison against an
+    achievable cost.
 
     With [Config.analytic_prune] (default) and the plain [Model Full]
     scorer, {!Strategy_space}'s filters — kernel dominance,
     Pattern-I bound seeding and pipeline-depth floors — skip most of the
     candidate space before scoring ([pruned_analytic] counts them);
     all three preserve the total tie-break order, so the chosen program
-    is bit-identical with pruning on or off. (Under a
-    [search_deadline_ms] budget the truncation point may differ between
-    pruned and unpruned searches — both remain deterministic, but the
-    soundness oracle compares untruncated searches.)
+    is bit-identical with pruning on or off.
 
     Every search feeds the always-on [polymerize.*] metrics (search
     count, candidate and wall-time histograms, and the
@@ -101,17 +87,7 @@ val polymerize :
     with the telemetry tracer enabled it additionally records a
     [polymerize.search] span with one child span per explored pattern.
     [instrument:false] disables both — the uninstrumented baseline for
-    the telemetry overhead benchmark.
-
-    With [Config.ranker] set and the plain [Model Full] scorer,
-    enumeration units and Pattern-I kernels are visited
-    best-predicted-first and the
-    [rank.reorders] counter tracks non-identity permutations. Ordering
-    never changes the chosen program of an un-truncated search: the
-    winner is the global [(cost, tie_key)] minimum over recorded
-    candidates, and every skip (analytic, bound, partial-sum) is a strict
-    comparison against an achievable cost, so a candidate able to win or
-    tie is scored under every visitation order. *)
+    the telemetry overhead benchmark. *)
 
 val search_batch :
   ?scorer:scorer -> ?instrument:bool -> ?jobs:int -> ?min_chunk:int ->
@@ -120,7 +96,8 @@ val search_batch :
     granularity: element [i] of the result is exactly what
     [polymerize ops.(i)] returns (each shape's search is independent and
     deterministic, so the array is bit-identical at every job count).
-    [jobs] resolves like {!polymerize}'s and is then clamped to the
+    [jobs] (default: [Config.search_jobs], resolved through
+    {!Mikpoly_util.Domain_pool.resolve_jobs}) is clamped to the
     host's concurrency ({!Mikpoly_util.Domain_pool.effective_jobs}) —
     worker domains beyond the core count only add dispatch overhead.
     Chunks carry at least [min_chunk] shapes (default 4) so dispatch
@@ -139,5 +116,4 @@ val modeled_search_seconds : compiled -> float
     a per-candidate scoring cost, calibrated so that a production-grade
     implementation of this search (the paper measures ~2us in C++) is
     modeled rather than the wall-clock of this research harness —
-    [search_seconds] still reports the latter. [Config.search_deadline_ms]
-    budgets are charged in this same modeled currency. *)
+    [search_seconds] still reports the latter. *)

@@ -38,15 +38,9 @@ let check_prune ?config compiler ~m ~n ~k =
   let base =
     match config with Some c -> c | None -> Compiler.config compiler
   in
-  (* Oracle soundness is defined on the untruncated search: the deadline
-     quota only counts scored candidates, so pruned and unpruned runs
-     would truncate at different points (deterministically, but
-     differently). Lift the deadline for both arms. *)
-  let base = { base with Config.search_deadline_ms = 0. } in
   let op = Operator.gemm ~m ~n ~k () in
   let run analytic =
-    Polymerize.polymerize ~jobs:1
-      (Compiler.kernels compiler)
+    Polymerize.polymerize (Compiler.kernels compiler)
       { base with Config.analytic_prune = analytic }
       op
   in

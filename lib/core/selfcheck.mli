@@ -40,13 +40,9 @@ val check_prune :
 (** Prune-soundness oracle: run the online search twice on the
     compiler's kernel set — {!Config.analytic_prune} on and off — and
     demand a structurally identical program, identical rendering and
-    bit-equal [predicted_cost]. Both arms run with the search deadline
-    lifted ([search_deadline_ms = 0.]): under a budget the truncation
-    point legitimately differs between the arms, so soundness is defined
-    on the untruncated search. [config] overrides the compiler's
-    configuration as the base (the deadline and prune flag are still
-    forced per arm). Returns the pruned arm's [pruned_analytic] tally on
-    success. *)
+    bit-equal [predicted_cost]. [config] overrides the compiler's
+    configuration as the base (the prune flag is still forced per arm).
+    Returns the pruned arm's [pruned_analytic] tally on success. *)
 
 val check_prune_random :
   ?config:Config.t -> ?seed:int -> ?max_dim:int -> Compiler.t -> count:int ->

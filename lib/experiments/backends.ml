@@ -12,20 +12,7 @@ let memo f =
       cell := Some v;
       v
 
-(* Optional learned candidate-ordering oracle for the shared GPU
-   compiler (the CLI's --ranker). Must be set before the first [gpu ()]
-   — the memoized compiler binds its config once. Cache-key-excluded, so
-   it never invalidates stored kernel sets. *)
-let ranker_override : Config.ranker option ref = ref None
-
-let set_ranker r = ranker_override := r
-
-let gpu =
-  memo (fun () ->
-      let config =
-        { (Config.default Hardware.a100) with Config.ranker = !ranker_override }
-      in
-      Compiler.create ~config Hardware.a100)
+let gpu = memo (fun () -> Compiler.create Hardware.a100)
 
 let npu = memo (fun () -> Compiler.create Hardware.ascend910)
 

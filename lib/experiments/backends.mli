@@ -3,11 +3,6 @@
     MikPoly compiler, the {!Mikpoly_baselines.Backend} interface and the
     inference engine. *)
 
-val set_ranker : Mikpoly_core.Config.ranker option -> unit
-(** Install a learned candidate-ordering oracle ({!Mikpoly_rank}) on the
-    shared GPU compiler — the CLI's [--ranker]. Must be called before the
-    first {!gpu} use; the memoized compiler binds its config once. *)
-
 val gpu : unit -> Mikpoly_core.Compiler.t
 (** MikPoly on the A100 model (tensor cores), memoized. *)
 

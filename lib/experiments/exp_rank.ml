@@ -11,17 +11,14 @@
    over shape × kernel × hardware features, capturing the cross-kernel
    structure per-kernel curves cannot express. The held-out comparison is
    Kendall τ-b and top-1 regret under [Adapt.Ranking] against the drifted
-   device, on both fingerprints (GPU and NPU), plus the two claims that
-   justify the online integration:
+   device, on both fingerprints (GPU and NPU), plus transfer: a
+   GPU-trained ranker warm-started with a small NPU budget beats a cold
+   NPU fit of the same budget.
 
-     transfer   a GPU-trained ranker warm-started with a small NPU
-                budget beats a cold NPU fit of the same budget
-     deadline   with the ranker ordering the search's candidate stream,
-                the eventual winner is reached after strictly fewer
-                scored candidates, so a [search_deadline_ms] cut keeps
-                the full-search program at least as often — while
-                untruncated searches stay bit-identical (Eq. 2 remains
-                the only pruning/tie-break authority). *)
+   The ranker is an offline experiment only. The online search always
+   runs to completion under Eq. 2: its measured cost is far below any
+   serving budget, so there is no truncated search for a best-first
+   order to rescue. *)
 
 open Mikpoly_util
 module Ranking = Mikpoly_adapt.Ranking
@@ -61,8 +58,6 @@ type results = {
   r_warm : Ranking.eval;  (** GPU base + small NPU budget, NPU holdout *)
   r_cold : Ranking.eval;  (** cold NPU fit at the same small budget *)
   r_transfer_examples : int;
-  r_ab : Ranker.ab;  (** deadline A/B on the GPU compiler *)
-  r_gpu_ranker : Ranker.t;  (** for the CLI's --save *)
 }
 
 (* The execution device is the stale-model drift scenario's: the ranker's
@@ -99,11 +94,11 @@ let fit_arm ~quick hw =
       a_learned = eval ~scorer:(Ranker.ranking_scorer ranker) ();
     }
   in
-  (compiler, ranker, examples, arm)
+  (compiler, ranker, arm)
 
 let results ~quick =
-  let gpu_compiler, gpu_ranker, _, gpu_arm = fit_arm ~quick Hardware.a100 in
-  let npu_compiler, _, _, npu_arm = fit_arm ~quick Hardware.ascend910 in
+  let _, gpu_ranker, gpu_arm = fit_arm ~quick Hardware.a100 in
+  let npu_compiler, _, npu_arm = fit_arm ~quick Hardware.ascend910 in
   let npu = Hardware.ascend910 in
   (* Transfer: a deliberately small NPU budget, disjoint from both the NPU
      training and holdout streams. The warm start keeps the GPU model's
@@ -128,9 +123,6 @@ let results ~quick =
     Ranking.evaluate ~compiler:npu_compiler ~exec_hw:npu_device
       ~scorer:(Ranker.ranking_scorer r) holdout
   in
-  let ab_shapes =
-    Dataset.sample_shapes ~seed:holdout_seed ~count:(holdout_count ~quick)
-  in
   {
     r_quick = quick;
     r_gpu = gpu_arm;
@@ -138,8 +130,6 @@ let results ~quick =
     r_warm = eval warm;
     r_cold = eval cold;
     r_transfer_examples = List.length small_examples;
-    r_ab = Ranker.deadline_ab ~compiler:gpu_compiler gpu_ranker ab_shapes;
-    r_gpu_ranker = gpu_ranker;
   }
 
 (* --- Acceptance gates (shared by the CLI subcommand and the bench) --- *)
@@ -191,39 +181,6 @@ let gates r =
           (100. *. r.r_cold.Ranking.top1_regret)
           r.r_cold.Ranking.tau r.r_transfer_examples;
     };
-    {
-      Exp.gate_name = "ordering_never_changes_program";
-      gate_ok = r.r_ab.Ranker.ab_identical;
-      gate_detail =
-        Printf.sprintf
-          "%d/%d untruncated searches bit-identical with ranker on vs off"
-          (if r.r_ab.Ranker.ab_identical then r.r_ab.Ranker.ab_shapes else 0)
-          r.r_ab.Ranker.ab_shapes;
-    };
-    {
-      Exp.gate_name = "fewer_candidates_to_winner";
-      gate_ok =
-        r.r_ab.Ranker.ab_first_hit_ranked < r.r_ab.Ranker.ab_first_hit_plain;
-      gate_detail =
-        Printf.sprintf
-          "winner first recorded after %d scored candidates (ranked) vs %d \
-           (plain) summed over %d shapes"
-          r.r_ab.Ranker.ab_first_hit_ranked r.r_ab.Ranker.ab_first_hit_plain
-          r.r_ab.Ranker.ab_shapes;
-    };
-    {
-      Exp.gate_name = "deadline_degrades_no_worse";
-      gate_ok =
-        r.r_ab.Ranker.ab_deadline_matches_ranked
-        >= r.r_ab.Ranker.ab_deadline_matches_plain;
-      gate_detail =
-        Printf.sprintf
-          "truncated search kept the full-search program on %d/%d shapes \
-           (ranked) vs %d/%d (plain); %d rescue(s)"
-          r.r_ab.Ranker.ab_deadline_matches_ranked r.r_ab.Ranker.ab_shapes
-          r.r_ab.Ranker.ab_deadline_matches_plain r.r_ab.Ranker.ab_shapes
-          r.r_ab.Ranker.ab_rescues;
-    };
   ]
 
 (* JSON for BENCH_rank.json and the CLI's --out: simulated quantities
@@ -263,23 +220,6 @@ let json r =
             ("examples", J.Number (float_of_int r.r_transfer_examples));
             ("warm", eval_obj r.r_warm);
             ("cold", eval_obj r.r_cold);
-          ] );
-      ( "deadline_ab",
-        J.Obj
-          [
-            ("shapes", J.Number (float_of_int r.r_ab.Ranker.ab_shapes));
-            ("identical", J.Bool r.r_ab.Ranker.ab_identical);
-            ( "first_hit_plain",
-              J.Number (float_of_int r.r_ab.Ranker.ab_first_hit_plain) );
-            ( "first_hit_ranked",
-              J.Number (float_of_int r.r_ab.Ranker.ab_first_hit_ranked) );
-            ( "deadline_matches_plain",
-              J.Number (float_of_int r.r_ab.Ranker.ab_deadline_matches_plain)
-            );
-            ( "deadline_matches_ranked",
-              J.Number
-                (float_of_int r.r_ab.Ranker.ab_deadline_matches_ranked) );
-            ("rescues", J.Number (float_of_int r.r_ab.Ranker.ab_rescues));
           ] );
       ( "gates",
         J.List
@@ -323,30 +263,11 @@ let report r =
   arm_rows r.r_npu;
   row "cold NPU (small budget)" r.r_npu.a_hw.Hardware.name r.r_cold;
   row "GPU-warm-started NPU" r.r_npu.a_hw.Hardware.name r.r_warm;
-  let ab = r.r_ab in
-  let deadline =
-    Table.create ~title:"Deadline A/B (unpruned search, GPU)"
-      ~header:[ "order"; "first-hit sum"; "kept winner"; "shapes" ]
-  in
-  Table.add_row deadline
-    [
-      "plain";
-      string_of_int ab.Ranker.ab_first_hit_plain;
-      string_of_int ab.Ranker.ab_deadline_matches_plain;
-      string_of_int ab.Ranker.ab_shapes;
-    ];
-  Table.add_row deadline
-    [
-      "ranked";
-      string_of_int ab.Ranker.ab_first_hit_ranked;
-      string_of_int ab.Ranker.ab_deadline_matches_ranked;
-      string_of_int ab.Ranker.ab_shapes;
-    ];
   let failed = Exp.failed_gates (gates r) in
   {
     Exp.id = "rank";
     title = "Learned candidate ranking (new subsystem)";
-    tables = [ quality; deadline ];
+    tables = [ quality ];
     summary =
       [
         Printf.sprintf
@@ -359,20 +280,8 @@ let report r =
           (100. *. r.r_warm.Ranking.top1_regret)
           (100. *. r.r_cold.Ranking.top1_regret)
           r.r_transfer_examples;
-        Printf.sprintf
-          "Best-first visitation reached the search winner after %d scored \
-           candidates vs %d in plain order (%d shapes); under a deadline \
-           the ranked order kept the full-search program on %d/%d shapes \
-           vs %d/%d plain (%d rescue(s)), and every untruncated search \
-           stayed bit-identical."
-          ab.Ranker.ab_first_hit_ranked ab.Ranker.ab_first_hit_plain
-          ab.Ranker.ab_shapes ab.Ranker.ab_deadline_matches_ranked
-          ab.Ranker.ab_shapes ab.Ranker.ab_deadline_matches_plain
-          ab.Ranker.ab_shapes ab.Ranker.ab_rescues;
         (match failed with
-        | [] ->
-          "All ranking gates hold (tau, regret, transfer, ordering \
-           soundness, deadline)."
+        | [] -> "All ranking gates hold (tau, regret, transfer)."
         | fs ->
           Printf.sprintf "GATE FAILURES: %s"
             (String.concat "; "
@@ -389,11 +298,11 @@ let exp =
     Exp.id = "rank";
     title = "Learned candidate ranking (new subsystem)";
     paper_claim =
-      "Extension of Sections 3.4/5: Equation 2 stays the pruning and \
-       tie-break authority, while a learned model — trained offline from \
-       the simulator observations the adaptation loop already harvests — \
-       orders the candidate stream best-first, so deadline-truncated \
-       searches keep the full-search program and a GPU-trained ranker \
-       warm-starts an NPU from shared shape features";
+      "Extension of Sections 3.4/5, offline only: a learned model — \
+       trained from the simulator observations the adaptation loop \
+       already harvests — ranks candidates better than calibrated \
+       Equation 2 fit from the same observations, and a GPU-trained \
+       ranker warm-starts an NPU from shared shape features; the online \
+       search keeps Equation 2 alone";
     run;
   }

@@ -8,8 +8,8 @@
 
     {v service + cold_compile + backlog_seconds / (replicas · weight) v}
 
-    where [service] is the class engine's (calibrated, ranker-ordered —
-    whatever its compiler carries) step time for the request's bucketed
+    where [service] is the class engine's (calibrated, if its compiler
+    carries a correction) step time for the request's bucketed
     shape, [cold_compile] the modeled polymerization stall for the step
     shapes still missing from that class's warm store
     (recompile-on-arrival, charged on the event clock when the request

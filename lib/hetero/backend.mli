@@ -12,7 +12,7 @@ type t = {
   bk_kind : Mikpoly_accel.Hardware.kind;
   bk_fingerprint : string;
       (** {!Mikpoly_accel.Hardware.fingerprint} of the class hardware —
-          the key for its kernel store / calibration / ranker artifacts *)
+          the key for its kernel store / calibration artifacts *)
   bk_pes : int;  (** PEs per replica of this class *)
   bk_replicas : int;  (** replicas this class contributes to the fleet *)
   bk_engine : Mikpoly_serve.Scheduler.engine;

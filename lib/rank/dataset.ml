@@ -79,7 +79,6 @@ let harvest ~(compiler : Compiler.t) ?hw shapes =
                   pruned = 0;
                   pruned_analytic = 0;
                   search_seconds = 0.;
-                  deadline_hit = false;
                   first_hit = 1;
                 }
               in

@@ -3,9 +3,9 @@ module Hardware = Mikpoly_accel.Hardware
 let schema_version = 1
 
 (* The feature names are part of the schema identity: adding, removing or
-   reordering a feature changes [schema_id], and the artifact store
-   rejects models written under a different schema — a model trained on
-   one feature layout is never silently applied to another. The first
+   reordering a feature changes [schema_id], which the ranking report
+   records, so results from different feature layouts are never
+   mistaken for one another. The first
    [shape_dim] features depend only on the (shape × kernel-geometry)
    candidate and carry platform-independent meaning; the rest are
    platform-local — the kernel-set identity feature and the hardware

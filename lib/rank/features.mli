@@ -1,9 +1,8 @@
 (** Deterministic feature extractor for the learned candidate ranker.
 
     One candidate = one (problem shape, micro-kernel, hardware) triple —
-    exactly the quantities {!Mikpoly_core.Config.ranker}'s [rk_score]
-    receives online and a {!Mikpoly_core.Compiler} observation carries
-    offline, so training and serving compute bit-identical vectors. All
+    exactly the quantities a {!Mikpoly_core.Compiler} observation
+    carries, so training and evaluation compute bit-identical vectors. All
     extensive quantities enter in log scale; hardware constants occupy a
     fixed suffix of the vector so models transfer across fingerprints
     through the shared shape/kernel prefix. *)
@@ -20,7 +19,7 @@ val shape_dim : int
 
 val schema_id : string
 (** Versioned identity of the feature layout (version + checksum of
-    {!names}); embedded in model artifacts and checked on load. *)
+    {!names}); recorded in the ranking experiment's report. *)
 
 val of_candidate :
   hw:Mikpoly_accel.Hardware.t -> m:int -> n:int -> k:int -> um:int ->

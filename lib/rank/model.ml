@@ -22,8 +22,6 @@ type t = {
 
 let constant base = { base; stumps = [] }
 
-let n_stumps t = List.length t.stumps
-
 let predict t x =
   List.fold_left
     (fun acc s ->
@@ -135,46 +133,3 @@ let fit ?base ?(rounds = 64) ?(learning_rate = 0.25) ?(seed = 0)
      done
    with Exit -> ());
   { model with stumps = model.stumps @ List.rev !new_stumps }
-
-(* %h hex floats round-trip every finite double exactly, so serialize →
-   parse → serialize is byte-stable and the artifact checksum is a true
-   model identity. *)
-let to_string t =
-  let b = Buffer.create 256 in
-  Buffer.add_string b (Printf.sprintf "base %h\n" t.base);
-  List.iter
-    (fun s ->
-      Buffer.add_string b
-        (Printf.sprintf "stump %d %h %h %h\n" s.s_feature s.s_threshold
-           s.s_left s.s_right))
-    t.stumps;
-  Buffer.contents b
-
-let of_string s =
-  let lines =
-    List.filter (fun l -> l <> "") (String.split_on_char '\n' s)
-  in
-  match lines with
-  | [] -> failwith "empty model body"
-  | base_line :: rest ->
-    let base =
-      match String.split_on_char ' ' base_line with
-      | [ "base"; v ] -> float_of_string v
-      | _ -> failwith "malformed model base line"
-    in
-    let stump line =
-      match String.split_on_char ' ' line with
-      | [ "stump"; f; th; l; r ] ->
-        let f = int_of_string f in
-        if f < 0 then failwith "negative stump feature";
-        {
-          s_feature = f;
-          s_threshold = float_of_string th;
-          s_left = float_of_string l;
-          s_right = float_of_string r;
-        }
-      | _ -> failwith "malformed stump line"
-    in
-    { base; stumps = List.map stump rest }
-
-let equal a b = to_string a = to_string b

@@ -1,7 +1,7 @@
 (** Pure-OCaml gradient-boosted stumps — the learned ranking model.
 
     Trained offline on {!Features} vectors with log-residual targets
-    (log observed∕predicted cycles of one region), applied online as a
+    (log observed∕predicted cycles of one region), applied as a
     multiplicative correction to the raw Eq.-2 cost. Fitting is greedy
     least-squares with deterministic tie-breaks (lowest feature index,
     then lowest threshold), so the same observations always produce the
@@ -20,11 +20,6 @@ type t = {
   stumps : stump list;
 }
 
-val constant : float -> t
-(** The 0-stump model predicting [base] everywhere. *)
-
-val n_stumps : t -> int
-
 val predict : t -> float array -> float
 
 val fit :
@@ -38,12 +33,3 @@ val fit :
     Stops early when every feature is constant on the (sub)sample.
     Raises [Invalid_argument] on empty input, negative [rounds], or
     [subsample] outside (0, 1]. *)
-
-val to_string : t -> string
-(** Canonical text form ([%h] hex floats — exact round-trip); the
-    artifact body {!Store} checksums. *)
-
-val of_string : string -> t
-(** Raises [Failure] on malformed input. *)
-
-val equal : t -> t -> bool

@@ -1,24 +1,12 @@
-module Compiler = Mikpoly_core.Compiler
 module Kernel_set = Mikpoly_core.Kernel_set
-module Polymerize = Mikpoly_core.Polymerize
-module Config = Mikpoly_core.Config
 module Calibration = Mikpoly_adapt.Calibration
 module Hardware = Mikpoly_accel.Hardware
-module Operator = Mikpoly_ir.Operator
-module Program = Mikpoly_ir.Program
-module Tm = Mikpoly_telemetry
-
-let m_rescues = Tm.Metrics.counter "rank.deadline_rescues"
 
 type t = {
   cal : Calibration.t;
   model : Model.t;
   hw : Hardware.t;
 }
-
-let model t = t.model
-let calibration t = t.cal
-let hardware t = t.hw
 
 let ceil_div a b = (a + b - 1) / b
 
@@ -50,11 +38,10 @@ let fit_arrays ~cal examples =
   in
   (* Boost what calibration leaves on the table: the log residual of the
      per-kernel-corrected prediction, not of raw Eq. 2 ([ex_target]) —
-     centered per shape. Ranking (and the search's visitation order) only
-     compares candidates {e within} one shape, so a shape-level offset is
-     invisible to the ranker's job while dominating the uncentered SSE;
-     removing it makes every boosting round spend its split on
-     cross-kernel structure. *)
+     centered per shape. Ranking only compares candidates {e within} one
+     shape, so a shape-level offset is invisible to the ranker's job while
+     dominating the uncentered SSE; removing it makes every boosting round
+     spend its split on cross-kernel structure. *)
   let residual (e : Dataset.example) =
     log
       (Float.max 1e-9 e.ex_observed
@@ -140,11 +127,6 @@ let warm_start ?rounds ?learning_rate ?seed ?(damping = 0.5) ~base ~hw
     hw;
   }
 
-let save ~path t = Store.save ~path t.hw (t.cal, t.model)
-
-let load ~path ~hw =
-  Result.map (fun (cal, model) -> { cal; model; hw }) (Store.load ~path hw)
-
 (* The ranking score: the calibrated Eq.-2 region cost scaled by the
    boosted residual. Exponentiating keeps the correction positive, and a
    zero-stump model degenerates to exactly calibrated Eq. 2. *)
@@ -157,17 +139,9 @@ let score t ~m ~n ~k ~um ~un ~uk ~wave_capacity ~n_tasks ~pipe =
   let raw = float_of_int waves *. pipe in
   Calibration.apply t.cal (um, un, uk) raw *. exp (Model.predict t.model features)
 
-let config_ranker t =
-  {
-    Config.rk_id = Features.schema_id;
-    rk_score =
-      (fun ~m ~n ~k ~um ~un ~uk ~wave_capacity ~n_tasks ~pipe ->
-        score t ~m ~n ~k ~um ~un ~uk ~wave_capacity ~n_tasks ~pipe);
-  }
-
-(* Shape-aware scorer for [Ranking.evaluate ?scorer]: same score as the
-   search-side oracle, reconstructed from the single-region candidate the
-   evaluator builds (raw = waves × pipe for that candidate). *)
+(* Shape-aware scorer for [Ranking.evaluate ?scorer]: [score],
+   reconstructed from the single-region candidate the evaluator builds
+   (raw = waves × pipe for that candidate). *)
 let ranking_scorer t (m, n, k) (e : Kernel_set.entry) raw =
   let d = e.desc in
   let n_tasks = ceil_div m d.um * ceil_div n d.un in
@@ -175,75 +149,3 @@ let ranking_scorer t (m, n, k) (e : Kernel_set.entry) raw =
   let pipe = raw /. float_of_int waves in
   score t ~m ~n ~k ~um:d.um ~un:d.un ~uk:d.uk
     ~wave_capacity:e.wave_capacity ~n_tasks ~pipe
-
-type ab = {
-  ab_shapes : int;
-  ab_identical : bool;
-  ab_first_hit_plain : int;
-  ab_first_hit_ranked : int;
-  ab_deadline_matches_plain : int;
-  ab_deadline_matches_ranked : int;
-  ab_rescues : int;
-}
-
-let deadline_ab ?(deadline_frac = 0.35) ~compiler t shapes =
-  let set = Compiler.kernels compiler in
-  let dtype = (Compiler.config compiler).Config.dtype in
-  (* Both arms run the calibrated-serving regime — the ranker's own
-     per-kernel correction as the search scorer, no analytic pruning
-     (it only applies to the plain Full objective) — with no deadline
-     first (the bit-identity oracle), then with the same fractional
-     budget of the plain search's modeled cost. The ranker's score is
-     the calibrated cost times its boosted residual, so best-first
-     visitation chases exactly what this search minimizes. *)
-  let scorer =
-    Polymerize.Calibrated (Calibration.correction_for_set t.cal set)
-  in
-  let cfg_plain =
-    {
-      (Compiler.config compiler) with
-      Config.ranker = None;
-      search_deadline_ms = 0.;
-      analytic_prune = false;
-    }
-  in
-  let cfg_rank = { cfg_plain with Config.ranker = Some (config_ranker t) } in
-  let identical = ref true in
-  let fh_plain = ref 0 and fh_ranked = ref 0 in
-  let dm_plain = ref 0 and dm_ranked = ref 0 in
-  let rescues = ref 0 in
-  let n = ref 0 in
-  List.iter
-    (fun (m, n_, k) ->
-      incr n;
-      let op = Operator.gemm ~dtype ~m ~n:n_ ~k () in
-      let run cfg = Polymerize.polymerize ~scorer ~instrument:false set cfg op in
-      let c0 = run cfg_plain in
-      let c1 = run cfg_rank in
-      let p0 = Program.to_string c0.program in
-      if Program.to_string c1.program <> p0 then identical := false;
-      fh_plain := !fh_plain + c0.first_hit;
-      fh_ranked := !fh_ranked + c1.first_hit;
-      let dms =
-        1e3 *. deadline_frac *. Polymerize.modeled_search_seconds c0
-      in
-      let cp = run { cfg_plain with Config.search_deadline_ms = dms } in
-      let cr = run { cfg_rank with Config.search_deadline_ms = dms } in
-      let plain_ok = Program.to_string cp.program = p0 in
-      let ranked_ok = Program.to_string cr.program = p0 in
-      if plain_ok then incr dm_plain;
-      if ranked_ok then incr dm_ranked;
-      if ranked_ok && not plain_ok then begin
-        incr rescues;
-        Tm.Metrics.incr m_rescues
-      end)
-    shapes;
-  {
-    ab_shapes = !n;
-    ab_identical = !identical;
-    ab_first_hit_plain = !fh_plain;
-    ab_first_hit_ranked = !fh_ranked;
-    ab_deadline_matches_plain = !dm_plain;
-    ab_deadline_matches_ranked = !dm_ranked;
-    ab_rescues = !rescues;
-  }

@@ -1,23 +1,16 @@
-(** The learned candidate-ordering oracle.
+(** The learned candidate ranker, an offline experiment.
 
     A two-stage predictor bound to the hardware it was fit on: a
     per-kernel {!Mikpoly_adapt.Calibration} of raw Eq. 2, with
     gradient-boosted stumps ({!Model}) fitted to the calibration's
     residuals over the shared {!Features}. A 0-stump ranker is exactly
     calibrated Eq. 2; boosting can only add the shape-dependent
-    structure per-kernel curves cannot express. Online it
-    plugs into the polymerization search as {!Mikpoly_core.Config.ranker}
-    — a {e visitation-order} hint only: Equation 2 remains the sole
-    pruning and tie-break authority, so with no
-    [search_deadline_ms] the chosen program is bit-identical with the
-    ranker on or off; under a deadline, best-first visitation is what
-    lets the truncated search keep the full-search winner. *)
+    structure per-kernel curves cannot express. It is judged offline
+    against calibrated Eq. 2 ({!Mikpoly_adapt.Ranking}); the online
+    search does not use it — its measured cost is far below any serving
+    budget, so it always runs to completion under Eq. 2 alone. *)
 
 type t
-
-val model : t -> Model.t
-val calibration : t -> Mikpoly_adapt.Calibration.t
-val hardware : t -> Mikpoly_accel.Hardware.t
 
 val train :
   ?rounds:int -> ?learning_rate:float -> ?seed:int ->
@@ -40,12 +33,6 @@ val warm_start :
     halves top-1 regret against a cold fit of the same size — the
     GPU→NPU gate of the ranking experiment. *)
 
-val save : path:string -> t -> unit
-val load :
-  path:string -> hw:Mikpoly_accel.Hardware.t -> (t, string) result
-(** {!Store} round-trip; [load] validates platform, fingerprint, feature
-    schema and checksum, and never raises. *)
-
 val score :
   t -> m:int -> n:int -> k:int -> um:int -> un:int -> uk:int ->
   wave_capacity:int -> n_tasks:int -> pipe:float -> float
@@ -53,16 +40,10 @@ val score :
     waves × pipe) scaled by the exponentiated boosted log-residual.
     Never negative. *)
 
-val config_ranker : t -> Mikpoly_core.Config.ranker
-(** Package {!score} as the search's candidate-ordering oracle;
-    [rk_id] is {!Features.schema_id} (cache-key-excluded — ordering
-    cannot change an un-truncated search's output). *)
-
 val ranking_scorer :
   t -> int * int * int -> Mikpoly_core.Kernel_set.entry -> float -> float
 (** Adapter for {!Mikpoly_adapt.Ranking.evaluate}'s [?scorer] hook:
-    rebuilds the search-side score from the evaluator's single-region
-    candidate. *)
+    rebuilds {!score} from the evaluator's single-region candidate. *)
 
 val calibration_of_examples :
   fingerprint:string -> Dataset.example list ->
@@ -71,30 +52,3 @@ val calibration_of_examples :
     examples the learner trains on — both the equal-information
     comparison the ranking experiment gates against and {!train}'s first
     stage. *)
-
-type ab = {
-  ab_shapes : int;
-  ab_identical : bool;
-      (** every shape's no-deadline program was bit-identical with the
-          ranker on and off — the ordering-soundness oracle *)
-  ab_first_hit_plain : int;  (** summed {!Mikpoly_core.Polymerize.compiled.first_hit}, plain order *)
-  ab_first_hit_ranked : int;  (** same, best-first order *)
-  ab_deadline_matches_plain : int;
-      (** shapes where the deadline-truncated plain search still found the
-          full-search winner *)
-  ab_deadline_matches_ranked : int;
-  ab_rescues : int;
-      (** shapes the ranked order saved: truncated-ranked matched the
-          full-search winner where truncated-plain did not (also counted
-          on the [rank.deadline_rescues] telemetry counter) *)
-}
-
-val deadline_ab :
-  ?deadline_frac:float -> compiler:Mikpoly_core.Compiler.t -> t ->
-  (int * int * int) list -> ab
-(** Per shape: run the calibrated-scorer search (the ranker's own
-    per-kernel correction, unpruned — the calibrated-serving regime) with
-    and without the ranker ordering, first untruncated (asserting
-    bit-identity), then under a [search_deadline_ms] budget of
-    [deadline_frac] (default 0.35) of the plain search's
-    {!Mikpoly_core.Polymerize.modeled_search_seconds}. Deterministic. *)

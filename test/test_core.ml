@@ -741,30 +741,38 @@ let test_compiler_invalidate_if () =
 
 (* --- Parallel search determinism --- *)
 
-(* The domain-parallel search contract: the chosen program, pattern and
-   predicted cost are bit-identical at every job count. The
-   candidates/pruned tallies are intentionally excluded — with a shared
-   bound they depend on domain scheduling. *)
+(* One line per search: program, exact cost and every tally. *)
+let search_tally (c : Polymerize.compiled) =
+  Printf.sprintf "%s|%h|%d|%d|%d|%d"
+    (Program.to_string c.Polymerize.program)
+    c.Polymerize.predicted_cost c.Polymerize.candidates c.Polymerize.pruned
+    c.Polymerize.pruned_analytic c.Polymerize.first_hit
+
 let compiled_fingerprint (c : Polymerize.compiled) =
   ( Pattern.to_string c.Polymerize.pattern,
     c.Polymerize.predicted_cost,
     Program.to_string c.Polymerize.program )
 
+(* The domain-parallel search contract: [search_batch] fans whole shapes
+   over the pool, and the chosen program, predicted cost and every tally
+   are bit-identical at every job count. *)
 let check_jobs_invariant ?scorer compiler cases =
   let kernels = Compiler.kernels compiler in
   let config = Compiler.config compiler in
-  List.iter
-    (fun (case : Mikpoly_workloads.Gemm_case.t) ->
-      let op = Operator.gemm ~m:case.m ~n:case.n ~k:case.k () in
-      let at jobs =
-        compiled_fingerprint
-          (Polymerize.polymerize ?scorer ~instrument:false ~jobs kernels
-             config op)
-      in
-      Alcotest.(check (triple string (float 0.) string))
-        (Mikpoly_workloads.Gemm_case.to_string case)
-        (at 1) (at 4))
-    cases
+  let ops =
+    Array.of_list
+      (List.map
+         (fun (case : Mikpoly_workloads.Gemm_case.t) ->
+           Operator.gemm ~m:case.m ~n:case.n ~k:case.k ())
+         cases)
+  in
+  let at ?min_chunk jobs =
+    Array.to_list
+      (Array.map search_tally
+         (Polymerize.search_batch ?scorer ~instrument:false ~jobs ?min_chunk
+            kernels config ops))
+  in
+  Alcotest.(check (list string)) "jobs=1 vs jobs=4" (at 1) (at ~min_chunk:1 4)
 
 let test_parallel_search_deterministic_gpu () =
   let cases =
@@ -898,8 +906,7 @@ let test_search_batch_shared_view_tallies () =
       c.Polymerize.candidates,
       c.Polymerize.pruned,
       c.Polymerize.pruned_analytic,
-      c.Polymerize.first_hit,
-      c.Polymerize.deadline_hit )
+      c.Polymerize.first_hit )
   in
   let expect =
     Array.map
@@ -914,6 +921,45 @@ let test_search_batch_shared_view_tallies () =
   in
   Alcotest.(check bool) "tallies identical under shared views" true
     (batched = expect)
+
+(* Every search statistic — program, exact predicted cost, candidates
+   scored, both prune tallies and the first-hit index — digested over a
+   fixed input set: a sample of the Table-3 suite on both platforms
+   under the plain model (analytic pruning on), a few shapes under the
+   simulator oracle, and a few under a calibrated scorer (the unpruned
+   path). The digest was recorded before the search's per-unit state was
+   folded into one, so any change to enumeration, counting or pruning
+   order shows here. *)
+let test_search_tallies_pinned () =
+  let every step =
+    List.filteri (fun i _ -> i mod step = 0) (Mikpoly_workloads.Suite.table3_gemm ())
+  in
+  let run ?scorer compiler cases =
+    List.map
+      (fun (case : Mikpoly_workloads.Gemm_case.t) ->
+        search_tally
+          (Polymerize.polymerize ?scorer ~instrument:false
+             (Compiler.kernels compiler) (Compiler.config compiler)
+             (Operator.gemm ~m:case.m ~n:case.n ~k:case.k ())))
+      cases
+  in
+  let gpu_c = Lazy.force gpu_compiler and npu_c = Lazy.force npu_compiler in
+  let calibrated =
+    Polymerize.Calibrated
+      (fun (e : Kernel_set.entry) x ->
+        x *. (1. +. (0.05 *. float_of_int (e.rank mod 5))))
+  in
+  let lines =
+    run gpu_c (every 16)
+    @ run npu_c (every 64)
+    @ run ~scorer:Polymerize.Simulate gpu_c (every 128)
+    @ run ~scorer:Polymerize.Simulate npu_c (every 256)
+    @ run ~scorer:calibrated gpu_c (every 64)
+    @ run ~scorer:calibrated npu_c (every 128)
+  in
+  Alcotest.(check string) "search tally digest"
+    "42891228860247f73c959c50502d9c5e"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
 
 let test_kernel_set_concurrent_create () =
   Kernel_set.clear_cache ();
@@ -1058,5 +1104,7 @@ let () =
             test_search_batch_matches_polymerize;
           Alcotest.test_case "shared views leave tallies unchanged" `Quick
             test_search_batch_shared_view_tallies;
+          Alcotest.test_case "search tallies pinned" `Quick
+            test_search_tallies_pinned;
         ] );
     ]

@@ -352,26 +352,6 @@ let test_ladder_full_search_rung () =
   Alcotest.(check bool) "not in safe mode" false
     (Mikpoly_core.Compiler.safe_mode compiler)
 
-let test_ladder_best_effort_rung () =
-  (* Analytic pruning off so the tiny budget is actually exceeded — with
-     it on, this shape's search fits the quota and stays on Full_search. *)
-  let config =
-    {
-      (Mikpoly_core.Config.default gpu) with
-      search_deadline_ms = 1e-3;
-      analytic_prune = false;
-    }
-  in
-  let compiler = Mikpoly_core.Compiler.create ~config gpu in
-  let c =
-    Mikpoly_core.Compiler.compile compiler
-      (Mikpoly_ir.Operator.gemm ~m:96 ~n:96 ~k:64 ())
-  in
-  Alcotest.(check bool) "deadline hit" true c.Mikpoly_core.Polymerize.deadline_hit;
-  let s = Mikpoly_core.Compiler.ladder_stats compiler in
-  Alcotest.(check int) "best effort" 1 s.Mikpoly_core.Compiler.best_effort;
-  Alcotest.(check int) "not full search" 0 s.Mikpoly_core.Compiler.full_search
-
 let test_ladder_rung_per_corruption_mode () =
   let config = Mikpoly_core.Config.default gpu in
   List.iter
@@ -636,8 +616,6 @@ let () =
         [
           Alcotest.test_case "full-search rung" `Quick
             test_ladder_full_search_rung;
-          Alcotest.test_case "best-effort rung under deadline" `Quick
-            test_ladder_best_effort_rung;
           Alcotest.test_case "safe-generic rung per corruption mode" `Quick
             test_ladder_rung_per_corruption_mode;
           Alcotest.test_case "intact and missing stores" `Quick

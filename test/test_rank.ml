@@ -1,24 +1,15 @@
-(* Tests for the learned candidate-ranking subsystem: feature-schema
-   identity, model fitting determinism and serialization round-trips,
-   dataset harvesting through the observer hook, artifact-store negative
-   paths (every corruption mode must come back as [Error], never an
-   exception, so the caller falls back to calibrated Eq. 2), and the
-   ordering-soundness invariant — an un-truncated search's program is
-   bit-identical with the ranker on or off. *)
+(* Tests for the learned candidate-ranking experiment: feature-schema
+   identity, model fitting determinism, dataset harvesting through the
+   observer hook, and the GPU->NPU warm start. *)
 
 open Mikpoly_rank
 module Hardware = Mikpoly_accel.Hardware
 module Compiler = Mikpoly_core.Compiler
-module Polymerize = Mikpoly_core.Polymerize
-module Config = Mikpoly_core.Config
 module Operator = Mikpoly_ir.Operator
-module Program = Mikpoly_ir.Program
 
 let gpu = Hardware.a100
 
 let gpu_compiler = lazy (Compiler.create gpu)
-
-let temp_path name = Filename.concat (Filename.get_temp_dir_name ()) name
 
 let train_shapes = [ (96, 256, 128); (512, 192, 320); (768, 640, 96) ]
 
@@ -66,14 +57,7 @@ let test_model_fit_deterministic () =
     Array.init n (fun i -> sin (float_of_int i) +. (0.1 *. float_of_int (i mod 5)))
   in
   let fit () = Model.fit ~rounds:32 ~learning_rate:0.2 ~features ~targets () in
-  Alcotest.(check bool) "same data, same model" true (Model.equal (fit ()) (fit ()));
-  let m = fit () in
-  let round_tripped = Model.of_string (Model.to_string m) in
-  Alcotest.(check bool) "serialize/parse round-trip" true
-    (Model.equal m round_tripped);
-  Alcotest.(check string) "byte-stable reserialization"
-    (Model.to_string m)
-    (Model.to_string round_tripped)
+  Alcotest.(check bool) "same data, same model" true (fit () = fit ())
 
 let test_model_reduces_training_error () =
   let n = 128 in
@@ -135,132 +119,6 @@ let test_sample_shapes_deterministic () =
       Alcotest.(check bool) "in range" true ok)
     a
 
-(* --- Artifact store: round-trip and every negative path --- *)
-
-let write_lines path lines =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> List.iter (fun l -> output_string oc (l ^ "\n")) lines)
-
-let read_lines path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let rec go acc =
-        match input_line ic with
-        | line -> go (line :: acc)
-        | exception End_of_file -> List.rev acc
-      in
-      go [])
-
-let check_rejected name path =
-  match Ranker.load ~path ~hw:gpu with
-  | Ok _ -> Alcotest.failf "%s: load accepted a corrupt artifact" name
-  | Error msg ->
-    Alcotest.(check bool)
-      (name ^ ": error message non-empty")
-      true
-      (String.length msg > 0)
-
-let test_store_roundtrip () =
-  let _, ranker = Lazy.force trained in
-  let path = temp_path "mikpoly_test_rank.model" in
-  Ranker.save ~path ranker;
-  (match Ranker.load ~path ~hw:gpu with
-  | Error e -> Alcotest.failf "load failed: %s" e
-  | Ok r ->
-    Alcotest.(check bool) "model round-trips" true
-      (Model.equal (Ranker.model ranker) (Ranker.model r));
-    (* The reloaded ranker must score identically. *)
-    let score r =
-      Ranker.score r ~m:777 ~n:1234 ~k:555 ~um:64 ~un:64 ~uk:64
-        ~wave_capacity:108 ~n_tasks:260 ~pipe:12.5
-    in
-    Alcotest.(check (float 0.)) "same score" (score ranker) (score r));
-  Sys.remove path
-
-let test_store_negative_paths () =
-  let _, ranker = Lazy.force trained in
-  let path = temp_path "mikpoly_test_rank_bad.model" in
-  Ranker.save ~path ranker;
-  let good = read_lines path in
-  let rewrite f = write_lines path (f good) in
-  (* Truncated: header only, body gone. *)
-  rewrite (fun lines -> List.filteri (fun i _ -> i < 3) lines);
-  check_rejected "truncated" path;
-  (* Unrecognized magic. *)
-  rewrite (function _ :: rest -> "not-a-ranker v9" :: rest | [] -> []);
-  check_rejected "bad magic" path;
-  (* Wrong platform: artifact written for the GPU, loaded as such, but
-     the header names another device. *)
-  rewrite (function
-    | magic :: _ :: rest -> magic :: ("hw " ^ Hardware.v100.Hardware.name) :: rest
-    | l -> l);
-  check_rejected "wrong platform" path;
-  (* Wrong fingerprint. *)
-  rewrite (function
-    | magic :: hw :: _ :: rest -> magic :: hw :: "fingerprint bogus" :: rest
-    | l -> l);
-  check_rejected "wrong fingerprint" path;
-  (* Wrong feature schema. *)
-  rewrite (function
-    | magic :: hw :: fp :: _ :: rest ->
-      magic :: hw :: fp :: "schema rank-fs-v999-dead" :: rest
-    | l -> l);
-  check_rejected "wrong schema" path;
-  (* Checksum mismatch: tamper with one body line, keep the header. *)
-  rewrite (fun lines ->
-      List.mapi
-        (fun i l -> if i = List.length lines - 1 then l ^ " tampered" else l)
-        lines);
-  check_rejected "checksum mismatch" path;
-  (* A model trained on one platform must not load on another even with
-     an intact file. *)
-  rewrite (fun _ -> good);
-  (match Ranker.load ~path ~hw:Hardware.ascend910 with
-  | Ok _ -> Alcotest.fail "GPU artifact loaded for the NPU"
-  | Error _ -> ());
-  (* And the genuine artifact still loads — the rewrites above did not
-     damage the reference copy. *)
-  (match Ranker.load ~path ~hw:gpu with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "pristine artifact rejected: %s" e);
-  Sys.remove path
-
-let test_load_missing_file () =
-  match Ranker.load ~path:(temp_path "mikpoly_no_such_rank.model") ~hw:gpu with
-  | Ok _ -> Alcotest.fail "missing file loaded"
-  | Error _ -> ()
-
-(* --- Ordering soundness: ranker on/off bit-identity, fewer first-hits --- *)
-
-let test_ranker_never_changes_program () =
-  let compiler = Lazy.force gpu_compiler in
-  let _, ranker = Lazy.force trained in
-  let set = Compiler.kernels compiler in
-  let cfg_plain =
-    { (Compiler.config compiler) with Config.search_deadline_ms = 0. }
-  in
-  let cfg_rank =
-    { cfg_plain with Config.ranker = Some (Ranker.config_ranker ranker) }
-  in
-  List.iter
-    (fun (m, n, k) ->
-      let op = Operator.gemm ~m ~n ~k () in
-      let plain = Polymerize.polymerize ~instrument:false set cfg_plain op in
-      let ranked = Polymerize.polymerize ~instrument:false set cfg_rank op in
-      Alcotest.(check string) "bit-identical program"
-        (Program.to_string plain.Polymerize.program)
-        (Program.to_string ranked.Polymerize.program);
-      Alcotest.(check (float 0.)) "same predicted cost"
-        plain.Polymerize.predicted_cost ranked.Polymerize.predicted_cost;
-      Alcotest.(check bool) "first-hit within candidate count" true
-        (ranked.Polymerize.first_hit >= 1
-        && ranked.Polymerize.first_hit <= ranked.Polymerize.candidates))
-    [ (777, 1234, 555); (96, 256, 128); (2048, 64, 512) ]
-
 let test_warm_start_produces_usable_ranker () =
   let _, ranker = Lazy.force trained in
   let npu = Hardware.ascend910 in
@@ -284,7 +142,7 @@ let () =
         [ Alcotest.test_case "schema identity" `Quick test_feature_schema ] );
       ( "model",
         [
-          Alcotest.test_case "fit deterministic + round-trip" `Quick
+          Alcotest.test_case "fit deterministic" `Quick
             test_model_fit_deterministic;
           Alcotest.test_case "boosting reduces SSE" `Quick
             test_model_reduces_training_error;
@@ -296,18 +154,8 @@ let () =
           Alcotest.test_case "sampled shapes deterministic" `Quick
             test_sample_shapes_deterministic;
         ] );
-      ( "store",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_store_roundtrip;
-          Alcotest.test_case "rejects every corruption mode" `Quick
-            test_store_negative_paths;
-          Alcotest.test_case "missing file is an Error" `Quick
-            test_load_missing_file;
-        ] );
       ( "ordering",
         [
-          Alcotest.test_case "ranker never changes the program" `Quick
-            test_ranker_never_changes_program;
           Alcotest.test_case "warm start yields a usable ranker" `Quick
             test_warm_start_produces_usable_ranker;
         ] );
