@@ -126,7 +126,8 @@ let micro_tests () =
      Array.iteri (fun i _ -> bufs.b_tile.(i) <- 1.) bufs.b_tile;
      let unrolled = Mikpoly_ir.Kernel_exec.unrolled kd in
      stage "executor: unrolled 64x64x64 micro-kernel" (fun () -> unrolled bufs));
-    (* serving: the per-launch cache probe on the scheduler's hot path. *)
+    (* serving: one replica-cache probe and refill, as the lookup ladder
+       takes per distinct shape of a step (not per launch). *)
     (let open Mikpoly_serve in
      let cache = Shape_cache.create ~capacity:64 in
      let i = ref 0 in

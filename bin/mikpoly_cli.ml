@@ -145,6 +145,10 @@ let offline jobs npu save load_path =
   0
 
 let show_patterns m n =
+  if m < 1 || n < 1 then begin
+    Printf.eprintf "patterns: need -m and -n >= 1 (got %d, %d)\n" m n;
+    exit 2
+  end;
   (* Render each pattern's region decomposition as a coarse grid. *)
   let width = 32 and height = 12 in
   List.iter

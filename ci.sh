@@ -97,8 +97,13 @@ check_report() {
 
 echo "== serve determinism =="
 # The single-tenant scheduler's CSV table: byte-identical across repeats
-# and --jobs counts, like the fleet and hetero reports below.
+# and --jobs counts, like the fleet and hetero reports below. Each
+# batcher runs; --cache 1 holds fewer programs than a step's distinct
+# shapes, so every step evicts between the per-shape cache probes.
 check_report stdout "" serve --quick --csv
+check_report stdout "" serve --quick --csv --batcher timeout
+check_report stdout "" serve --quick --csv --batcher slo
+check_report stdout "" serve --quick --csv --cache 1
 
 echo "== chaos smoke test =="
 # The seeded fault-injection A/B end to end: the subcommand exits
@@ -155,6 +160,8 @@ expect_usage_error() {
 missing=/nonexistent/d/x
 dune build bin/mikpoly_cli.exe
 expect_usage_error compile -m 0 -n 4 -k 4
+expect_usage_error patterns -m 0 -n 4
+expect_usage_error patterns -m 4 -n 0
 expect_usage_error verify --count 0
 for sub in graph fleet hetero chaos; do
   expect_usage_error "$sub" --quick --out "$missing"

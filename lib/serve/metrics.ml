@@ -38,9 +38,20 @@ let slo_met (c : Scheduler.completed) =
   ttft c <= s.Request.ttft && latency c <= s.Request.e2e
 
 let of_outcome (o : Scheduler.outcome) =
-  let pct p = function [] -> 0. | xs -> Stats.percentile p xs in
-  let lats = List.map latency o.completed in
-  let ttfts = List.map ttft o.completed in
+  let pcts ps = function
+    | [] -> List.map (fun _ -> 0.) ps
+    | xs -> Stats.percentiles ps xs
+  in
+  let latency_p50, latency_p95, latency_p99 =
+    match pcts [ 50.; 95.; 99. ] (List.map latency o.completed) with
+    | [ a; b; c ] -> (a, b, c)
+    | _ -> assert false
+  in
+  let ttft_p50, ttft_p95 =
+    match pcts [ 50.; 95. ] (List.map ttft o.completed) with
+    | [ a; b ] -> (a, b)
+    | _ -> assert false
+  in
   let tpots =
     List.filter_map
       (fun (c : Scheduler.completed) ->
@@ -72,11 +83,11 @@ let of_outcome (o : Scheduler.outcome) =
     timed_out = n_timed_out;
     failed = n_failed;
     retries = o.retries;
-    latency_p50 = pct 50. lats;
-    latency_p95 = pct 95. lats;
-    latency_p99 = pct 99. lats;
-    ttft_p50 = pct 50. ttfts;
-    ttft_p95 = pct 95. ttfts;
+    latency_p50;
+    latency_p95;
+    latency_p99;
+    ttft_p50;
+    ttft_p95;
     tpot_mean = (match tpots with [] -> 0. | l -> Stats.mean l);
     throughput_rps = per_second n_completed;
     goodput_rps = per_second n_met;

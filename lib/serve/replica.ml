@@ -127,30 +127,33 @@ let batch c s ~queued ~bucketing ~coalesce ~step_shapes =
 
 let lookup s ~now ~compile ~store ~on_store_hit shapes =
   let stall = ref 0. in
-  List.iter
-    (fun (shape, launches) ->
-      for _ = 1 to launches do
-        match Shape_cache.find s.cache shape with
-        | Some () -> ()
-        | None ->
-          let ready =
-            match store with
-            | Some st -> (
-              match Shape_cache.find st shape with
-              | Some at -> at <= now
-              | None -> false)
-            | None -> false
-          in
-          if ready then on_store_hit ()
-          else begin
-            stall := !stall +. compile shape;
-            Option.iter
-              (fun st -> Shape_cache.add st shape (now +. !stall))
-              store
-          end;
-          Shape_cache.add s.cache shape ()
-      done)
-    shapes;
+  (* One probe covers every launch left while the shape is resident; a
+     miss walks the rest of the ladder for one launch and probes again,
+     so a capacity-0 cache still pays the ladder on every launch. *)
+  let rec launch shape left =
+    if left > 0 then
+      match Shape_cache.find_n s.cache shape left with
+      | Some () -> ()
+      | None ->
+        let ready =
+          match store with
+          | Some st -> (
+            match Shape_cache.find st shape with
+            | Some at -> at <= now
+            | None -> false)
+          | None -> false
+        in
+        if ready then on_store_hit ()
+        else begin
+          stall := !stall +. compile shape;
+          Option.iter
+            (fun st -> Shape_cache.add st shape (now +. !stall))
+            store
+        end;
+        Shape_cache.add s.cache shape ();
+        launch shape (left - 1)
+  in
+  List.iter (fun (shape, launches) -> launch shape launches) shapes;
   !stall
 
 let next_step s =

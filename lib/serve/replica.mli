@@ -4,13 +4,14 @@
     [Mikpoly_hetero.Hetero.run] differ in queue discipline, placement and
     control planes, but each replica steps the same way: admitted
     requests join an in-flight batch, the batch's token count is padded
-    by a {!Bucketing} policy, every micro-kernel launch walks the program
-    lookup ladder (replica cache, then an optional shared ready-at store,
-    then an on-path compile that stalls the step — the paper's §5
-    online-overhead rule), and a successful step consumes each member's
-    prompt in one step, then decodes one token per step. A crash loses
-    the in-flight batch's progress and the replica's cache. This module
-    is that shared machinery; the loops keep only their policies.
+    by a {!Bucketing} policy, every micro-kernel launch is charged by the
+    program lookup ladder (replica cache, then an optional shared
+    ready-at store, then an on-path compile that stalls the step — the
+    paper's §5 online-overhead rule), and a successful step consumes
+    each member's prompt in one step, then decodes one token per step.
+    A crash loses the in-flight batch's progress and the replica's
+    cache. This module is that shared machinery; the loops keep only
+    their policies.
 
     ['a] is the loop's handle for an in-flight request: the request
     itself in {!Scheduler}, a tenant-tagged request in the fleets. *)
@@ -103,12 +104,18 @@ val lookup :
   on_store_hit:(unit -> unit) ->
   (Shape_cache.key * int) list ->
   float
-(** The program lookup ladder, once per micro-kernel launch: a hit in
-    the replica cache costs nothing; else a [store] entry ready at or
-    before [now] costs nothing (and calls [on_store_hit]); else the
-    launch compiles on the step's critical path and the program is
-    published to [store] as ready at [now + stall so far]. Either way
-    the program enters the replica cache. Returns the step's stall. *)
+(** The program lookup ladder for each [(shape, launches)] entry. Every
+    micro-kernel launch counts: a hit in the replica cache costs
+    nothing; else a [store] entry ready at or before [now] costs nothing
+    (and calls [on_store_hit]); else the launch compiles on the step's
+    critical path and the program is published to [store] as ready at
+    [now + stall so far]. Either way the program enters the replica
+    cache. The replica cache is probed once per distinct shape, not per
+    launch: a resident shape takes all its remaining launches as hits in
+    one {!Shape_cache.find_n}, and only a miss walks the rest of the
+    ladder launch by launch — so counters, recency, publish times and
+    the stall are those of one lookup per launch. Returns the step's
+    stall. *)
 
 val next_step : 'a slot -> int
 (** The slot's fault-draw step index; advances it, so a retried step

@@ -50,19 +50,21 @@ let size (t : _ t) = Hashtbl.length t.table
 
 let mem (t : _ t) key = Hashtbl.mem t.table key
 
-let touch (t : _ t) e =
-  t.tick <- t.tick + 1;
-  e.last_use <- t.tick
-
-let find (t : _ t) key =
+(* [n] finds of one key in one probe: a resident key stays resident
+   across them, so each is a hit and the last leaves its tick. *)
+let find_n (t : _ t) key n =
+  if n < 1 then invalid_arg "Shape_cache.find_n: n must be positive";
   match Hashtbl.find_opt t.table key with
   | Some e ->
-    touch t e;
-    t.hits <- t.hits + 1;
+    t.tick <- t.tick + n;
+    e.last_use <- t.tick;
+    t.hits <- t.hits + n;
     Some e.value
   | None ->
     t.misses <- t.misses + 1;
     None
+
+let find t key = find_n t key 1
 
 let evict_lru (t : _ t) =
   (* Ticks are unique, so the minimum is unambiguous regardless of the

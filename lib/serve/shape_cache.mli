@@ -49,6 +49,14 @@ val find : 'a t -> key -> 'a option
 (** Counts a hit or a miss and, on hit, marks the entry most recently
     used. *)
 
+val find_n : 'a t -> key -> int -> 'a option
+(** [find_n t key n] is [n] consecutive {!find}s of [key] in O(1): a
+    resident key takes [n] hits and ends most recently used, with the
+    recency clock advanced by [n] exactly as [n] finds advance it; an
+    absent key takes one miss, as the first of those finds would, and
+    the caller decides what the rest do. Raises [Invalid_argument] if
+    [n < 1]. *)
+
 val add : 'a t -> key -> 'a -> unit
 (** Insert (or refresh) a binding, evicting the least recently used
     entry if the cache is full (for a {!create_weighted} cache: the

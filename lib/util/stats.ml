@@ -20,21 +20,32 @@ let stddev xs =
   let var = mean (List.map (fun x -> (x -. m) ** 2.) xs) in
   sqrt var
 
-let sorted xs = List.sort compare xs
-
-let percentile p xs =
+(* One sort serves every requested percentile. The sort is stable and
+   [Float.compare] orders floats as polymorphic [compare] does, so equal
+   samples such as [-0.] and [0.] keep their input order and every
+   interpolated value keeps its bits. *)
+let percentiles ps xs =
   let xs = require_nonempty "Stats.percentile" xs in
-  if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range";
-  let arr = Array.of_list (sorted xs) in
+  List.iter
+    (fun p ->
+      if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range")
+    ps;
+  let arr = Array.of_list xs in
+  Array.stable_sort Float.compare arr;
   let n = Array.length arr in
-  if n = 1 then arr.(0)
-  else begin
-    let rank = p /. 100. *. float_of_int (n - 1) in
-    let lo = int_of_float (floor rank) in
-    let hi = min (n - 1) (lo + 1) in
-    let frac = rank -. float_of_int lo in
-    (arr.(lo) *. (1. -. frac)) +. (arr.(hi) *. frac)
-  end
+  List.map
+    (fun p ->
+      if n = 1 then arr.(0)
+      else begin
+        let rank = p /. 100. *. float_of_int (n - 1) in
+        let lo = int_of_float (floor rank) in
+        let hi = min (n - 1) (lo + 1) in
+        let frac = rank -. float_of_int lo in
+        (arr.(lo) *. (1. -. frac)) +. (arr.(hi) *. frac)
+      end)
+    ps
+
+let percentile p xs = List.hd (percentiles [ p ] xs)
 
 let median xs = percentile 50. xs
 

@@ -17,6 +17,11 @@ val median : float list -> float
 val percentile : float -> float list -> float
 (** [percentile p xs] with [p] in [\[0,100\]], linear interpolation. *)
 
+val percentiles : float list -> float list -> float list
+(** [percentiles ps xs] is [List.map (fun p -> percentile p xs) ps],
+    bit for bit, from one sort of [xs]; it raises as {!percentile} does
+    on an empty [xs] or a [p] out of range. *)
+
 val minimum : float list -> float
 
 val maximum : float list -> float

@@ -65,6 +65,40 @@ let test_cache_capacity_zero () =
   Alcotest.(check int) "miss counted" 1 s.Shape_cache.misses;
   Alcotest.(check int) "no eviction churn" 0 s.Shape_cache.evictions
 
+let test_cache_find_n () =
+  Alcotest.check_raises "n < 1"
+    (Invalid_argument "Shape_cache.find_n: n must be positive") (fun () ->
+      ignore (Shape_cache.find_n (Shape_cache.create ~capacity:2) (1, 1, 1) 0));
+  (* Twin caches: one probed by find_n, the other by n finds. *)
+  let fill () =
+    let c = Shape_cache.create ~capacity:3 in
+    List.iter (fun k -> Shape_cache.add c k ()) [ (1, 1, 1); (2, 2, 2); (3, 3, 3) ];
+    c
+  in
+  let bulk = fill () and single = fill () in
+  Alcotest.(check (option unit)) "resident: hit" (Some ())
+    (Shape_cache.find_n bulk (1, 1, 1) 5);
+  for _ = 1 to 5 do
+    ignore (Shape_cache.find single (1, 1, 1))
+  done;
+  let same what =
+    Alcotest.(check bool) (what ^ ": same stats") true
+      (Shape_cache.stats bulk = Shape_cache.stats single);
+    Alcotest.(check (list (triple int int int))) (what ^ ": same LRU order")
+      (Shape_cache.lru_order single) (Shape_cache.lru_order bulk)
+  in
+  same "resident";
+  Alcotest.(check int) "n hits" 5 (Shape_cache.stats bulk).hits;
+  (* An evicting add then picks the same victim after either probe. *)
+  Shape_cache.add bulk (4, 4, 4) ();
+  Shape_cache.add single (4, 4, 4) ();
+  same "after an evicting add";
+  Alcotest.(check (option unit)) "absent: miss" None
+    (Shape_cache.find_n bulk (2, 2, 2) 7);
+  ignore (Shape_cache.find single (2, 2, 2));
+  same "absent";
+  Alcotest.(check int) "one miss, not n" 1 (Shape_cache.stats bulk).misses
+
 (* --- Bucketing --- *)
 
 let test_bucketing_policies () =
@@ -471,6 +505,142 @@ let test_replica_ladder () =
        ~on_store_hit:ignore
        [ ((5, 5, 5), 3) ])
 
+(* The lookup ladder as it ran one probe per micro-kernel launch: the
+   reference [Replica.lookup] must match bit for bit. *)
+let per_launch_lookup (s : _ Replica.slot) ~now ~compile ~store ~on_store_hit
+    shapes =
+  let stall = ref 0. in
+  List.iter
+    (fun (shape, launches) ->
+      for _ = 1 to launches do
+        match Shape_cache.find s.cache shape with
+        | Some () -> ()
+        | None ->
+          let ready =
+            match store with
+            | Some st -> (
+              match Shape_cache.find st shape with
+              | Some at -> at <= now
+              | None -> false)
+            | None -> false
+          in
+          if ready then on_store_hit ()
+          else begin
+            stall := !stall +. compile shape;
+            Option.iter
+              (fun st -> Shape_cache.add st shape (now +. !stall))
+              store
+          end;
+          Shape_cache.add s.cache shape ()
+      done)
+    shapes;
+  !stall
+
+let ladder_shapes = [| (1, 1, 1); (2, 2, 2); (3, 3, 3); (4, 4, 4) |]
+
+(* Distinct, inexact costs, so a stall summed in another order or over
+   another number of compiles shows in its bits. *)
+let ladder_compile (m, _, _) = 0.1 *. float_of_int m
+
+let show_key (m, n, k) = Printf.sprintf "%d,%d,%d" m n k
+
+let show_stats (s : Shape_cache.stats) =
+  Printf.sprintf "hits=%d misses=%d ins=%d ev=%d size=%d cap=%d" s.hits s.misses
+    s.insertions s.evictions s.size s.capacity
+
+(* A case: the replica cache's capacity; an optional store (capacity,
+   and entries seeded ready 0.5 s before, at or 0.5 s after the first
+   step); then the steps, each a clock advance and its (shape, launches)
+   entries. *)
+type ladder_case =
+  int * (int * (int * int) list) option * (float * (int * int) list) list
+
+(* Everything a lookup can touch, run step by step: each step's stall
+   bits and the store hits so far, then both caches' stats, LRU order and
+   the store's ready times. *)
+let ladder_observations lookup ((capacity, store_spec, steps) : ladder_case) =
+  let slot = Replica.slot ~index:0 ~capacity in
+  let first = 1. in
+  let store =
+    Option.map
+      (fun (cap, seeded) ->
+        let st = Shape_cache.create ~capacity:cap in
+        List.iter
+          (fun (i, off) ->
+            let ready = first +. (0.5 *. float_of_int off) in
+            Shape_cache.add st ladder_shapes.(i) ready)
+          seeded;
+        st)
+      store_spec
+  in
+  let hits = ref 0 in
+  let now = ref first in
+  let per_step =
+    List.map
+      (fun (dt, entries) ->
+        now := !now +. dt;
+        let stall =
+          lookup slot ~now:!now ~compile:ladder_compile ~store
+            ~on_store_hit:(fun () -> incr hits)
+            (List.map (fun (i, n) -> (ladder_shapes.(i), n)) entries)
+        in
+        Printf.sprintf "stall=%h store_hits=%d" stall !hits)
+      steps
+  in
+  let cache_view c =
+    show_stats (Shape_cache.stats c)
+    :: List.map show_key (Shape_cache.lru_order c)
+  in
+  let store_view =
+    match store with
+    | None -> [ "no store" ]
+    | Some st ->
+      let view = cache_view st in
+      (* Read the ready times last: a find touches recency. *)
+      view
+      @ List.map
+          (fun k ->
+            match Shape_cache.find st k with
+            | Some at -> Printf.sprintf "%s@%h" (show_key k) at
+            | None -> "lost")
+          (Shape_cache.lru_order st)
+  in
+  per_step @ cache_view slot.cache @ store_view
+
+let arb_ladder_case =
+  let open QCheck in
+  let entry = Gen.(pair (int_bound 3) (int_bound 250)) in
+  let step =
+    Gen.(pair (oneofl [ 0.; 0.25; 1.; 5. ]) (list_size (int_range 1 6) entry))
+  in
+  let store =
+    Gen.(
+      opt
+        (pair (int_range 0 6)
+           (list_size (int_bound 4) (pair (int_bound 3) (int_range (-1) 1)))))
+  in
+  let print ((capacity, store_spec, steps) : ladder_case) =
+    Printf.sprintf "capacity=%d store=%s steps=%s" capacity
+      (match store_spec with
+      | None -> "none"
+      | Some (cap, seeded) ->
+        Printf.sprintf "cap %d seeded %s" cap
+          (Print.(list (pair int int)) seeded))
+      (Print.(list (pair float (list (pair int int)))) steps)
+  in
+  make ~print
+    Gen.(triple (oneofl [ 0; 1; 2; 3; 64 ]) store (list_size (int_range 1 5) step))
+
+let prop_lookup_matches_per_launch =
+  QCheck.Test.make ~name:"lookup: per-shape probe = per-launch ladder"
+    ~count:300 arb_ladder_case (fun case ->
+      let expected = ladder_observations per_launch_lookup case in
+      let got = ladder_observations Replica.lookup case in
+      if got <> expected then
+        QCheck.Test.fail_reportf "expected:\n%s\ngot:\n%s"
+          (String.concat "\n" expected) (String.concat "\n" got);
+      true)
+
 let test_replica_next_event () =
   let pending =
     ref [ (2., 0, "late"); (1., 2, "step"); (1., 1, "first"); (1., 1, "second") ]
@@ -517,16 +687,17 @@ let fingerprint ~digest ~steps ~makespan ~stall caches =
           (fun (s : Shape_cache.stats) -> Printf.sprintf "%d/%d" s.hits s.misses)
           caches))
 
-let test_scheduler_pinned () =
+let pinned_outcome () =
   let faults =
     Mikpoly_fault.Plan.make ~step_fail_rate:0.2 ~straggler_rate:0.1
       ~crashes:[ (0.05, 0); (0.15, 1) ]
       ~restart_delay:0.02 ~seed:5 ()
   in
-  let o =
-    Scheduler.run ~faults ~resilience:fast_retry config
-      (Scheduler.synthetic_engine ()) trace
-  in
+  Scheduler.run ~faults ~resilience:fast_retry config
+    (Scheduler.synthetic_engine ()) trace
+
+let test_scheduler_pinned () =
+  let o = pinned_outcome () in
   let digest =
     Scheduler.statuses o
     |> List.map (fun ((r : Request.t), st) ->
@@ -547,6 +718,67 @@ let test_scheduler_pinned () =
        ~steps:o.Scheduler.steps ~makespan:o.Scheduler.makespan
        ~stall:o.Scheduler.compile_stall_seconds o.Scheduler.cache)
 
+(* --- Pinned report ---
+
+   [Metrics.of_outcome] reduced to every count and the exact bits of
+   every float, on three outcomes: the pinned chaos run, a single
+   completion, and a run whose every attempt times out (no completions,
+   so each distribution is empty). *)
+
+let metrics_fingerprint (m : Metrics.t) =
+  Printf.sprintf
+    "req=%d done=%d drop=%d rej=%d tout=%d fail=%d retry=%d steps=%d \
+     lat=%h/%h/%h ttft=%h/%h tpot=%h thru=%h good=%h slo=%h tok=%h queue=%h \
+     hit=%h stall=%h adapt=%h pad=%h makespan=%h"
+    m.requests m.completed m.dropped m.rejected m.timed_out m.failed m.retries
+    m.steps m.latency_p50 m.latency_p95 m.latency_p99 m.ttft_p50 m.ttft_p95
+    m.tpot_mean m.throughput_rps m.goodput_rps m.slo_attainment
+    m.tokens_per_second m.mean_queue_depth m.cache_hit_rate
+    m.compile_stall_seconds m.adapt_stall_seconds m.padding_overhead m.makespan
+
+let test_metrics_pinned () =
+  let engine = Scheduler.synthetic_engine () in
+  let single =
+    Scheduler.run config engine [ req ~id:0 ~arrival:0.01 ~prompt:8 ~output:4 () ]
+  in
+  let none_done =
+    Scheduler.run
+      ~resilience:
+        {
+          fast_retry with
+          retry = { fast_retry.retry with Mikpoly_fault.Retry.max_attempts = 1 };
+          attempt_timeout = 1e-9;
+        }
+      config engine trace
+  in
+  Alcotest.(check (list string))
+    "fingerprints"
+    [
+      "req=24 done=24 drop=0 rej=0 tout=0 fail=0 retry=18 steps=96 \
+       lat=0x1.965719ed3c038p-7/0x1.b3c02722c0255p-6/0x1.31ee0fd94e2a3p-5 \
+       ttft=0x1.c331109890368p-8/0x1.fe984fa80c8f4p-7 \
+       tpot=0x1.c68f51dcf99fbp-9 thru=0x1.87042fb2c5d28p+5 \
+       good=0x1.87042fb2c5d28p+5 slo=0x1p+0 tok=0x1.08c02af6609bep+7 \
+       queue=0x1.5555555555555p-5 hit=0x1.eeaaaaaaaaaabp-1 \
+       stall=0x1.54c985f06f696p-8 adapt=0x0p+0 pad=0x1.6a7d881c3599p-1 \
+       makespan=0x1.f6d00f19d1ea5p-2";
+      "req=1 done=1 drop=0 rej=0 tout=0 fail=0 retry=0 steps=5 \
+       lat=0x1.b08cd03287e79p-7/0x1.b08cd03287e79p-7/0x1.b08cd03287e79p-7 \
+       ttft=0x1.8938a35f9612ap-8/0x1.8938a35f9612ap-8 \
+       tpot=0x1.3a95fe03a67dbp-9 thru=0x1.58d26a8bbfdbp+5 \
+       good=0x1.58d26a8bbfdbp+5 slo=0x1p+0 tok=0x1.58d26a8bbfdbp+7 \
+       queue=0x0p+0 hit=0x1.ccccccccccccdp-1 stall=0x1.a36e2eb1c432dp-11 \
+       adapt=0x0p+0 pad=0x1p+0 makespan=0x1.7c1d7256b497ap-6";
+      "req=24 done=0 drop=0 rej=0 tout=24 fail=0 retry=0 steps=23 \
+       lat=0x0p+0/0x0p+0/0x0p+0 ttft=0x0p+0/0x0p+0 tpot=0x0p+0 thru=0x0p+0 \
+       good=0x0p+0 slo=0x0p+0 tok=0x0p+0 queue=0x1.642c8590b2164p-2 \
+       hit=0x1.b7a6f4de9bd38p-1 stall=0x1.54c985f06f696p-8 adapt=0x0p+0 \
+       pad=0x1.78d4fdf3b6458p-3 makespan=0x1.f70e89924e78cp-2";
+    ]
+    (List.map
+       (fun o -> metrics_fingerprint (Metrics.of_outcome o))
+       [ pinned_outcome (); single; none_done ])
+
 let () =
   Alcotest.run "serve"
     [
@@ -555,6 +787,7 @@ let () =
           Alcotest.test_case "LRU eviction order" `Quick test_lru_eviction_order;
           Alcotest.test_case "stats counters" `Quick test_cache_stats_counters;
           Alcotest.test_case "capacity zero" `Quick test_cache_capacity_zero;
+          Alcotest.test_case "find_n" `Quick test_cache_find_n;
         ] );
       ( "bucketing",
         [
@@ -585,6 +818,7 @@ let () =
           Alcotest.test_case "poisson trace" `Quick test_poisson_trace_properties;
           Alcotest.test_case "heavy-tail traces" `Quick test_heavy_tail_traces;
           Alcotest.test_case "pinned chaos outcome" `Quick test_scheduler_pinned;
+          Alcotest.test_case "pinned report" `Quick test_metrics_pinned;
         ] );
       ( "replica",
         [
@@ -592,6 +826,7 @@ let () =
           Alcotest.test_case "evict and crash order" `Quick
             test_replica_evict_and_crash;
           Alcotest.test_case "lookup ladder" `Quick test_replica_ladder;
+          QCheck_alcotest.to_alcotest prop_lookup_matches_per_launch;
           Alcotest.test_case "next event" `Quick test_replica_next_event;
         ] );
     ]

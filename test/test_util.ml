@@ -114,6 +114,53 @@ let test_stats_percentile () =
   check_float "p100" 100. (Stats.percentile 100. xs);
   check_float "p50" 50. (Stats.percentile 50. xs)
 
+(* The percentile as it was computed before the one-sort batch: one
+   polymorphic-compare sort per requested percentile. *)
+let reference_percentile p xs =
+  let arr = Array.of_list (List.sort compare xs) in
+  let n = Array.length arr in
+  if n = 1 then arr.(0)
+  else begin
+    let rank = p /. 100. *. float_of_int (n - 1) in
+    let lo = int_of_float (floor rank) in
+    let hi = min (n - 1) (lo + 1) in
+    let frac = rank -. float_of_int lo in
+    (arr.(lo) *. (1. -. frac)) +. (arr.(hi) *. frac)
+  end
+
+(* Samples rich in ties: duplicates, both zeros (equal under compare, so
+   only a stable sort keeps their order and the sign of an interpolated
+   zero), infinities, and single-element lists. *)
+let arb_percentile_case =
+  let open QCheck in
+  let sample =
+    Gen.(
+      frequency
+        [
+          (3, oneofl [ 0.; -0.; 1.; -1.; 2.5; infinity; neg_infinity; 1e-300 ]);
+          (2, float_range (-10.) 10.);
+        ])
+  in
+  let ps =
+    Gen.(
+      list_size (int_range 1 5)
+        (frequency
+           [ (2, oneofl [ 0.; 50.; 95.; 99.; 100. ]); (1, float_range 0. 100.) ]))
+  in
+  make
+    ~print:
+      Print.(pair (list (fun p -> Printf.sprintf "%h" p))
+        (list (fun x -> Printf.sprintf "%h" x)))
+    Gen.(pair ps (list_size (int_range 1 40) sample))
+
+let prop_percentiles_match_reference =
+  QCheck.Test.make ~name:"percentiles: bit-identical to one sort per p"
+    ~count:500 arb_percentile_case (fun (ps, xs) ->
+      let bits = List.map Int64.bits_of_float in
+      let expected = bits (List.map (fun p -> reference_percentile p xs) ps) in
+      bits (Stats.percentiles ps xs) = expected
+      && bits (List.map (fun p -> Stats.percentile p xs) ps) = expected)
+
 let test_stats_stddev () =
   check_float "stddev" 2. (Stats.stddev [ 2.; 4.; 4.; 4.; 5.; 5.; 7.; 9. ])
 
@@ -467,6 +514,7 @@ let () =
           Alcotest.test_case "geomean equal" `Quick test_stats_geomean_simple;
           Alcotest.test_case "median" `Quick test_stats_median;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
+          qtest prop_percentiles_match_reference;
           Alcotest.test_case "stddev" `Quick test_stats_stddev;
           Alcotest.test_case "min/max/sum" `Quick test_stats_minmax_sum;
           Alcotest.test_case "pearson" `Quick test_stats_pearson;
