@@ -9,11 +9,14 @@
 
    Usage: main.exe [--quick] [--only STAGE,...] [ids...]
 
-   Stages, in run order: experiments, micro, telemetry, parallel, graph,
-   adapt, resilience, fleet, rank, hetero. Every stage runs unless
-   [--only] names a subset. A failing stage does not stop the others:
-   each failure is printed and the run exits 1 at the end. [ids]
-   restrict the experiments stage to those experiment ids. *)
+   Stages, in run order: experiments, micro, telemetry (writes
+   BENCH_telemetry.json) and parallel (writes BENCH_parallel.json).
+   Every stage runs unless [--only] names a subset. A failing stage does
+   not stop the others: each failure is printed and the run exits 1 at
+   the end. [ids] restrict the experiments stage to those experiment
+   ids. The gated subsystem reports (BENCH_graph/fleet/rank/hetero/
+   resilience.json) have one producer, [mikpoly_cli graph|fleet|rank|
+   hetero|chaos --out]. *)
 
 open Bechamel
 open Toolkit
@@ -42,14 +45,6 @@ let write_file path contents =
     ~finally:(fun () -> close_out oc)
     (fun () -> output_string oc contents);
   Printf.printf "wrote %s\n%!" path
-
-(* Print each failed gate to stderr; fail the stage if any did. *)
-let check_gates name gates =
-  let prefix = name ^ " bench: gate failed" in
-  if not (Mikpoly_experiments.Exp.report_failed_gates ~prefix gates) then
-    fail "%d of %d gates failed"
-      (List.length (Mikpoly_experiments.Exp.failed_gates gates))
-      (List.length gates)
 
 let experiments () =
   match selected_ids with
@@ -488,232 +483,12 @@ let run_parallel_bench () =
   in
   write_file "BENCH_parallel.json" (Json.to_string json)
 
-(* --- Online adaptation: drift scenario plus a serving SLO A/B ---
-
-   Runs the lib/adapt drift scenario (the cost model goes stale halfway
-   through an observation trace) and asserts the acceptance criteria hard:
-   held-out Kendall-tau strictly improves after calibration with top-1
-   regret no worse, the detector fires, and attaching the adaptation loop
-   to a healthy serving deployment does not hurt SLO attainment. Writes
-   BENCH_adapt.json. *)
-
-let run_adapt_bench () =
-  let open Mikpoly_telemetry in
-  let hw = Mikpoly_accel.Hardware.a100 in
-  let compiler = Mikpoly_core.Compiler.create hw in
-  let trace = if quick then 32 else 48 in
-  let r = Mikpoly_adapt.Scenario.run ~trace compiler in
-  let stats = Mikpoly_adapt.Adapter.stats r.adapter in
-  Printf.printf
-    "adapt drift scenario: tau %.4f -> %.4f, regret %.2f%% -> %.2f%%, %d \
-     drift event(s) after %d observation(s), stall %s\n%!"
-    r.before.tau r.after.tau
-    (100. *. r.before.top1_regret)
-    (100. *. r.after.top1_regret)
-    stats.drift_events r.reaction_observations
-    (Mikpoly_util.Table.fmt_time_us r.stall_seconds);
-  if stats.drift_events < 1 then fail "the drift detector never fired";
-  if not (r.after.tau > r.before.tau) then
-    fail "calibration did not improve Kendall-tau (%.4f -> %.4f)" r.before.tau
-      r.after.tau;
-  if r.after.top1_regret > r.before.top1_regret +. 1e-9 then
-    fail "top-1 regret regressed (%.4f -> %.4f)" r.before.top1_regret
-      r.after.top1_regret;
-  (* Serving A/B on a healthy device: same trace and config, with and
-     without the adaptation loop attached. The detector must stay quiet
-     and SLO attainment must not drop. *)
-  let serve_config =
-    {
-      Mikpoly_serve.Scheduler.replicas = 2;
-      batcher = Mikpoly_serve.Batcher.Greedy { max_batch = 32 };
-      bucketing = Mikpoly_serve.Bucketing.Aligned 8;
-      cache_capacity = 64;
-    }
-  in
-  let requests =
-    Mikpoly_serve.Request.poisson ~seed:0x5E2 ~rate:30.
-      ~count:(if quick then 16 else 48)
-      ~max_prompt:64 ~max_output:8 ()
-  in
-  let serve_metrics ~adapted =
-    let c = Mikpoly_core.Compiler.create hw in
-    let adapter =
-      if adapted then Some (Mikpoly_adapt.Adapter.create c) else None
-    in
-    let adapt =
-      Option.map
-        (fun a () -> Mikpoly_adapt.Adapter.drain_stall_seconds a)
-        adapter
-    in
-    let engine = Mikpoly_serve.Scheduler.mikpoly_engine c in
-    Mikpoly_serve.Metrics.of_outcome
-      (Mikpoly_serve.Scheduler.run ?adapt serve_config engine requests)
-  in
-  let without = serve_metrics ~adapted:false in
-  let with_adapt = serve_metrics ~adapted:true in
-  Printf.printf
-    "adapt serving A/B: SLO attainment %.1f%% without vs %.1f%% with \
-     adaptation (adapt stall %s)\n%!"
-    (100. *. without.slo_attainment)
-    (100. *. with_adapt.slo_attainment)
-    (Mikpoly_util.Table.fmt_time_us with_adapt.adapt_stall_seconds);
-  if with_adapt.slo_attainment < without.slo_attainment -. 1e-9 then
-    fail "SLO attainment regressed with adaptation (%.4f -> %.4f)"
-      without.slo_attainment with_adapt.slo_attainment;
-  let json =
-    Json.Obj
-      [
-        ("trace_length", Json.Number (float_of_int r.trace_length));
-        ("tau_before", Json.Number r.before.tau);
-        ("tau_after", Json.Number r.after.tau);
-        ("top1_regret_before", Json.Number r.before.top1_regret);
-        ("top1_regret_after", Json.Number r.after.top1_regret);
-        ("holdout_shapes", Json.Number (float_of_int r.before.samples));
-        ("drift_events", Json.Number (float_of_int stats.drift_events));
-        ( "drift_reaction_observations",
-          Json.Number (float_of_int r.reaction_observations) );
-        ("programs_invalidated", Json.Number (float_of_int stats.invalidated));
-        ("hot_shapes_recompiled", Json.Number (float_of_int stats.recompiles));
-        ("recompile_stall_seconds", Json.Number r.stall_seconds);
-        ("serving_slo_without_adapt", Json.Number without.slo_attainment);
-        ("serving_slo_with_adapt", Json.Number with_adapt.slo_attainment);
-        ( "serving_adapt_stall_seconds",
-          Json.Number with_adapt.adapt_stall_seconds );
-      ]
-  in
-  write_file "BENCH_adapt.json" (Json.to_string json)
-
-(* Resilience chaos bench: the acceptance gate of the fault-injection
-   plane.
-
-   Runs the canonical seeded chaos A/B (the same fault plan with and
-   without the resilience machinery) and asserts hard: faults were
-   actually injected in both arms, no request was lost silently in
-   either arm, SLO attainment with resilience strictly beats without,
-   and the per-request terminal-status digests are bit-identical at 1
-   and 4 worker domains. Writes BENCH_resilience.json. *)
-
-let run_resilience_bench () =
-  let module R = Mikpoly_serve.Resilience in
-  let module E = Mikpoly_experiments.Exp_resilience in
-  let compiler = Mikpoly_core.Compiler.create Mikpoly_accel.Hardware.a100 in
-  let ab, n_req = E.chaos_ab ~jobs:1 ~quick compiler in
-  let ab4, _ = E.chaos_ab ~jobs:4 ~quick compiler in
-  let on = ab.R.with_resilience and off = ab.R.without_resilience in
-  Printf.printf
-    "resilience chaos A/B: %d requests, %d injected fault(s) (%d crash(es)); \
-     SLO attainment %.1f%% with resilience vs %.1f%% without; %d retried \
-     attempt(s); silent losses %d/%d\n%!"
-    n_req on.R.injected_faults on.R.crashes
-    (100. *. on.R.metrics.Mikpoly_serve.Metrics.slo_attainment)
-    (100. *. off.R.metrics.Mikpoly_serve.Metrics.slo_attainment)
-    on.R.metrics.Mikpoly_serve.Metrics.retries on.R.silent_losses
-    off.R.silent_losses;
-  let jobs_invariant =
-    {
-      Mikpoly_experiments.Exp.gate_name = "jobs_invariant";
-      gate_ok =
-        ab4.R.with_resilience.R.status_digest = on.R.status_digest
-        && ab4.R.without_resilience.R.status_digest = off.R.status_digest;
-      gate_detail = "outcomes differ across worker-domain counts";
-    }
-  in
-  check_gates "resilience" (E.gates ab @ [ jobs_invariant ]);
-  write_file "BENCH_resilience.json"
-    (Mikpoly_telemetry.Json.to_string
-       (E.ab_json ab ~requests:n_req
-          [ ("jobs_invariant", Mikpoly_telemetry.Json.Bool true) ]))
-
-(* --- Gated subsystem reports: acceptance gates + jobs invariance ---
-
-   Each row renders one subsystem's experiment report on a fresh
-   compiler: its JSON (simulated quantities only) and its acceptance
-   gates. The runner renders at 1 and at 4 worker domains, requires the
-   byte-identical report, asserts every gate, then writes
-   BENCH_<name>.json.
-
-   - graph: the lib/graph pipeline (rewrite passes, memory planning,
-     pipelined compile/execute) over the model-graph suite plus the
-     whole-graph vs per-operator serving A/B — pipelining strictly beats
-     sequential on every model and binding, rewriting strictly shrinks
-     every model, planning never exceeds naive allocation, whole-graph
-     SLO attainment is at least the per-op stream's.
-   - fleet: WFQ + coalescing + warm store + autoscaler vs the
-     tenant-blind scheduler on the heavy-tail multi-tenant trace — fleet
-     goodput beats the baseline at equal replicas, no tier starved and
-     the tier order respected, coalescing strictly cuts compile stalls,
-     the warm store engages, the autoscaler meets SLO on fewer
-     replica-seconds than the static fleet.
-   - rank: the lib/rank offline ranker under the stale-model drift
-     regime on both fingerprints — held-out tau and top-1 regret
-     strictly better than calibrated Eq. 2, and the GPU→NPU warm start
-     beats a cold fit. The online search does not use the ranker.
-   - hetero: the mixed GPU+NPU fleet against the equal-PE single-backend
-     baselines and the chaos failover pair — mixed strictly beats both
-     on goodput, failover strictly beats no-failover on SLO attainment
-     under the same outage, the breaker trips and re-closes, hedges and
-     the brown-out ladder engage, no admitted request silently lost. *)
-
-let gated_reports =
-  let module Ex = Mikpoly_experiments in
-  let a100 () = Mikpoly_core.Compiler.create Mikpoly_accel.Hardware.a100 in
-  [
-    ( "graph",
-      fun () ->
-        let compiler = a100 () in
-        let runs = Ex.Exp_graph.model_runs ~quick compiler in
-        let serving = Ex.Exp_graph.serving_ab ~quick compiler in
-        (Ex.Exp_graph.json ~quick runs serving, Ex.Exp_graph.gates runs serving) );
-    ( "fleet",
-      fun () ->
-        let r = Ex.Exp_fleet.results ~quick (a100 ()) in
-        (Ex.Exp_fleet.json r, Ex.Exp_fleet.gates r) );
-    ( "rank",
-      fun () ->
-        let r = Ex.Exp_rank.results ~quick in
-        (Ex.Exp_rank.json r, Ex.Exp_rank.gates r) );
-    ( "hetero",
-      fun () ->
-        let r = Ex.Exp_hetero.results ~quick in
-        (Ex.Exp_hetero.json r, Ex.Exp_hetero.gates r) );
-  ]
-
-let run_gated_report name render () =
-  let module Dp = Mikpoly_util.Domain_pool in
-  let saved_jobs = Dp.default_jobs () in
-  let at jobs =
-    Dp.set_default_jobs jobs;
-    let json, gates = render () in
-    (Mikpoly_telemetry.Json.to_string json, gates)
-  in
-  let (json1, gates), (json4, _) =
-    Fun.protect
-      ~finally:(fun () -> Dp.set_default_jobs saved_jobs)
-      (fun () ->
-        let r1 = at 1 in
-        (r1, at 4))
-  in
-  if json1 <> json4 then fail "report at jobs=4 differs from jobs=1";
-  check_gates name gates;
-  Printf.printf "%s bench: %d gates hold, report identical across --jobs\n"
-    name (List.length gates);
-  write_file ("BENCH_" ^ name ^ ".json") json1
-
 let stages =
-  let gated name =
-    (name, run_gated_report name (List.assoc name gated_reports))
-  in
   [
     ("experiments", run_experiments);
     ("micro", run_micro);
     ("telemetry", run_telemetry_overhead);
     ("parallel", run_parallel_bench);
-    gated "graph";
-    ("adapt", run_adapt_bench);
-    ("resilience", run_resilience_bench);
-    gated "fleet";
-    gated "rank";
-    gated "hetero";
   ]
 
 let () =

@@ -242,11 +242,11 @@ let serve jobs seed quick csv npu adapt_on replicas requests rate cache bucket
     match requests with Some n -> n | None -> if quick then 16 else 96
   in
   if replicas < 1 || count < 1 || cache < 0 || max_batch < 1
-     || not (rate > 0.) || not (window >= 0.)
+     || not (rate > 0.) || not (window >= 0. && Float.is_finite window)
   then begin
     Printf.eprintf
       "serve: need --replicas >= 1, --requests >= 1, --cache >= 0, \
-       --max-batch >= 1, --rate > 0 and --window >= 0\n";
+       --max-batch >= 1, --rate > 0 and a finite --window >= 0\n";
     exit 2
   end;
   let trace =
@@ -326,7 +326,7 @@ let adapt jobs seed quick csv npu severity trace_len save_path =
   set_jobs jobs;
   set_seed seed;
   let open Mikpoly_adapt in
-  if severity < 0. || severity >= 1. then begin
+  if not (severity >= 0. && severity < 1.) then begin
     Printf.eprintf "bad --severity: %g (expected 0 <= s < 1)\n" severity;
     exit 2
   end;
@@ -687,6 +687,16 @@ let adapt_flag =
            prediction residuals, detect drift and charge recompilations \
            on the serving event clock.")
 
+(* The report file of the five gated report subcommands. *)
+let out_arg name =
+  Arg.(
+    value
+    & opt string ("BENCH_" ^ name ^ ".json")
+    & info [ "out" ] ~docv:"FILE"
+        ~doc:
+          "Report file. Contains only simulated quantities, so runs are \
+           byte-identical at any $(b,--jobs) count.")
+
 let ids_arg =
   Arg.(value & pos_all string [] & info [] ~docv:"EXPERIMENT" ~doc:"Experiment ids (default: all).")
 
@@ -810,17 +820,10 @@ let chaos_cmd =
      resilience) plus the corrupted-store degradation-ladder check, and \
      write a machine-readable report"
   in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_resilience.json"
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "Report file. Contains only simulated quantities, so runs with \
-             the same seed are byte-identical at any $(b,--jobs) count.")
-  in
   Cmd.v (Cmd.info "chaos" ~doc)
-    Term.(const chaos $ jobs_arg $ seed_arg $ quick_flag $ csv_flag $ out)
+    Term.(
+      const chaos $ jobs_arg $ seed_arg $ quick_flag $ csv_flag
+      $ out_arg "resilience")
 
 let graph_cmd =
   let doc =
@@ -829,17 +832,8 @@ let graph_cmd =
      whole-graph vs per-operator serving A/B) and write a machine-readable \
      report"
   in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_graph.json"
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "Report file. Contains only simulated quantities, so runs are \
-             byte-identical at any $(b,--jobs) count.")
-  in
   Cmd.v (Cmd.info "graph" ~doc)
-    Term.(const graph $ jobs_arg $ quick_flag $ csv_flag $ out)
+    Term.(const graph $ jobs_arg $ quick_flag $ csv_flag $ out_arg "graph")
 
 let fleet_cmd =
   let doc =
@@ -847,15 +841,6 @@ let fleet_cmd =
      queueing, shape-aware coalescing, learned warm store, \
      telemetry-driven autoscaling) against the tenant-blind scheduler \
      and write a machine-readable report"
-  in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_fleet.json"
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "Report file. Contains only simulated quantities, so runs are \
-             byte-identical at any $(b,--jobs) count.")
   in
   let store =
     Arg.(
@@ -868,7 +853,8 @@ let fleet_cmd =
              admissible bucket program before serving.")
   in
   Cmd.v (Cmd.info "fleet" ~doc)
-    Term.(const fleet $ jobs_arg $ quick_flag $ csv_flag $ out $ store)
+    Term.(
+      const fleet $ jobs_arg $ quick_flag $ csv_flag $ out_arg "fleet" $ store)
 
 let hetero_cmd =
   let doc =
@@ -877,17 +863,8 @@ let hetero_cmd =
      ladder, hedged dispatch) against equal-PE single-backend fleets \
      and the chaos failover A/B, and write a machine-readable report"
   in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_hetero.json"
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "Report file. Contains only simulated quantities, so runs are \
-             byte-identical at any $(b,--jobs) count.")
-  in
   Cmd.v (Cmd.info "hetero" ~doc)
-    Term.(const hetero $ jobs_arg $ quick_flag $ csv_flag $ out)
+    Term.(const hetero $ jobs_arg $ quick_flag $ csv_flag $ out_arg "hetero")
 
 let rank_cmd =
   let doc =
@@ -896,17 +873,9 @@ let rank_cmd =
      shapes (both fingerprints), check GPU->NPU transfer, and write a \
      machine-readable report"
   in
-  let out =
-    Arg.(
-      value
-      & opt string "BENCH_rank.json"
-      & info [ "out" ] ~docv:"FILE"
-          ~doc:
-            "Report file. Contains only simulated quantities, so runs are \
-             byte-identical at any $(b,--jobs) count.")
-  in
   Cmd.v (Cmd.info "rank" ~doc)
-    Term.(const rank $ jobs_arg $ seed_arg $ quick_flag $ csv_flag $ out)
+    Term.(
+      const rank $ jobs_arg $ seed_arg $ quick_flag $ csv_flag $ out_arg "rank")
 
 let verify_cmd =
   let doc = "Numerically verify compiled programs against the reference GEMM" in
@@ -968,13 +937,29 @@ let main =
       verify_cmd;
       profile_cmd; validate_trace_cmd ]
 
-(* A file named on the command line that cannot be written is a bad
-   argument, not an internal error: one line on stderr and exit 2, the
-   same contract as every other rejected flag. Anything else keeps
-   Cmdliner's internal-error report. *)
+(* A malformed command line (an unknown flag, a value of the wrong type)
+   and a file named on it that cannot be written are bad arguments, not
+   internal errors: one line on stderr and exit 2, the same contract as
+   every other rejected flag. Cmdliner's parse report is its message
+   line followed by a usage hint; only the message is kept. Anything
+   else keeps Cmdliner's internal-error report. *)
 let () =
-  match Cmd.eval' ~catch:false main with
-  | code -> exit code
+  let err = Buffer.create 256 in
+  let err_ppf = Format.formatter_of_buffer err in
+  (* No line wrapping: a long message must stay on its one line. *)
+  Format.pp_set_margin err_ppf 1_000_000;
+  match Cmd.eval_value ~err:err_ppf ~catch:false main with
+  | Ok (`Ok code) -> exit code
+  | Ok (`Help | `Version) -> exit 0
+  | Error (`Parse | `Term) ->
+    Format.pp_print_flush err_ppf ();
+    let report = Buffer.contents err in
+    prerr_endline
+      (match String.index_opt report '\n' with
+      | Some i -> String.sub report 0 i
+      | None -> report);
+    exit 2
+  | Error `Exn -> exit Cmd.Exit.internal_error
   | exception Sys_error e ->
     Printf.eprintf "mikpoly_cli: %s\n" e;
     exit 2

@@ -1,6 +1,5 @@
 (** End-to-end drift scenario: the repeatable harness behind the [adapt]
-    CLI subcommand, the [adaptation] experiment, the bench stage and the
-    tests.
+    CLI subcommand, the [adaptation] experiment and the tests.
 
     The scenario serves a deterministic trace of GEMM shapes through an
     adapter-instrumented compiler; halfway through, the execution hardware

@@ -36,7 +36,7 @@ val speedup_table : title:string -> Mikpoly_util.Table.t
 
 type gate = { gate_name : string; gate_ok : bool; gate_detail : string }
 (** One hard acceptance claim of a subsystem experiment, as checked by
-    its CLI subcommand, its bench stage and its JSON report. *)
+    its CLI subcommand and recorded in its JSON report. *)
 
 val failed_gates : gate list -> gate list
 

@@ -155,7 +155,7 @@ let results ~quick compiler =
            ~replicas ());
   }
 
-(* --- Acceptance gates (shared by the CLI subcommand and the bench) --- *)
+(* --- Acceptance gates (asserted by the CLI subcommand) --- *)
 
 let attainment r tier =
   match

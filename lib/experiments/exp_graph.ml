@@ -150,7 +150,7 @@ let serving_ab ~quick compiler =
     sr_ops_per_request = n_ops;
   }
 
-(* Acceptance gates, shared by the CLI subcommand and the bench stage.
+(* Acceptance gates, asserted by the CLI subcommand.
    Every gate is a hard claim of the subsystem: pipelining strictly
    beats sequential compile-then-execute on every (model, binding),
    rewriting strictly shrinks every model, planning never allocates

@@ -229,7 +229,7 @@ let results ~quick =
         tagged;
   }
 
-(* --- Acceptance gates (shared by the CLI subcommand and the bench) --- *)
+(* --- Acceptance gates (asserted by the CLI subcommand) --- *)
 
 let class_stat r name f =
   match

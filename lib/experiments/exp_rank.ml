@@ -132,7 +132,7 @@ let results ~quick =
     r_transfer_examples = List.length small_examples;
   }
 
-(* --- Acceptance gates (shared by the CLI subcommand and the bench) --- *)
+(* --- Acceptance gates (asserted by the CLI subcommand) --- *)
 
 let tau_gate name (arm : arm) =
   {

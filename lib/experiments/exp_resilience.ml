@@ -48,9 +48,9 @@ let chaos_trace ~quick =
     ~max_output:(if quick then 8 else 48)
     ()
 
-(* The canonical chaos A/B, shared with [mikpoly_cli chaos] and the
-   resilience bench stage so every gate judges the same scenario. *)
-let chaos_ab ?jobs ~quick compiler =
+(* The canonical chaos A/B, shared by this experiment and
+   [mikpoly_cli chaos] so every gate judges the same scenario. *)
+let chaos_ab ~quick compiler =
   let requests = chaos_trace ~quick in
   let horizon =
     List.fold_left (fun acc r -> Float.max acc (Request.deadline r)) 1. requests
@@ -61,8 +61,8 @@ let chaos_ab ?jobs ~quick compiler =
       ~replicas:serve_config.Scheduler.replicas ~horizon ()
   in
   let engine = Scheduler.mikpoly_engine compiler in
-  ( Resilience.run_ab ?jobs ~resilience:chaos_resilience ~faults serve_config
-      engine requests,
+  ( Resilience.run_ab ~resilience:chaos_resilience ~faults serve_config engine
+      requests,
     List.length requests )
 
 let arm_row (a : Resilience.arm) =
@@ -71,8 +71,7 @@ let arm_row (a : Resilience.arm) =
 
 (* The chaos A/B as JSON — simulated quantities only, so the bytes are
    identical across runs and job counts — with [extra] fields after the
-   two arms. Shared by [mikpoly_cli chaos --out] and
-   BENCH_resilience.json. *)
+   two arms: the body of [mikpoly_cli chaos --out]. *)
 let ab_json (ab : Resilience.ab) ~requests extra =
   let module J = Mikpoly_telemetry.Json in
   let arm name (a : Resilience.arm) =

@@ -14,12 +14,12 @@ let replicas = 2
 let mk_config ?(cache = 64) batcher bucketing =
   { Scheduler.replicas; batcher; bucketing; cache_capacity = cache }
 
-(* Set by the CLI's [--adapt] flag (and the bench A/B): attach an online
-   adaptation loop to the serving engine's compiler and charge its
-   drift-reaction recompiles on the event clock. On a healthy device any
-   reactions are shape-mix calibration refinements with microsecond-scale
-   stalls — the bench A/B asserts SLO attainment is no worse than without
-   adaptation. *)
+(* Set by the CLI's [--adapt] flag: attach an online adaptation loop to
+   the serving engine's compiler and charge its drift-reaction
+   recompiles on the event clock. On a healthy device any reactions are
+   shape-mix calibration refinements with microsecond-scale stalls —
+   test_adapt's serving A/B asserts SLO attainment is no worse than
+   without adaptation. *)
 let with_adaptation = ref false
 
 let lru_bucketed_label = "LRU+aligned greedy"
@@ -115,7 +115,7 @@ let run ~quick =
       summary
       @ [
           Printf.sprintf
-            "Online adaptation attached: %d observations, %d drift event(s). The device matches the tuned model, so any reactions are shape-mix calibration refinements, not hardware drift — SLO attainment must be no worse than the unadapted run (asserted by the bench A/B)."
+            "Online adaptation attached: %d observations, %d drift event(s). The device matches the tuned model, so any reactions are shape-mix calibration refinements, not hardware drift — SLO attainment must be no worse than the unadapted run (asserted by test_adapt's serving A/B)."
             s.Mikpoly_adapt.Adapter.observations
             s.Mikpoly_adapt.Adapter.drift_events;
         ]

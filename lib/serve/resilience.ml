@@ -45,10 +45,8 @@ let silent_losses requests statuses =
       | None -> acc + 1)
     0 requests
 
-let run_arm ?jobs ?adapt ~arm_name ~faults ~resilience config engine requests =
-  let outcome =
-    Scheduler.run ?jobs ?adapt ~faults ?resilience config engine requests
-  in
+let run_arm ?jobs ~arm_name ~faults ~resilience config engine requests =
+  let outcome = Scheduler.run ?jobs ~faults ?resilience config engine requests in
   let statuses = Scheduler.statuses outcome in
   {
     arm_name;
@@ -59,15 +57,15 @@ let run_arm ?jobs ?adapt ~arm_name ~faults ~resilience config engine requests =
     status_digest = digest statuses;
   }
 
-let run_ab ?jobs ?adapt ?(resilience = Scheduler.default_resilience) ~faults
-    config engine requests =
+let run_ab ?(resilience = Scheduler.default_resilience) ~faults config engine
+    requests =
   let with_resilience =
-    run_arm ?jobs ?adapt ~arm_name:"resilience-on" ~faults
-      ~resilience:(Some resilience) config engine requests
+    run_arm ~arm_name:"resilience-on" ~faults ~resilience:(Some resilience)
+      config engine requests
   in
   let without_resilience =
-    run_arm ?jobs ?adapt ~arm_name:"resilience-off" ~faults ~resilience:None
-      config engine requests
+    run_arm ~arm_name:"resilience-off" ~faults ~resilience:None config engine
+      requests
   in
   { faults; with_resilience; without_resilience }
 

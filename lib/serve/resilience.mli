@@ -28,22 +28,21 @@ type ab = {
 }
 
 val run_arm :
-  ?jobs:int -> ?adapt:(unit -> float) -> arm_name:string ->
-  faults:Mikpoly_fault.Plan.t -> resilience:Scheduler.resilience option ->
-  Scheduler.config -> Scheduler.engine -> Request.t list -> arm
+  ?jobs:int -> arm_name:string -> faults:Mikpoly_fault.Plan.t ->
+  resilience:Scheduler.resilience option -> Scheduler.config ->
+  Scheduler.engine -> Request.t list -> arm
 (** One arm: a {!Scheduler.run} under [faults], reduced to {!arm}. *)
 
 val run_ab :
-  ?jobs:int -> ?adapt:(unit -> float) -> ?resilience:Scheduler.resilience ->
-  faults:Mikpoly_fault.Plan.t -> Scheduler.config -> Scheduler.engine ->
-  Request.t list -> ab
+  ?resilience:Scheduler.resilience -> faults:Mikpoly_fault.Plan.t ->
+  Scheduler.config -> Scheduler.engine -> Request.t list -> ab
 (** Both arms under the same plan ([resilience] defaults to
     {!Scheduler.default_resilience} for the on-arm). Deterministic: the
     same inputs produce the same digests at every job count. *)
 
 val resilience_wins : ab -> bool
 (** Whether the on-arm's SLO attainment strictly beats the off-arm's —
-    the headline gate of the resilience benchmark. *)
+    the headline gate of the chaos A/B. *)
 
 val no_silent_losses : ab -> bool
 (** Whether both arms account for every request exactly once. *)

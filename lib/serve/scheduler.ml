@@ -322,6 +322,15 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
   if config.replicas < 1 then invalid_arg "Scheduler.run: replicas must be >= 1";
   if config.cache_capacity < 0 then
     invalid_arg "Scheduler.run: negative cache capacity";
+  List.iter
+    (fun (_, i) ->
+      if i < 0 || i >= config.replicas then
+        invalid_arg
+          (Printf.sprintf
+             "Scheduler.run: fault plan crashes replica %d of a %d-replica \
+              fleet"
+             i config.replicas))
+    faults.Plan.crashes;
   (match resilience with
   | Some r ->
     Retry.validate r.retry;

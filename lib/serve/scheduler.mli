@@ -154,7 +154,9 @@ val run :
   ?resilience:resilience -> config -> engine -> Request.t list -> outcome
 (** Simulate the full trace to drain. Deterministic for a deterministic
     engine: the same configuration and trace produce the identical
-    outcome. The empty trace yields an empty outcome.
+    outcome. The empty trace yields an empty outcome. Raises
+    [Invalid_argument] before the first event when a crash in [faults]
+    names a replica outside [0, replicas).
 
     [adapt] is polled once after every engine step; a positive return is
     online-adaptation work (drift-reaction recompiles) in seconds, charged

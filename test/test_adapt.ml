@@ -231,29 +231,82 @@ let test_adapter_stable_no_drift () =
   Alcotest.(check (float 1e-9)) "no stall" 0.
     (Adapter.drain_stall_seconds adapter)
 
+(* Serving A/B on a healthy device: the same 16-request trace with and
+   without an attached adapter. The detector has no drift to react to,
+   so attaching it must not cost SLO attainment. *)
+let test_adapter_serving_no_worse () =
+  let open Mikpoly_serve in
+  let config =
+    {
+      Scheduler.replicas = 2;
+      batcher = Batcher.Greedy { max_batch = 32 };
+      bucketing = Bucketing.Aligned 8;
+      cache_capacity = 64;
+    }
+  in
+  let requests =
+    Request.poisson ~seed:0x5E2 ~rate:30. ~count:16 ~max_prompt:64
+      ~max_output:8 ()
+  in
+  let slo_attainment ~adapted =
+    let compiler = Compiler.create gpu in
+    let adapt =
+      if adapted then
+        let a = Adapter.create compiler in
+        Some (fun () -> Adapter.drain_stall_seconds a)
+      else None
+    in
+    (Metrics.of_outcome
+       (Scheduler.run ?adapt config (Scheduler.mikpoly_engine compiler)
+          requests))
+      .Metrics.slo_attainment
+  in
+  let without = slo_attainment ~adapted:false in
+  let with_adapt = slo_attainment ~adapted:true in
+  Alcotest.(check bool)
+    (Printf.sprintf "SLO attainment %.4f with the adapter vs %.4f without"
+       with_adapt without)
+    true
+    (with_adapt >= without -. 1e-9)
+
 let scenario_result = lazy (Scenario.run ~seed:0xADA (Lazy.force gpu_compiler))
 
+(* The drift checks hold at the default 48-step trace and at a shorter
+   32-step one. *)
+let scenario_results =
+  lazy
+    [
+      Lazy.force scenario_result;
+      Scenario.run ~seed:0xADA ~trace:32 (Compiler.create gpu);
+    ]
+
 let test_scenario_detects_drift () =
-  let r = Lazy.force scenario_result in
-  Alcotest.(check bool) "drift detected" true (r.drift_events >= 1);
-  Alcotest.(check bool) "reaction recorded" true (r.reaction_observations >= 1);
-  Alcotest.(check bool) "reaction prompt" true (r.reaction_observations <= 16);
-  let stats = Adapter.stats r.adapter in
-  Alcotest.(check bool) "programs invalidated" true (stats.invalidated >= 1);
-  Alcotest.(check bool) "hot shapes recompiled" true (stats.recompiles >= 1);
-  Alcotest.(check bool) "stall charged" true (r.stall_seconds > 0.)
+  List.iter
+    (fun (r : Scenario.result) ->
+      Alcotest.(check bool) "drift detected" true (r.drift_events >= 1);
+      Alcotest.(check bool) "reaction recorded" true
+        (r.reaction_observations >= 1);
+      Alcotest.(check bool) "reaction prompt" true
+        (r.reaction_observations <= 16);
+      let stats = Adapter.stats r.adapter in
+      Alcotest.(check bool) "programs invalidated" true (stats.invalidated >= 1);
+      Alcotest.(check bool) "hot shapes recompiled" true (stats.recompiles >= 1);
+      Alcotest.(check bool) "stall charged" true (r.stall_seconds > 0.))
+    (Lazy.force scenario_results)
 
 let test_scenario_improves_ranking () =
-  let r = Lazy.force scenario_result in
-  Alcotest.(check bool)
-    (Printf.sprintf "tau improves (%.4f -> %.4f)" r.before.tau r.after.tau)
-    true
-    (r.after.tau > r.before.tau);
-  Alcotest.(check bool)
-    (Printf.sprintf "regret no worse (%.4f -> %.4f)" r.before.top1_regret
-       r.after.top1_regret)
-    true
-    (r.after.top1_regret <= r.before.top1_regret +. 1e-9)
+  List.iter
+    (fun (r : Scenario.result) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "tau improves (%.4f -> %.4f)" r.before.tau r.after.tau)
+        true
+        (r.after.tau > r.before.tau);
+      Alcotest.(check bool)
+        (Printf.sprintf "regret no worse (%.4f -> %.4f)" r.before.top1_regret
+           r.after.top1_regret)
+        true
+        (r.after.top1_regret <= r.before.top1_regret +. 1e-9))
+    (Lazy.force scenario_results)
 
 let test_scenario_deterministic_across_jobs () =
   (* The full adaptation loop — same observations, different search
@@ -352,6 +405,8 @@ let () =
         [
           Alcotest.test_case "stable serving never adapts" `Quick
             test_adapter_stable_no_drift;
+          Alcotest.test_case "serving SLO no worse" `Quick
+            test_adapter_serving_no_worse;
           Alcotest.test_case "scenario detects drift" `Quick
             test_scenario_detects_drift;
           Alcotest.test_case "calibration improves ranking" `Quick

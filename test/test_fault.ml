@@ -73,6 +73,11 @@ let test_plan_validates () =
     (Invalid_argument "Plan: step_fail_rate must be in [0, 1)")
     (fun () -> ignore (Plan.make ~step_fail_rate:1. ~seed:0 ()))
 
+let test_plan_validates_crashes () =
+  Alcotest.check_raises "negative crash replica rejected"
+    (Invalid_argument "Plan: crash entries need time >= 0 and replica >= 0")
+    (fun () -> ignore (Plan.make ~crashes:[ (0.05, -1) ] ~seed:0 ()))
+
 (* --- Retry --- *)
 
 let test_retry_bounds () =
@@ -565,6 +570,37 @@ let test_crash_requeue () =
   Alcotest.(check bool) "the requeue counts as retries" true
     (with_r.Scheduler.retries > 0)
 
+(* The canonical chaos A/B of the [resilience] experiment at its default
+   seed (the [chaos] subcommand's CI smoke runs seed 7): every
+   acceptance gate holds. *)
+let test_canonical_chaos_gates () =
+  let module E = Mikpoly_experiments.Exp_resilience in
+  let ab, _ =
+    E.chaos_ab ~quick:true
+      (Mikpoly_core.Compiler.create Mikpoly_accel.Hardware.a100)
+  in
+  List.iter
+    (fun (g : Mikpoly_experiments.Exp.gate) ->
+      Alcotest.(check bool) (g.gate_name ^ ": " ^ g.gate_detail) true g.gate_ok)
+    (E.gates ab)
+
+(* A crash aimed past the fleet is a malformed plan: rejected before the
+   first event, naming the index and the fleet size. *)
+let test_crash_index_out_of_range () =
+  let run faults =
+    ignore
+      (Scheduler.run ~faults chaos_config (Scheduler.synthetic_engine ())
+         (chaos_requests ()))
+  in
+  Alcotest.check_raises "crash on replica 5 of 2 rejected"
+    (Invalid_argument
+       "Scheduler.run: fault plan crashes replica 5 of a 2-replica fleet")
+    (fun () -> run (Plan.make ~crashes:[ (0.05, 5) ] ~seed:1 ()));
+  Alcotest.check_raises "negative crash replica rejected"
+    (Invalid_argument
+       "Scheduler.run: fault plan crashes replica -1 of a 2-replica fleet")
+    (fun () -> run { Plan.none with crashes = [ (0.05, -1) ] })
+
 let () =
   Alcotest.run "fault"
     [
@@ -575,6 +611,8 @@ let () =
             test_plan_stateless_determinism;
           Alcotest.test_case "rate extremes" `Quick test_plan_rate_extremes;
           Alcotest.test_case "validates rates" `Quick test_plan_validates;
+          Alcotest.test_case "validates crash replicas" `Quick
+            test_plan_validates_crashes;
         ] );
       ( "retry",
         [
@@ -632,5 +670,9 @@ let () =
           Alcotest.test_case "attempt timeout" `Quick test_attempt_timeout;
           Alcotest.test_case "load shedding" `Quick test_load_shedding;
           Alcotest.test_case "crash requeue" `Quick test_crash_requeue;
+          Alcotest.test_case "crash index out of range" `Quick
+            test_crash_index_out_of_range;
+          Alcotest.test_case "canonical A/B gates" `Quick
+            test_canonical_chaos_gates;
         ] );
     ]

@@ -779,6 +779,179 @@ let test_metrics_pinned () =
        (fun o -> metrics_fingerprint (Metrics.of_outcome o))
        [ pinned_outcome (); single; none_done ])
 
+(* --- Scheduler.run over random chaos ---
+
+   Random traces (at most 48 requests, optionally snapped to a 5 ms grid
+   so arrivals, crashes and steps tie) on 1–3 replicas under every
+   batcher and bucketing, cache capacity 0–8, step-fault, straggler and
+   crash plans, with resilience off or on (retry, attempt timeout,
+   bounded queue under both shed modes) and an optional adapt stall.
+   Every trace request must end in exactly one terminal status,
+   completions must be distinct with a monotone clock, the report must
+   count the whole trace, and a rerun must give the identical outcome. *)
+
+type run_case = {
+  seed : int;
+  count : int;
+  rate : float;
+  grid : bool;
+  rconfig : Scheduler.config;
+  step_fail : float;
+  straggle : float;
+  crashes : (float * int) list;
+  restart : float;
+  resilience : Scheduler.resilience option;
+  adapt_every : int;  (** 0 = no adapt hook *)
+}
+
+let snap grid t = if grid then Float.round (t /. 5e-3) *. 5e-3 else t
+
+let arb_run_case =
+  let open QCheck.Gen in
+  let batcher =
+    int_range 1 8 >>= fun max_batch ->
+    oneof
+      [
+        return (Batcher.Greedy { max_batch });
+        map
+          (fun window -> Batcher.Timeout { max_batch; window })
+          (oneofl [ 0.; 2e-3; 8e-3 ]);
+        return (Batcher.Slo_aware { max_batch });
+      ]
+  in
+  let resilience =
+    opt
+      (map
+         (fun (attempts, timeout, max_queue, shed) ->
+           {
+             Scheduler.retry =
+               {
+                 Mikpoly_fault.Retry.max_attempts = attempts;
+                 base_delay = 1e-3;
+                 max_delay = 20e-3;
+                 jitter = 0.25;
+               };
+             attempt_timeout = timeout;
+             max_queue;
+             shed;
+           })
+         (quad (int_range 1 4)
+            (oneofl [ infinity; 4e-3; 20e-3 ])
+            (int_bound 6)
+            (oneofl [ `Reject_new; `Drop_oldest ])))
+  in
+  let gen =
+    int_range 1 3 >>= fun replicas ->
+    map
+      (fun ( (seed, count, rate, grid),
+             (batcher, bucketing, cache_capacity),
+             (step_fail, straggle, crashes, restart),
+             (resilience, adapt_every) ) ->
+        {
+          seed;
+          count;
+          rate;
+          grid;
+          rconfig = { Scheduler.replicas; batcher; bucketing; cache_capacity };
+          step_fail;
+          straggle;
+          crashes;
+          restart;
+          resilience;
+          adapt_every;
+        })
+      (quad
+         (quad (int_bound 100_000) (int_bound 48) (float_range 20. 400.) bool)
+         (triple batcher
+            (oneofl
+               [ Bucketing.Exact; Bucketing.Aligned 8; Bucketing.Pow2;
+                 Bucketing.Fixed 16 ])
+            (int_bound 8))
+         (quad (float_bound_inclusive 0.3) (float_bound_inclusive 0.3)
+            (list_size (int_bound 3)
+               (pair (float_bound_inclusive 0.2) (int_bound (replicas - 1))))
+            (float_bound_inclusive 0.05))
+         (pair resilience (oneofl [ 0; 3; 7 ])))
+  in
+  let print c =
+    Printf.sprintf
+      "seed=%d count=%d rate=%g grid=%b replicas=%d batcher=%s bucketing=%s \
+       cache=%d step_fail=%g straggle=%g crashes=%s restart=%g resilience=%s \
+       adapt_every=%d"
+      c.seed c.count c.rate c.grid c.rconfig.replicas
+      (Batcher.name c.rconfig.batcher)
+      (Bucketing.name c.rconfig.bucketing)
+      c.rconfig.cache_capacity c.step_fail c.straggle
+      (QCheck.Print.(list (pair float int)) c.crashes)
+      c.restart
+      (match c.resilience with
+      | None -> "off"
+      | Some r ->
+        Printf.sprintf "attempts %d timeout %g max_queue %d %s"
+          r.retry.Mikpoly_fault.Retry.max_attempts r.attempt_timeout
+          r.max_queue
+          (match r.shed with
+          | `Reject_new -> "reject-new"
+          | `Drop_oldest -> "drop-oldest"))
+      c.adapt_every
+  in
+  QCheck.make ~print gen
+
+let run_case c =
+  let trace =
+    List.map
+      (fun (r : Request.t) -> { r with arrival = snap c.grid r.arrival })
+      (Request.poisson ~ttft_budget:0.02 ~seed:c.seed ~rate:c.rate
+         ~count:c.count ~max_prompt:32 ~max_output:6 ())
+  in
+  let faults =
+    Mikpoly_fault.Plan.make ~step_fail_rate:c.step_fail
+      ~straggler_rate:c.straggle ~straggler_slowdown:3.
+      ~crashes:(List.map (fun (t, i) -> (snap c.grid t, i)) c.crashes)
+      ~restart_delay:c.restart ~seed:c.seed ()
+  in
+  let run () =
+    (* A fresh, deterministic hook per run: every [adapt_every]-th step
+       pays a 1 ms adapt stall. *)
+    let adapt =
+      if c.adapt_every = 0 then None
+      else
+        let calls = ref 0 in
+        Some
+          (fun () ->
+            incr calls;
+            if !calls mod c.adapt_every = 0 then 1e-3 else 0.)
+    in
+    Scheduler.run ?adapt ~faults ?resilience:c.resilience c.rconfig
+      (Scheduler.synthetic_engine ()) trace
+  in
+  (trace, run)
+
+let prop_run_conserves =
+  QCheck.Test.make ~name:"run: one terminal status per request under chaos"
+    ~count:200 arb_run_case (fun c ->
+      let trace, run = run_case c in
+      let o = run () in
+      let ids l = List.sort compare (List.map (fun (r : Request.t) -> r.id) l) in
+      let done_ids =
+        List.map (fun (d : Scheduler.completed) -> d.request.Request.id) o.completed
+      in
+      let check what ok = if not ok then QCheck.Test.fail_report what in
+      check "one status per request"
+        (ids (List.map fst (Scheduler.statuses o)) = ids trace);
+      check "distinct completions"
+        (List.length (List.sort_uniq compare done_ids) = List.length done_ids);
+      check "arrival <= first_token <= finish"
+        (List.for_all
+           (fun (d : Scheduler.completed) ->
+             d.request.Request.arrival <= d.first_token
+             && d.first_token <= d.finish)
+           o.completed);
+      check "report counts the trace"
+        ((Metrics.of_outcome o).Metrics.requests = List.length trace);
+      check "identical on rerun" (o = run ());
+      true)
+
 let () =
   Alcotest.run "serve"
     [
@@ -819,6 +992,7 @@ let () =
           Alcotest.test_case "heavy-tail traces" `Quick test_heavy_tail_traces;
           Alcotest.test_case "pinned chaos outcome" `Quick test_scheduler_pinned;
           Alcotest.test_case "pinned report" `Quick test_metrics_pinned;
+          QCheck_alcotest.to_alcotest prop_run_conserves;
         ] );
       ( "replica",
         [
