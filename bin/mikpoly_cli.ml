@@ -5,7 +5,7 @@ open Cmdliner
 
 (* One process-wide jobs default: every subcommand sets it before doing
    work, and the search/tuning/serving layers inherit it through
-   [Domain_pool.resolve_jobs] (Config.search_jobs = 0). *)
+   [Domain_pool.default_jobs]. *)
 let set_jobs jobs =
   if jobs < 0 then (
     Printf.eprintf "bad --jobs: %d (expected 0 = auto or a positive count)\n" jobs;
@@ -476,7 +476,9 @@ let graph jobs quick csv out =
    --jobs count — must produce byte-identical files (checked by the CI
    fleet-smoke stage with cmp). With --store, the compiler warm-loads
    its kernel set from a Kernel_store artifact and precompiles every
-   admissible bucket program before serving starts. *)
+   admissible bucket program before serving starts. Only a missing store
+   is tuned and written; an existing one is never overwritten, and an
+   unusable one puts the compiler in safe mode. *)
 let fleet jobs quick csv out store =
   set_jobs jobs;
   let module E = Mikpoly_experiments.Exp_fleet in
@@ -849,7 +851,8 @@ let fleet_cmd =
       & info [ "store" ] ~docv:"FILE"
           ~doc:
             "Warm-load the compiler's kernel set from this Kernel_store \
-             artifact (created on first use) and precompile every \
+             artifact (created on first use, never overwritten; an \
+             unusable artifact serves in safe mode) and precompile every \
              admissible bucket program before serving.")
   in
   Cmd.v (Cmd.info "fleet" ~doc)

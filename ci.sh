@@ -101,11 +101,14 @@ echo "== serve determinism =="
 # The single-tenant scheduler's CSV table: byte-identical across --jobs
 # counts, like the fleet and hetero reports below. Each batcher runs;
 # --cache 1 holds fewer programs than a step's distinct shapes, so every
-# step evicts between the per-shape cache probes.
+# step evicts between the per-shape cache probes. A --max-batch far above
+# the trace length must cost the parallel runs no more precompile work
+# than the trace can use.
 check_report stdout "" serve --quick --csv
 check_report stdout "" serve --quick --csv --batcher timeout
 check_report stdout "" serve --quick --csv --batcher slo
 check_report stdout "" serve --quick --csv --cache 1
+check_report stdout "" serve --quick --csv --max-batch 65536
 
 echo "== chaos smoke test =="
 # The seeded fault-injection A/B end to end: the subcommand exits
@@ -144,6 +147,25 @@ echo "== hetero smoke test =="
 # gate fails.
 check_report out '"gates_ok":true "silent_losses":0' hetero --quick
 
+echo "== store safety =="
+# fleet --store tunes and writes a store only when the path is missing.
+# An existing store it cannot use (here the NPU's, on the GPU fleet) is
+# left byte-identical while the fleet serves in safe mode and says why
+# on one stderr line.
+store="${TMPDIR:-/tmp}/mikpoly_ci_npu.store"
+store_copy="${TMPDIR:-/tmp}/mikpoly_ci_npu.store.orig"
+store_err="${TMPDIR:-/tmp}/mikpoly_ci_store_err"
+store_report="${TMPDIR:-/tmp}/mikpoly_ci_store_report"
+rm -f "$store"
+dune exec bin/mikpoly_cli.exe -- offline --npu --save "$store" > /dev/null
+cp "$store" "$store_copy"
+dune exec bin/mikpoly_cli.exe -- fleet --quick --store "$store" \
+  --out "$store_report" > /dev/null 2> "$store_err"
+test "$(wc -l < "$store_err")" -eq 1
+grep -q "safe mode" "$store_err"
+cmp "$store" "$store_copy"
+rm -f "$store" "$store_copy" "$store_err" "$store_report"
+
 echo "== bad input =="
 # Bad flag values and unwritable output paths are usage errors: each
 # must exit 2 with exactly one line on stderr, never an uncaught
@@ -170,6 +192,20 @@ for sub in graph fleet hetero chaos; do
 done
 expect_usage_error adapt --quick --save "$missing"
 expect_usage_error offline --save "$missing"
+# An artifact write never replaces what is not a regular file, and
+# leaves no tempfile behind.
+scratch_dir="${TMPDIR:-/tmp}/mikpoly_ci_save_dir"
+scratch_fifo="${TMPDIR:-/tmp}/mikpoly_ci_save_fifo"
+rm -rf "$scratch_dir" "$scratch_fifo" "$scratch_dir.tmp" "$scratch_fifo.tmp"
+mkdir "$scratch_dir"
+mkfifo "$scratch_fifo"
+expect_usage_error offline --save "$scratch_dir"
+expect_usage_error offline --save "$scratch_fifo"
+test -d "$scratch_dir"
+test -p "$scratch_fifo"
+test ! -e "$scratch_dir.tmp"
+test ! -e "$scratch_fifo.tmp"
+rm -rf "$scratch_dir" "$scratch_fifo"
 expect_usage_error fleet --quick --store "$missing"
 expect_usage_error profile serve --quick --trace-out "$missing"
 expect_usage_error serve --quick --window=nan

@@ -18,24 +18,19 @@ let m_recompiles = Tm.Metrics.counter "adapt.recompiles"
 
 let m_breaker_skipped = Tm.Metrics.counter "adapt.breaker.skipped"
 
-type params = {
-  drift : Drift.params;
-  window : int;
-  min_observations : int;
-  hot_limit : int;
-  breaker : Breaker.policy;
-  stall_budget : float;
-}
+(* Per-kernel observation window (most recent kept). *)
+let window = 64
 
-let default_params =
-  {
-    drift = Drift.default_params;
-    window = 64;
-    min_observations = 4;
-    hot_limit = 8;
-    breaker = { Breaker.failure_threshold = 3; cooldown = 256. };
-    stall_budget = infinity;
-  }
+(* Observations before a drift fire may recalibrate, so a cold start's
+   first few residuals never drive a fit. *)
+let min_observations = 4
+
+(* Shapes recompiled eagerly per drift reaction. *)
+let hot_limit = 8
+
+(* Breaker around the drift reaction; its cooldown is counted in
+   observations. *)
+let breaker_policy = { Breaker.failure_threshold = 3; cooldown = 256. }
 
 type stats = {
   observations : int;
@@ -53,7 +48,6 @@ type stats = {
 type hot = { mutable touches : int }
 
 type t = {
-  params : params;
   compiler : Compiler.t;
   registered : bool;
   lock : Mutex.t;
@@ -80,7 +74,7 @@ let window_sample_locked t key sample =
   let w = Option.value (Hashtbl.find_opt t.windows key) ~default:[] in
   let w = sample :: w in
   Hashtbl.replace t.windows key
-    (List.filteri (fun i _ -> i < t.params.window) w)
+    (List.filteri (fun i _ -> i < window) w)
 
 let key_of_desc (d : Kernel_desc.t) = (d.um, d.un, d.uk)
 
@@ -150,7 +144,7 @@ let recalibrate_locked t =
     Hashtbl.fold (fun shape h acc -> (shape, h.touches) :: acc) t.hot []
     |> List.sort (fun (s1, c1) (s2, c2) ->
            match compare c2 c1 with 0 -> compare s1 s2 | c -> c)
-    |> List.filteri (fun i _ -> i < t.params.hot_limit)
+    |> List.filteri (fun i _ -> i < hot_limit)
     |> List.map fst
   in
   let recompiled =
@@ -200,16 +194,16 @@ let observe t (obs : Compiler.observation) =
         in
         if
           Drift.observe t.detector residual
-          && t.observations >= t.params.min_observations
+          && t.observations >= min_observations
         then begin
           (* The breaker's clock is the observation count — the adapter's
              only monotone notion of time, and deterministic. *)
           let now = float_of_int t.observations in
           if not (Breaker.allow t.breaker ~now) then begin
-            (* Recalibration has been failing (or blowing its stall
-               budget): keep serving on the current calibration rather
-               than thrash. The detector will fire again; the first fire
-               past the cooldown is the half-open probe. *)
+            (* Recalibration has been failing: keep serving on the
+               current calibration rather than thrash. The detector will
+               fire again; the first fire past the cooldown is the
+               half-open probe. *)
             t.breaker_skipped <- t.breaker_skipped + 1;
             Tm.Metrics.incr m_breaker_skipped;
             false
@@ -242,12 +236,8 @@ let observe t (obs : Compiler.observation) =
                   act
               else act ()
             in
-            let stall0 = t.pending_stall in
             (match react () with
-            | () ->
-              if t.pending_stall -. stall0 > t.params.stall_budget then
-                Breaker.record_failure t.breaker ~now
-              else Breaker.record_success t.breaker
+            | () -> Breaker.record_success t.breaker
             | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
             | exception _ ->
               (* A failed fit must not take serving down: the previous
@@ -261,14 +251,13 @@ let observe t (obs : Compiler.observation) =
   in
   fired
 
-let create ?(params = default_params) ?(register = true) compiler =
+let create ?(register = true) compiler =
   let t =
     {
-      params;
       compiler;
       registered = register;
       lock = Mutex.create ();
-      detector = Drift.create ~params:params.drift ();
+      detector = Drift.create ();
       windows = Hashtbl.create 64;
       hot = Hashtbl.create 64;
       exec_hw = None;
@@ -281,7 +270,7 @@ let create ?(params = default_params) ?(register = true) compiler =
       recompiles = 0;
       invalidated = 0;
       pending_stall = 0.;
-      breaker = Breaker.create ~policy:params.breaker ();
+      breaker = Breaker.create ~policy:breaker_policy ();
       breaker_skipped = 0;
     }
   in
@@ -291,8 +280,6 @@ let create ?(params = default_params) ?(register = true) compiler =
 let compiler t = t.compiler
 
 let set_execution_hardware t hw = locked t (fun () -> t.exec_hw <- Some hw)
-
-let clear_execution_hardware t = locked t (fun () -> t.exec_hw <- None)
 
 let observe_shape t (m, n, k) =
   let op = Operator.gemm ~m ~n ~k () in

@@ -16,30 +16,15 @@
     Everything is deterministic: windows, hot-shape ordering and fitting
     are sorted, and observations arrive from sequential simulation loops —
     so the same observation stream yields a bit-identical calibration
-    profile and recompiled programs at every [--jobs] count. *)
+    profile and recompiled programs at every [--jobs] count.
 
-type params = {
-  drift : Drift.params;
-  window : int;  (** per-kernel observation window (most recent kept) *)
-  min_observations : int;
-      (** observations before a drift fire may recalibrate — avoids
-          calibrating from a cold start's first few residuals *)
-  hot_limit : int;  (** shapes recompiled eagerly per drift reaction *)
-  breaker : Mikpoly_fault.Breaker.policy;
-      (** circuit breaker around the drift reaction: after
-          [failure_threshold] consecutive failed reactions (a fit
-          exception, or a reaction whose eager-recompile stall exceeds
-          [stall_budget]) further drift fires are skipped — serving
-          continues on the current calibration — for [cooldown]
-          {e observations}; the first fire past the cooldown runs as a
-          half-open probe. Default: 3 failures, 256 observations. *)
-  stall_budget : float;
-      (** modeled recompilation seconds a single drift reaction may add
-          to the stall account before it counts as a breaker failure
-          (default [infinity] — disabled) *)
-}
-
-val default_params : params
+    The tuning is fixed: 64-observation per-kernel windows, no
+    recalibration before the 4th observation, 8 hot shapes recompiled
+    per reaction, and a circuit breaker around the reaction. After 3
+    consecutive failed reactions (a fit exception) further drift fires
+    are skipped — serving continues on the current calibration — for
+    256 {e observations}; the first fire past the cooldown runs as a
+    half-open probe. *)
 
 type stats = {
   observations : int;
@@ -58,7 +43,7 @@ type stats = {
 
 type t
 
-val create : ?params:params -> ?register:bool -> Mikpoly_core.Compiler.t -> t
+val create : ?register:bool -> Mikpoly_core.Compiler.t -> t
 (** [create compiler] builds an adapter for the compiler. With [register]
     (the default) it installs itself as the compiler's observer, so every
     [Compiler.simulate] — including the serving engine's — feeds it. *)
@@ -70,8 +55,6 @@ val set_execution_hardware : t -> Mikpoly_accel.Hardware.t -> unit
     simulate on it while predictions still come from the compiler's model —
     the drift the detector exists to catch. Calibrations fitted afterwards
     carry this device's fingerprint. *)
-
-val clear_execution_hardware : t -> unit
 
 val observe : t -> Mikpoly_core.Compiler.observation -> bool
 (** Feed one observation directly (the observer hook path does this

@@ -1,13 +1,10 @@
-type params = {
-  alpha : float;
-  delta : float;
-  lambda : float;
-}
+let alpha = 0.2 (* EWMA smoothing of the reported residual level *)
 
-let default_params = { alpha = 0.2; delta = 0.05; lambda = 0.5 }
+let delta = 0.05 (* Page–Hinkley slack: drift magnitude to ignore *)
+
+let lambda = 0.5 (* Page–Hinkley threshold: deviation mass to fire *)
 
 type t = {
-  params : params;
   mutable count : int;
   mutable mean : float;
   mutable ewma : float;
@@ -17,9 +14,8 @@ type t = {
   mutable m_dn_max : float;
 }
 
-let create ?(params = default_params) () =
+let create () =
   {
-    params;
     count = 0;
     mean = 0.;
     ewma = 0.;
@@ -47,18 +43,17 @@ let ewma t = t.ewma
 let observe t x =
   t.count <- t.count + 1;
   if t.count = 1 then t.ewma <- x
-  else t.ewma <- (t.params.alpha *. x) +. ((1. -. t.params.alpha) *. t.ewma);
+  else t.ewma <- (alpha *. x) +. ((1. -. alpha) *. t.ewma);
   t.mean <- t.mean +. ((x -. t.mean) /. float_of_int t.count);
   (* Two-sided Page–Hinkley on the deviation from the running mean: a
      constant bias moves the mean, not the cumulative deviations, so only
      mid-stream shifts accumulate past [lambda]. *)
-  t.m_up <- t.m_up +. (x -. t.mean -. t.params.delta);
+  t.m_up <- t.m_up +. (x -. t.mean -. delta);
   if t.m_up < t.m_up_min then t.m_up_min <- t.m_up;
-  t.m_dn <- t.m_dn +. (x -. t.mean +. t.params.delta);
+  t.m_dn <- t.m_dn +. (x -. t.mean +. delta);
   if t.m_dn > t.m_dn_max then t.m_dn_max <- t.m_dn;
   let fired =
-    t.m_up -. t.m_up_min > t.params.lambda
-    || t.m_dn_max -. t.m_dn > t.params.lambda
+    t.m_up -. t.m_up_min > lambda || t.m_dn_max -. t.m_dn > lambda
   in
   if fired then reset t;
   fired

@@ -9,21 +9,16 @@
     the execution environment (residuals jump to a new level) accumulates
     deviation mass and trips the [lambda] threshold within a few
     observations. An EWMA of the residuals is tracked alongside for
-    reporting. The detector self-resets when it fires. *)
+    reporting. The detector self-resets when it fires.
 
-type params = {
-  alpha : float;  (** EWMA smoothing for the reported residual level *)
-  delta : float;  (** Page–Hinkley slack: drift magnitude to ignore *)
-  lambda : float;  (** Page–Hinkley threshold: deviation mass to fire *)
-}
-
-val default_params : params
-(** [alpha = 0.2], [delta = 0.05], [lambda = 0.5] — in log-residual units,
-    fires after a handful of observations once costs shift by ≳20%. *)
+    The constants are fixed, in log-residual units: slack
+    [delta = 0.05], threshold [lambda = 0.5] and EWMA smoothing
+    [alpha = 0.2], so the detector fires after a handful of observations
+    once costs shift by about 20%. *)
 
 type t
 
-val create : ?params:params -> unit -> t
+val create : unit -> t
 
 val observe : t -> float -> bool
 (** Feed one residual; returns [true] when drift is detected (the detector

@@ -27,13 +27,32 @@ let parse_points s =
   List.map parse_one
     (List.filter (fun t -> t <> "") (String.split_on_char ' ' s))
 
+(* Only what the fitter can produce: finite numbers and, for a linear
+   curve, a positive slope. So no correction turns a cost NaN, and none
+   maps every large cost to 0. *)
+let finite xs =
+  if not (List.for_all Float.is_finite xs) then
+    failwith "non-finite number in a calibration curve"
+
+let positive_slope a =
+  if a <= 0. then failwith "non-positive slope in a calibration curve"
+
 let parse_curve = function
   | [ "identity" ] -> Calibration.Identity
-  | [ "scale"; a ] -> Calibration.Scale (float_of_string a)
+  | [ "scale"; a ] ->
+    let a = float_of_string a in
+    finite [ a ];
+    positive_slope a;
+    Calibration.Scale a
   | [ "affine"; a; b ] ->
-    Calibration.Affine (float_of_string a, float_of_string b)
+    let a = float_of_string a and b = float_of_string b in
+    finite [ a; b ];
+    positive_slope a;
+    Calibration.Affine (a, b)
   | "knots" :: (_ :: _ as pts) ->
-    Calibration.Knots (Pw.of_points (parse_points (String.concat " " pts)))
+    let points = parse_points (String.concat " " pts) in
+    finite (List.concat_map (fun (x, y) -> [ x; y ]) points);
+    Calibration.Knots (Pw.of_points points)
   | _ -> failwith "malformed curve"
 
 let parse_kernel line =

@@ -23,4 +23,5 @@ val load :
 (** Restore a profile saved with {!save}. Fails with a human-readable
     reason if the file is malformed, version-bumped, corrupted (checksum
     mismatch), or was recorded on a different platform or hardware
-    configuration. *)
+    configuration. Also fails on a curve the fitter never produces: a
+    non-finite number, or a non-positive [scale] or [affine] slope. *)

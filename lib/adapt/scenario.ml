@@ -51,9 +51,9 @@ let distinct_shapes rng count =
   in
   go [] count
 
-let run ?params ?(seed = 0xADA) ?(severity = 0.35) ?(trace = 48) ?(pool = 12)
-    ?(holdout = 8) ?(probe = true) compiler =
-  let adapter = Adapter.create ?params compiler in
+let run ?(seed = 0xADA) ?(severity = 0.35) ?(trace = 48) ?(pool = 12)
+    ?(holdout = 8) compiler =
+  let adapter = Adapter.create compiler in
   let rng = Prng.create seed in
   let pool_shapes = Array.of_list (distinct_shapes rng pool) in
   let holdout_rng = Prng.split rng in
@@ -80,17 +80,15 @@ let run ?params ?(seed = 0xADA) ?(severity = 0.35) ?(trace = 48) ?(pool = 12)
   let before =
     Ranking.evaluate ~compiler ~exec_hw:drifted holdout_shapes
   in
-  if probe then begin
-    (* Probe sweeps spanning the shape range after the trace: every kernel
-       gets operating points from small to large problems, so the refit
-       interpolates on the held-out shapes instead of extrapolating from a
-       single point. Then recalibrate so the evaluated correction reflects
-       the full coverage. *)
-    List.iter
-      (Adapter.probe adapter)
-      [ (128, 128, 128); (384, 512, 256); (1024, 768, 512); (2048, 2048, 1024) ];
-    Adapter.calibrate adapter
-  end;
+  (* Probe sweeps spanning the shape range after the trace: every kernel
+     gets operating points from small to large problems, so the refit
+     interpolates on the held-out shapes instead of extrapolating from a
+     single point. Then recalibrate so the evaluated correction reflects
+     the full coverage. *)
+  List.iter
+    (Adapter.probe adapter)
+    [ (128, 128, 128); (384, 512, 256); (1024, 768, 512); (2048, 2048, 1024) ];
+  Adapter.calibrate adapter;
   let correction = Adapter.correction adapter in
   let after =
     Ranking.evaluate ~compiler ~exec_hw:drifted ?correction holdout_shapes

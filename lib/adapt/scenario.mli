@@ -33,13 +33,12 @@ val drifted_hardware :
     tuned kernel still fits. Requires [0 <= severity < 1]. *)
 
 val run :
-  ?params:Adapter.params -> ?seed:int -> ?severity:float -> ?trace:int ->
-  ?pool:int -> ?holdout:int -> ?probe:bool -> Mikpoly_core.Compiler.t ->
-  result
+  ?seed:int -> ?severity:float -> ?trace:int -> ?pool:int -> ?holdout:int ->
+  Mikpoly_core.Compiler.t -> result
 (** [run compiler] drives the scenario: a [trace]-step (default 48)
     observation trace drawn from a [pool] (default 12) of distinct shapes,
     drift injected at the midpoint, then ranking evaluation on [holdout]
-    (default 8) unseen shapes. With [probe] (default) post-trace
+    (default 8) unseen shapes. Post-trace
     {!Adapter.probe} sweeps across the shape range plus an explicit
     recalibration give the final correction full kernel and operating-point
     coverage. Fully deterministic in [seed] and the

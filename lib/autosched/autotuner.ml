@@ -26,14 +26,12 @@ let size_tflops hw kd ~size =
   let flops = 2. *. (float_of_int size ** 3.) in
   flops /. seconds /. 1e12
 
-let generate ?(jobs = 0) ?(n_gen = 32) ?(n_syn = 12) ?(n_mik = 40)
-    ?(n_pred = 5120) ?(dtype = Mikpoly_tensor.Dtype.F16)
-    ?(path = Hardware.Matrix) ?(codegen_eff = 0.88) ?(rank_style = Champion)
-    hw =
-  let jobs = Mikpoly_util.Domain_pool.resolve_jobs jobs in
+let generate ~n_gen ~n_syn ~n_mik ~n_pred ~dtype ~path ~codegen_eff
+    ~rank_style hw =
+  let jobs = Mikpoly_util.Domain_pool.default_jobs () in
   (* Candidate scoring and g_predict learning are pure per-kernel maps —
      the bulk of the offline stage — so they fan out over the shared
-     domain pool; order-preserving [map_array] keeps the result list
+     domain pool; each result lands at its own index, so the list is
      identical to the sequential one. *)
   let pmap f l =
     if jobs > 1 then begin

@@ -45,14 +45,12 @@ val size_tflops :
     the given size. *)
 
 val generate :
-  ?jobs:int -> ?n_gen:int -> ?n_syn:int -> ?n_mik:int -> ?n_pred:int ->
-  ?dtype:Mikpoly_tensor.Dtype.t -> ?path:Mikpoly_accel.Hardware.compute_path ->
-  ?codegen_eff:float -> ?rank_style:rank_style -> Mikpoly_accel.Hardware.t ->
+  n_gen:int -> n_syn:int -> n_mik:int -> n_pred:int ->
+  dtype:Mikpoly_tensor.Dtype.t -> path:Mikpoly_accel.Hardware.compute_path ->
+  codegen_eff:float -> rank_style:rank_style -> Mikpoly_accel.Hardware.t ->
   tuned list
-(** The full offline stage, best-ranked first. Defaults are the paper's
-    hyper-parameters: n_gen 32, n_syn 12, n_mik 40, n_pred 5120; fp16 on
-    the Matrix path with TVM-grade codegen (0.88). [jobs] parallelizes
-    candidate scoring and [g_predict] learning over the shared domain
-    pool ([0], the default, inherits
-    {!Mikpoly_util.Domain_pool.default_jobs}; [1] forces sequential);
-    the returned list is identical for every job count. *)
+(** The full offline stage, best-ranked first. The paper's values of the
+    hyper-parameters live in [Mikpoly_core.Config.default]. Candidate
+    scoring and [g_predict] learning run over the shared domain pool at
+    {!Mikpoly_util.Domain_pool.default_jobs} workers; the returned list
+    is identical for every job count. *)

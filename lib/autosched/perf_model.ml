@@ -10,7 +10,7 @@ let sample_points ~n_pred =
   let rec grow acc t = if t >= n_pred then List.rev (n_pred :: acc) else grow (t :: acc) (max (t + 1) (t * 3 / 2)) in
   grow [] 1
 
-let learn ?(n_pred = 5120) hw kernel =
+let learn ~n_pred hw kernel =
   let samples =
     List.map
       (fun t ->

@@ -14,8 +14,8 @@ type t = {
 val sample_points : n_pred:int -> int list
 (** The t values profiled: a geometric-ish grid from 1 to [n_pred]. *)
 
-val learn : ?n_pred:int -> Mikpoly_accel.Hardware.t -> Mikpoly_accel.Kernel_desc.t -> t
-(** Default [n_pred] = 5120 (paper value). *)
+val learn : n_pred:int -> Mikpoly_accel.Hardware.t -> Mikpoly_accel.Kernel_desc.t -> t
+(** Profile t = 1…[n_pred] (5120 in the paper) and fit [g_predict]. *)
 
 val predict_cycles : t -> t_steps:int -> float
 (** Evaluate [g_predict]; clamps t below 1. *)

@@ -14,13 +14,16 @@ type t = {
 
 let codegen_eff = 0.85 (* auto-scheduler grade CUDA-core code *)
 
-let grid_points ~step (lo, hi) =
+(* The tuning grid takes the powers of [grid_step] inside each range. *)
+let grid_step = 4
+
+let grid_points (lo, hi) =
   if lo < 1 || lo > hi then invalid_arg "Dietcode: invalid range";
   let acc = ref [ lo; hi ] in
   let v = ref 1 in
   while !v <= hi do
     if !v >= lo then acc := !v :: !acc;
-    v := !v * step
+    v := !v * grid_step
   done;
   Array.of_list (List.sort_uniq compare !acc)
 
@@ -39,10 +42,10 @@ let tune_point hw pool ~m ~n ~k =
     pool;
   match !best with Some (kd, _) -> kd | None -> failwith "DietCode: empty kernel pool"
 
-let create ?(grid_step = 4) hw ~m_range ~n_range ~k_range =
-  let m_grid = grid_points ~step:grid_step m_range in
-  let n_grid = grid_points ~step:grid_step n_range in
-  let k_grid = grid_points ~step:grid_step k_range in
+let create hw ~m_range ~n_range ~k_range =
+  let m_grid = grid_points m_range in
+  let n_grid = grid_points n_range in
+  let k_grid = grid_points k_range in
   let pool = kernel_pool hw in
   let programs = Hashtbl.create 256 in
   Array.iter

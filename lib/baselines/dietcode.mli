@@ -12,11 +12,10 @@
 type t
 
 val create :
-  ?grid_step:int -> Mikpoly_accel.Hardware.t -> m_range:int * int ->
-  n_range:int * int -> k_range:int * int -> t
-(** Offline stage: tune one program per grid point. The grid takes powers
-    of [grid_step] (default 4) clamped to each declared range, plus the
-    range endpoints. *)
+  Mikpoly_accel.Hardware.t -> m_range:int * int -> n_range:int * int ->
+  k_range:int * int -> t
+(** Offline stage: tune one program per grid point. The grid takes the
+    powers of 4 inside each declared range, plus the range endpoints. *)
 
 val num_programs : t -> int
 (** Size of the pre-compiled program set. *)

@@ -8,8 +8,6 @@ let m_hits = Tm.Metrics.counter "compiler.cache.hits"
 
 let m_misses = Tm.Metrics.counter "compiler.cache.misses"
 
-let m_evictions = Tm.Metrics.counter "compiler.cache.evictions"
-
 let m_invalidations = Tm.Metrics.counter "compiler.cache.invalidations"
 
 (* Degradation-ladder rung taken by each cache-miss compile; always-on so
@@ -26,14 +24,6 @@ let rung_name = function
   | Full_search -> "full-search"
   | Single_pattern -> "single-pattern"
   | Safe_generic -> "safe-generic"
-
-(* A cached program plus its recency; [last_use] is a strictly
-   increasing tick (unique per touch), so the LRU victim — the minimum —
-   is unambiguous. Same idiom as [Serve.Shape_cache]. *)
-type slot = {
-  compiled : Polymerize.compiled;
-  mutable last_use : int;
-}
 
 type region_observation = {
   ro_kernel : Kernel_desc.t;
@@ -59,13 +49,10 @@ type t = {
                          guaranteed-safe generic set *)
   safe_set : Kernel_set.t Lazy.t;
       (** last-rung fallback for compiles whose search itself fails *)
-  lock : Mutex.t;  (** guards cache, tick, the stats counters and hooks *)
-  cache : (int * int * int, slot) Hashtbl.t;
-  mutable tick : int;
-  cache_capacity : int;  (** 0 = unbounded *)
+  lock : Mutex.t;  (** guards cache, the stats counters and hooks *)
+  cache : (int * int * int, Polymerize.compiled) Hashtbl.t;
   mutable cache_hits : int;
   mutable cache_misses : int;
-  mutable cache_evictions : int;
   mutable cache_invalidations : int;
   mutable l_full_search : int;
   mutable l_single_pattern : int;
@@ -84,14 +71,11 @@ type ladder_stats = {
 type cache_stats = {
   hits : int;
   misses : int;
-  evictions : int;
   invalidations : int;
   size : int;
 }
 
-let make ?config ?(cache_capacity = 0) ~safe_mode ~kernels hw =
-  if cache_capacity < 0 then
-    invalid_arg "Compiler.create: negative cache capacity";
+let make ?config ~safe_mode ~kernels hw =
   let config = match config with Some c -> c | None -> Config.default hw in
   {
     hw;
@@ -101,11 +85,8 @@ let make ?config ?(cache_capacity = 0) ~safe_mode ~kernels hw =
     safe_set = lazy (Kernel_set.safe_generic hw config);
     lock = Mutex.create ();
     cache = Hashtbl.create 64;
-    tick = 0;
-    cache_capacity;
     cache_hits = 0;
     cache_misses = 0;
-    cache_evictions = 0;
     cache_invalidations = 0;
     l_full_search = 0;
     l_single_pattern = 0;
@@ -114,17 +95,17 @@ let make ?config ?(cache_capacity = 0) ~safe_mode ~kernels hw =
     observer = None;
   }
 
-let create ?config ?cache_capacity hw =
-  make ?config ?cache_capacity ~safe_mode:false
+let create ?config hw =
+  make ?config ~safe_mode:false
     ~kernels:(fun config -> Kernel_set.create hw config)
     hw
 
-let create_resilient ?config ?cache_capacity ~store_path hw =
+let create_resilient ?config ~store_path hw =
   let cfg = match config with Some c -> c | None -> Config.default hw in
   match Kernel_store.load ~path:store_path hw cfg with
-  | Ok set -> (make ~config:cfg ?cache_capacity ~safe_mode:false ~kernels:(fun _ -> set) hw, None)
+  | Ok set -> (make ~config:cfg ~safe_mode:false ~kernels:(fun _ -> set) hw, None)
   | Error reason ->
-    ( make ~config:cfg ?cache_capacity ~safe_mode:true
+    ( make ~config:cfg ~safe_mode:true
         ~kernels:(fun config -> Kernel_set.safe_generic hw config)
         hw,
       Some reason )
@@ -142,34 +123,6 @@ let kernels t = t.kernels
 let locked t f =
   Mutex.lock t.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
-let touch t slot =
-  t.tick <- t.tick + 1;
-  slot.last_use <- t.tick
-
-let evict_lru t =
-  let victim =
-    Hashtbl.fold
-      (fun key slot acc ->
-        match acc with
-        | Some (_, best) when best.last_use <= slot.last_use -> acc
-        | _ -> Some (key, slot))
-      t.cache None
-  in
-  match victim with
-  | Some (key, _) ->
-    Hashtbl.remove t.cache key;
-    t.cache_evictions <- t.cache_evictions + 1;
-    Tm.Metrics.incr m_evictions
-  | None -> ()
-
-(* Caller holds the lock. *)
-let insert t key c =
-  if t.cache_capacity > 0 && Hashtbl.length t.cache >= t.cache_capacity then
-    evict_lru t;
-  let slot = { compiled = c; last_use = 0 } in
-  touch t slot;
-  Hashtbl.replace t.cache key slot
 
 (* Cache-miss compiles rank candidates with the calibrated model whenever
    a correction is installed; otherwise the plain Equation-2 model. *)
@@ -231,10 +184,9 @@ let compile_lookup t op =
   let hit =
     locked t (fun () ->
         match Hashtbl.find_opt t.cache key with
-        | Some slot ->
-          touch t slot;
+        | Some _ as hit ->
           t.cache_hits <- t.cache_hits + 1;
-          Some slot.compiled
+          hit
         | None ->
           t.cache_misses <- t.cache_misses + 1;
           None)
@@ -249,16 +201,13 @@ let compile_lookup t op =
     Tm.Tracer.annotate "cache" "miss";
     (* Search outside the lock so concurrent compiles of distinct shapes
        overlap; on insert, re-check whether a racing domain won — the
-       search is deterministic, so adopting either result is sound, and
-       keeping the incumbent preserves its recency. *)
+       search is deterministic, so adopting either result is sound. *)
     let c = search_ladder t op in
     locked t (fun () ->
         match Hashtbl.find_opt t.cache key with
-        | Some slot ->
-          touch t slot;
-          slot.compiled
+        | Some incumbent -> incumbent
         | None ->
-          insert t key c;
+          Hashtbl.replace t.cache key c;
           c)
 
 let compile t op =
@@ -281,8 +230,7 @@ let cached t op =
    same Full_search rung accounting. If the batch search
    itself fails, every shape falls back to the sequential per-shape
    ladder ([compile]), which can still degrade rung by rung. Returns the
-   number of fresh compiles; shapes already cached cost nothing and keep
-   their recency. *)
+   number of fresh compiles; shapes already cached cost nothing. *)
 let warm ?jobs t shapes =
   let missing =
     List.sort_uniq compare shapes
@@ -312,9 +260,8 @@ let warm ?jobs t shapes =
         (fun i (c : Polymerize.compiled) ->
           note_rung t Full_search;
           locked t (fun () ->
-              match Hashtbl.find_opt t.cache keys.(i) with
-              | Some slot -> touch t slot
-              | None -> insert t keys.(i) c))
+              if not (Hashtbl.mem t.cache keys.(i)) then
+                Hashtbl.replace t.cache keys.(i) c))
         cs;
       Array.length cs
     | None ->
@@ -329,7 +276,6 @@ let cache_stats t =
       {
         hits = t.cache_hits;
         misses = t.cache_misses;
-        evictions = t.cache_evictions;
         invalidations = t.cache_invalidations;
         size = Hashtbl.length t.cache;
       })
@@ -342,13 +288,6 @@ let ladder_stats t =
         single_pattern = t.l_single_pattern;
         safe_generic = t.l_safe_generic;
       })
-
-let reset_cache_stats t =
-  locked t (fun () ->
-      t.cache_hits <- 0;
-      t.cache_misses <- 0;
-      t.cache_evictions <- 0;
-      t.cache_invalidations <- 0)
 
 let invalidate t key =
   locked t (fun () ->
@@ -367,7 +306,7 @@ let invalidate_if t pred =
          are deterministic regardless of hash-table iteration order. *)
       let victims =
         Hashtbl.fold
-          (fun key slot acc -> if pred key slot.compiled then key :: acc else acc)
+          (fun key c acc -> if pred key c then key :: acc else acc)
           t.cache []
         |> List.sort compare
       in
@@ -441,7 +380,3 @@ let simulate t (c : Polymerize.compiled) =
   | Some _ -> fst (simulate_observed t c)
 
 let operator_seconds t op = (simulate t (compile t op)).seconds
-
-let operator_seconds_with_overhead t op =
-  let c = compile t op in
-  (simulate t c).seconds +. c.search_seconds

@@ -5,18 +5,15 @@
 
 type t
 
-val create :
-  ?config:Config.t -> ?cache_capacity:int -> Mikpoly_accel.Hardware.t -> t
+val create : ?config:Config.t -> Mikpoly_accel.Hardware.t -> t
 (** Runs (or reuses) the offline stage for the platform. Default
-    configuration is {!Config.default}. [cache_capacity] bounds the
-    per-shape program memo: when full, the least-recently-used entry is
-    evicted (hits refresh recency, like [Serve.Shape_cache]) and counted
-    in {!cache_stats}. The default [0] keeps the memo unbounded, the
-    seed behaviour. *)
+    configuration is {!Config.default}. The per-shape program memo is
+    unbounded: a compiler holds one program per distinct shape it has
+    compiled, until {!invalidate} drops it. *)
 
 val create_resilient :
-  ?config:Config.t -> ?cache_capacity:int -> store_path:string ->
-  Mikpoly_accel.Hardware.t -> t * string option
+  ?config:Config.t -> store_path:string -> Mikpoly_accel.Hardware.t ->
+  t * string option
 (** Like {!create} but sourcing the kernel set from a {!Kernel_store}
     artifact instead of a tuning pass. When the artifact is unusable
     (missing, corrupted, checksum mismatch, wrong platform…), instead of
@@ -63,7 +60,7 @@ val kernels : t -> Kernel_set.t
 
 val compile : t -> Mikpoly_ir.Operator.t -> Polymerize.compiled
 (** On-the-fly polymerization for the operator's runtime shape; memoized
-    per shape. Hit/miss/eviction counts feed both {!cache_stats} and the
+    per shape. Hit/miss counts feed both {!cache_stats} and the
     global [compiler.cache.*] telemetry counters; with the telemetry
     tracer enabled each call additionally records a [compiler.compile]
     span annotated with the shape and cache outcome.
@@ -92,10 +89,8 @@ val warm : ?jobs:int -> t -> (int * int * int) list -> int
 type cache_stats = {
   hits : int;  (** [compile] calls served from the per-shape memo *)
   misses : int;  (** [compile] calls that ran the online search *)
-  evictions : int;  (** entries dropped by the [cache_capacity] bound *)
   invalidations : int;
-      (** entries dropped explicitly via {!invalidate} / {!invalidate_if}
-          (counted separately from capacity evictions) *)
+      (** entries dropped via {!invalidate} / {!invalidate_if} *)
   size : int;  (** distinct shapes currently cached *)
 }
 
@@ -104,15 +99,11 @@ val cache_stats : t -> cache_stats
     can measure memoization instead of inferring it. [cached] and
     [compile_fresh] do not touch the counters. *)
 
-val reset_cache_stats : t -> unit
-(** Zero the hit/miss/eviction/invalidation counters (cache contents are
-    kept) — test isolation for a shared compiler. *)
-
 val invalidate : t -> int * int * int -> bool
 (** [invalidate t (m, n, k)] drops the cached program for that shape, if
     any; returns whether an entry was removed. Counted in
     [cache_stats.invalidations] and the [compiler.cache.invalidations]
-    telemetry counter, separately from capacity evictions. *)
+    telemetry counter. *)
 
 val invalidate_if :
   t -> (int * int * int -> Polymerize.compiled -> bool) -> int
@@ -177,7 +168,3 @@ val simulate_observed :
 val operator_seconds : t -> Mikpoly_ir.Operator.t -> float
 (** Device time of the best program for the operator (excluding online
     search overhead). *)
-
-val operator_seconds_with_overhead : t -> Mikpoly_ir.Operator.t -> float
-(** Device time plus the measured polymerization overhead — what an
-    end-to-end run pays the first time it meets a shape. *)

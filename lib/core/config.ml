@@ -9,56 +9,37 @@ type t = {
   path : Hardware.compute_path;
   codegen_eff : float;
   patterns : Pattern.t list;
-  primary_kernels : int;
-  secondary_kernels : int;
   max_cuts : int;
   rank_style : Mikpoly_autosched.Autotuner.rank_style;
   search_launch_term : bool;
   cut_style : [ `Wave_aligned | `Remainder_only ];
-  search_jobs : int;
   analytic_prune : bool;
 }
 
+(* The paper's hyper-parameters (n_gen, n_syn, n_mik, n_pred) =
+   (32, 12, 40, 5120), written once: the autotuner and the performance
+   models take them from here. *)
 let default (hw : Hardware.t) =
-  match hw.kind with
-  | Gpu ->
-    {
-      n_gen = 32;
-      n_syn = 12;
-      n_mik = 40;
-      n_pred = 5120;
-      dtype = Mikpoly_tensor.Dtype.F16;
-      path = Hardware.Matrix;
-      codegen_eff = 0.88;
-      patterns = Pattern.gpu_defaults;
-      primary_kernels = 12;
-      secondary_kernels = 8;
-      max_cuts = 6;
-      rank_style = Mikpoly_autosched.Autotuner.Champion;
-      search_launch_term = true;
-      cut_style = `Wave_aligned;
-      search_jobs = 0;
-      analytic_prune = true;
-    }
-  | Npu ->
-    {
-      n_gen = 32;
-      n_syn = 12;
-      n_mik = 40;
-      n_pred = 5120;
-      dtype = Mikpoly_tensor.Dtype.F16;
-      path = Hardware.Matrix;
-      codegen_eff = 0.88;
-      patterns = Pattern.npu_defaults;
-      primary_kernels = 12;
-      secondary_kernels = 8;
-      max_cuts = 4;
-      rank_style = Mikpoly_autosched.Autotuner.Champion;
-      search_launch_term = true;
-      cut_style = `Wave_aligned;
-      search_jobs = 0;
-      analytic_prune = true;
-    }
+  let patterns, max_cuts =
+    match hw.kind with
+    | Gpu -> (Pattern.gpu_defaults, 6)
+    | Npu -> (Pattern.npu_defaults, 4)
+  in
+  {
+    n_gen = 32;
+    n_syn = 12;
+    n_mik = 40;
+    n_pred = 5120;
+    dtype = Mikpoly_tensor.Dtype.F16;
+    path = Hardware.Matrix;
+    codegen_eff = 0.88;
+    patterns;
+    max_cuts;
+    rank_style = Mikpoly_autosched.Autotuner.Champion;
+    search_launch_term = true;
+    cut_style = `Wave_aligned;
+    analytic_prune = true;
+  }
 
 let with_path path t =
   let codegen_eff = match path with Hardware.Matrix -> t.codegen_eff | Vector -> 0.85 in

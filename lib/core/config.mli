@@ -10,10 +10,6 @@ type t = {
   path : Mikpoly_accel.Hardware.compute_path;
   codegen_eff : float;  (** quality of the auto-generated kernels *)
   patterns : Pattern.t list;  (** polymerization patterns to explore *)
-  primary_kernels : int;
-      (** kernels tried as a candidate program's primary micro-kernel *)
-  secondary_kernels : int;
-      (** kernels tried as the pinned second kernel of two-cut patterns *)
   max_cuts : int;  (** wave-aligned cut candidates per kernel and axis *)
   rank_style : Mikpoly_autosched.Autotuner.rank_style;
       (** offline ranking rule (ablation knob; default Champion) *)
@@ -23,13 +19,6 @@ type t = {
   cut_style : [ `Wave_aligned | `Remainder_only ];
       (** split-point heuristic: wave-boundary candidates vs only the
           maximal full-tile cut (ablation knob; default wave-aligned) *)
-  search_jobs : int;
-      (** worker domains for the online search and offline tuning:
-          [0] (default) inherits {!Mikpoly_util.Domain_pool.default_jobs}
-          (the CLI's [--jobs] flag), [1] forces sequential, [n > 1]
-          uses [n] domains. Never affects which program is chosen —
-          the parallel search is deterministic — so it is excluded
-          from {!cache_key}. *)
   analytic_prune : bool;
       (** apply {!Strategy_space}'s analytic pre-pruning (kernel
           dominance, Pattern-I bound seeding, pipeline-depth floors)

@@ -50,7 +50,7 @@ let create hw (config : Config.t) =
           (fun () ->
             Mikpoly_telemetry.Metrics.incr m_tunes;
             let tuned =
-              Autotuner.generate ~jobs:config.search_jobs ~n_gen:config.n_gen
+              Autotuner.generate ~n_gen:config.n_gen
                 ~n_syn:config.n_syn ~n_mik:config.n_mik ~n_pred:config.n_pred
                 ~dtype:config.dtype ~path:config.path
                 ~codegen_eff:config.codegen_eff ~rank_style:config.rank_style

@@ -106,32 +106,46 @@ let load ~path (hw : Hardware.t) (config : Config.t) =
                          && String.sub g_line 0 9 = "gpredict " -> (
                     match (dtype_of_string dtype, path_of_string cpath) with
                     | Some dtype, Some cpath ->
-                      let desc =
-                        Kernel_desc.make ~dtype ~path:cpath
-                          ~codegen_eff:(float_of_string eff) ~origin
-                          ~um:(int_of_string um) ~un:(int_of_string un)
-                          ~uk:(int_of_string uk) ()
+                      let codegen_eff = float_of_string eff
+                      and rank_score = float_of_string score
+                      and points =
+                        parse_points
+                          (String.sub g_line 9 (String.length g_line - 9))
                       in
-                      let g =
-                        Mikpoly_util.Piecewise.of_points
-                          (parse_points
-                             (String.sub g_line 9 (String.length g_line - 9)))
-                      in
-                      let entry =
-                        {
-                          Kernel_set.desc;
-                          model = { Perf_model.kernel = desc; g };
-                          wave_capacity = Kernel_model.wave_capacity hw desc;
-                          rank;
-                          rank_score = float_of_string score;
-                        }
-                      in
-                      parse (entry :: acc) (rank + 1) rest
+                      if
+                        not
+                          (List.for_all Float.is_finite
+                             (codegen_eff :: rank_score
+                             :: List.concat_map (fun (x, y) -> [ x; y ]) points))
+                      then Error "non-finite number in a kernel entry"
+                      else
+                        let desc =
+                          Kernel_desc.make ~dtype ~path:cpath ~codegen_eff
+                            ~origin ~um:(int_of_string um)
+                            ~un:(int_of_string un) ~uk:(int_of_string uk) ()
+                        in
+                        let wave_capacity = Kernel_model.wave_capacity hw desc in
+                        if wave_capacity < 1 then
+                          fail "kernel %dx%dx%d cannot be resident on %s"
+                            desc.um desc.un desc.uk hw.Hardware.name
+                        else
+                          let g = Mikpoly_util.Piecewise.of_points points in
+                          let entry =
+                            {
+                              Kernel_set.desc;
+                              model = { Perf_model.kernel = desc; g };
+                              wave_capacity;
+                              rank;
+                              rank_score;
+                            }
+                          in
+                          parse (entry :: acc) (rank + 1) rest
                     | _ -> Error "bad dtype or path")
                   | _ -> Error "malformed kernel entry")
                 | _ -> Error "truncated kernel entry"
               in
               match parse [] 0 rest with
+              | Ok [] -> Error "kernel set is empty"
               | Ok entries ->
                 Ok { Kernel_set.hw; entries = Array.of_list entries }
               | Error e -> Error e
@@ -140,9 +154,8 @@ let load ~path (hw : Hardware.t) (config : Config.t) =
         | _ -> fail "truncated kernel-set file")
 
 let load_or_create ~path hw config =
-  match load ~path hw config with
-  | Ok set -> set
-  | Error _ ->
+  if Sys.file_exists path then load ~path hw config
+  else
     let set = Kernel_set.create hw config in
     save ~path config set;
-    set
+    Ok set

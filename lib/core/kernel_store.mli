@@ -24,8 +24,15 @@ val load :
     rejected) or compiler configuration — stale artifacts must never be
     silently reused. A checksum mismatch (bit rot, truncation, a torn
     write from a pre-atomic-rename writer) is likewise rejected with a
-    distinct reason, before the body is parsed. *)
+    distinct reason, before the body is parsed. So is a body the
+    compiler could not search: an empty set, a tile that cannot be
+    resident on the device, or a non-finite number. *)
 
-val load_or_create : path:string -> Mikpoly_accel.Hardware.t -> Config.t -> Kernel_set.t
-(** Use the artifact when valid, otherwise run the offline stage and save
-    the result. *)
+val load_or_create :
+  path:string -> Mikpoly_accel.Hardware.t -> Config.t ->
+  (Kernel_set.t, string) result
+(** Use the artifact at [path] when it exists; only a missing [path] is
+    tuned and saved. An existing artifact that {!load} rejects is never
+    re-tuned over: its reason is returned and the file is left
+    byte-identical, so a store another platform or an operator owns
+    survives a misdirected run. *)

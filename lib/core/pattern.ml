@@ -71,5 +71,3 @@ let decompose p ~m ~n ~cuts =
       Some [ rect 0 0 r n; rect r 0 (m - r) c; rect r c (m - r) (n - c) ]
     else None
   | _ -> assert false
-
-let primary_first _ = true

@@ -33,7 +33,3 @@ val decompose : t -> m:int -> n:int -> cuts:int list -> rect list option
     degenerate for this output (e.g. out of range), otherwise the region
     rectangles, primary region first. The rectangles always partition the
     output exactly. *)
-
-val primary_first : t -> bool
-(** All patterns place the primary (largest, kernel-pinned) region first
-    in the returned list. *)

@@ -35,7 +35,6 @@ type scorer =
   | Model of Cost_model.objective
   | Calibrated of (Kernel_set.entry -> float -> float)
   | Simulate
-  | Simulate_on of Hardware.t
 
 type compiled = {
   program : Program.t;
@@ -50,8 +49,6 @@ type compiled = {
 
 let ceil_div a b = (a + b - 1) / b
 
-(* Cut derivation (wave-capacity divisibility) lives in
-   [Strategy_space] now; re-exported here for tests and callers. *)
 let row_cuts = Strategy_space.row_cuts
 
 let col_cuts = Strategy_space.col_cuts
@@ -85,6 +82,13 @@ let choice_key (ch : choice) : tie_key =
     List.map (fun (e : Kernel_set.entry) -> e.rank) ch.c_pins,
     match ch.c_fill with Some e -> e.rank | None -> -1 )
 
+(* Algorithm 1's heuristic narrowing: how many kernels, best Pattern-I
+   cost first, a split pattern tries as its primary kernel and as the
+   pinned second kernel of the two-cut Patterns VII-IX. *)
+let primary_kernels = 12
+
+let secondary_kernels = 8
+
 let search ?shared_view ~scorer ~tracing (set : Kernel_set.t)
     (config : Config.t) op =
   if Array.length set.entries = 0 then
@@ -96,24 +100,16 @@ let search ?shared_view ~scorer ~tracing (set : Kernel_set.t)
   let objective =
     match scorer with
     | Model o -> o
-    | Calibrated _ | Simulate | Simulate_on _ -> Cost_model.Full
+    | Calibrated _ | Simulate -> Cost_model.Full
   in
-  (* Simulator-backed scoring runs on [set.hw] for the classic oracle, or
-     on an explicitly supplied device ([Simulate_on]) — the drifted-oracle
-     the adaptation evaluator ranks against. *)
-  let sim_hw =
-    match scorer with
-    | Simulate -> Some set.hw
-    | Simulate_on hw -> Some hw
-    | Model _ | Calibrated _ -> None
-  in
+  let oracle = match scorer with Simulate -> true | Model _ | Calibrated _ -> false in
   (* Per-kernel multiplicative/affine correction learned online; clamped
      non-negative so region-order pruning against the monotone bound stays
      sound. Identity for the uncalibrated model. *)
   let correct =
     match scorer with
     | Calibrated f -> fun e x -> Float.max 0. (f e x)
-    | Model _ | Simulate | Simulate_on _ -> fun _ x -> x
+    | Model _ | Simulate -> fun _ x -> x
   in
   (* The reduction extent is fixed for the whole compile, so each kernel's
      f_pipe = g_predict(⌈K/uK⌉) is a constant: precompute it and keep the
@@ -160,8 +156,8 @@ let search ?shared_view ~scorer ~tracing (set : Kernel_set.t)
     Array.map (fun i -> entries.(i))
       (Array.sub by_p1 0 (min cnt n_entries))
   in
-  let primaries = take config.primary_kernels in
-  let secondaries = take config.secondary_kernels in
+  let primaries = take primary_kernels in
+  let secondaries = take secondary_kernels in
   (* Branch-and-bound state: the lowest full-candidate cost found so far.
      Monotonically non-increasing, so pruning a partial sum that strictly
      exceeds it can never discard a candidate tying the eventual minimum
@@ -321,8 +317,7 @@ let search ?shared_view ~scorer ~tracing (set : Kernel_set.t)
       let load =
         Load.make ~regions ~footprint_bytes:(Operator.footprint_bytes op)
       in
-      let hw = match sim_hw with Some hw -> hw | None -> set.hw in
-      record (Simulator.run hw load).cycles ch
+      record (Simulator.run set.hw load).cycles ch
   in
   let choice pattern cuts pins fill =
     { c_pattern = pattern; c_cuts = cuts; c_pins = pins; c_fill = fill }
@@ -330,14 +325,14 @@ let search ?shared_view ~scorer ~tracing (set : Kernel_set.t)
   (* Under the oracle, a choice with free slots is additionally enumerated
      with every secondary kernel as a uniform fill. *)
   let consider ?(has_free = false) pattern cuts pins =
-    match sim_hw with
-    | None -> score_choice_model (choice pattern cuts pins None)
-    | Some _ ->
+    if not oracle then score_choice_model (choice pattern cuts pins None)
+    else begin
       score_choice_simulate (choice pattern cuts pins None);
       if has_free then
         Array.iter
           (fun e -> score_choice_simulate (choice pattern cuts pins (Some e)))
           secondaries
+    end
   in
   (* Fast allocation-free path for Pattern I. Under the analytic pruner
      only live entries whose precomputed cost can still matter are
@@ -345,8 +340,7 @@ let search ?shared_view ~scorer ~tracing (set : Kernel_set.t)
      tie-break, and an entry strictly above the achievable bound cannot
      win — both skips keep the recorded winner identical. *)
   let pattern_one () =
-    match sim_hw with
-    | None ->
+    if not oracle then
       for i = 0 to n_entries - 1 do
         if analytic && (not (live_ok i) || p1.(i) > !bound) then incr pruned_a
         else begin
@@ -354,14 +348,14 @@ let search ?shared_view ~scorer ~tracing (set : Kernel_set.t)
           record p1.(i) (choice I [] [ entries.(i) ] None)
         end
       done
-    | Some _ ->
+    else
       Array.iter (fun e -> score_choice_simulate (choice I [] [ e ] None)) entries
   in
   let pattern_two (e1 : Kernel_set.entry) =
     List.iter
       (fun r ->
-        match sim_hw with
-        | None ->
+        if oracle then consider ~has_free:true II [ r ] [ e1 ]
+        else
           let c1 = rcost_dims e1 r n in
           if analytic && c1 +. floor_cost (m - r) n > !bound then incr pruned_a
           else begin
@@ -371,15 +365,14 @@ let search ?shared_view ~scorer ~tracing (set : Kernel_set.t)
               let e2, c2 = best_single (m - r) n in
               record (c1 +. c2) (choice II [ r ] [ e1; e2 ] None)
             end
-          end
-        | Some _ -> consider ~has_free:true II [ r ] [ e1 ])
+          end)
       (row_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts)
   in
   let pattern_three (e1 : Kernel_set.entry) =
     List.iter
       (fun c ->
-        match sim_hw with
-        | None ->
+        if oracle then consider ~has_free:true III [ c ] [ e1 ]
+        else
           let c1 = rcost_dims e1 m c in
           if analytic && c1 +. floor_cost m (n - c) > !bound then incr pruned_a
           else begin
@@ -389,8 +382,7 @@ let search ?shared_view ~scorer ~tracing (set : Kernel_set.t)
               let e2, c2 = best_single m (n - c) in
               record (c1 +. c2) (choice III [ c ] [ e1; e2 ] None)
             end
-          end
-        | Some _ -> consider ~has_free:true III [ c ] [ e1 ])
+          end)
       (col_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts)
   in
   let two_cut_pattern pattern (e1 : Kernel_set.entry) =
@@ -533,7 +525,7 @@ let search_batch ?(scorer = Model Cost_model.Full) ?(instrument = true) ?jobs
   let requested =
     match jobs with
     | Some j -> max 1 j
-    | None -> Dp.resolve_jobs config.search_jobs
+    | None -> Dp.default_jobs ()
   in
   let ejobs = Dp.effective_jobs requested in
   let n = Array.length ops in

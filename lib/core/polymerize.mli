@@ -22,10 +22,6 @@ type scorer =
           (the paper's "runtime measurement"), no pruning. Free regions
           beyond the first are resolved with the cost model to bound the
           combinatorics. *)
-  | Simulate_on of Mikpoly_accel.Hardware.t
-      (** Like [Simulate], but every candidate is timed on the given device
-          instead of the kernel set's — the ground-truth oracle under
-          hardware drift, used by the adaptation ranking evaluator. *)
 
 type compiled = {
   program : Mikpoly_ir.Program.t;
@@ -46,18 +42,6 @@ type compiled = {
           was first recorded (1-based; counted across the whole search in
           visitation order) *)
 }
-
-val row_cuts :
-  ?style:[ `Wave_aligned | `Remainder_only ] -> Kernel_set.entry -> rows:int ->
-  cols:int -> max_cuts:int -> int list
-(** Wave-aligned row cut candidates for a primary kernel on a
-    [rows×cols] region: multiples of uM whose full-width strip above the
-    cut fills close to an integer number of waves, plus the maximal
-    full-tile cut. Exposed for tests. *)
-
-val col_cuts :
-  ?style:[ `Wave_aligned | `Remainder_only ] -> Kernel_set.entry -> rows:int ->
-  cols:int -> max_cuts:int -> int list
 
 val polymerize :
   ?scorer:scorer -> ?instrument:bool -> Kernel_set.t -> Config.t ->
@@ -96,8 +80,8 @@ val search_batch :
     granularity: element [i] of the result is exactly what
     [polymerize ops.(i)] returns (each shape's search is independent and
     deterministic, so the array is bit-identical at every job count).
-    [jobs] (default: [Config.search_jobs], resolved through
-    {!Mikpoly_util.Domain_pool.resolve_jobs}) is clamped to the
+    [jobs] (default: {!Mikpoly_util.Domain_pool.default_jobs}, the
+    CLI's [--jobs]) is clamped to the
     host's concurrency ({!Mikpoly_util.Domain_pool.effective_jobs}) —
     worker domains beyond the core count only add dispatch overhead.
     Chunks carry at least [min_chunk] shapes (default 4) so dispatch

@@ -38,10 +38,15 @@ val axis_cuts :
 val row_cuts :
   ?style:[ `Wave_aligned | `Remainder_only ] -> Kernel_set.entry -> rows:int ->
   cols:int -> max_cuts:int -> int list
+(** Wave-aligned row cut candidates for a primary kernel on a
+    [rows×cols] region: multiples of uM whose full-width strip above the
+    cut fills close to an integer number of waves, plus the maximal
+    full-tile cut. *)
 
 val col_cuts :
   ?style:[ `Wave_aligned | `Remainder_only ] -> Kernel_set.entry -> rows:int ->
   cols:int -> max_cuts:int -> int list
+(** {!row_cuts} on the column axis. *)
 
 type skeleton
 (** The K-independent half of kernel dominance for one kernel set: for

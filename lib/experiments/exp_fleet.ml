@@ -85,15 +85,10 @@ let fleet_config ?(coalesce = false) ?warm ?autoscale ?ratelimit ~replicas () =
   }
 
 let warm_config ~quick =
-  {
-    F.default_warm with
-    warm_top_k = (if quick then 4 else 8);
-    warm_interval = 0.02;
-  }
+  { F.warm_top_k = (if quick then 4 else 8); warm_interval = 0.02 }
 
 let autoscale_config =
   {
-    Autoscaler.default with
     Autoscaler.min_replicas = 1;
     max_replicas = static_replicas;
     up_queue_depth = 1.5;

@@ -3,23 +3,16 @@ type config = {
   max_replicas : int;
   up_queue_depth : float;
   down_queue_depth : float;
-  slo_floor : float;
-  stall_ceiling : float;
   cooldown : float;
   interval : float;
 }
 
-let default =
-  {
-    min_replicas = 1;
-    max_replicas = 8;
-    up_queue_depth = 4.;
-    down_queue_depth = 0.5;
-    slo_floor = 0.9;
-    stall_ceiling = 0.5;
-    cooldown = 0.5;
-    interval = 0.25;
-  }
+(* Running SLO attainment below which the fleet counts as overloaded. *)
+let slo_floor = 0.9
+
+(* Compile-stall fraction of busy time above which scale-up is
+   pointless: cold caches would add stalls. *)
+let stall_ceiling = 0.5
 
 let validate c =
   if c.min_replicas < 1 then
@@ -29,10 +22,6 @@ let validate c =
   if c.down_queue_depth < 0. || c.up_queue_depth <= c.down_queue_depth then
     invalid_arg
       "Autoscaler: need 0 <= down_queue_depth < up_queue_depth (hysteresis)";
-  if c.slo_floor < 0. || c.slo_floor > 1. then
-    invalid_arg "Autoscaler: slo_floor must be in [0, 1]";
-  if c.stall_ceiling < 0. || c.stall_ceiling > 1. then
-    invalid_arg "Autoscaler: stall_ceiling must be in [0, 1]";
   if c.cooldown < 0. then invalid_arg "Autoscaler: cooldown must be >= 0";
   if c.interval <= 0. then invalid_arg "Autoscaler: interval must be > 0"
 
@@ -51,7 +40,7 @@ let decision_name = function
   | Scale_up -> "scale-up"
   | Scale_down -> "scale-down"
 
-(* Hysteresis: scale up above [up_queue_depth] (or below the SLO floor),
+(* Hysteresis: scale up above [up_queue_depth] (or below [slo_floor]),
    scale down only below the strictly smaller [down_queue_depth] — the
    gap prevents flapping, and [cooldown] spaces consecutive changes.
    Two fault-plane rules: a crashed replica counts against capacity
@@ -67,18 +56,18 @@ let decide c ~last_change ~now signal =
   else begin
     let overloaded =
       signal.queue_depth > c.up_queue_depth
-      || signal.slo_attainment < c.slo_floor
+      || signal.slo_attainment < slo_floor
     in
     if overloaded then
       if
         signal.live_replicas + signal.down_replicas < c.max_replicas
-        && signal.stall_ratio <= c.stall_ceiling
+        && signal.stall_ratio <= stall_ceiling
       then Scale_up
       else Hold
     else if signal.down_replicas > 0 then Hold
     else if
       signal.queue_depth < c.down_queue_depth
-      && signal.slo_attainment >= c.slo_floor
+      && signal.slo_attainment >= slo_floor
       && signal.live_replicas > c.min_replicas
     then Scale_down
     else Hold

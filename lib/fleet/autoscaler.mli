@@ -4,33 +4,27 @@
     loop samples the signals every [interval] and applies the decision,
     so scaling is deterministic and replayable. Scale up above
     [up_queue_depth] waiting requests per live replica (or when SLO
-    attainment falls below [slo_floor]); scale down only below the
-    strictly smaller [down_queue_depth] — the gap between the two
+    attainment falls below 0.9); scale down only below the strictly
+    smaller [down_queue_depth] — the gap between the two
     thresholds is the hysteresis band that prevents flapping, and
     [cooldown] spaces consecutive changes.
 
     Fault-plane interaction (PR 5): a crashed replica counts against
     capacity — it occupies a fleet slot for the [max_replicas] bound —
     and is never read as a scale-down signal; while any replica is
-    down, the fleet holds rather than shrinks. A stall ratio above
-    [stall_ceiling] also blocks scale-up: a fresh replica starts with a
-    cold program cache, so adding one to a compile-bound fleet adds
-    stalls, not capacity. *)
+    down, the fleet holds rather than shrinks. A compile-stall fraction
+    of busy time above 0.5 also blocks scale-up: a fresh replica starts
+    with a cold program cache, so adding one to a compile-bound fleet
+    adds stalls, not capacity. *)
 
 type config = {
   min_replicas : int;
   max_replicas : int;
   up_queue_depth : float;  (** waiting per live replica; scale up above *)
   down_queue_depth : float;  (** scale down below; must be < up threshold *)
-  slo_floor : float;  (** running SLO attainment; scale up below *)
-  stall_ceiling : float;
-      (** compile-stall fraction of busy time above which scale-up is
-          pointless (cold caches would add stalls) *)
   cooldown : float;  (** seconds between consecutive scale changes *)
   interval : float;  (** seconds between signal samples *)
 }
-
-val default : config
 
 val validate : config -> unit
 (** Raises [Invalid_argument] on non-sensical bounds (e.g. no

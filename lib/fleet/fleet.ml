@@ -39,17 +39,10 @@ let m_hedges = Tm.Metrics.counter "hetero.hedges"
 type warm_config = {
   warm_top_k : int;
   warm_interval : float;
-  warm_half_life : float;
-  warm_capacity : int;
 }
 
-let default_warm =
-  {
-    warm_top_k = 8;
-    warm_interval = 0.25;
-    warm_half_life = 1.0;
-    warm_capacity = 4096;
-  }
+(* Warm-store capacity in shapes. *)
+let warm_capacity = 4096
 
 type config = {
   replicas : int;
@@ -75,11 +68,7 @@ let validate config =
   | Some w ->
     if w.warm_top_k < 0 then invalid_arg "Fleet: warm_top_k must be >= 0";
     if w.warm_interval <= 0. then
-      invalid_arg "Fleet: warm_interval must be > 0";
-    if w.warm_half_life <= 0. then
-      invalid_arg "Fleet: warm_half_life must be > 0";
-    if w.warm_capacity < 0 then
-      invalid_arg "Fleet: warm_capacity must be >= 0"
+      invalid_arg "Fleet: warm_interval must be > 0"
   | None -> ());
   match config.autoscale with
   | Some a -> Autoscaler.validate a
@@ -290,9 +279,7 @@ let serve ?(faults = Plan.none) config p trace =
   let live = Array.make n_slots false in
   let spawned = Array.make n_slots 0. in
   let cls_of = Array.make n_slots 0 in
-  let learner =
-    Option.map (fun w -> Learner.create ~half_life:w.warm_half_life ()) config.warm
-  in
+  let learner = Option.map (fun _ -> Learner.create ()) config.warm in
   (* Warm-store admission is mass-aware, not LRU: a warm entry's weight
      is its bucket's decayed learner mass at the moment an admission
      decision is made, so a scan of cold buckets churns among the cold
@@ -305,13 +292,13 @@ let serve ?(faults = Plan.none) config p trace =
   let warm_now = ref 0. in
   let store () =
     match (config.warm, learner) with
-    | Some w, Some l ->
+    | Some _, Some l ->
       let weight shape =
         match Hashtbl.find_opt warm_sig shape with
         | Some s -> Learner.mass l ~now:!warm_now ~signature:s
         | None -> 0.
       in
-      Some (Shape_cache.create_weighted ~weight ~capacity:w.warm_capacity)
+      Some (Shape_cache.create_weighted ~weight ~capacity:warm_capacity)
     | _ when p.class_store -> Some (Shape_cache.create ~capacity:config.cache_capacity)
     | _ -> None
   in
@@ -361,7 +348,7 @@ let serve ?(faults = Plan.none) config p trace =
   let limiter =
     Option.map
       (fun base ->
-        Ratelimit.create ~rate_for:(fun t -> Ratelimit.for_tier ~base t.Tenant.tier) ())
+        Ratelimit.create ~rate_for:(fun t -> Ratelimit.for_tier ~base t.Tenant.tier))
       config.ratelimit
   in
   (* The request ledger: exactly one terminal status per trace request,

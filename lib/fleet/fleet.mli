@@ -45,11 +45,9 @@
 type warm_config = {
   warm_top_k : int;  (** signatures refreshed per interval *)
   warm_interval : float;  (** seconds between learner-driven refreshes *)
-  warm_half_life : float;  (** decay half-life of the shape histogram *)
-  warm_capacity : int;  (** warm-store LRU capacity (shapes) *)
 }
-
-val default_warm : warm_config
+(** The learned warm plane. Its shape histogram decays with a one-second
+    half-life and its store holds 4096 shapes. *)
 
 type config = {
   replicas : int;  (** initial fleet size (clamped to autoscale bounds) *)

@@ -9,18 +9,16 @@ type cell = {
   mutable last : float;
 }
 
-type t = {
-  half_life : float;
-  cells : (int * int, cell) Hashtbl.t;  (* (tenant_id, signature) *)
-}
+(* Event-clock seconds over which a cell's mass halves. *)
+let half_life = 1.0
 
-let create ?(half_life = 1.0) () =
-  if half_life <= 0. then invalid_arg "Learner.create: half_life must be > 0";
-  { half_life; cells = Hashtbl.create 64 }
+type t = { cells : (int * int, cell) Hashtbl.t (* (tenant_id, signature) *) }
 
-let decay t cell ~now =
+let create () = { cells = Hashtbl.create 64 }
+
+let decay cell ~now =
   if now > cell.last then begin
-    cell.mass <- cell.mass *. (0.5 ** ((now -. cell.last) /. t.half_life));
+    cell.mass <- cell.mass *. (0.5 ** ((now -. cell.last) /. half_life));
     cell.last <- now
   end
 
@@ -35,7 +33,7 @@ let observe t ~now ~tenant ~signature ~weight =
       Hashtbl.replace t.cells key c;
       c
   in
-  decay t cell ~now;
+  decay cell ~now;
   cell.mass <- cell.mass +. weight
 
 (* Merge across tenants: decayed mass summed per signature, ranked
@@ -46,7 +44,7 @@ let top_k t ~now ~k =
   let merged = Hashtbl.create 16 in
   Hashtbl.iter
     (fun (_, signature) cell ->
-      decay t cell ~now;
+      decay cell ~now;
       let prev =
         Option.value (Hashtbl.find_opt merged signature) ~default:0.
       in
@@ -65,7 +63,7 @@ let mass t ~now ~signature =
   Hashtbl.fold
     (fun (_, s) cell acc ->
       if s = signature then begin
-        decay t cell ~now;
+        decay cell ~now;
         acc +. cell.mass
       end
       else acc)

@@ -4,15 +4,14 @@
     The fleet observes every arrival's bucketed shape signature and
     periodically asks for the top-K signatures by decayed mass; the warm
     store precompiles those buckets off the request critical path. Mass
-    halves every [half_life] event-clock seconds, so the ranking tracks
+    halves every event-clock second, so the ranking tracks
     the live distribution rather than the whole history. Fully
     deterministic: ranking ties go to the smaller signature, never to
     hash order. *)
 
 type t
 
-val create : ?half_life:float -> unit -> t
-(** [half_life] in event-clock seconds (default 1.0, must be > 0). *)
+val create : unit -> t
 
 val observe : t -> now:float -> tenant:int -> signature:int -> weight:float -> unit
 (** Add [weight] mass (typically the tenant's tier weight, so paid

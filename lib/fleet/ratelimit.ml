@@ -1,4 +1,3 @@
-module Request = Mikpoly_serve.Request
 module Tm = Mikpoly_telemetry
 
 let m_admitted = Tm.Metrics.counter "fleet.ratelimit.admitted"
@@ -27,13 +26,11 @@ type bucket = {
 }
 
 type t = {
-  cost : Request.t -> float;
   rate_for : Tenant.t -> config;
   buckets : (int, bucket) Hashtbl.t;
 }
 
-let create ?(cost = fun _ -> 1.) ~rate_for () =
-  { cost; rate_for; buckets = Hashtbl.create 16 }
+let create ~rate_for = { rate_for; buckets = Hashtbl.create 16 }
 
 let bucket t (tenant : Tenant.t) =
   match Hashtbl.find_opt t.buckets tenant.Tenant.tenant_id with
@@ -59,10 +56,8 @@ let admit t ~now (tg : Tenant.tagged) =
   b.b_tokens <- Float.min b.b_config.rl_burst
       (b.b_tokens +. (dt *. b.b_config.rl_rate));
   b.b_refilled <- Float.max b.b_refilled now;
-  let cost = t.cost tg.Tenant.req in
-  if cost < 0. then invalid_arg "Ratelimit: negative request cost";
-  if b.b_tokens >= cost then begin
-    b.b_tokens <- b.b_tokens -. cost;
+  if b.b_tokens >= 1. then begin
+    b.b_tokens <- b.b_tokens -. 1.;
     b.b_admitted <- b.b_admitted + 1;
     Tm.Metrics.incr m_admitted;
     true

@@ -4,7 +4,7 @@
     tokens per second of the *event clock*, lazily at each admission
     decision — so the limiter is as deterministic as the clock it is
     fed, independent of wall time and [--jobs]. A request costs one
-    token by default (pass [~cost] to charge token work instead).
+    token.
 
     This is overload *shedding before admission*: a tenant whose
     arrival rate exceeds its refill rate has its excess refused at the
@@ -14,7 +14,7 @@
 
 type config = {
   rl_rate : float;  (** sustained tokens/second (> 0) *)
-  rl_burst : float;  (** bucket capacity (>= 1 request cost) *)
+  rl_burst : float;  (** bucket capacity (>= 1 request) *)
 }
 
 val validate : config -> unit
@@ -27,17 +27,12 @@ val for_tier : base:config -> Tenant.tier -> config
 
 type t
 
-val create :
-  ?cost:(Mikpoly_serve.Request.t -> float) ->
-  rate_for:(Tenant.t -> config) ->
-  unit ->
-  t
-(** Buckets are created lazily per tenant, full. [cost] defaults to
-    [fun _ -> 1.] (each request is one token). *)
+val create : rate_for:(Tenant.t -> config) -> t
+(** Buckets are created lazily per tenant, full. *)
 
 val admit : t -> now:float -> Tenant.tagged -> bool
 (** Refill the request's tenant bucket up to [now], then try to spend
-    the request's cost: [true] admits (tokens deducted), [false] sheds.
+    one token: [true] admits (token deducted), [false] sheds.
     [now] must not run backwards for a given tenant; the bucket clamps
     regressive clocks to the last refill instant. *)
 

@@ -40,17 +40,16 @@ let mikpoly_backend c =
     bk_dram_bps = hw.Hardware.dram_bytes_per_cycle *. hw.Hardware.clock_hz;
   }
 
-let synthetic_backend ?(compile_seconds = 5e-4) ?(macs_per_second = 1e12)
-    ?(launch = 1e-6) ?(dram_gbps = 100.) () =
+let synthetic_backend () =
   {
     bk_name = "synthetic";
-    bk_compile = (fun _ -> compile_seconds);
+    bk_compile = (fun _ -> 5e-4);
     bk_gemm =
       (fun (m, n, k) -> float_of_int m *. float_of_int n *. float_of_int k
-                        /. macs_per_second);
+                        /. 1e12);
     bk_precompile = (fun ~jobs:_ _ -> 0);
-    bk_launch = launch;
-    bk_dram_bps = dram_gbps *. 1e9;
+    bk_launch = 1e-6;
+    bk_dram_bps = 100e9;
   }
 
 type node_cost = {

@@ -45,12 +45,10 @@ val mikpoly_backend : Mikpoly_core.Compiler.t -> backend
     re-simulates per call); launch overhead and DRAM rate come from the
     compiler's hardware model. *)
 
-val synthetic_backend :
-  ?compile_seconds:float -> ?macs_per_second:float -> ?launch:float ->
-  ?dram_gbps:float -> unit -> backend
-(** Closed-form backend for tests: every shape costs [compile_seconds]
-    (default 5e-4) to compile and [m*n*k / macs_per_second] (default
-    1e12) to run. *)
+val synthetic_backend : unit -> backend
+(** Closed-form backend for tests: every shape costs 5e-4 s to compile
+    and [m*n*k / 1e12] s to run; a launch costs 1 µs and DRAM moves
+    100 GB/s. *)
 
 type node_cost = {
   nc_id : int;

@@ -88,7 +88,11 @@ let merge_siblings () =
 
 (* --- Epilogue fusion --- *)
 
-let fuse_one ~max_ratio (g : Dag.t) =
+(* Largest epilogue ratio [traffic x inputs] that still folds, the same
+   bound as [Mikpoly_nn.Fusion]. *)
+let max_ratio = 4.
+
+let fuse_one (g : Dag.t) =
   let cons = Dag.consumers g in
   let in_outputs id = List.mem id g.Dag.outputs in
   let candidate (e : Dag.node) =
@@ -139,12 +143,12 @@ let fuse_one ~max_ratio (g : Dag.t) =
     in
     Some { g with nodes; outputs = List.map subst g.outputs }
 
-let fuse_epilogues ?(max_ratio = 4.) () =
+let fuse_epilogues () =
   { pass_name = "fuse_epilogues";
     apply =
       (fun g ->
         let rec go g total =
-          match fuse_one ~max_ratio g with
+          match fuse_one g with
           | Some g -> go g (total + 1)
           | None -> (g, total)
         in
@@ -182,11 +186,8 @@ let fuse_gemm_chains () =
         ({ g with nodes }, !count));
   }
 
-let default_pipeline () =
-  [ merge_siblings (); fuse_epilogues (); fuse_gemm_chains () ]
-
-let run ?passes g =
-  let passes = match passes with Some ps -> ps | None -> default_pipeline () in
+let run g =
+  let passes = [ merge_siblings (); fuse_epilogues (); fuse_gemm_chains () ] in
   let g', rev_stats =
     List.fold_left
       (fun (g, acc) (p : pass) ->

@@ -21,13 +21,13 @@ val merge_siblings : unit -> pass
     fixpoint; the kept node is the group's earliest, so ids survive for
     joining reports. *)
 
-val fuse_epilogues : ?max_ratio:float -> unit -> pass
+val fuse_epilogues : unit -> pass
 (** Port of [Mikpoly_nn.Fusion] to the DAG: an elementwise node whose
     first operand is a GEMM/conv value read by nobody else folds into
     that producer's write-back. Legality is symbolic — the epilogue's
     DRAM cost is [traffic x inputs x producer-output bytes], so the
-    ratio [traffic x inputs] must be at most [max_ratio] (default 4.0,
-    matching [Fusion.fuse_epilogues]). One epilogue per producer; in a
+    ratio [traffic x inputs] must be at most 4.0, matching
+    [Fusion.fuse_epilogues]. One epilogue per producer; in a
     back-to-back chain only the first folds, and extra epilogue
     operands must be scheduled before the producer (a residual whose
     second operand is a later node stays unfused). *)
@@ -38,13 +38,10 @@ val fuse_gemm_chains : unit -> pass
     set), skipping its DRAM round trip. Marking only — the executor
     prices the saved traffic. *)
 
-val default_pipeline : unit -> pass list
-(** [merge_siblings; fuse_epilogues; fuse_gemm_chains] — merging first
-    so per-head values disappear before epilogue legality is judged,
-    chains last so they see the post-fusion data edges. *)
-
-val run : ?passes:pass list -> Dag.t -> Dag.t * stats list
-(** Apply [passes] (default {!default_pipeline}) in order. Each pass
+val run : Dag.t -> Dag.t * stats list
+(** Apply [merge_siblings; fuse_epilogues; fuse_gemm_chains] in order —
+    merging first so per-head values disappear before epilogue legality
+    is judged, chains last so they see the post-fusion data edges. Each pass
     runs inside a [graph.pass.<name>] tracer span and the graph is
     re-validated after it (raising [Invalid_argument] on a pass bug).
     Stats are returned in pass order. *)

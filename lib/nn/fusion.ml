@@ -14,7 +14,11 @@ let output_bytes (op : Op.t) =
     Some (float_of_int (m * n) *. fp16)
   | Op.Mem _ | Op.Comm _ -> None
 
-let fuse ?(max_ratio = 4.) (g : Op.graph) =
+(* Largest epilogue traffic, in producer-output bytes, that still counts
+   as elementwise: read and write plus one residual input. *)
+let max_ratio = 4.
+
+let fuse (g : Op.graph) =
   (* One epilogue per producer: after fusing a Mem node into the preceding
      GEMM/conv, the producer's write-back slot is consumed. *)
   let rec fold acc n bytes producer_out = function
@@ -31,7 +35,7 @@ let fuse ?(max_ratio = 4.) (g : Op.graph) =
   let name = if fused_ops > 0 then g.name ^ "+fused" else g.name in
   { graph = Op.graph ~name ops; fused_ops; fused_bytes }
 
-let fuse_epilogues ?max_ratio g = (fuse ?max_ratio g).graph
+let fuse_epilogues g = (fuse g).graph
 
 let fused_ops ~(original : Op.graph) ~(fused : Op.graph) =
   List.length original.ops - List.length fused.ops

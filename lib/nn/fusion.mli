@@ -7,9 +7,10 @@
     registers when the C tile is stored, so the separate kernel's launch
     and its read-modify-write traffic disappear. The rewrite is
     conservative: a [Mem] node is fused only when its traffic is
-    commensurate with the producer's output (at most [max_ratio] times the
-    output bytes), i.e. when it really is an elementwise epilogue and not
-    a pooling/softmax-style operator over different data. *)
+    commensurate with the producer's output (at most 4 times the output
+    bytes, covering read+write plus a residual input), i.e. when it
+    really is an elementwise epilogue and not a pooling/softmax-style
+    operator over different data. *)
 
 type result = {
   graph : Op.graph;
@@ -17,14 +18,13 @@ type result = {
   fused_bytes : float;  (** their DRAM traffic, eliminated by fusion *)
 }
 
-val fuse : ?max_ratio:float -> Op.graph -> result
-(** Fuse eligible [Mem] successors into their producers (default
-    [max_ratio] = 4, covering read+write plus a residual input). The
+val fuse : Op.graph -> result
+(** Fuse eligible [Mem] successors into their producers. The
     graph is renamed ["<name>+fused"] only when at least one operator
     actually fused; a zero-fusion graph keeps its name. *)
 
-val fuse_epilogues : ?max_ratio:float -> Op.graph -> Op.graph
-(** [(fuse ?max_ratio g).graph]. *)
+val fuse_epilogues : Op.graph -> Op.graph
+(** [(fuse g).graph]. *)
 
 val fused_ops : original:Op.graph -> fused:Op.graph -> int
 (** Number of operators the rewrite removed. *)

@@ -3,10 +3,7 @@
    the greedy split search scans features in index order and thresholds in
    ascending order, taking the first strict improvement — so equal-gain
    splits resolve to (lowest feature, lowest threshold) and the same
-   training set always yields the same model. Row subsampling, when
-   enabled, draws from a seeded splitmix64 stream. *)
-
-module Prng = Mikpoly_util.Prng
+   training set always yields the same model. *)
 
 type stump = {
   s_feature : int;
@@ -33,9 +30,9 @@ let predict t x =
    candidate threshold; the SSE reduction of a split with mean leaves is
    S_L²/n_L + S_R²/n_R − S²/n, so maximizing the first two terms
    suffices. Returns (gain, threshold, left_sum, left_n). *)
-let best_split_on xs residuals rows feature =
+let best_split_on xs residuals feature =
   let sorted =
-    let a = Array.copy rows in
+    let a = Array.init (Array.length xs) Fun.id in
     Array.sort
       (fun i j ->
         match compare xs.(i).(feature) xs.(j).(feature) with
@@ -65,15 +62,13 @@ let best_split_on xs residuals rows feature =
   done;
   !best
 
-let fit ?base ?(rounds = 64) ?(learning_rate = 0.25) ?(seed = 0)
-    ?(subsample = 1.0) ~features:xs ~targets () =
+let fit ?base ?(rounds = 64) ?(learning_rate = 0.25) ~features:xs ~targets ()
+    =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Model.fit: no examples";
   if Array.length targets <> n then
     invalid_arg "Model.fit: features/targets length mismatch";
   if rounds < 0 then invalid_arg "Model.fit: negative rounds";
-  if not (subsample > 0. && subsample <= 1.) then
-    invalid_arg "Model.fit: subsample must be in (0, 1]";
   let dim = Array.length xs.(0) in
   let model =
     match base with
@@ -85,43 +80,25 @@ let fit ?base ?(rounds = 64) ?(learning_rate = 0.25) ?(seed = 0)
   in
   let pred = Array.init n (fun i -> predict model xs.(i)) in
   let residuals = Array.init n (fun i -> targets.(i) -. pred.(i)) in
-  let rng = Prng.create seed in
   let new_stumps = ref [] in
   (try
      for _round = 1 to rounds do
-       let rows =
-         if subsample >= 1. then Array.init n Fun.id
-         else begin
-           (* One draw per example in index order — the sample depends
-              only on (seed, round), never on array contents. *)
-           let keep =
-             Array.init n (fun _ -> Prng.float rng 1.0 < subsample)
-           in
-           let sel = ref [] in
-           for i = n - 1 downto 0 do
-             if keep.(i) then sel := i :: !sel
-           done;
-           if !sel = [] then [| 0 |] else Array.of_list !sel
-         end
-       in
        let best = ref None in
        for f = 0 to dim - 1 do
-         match best_split_on xs residuals rows f with
+         match best_split_on xs residuals f with
          | None -> ()
          | Some (gain, threshold, sl, nl) -> (
            match !best with
-           | Some (g, _, _, _, _, _) when g >= gain -> ()
-           | _ -> best := Some (gain, f, threshold, sl, nl, Array.length rows))
+           | Some (g, _, _, _, _) when g >= gain -> ()
+           | _ -> best := Some (gain, f, threshold, sl, nl))
        done;
        match !best with
-       | None -> raise Exit (* every feature constant on the sample *)
-       | Some (_, f, threshold, sl, nl, nrows) ->
-         let total =
-           Array.fold_left (fun acc i -> acc +. residuals.(i)) 0. rows
-         in
+       | None -> raise Exit (* every feature constant *)
+       | Some (_, f, threshold, sl, nl) ->
+         let total = Array.fold_left ( +. ) 0. residuals in
          let left = learning_rate *. (sl /. float_of_int nl) in
          let right =
-           learning_rate *. ((total -. sl) /. float_of_int (nrows - nl))
+           learning_rate *. ((total -. sl) /. float_of_int (n - nl))
          in
          let s = { s_feature = f; s_threshold = threshold; s_left = left; s_right = right } in
          new_stumps := s :: !new_stumps;

@@ -67,14 +67,14 @@ let fit_arrays ~cal examples =
   in
   (features, targets)
 
-let train ?rounds ?learning_rate ?seed ~hw examples =
+let train ?rounds ?learning_rate ~hw examples =
   let cal =
     calibration_of_examples ~fingerprint:(Hardware.fingerprint hw) examples
   in
   let features, targets = fit_arrays ~cal examples in
   {
     cal;
-    model = Model.fit ?rounds ?learning_rate ?seed ~features ~targets ();
+    model = Model.fit ?rounds ?learning_rate ~features ~targets ();
     hw;
   }
 
@@ -90,8 +90,10 @@ let transferable (m : Model.t) =
         m.Model.stumps;
   }
 
-let warm_start ?rounds ?learning_rate ?seed ?(damping = 0.5) ~base ~hw
-    examples =
+(* Leaf-weight scale of the transferred prior. *)
+let damping = 0.5
+
+let warm_start ?rounds ?learning_rate ~base ~hw examples =
   (* The target platform always gets its own per-kernel calibration (the
      source platform's curves key on a different kernel set); what
      transfers is the boosted shape structure on top of it — damped, so
@@ -123,7 +125,7 @@ let warm_start ?rounds ?learning_rate ?seed ?(damping = 0.5) ~base ~hw
   {
     cal;
     model =
-      Model.fit ~base:prior ?rounds ?learning_rate ?seed ~features ~targets ();
+      Model.fit ~base:prior ?rounds ?learning_rate ~features ~targets ();
     hw;
   }
 

@@ -13,19 +13,19 @@
 type t
 
 val train :
-  ?rounds:int -> ?learning_rate:float -> ?seed:int ->
-  hw:Mikpoly_accel.Hardware.t -> Dataset.example list -> t
+  ?rounds:int -> ?learning_rate:float -> hw:Mikpoly_accel.Hardware.t ->
+  Dataset.example list -> t
 (** Fit from scratch on one platform's harvested examples: first the
     per-kernel calibration, then stumps on its log residuals. *)
 
 val warm_start :
-  ?rounds:int -> ?learning_rate:float -> ?seed:int -> ?damping:float ->
-  base:t -> hw:Mikpoly_accel.Hardware.t -> Dataset.example list -> t
+  ?rounds:int -> ?learning_rate:float -> base:t ->
+  hw:Mikpoly_accel.Hardware.t -> Dataset.example list -> t
 (** Cross-fingerprint transfer: the target platform gets its own
     calibration (curves key on its kernel set), while [base]'s splits on
     the hardware-independent shape features ({!Features.shape_dim}
-    prefix) are kept with leaf weights scaled by [damping] (default 0.5)
-    — a prior rather than an assertion — and boosting continues on the
+    prefix) are kept with leaf weights scaled by 0.5 — a prior rather
+    than an assertion — and boosting continues on the
     target's examples with the same free-round budget a cold fit would
     get. Where the prior contradicts the target's observations the
     continuation cancels it; where the tiny budget is silent, the

@@ -45,8 +45,8 @@ let silent_losses requests statuses =
       | None -> acc + 1)
     0 requests
 
-let run_arm ?jobs ~arm_name ~faults ~resilience config engine requests =
-  let outcome = Scheduler.run ?jobs ~faults ?resilience config engine requests in
+let run_arm ~arm_name ~faults ~resilience config engine requests =
+  let outcome = Scheduler.run ~faults ?resilience config engine requests in
   let statuses = Scheduler.statuses outcome in
   {
     arm_name;

@@ -28,10 +28,11 @@ type ab = {
 }
 
 val run_arm :
-  ?jobs:int -> arm_name:string -> faults:Mikpoly_fault.Plan.t ->
+  arm_name:string -> faults:Mikpoly_fault.Plan.t ->
   resilience:Scheduler.resilience option -> Scheduler.config ->
   Scheduler.engine -> Request.t list -> arm
-(** One arm: a {!Scheduler.run} under [faults], reduced to {!arm}. *)
+(** One arm: a {!Scheduler.run} under [faults] at the process-default
+    job count, reduced to {!arm}. *)
 
 val run_ab :
   ?resilience:Scheduler.resilience -> faults:Mikpoly_fault.Plan.t ->

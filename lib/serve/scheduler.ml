@@ -130,17 +130,15 @@ let mikpoly_engine compiler =
       (fun ~jobs shapes -> Mikpoly_core.Compiler.warm ~jobs compiler shapes);
   }
 
-let synthetic_engine ?(base = 2e-3) ?(per_token = 1e-4) ?(compile = 2e-4)
-    ?(shape_families = 2) () =
-  if base < 0. || per_token < 0. || compile < 0. || shape_families < 1 then
+let synthetic_engine ?(base = 2e-3) ?(compile = 2e-4) ?(shape_families = 2)
+    () =
+  if base < 0. || compile < 0. || shape_families < 1 then
     invalid_arg "Scheduler.synthetic_engine";
   {
     engine_name = "synthetic";
     step_seconds =
       (fun ~tokens ~kv_tokens ->
-        base
-        +. (per_token *. float_of_int tokens)
-        +. (1e-8 *. float_of_int kv_tokens));
+        base +. (1e-4 *. float_of_int tokens) +. (1e-8 *. float_of_int kv_tokens));
     step_shapes =
       (fun ~tokens ->
         List.init shape_families (fun i -> ((256 * (i + 1), tokens, 512), 4)));
@@ -283,11 +281,13 @@ end)
    harness itself — replica shape caches are untouched, so the
    simulated outcome (compile stalls included) is bit-identical to a
    cold sequential run. Prefill steps can exceed the batch cap in
-   tokens; their shapes just compile lazily as before. *)
-let precompile ~jobs config engine =
+   tokens; their shapes just compile lazily as before. A decode batch
+   holds at most one token per request of the trace, so the walk stops
+   at [n_requests] even under a huge batch cap. *)
+let precompile ~jobs ~n_requests config engine =
   let module IS = Set.Make (Int) in
   let buckets = ref IS.empty in
-  for t = 1 to Batcher.max_batch config.batcher do
+  for t = 1 to min (Batcher.max_batch config.batcher) n_requests do
     buckets := IS.add (Bucketing.bucket config.bucketing t) !buckets
   done;
   let shapes = ref Shape_set.empty in
@@ -338,7 +338,8 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
       invalid_arg "Scheduler.run: attempt_timeout must be positive"
   | None -> ());
   let jobs = Dp.resolve_jobs jobs in
-  if jobs > 1 then precompile ~jobs config engine;
+  if jobs > 1 then
+    precompile ~jobs ~n_requests:(List.length requests) config engine;
   let tracing = Tm.Tracer.enabled () in
   if tracing then Tm.Tracer.set_units ~track:serve_track ~per_second:1.0;
   let reps =
@@ -411,10 +412,18 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
   in
   (* Time at which a replica can next make progress, None if it is idle
      with an empty queue; a crashed replica makes no progress before its
-     restart completes. *)
+     restart completes. Never before the last fired event: a Timeout
+     queue that fills up becomes eligible at its oldest arrival, which
+     would otherwise run the step in the past and admit the request that
+     filled it before that request arrived. *)
+  let last_event = ref neg_infinity in
   let next_time (r : _ Replica.slot) =
-    Replica.ready_at r (fun () ->
-        Batcher.next_eligible config.batcher ~waiting:waiting.(r.index))
+    match
+      Replica.ready_at r (fun () ->
+          Batcher.next_eligible config.batcher ~waiting:waiting.(r.index))
+    with
+    | Some t when t < !last_event -> Some !last_event
+    | ready -> ready
   in
   let do_crash i ~now =
     let r = reps.(i) in
@@ -609,7 +618,9 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
           | Some t -> Replica.consider n t prio_step (`Step r)
           | None -> ())
         reps)
-    ~fire:(fun t -> function
+    ~fire:(fun t event ->
+      last_event := t;
+      match event with
       | `Arrival ->
         let p = List.hd !pending in
         pending := List.tl !pending;

@@ -6,9 +6,9 @@
     {!Batcher} policy, pads the step's token count via a {!Bucketing}
     policy, and executes one engine step whose GEMM programs come from a
     bounded per-replica {!Shape_cache}. A cache miss charges the online
-    polymerization overhead (the modeled dispatch cost that
-    {!Mikpoly_core.Compiler.operator_seconds_with_overhead} charges
-    end-to-end runs) as a compile stall on the step's critical path — at
+    polymerization overhead (the modeled dispatch cost,
+    {!Mikpoly_core.Polymerize.modeled_search_seconds}) as a compile
+    stall on the step's critical path — at
     capacity 0 every micro-kernel launch pays it, which is what a
     cache-less dynamic-shape system does. *)
 
@@ -44,10 +44,9 @@ val mikpoly_engine : Mikpoly_core.Compiler.t -> engine
     "Online overhead accounting"), so runs are deterministic. *)
 
 val synthetic_engine :
-  ?base:float -> ?per_token:float -> ?compile:float -> ?shape_families:int ->
-  unit -> engine
+  ?base:float -> ?compile:float -> ?shape_families:int -> unit -> engine
 (** A closed-form engine for tests and micro-benchmarks:
-    [base + per_token·tokens] seconds per step, a constant [compile]
+    [base + 1e-4·tokens + 1e-8·kv_tokens] seconds per step, a constant [compile]
     stall per uncached shape, [shape_families] distinct GEMM shapes per
     step (4 launches each). Fully deterministic. *)
 
@@ -170,7 +169,8 @@ val run :
     {!Mikpoly_util.Domain_pool.default_jobs}; [1] forces sequential)
     controls a concurrent precompile phase: with [jobs > 1] the GEMM
     shapes reachable from the batcher's admissible bucketed token counts
-    are compiled up front on [jobs] worker domains through the engine's
+    (decode batches up to [min max_batch (List.length requests)]) are
+    compiled up front on [jobs] worker domains through the engine's
     mutex-guarded memos, before the (inherently sequential) event loop
     runs. This accelerates the harness's wall clock only — the simulated
     outcome, including per-replica compile stalls, is identical for

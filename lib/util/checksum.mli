@@ -2,8 +2,7 @@
 
     The kernel-set and calibration stores embed a checksum of their body
     in the header so a half-written or bit-flipped artifact is rejected
-    (and repaired by the [load_or_create] paths) instead of silently
-    parsed. *)
+    instead of silently parsed. *)
 
 val fnv1a64 : string -> int64
 (** FNV-1a over the bytes of the string. *)

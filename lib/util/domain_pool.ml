@@ -123,8 +123,6 @@ let create ~jobs =
   t.domains <- Array.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker t (i + 1)));
   t
 
-let jobs t = t.n_jobs
-
 let dispatches t =
   Mutex.lock t.lock;
   let d = t.dispatched in
@@ -235,37 +233,6 @@ let parallel_for_batched t ?(min_chunk = 1) ~start ~stop f =
     else
       let chunk = max min_chunk (ceil_div n (4 * t.n_jobs)) in
       parallel_for t ~chunk ~start ~stop f
-
-let map_array t ?chunk f a =
-  let n = Array.length a in
-  if n = 0 then [||]
-  else begin
-    (* Element 0 is computed on the caller to seed the result array
-       without an ['b] witness; the rest fan out. *)
-    let res = Array.make n (f a.(0)) in
-    parallel_for t ?chunk ~start:1 ~stop:n (fun i -> res.(i) <- f a.(i));
-    res
-  end
-
-let map_reduce t ?(chunk = 1) ~start ~stop ~map ~reduce init =
-  let n = stop - start in
-  if n <= 0 then init
-  else begin
-    if chunk < 1 then invalid_arg "Domain_pool.map_reduce: chunk must be >= 1";
-    let n_chunks = ceil_div n chunk in
-    let parts = Array.make n_chunks None in
-    run_region t ~n_chunks (fun c ->
-        let lo = start + (c * chunk) in
-        let hi = min stop (lo + chunk) in
-        let acc = ref (map lo) in
-        for i = lo + 1 to hi - 1 do
-          acc := reduce !acc (map i)
-        done;
-        parts.(c) <- Some !acc);
-    Array.fold_left
-      (fun acc p -> match p with Some v -> reduce acc v | None -> acc)
-      init parts
-  end
 
 (* --- process-wide default and shared pool --- *)
 

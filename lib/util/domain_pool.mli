@@ -27,9 +27,6 @@ val create : jobs:int -> t
     [Invalid_argument] when [jobs < 1]. A [jobs = 1] pool spawns
     nothing and runs every region inline. *)
 
-val jobs : t -> int
-(** Worker count the pool was created with (including the caller). *)
-
 val dispatches : t -> int
 (** Number of regions this pool has actually handed to worker domains.
     Regions that ran inline — [jobs = 1] pools, nested submissions,
@@ -61,28 +58,6 @@ val parallel_for_batched :
     the polymerization batch search and serve-side precompile fan-outs
     go through here. Raises [Invalid_argument] when [min_chunk < 1]. *)
 
-val map_array : t -> ?chunk:int -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map] — element [i] of the result is [f a.(i)], so
-    the output is deterministic and independent of the job count
-    whenever [f] is pure. *)
-
-val map_reduce :
-  t ->
-  ?chunk:int ->
-  start:int ->
-  stop:int ->
-  map:(int -> 'a) ->
-  reduce:('a -> 'a -> 'a) ->
-  'a ->
-  'a
-(** [map_reduce t ~start ~stop ~map ~reduce init]: chunk-wise
-    map-then-fold. Each chunk folds its indices in order; the per-chunk
-    results are folded left-to-right in chunk order starting from
-    [init]. The grouping depends only on [chunk] (default 1), never on
-    the job count, so for an associative [reduce] the result is
-    identical at any job count — the deterministic-reduction contract
-    the search layers build on. *)
-
 (** {1 Process-wide default} *)
 
 val recommended_jobs : ?cap:int -> unit -> int
@@ -101,9 +76,10 @@ val effective_jobs : int -> int
     workers instead of 8 domains time-slicing 2 cores. *)
 
 val default_jobs : unit -> int
-(** The process-wide default job count consulted by layers whose
-    configuration says "inherit" ([search_jobs = 0]). Initially 1, so
-    nothing in the system goes parallel unless asked to. *)
+(** The process-wide default job count (the CLI's [--jobs]): the
+    offline tuner and the batch search run at it, and a [0] job count
+    elsewhere inherits it. Initially 1, so nothing in the system goes
+    parallel unless asked to. *)
 
 val set_default_jobs : int -> unit
 (** Set the process default (clamped to [>= 1]). If the shared global

@@ -313,18 +313,23 @@ let test_scenario_deterministic_across_jobs () =
      parallelism — must produce a bit-identical calibration profile and
      identical recompiled programs. *)
   let run jobs =
-    let config = { (Config.default gpu) with search_jobs = jobs } in
-    let compiler = Compiler.create ~config gpu in
-    let r = Scenario.run ~seed:0xADA compiler in
-    let programs =
-      List.map
-        (fun (m, n, k) ->
-          Mikpoly_ir.Program.to_string
-            (Compiler.compile compiler (Mikpoly_ir.Operator.gemm ~m ~n ~k ()))
-              .program)
-        r.holdout
-    in
-    (Calibration.to_string (Adapter.calibration r.adapter), programs, r)
+    let saved = Mikpoly_util.Domain_pool.default_jobs () in
+    Mikpoly_util.Domain_pool.set_default_jobs jobs;
+    Fun.protect
+      ~finally:(fun () -> Mikpoly_util.Domain_pool.set_default_jobs saved)
+      (fun () ->
+        let compiler = Compiler.create gpu in
+        let r = Scenario.run ~seed:0xADA compiler in
+        let programs =
+          List.map
+            (fun (m, n, k) ->
+              Mikpoly_ir.Program.to_string
+                (Compiler.compile compiler
+                   (Mikpoly_ir.Operator.gemm ~m ~n ~k ()))
+                  .program)
+            r.holdout
+        in
+        (Calibration.to_string (Adapter.calibration r.adapter), programs, r))
   in
   let cal1, progs1, r1 = run 1 in
   let cal4, progs4, r4 = run 4 in

@@ -72,7 +72,14 @@ let test_size_tflops_prefers_matched_kernels () =
 
 (* --- Generate (rank and prune) --- *)
 
-let generated = lazy (Autotuner.generate ~n_gen:16 ~n_syn:12 ~n_mik:20 gpu)
+(* The paper's configuration, with a smaller tile space and kernel set. *)
+let paper = Mikpoly_core.Config.default gpu
+
+let generated =
+  lazy
+    (Autotuner.generate ~n_gen:16 ~n_syn:paper.n_syn ~n_mik:20
+       ~n_pred:paper.n_pred ~dtype:paper.dtype ~path:paper.path
+       ~codegen_eff:paper.codegen_eff ~rank_style:paper.rank_style gpu)
 
 let test_generate_count () =
   Alcotest.(check int) "top n_mik retained" 20 (List.length (Lazy.force generated))
@@ -111,12 +118,12 @@ let test_sample_points () =
        (List.tl pts))
 
 let test_perf_model_accuracy () =
-  let model = Perf_model.learn gpu kernel_a in
+  let model = Perf_model.learn ~n_pred:paper.n_pred gpu kernel_a in
   Alcotest.(check bool) "max relative error < 2%" true
     (Perf_model.max_model_error gpu model < 0.02)
 
 let test_perf_model_clamps () =
-  let model = Perf_model.learn gpu kernel_a in
+  let model = Perf_model.learn ~n_pred:paper.n_pred gpu kernel_a in
   Alcotest.(check (float 1e-9)) "t=0 clamps to t=1"
     (Perf_model.predict_cycles model ~t_steps:1)
     (Perf_model.predict_cycles model ~t_steps:0)
@@ -125,7 +132,7 @@ let prop_perf_model_monotone =
   QCheck.Test.make ~name:"g_predict: nondecreasing in t" ~count:50
     QCheck.(pair (int_range 1 5000) (int_range 1 5000))
     (fun (a, b) ->
-      let model = Perf_model.learn gpu kernel_tiny in
+      let model = Perf_model.learn ~n_pred:paper.n_pred gpu kernel_tiny in
       let lo = min a b and hi = max a b in
       Perf_model.predict_cycles model ~t_steps:lo
       <= Perf_model.predict_cycles model ~t_steps:hi +. 1e-6)
@@ -136,7 +143,7 @@ let prop_perf_model_accurate_for_random_kernels =
     (fun (tm, tn, tk) ->
       let k = Kernel_desc.make ~um:(16 * tm) ~un:(16 * tn) ~uk:(16 * tk) () in
       QCheck.assume (Kernel_model.blocks_per_pe gpu k >= 1);
-      let model = Perf_model.learn gpu k in
+      let model = Perf_model.learn ~n_pred:paper.n_pred gpu k in
       Perf_model.max_model_error gpu model < 0.03)
 
 let () =

@@ -275,6 +275,43 @@ let test_atomic_midwrite_kill () =
     (read_file path);
   Sys.remove path
 
+let write_file path contents =
+  let oc = open_out_bin path in
+  output_string oc contents;
+  close_out oc
+
+(* A rename replaces whatever the destination names, so a FIFO, a
+   directory or a symlink must be refused before any tempfile exists and
+   be left exactly as it was. *)
+let test_atomic_refuses_non_regular () =
+  let refused kind path ~intact =
+    (match Atomic_file.write ~path (fun oc -> output_string oc "replaced\n") with
+    | () -> Alcotest.failf "%s was replaced" kind
+    | exception Sys_error _ -> ());
+    Alcotest.(check bool) (kind ^ " left as it was") true (intact ());
+    Alcotest.(check bool) (kind ^ ": no tempfile") false
+      (Sys.file_exists (Atomic_file.temp_path path))
+  in
+  let kind path = (Unix.lstat path).Unix.st_kind in
+  let fifo = temp_path "mikpoly_test_atomic_fifo" in
+  (try Sys.remove fifo with Sys_error _ -> ());
+  Unix.mkfifo fifo 0o600;
+  refused "fifo" fifo ~intact:(fun () -> kind fifo = Unix.S_FIFO);
+  Sys.remove fifo;
+  let dir = temp_path "mikpoly_test_atomic_dir" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o700;
+  refused "directory" dir ~intact:(fun () -> Sys.is_directory dir);
+  Sys.rmdir dir;
+  let target = temp_path "mikpoly_test_atomic_link_target" in
+  let link = temp_path "mikpoly_test_atomic_link" in
+  write_file target "original\n";
+  (try Sys.remove link with Sys_error _ -> ());
+  Unix.symlink target link;
+  refused "symlink" link ~intact:(fun () ->
+      kind link = Unix.S_LNK && read_file target = "original\n");
+  Sys.remove link;
+  Sys.remove target
+
 (* --- Store checksums and crash safety --- *)
 
 (* The offline stage is reused across compilers for the same platform,
@@ -404,6 +441,183 @@ let test_ladder_intact_and_missing_store () =
   Alcotest.(check bool) "missing store means safe mode" true
     (Mikpoly_core.Compiler.safe_mode compiler)
 
+(* --- Store loader fuzz ---
+
+   Each loader is fed its own artifact after one mutation: a
+   [Corrupt] mode at some seed, or a "resealed" edit that sets one
+   numeric body field to 0, -1, a huge value, nan or inf (or drops every
+   entry) and then recomputes the checksum, so the body parser is
+   reached. Loading must never raise, and must either refuse the
+   artifact or return one the compiler can use. *)
+
+type mutation =
+  | Corrupted of Corrupt.mode * int
+  | Resealed of int * string  (** numeric field index, new value *)
+  | Emptied
+
+let show_mutation = function
+  | Corrupted (mode, seed) -> Printf.sprintf "%s seed %d" (Corrupt.mode_name mode) seed
+  | Resealed (field, v) -> Printf.sprintf "field %d := %s" field v
+  | Emptied -> "every entry dropped"
+
+(* The numeric fields of a body: each token after a line's keyword that
+   parses as a number, and each half of an [x:y] breakpoint, as
+   (line, token, half). *)
+let numeric_fields body =
+  List.concat
+    (List.mapi
+       (fun li line ->
+         List.concat
+           (List.mapi
+              (fun ti tok ->
+                if ti = 0 then []
+                else
+                  List.concat
+                    (List.mapi
+                       (fun hi half ->
+                         match float_of_string_opt half with
+                         | Some _ -> [ (li, ti, hi) ]
+                         | None -> [])
+                       (String.split_on_char ':' tok)))
+              (String.split_on_char ' ' line)))
+       body)
+
+let set_field body (li, ti, hi) value =
+  let map_nth n f l = List.mapi (fun i x -> if i = n then f x else x) l in
+  map_nth li
+    (fun line ->
+      String.split_on_char ' ' line
+      |> map_nth ti (fun tok ->
+             String.split_on_char ':' tok
+             |> map_nth hi (fun old ->
+                    (* An integer field gets a huge integer, a float field
+                       a huge float. *)
+                    if value <> "huge" then value
+                    else if int_of_string_opt old <> None then "1000000"
+                    else "1e30")
+             |> String.concat ":")
+      |> String.concat " ")
+    body
+
+(* [artifact] split into its [header] lines (checksum last) and body,
+   mutated, and the checksum recomputed over the body by [checksum]. *)
+let mutate ~header ~checksum artifact m =
+  match m with
+  | Corrupted (mode, seed) -> Corrupt.apply mode ~seed artifact
+  | Resealed _ | Emptied ->
+    let lines = String.split_on_char '\n' artifact in
+    let lines = List.filteri (fun i _ -> i < List.length lines - 1) lines in
+    let head = List.filteri (fun i _ -> i < header - 1) lines in
+    let body = List.filteri (fun i _ -> i >= header) lines in
+    let body =
+      match m with
+      | Resealed (field, v) -> set_field body (List.nth (numeric_fields body) field) v
+      | _ -> []
+    in
+    String.concat "\n" (head @ [ "checksum " ^ checksum body ] @ body) ^ "\n"
+
+let gen_mutation ~fields =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map2 (fun mode seed -> Corrupted (mode, seed)) (oneofl Corrupt.all_modes) nat);
+        ( 6,
+          map2
+            (fun field v -> Resealed (field, v))
+            (int_bound (fields - 1))
+            (oneofl [ "0"; "-1"; "huge"; "nan"; "inf" ]) );
+        (1, return Emptied);
+      ])
+
+(* Fixed QCheck seed: the mutation space is finite, so the draw that
+   reaches each regression must not depend on the run. *)
+let fuzz_rand () = Random.State.make [| 0x5707e |]
+
+let prop_kernel_store_load () =
+  let config = Mikpoly_core.Config.default gpu in
+  let path = temp_path "mikpoly_test_fuzz_kernels.txt" in
+  (* Three tuned entries keep each case cheap. *)
+  let set = tuned_set () in
+  Mikpoly_core.Kernel_store.save ~path config
+    { set with entries = Array.sub set.entries 0 3 };
+  let artifact = read_file path in
+  let body = List.filteri (fun i _ -> i >= 5) (String.split_on_char '\n' artifact) in
+  let fields = List.length (numeric_fields body) in
+  let checksum body = Mikpoly_util.Checksum.fnv1a64_hex (String.concat "\n" body) in
+  QCheck.Test.make ~name:"kernel store: load rejects or serves full search"
+    ~count:400
+    (QCheck.make ~print:show_mutation (gen_mutation ~fields))
+    (fun m ->
+      write_file path (mutate ~header:5 ~checksum artifact m);
+      let safe =
+        match Mikpoly_core.Kernel_store.load ~path gpu config with
+        | exception e ->
+          QCheck.Test.fail_reportf "load raised %s" (Printexc.to_string e)
+        | Error _ -> true
+        | Ok _ ->
+          let compiler, _ =
+            Mikpoly_core.Compiler.create_resilient ~store_path:path gpu
+          in
+          compile_one compiler;
+          (Mikpoly_core.Compiler.ladder_stats compiler).full_search = 1
+      in
+      Sys.remove path;
+      safe)
+
+let prop_profile_store_load () =
+  let module Cal = Mikpoly_adapt.Calibration in
+  let path = temp_path "mikpoly_test_fuzz_profile.cal" in
+  (* One curve of each kind the fitter produces. *)
+  let cal =
+    Cal.of_curves ~fingerprint:(Mikpoly_accel.Hardware.fingerprint gpu)
+      [
+        ((16, 16, 16), Cal.Identity);
+        ((32, 32, 16), Cal.Scale 1.25);
+        ((64, 64, 32), Cal.Affine (1.5, 5.));
+        ( (128, 64, 32),
+          Cal.Knots
+            (Mikpoly_util.Piecewise.of_points
+               [ (1e3, 2e3); (1e5, 1.5e5); (1e7, 2e7) ]) );
+      ]
+  in
+  Mikpoly_adapt.Profile_store.save ~path gpu cal;
+  let artifact = read_file path in
+  let body = List.filteri (fun i _ -> i >= 4) (String.split_on_char '\n' artifact) in
+  let fields = List.length (numeric_fields body) in
+  let checksum body =
+    Mikpoly_util.Checksum.fnv1a64_hex
+      (String.concat "" (List.map (fun l -> l ^ "\n") body))
+  in
+  (* Usable: every correction maps positive inputs to finite,
+     non-negative costs, and a linear one keeps a positive slope. *)
+  let usable cal =
+    List.for_all
+      (fun (key, curve) ->
+        (match curve with
+        | Cal.Scale a | Cal.Affine (a, _) -> a > 0.
+        | Cal.Identity | Cal.Knots _ -> true)
+        && List.for_all
+             (fun x ->
+               let y = Cal.apply cal key x in
+               Float.is_finite y && y >= 0.)
+             [ 1.; 1e3; 1e6; 1e9 ])
+      (Cal.curves cal)
+  in
+  QCheck.Test.make ~name:"profile store: load rejects or corrects soundly"
+    ~count:1000
+    (QCheck.make ~print:show_mutation (gen_mutation ~fields))
+    (fun m ->
+      write_file path (mutate ~header:4 ~checksum artifact m);
+      let safe =
+        match Mikpoly_adapt.Profile_store.load ~path gpu with
+        | exception e ->
+          QCheck.Test.fail_reportf "load raised %s" (Printexc.to_string e)
+        | Error _ -> true
+        | Ok cal -> usable cal
+      in
+      Sys.remove path;
+      safe)
+
 (* --- Chaos scheduler --- *)
 
 open Mikpoly_serve
@@ -438,10 +652,17 @@ let test_chaos_conservation_and_reproducibility () =
   let faults = Plan.scenario ~seed:11 ~replicas:2 ~horizon:1.0 () in
   let engine = Scheduler.synthetic_engine () in
   let arm jobs =
-    Resilience.run_arm ~jobs ~arm_name:"t" ~faults
-      ~resilience:(Some fast_retry) chaos_config engine requests
+    let saved = Mikpoly_util.Domain_pool.default_jobs () in
+    Mikpoly_util.Domain_pool.set_default_jobs jobs;
+    Fun.protect
+      ~finally:(fun () -> Mikpoly_util.Domain_pool.set_default_jobs saved)
+      (fun () ->
+        Resilience.run_arm ~arm_name:"t" ~faults ~resilience:(Some fast_retry)
+          chaos_config engine requests)
   in
-  let a = arm 1 and b = arm 1 and c = arm 4 in
+  let a = arm 1 in
+  let b = arm 1 in
+  let c = arm 4 in
   Alcotest.(check bool) "faults were injected" true (a.Resilience.injected_faults > 0);
   Alcotest.(check int) "no silent losses" 0 a.Resilience.silent_losses;
   Alcotest.(check string) "bit-identical across runs" a.Resilience.status_digest
@@ -640,6 +861,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_atomic_write_roundtrip;
           Alcotest.test_case "mid-write kill" `Quick test_atomic_midwrite_kill;
+          Alcotest.test_case "refuses non-regular targets" `Quick
+            test_atomic_refuses_non_regular;
         ] );
       ( "stores",
         [
@@ -649,6 +872,10 @@ let () =
             test_kernel_store_survives_stale_temp;
           Alcotest.test_case "profile store checksum" `Quick
             test_profile_store_checksum;
+          QCheck_alcotest.to_alcotest ~rand:(fuzz_rand ())
+            (prop_kernel_store_load ());
+          QCheck_alcotest.to_alcotest ~rand:(fuzz_rand ())
+            (prop_profile_store_load ());
         ] );
       ( "ladder",
         [

@@ -198,7 +198,7 @@ let test_wfq_first_filter_gates_offer () =
 (* --- Learner --- *)
 
 let test_learner_decay_and_ranking () =
-  let l = Learner.create ~half_life:1.0 () in
+  let l = Learner.create () in
   Learner.observe l ~now:0. ~tenant:0 ~signature:64 ~weight:4.;
   Learner.observe l ~now:0. ~tenant:1 ~signature:128 ~weight:1.;
   (match Learner.top_k l ~now:0. ~k:2 with
@@ -233,7 +233,7 @@ let test_learner_ties_to_smaller_signature () =
    flushes everything. *)
 let test_warm_admission_survives_cold_scan () =
   let module Shape_cache = Mikpoly_serve.Shape_cache in
-  let l = Learner.create ~half_life:1.0 () in
+  let l = Learner.create () in
   (* One hot bucket and three mildly warm ones; the scan's buckets are
      never observed, so their mass is 0. *)
   Learner.observe l ~now:0. ~tenant:0 ~signature:1 ~weight:100.;
@@ -272,7 +272,7 @@ let test_warm_admission_survives_cold_scan () =
   Alcotest.(check int) "capacity respected" 4 (Shape_cache.size cache)
 
 let test_learner_mass_decays_to_harmless () =
-  let l = Learner.create ~half_life:1.0 () in
+  let l = Learner.create () in
   Learner.observe l ~now:0. ~tenant:0 ~signature:8 ~weight:16.;
   Alcotest.(check (float 1e-9)) "fresh mass" 16. (Learner.mass l ~now:0. ~signature:8);
   Alcotest.(check (float 1e-9)) "one half-life" 8. (Learner.mass l ~now:1. ~signature:8);
@@ -287,8 +287,6 @@ let asc =
     max_replicas = 4;
     up_queue_depth = 4.;
     down_queue_depth = 1.;
-    slo_floor = 0.9;
-    stall_ceiling = 0.5;
     cooldown = 1.0;
     interval = 0.25;
   }
@@ -356,7 +354,7 @@ let full_config =
   {
     fleet_config with
     coalesce = true;
-    warm = Some { Fleet.default_warm with warm_interval = 0.01 };
+    warm = Some { Fleet.warm_top_k = 8; warm_interval = 0.01 };
     autoscale = Some { asc with cooldown = 0.05; interval = 0.05 };
   }
 
@@ -388,7 +386,7 @@ let test_fleet_validate () =
       Fleet.validate
         {
           fleet_config with
-          warm = Some { Fleet.default_warm with warm_interval = 0. };
+          warm = Some { Fleet.warm_top_k = 8; warm_interval = 0. };
         })
 
 let test_fleet_coalescing_cuts_stalls () =

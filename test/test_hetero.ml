@@ -120,9 +120,7 @@ let test_plan_class_windows () =
 let test_ratelimit_sheds_after_burst () =
   let base = { Ratelimit.rl_rate = 10.; rl_burst = 2. } in
   let l =
-    Ratelimit.create
-      ~rate_for:(fun t -> Ratelimit.for_tier ~base t.Tenant.tier)
-      ()
+    Ratelimit.create ~rate_for:(fun t -> Ratelimit.for_tier ~base t.Tenant.tier)
   in
   let tg i = tag be (req ~id:i ~arrival:0. ()) in
   (* burst of 2 admitted, the third refused, a refill admits again *)
@@ -602,7 +600,7 @@ let prop_fleet_conserves =
       cache_capacity = 32;
       coalesce = true;
       steal_age = 0.005;
-      warm = Some { Fleet.default_warm with warm_interval = 0.01 };
+      warm = Some { Fleet.warm_top_k = 8; warm_interval = 0.01 };
       autoscale =
         Some
           {
@@ -610,8 +608,6 @@ let prop_fleet_conserves =
             max_replicas = 4;
             up_queue_depth = 4.;
             down_queue_depth = 1.;
-            slo_floor = 0.9;
-            stall_ceiling = 0.5;
             cooldown = 0.02;
             interval = 0.01;
           };

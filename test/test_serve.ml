@@ -292,6 +292,39 @@ let test_cache_beats_no_cache () =
   Alcotest.(check (float 1e-9)) "no-cache never hits" 0. uncached.Metrics.cache_hit_rate;
   Alcotest.(check bool) "cached mostly hits" true (cached.Metrics.cache_hit_rate > 0.9)
 
+let test_precompile_bounded_by_trace () =
+  (* A decode batch holds at most one token per request, so the
+     precompile walk over batch sizes stops at the trace length whatever
+     the batch cap. *)
+  let trace16 =
+    Request.poisson ~seed:42 ~rate:40. ~count:16 ~max_prompt:32 ~max_output:6 ()
+  in
+  let handed max_batch =
+    let shapes = ref 0 in
+    let engine =
+      {
+        (Scheduler.synthetic_engine ()) with
+        Scheduler.precompile_batch =
+          (fun ~jobs:_ batch ->
+            shapes := !shapes + List.length batch;
+            0);
+      }
+    in
+    ignore
+      (Scheduler.run ~jobs:2
+         {
+           config with
+           batcher = Batcher.Greedy { max_batch };
+           bucketing = Bucketing.Exact;
+         }
+         engine trace16);
+    !shapes
+  in
+  let at_16 = handed 16 in
+  Alcotest.(check bool) "some shapes precompiled" true (at_16 > 0);
+  Alcotest.(check int) "a 65536 cap precompiles no more than a 16 cap" at_16
+    (handed 65536)
+
 let test_empty_trace () =
   let engine = Scheduler.synthetic_engine () in
   let m = Metrics.of_outcome (Scheduler.run config engine []) in
@@ -993,6 +1026,8 @@ let () =
           Alcotest.test_case "pinned chaos outcome" `Quick test_scheduler_pinned;
           Alcotest.test_case "pinned report" `Quick test_metrics_pinned;
           QCheck_alcotest.to_alcotest prop_run_conserves;
+          Alcotest.test_case "precompile bounded by trace" `Quick
+            test_precompile_bounded_by_trace;
         ] );
       ( "replica",
         [

@@ -362,24 +362,6 @@ let test_pool_parallel_for_covers () =
       Alcotest.(check bool) "every index ran exactly once" true
         (acc = Array.init n (fun i -> (i * i) + 1)))
 
-let test_pool_map_reduce_job_invariant () =
-  let map i = (i * 7) mod 13
-  and reduce = ( + ) in
-  let at jobs =
-    Domain_pool.with_pool ~jobs (fun p ->
-        Domain_pool.map_reduce p ~start:0 ~stop:500 ~map ~reduce 0)
-  in
-  let seq = at 1 in
-  Alcotest.(check int) "jobs=2" seq (at 2);
-  Alcotest.(check int) "jobs=4" seq (at 4)
-
-let test_pool_map_array_order () =
-  Domain_pool.with_pool ~jobs:3 (fun pool ->
-      let a = Array.init 257 string_of_int in
-      let b = Domain_pool.map_array pool (fun s -> s ^ "!") a in
-      Alcotest.(check bool) "order preserved" true
-        (b = Array.map (fun s -> s ^ "!") a))
-
 exception Boom
 
 let test_pool_exception_propagates_and_drains () =
@@ -560,10 +542,6 @@ let () =
         [
           Alcotest.test_case "parallel_for covers range" `Quick
             test_pool_parallel_for_covers;
-          Alcotest.test_case "map_reduce job-invariant" `Quick
-            test_pool_map_reduce_job_invariant;
-          Alcotest.test_case "map_array preserves order" `Quick
-            test_pool_map_array_order;
           Alcotest.test_case "exception propagates, pool drains" `Quick
             test_pool_exception_propagates_and_drains;
           Alcotest.test_case "nested submit runs inline" `Quick
