@@ -60,7 +60,7 @@ let run_experiments () =
       let t0 = Unix.gettimeofday () in
       let report = e.run ~quick in
       Printf.printf "%s  [experiment wall time: %.2fs]\n\n%!"
-        (Mikpoly_experiments.Exp.render report)
+        (Mikpoly_experiments.Exp.render e report)
         (Unix.gettimeofday () -. t0))
     (experiments ())
 

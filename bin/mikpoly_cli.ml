@@ -33,21 +33,25 @@ let write_and_gate ~out ~prefix json gates =
   Printf.printf "wrote %s\n" out;
   if Mikpoly_experiments.Exp.report_failed_gates ~prefix gates then 0 else 1
 
-(* The tail every gated experiment subcommand shares: print the report
-   (its tables as CSV with --csv), then write its JSON and gate. *)
-let report_tail ~csv ~out ~prefix (report : Mikpoly_experiments.Exp.report)
-    json gates =
+(* Print an experiment's report: its tables as CSV with --csv, else the
+   rendered header, tables and summary. *)
+let print_report ~csv (e : Mikpoly_experiments.Exp.t)
+    (report : Mikpoly_experiments.Exp.report) =
   if csv then
     List.iter
       (fun t -> print_endline (Mikpoly_util.Table.to_csv t))
-      report.Mikpoly_experiments.Exp.tables
-  else print_string (Mikpoly_experiments.Exp.render report);
+      report.tables
+  else print_string (Mikpoly_experiments.Exp.render e report)
+
+(* The tail every gated experiment subcommand shares: print the report,
+   then write its JSON and gate. *)
+let report_tail ~csv ~out ~prefix e report json gates =
+  print_report ~csv e report;
   write_and_gate ~out ~prefix json gates
 
-let run_experiments jobs seed adapt ids quick csv =
+let run_experiments jobs seed ids quick csv =
   set_jobs jobs;
   set_seed seed;
-  Mikpoly_experiments.Exp_serving.with_adaptation := adapt;
   let experiments =
     match ids with
     | [] -> Mikpoly_experiments.Registry.all
@@ -64,12 +68,8 @@ let run_experiments jobs seed adapt ids quick csv =
   in
   List.iter
     (fun (e : Mikpoly_experiments.Exp.t) ->
-      let report = e.run ~quick in
-      if csv then
-        List.iter
-          (fun t -> print_endline (Mikpoly_util.Table.to_csv t))
-          report.tables
-      else print_endline (Mikpoly_experiments.Exp.render report))
+      print_report ~csv e (e.run ~quick);
+      if not csv then print_newline ())
     experiments;
   0
 
@@ -466,8 +466,8 @@ let graph jobs quick csv out =
   let compiler = Mikpoly_experiments.Backends.gpu () in
   let runs = E.model_runs ~quick compiler in
   let serving = E.serving_ab ~quick compiler in
-  report_tail ~csv ~out ~prefix:"graph gate failed" (E.report runs serving)
-    (E.json ~quick runs serving) (E.gates runs serving)
+  report_tail ~csv ~out ~prefix:"graph gate failed" E.exp
+    (E.report runs serving) (E.json ~quick runs serving) (E.gates runs serving)
 
 (* Multi-tenant fleet serving: the WFQ / coalescing / warm-store /
    autoscaler ladder against the tenant-blind scheduler on a heavy-tail
@@ -514,8 +514,8 @@ let fleet jobs quick csv out store =
       compiler
   in
   let r = E.results ~quick compiler in
-  report_tail ~csv ~out ~prefix:"fleet gate failed" (E.report r) (E.json r)
-    (E.gates r)
+  report_tail ~csv ~out ~prefix:"fleet gate failed" E.exp (E.report r)
+    (E.json r) (E.gates r)
 
 (* Heterogeneous mixed GPU+NPU fleet serving: device-class-keyed
    stores, cost-model routing, the per-class health plane (breaker,
@@ -528,8 +528,8 @@ let hetero jobs quick csv out =
   set_jobs jobs;
   let module E = Mikpoly_experiments.Exp_hetero in
   let r = E.results ~quick in
-  report_tail ~csv ~out ~prefix:"hetero gate failed" (E.report r) (E.json r)
-    (E.gates r)
+  report_tail ~csv ~out ~prefix:"hetero gate failed" E.exp (E.report r)
+    (E.json r) (E.gates r)
 
 (* Train and evaluate the learned candidate ranker offline (lib/rank):
    harvest simulator observations on both platforms, fit the
@@ -544,8 +544,8 @@ let rank jobs seed quick csv out =
   set_seed seed;
   let module E = Mikpoly_experiments.Exp_rank in
   let r = E.results ~quick in
-  report_tail ~csv ~out ~prefix:"rank gate failed" (E.report r) (E.json r)
-    (E.gates r)
+  report_tail ~csv ~out ~prefix:"rank gate failed" E.exp (E.report r)
+    (E.json r) (E.gates r)
 
 (* Run a target under the span tracer and export the observability
    artifacts: a Chrome/Perfetto trace, the flat profile and the metrics
@@ -596,7 +596,7 @@ let profile jobs target quick npu trace_out top csv_metrics =
       match Mikpoly_experiments.Registry.find id with
       | Some e ->
         let report = Mikpoly_experiments.Exp.run_traced e ~quick in
-        print_endline (Mikpoly_experiments.Exp.render report);
+        print_endline (Mikpoly_experiments.Exp.render e report);
         0
       | None ->
         Printf.eprintf "unknown profile target %S (serve or one of: %s)\n" id
@@ -706,8 +706,8 @@ let run_cmd =
   let doc = "Run paper-experiment reproductions" in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
-      const run_experiments $ jobs_arg $ seed_arg $ adapt_flag $ ids_arg
-      $ quick_flag $ csv_flag)
+      const run_experiments $ jobs_arg $ seed_arg $ ids_arg $ quick_flag
+      $ csv_flag)
 
 let list_cmd =
   let doc = "List available experiments" in

@@ -110,6 +110,12 @@ check_report stdout "" serve --quick --csv --batcher slo
 check_report stdout "" serve --quick --csv --cache 1
 check_report stdout "" serve --quick --csv --max-batch 65536
 
+echo "== experiment determinism =="
+# The experiments whose CSV tables hold only simulated quantities, run
+# back to back in one process: byte-identical across --jobs counts.
+check_report stdout "" run serving resilience adaptation ablations fig10 \
+  tab5 fusion fleet hetero --quick --csv
+
 echo "== chaos smoke test =="
 # The seeded fault-injection A/B end to end: the subcommand exits
 # non-zero unless faults were injected, no request was lost silently,
@@ -214,6 +220,7 @@ expect_usage_error adapt --quick --severity=nan
 expect_usage_error serve --quick --replicas abc
 expect_usage_error compile -m x -n 4 -k 4
 expect_usage_error serve --seed -1
+expect_usage_error run serving --quick --adapt
 
 echo "== parallel-win =="
 # The parallel-polymerization acceptance gate. It runs last: on a host

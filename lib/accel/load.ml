@@ -22,12 +22,22 @@ let gemm_footprint_bytes ~dtype ~m ~n ~k =
   let elems = (m * k) + (k * n) + (m * n) in
   float_of_int (elems * Mikpoly_tensor.Dtype.bytes dtype)
 
-let total_tasks t = List.fold_left (fun acc r -> acc + r.n_tasks) 0 t.regions
+let ceil_div a b = (a + b - 1) / b
 
-let total_flops t =
-  List.fold_left
-    (fun acc r ->
-      acc
-      +. (float_of_int r.n_tasks *. float_of_int r.t_steps
-          *. Kernel_desc.flops r.kernel))
-    0. t.regions
+let tiles (kernel : Kernel_desc.t) ~rows ~cols =
+  ceil_div rows kernel.um * ceil_div cols kernel.un
+
+let k_steps (kernel : Kernel_desc.t) ~k = ceil_div k kernel.uk
+
+let waves ~capacity n_tasks = ceil_div n_tasks capacity
+
+let gemm (kernel : Kernel_desc.t) ~m ~n ~k =
+  make
+    ~regions:
+      [
+        region ~kernel ~n_tasks:(tiles kernel ~rows:m ~cols:n)
+          ~t_steps:(k_steps kernel ~k);
+      ]
+    ~footprint_bytes:(gemm_footprint_bytes ~dtype:kernel.dtype ~m ~n ~k)
+
+let total_tasks t = List.fold_left (fun acc r -> acc + r.n_tasks) 0 t.regions

@@ -27,8 +27,29 @@ val make : regions:region list -> footprint_bytes:float -> t
 val gemm_footprint_bytes : dtype:Mikpoly_tensor.Dtype.t -> m:int -> n:int -> k:int -> float
 (** [(M·K + K·N + M·N) × bytes]. *)
 
-val total_tasks : t -> int
+(** {2 Tiling (paper Section 3.4, Eq. 2)}
 
-val total_flops : t -> float
-(** Work including padding waste: sum over regions of
-    [n_tasks·t_steps·flops(kernel)]. *)
+    The one home of the tile arithmetic every lowering and cost estimate
+    shares. *)
+
+val ceil_div : int -> int -> int
+(** [ceil_div a b] = ⌈a/b⌉ for [a >= 0], [b >= 1]. *)
+
+val tiles : Kernel_desc.t -> rows:int -> cols:int -> int
+(** Pipelined tasks covering a [rows×cols] output region:
+    ⌈rows/uM⌉·⌈cols/uN⌉ — the paper's [f_parallel]. *)
+
+val k_steps : Kernel_desc.t -> k:int -> int
+(** Kernel instances per task over a reduction of [k]: ⌈k/uK⌉ — the
+    paper's [f_num]. *)
+
+val waves : capacity:int -> int -> int
+(** [waves ~capacity n_tasks]: ⌈n_tasks/capacity⌉ waves of tasks when
+    [capacity] fit the device at once — the paper's [f_wave]. *)
+
+val gemm : Kernel_desc.t -> m:int -> n:int -> k:int -> t
+(** The single-kernel program of an (M, N, K) GEMM: one region of
+    {!tiles} tasks of {!k_steps} instances, and the footprint of the
+    kernel's dtype. *)
+
+val total_tasks : t -> int

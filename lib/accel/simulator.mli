@@ -36,6 +36,11 @@ type region_obs = {
 exception Kernel_does_not_fit of string
 (** Raised when a region's kernel cannot be resident on the device. *)
 
+val region_work : Hardware.t -> Load.region -> Sched.region_work
+(** What the schedulers dispatch for one program region: per-task
+    duration at nominal occupancy, warps, residency and task count.
+    Raises {!Kernel_does_not_fit}. *)
+
 val run :
   ?observe:(region_obs list -> unit) -> ?faults:Mikpoly_fault.Device.t ->
   Hardware.t -> Load.t -> result

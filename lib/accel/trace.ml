@@ -19,23 +19,7 @@ let region (s : span) = Span.int_attr s "region"
 let record (hw : Hardware.t) (load : Load.t) =
   if Load.total_tasks load > Sched.event_sim_threshold then
     invalid_arg "Trace.record: program too large for event-driven simulation";
-  let works =
-    List.map
-      (fun (r : Load.region) ->
-        let blocks = Kernel_model.blocks_per_pe hw r.kernel in
-        if blocks < 1 then
-          raise (Simulator.Kernel_does_not_fit (Kernel_desc.name r.kernel));
-        let active = Pipeline.nominal_active hw r.kernel ~n_tasks:r.n_tasks in
-        {
-          Sched.duration =
-            Pipeline.task_cycles hw r.kernel ~active_blocks:active
-              ~t_steps:r.t_steps;
-          warps = Kernel_model.sched_warps hw r.kernel;
-          blocks_per_pe = blocks;
-          count = r.n_tasks;
-        })
-      load.regions
-  in
+  let works = List.map (Simulator.region_work hw) load.regions in
   let track = "device/" ^ hw.name in
   let kernel_names =
     Array.of_list

@@ -291,8 +291,6 @@ let observe_shape t (m, n, k) =
 
 let calibrate t = locked t (fun () -> ignore (recalibrate_locked t))
 
-let ceil_div a b = (a + b - 1) / b
-
 let probe t (m, n, k) =
   (* Active profiling: run one single-kernel program per micro-kernel on
      the execution device and window the (predicted, observed) pair, so a
@@ -304,24 +302,19 @@ let probe t (m, n, k) =
   let samples =
     Array.to_list set.entries
     |> List.map (fun (e : Kernel_set.entry) ->
-           let n_tasks = ceil_div m e.desc.um * ceil_div n e.desc.un in
-           let t_steps = ceil_div k e.desc.uk in
-           let region = Load.region ~kernel:e.desc ~n_tasks ~t_steps in
-           let load =
-             Load.make ~regions:[ region ]
-               ~footprint_bytes:
-                 (Load.gemm_footprint_bytes ~dtype:e.desc.dtype ~m ~n ~k)
-           in
            let captured = ref [] in
-           ignore (Simulator.run ~observe:(fun os -> captured := os) hw load);
+           ignore
+             (Simulator.run ~observe:(fun os -> captured := os) hw
+                (Load.gemm e.desc ~m ~n ~k));
            let observed =
              match !captured with
              | [ o ] -> o.Simulator.obs_cycles
              | _ -> 0.
            in
-           let wave = float_of_int (ceil_div n_tasks e.wave_capacity) in
-           let pipe = Cost_model.f_pipe e ~k_len:k in
-           (key_of_desc e.desc, (wave *. pipe, observed)))
+           let predicted =
+             Cost_model.region_cost Cost_model.Full e ~rows:m ~cols:n ~k_len:k
+           in
+           (key_of_desc e.desc, (predicted, observed)))
     |> List.filter (fun (_, (p, o)) -> p > 0. && o > 0.)
   in
   locked t (fun () ->

@@ -129,12 +129,7 @@ let curve_to_string = function
   | Identity -> "identity"
   | Scale a -> Printf.sprintf "scale %.9g" a
   | Affine (a, b) -> Printf.sprintf "affine %.9g %.9g" a b
-  | Knots pw ->
-    "knots "
-    ^ String.concat " "
-        (List.map
-           (fun (x, y) -> Printf.sprintf "%.9g:%.9g" x y)
-           (Pw.breakpoints pw))
+  | Knots pw -> "knots " ^ Pw.to_string pw
 
 let to_string t =
   String.concat ""

@@ -36,10 +36,6 @@ val fit : fingerprint:string -> (key * (float * float) list) list -> t
     (implicitly [Identity]); an affine fit with non-positive slope falls
     back to the mean-ratio [Scale] so corrections stay monotone. *)
 
-val eval_curve : curve -> float -> float
-(** Apply one curve; the result is clamped to [>= 0] so the search's
-    region-order pruning stays sound under any correction. *)
-
 val apply : t -> key -> float -> float
 (** Correct a raw region prediction for the given kernel ([Identity] for
     kernels absent from the profile). *)

@@ -18,15 +18,6 @@ let save ~path (hw : Hardware.t) (cal : Calibration.t) =
       Printf.fprintf oc "checksum %s\n" (body_checksum body);
       output_string oc body)
 
-let parse_points s =
-  let parse_one tok =
-    match String.split_on_char ':' tok with
-    | [ x; y ] -> (float_of_string x, float_of_string y)
-    | _ -> failwith "bad breakpoint"
-  in
-  List.map parse_one
-    (List.filter (fun t -> t <> "") (String.split_on_char ' ' s))
-
 (* Only what the fitter can produce: finite numbers and, for a linear
    curve, a positive slope. So no correction turns a cost NaN, and none
    maps every large cost to 0. *)
@@ -50,7 +41,7 @@ let parse_curve = function
     positive_slope a;
     Calibration.Affine (a, b)
   | "knots" :: (_ :: _ as pts) ->
-    let points = parse_points (String.concat " " pts) in
+    let points = Pw.points_of_string (String.concat " " pts) in
     finite (List.concat_map (fun (x, y) -> [ x; y ]) points);
     Calibration.Knots (Pw.of_points points)
   | _ -> failwith "malformed curve"
@@ -62,37 +53,29 @@ let parse_kernel line =
       parse_curve curve )
   | _ -> failwith "malformed kernel line"
 
+(* [Calibration.to_string] newline-terminates every line, so the body
+   is exactly the lines after the header re-terminated. *)
 let load ~path (hw : Hardware.t) =
-  let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> ());
-        match List.rev !lines with
-        | header :: hw_line :: fp_line :: sum_line :: rest ->
-          let fp = Hardware.fingerprint hw in
-          (* [Calibration.to_string] newline-terminates every line, so the
-             body is exactly the remaining lines re-terminated. *)
-          let body = String.concat "" (List.map (fun l -> l ^ "\n") rest) in
-          if header <> magic then fail "unrecognized calibration file"
-          else if hw_line <> "hw " ^ hw.name then
-            fail "calibration was recorded on a different platform (%s)" hw_line
-          else if fp_line <> "fingerprint " ^ fp then
-            fail
+  let fp = Hardware.fingerprint hw in
+  match
+    Mikpoly_util.Atomic_file.read_checked ~path
+      ~header:
+        [
+          (magic, fun _ -> "unrecognized calibration file");
+          ( "hw " ^ hw.name,
+            Printf.sprintf "calibration was recorded on a different platform (%s)"
+          );
+          ( "fingerprint " ^ fp,
+            Printf.sprintf
               "calibration was recorded for a different hardware configuration (%s)"
-              fp_line
-          else if sum_line <> "checksum " ^ body_checksum body then
-            fail "calibration failed checksum verification (corrupted artifact)"
-          else begin
-            try Ok (Calibration.of_curves ~fingerprint:fp (List.map parse_kernel rest))
-            with Failure e | Invalid_argument e -> Error e
-          end
-        | _ -> fail "truncated calibration file")
+          );
+        ]
+      ~checksum:(fun lines ->
+        body_checksum (String.concat "" (List.map (fun l -> l ^ "\n") lines)))
+      ~corrupt:"calibration failed checksum verification (corrupted artifact)"
+      ~truncated:"truncated calibration file"
+  with
+  | Error _ as e -> e
+  | Ok body -> (
+    try Ok (Calibration.of_curves ~fingerprint:fp (List.map parse_kernel body))
+    with Failure e | Invalid_argument e -> Error e)

@@ -12,8 +12,6 @@ type eval = {
   samples : int;
 }
 
-let ceil_div a b = (a + b - 1) / b
-
 (* The candidate portfolio for one shape: every micro-kernel as a
    single-region (Pattern I) program — the per-region choice Equation 2 is
    asked to make. [(predicted, simulated)] per candidate, in rank order. *)
@@ -22,10 +20,9 @@ let candidates ~(compiler : Compiler.t) ~(exec_hw : Hardware.t) ?correction
   let set = Compiler.kernels compiler in
   Array.to_list set.entries
   |> List.map (fun (e : Kernel_set.entry) ->
-         let n_tasks = ceil_div m e.desc.um * ceil_div n e.desc.un in
-         let t_steps = ceil_div k e.desc.uk in
-         let wave = float_of_int (ceil_div n_tasks e.wave_capacity) in
-         let raw = wave *. Cost_model.f_pipe e ~k_len:k in
+         let raw =
+           Cost_model.region_cost Cost_model.Full e ~rows:m ~cols:n ~k_len:k
+         in
          let predicted =
            (* A [scorer] sees the shape as well as the kernel (what a
               learned ranker needs); a [correction] only the kernel and
@@ -40,13 +37,7 @@ let candidates ~(compiler : Compiler.t) ~(exec_hw : Hardware.t) ?correction
              | Some f -> Float.max 0. (f e raw)
              | None -> raw)
          in
-         let load =
-           Load.make
-             ~regions:[ Load.region ~kernel:e.desc ~n_tasks ~t_steps ]
-             ~footprint_bytes:
-               (Load.gemm_footprint_bytes ~dtype:e.desc.dtype ~m ~n ~k)
-         in
-         (predicted, (Simulator.run exec_hw load).cycles))
+         (predicted, (Simulator.run exec_hw (Load.gemm e.desc ~m ~n ~k)).cycles))
 
 let evaluate ~compiler ~exec_hw ?correction ?scorer shapes =
   if shapes = [] then invalid_arg "Ranking.evaluate: no shapes";

@@ -11,13 +11,12 @@ let synthetic_sizes ~n_syn =
   if n_syn < 0 then invalid_arg "Autotuner.synthetic_sizes: n_syn < 0";
   List.init (n_syn + 1) (fun i -> 1 lsl i)
 
-let ceil_div a b = (a + b - 1) / b
-
 let pattern_one_cycles hw (kd : Kernel_desc.t) ~m ~n ~k =
-  let tasks = ceil_div m kd.um * ceil_div n kd.un in
-  let t_steps = ceil_div k kd.uk in
-  let cap = Kernel_model.wave_capacity hw kd in
-  let waves = ceil_div tasks cap in
+  let t_steps = Load.k_steps kd ~k in
+  let waves =
+    Load.waves ~capacity:(Kernel_model.wave_capacity hw kd)
+      (Load.tiles kd ~rows:m ~cols:n)
+  in
   float_of_int waves *. Pipeline.nominal_task_cycles hw kd ~t_steps
 
 let size_tflops hw kd ~size =

@@ -23,8 +23,7 @@ let of_catalog ?(path = Hardware.Matrix) ?(dtype = Mikpoly_tensor.Dtype.F16)
     if m < 1 || n < 1 || k < 1 then Error "non-positive GEMM dimension"
     else begin
       let kd = Catalog.select catalog hw ~path ~dtype ~m ~n ~k in
-      let load = Catalog.gemm_load catalog hw ~path ~dtype ~m ~n ~k () in
-      simulate_load hw ~description:(Kernel_desc.name kd) load
+      simulate_load hw ~description:(Kernel_desc.name kd) (Load.gemm kd ~m ~n ~k)
     end
   in
   { name = catalog.Catalog.name; gemm }

@@ -22,7 +22,8 @@ val simulate_load :
 val of_catalog :
   ?path:Mikpoly_accel.Hardware.compute_path -> ?dtype:Mikpoly_tensor.Dtype.t ->
   Catalog.t -> Mikpoly_accel.Hardware.t -> t
-(** Vendor-library backend for the device. *)
+(** Vendor-library backend for the device: each GEMM runs the catalog's
+    heuristic choice as a single-kernel program ({!Mikpoly_accel.Load.gemm}). *)
 
 val conv_seconds : t -> Mikpoly_tensor.Conv_spec.t -> (float, string) result
 (** Convolution through the backend's GEMM path (im2col lowering), as the

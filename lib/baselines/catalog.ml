@@ -56,14 +56,12 @@ let kernels t hw ~path ~dtype =
       if Kernel_model.blocks_per_pe hw k >= 1 then Some k else None)
     t.tiles
 
-let ceil_div a b = (a + b - 1) / b
-
 (* Estimated padded compute time, ignoring wave quantization: the padded
    flop volume divided by the tile's shape-limited throughput. *)
 let heuristic_score (k : Kernel_desc.t) ~m ~n ~k:kk =
-  let padded_m = ceil_div m k.um * k.um in
-  let padded_n = ceil_div n k.un * k.un in
-  let padded_k = ceil_div kk k.uk * k.uk in
+  let padded_m = Load.ceil_div m k.um * k.um in
+  let padded_n = Load.ceil_div n k.un * k.un in
+  let padded_k = Load.ceil_div kk k.uk * k.uk in
   let padded_flops =
     2. *. float_of_int padded_m *. float_of_int padded_n *. float_of_int padded_k
   in
@@ -83,14 +81,3 @@ let select t hw ~path ~dtype ~m ~n ~k =
         None ks
     in
     (match best with Some (kd, _) -> kd | None -> assert false)
-
-let gemm_load t hw ?(path = Hardware.Matrix) ?(dtype = Mikpoly_tensor.Dtype.F16)
-    ~m ~n ~k () =
-  let kd = select t hw ~path ~dtype ~m ~n ~k in
-  let region =
-    Load.region ~kernel:kd
-      ~n_tasks:(ceil_div m kd.um * ceil_div n kd.un)
-      ~t_steps:(ceil_div k kd.uk)
-  in
-  Load.make ~regions:[ region ]
-    ~footprint_bytes:(Load.gemm_footprint_bytes ~dtype ~m ~n ~k)

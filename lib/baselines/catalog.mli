@@ -34,9 +34,3 @@ val select :
   Mikpoly_accel.Kernel_desc.t
 (** The heuristic choice for an (M, N, K) problem. Raises [Failure] if no
     catalog kernel fits the device. *)
-
-val gemm_load :
-  t -> Mikpoly_accel.Hardware.t -> ?path:Mikpoly_accel.Hardware.compute_path ->
-  ?dtype:Mikpoly_tensor.Dtype.t -> m:int -> n:int -> k:int -> unit ->
-  Mikpoly_accel.Load.t
-(** The library's single-kernel program for the problem. *)

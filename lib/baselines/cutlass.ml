@@ -3,8 +3,6 @@ open Mikpoly_accel
 let default_tile ~m ~n =
   if m >= 128 && n >= 128 then (128, 128, 32) else (64, 64, 32)
 
-let ceil_div a b = (a + b - 1) / b
-
 let backend ?(path = Hardware.Matrix) hw =
   let dtype = Mikpoly_tensor.Dtype.F16 in
   let gemm ~m ~n ~k =
@@ -15,17 +13,8 @@ let backend ?(path = Hardware.Matrix) hw =
         Kernel_desc.make ~dtype ~path ~codegen_eff:0.90 ~origin:"cutlass" ~um ~un
           ~uk ()
       in
-      let load =
-        Load.make
-          ~regions:
-            [
-              Load.region ~kernel:kd
-                ~n_tasks:(ceil_div m um * ceil_div n un)
-                ~t_steps:(ceil_div k uk);
-            ]
-          ~footprint_bytes:(Load.gemm_footprint_bytes ~dtype ~m ~n ~k)
-      in
-      Backend.simulate_load hw ~description:(Kernel_desc.name kd) load
+      Backend.simulate_load hw ~description:(Kernel_desc.name kd)
+        (Load.gemm kd ~m ~n ~k)
     end
   in
   { Backend.name = "CUTLASS"; gemm }

@@ -79,8 +79,6 @@ let nearest grid v =
     grid;
   !best
 
-let ceil_div a b = (a + b - 1) / b
-
 let backend t =
   let gemm ~m ~n ~k =
     if m < 1 || n < 1 || k < 1 then Error "non-positive GEMM dimension"
@@ -90,21 +88,10 @@ let backend t =
     else begin
       let gm = nearest t.m_grid m and gn = nearest t.n_grid n and gk = nearest t.k_grid k in
       let kd = Hashtbl.find t.programs (gm, gn, gk) in
-      let load =
-        Load.make
-          ~regions:
-            [
-              Load.region ~kernel:kd
-                ~n_tasks:(ceil_div m kd.um * ceil_div n kd.un)
-                ~t_steps:(ceil_div k kd.uk);
-            ]
-          ~footprint_bytes:
-            (Load.gemm_footprint_bytes ~dtype:Mikpoly_tensor.Dtype.F16 ~m ~n ~k)
-      in
       Backend.simulate_load t.hw
         ~description:
           (Printf.sprintf "%s (tuned for %dx%dx%d)" (Kernel_desc.name kd) gm gn gk)
-        load
+        (Load.gemm kd ~m ~n ~k)
     end
   in
   { Backend.name = "DietCode"; gemm }

@@ -38,8 +38,6 @@ let create hw ~m_range ~n_range ~k_range =
 
 let kernel t = t.kernel
 
-let ceil_div a b = (a + b - 1) / b
-
 let backend t =
   let within (lo, hi) v = v >= lo && v <= hi in
   let gemm ~m ~n ~k =
@@ -51,18 +49,8 @@ let backend t =
         (Printf.sprintf "shape (%d,%d,%d) outside the declared dynamic range" m n k)
     else begin
       let kd = t.kernel in
-      let load =
-        Load.make
-          ~regions:
-            [
-              Load.region ~kernel:kd
-                ~n_tasks:(ceil_div m kd.um * ceil_div n kd.un)
-                ~t_steps:(ceil_div k kd.uk);
-            ]
-          ~footprint_bytes:
-            (Load.gemm_footprint_bytes ~dtype:Mikpoly_tensor.Dtype.F16 ~m ~n ~k)
-      in
-      Backend.simulate_load t.hw ~description:(Kernel_desc.name kd) load
+      Backend.simulate_load t.hw ~description:(Kernel_desc.name kd)
+        (Load.gemm kd ~m ~n ~k)
     end
   in
   { Backend.name = "Nimble"; gemm }

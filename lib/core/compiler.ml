@@ -219,6 +219,11 @@ let compile t op =
       (fun () -> compile_lookup t op)
   end
 
+let gemm t (m, n, k) = Operator.gemm ~dtype:t.config.dtype ~m ~n ~k ()
+
+let compile_seconds t shape =
+  Polymerize.modeled_search_seconds (compile t (gemm t shape))
+
 let cached t op =
   locked t (fun () -> Hashtbl.mem t.cache (Operator.gemm_shape op))
 
@@ -243,12 +248,9 @@ let warm ?jobs t shapes =
     let batched =
       if t.safe_mode then None
       else
-        let ops =
-          Array.map (fun (m, n, k) -> Operator.gemm ~m ~n ~k ()) keys
-        in
         match
           Polymerize.search_batch ~scorer:(default_scorer t) ?jobs t.kernels
-            t.config ops
+            t.config (Array.map (gemm t) keys)
         with
         | cs -> Some cs
         | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
@@ -266,8 +268,8 @@ let warm ?jobs t shapes =
       Array.length cs
     | None ->
       List.fold_left
-        (fun fresh (m, n, k) ->
-          ignore (compile t (Operator.gemm ~m ~n ~k ()));
+        (fun fresh key ->
+          ignore (compile t (gemm t key));
           fresh + 1)
         0 missing)
 
@@ -340,7 +342,7 @@ let predict_region t (o : Simulator.region_obs) =
   | None -> None
   | Some e ->
     let wave =
-      float_of_int ((o.obs_n_tasks + e.wave_capacity - 1) / e.wave_capacity)
+      float_of_int (Load.waves ~capacity:e.wave_capacity o.obs_n_tasks)
     in
     let pipe = Cost_model.f_pipe e ~k_len:(o.obs_t_steps * e.desc.uk) in
     Some

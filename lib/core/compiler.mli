@@ -71,6 +71,15 @@ val compile : t -> Mikpoly_ir.Operator.t -> Polymerize.compiled
     deterministic search makes either result correct); exactly one
     insertion wins and both count a miss. *)
 
+val gemm : t -> int * int * int -> Mikpoly_ir.Operator.t
+(** The GEMM operator of an (M, N, K) shape in the compiler's dtype: the
+    one shape-to-operator rule of every engine and backend. *)
+
+val compile_seconds : t -> int * int * int -> float
+(** The modeled compile cost of a shape: {!compile} of its {!gemm},
+    priced at {!Polymerize.modeled_search_seconds} — what the serving
+    engines charge on a program-cache miss. *)
+
 val cached : t -> Mikpoly_ir.Operator.t -> bool
 (** Whether the operator's shape already has a compiled program (i.e. a
     new execution would pay no polymerization overhead). *)

@@ -2,15 +2,14 @@ open Mikpoly_autosched
 
 type objective = Full | Wave_only | Pipe_only
 
-let ceil_div a b = (a + b - 1) / b
+module Load = Mikpoly_accel.Load
 
-let f_parallel (e : Kernel_set.entry) ~rows ~cols =
-  ceil_div rows e.desc.um * ceil_div cols e.desc.un
+let f_parallel (e : Kernel_set.entry) ~rows ~cols = Load.tiles e.desc ~rows ~cols
 
-let f_num (e : Kernel_set.entry) ~k_len = ceil_div k_len e.desc.uk
+let f_num (e : Kernel_set.entry) ~k_len = Load.k_steps e.desc ~k:k_len
 
-let f_wave e ~rows ~cols =
-  float_of_int (ceil_div (f_parallel e ~rows ~cols) e.wave_capacity)
+let f_wave (e : Kernel_set.entry) ~rows ~cols =
+  float_of_int (Load.waves ~capacity:e.wave_capacity (f_parallel e ~rows ~cols))
 
 let f_pipe (e : Kernel_set.entry) ~k_len =
   Perf_model.predict_cycles e.model ~t_steps:(f_num e ~k_len)

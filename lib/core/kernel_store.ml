@@ -32,13 +32,7 @@ let body_lines (set : Kernel_set.t) =
           (dtype_to_string d.dtype) (path_to_string d.path) d.codegen_eff
           d.origin e.rank_score
       in
-      let pts = Mikpoly_util.Piecewise.breakpoints e.model.g in
-      let g_line =
-        Printf.sprintf "gpredict %s"
-          (String.concat " "
-             (List.map (fun (x, y) -> Printf.sprintf "%.9g:%.9g" x y) pts))
-      in
-      [ kernel_line; g_line ])
+      [ kernel_line; "gpredict " ^ Mikpoly_util.Piecewise.to_string e.model.g ])
     (Array.to_list set.entries)
 
 let body_checksum lines =
@@ -56,102 +50,82 @@ let save ~path (config : Config.t) (set : Kernel_set.t) =
       Printf.fprintf oc "checksum %s\n" (body_checksum body);
       List.iter (fun l -> Printf.fprintf oc "%s\n" l) body)
 
-let parse_points s =
-  let parse_one tok =
-    match String.split_on_char ':' tok with
-    | [ x; y ] -> (float_of_string x, float_of_string y)
-    | _ -> failwith "bad breakpoint"
-  in
-  List.map parse_one
-    (List.filter (fun t -> t <> "") (String.split_on_char ' ' s))
-
 let load ~path (hw : Hardware.t) (config : Config.t) =
   let fail fmt = Printf.ksprintf (fun s -> Error s) fmt in
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let lines = ref [] in
-        (try
-           while true do
-             lines := input_line ic :: !lines
-           done
-         with End_of_file -> ());
-        match List.rev !lines with
-        | header :: hw_line :: fp_line :: config_line :: sum_line :: rest ->
-          if header <> magic then fail "unrecognized kernel-set file"
-          else if hw_line <> "hw " ^ hw.Hardware.name then
-            fail "kernel set was generated for a different platform (%s)" hw_line
-          else if fp_line <> "fingerprint " ^ Hardware.fingerprint hw then
-            fail
+  match
+    Mikpoly_util.Atomic_file.read_checked ~path
+      ~header:
+        [
+          (magic, fun _ -> "unrecognized kernel-set file");
+          ( "hw " ^ hw.Hardware.name,
+            Printf.sprintf "kernel set was generated for a different platform (%s)"
+          );
+          ( "fingerprint " ^ Hardware.fingerprint hw,
+            Printf.sprintf
               "kernel set was generated for a different hardware configuration (%s)"
-              fp_line
-          else if config_line <> "config " ^ Config.cache_key config then
-            fail "kernel set was generated with a different configuration"
-          else if sum_line <> "checksum " ^ body_checksum rest then
-            fail "kernel set failed checksum verification (corrupted artifact)"
-          else begin
-            try
-              let rec parse acc rank = function
-                | [] -> Ok (List.rev acc)
-                | kernel_line :: g_line :: rest -> (
-                  match
-                    (String.split_on_char ' ' kernel_line, g_line)
-                  with
-                  | ( [ "kernel"; um; un; uk; dtype; cpath; eff; origin; score ],
-                      g_line )
-                    when String.length g_line > 9
-                         && String.sub g_line 0 9 = "gpredict " -> (
-                    match (dtype_of_string dtype, path_of_string cpath) with
-                    | Some dtype, Some cpath ->
-                      let codegen_eff = float_of_string eff
-                      and rank_score = float_of_string score
-                      and points =
-                        parse_points
-                          (String.sub g_line 9 (String.length g_line - 9))
-                      in
-                      if
-                        not
-                          (List.for_all Float.is_finite
-                             (codegen_eff :: rank_score
-                             :: List.concat_map (fun (x, y) -> [ x; y ]) points))
-                      then Error "non-finite number in a kernel entry"
-                      else
-                        let desc =
-                          Kernel_desc.make ~dtype ~path:cpath ~codegen_eff
-                            ~origin ~um:(int_of_string um)
-                            ~un:(int_of_string un) ~uk:(int_of_string uk) ()
-                        in
-                        let wave_capacity = Kernel_model.wave_capacity hw desc in
-                        if wave_capacity < 1 then
-                          fail "kernel %dx%dx%d cannot be resident on %s"
-                            desc.um desc.un desc.uk hw.Hardware.name
-                        else
-                          let g = Mikpoly_util.Piecewise.of_points points in
-                          let entry =
-                            {
-                              Kernel_set.desc;
-                              model = { Perf_model.kernel = desc; g };
-                              wave_capacity;
-                              rank;
-                              rank_score;
-                            }
-                          in
-                          parse (entry :: acc) (rank + 1) rest
-                    | _ -> Error "bad dtype or path")
-                  | _ -> Error "malformed kernel entry")
-                | _ -> Error "truncated kernel entry"
+          );
+          ( "config " ^ Config.cache_key config,
+            fun _ -> "kernel set was generated with a different configuration" );
+        ]
+      ~checksum:body_checksum
+      ~corrupt:"kernel set failed checksum verification (corrupted artifact)"
+      ~truncated:"truncated kernel-set file"
+  with
+  | Error _ as e -> e
+  | Ok body -> (
+    try
+      let rec parse acc rank = function
+        | [] -> Ok (List.rev acc)
+        | kernel_line :: g_line :: rest -> (
+          match (String.split_on_char ' ' kernel_line, g_line) with
+          | [ "kernel"; um; un; uk; dtype; cpath; eff; origin; score ], g_line
+            when String.length g_line > 9 && String.sub g_line 0 9 = "gpredict "
+            -> (
+            match (dtype_of_string dtype, path_of_string cpath) with
+            | Some dtype, Some cpath ->
+              let codegen_eff = float_of_string eff
+              and rank_score = float_of_string score
+              and points =
+                Mikpoly_util.Piecewise.points_of_string
+                  (String.sub g_line 9 (String.length g_line - 9))
               in
-              match parse [] 0 rest with
-              | Ok [] -> Error "kernel set is empty"
-              | Ok entries ->
-                Ok { Kernel_set.hw; entries = Array.of_list entries }
-              | Error e -> Error e
-            with Failure e | Invalid_argument e -> Error e
-          end
-        | _ -> fail "truncated kernel-set file")
+              if
+                not
+                  (List.for_all Float.is_finite
+                     (codegen_eff :: rank_score
+                     :: List.concat_map (fun (x, y) -> [ x; y ]) points))
+              then Error "non-finite number in a kernel entry"
+              else
+                let desc =
+                  Kernel_desc.make ~dtype ~path:cpath ~codegen_eff ~origin
+                    ~um:(int_of_string um) ~un:(int_of_string un)
+                    ~uk:(int_of_string uk) ()
+                in
+                let wave_capacity = Kernel_model.wave_capacity hw desc in
+                if wave_capacity < 1 then
+                  fail "kernel %dx%dx%d cannot be resident on %s" desc.um
+                    desc.un desc.uk hw.Hardware.name
+                else
+                  let g = Mikpoly_util.Piecewise.of_points points in
+                  let entry =
+                    {
+                      Kernel_set.desc;
+                      model = { Perf_model.kernel = desc; g };
+                      wave_capacity;
+                      rank;
+                      rank_score;
+                    }
+                  in
+                  parse (entry :: acc) (rank + 1) rest
+            | _ -> Error "bad dtype or path")
+          | _ -> Error "malformed kernel entry")
+        | _ -> Error "truncated kernel entry"
+      in
+      match parse [] 0 body with
+      | Ok [] -> Error "kernel set is empty"
+      | Ok entries -> Ok { Kernel_set.hw; entries = Array.of_list entries }
+      | Error e -> Error e
+    with Failure e | Invalid_argument e -> Error e)
 
 let load_or_create ~path hw config =
   if Sys.file_exists path then load ~path hw config

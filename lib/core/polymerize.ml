@@ -19,17 +19,12 @@ let m_search_s =
    ruled out by [Strategy_space] before scoring (dominated kernel, or
    pinned cost + region floors already past the bound); [pruned_bound]
    candidates started scoring and were cut by the running Eq.-2 partial
-   sum. The serve/fleet compile-stall tables read these via
-   {!prune_counter_values}. *)
+   sum. *)
 let m_pruned_analytic = Tm.Metrics.counter "polymerize.pruned_analytic"
 
 let m_pruned_bound = Tm.Metrics.counter "polymerize.pruned_bound"
 
 let m_batches = Tm.Metrics.counter "polymerize.batches"
-
-let prune_counter_values () =
-  ( Tm.Metrics.counter_value m_pruned_analytic,
-    Tm.Metrics.counter_value m_pruned_bound )
 
 type scorer =
   | Model of Cost_model.objective
@@ -89,12 +84,55 @@ let primary_kernels = 12
 
 let secondary_kernels = 8
 
-let search ?shared_view ~scorer ~tracing (set : Kernel_set.t)
-    (config : Config.t) op =
+(* The half of a search that depends on the shape only through its
+   reduction extent K. [search_batch] builds one per distinct K and
+   shares it across the batch. *)
+type setup = {
+  launch : float;
+      (** Every region is a separate kernel launch on the device; charging
+          it in the search keeps tiny operators on single-region programs
+          (the overhead-consciousness that leads the paper to restrict GPU
+          pattern use, Section 4). Cycles; 0 when disabled. *)
+  analytic : bool;
+      (** Analytic pre-pruning (Strategy_space). Sound only under the plain
+          Eq.-2 Full objective: calibrated corrections are arbitrary
+          per-kernel functions that break cross-kernel dominance, the
+          ablated objectives reorder costs, and simulator cycles are not
+          Eq.-2 costs at all. All three filters preserve the total
+          tie-break order, so the chosen program is bit-identical with
+          pruning on or off ([Selfcheck.check_prune] is the oracle). *)
+  pipe : float array;
+      (** Each kernel's f_pipe = g_predict(⌈K/uK⌉), a constant for the
+          whole compile: precomputed so per-candidate scoring stays
+          allocation-free. *)
+  view : Strategy_space.view option;  (** [Some] exactly when [analytic] *)
+}
+
+let setup ~scorer (set : Kernel_set.t) (config : Config.t) ~k =
+  let launch =
+    if config.search_launch_term then
+      set.hw.Hardware.launch_overhead_s *. set.hw.clock_hz
+    else 0.
+  in
+  let analytic =
+    config.analytic_prune
+    && (match scorer with Model Cost_model.Full -> true | _ -> false)
+  in
+  let pipe = Array.map (fun e -> Cost_model.f_pipe e ~k_len:k) set.entries in
+  let view =
+    if analytic then
+      Some (Strategy_space.view (Strategy_space.skeleton set) set ~pipe ~launch)
+    else None
+  in
+  { launch; analytic; pipe; view }
+
+let search ~scorer ~tracing ~setup (set : Kernel_set.t) (config : Config.t) op
+    =
   if Array.length set.entries = 0 then
     invalid_arg "Polymerize.polymerize: empty kernel set";
   let t0 = Unix.gettimeofday () in
   let m, n, k = Operator.gemm_shape op in
+  let { launch; analytic; pipe; view } = setup k in
   let entries = set.entries in
   let n_entries = Array.length entries in
   let objective =
@@ -110,19 +148,6 @@ let search ?shared_view ~scorer ~tracing (set : Kernel_set.t)
     match scorer with
     | Calibrated f -> fun e x -> Float.max 0. (f e x)
     | Model _ | Simulate -> fun _ x -> x
-  in
-  (* The reduction extent is fixed for the whole compile, so each kernel's
-     f_pipe = g_predict(⌈K/uK⌉) is a constant: precompute it and keep the
-     per-candidate scoring allocation-free. *)
-  let pipe = Array.map (fun e -> Cost_model.f_pipe e ~k_len:k) entries in
-  (* Every region is a separate kernel launch on the device; charging it
-     in the search keeps tiny operators on single-region programs (the
-     overhead-consciousness that leads the paper to restrict GPU pattern
-     use, Section 4). *)
-  let launch =
-    if config.search_launch_term then
-      set.hw.Hardware.launch_overhead_s *. set.hw.clock_hz
-    else 0.
   in
   let icount = Operator.instance_count op in
   let rcost_dims (e : Kernel_set.entry) rows cols =
@@ -164,29 +189,6 @@ let search ?shared_view ~scorer ~tracing (set : Kernel_set.t)
      — the winner and its tie-break do not depend on visitation order. *)
   let bound = ref infinity in
   let lower_bound c = if c < !bound then bound := c in
-  (* Analytic pre-pruning (Strategy_space). Sound only under the plain
-     Eq.-2 Full objective: calibrated corrections are arbitrary per-kernel
-     functions that break cross-kernel dominance, the ablated objectives
-     reorder costs, and simulator cycles are not Eq.-2 costs at all. All
-     three filters preserve the total tie-break order, so the chosen
-     program is bit-identical with pruning on or off
-     ([Selfcheck.check_prune] is the oracle). *)
-  let analytic =
-    config.analytic_prune
-    && (match scorer with Model Cost_model.Full -> true | _ -> false)
-  in
-  let view =
-    if analytic then
-      (* [search_batch] precomputes one view per distinct reduction extent
-         and shares it across the batch — a view depends on the shape only
-         through [pipe] (a function of K) and [launch], never on M or N. *)
-      match shared_view with
-      | Some _ as v -> v
-      | None ->
-        Some
-          (Strategy_space.view (Strategy_space.skeleton set) set ~pipe ~launch)
-    else None
-  in
   let live_ok =
     match view with Some v -> fun i -> v.live.(i) | None -> fun _ -> true
   in
@@ -309,9 +311,8 @@ let search ?shared_view ~scorer ~tracing (set : Kernel_set.t)
         List.map
           (fun ((r : Pattern.rect), (e : Kernel_set.entry)) ->
             Load.region ~kernel:e.desc
-              ~n_tasks:
-                (icount * (ceil_div r.rows e.desc.um * ceil_div r.cols e.desc.un))
-              ~t_steps:(ceil_div k e.desc.uk))
+              ~n_tasks:(icount * Load.tiles e.desc ~rows:r.rows ~cols:r.cols)
+              ~t_steps:(Load.k_steps e.desc ~k))
           assignment
       in
       let load =
@@ -481,8 +482,8 @@ let search ?shared_view ~scorer ~tracing (set : Kernel_set.t)
     first_hit = !first_hit;
   }
 
-let polymerize_with ?shared_view ?(scorer = Model Cost_model.Full)
-    ?(instrument = true) (set : Kernel_set.t) (config : Config.t) op =
+let instrumented ~scorer ~instrument ~setup (set : Kernel_set.t)
+    (config : Config.t) op =
   let finish (c : compiled) =
     if instrument then begin
       Tm.Metrics.incr m_searches;
@@ -494,13 +495,13 @@ let polymerize_with ?shared_view ?(scorer = Model Cost_model.Full)
     c
   in
   if not (instrument && Tm.Tracer.enabled ()) then
-    finish (search ?shared_view ~scorer ~tracing:false set config op)
+    finish (search ~scorer ~tracing:false ~setup set config op)
   else begin
     let m, n, k = Operator.gemm_shape op in
     Tm.Tracer.with_span "polymerize.search"
       ~attrs:[ ("shape", Printf.sprintf "%dx%dx%d" m n k) ]
       (fun () ->
-        let c = search ?shared_view ~scorer ~tracing:true set config op in
+        let c = search ~scorer ~tracing:true ~setup set config op in
         Tm.Tracer.annotate "pattern" (Pattern.to_string c.pattern);
         Tm.Tracer.annotate "candidates" (string_of_int c.candidates);
         Tm.Tracer.annotate "pruned" (string_of_int c.pruned);
@@ -508,8 +509,11 @@ let polymerize_with ?shared_view ?(scorer = Model Cost_model.Full)
         finish c)
   end
 
-let polymerize ?scorer ?instrument (set : Kernel_set.t) (config : Config.t) op =
-  polymerize_with ?scorer ?instrument set config op
+let polymerize ?(scorer = Model Cost_model.Full) ?(instrument = true)
+    (set : Kernel_set.t) (config : Config.t) op =
+  instrumented ~scorer ~instrument
+    ~setup:(fun k -> setup ~scorer set config ~k)
+    set config op
 
 (* Batched suite search: one pool region over whole shapes. Each shape's
    search is independent and fully deterministic, so the result array is
@@ -529,49 +533,18 @@ let search_batch ?(scorer = Model Cost_model.Full) ?(instrument = true) ?jobs
   in
   let ejobs = Dp.effective_jobs requested in
   let n = Array.length ops in
-  (* One [Strategy_space.view] per distinct reduction extent, shared by
-     every shape of the batch with that K: a view depends on the shape
-     only through [pipe] (a function of K) and [launch], so rebuilding it
-     per shape was pure waste. Views are immutable once built; computing
-     them before the pool region keeps the parallel arm read-only. Only
-     the scorer/config combination that would build a view anyway
-     qualifies — the table stays [None] otherwise. *)
-  let shared_views =
-    let analytic =
-      config.analytic_prune
-      && (match scorer with Model Cost_model.Full -> true | _ -> false)
-    in
-    if (not analytic) || n = 0 || Array.length set.entries = 0 then None
-    else begin
-      let launch =
-        if config.search_launch_term then
-          set.hw.Hardware.launch_overhead_s *. set.hw.clock_hz
-        else 0.
-      in
-      let sk = Strategy_space.skeleton set in
-      let tbl = Hashtbl.create 8 in
-      Array.iter
-        (fun op ->
-          let _, _, kk = Operator.gemm_shape op in
-          if not (Hashtbl.mem tbl kk) then begin
-            let pipe =
-              Array.map (fun e -> Cost_model.f_pipe e ~k_len:kk) set.entries
-            in
-            Hashtbl.add tbl kk (Strategy_space.view sk set ~pipe ~launch)
-          end)
-        ops;
-      Some tbl
-    end
-  in
+  (* One {!setup} per distinct reduction extent, shared by every shape of
+     the batch with that K. Setups are immutable once built; computing
+     them before the pool region keeps the parallel arm read-only. *)
+  let setups = Hashtbl.create 8 in
+  Array.iter
+    (fun op ->
+      let _, _, k = Operator.gemm_shape op in
+      if not (Hashtbl.mem setups k) then
+        Hashtbl.add setups k (setup ~scorer set config ~k))
+    ops;
   let one op =
-    let shared_view =
-      match shared_views with
-      | None -> None
-      | Some tbl ->
-        let _, _, kk = Operator.gemm_shape op in
-        Hashtbl.find_opt tbl kk
-    in
-    polymerize_with ?shared_view ~scorer ~instrument set config op
+    instrumented ~scorer ~instrument ~setup:(Hashtbl.find setups) set config op
   in
   let run () =
     if n = 0 then [||]

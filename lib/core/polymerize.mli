@@ -90,11 +90,6 @@ val search_batch :
     This is the entry the compiler's precompile paths, the fleet warm
     store and the graph executor's compile stage go through. *)
 
-val prune_counter_values : unit -> int * int
-(** Current process-wide ([polymerize.pruned_analytic],
-    [polymerize.pruned_bound]) counter values — the split the serve and
-    fleet compile-stall tables display. *)
-
 val modeled_search_seconds : compiled -> float
 (** Online overhead charged to end-to-end runs: a fixed dispatch cost plus
     a per-candidate scoring cost, calibrated so that a production-grade

@@ -6,10 +6,10 @@
     facts about the monotone Eq.-2 cost:
 
     - {b wave-capacity divisibility}: only cuts landing on wave
-      boundaries of the pinned kernel can win ({!axis_cuts} — of all
-      cuts inside one wave count, only the largest survives, since the
-      smaller ones keep the primary strip's wave count and strictly
-      grow the remainder);
+      boundaries of the pinned kernel can win ({!row_cuts} and
+      {!col_cuts} — of all cuts inside one wave count, only the largest
+      survives, since the smaller ones keep the primary strip's wave
+      count and strictly grow the remainder);
     - {b kernel dominance}: a kernel whose tiles, wave capacity and
       pipeline cost are all no better than another's (and whose rank
       loses the tie-break) can never appear in a winning program
@@ -28,20 +28,14 @@
     monotonicity the proofs lean on, and the simulator oracle is not
     Eq.-2 at all. *)
 
-val axis_cuts :
-  ?style:[ `Wave_aligned | `Remainder_only ] -> tile:int -> other_tile:int ->
-  cap:int -> axis_len:int -> other_len:int -> max_cuts:int -> unit -> int list
-(** Wave-aligned cut positions (multiples of [tile], largest first in
-    wave-count order, at most [max_cuts]). [`Remainder_only] keeps just
-    the maximal full-tile cut. *)
-
 val row_cuts :
   ?style:[ `Wave_aligned | `Remainder_only ] -> Kernel_set.entry -> rows:int ->
   cols:int -> max_cuts:int -> int list
 (** Wave-aligned row cut candidates for a primary kernel on a
     [rows×cols] region: multiples of uM whose full-width strip above the
     cut fills close to an integer number of waves, plus the maximal
-    full-tile cut. *)
+    full-tile cut; at most [max_cuts], largest first in wave-count
+    order. [`Remainder_only] keeps just the maximal full-tile cut. *)
 
 val col_cuts :
   ?style:[ `Wave_aligned | `Remainder_only ] -> Kernel_set.entry -> rows:int ->

@@ -25,8 +25,7 @@ let mikpoly_backend compiler =
   let gemm ~m ~n ~k =
     if m < 1 || n < 1 || k < 1 then Error "non-positive GEMM dimension"
     else begin
-      let op = Mikpoly_ir.Operator.gemm ~dtype:(Compiler.config compiler).dtype ~m ~n ~k () in
-      let compiled = Compiler.compile compiler op in
+      let compiled = Compiler.compile compiler (Compiler.gemm compiler (m, n, k)) in
       let sim = Compiler.simulate compiler compiled in
       Ok
         {
@@ -50,9 +49,8 @@ let mikpoly_overhead compiler ~m ~n ~k =
      so the polymerization cost is only paid the first time a shape is
      met; the charge is the modeled production dispatch cost (see
      EXPERIMENTS.md for the rationale). *)
-  let op = Mikpoly_ir.Operator.gemm ~dtype:(Compiler.config compiler).dtype ~m ~n ~k () in
-  if Compiler.cached compiler op then 0.
-  else Polymerize.modeled_search_seconds (Compiler.compile compiler op)
+  if Compiler.cached compiler (Compiler.gemm compiler (m, n, k)) then 0.
+  else Compiler.compile_seconds compiler (m, n, k)
 
 let cublas = memo (fun () -> Backend.of_catalog Catalog.cublas Hardware.a100)
 
@@ -63,6 +61,21 @@ let cutlass = memo (fun () -> Cutlass.backend Hardware.a100)
 let cutlass_vector = memo (fun () -> Cutlass.backend ~path:Hardware.Vector Hardware.a100)
 
 let cann = memo (fun () -> Backend.of_catalog Catalog.cann Hardware.ascend910)
+
+let mean_speedup ~config ~cases =
+  let compiler = Compiler.create ~config Hardware.a100 in
+  let cublas = cublas () in
+  let speedups =
+    List.filter_map
+      (fun (c : Mikpoly_workloads.Gemm_case.t) ->
+        let op = Mikpoly_ir.Operator.gemm ~m:c.m ~n:c.n ~k:c.k () in
+        let mik = (Compiler.simulate compiler (Compiler.compile compiler op)).seconds in
+        match cublas.gemm ~m:c.m ~n:c.n ~k:c.k with
+        | Ok b when mik > 0. -> Some (b.seconds /. mik)
+        | _ -> None)
+      cases
+  in
+  Mikpoly_util.Stats.mean speedups
 
 let speedup_or_skip ~baseline ~target =
   match (baseline, target) with

@@ -35,6 +35,13 @@ val cutlass_vector : unit -> Mikpoly_baselines.Backend.t
 
 val cann : unit -> Mikpoly_baselines.Backend.t
 
+val mean_speedup :
+  config:Mikpoly_core.Config.t -> cases:Mikpoly_workloads.Gemm_case.t list ->
+  float
+(** Mean speedup over cuBLAS across [cases] of a fresh A100 compiler
+    built with [config] — the score of the ablation and hyper-parameter
+    sweeps. *)
+
 val speedup_or_skip :
   baseline:(float, string) result -> target:(float, string) result -> float option
 (** baseline/target when both succeeded. *)

@@ -1,8 +1,6 @@
 open Mikpoly_util
 
 type report = {
-  id : string;
-  title : string;
   tables : Table.t list;
   summary : string list;
 }
@@ -20,8 +18,8 @@ let run_traced (t : t) ~quick =
     ~attrs:[ ("quick", string_of_bool quick) ]
     (fun () -> t.run ~quick)
 
-let render (r : report) =
-  let header = Printf.sprintf "==== %s: %s ====" r.id r.title in
+let render (t : t) (r : report) =
+  let header = Printf.sprintf "==== %s: %s ====" t.id t.title in
   let tables = List.map Table.render r.tables in
   let summary = List.map (fun s -> "  * " ^ s) r.summary in
   String.concat "\n" ((header :: tables) @ summary) ^ "\n"
@@ -46,6 +44,31 @@ let speedup_row table ~label speedups =
 type gate = { gate_name : string; gate_ok : bool; gate_detail : string }
 
 let failed_gates gs = List.filter (fun g -> not g.gate_ok) gs
+
+let gates_summary ~all_hold gs =
+  match failed_gates gs with
+  | [] -> all_hold
+  | fs ->
+    Printf.sprintf "GATE FAILURES: %s"
+      (String.concat "; "
+         (List.map (fun g -> g.gate_name ^ " (" ^ g.gate_detail ^ ")") fs))
+
+let gates_json gs =
+  let module J = Mikpoly_telemetry.Json in
+  [
+    ( "gates",
+      J.List
+        (List.map
+           (fun g ->
+             J.Obj
+               [
+                 ("name", J.String g.gate_name);
+                 ("ok", J.Bool g.gate_ok);
+                 ("detail", J.String g.gate_detail);
+               ])
+           gs) );
+    ("gates_ok", J.Bool (failed_gates gs = []));
+  ]
 
 let report_failed_gates ~prefix gs =
   let failed = failed_gates gs in

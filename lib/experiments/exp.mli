@@ -2,8 +2,6 @@
     is an {!t} that produces a {!report}. *)
 
 type report = {
-  id : string;
-  title : string;
   tables : Mikpoly_util.Table.t list;
   summary : string list;  (** headline numbers, paper-vs-measured notes *)
 }
@@ -23,7 +21,9 @@ val run_traced : t -> quick:bool -> report
     and simulation time to the experiment that caused them. Identical
     to [run] while the telemetry tracer is disabled. *)
 
-val render : report -> string
+val render : t -> report -> string
+(** The experiment's [==== id: title ====] header, its tables and its
+    summary bullets. *)
 
 val speedup_row :
   Mikpoly_util.Table.t -> label:string -> float list -> unit
@@ -39,6 +39,14 @@ type gate = { gate_name : string; gate_ok : bool; gate_detail : string }
     its CLI subcommand and recorded in its JSON report. *)
 
 val failed_gates : gate list -> gate list
+
+val gates_summary : all_hold:string -> gate list -> string
+(** A report's gate bullet: [all_hold] when every gate holds, else
+    [GATE FAILURES:] and each failed gate's name and detail. *)
+
+val gates_json : gate list -> (string * Mikpoly_telemetry.Json.t) list
+(** A subsystem JSON report's two gate fields: every gate's name, verdict
+    and detail, then whether all of them hold. *)
 
 val report_failed_gates : prefix:string -> gate list -> bool
 (** Print each failed gate to stderr as [prefix: name: detail]; [true]

@@ -10,22 +10,6 @@ open Mikpoly_core
 open Mikpoly_ir
 open Mikpoly_workloads
 
-let mean_speedup ~config ~cases =
-  let hw = Mikpoly_accel.Hardware.a100 in
-  let compiler = Compiler.create ~config hw in
-  let cublas = Backends.cublas () in
-  let speedups =
-    List.filter_map
-      (fun (c : Gemm_case.t) ->
-        let op = Operator.gemm ~m:c.m ~n:c.n ~k:c.k () in
-        let mik = (Compiler.simulate compiler (Compiler.compile compiler op)).seconds in
-        match cublas.gemm ~m:c.m ~n:c.n ~k:c.k with
-        | Ok b when mik > 0. -> Some (b.seconds /. mik)
-        | _ -> None)
-      cases
-  in
-  Stats.mean speedups
-
 let run ~quick =
   let base = Config.default Mikpoly_accel.Hardware.a100 in
   let cases = Suite.sample ~every:(if quick then 150 else 25) (Suite.table3_gemm ()) in
@@ -45,11 +29,12 @@ let run ~quick =
     Table.create ~title:"Ablations of DESIGN.md concretizations (vs cuBLAS)"
       ~header:[ "variant"; "mean speedup"; "delta vs default" ]
   in
-  let default_mean = mean_speedup ~config:base ~cases in
+  let default_mean = Backends.mean_speedup ~config:base ~cases in
   List.iter
     (fun (name, config) ->
       let mean =
-        if config == base then default_mean else mean_speedup ~config ~cases
+        if config == base then default_mean
+        else Backends.mean_speedup ~config ~cases
       in
       Table.add_row table
         [
@@ -69,9 +54,7 @@ let run ~quick =
          cases)
   in
   {
-    Exp.id = "ablations";
-    title = "Design-choice ablations (extension)";
-    tables = [ table ];
+    Exp.tables = [ table ];
     summary =
       [
         "Each row disables one concretization documented in DESIGN.md §6; the big effect is the ranking rule (naive mean-TFLOPS starves small shapes), the others are small refinements.";

@@ -72,9 +72,7 @@ let run ~quick =
     ]
   in
   {
-    Exp.id = "adaptation";
-    title = "Online cost-model calibration under hardware drift (extension)";
-    tables = [ ranking; reaction ];
+    Exp.tables = [ ranking; reaction ];
     summary;
   }
 

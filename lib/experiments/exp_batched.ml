@@ -47,9 +47,7 @@ let run ~quick =
       (cases ~quick)
   in
   {
-    Exp.id = "batched";
-    title = "Batched GEMM launches (extension)";
-    tables = [ table ];
+    Exp.tables = [ table ];
     summary =
       [
         Printf.sprintf

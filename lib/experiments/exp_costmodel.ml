@@ -55,9 +55,7 @@ let run ~quick =
     [ Printf.sprintf "median error, partial-wave programs (%d)" (List.length part_err);
       median_pct part_err ];
   {
-    Exp.id = "costmodel";
-    title = "Cost-model fidelity (extension)";
-    tables = [ table ];
+    Exp.tables = [ table ];
     summary =
       [
         Printf.sprintf

@@ -44,9 +44,7 @@ let run ~quick:_ =
     shapes;
   let hi = Stats.maximum !tflops and lo = Stats.minimum !tflops in
   {
-    Exp.id = "fig1";
-    title = "cuBLAS shape sensitivity (Figure 1)";
-    tables = [ table ];
+    Exp.tables = [ table ];
     summary =
       [
         Printf.sprintf

@@ -44,9 +44,7 @@ let run ~quick =
   in
   let mean l = Stats.mean (speeds l) in
   {
-    Exp.id = "fig10";
-    title = "Dynamic-shape compilers on CUDA cores (Figure 10)";
-    tables = [ table; buckets ];
+    Exp.tables = [ table; buckets ];
     summary =
       [
         Printf.sprintf

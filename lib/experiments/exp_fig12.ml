@@ -112,9 +112,7 @@ let run ~quick =
         ])
     names;
   {
-    Exp.id = "fig12";
-    title = "Performance analysis (Figure 12)";
-    tables = [ t12a; table ];
+    Exp.tables = [ t12a; table ];
     summary =
       [
         Printf.sprintf

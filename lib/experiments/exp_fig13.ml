@@ -3,27 +3,10 @@
 
 open Mikpoly_util
 open Mikpoly_core
-open Mikpoly_ir
 open Mikpoly_workloads
 
 let sweep_cases ~quick =
   Suite.sample ~every:(if quick then 250 else 40) (Suite.table3_gemm ())
-
-let mean_speedup ~config ~cases =
-  let hw = Mikpoly_accel.Hardware.a100 in
-  let compiler = Compiler.create ~config hw in
-  let cublas = Backends.cublas () in
-  let speedups =
-    List.filter_map
-      (fun (c : Gemm_case.t) ->
-        let op = Operator.gemm ~m:c.m ~n:c.n ~k:c.k () in
-        let mik = (Compiler.simulate compiler (Compiler.compile compiler op)).seconds in
-        match cublas.gemm ~m:c.m ~n:c.n ~k:c.k with
-        | Ok b when mik > 0. -> Some (b.seconds /. mik)
-        | _ -> None)
-      cases
-  in
-  Stats.mean speedups
 
 let run ~quick =
   let base = Config.default Mikpoly_accel.Hardware.a100 in
@@ -36,7 +19,7 @@ let run ~quick =
     List.iter
       (fun v ->
         let config = apply base v in
-        let s = mean_speedup ~config ~cases in
+        let s = Backends.mean_speedup ~config ~cases in
         let star = if v = List.assoc name [ ("n_gen", 32); ("n_syn", 12); ("n_mik", 40) ] then " *" else "" in
         Table.add_row table
           [ name; string_of_int v ^ star; Table.fmt_speedup s ])
@@ -49,9 +32,7 @@ let run ~quick =
   sweep "n_syn" syn_values (fun c v -> { c with Config.n_syn = v });
   sweep "n_mik" mik_values (fun c v -> { c with Config.n_mik = v });
   {
-    Exp.id = "fig13";
-    title = "Hyper-parameter sensitivity (Figure 13)";
-    tables = [ table ];
+    Exp.tables = [ table ];
     summary =
       [
         "Speedup grows with each hyper-parameter and saturates near the paper's (n_gen, n_syn, n_mik) = (32, 12, 40), marked *.";

@@ -46,9 +46,7 @@ let run ~quick =
   in
   let mean l = Mikpoly_util.Stats.mean (List.map (fun (r : Operator_eval.case_result) -> r.speedup) l) in
   {
-    Exp.id = "fig6";
-    title = "Dynamic-shape operators on GPU (Figure 6)";
-    tables = [ summary_table; buckets ];
+    Exp.tables = [ summary_table; buckets ];
     summary =
       [
         Printf.sprintf

@@ -22,9 +22,7 @@ let run ~quick =
   in
   let mean l = Mikpoly_util.Stats.mean (speeds l) in
   {
-    Exp.id = "fig7";
-    title = "Dynamic-shape operators on NPU (Figure 7)";
-    tables = [ summary_table; buckets ];
+    Exp.tables = [ summary_table; buckets ];
     summary =
       [
         Printf.sprintf

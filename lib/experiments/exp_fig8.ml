@@ -56,9 +56,7 @@ let run ~quick =
         ])
     Transformer.all;
   {
-    Exp.id = "fig8";
-    title = "End-to-end language models on GPU (Figure 8)";
-    tables = [ table ];
+    Exp.tables = [ table ];
     summary =
       [
         Printf.sprintf "Mean MikPoly end-to-end speedup across models: %.2fx (paper ~1.37x)."

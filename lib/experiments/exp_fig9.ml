@@ -63,9 +63,7 @@ let run ~quick =
         ])
     Cnn.all;
   {
-    Exp.id = "fig9";
-    title = "End-to-end CNNs on GPU (Figure 9)";
-    tables = [ table ];
+    Exp.tables = [ table ];
     summary =
       [
         Printf.sprintf "Mean MikPoly end-to-end CNN speedup: %.2fx (paper ~1.46x)."

@@ -21,7 +21,6 @@ open Mikpoly_serve
 module F = Mikpoly_fleet.Fleet
 module Tenant = Mikpoly_fleet.Tenant
 module Autoscaler = Mikpoly_fleet.Autoscaler
-module Wfq = Mikpoly_fleet.Wfq
 module Plan = Mikpoly_fault.Plan
 module Mix = Mikpoly_workloads.Serving_mix
 
@@ -42,12 +41,9 @@ let tier_of_name name =
   | Some t -> t
   | None -> invalid_arg ("exp_fleet: unknown tier " ^ name)
 
-(* Rates are scaled well past the 2-replica service capacity so the
-   fleet runs at overload — the regime where admission order, compile
-   stalls and shedding decide goodput, and where the paper's serving
-   argument (amortize compilation across the stream) actually bites. *)
-let specs ~quick =
-  let total = if quick then 48 else 144 in
+(* The serving mix's tenants sharing [total] requests, each arriving at
+   [mult] times its nominal rate. *)
+let tenant_specs ~total ~mult =
   List.mapi
     (fun i ((row : Mix.tenant_row), count) ->
       {
@@ -57,11 +53,15 @@ let specs ~quick =
             tenant_name = row.Mix.mix_name;
             tier = tier_of_name row.Mix.mix_tier;
           };
-        rate = row.Mix.mix_rate *. (if quick then 10. else 5.);
+        rate = row.Mix.mix_rate *. mult;
         count;
       })
     (Mix.counts ~total)
 
+(* Rates are scaled well past the 2-replica service capacity so the
+   fleet runs at overload — the regime where admission order, compile
+   stalls and shedding decide goodput, and where the paper's serving
+   argument (amortize compilation across the stream) actually bites. *)
 let trace ~quick =
   Tenant.trace
     ~length_dist:(Request.Pareto { alpha = Mix.pareto_alpha })
@@ -69,9 +69,12 @@ let trace ~quick =
     ~seed:(Prng.default_seed ~fallback:0xF1EE7 ())
     ~max_prompt:(if quick then 64 else 256)
     ~max_output:(if quick then 8 else 16)
-    (specs ~quick) ()
+    (tenant_specs
+       ~total:(if quick then 48 else 144)
+       ~mult:(if quick then 10. else 5.))
+    ()
 
-let fleet_config ?(coalesce = false) ?warm ?autoscale ?ratelimit ~replicas () =
+let fleet_config ?(coalesce = false) ?warm ?autoscale ~replicas () =
   {
     F.replicas;
     batcher = Batcher.Slo_aware { max_batch };
@@ -81,7 +84,7 @@ let fleet_config ?(coalesce = false) ?warm ?autoscale ?ratelimit ~replicas () =
     steal_age = 0.004;
     warm;
     autoscale;
-    ratelimit;
+    ratelimit = None;
   }
 
 let warm_config ~quick =
@@ -241,25 +244,41 @@ let gates r =
   ]
 
 (* JSON for BENCH_fleet.json and the CLI's --out: simulated quantities
-   only, so the bytes are identical across runs and job counts. *)
+   only, so the bytes are identical across runs and job counts. The
+   metrics and tier objects are shared with the hetero report. *)
+
+module J = Mikpoly_telemetry.Json
+
+let metrics_obj (m : Metrics.t) =
+  J.Obj
+    [
+      ("requests", J.Number (float_of_int m.Metrics.requests));
+      ("completed", J.Number (float_of_int m.Metrics.completed));
+      ("dropped", J.Number (float_of_int m.Metrics.dropped));
+      ("goodput_rps", J.Number m.Metrics.goodput_rps);
+      ("slo_attainment", J.Number m.Metrics.slo_attainment);
+      ("latency_p95", J.Number m.Metrics.latency_p95);
+      ("cache_hit_rate", J.Number m.Metrics.cache_hit_rate);
+      ("compile_stall_seconds", J.Number m.Metrics.compile_stall_seconds);
+      ("makespan", J.Number m.Metrics.makespan);
+      ("steps", J.Number (float_of_int m.Metrics.steps));
+    ]
+
+let tiers_json tiers =
+  J.List
+    (List.map
+       (fun tm ->
+         J.Obj
+           [
+             ("tier", J.String (Tenant.tier_name tm.F.tm_tier));
+             ("requests", J.Number (float_of_int tm.F.tm_requests));
+             ("completed", J.Number (float_of_int tm.F.tm_completed));
+             ("slo_met", J.Number (float_of_int tm.F.tm_slo_met));
+             ("attainment", J.Number tm.F.tm_attainment);
+           ])
+       tiers)
 
 let json r =
-  let module J = Mikpoly_telemetry.Json in
-  let metrics_obj (m : Metrics.t) =
-    J.Obj
-      [
-        ("requests", J.Number (float_of_int m.Metrics.requests));
-        ("completed", J.Number (float_of_int m.Metrics.completed));
-        ("dropped", J.Number (float_of_int m.Metrics.dropped));
-        ("goodput_rps", J.Number m.Metrics.goodput_rps);
-        ("slo_attainment", J.Number m.Metrics.slo_attainment);
-        ("latency_p95", J.Number m.Metrics.latency_p95);
-        ("cache_hit_rate", J.Number m.Metrics.cache_hit_rate);
-        ("compile_stall_seconds", J.Number m.Metrics.compile_stall_seconds);
-        ("makespan", J.Number m.Metrics.makespan);
-        ("steps", J.Number (float_of_int m.Metrics.steps));
-      ]
-  in
   let fleet_obj (o : F.outcome) =
     J.Obj
       [
@@ -274,24 +293,11 @@ let json r =
         ("scale_downs", J.Number (float_of_int o.F.scale_downs));
         ("peak_replicas", J.Number (float_of_int o.F.peak_replicas));
         ("replica_seconds", J.Number o.F.replica_seconds);
-        ( "tiers",
-          J.List
-            (List.map
-               (fun tm ->
-                 J.Obj
-                   [
-                     ("tier", J.String (Tenant.tier_name tm.F.tm_tier));
-                     ("requests", J.Number (float_of_int tm.F.tm_requests));
-                     ("completed", J.Number (float_of_int tm.F.tm_completed));
-                     ("slo_met", J.Number (float_of_int tm.F.tm_slo_met));
-                     ("attainment", J.Number tm.F.tm_attainment);
-                   ])
-               o.F.tiers) );
+        ("tiers", tiers_json o.F.tiers);
       ]
   in
-  let gs = gates r in
   J.Obj
-    [
+    ([
       ("experiment", J.String "fleet");
       ("quick", J.Bool r.r_quick);
       ("requests", J.Number (float_of_int (List.length r.r_trace)));
@@ -301,19 +307,8 @@ let json r =
       ("full", fleet_obj r.r_full);
       ("static_faulted", fleet_obj r.r_static);
       ("auto_faulted", fleet_obj r.r_auto);
-      ( "gates",
-        J.List
-          (List.map
-             (fun g ->
-               J.Obj
-                 [
-                   ("name", J.String g.Exp.gate_name);
-                   ("ok", J.Bool g.Exp.gate_ok);
-                   ("detail", J.String g.Exp.gate_detail);
-                 ])
-             gs) );
-      ("gates_ok", J.Bool (Exp.failed_gates gs = []));
     ]
+    @ Exp.gates_json (gates r))
 
 (* --- Human-readable report --- *)
 
@@ -361,18 +356,6 @@ let report r =
           Printf.sprintf "%.2f" o.F.replica_seconds;
         ])
     arms;
-  (* process-wide search-pruning counters behind every arm's compile
-     work: candidates discarded analytically before scoring vs rejected
-     by the scored bound (cumulative across the whole experiment) *)
-  (let pruned_a, pruned_b = Mikpoly_core.Polymerize.prune_counter_values () in
-   Table.add_row planes
-     [
-       "search";
-       "pruned";
-       Printf.sprintf "%d analytic" pruned_a;
-       Printf.sprintf "%d bound" pruned_b;
-       ""; ""; ""; ""; ""; ""; "";
-     ]);
   let tiers =
     Table.create ~title:"Per-tier SLO attainment (full fleet arm)"
       ~header:[ "tier"; "weight"; "requests"; "completed"; "SLO met"; "attain%" ]
@@ -390,11 +373,8 @@ let report r =
         ])
     r.r_full.F.tiers;
   let m_full = metrics r.r_full in
-  let failed = Exp.failed_gates (gates r) in
   {
-    Exp.id = "fleet";
-    title = "Multi-tenant fleet serving (new subsystem)";
-    tables = [ main; planes; tiers ];
+    Exp.tables = [ main; planes; tiers ];
     summary =
       [
         Printf.sprintf
@@ -409,16 +389,10 @@ let report r =
           r.r_auto.F.peak_replicas static_replicas
           (metrics r.r_auto).Metrics.slo_attainment
           (metrics r.r_static).Metrics.slo_attainment;
-        (match failed with
-        | [] ->
-          "All fleet gates hold (goodput, tier fairness, coalescing, warm \
-           store, autoscaler)."
-        | fs ->
-          Printf.sprintf "GATE FAILURES: %s"
-            (String.concat "; "
-               (List.map
-                  (fun g -> g.Exp.gate_name ^ " (" ^ g.Exp.gate_detail ^ ")")
-                  fs)));
+        Exp.gates_summary (gates r)
+          ~all_hold:
+            "All fleet gates hold (goodput, tier fairness, coalescing, warm \
+             store, autoscaler).";
       ];
   }
 

@@ -58,9 +58,7 @@ let run ~quick =
       graphs
   in
   {
-    Exp.id = "fusion";
-    title = "Operator fusion (extension, paper future work)";
-    tables = [ table ];
+    Exp.tables = [ table ];
     summary =
       [
         Printf.sprintf

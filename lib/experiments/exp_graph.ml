@@ -279,9 +279,8 @@ let json ~quick runs serving =
         ("steps", J.Number (float_of_int m.Metrics.steps));
       ]
   in
-  let gs = gates runs serving in
   J.Obj
-    [
+    ([
       ("experiment", J.String "graph");
       ("quick", J.Bool quick);
       ("models", J.List (List.map model_obj runs));
@@ -293,19 +292,8 @@ let json ~quick runs serving =
             ("graph", metrics_obj serving.sr_graph);
             ("per_op", metrics_obj serving.sr_per_op);
           ] );
-      ( "gates",
-        J.List
-          (List.map
-             (fun g ->
-               J.Obj
-                 [
-                   ("name", J.String g.Exp.gate_name);
-                   ("ok", J.Bool g.Exp.gate_ok);
-                   ("detail", J.String g.Exp.gate_detail);
-                 ])
-             gs) );
-      ("gates_ok", J.Bool (Exp.failed_gates gs = []));
     ]
+    @ Exp.gates_json (gates runs serving))
 
 let pass_rewrites mr name =
   match
@@ -373,11 +361,8 @@ let report runs serving =
     (Metrics.to_row
        ~label:(Printf.sprintf "per-op x%d" serving.sr_ops_per_request)
        serving.sr_per_op);
-  let failed = Exp.failed_gates (gates runs serving) in
   {
-    Exp.id = "graph";
-    title = "Whole-model graph serving (new subsystem)";
-    tables = [ rewrite_table; pipeline_table; serving_table ];
+    Exp.tables = [ rewrite_table; pipeline_table; serving_table ];
     summary =
       [
         Printf.sprintf
@@ -395,12 +380,9 @@ let report runs serving =
           (100. *. serving.sr_graph.Metrics.slo_attainment)
           (100. *. serving.sr_per_op.Metrics.slo_attainment)
           serving.sr_ops_per_request;
-        (match failed with
-        | [] -> "All graph gates hold (overlap, shrink, planning, serving SLO)."
-        | fs ->
-          Printf.sprintf "GATE FAILURES: %s"
-            (String.concat "; "
-               (List.map (fun g -> g.Exp.gate_name ^ " (" ^ g.Exp.gate_detail ^ ")") fs)));
+        Exp.gates_summary (gates runs serving)
+          ~all_hold:
+            "All graph gates hold (overlap, shrink, planning, serving SLO).";
       ];
   }
 

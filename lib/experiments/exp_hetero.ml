@@ -35,7 +35,6 @@ module Health = Mikpoly_fleet.Health
 module Engines = Mikpoly_hetero.Engines
 module Tenant = Mikpoly_fleet.Tenant
 module Ratelimit = Mikpoly_fleet.Ratelimit
-module F = Mikpoly_fleet.Fleet
 module Plan = Mikpoly_fault.Plan
 module Hardware = Mikpoly_accel.Hardware
 module Mix = Mikpoly_workloads.Serving_mix
@@ -66,11 +65,6 @@ let gpu_only_backends () = [ gpu_backend ~replicas:3 () ]
 
 let npu_only_backends () = [ npu_backend ~replicas:10 () ]
 
-let tier_of_name name =
-  match List.find_opt (fun t -> Tenant.tier_name t = name) Tenant.tiers with
-  | Some t -> t
-  | None -> invalid_arg ("exp_hetero: unknown tier " ^ name)
-
 (* Overload, as in the fleet experiment: the interesting regime for
    routing is when placement mistakes turn into queueing delay — the
    aggregate arrival rate sits well above the gpu-only fleet's service
@@ -83,22 +77,6 @@ let rate_mult = 50.
    during fleet-wide overload there is nowhere to fail over TO, and
    waiting out a short outage genuinely beats re-routing. *)
 let chaos_mult = 20.
-
-let specs ~quick ~mult =
-  let total = if quick then 48 else 84 in
-  List.mapi
-    (fun i ((row : Mix.tenant_row), count) ->
-      {
-        Tenant.tenant =
-          {
-            Tenant.tenant_id = i;
-            tenant_name = row.Mix.mix_name;
-            tier = tier_of_name row.Mix.mix_tier;
-          };
-        rate = row.Mix.mix_rate *. mult;
-        count;
-      })
-    (Mix.counts ~total)
 
 (* The two request families, by tier profile. Gold and silver are
    interactive chat: small Pareto prompts (bucketed strictly below
@@ -136,7 +114,9 @@ let trace ~quick ~mult =
     ~length_dist:(Request.Pareto { alpha = Mix.pareto_alpha })
     ~profiles
     ~seed:(Prng.default_seed ~fallback:0x4E7E60 ())
-    ~max_prompt:32 ~max_output:8 (specs ~quick ~mult) ()
+    ~max_prompt:32 ~max_output:8
+    (Exp_fleet.tenant_specs ~total:(if quick then 48 else 84) ~mult)
+    ()
 
 (* Breaker and ladder timings sized to the compressed event clock of
    the overload trace: a class outage fails a handful of steps within
@@ -372,21 +352,6 @@ let gates r =
 
 let json r =
   let module J = Mikpoly_telemetry.Json in
-  let metrics_obj (m : Metrics.t) =
-    J.Obj
-      [
-        ("requests", J.Number (float_of_int m.Metrics.requests));
-        ("completed", J.Number (float_of_int m.Metrics.completed));
-        ("dropped", J.Number (float_of_int m.Metrics.dropped));
-        ("goodput_rps", J.Number m.Metrics.goodput_rps);
-        ("slo_attainment", J.Number m.Metrics.slo_attainment);
-        ("latency_p95", J.Number m.Metrics.latency_p95);
-        ("cache_hit_rate", J.Number m.Metrics.cache_hit_rate);
-        ("compile_stall_seconds", J.Number m.Metrics.compile_stall_seconds);
-        ("makespan", J.Number m.Metrics.makespan);
-        ("steps", J.Number (float_of_int m.Metrics.steps));
-      ]
-  in
   let class_obj (cs : H.class_stats) =
     J.Obj
       [
@@ -418,7 +383,7 @@ let json r =
   let arm_obj (o : H.outcome) =
     J.Obj
       [
-        ("metrics", metrics_obj (metrics o));
+        ("metrics", Exp_fleet.metrics_obj (metrics o));
         ("rate_limited", J.Number (float_of_int (List.length o.H.o_rate_limited)));
         ("requeues", J.Number (float_of_int o.H.o_requeues));
         ("reroutes", J.Number (float_of_int o.H.o_reroutes));
@@ -428,22 +393,9 @@ let json r =
         ("status_digest", J.String o.H.o_status_digest);
         ("conserved", J.Bool o.H.o_conserved);
         ("classes", J.List (List.map class_obj o.H.o_classes));
-        ( "tiers",
-          J.List
-            (List.map
-               (fun tm ->
-                 J.Obj
-                   [
-                     ("tier", J.String (Tenant.tier_name tm.F.tm_tier));
-                     ("requests", J.Number (float_of_int tm.F.tm_requests));
-                     ("completed", J.Number (float_of_int tm.F.tm_completed));
-                     ("slo_met", J.Number (float_of_int tm.F.tm_slo_met));
-                     ("attainment", J.Number tm.F.tm_attainment);
-                   ])
-               o.H.o_tiers) );
+        ("tiers", Exp_fleet.tiers_json o.H.o_tiers);
       ]
   in
-  let gs = gates r in
   (* Unaccounted requests across every arm: any deviation between the
      trace size and an arm's terminal-status count, in either
      direction. The CI smoke stage greps for the literal 0. *)
@@ -463,7 +415,7 @@ let json r =
       ]
   in
   J.Obj
-    [
+    ([
       ("experiment", J.String "hetero");
       ("quick", J.Bool r.r_quick);
       ("requests", J.Number (float_of_int (List.length r.r_trace)));
@@ -474,19 +426,8 @@ let json r =
       ("chaos_failover", arm_obj r.r_chaos);
       ("chaos_no_failover", arm_obj r.r_no_failover);
       ("brownout", arm_obj r.r_brownout);
-      ( "gates",
-        J.List
-          (List.map
-             (fun g ->
-               J.Obj
-                 [
-                   ("name", J.String g.Exp.gate_name);
-                   ("ok", J.Bool g.Exp.gate_ok);
-                   ("detail", J.String g.Exp.gate_detail);
-                 ])
-             gs) );
-      ("gates_ok", J.Bool (Exp.failed_gates gs = []));
     ]
+    @ Exp.gates_json (gates r))
 
 (* --- Human-readable report --- *)
 
@@ -556,11 +497,8 @@ let report r =
   let m_npu = metrics r.r_npu_only in
   let m_chaos = metrics r.r_chaos in
   let m_nofail = metrics r.r_no_failover in
-  let failed = Exp.failed_gates (gates r) in
   {
-    Exp.id = "hetero";
-    title = "Heterogeneous mixed-fleet serving with cross-device failover";
-    tables = [ main; classes; cache ];
+    Exp.tables = [ main; classes; cache ];
     summary =
       [
         Printf.sprintf
@@ -576,17 +514,11 @@ let report r =
           "Every arm conserves its terminal-status ledger (%d requests -> completed+dropped+rate-limited, chaos digest %s); the brown-out ladder degrades and recovers the throttled class in %d transitions."
           (List.length r.r_trace) r.r_chaos.H.o_status_digest
           (class_stat r.r_brownout "gpu" (fun cs -> cs.H.cs_level_transitions));
-        (match failed with
-        | [] ->
-          "All hetero gates hold (mixed beats both single-backend fleets, \
-           failover beats no-failover, breaker/hedge/ladder engaged, no \
-           silent losses)."
-        | fs ->
-          Printf.sprintf "GATE FAILURES: %s"
-            (String.concat "; "
-               (List.map
-                  (fun g -> g.Exp.gate_name ^ " (" ^ g.Exp.gate_detail ^ ")")
-                  fs)));
+        Exp.gates_summary (gates r)
+          ~all_hold:
+            "All hetero gates hold (mixed beats both single-backend fleets, \
+             failover beats no-failover, breaker/hedge/ladder engaged, no \
+             silent losses).";
       ];
   }
 

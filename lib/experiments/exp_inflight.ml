@@ -40,9 +40,7 @@ let run ~quick =
   row "FasterTransformer (cuBLAS)" base;
   row "MikPoly" mikr;
   {
-    Exp.id = "inflight";
-    title = "In-flight batching (extension, paper Section 7)";
-    tables = [ table ];
+    Exp.tables = [ table ];
     summary =
       [
         Printf.sprintf

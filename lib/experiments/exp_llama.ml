@@ -49,9 +49,7 @@ let run_tab8 ~quick =
       Llama.layer_gemms
   in
   {
-    Exp.id = "tab8";
-    title = "Llama2-13b GEMM operators (Table 8)";
-    tables = [ table ];
+    Exp.tables = [ table ];
     summary =
       [
         Printf.sprintf
@@ -112,9 +110,7 @@ let run_fig11 ~quick =
       batches
   in
   {
-    Exp.id = "fig11";
-    title = "Llama2-13b end-to-end (Figure 11)";
-    tables = [ table ];
+    Exp.tables = [ table ];
     summary =
       [
         Printf.sprintf

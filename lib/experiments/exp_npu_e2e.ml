@@ -54,9 +54,7 @@ let run ~quick =
         ])
     Cnn.all;
   {
-    Exp.id = "npu_e2e";
-    title = "End-to-end CNNs on NPU (Section 5.2.2)";
-    tables = [ table ];
+    Exp.tables = [ table ];
     summary =
       [
         Printf.sprintf "Mean MikPoly NPU end-to-end speedup: %.2fx (paper ~1.30x)."

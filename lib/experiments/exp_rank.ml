@@ -206,9 +206,8 @@ let json r =
         ("learned", eval_obj a.a_learned);
       ]
   in
-  let gs = gates r in
   J.Obj
-    [
+    ([
       ("experiment", J.String "rank");
       ("quick", J.Bool r.r_quick);
       ("feature_schema", J.String Features.schema_id);
@@ -221,19 +220,8 @@ let json r =
             ("warm", eval_obj r.r_warm);
             ("cold", eval_obj r.r_cold);
           ] );
-      ( "gates",
-        J.List
-          (List.map
-             (fun g ->
-               J.Obj
-                 [
-                   ("name", J.String g.Exp.gate_name);
-                   ("ok", J.Bool g.Exp.gate_ok);
-                   ("detail", J.String g.Exp.gate_detail);
-                 ])
-             gs) );
-      ("gates_ok", J.Bool (Exp.failed_gates gs = []));
     ]
+    @ Exp.gates_json (gates r))
 
 (* --- Human-readable report --- *)
 
@@ -263,11 +251,8 @@ let report r =
   arm_rows r.r_npu;
   row "cold NPU (small budget)" r.r_npu.a_hw.Hardware.name r.r_cold;
   row "GPU-warm-started NPU" r.r_npu.a_hw.Hardware.name r.r_warm;
-  let failed = Exp.failed_gates (gates r) in
   {
-    Exp.id = "rank";
-    title = "Learned candidate ranking (new subsystem)";
-    tables = [ quality ];
+    Exp.tables = [ quality ];
     summary =
       [
         Printf.sprintf
@@ -280,14 +265,9 @@ let report r =
           (100. *. r.r_warm.Ranking.top1_regret)
           (100. *. r.r_cold.Ranking.top1_regret)
           r.r_transfer_examples;
-        (match failed with
-        | [] -> "All ranking gates hold (tau, regret, transfer)."
-        | fs ->
-          Printf.sprintf "GATE FAILURES: %s"
-            (String.concat "; "
-               (List.map
-                  (fun g -> g.Exp.gate_name ^ " (" ^ g.Exp.gate_detail ^ ")")
-                  fs)));
+        Exp.gates_summary (gates r)
+          ~all_hold:
+            "All ranking gates hold (tau, regret, transfer).";
       ];
   }
 

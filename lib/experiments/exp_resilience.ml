@@ -315,9 +315,7 @@ let run ~quick =
     ]
   in
   {
-    Exp.id = "resilience";
-    title = "Fault injection and resilient serving (extension)";
-    tables = [ ab_table; ladder; overload ];
+    Exp.tables = [ ab_table; ladder; overload ];
     summary;
   }
 

@@ -14,14 +14,6 @@ let replicas = 2
 let mk_config ?(cache = 64) batcher bucketing =
   { Scheduler.replicas; batcher; bucketing; cache_capacity = cache }
 
-(* Set by the CLI's [--adapt] flag: attach an online adaptation loop to
-   the serving engine's compiler and charge its drift-reaction
-   recompiles on the event clock. On a healthy device any reactions are
-   shape-mix calibration refinements with microsecond-scale stalls —
-   test_adapt's serving A/B asserts SLO attainment is no worse than
-   without adaptation. *)
-let with_adaptation = ref false
-
 let lru_bucketed_label = "LRU+aligned greedy"
 
 let no_cache_label = "no-cache exact"
@@ -37,24 +29,7 @@ let configs =
   ]
 
 let run ~quick =
-  (* With adaptation on, use a private compiler: the adapter installs an
-     observer and may install corrections, which must not leak into the
-     shared [Backends.gpu] compiler other experiments score with. *)
-  let compiler =
-    if !with_adaptation then
-      Mikpoly_core.Compiler.create Mikpoly_accel.Hardware.a100
-    else Backends.gpu ()
-  in
-  let adapter =
-    if !with_adaptation then Some (Mikpoly_adapt.Adapter.create compiler)
-    else None
-  in
-  let adapt =
-    Option.map
-      (fun a () -> Mikpoly_adapt.Adapter.drain_stall_seconds a)
-      adapter
-  in
-  let engine = Scheduler.mikpoly_engine compiler in
+  let engine = Scheduler.mikpoly_engine (Backends.gpu ()) in
   let rates = if quick then [ 15.; 60. ] else [ 10.; 30.; 90. ] in
   let trace rate =
     Request.poisson
@@ -77,7 +52,7 @@ let run ~quick =
           List.map
             (fun (label, config) ->
               let m =
-                Metrics.of_outcome (Scheduler.run ?adapt config engine requests)
+                Metrics.of_outcome (Scheduler.run config engine requests)
               in
               Table.add_row table
                 (Printf.sprintf "%.0f" rate :: Metrics.to_row ~label m);
@@ -107,23 +82,8 @@ let run ~quick =
         top_rate;
     ]
   in
-  let summary =
-    match adapter with
-    | None -> summary
-    | Some a ->
-      let s = Mikpoly_adapt.Adapter.stats a in
-      summary
-      @ [
-          Printf.sprintf
-            "Online adaptation attached: %d observations, %d drift event(s). The device matches the tuned model, so any reactions are shape-mix calibration refinements, not hardware drift — SLO attainment must be no worse than the unadapted run (asserted by test_adapt's serving A/B)."
-            s.Mikpoly_adapt.Adapter.observations
-            s.Mikpoly_adapt.Adapter.drift_events;
-        ]
-  in
   {
-    Exp.id = "serving";
-    title = "SLO-aware dynamic-shape serving runtime (extension)";
-    tables = [ table ];
+    Exp.tables = [ table ];
     summary;
   }
 

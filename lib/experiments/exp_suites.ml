@@ -20,9 +20,7 @@ let run_tab3 ~quick:_ =
     Real_world.rows;
   let total = Deepbench.count + Real_world.count in
   {
-    Exp.id = "tab3";
-    title = "GEMM suite (Table 3)";
-    tables = [ table ];
+    Exp.tables = [ table ];
     summary =
       [
         Printf.sprintf
@@ -49,9 +47,7 @@ let run_tab4 ~quick:_ =
         ])
     Conv_suite.rows;
   {
-    Exp.id = "tab4";
-    title = "Convolution suite (Table 4)";
-    tables = [ table ];
+    Exp.tables = [ table ];
     summary =
       [
         Printf.sprintf "%d convolution cases across 4 CNN families (paper: 5485)."

@@ -20,9 +20,7 @@ let run ~quick:_ =
       Printf.sprintf "%.0f GB/s" (hw.dram_bytes_per_cycle *. hw.clock_hz /. 1e9));
   row "task slots / PE" (fun hw -> string_of_int hw.matrix_slots);
   {
-    Exp.id = "tab1";
-    title = "Accelerator abstraction (Table 1)";
-    tables = [ table ];
+    Exp.tables = [ table ];
     summary =
       [
         "Both devices expressed as H = (P_multi, M_local, M_global) per Section 3.1.";

@@ -79,9 +79,7 @@ let run ~quick =
         ])
     models;
   {
-    Exp.id = "tab5";
-    title = "End-to-end LMs vs dynamic-shape compilers (Table 5)";
-    tables = [ table ];
+    Exp.tables = [ table ];
     summary =
       [
         Printf.sprintf

@@ -59,9 +59,7 @@ let run ~quick =
            [ model; string_of_int n; Printf.sprintf "%.2fx" mean ]);
   let all_ok = List.for_all verify (small_cases ()) in
   {
-    Exp.id = "winograd";
-    title = "Winograd convolution (extension, paper future work)";
-    tables = [ table ];
+    Exp.tables = [ table ];
     summary =
       [
         Printf.sprintf

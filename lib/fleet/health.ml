@@ -103,5 +103,3 @@ let breaker_stats t = Breaker.stats t.breaker
 let transitions t = t.transitions
 
 let degraded_entries t = t.degraded_entries
-
-let ewma t = t.ewma

@@ -71,5 +71,3 @@ val transitions : t -> int
 
 val degraded_entries : t -> int
 (** Times the ladder entered [Degraded]. *)
-
-val ewma : t -> float

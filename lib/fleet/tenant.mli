@@ -31,8 +31,6 @@ type tagged = {
   tenant : t;
 }
 
-val compare_by_id : t -> t -> int
-
 type spec = {
   tenant : t;
   rate : float;  (** Poisson arrival rate, requests/second *)

@@ -136,9 +136,6 @@ val consumers : t -> (int, int list) Hashtbl.t
 val is_source : node -> bool
 (** [Input] or [Weight]. *)
 
-val is_virtual : node -> bool
-(** [Input], [Weight] or [View]: no device work, no owned buffer. *)
-
 val device_nodes : t -> node list
 (** Nodes that execute on the device, in topological order. *)
 

@@ -1,8 +1,6 @@
 module Tracer = Mikpoly_telemetry.Tracer
 module Metrics = Mikpoly_telemetry.Metrics
 module Compiler = Mikpoly_core.Compiler
-module Polymerize = Mikpoly_core.Polymerize
-module Operator = Mikpoly_ir.Operator
 module Hardware = Mikpoly_accel.Hardware
 
 type backend = {
@@ -13,8 +11,6 @@ type backend = {
   bk_launch : float;
   bk_dram_bps : float;
 }
-
-let op_of (m, n, k) = Operator.gemm ~m ~n ~k ()
 
 let mikpoly_backend c =
   let hw = Compiler.hardware c in
@@ -30,11 +26,10 @@ let mikpoly_backend c =
   in
   {
     bk_name = "mikpoly";
-    bk_compile =
-      memo compile_memo (fun shape ->
-          Polymerize.modeled_search_seconds (Compiler.compile c (op_of shape)));
+    bk_compile = memo compile_memo (Compiler.compile_seconds c);
     bk_gemm =
-      memo gemm_memo (fun shape -> Compiler.operator_seconds c (op_of shape));
+      memo gemm_memo (fun shape ->
+          Compiler.operator_seconds c (Compiler.gemm c shape));
     bk_precompile = (fun ~jobs shapes -> Compiler.warm ~jobs c shapes);
     bk_launch = hw.Hardware.launch_overhead_s;
     bk_dram_bps = hw.Hardware.dram_bytes_per_cycle *. hw.Hardware.clock_hz;

@@ -43,8 +43,6 @@ let shape_launches b =
 
 let distinct_shapes b = List.map fst (shape_launches b)
 
-let out_dim ~size ~kernel ~stride ~pad = ((size + (2 * pad) - kernel) / stride) + 1
-
 let bind (dag : Dag.t) ~env =
   let vals = Hashtbl.create (2 * List.length dag.Dag.nodes) in
   let shapes = Hashtbl.create 64 in
@@ -105,8 +103,8 @@ let bind (dag : Dag.t) ~env =
     | Dag.Pool { kernel; stride; pad; _ } -> (
       match ins with
       | [ ([ b; c; h; w ], rep) ] ->
-        let oh = max 1 (out_dim ~size:h ~kernel ~stride ~pad) in
-        let ow = max 1 (out_dim ~size:w ~kernel ~stride ~pad) in
+        let oh = max 1 (Mikpoly_tensor.Conv_spec.out_dim h kernel stride pad) in
+        let ow = max 1 (Mikpoly_tensor.Conv_spec.out_dim w kernel stride pad) in
         ([ b; c; oh; ow ], rep)
       | _ -> fail n "pool expects one NCHW input")
     | Dag.Global_pool { target; _ } -> (

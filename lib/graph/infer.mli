@@ -34,8 +34,6 @@ val repeat : bound -> int -> int
 val bytes : bound -> int -> float
 (** fp16 bytes of a value, instance count included. *)
 
-val elements : int list -> int
-
 val gemm_shape : bound -> int -> ((int * int * int) * int) option
 (** [(m, n, k), repeat] for a GEMM/conv node (convolutions via their
     im2col lowering); [None] for everything else. *)

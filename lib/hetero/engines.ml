@@ -26,7 +26,6 @@ let mixed_engine ?(cnn_cut = 64) compiler =
   if cnn_cut < 2 then invalid_arg "Engines.mixed_engine: cnn_cut must be >= 2";
   let llm = Sch.mikpoly_engine compiler in
   let hw = Compiler.hardware compiler in
-  let dtype = (Compiler.config compiler).Mikpoly_core.Config.dtype in
   let conv_memo = Hashtbl.create 32 in
   let conv_lock = Mutex.create () in
   (* Image batch grows with the token budget well past one image per
@@ -38,10 +37,10 @@ let mixed_engine ?(cnn_cut = 64) compiler =
     let batch = conv_batch ~tokens in
     Sch.memo_find_or conv_lock conv_memo batch (fun () ->
         List.fold_left
-          (fun acc ((m, n, k), launches) ->
-            let op = Mikpoly_ir.Operator.gemm ~dtype ~m ~n ~k () in
+          (fun acc (shape, launches) ->
             acc
-            +. (float_of_int launches *. Compiler.operator_seconds compiler op))
+            +. float_of_int launches
+               *. Compiler.operator_seconds compiler (Compiler.gemm compiler shape))
           0.
           (conv_shapes ~batch))
   in

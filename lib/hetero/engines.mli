@@ -11,10 +11,6 @@
     different enough that GPU and NPU genuinely disagree on where each
     runs cheapest, which is what the router exploits. *)
 
-val conv_shapes : batch:int -> ((int * int * int) * int) list
-(** The im2col-lowered (shape, launches) list of the CNN stack at the
-    given image batch. Deterministic; raises on [batch < 1]. *)
-
 val mixed_engine :
   ?cnn_cut:int -> Mikpoly_core.Compiler.t -> Mikpoly_serve.Scheduler.engine
 (** [cnn_cut] defaults to 64 tokens. Step times and compile stalls are

@@ -8,7 +8,6 @@ module Tenant = Mikpoly_fleet.Tenant
 module Ratelimit = Mikpoly_fleet.Ratelimit
 module Health = Mikpoly_fleet.Health
 module Fleet = Mikpoly_fleet.Fleet
-module Checksum = Mikpoly_util.Checksum
 
 type hedge_config = Fleet.hedge_config = {
   hedge_tiers : Tenant.tier list;
@@ -174,11 +173,10 @@ let run ?faults config trace =
       trace
   in
   let digest =
-    List.map
-      (fun ((req : Request.t), st) ->
-        string_of_int req.Request.id ^ "=" ^ status_name st)
-      statuses
-    |> List.sort compare |> String.concat "\n" |> Checksum.fnv1a64_hex
+    Mikpoly_serve.Resilience.digest
+      (List.map
+         (fun ((req : Request.t), st) -> (req.Request.id, status_name st))
+         statuses)
   in
   let n = List.length trace in
   {

@@ -18,10 +18,9 @@ let run_region (reg : Region.t) ~a ~b ~c ~m ~n ~k =
   let kd = reg.kernel in
   let bufs = Kernel_exec.alloc kd in
   let kernel_impl = Kernel_exec.compile kd in
-  let ceil_div x y = (x + y - 1) / y in
-  let tiles_m = ceil_div reg.rows kd.um in
-  let tiles_n = ceil_div reg.cols kd.un in
-  let steps_k = ceil_div reg.k_len kd.uk in
+  let tiles_m = Mikpoly_accel.Load.ceil_div reg.rows kd.um in
+  let tiles_n = Mikpoly_accel.Load.ceil_div reg.cols kd.un in
+  let steps_k = Region.t_steps reg in
   for ti = 0 to tiles_m - 1 do
     for tj = 0 to tiles_n - 1 do
       (* One pipelined task: accumulate over the reduction loop. *)

@@ -15,11 +15,9 @@ let make ~row_off ~col_off ~rows ~cols ~k_len ~kernel =
     invalid_arg "Region.make: non-positive extent";
   { row_off; col_off; rows; cols; k_len; kernel }
 
-let ceil_div a b = (a + b - 1) / b
+let n_tasks t = Load.tiles t.kernel ~rows:t.rows ~cols:t.cols
 
-let n_tasks t = ceil_div t.rows t.kernel.um * ceil_div t.cols t.kernel.un
-
-let t_steps t = ceil_div t.k_len t.kernel.uk
+let t_steps t = Load.k_steps t.kernel ~k:t.k_len
 
 let useful_flops t =
   2. *. float_of_int t.rows *. float_of_int t.cols *. float_of_int t.k_len

@@ -23,8 +23,6 @@ let label st prefix =
 
 let push st op = st.rev_ops <- op :: st.rev_ops
 
-let out_dim s k stride pad = ((s + (2 * pad) - k) / stride) + 1
-
 let conv ?(stride = 1) ?pad ?(track = true) st ~out_channels ~kernel =
   let spec =
     Conv_spec.make ~stride ?pad ~batch:st.batch ~in_channels:st.channels
@@ -44,7 +42,7 @@ let residual st = push st (Op.mem ~label:(label st "residual") ~bytes:(3. *. act
 
 let maxpool ?(kernel = 3) ?(stride = 2) ?(pad = 0) st =
   push st (Op.mem ~label:(label st "pool") ~bytes:(2. *. act_bytes st));
-  st.spatial <- max 1 (out_dim st.spatial kernel stride pad)
+  st.spatial <- max 1 (Conv_spec.out_dim st.spatial kernel stride pad)
 
 let adaptive_pool st target =
   push st (Op.mem ~label:(label st "adaptive_pool") ~bytes:(2. *. act_bytes st));

@@ -3,7 +3,7 @@ module Kernel_set = Mikpoly_core.Kernel_set
 module Polymerize = Mikpoly_core.Polymerize
 module Pattern = Mikpoly_core.Pattern
 module Config = Mikpoly_core.Config
-module Hardware = Mikpoly_accel.Hardware
+module Load = Mikpoly_accel.Load
 module Operator = Mikpoly_ir.Operator
 module Region = Mikpoly_ir.Region
 module Program = Mikpoly_ir.Program
@@ -17,8 +17,6 @@ type example = {
   ex_raw : float;
   ex_observed : float;
 }
-
-let ceil_div a b = (a + b - 1) / b
 
 (* Deterministic log-uniform GEMM shapes, the range the adaptation
    scenario probes; [distinct] shapes so train/holdout splits by prefix
@@ -94,7 +92,7 @@ let harvest ~(compiler : Compiler.t) ?hw shapes =
           match Kernel_set.find set ~um:d.um ~un:d.un ~uk:d.uk with
           | None -> None
           | Some e ->
-            let waves = ceil_div r.ro_n_tasks e.wave_capacity in
+            let waves = Load.waves ~capacity:e.wave_capacity r.ro_n_tasks in
             let pipe = r.ro_predicted /. float_of_int waves in
             let features =
               Features.of_candidate ~hw:device ~m ~n ~k ~um:d.um ~un:d.un

@@ -1,4 +1,5 @@
 module Hardware = Mikpoly_accel.Hardware
+module Load = Mikpoly_accel.Load
 
 let schema_version = 1
 
@@ -64,22 +65,20 @@ let schema_id =
     (Mikpoly_util.Checksum.fnv1a64_hex
        (String.concat "," (Array.to_list names)))
 
-let ceil_div a b = (a + b - 1) / b
-
 let logf x = log (Float.max 1e-12 x)
 
 let logi i = logf (float_of_int i)
 
 let of_candidate ~(hw : Hardware.t) ~m ~n ~k ~um ~un ~uk ~wave_capacity
     ~n_tasks ~pipe =
-  let waves = ceil_div n_tasks wave_capacity in
+  let waves = Load.waves ~capacity:wave_capacity n_tasks in
   let raw = float_of_int waves *. pipe in
   (* Tasks in the (partial) last wave: 1.0 = the wave quantization is
      free, small values = most of the last wave's capacity is wasted —
      the effect Eq. 2's ceiling models only coarsely. *)
   let last = n_tasks - ((waves - 1) * wave_capacity) in
   let pad extent u =
-    float_of_int ((ceil_div extent u * u) - extent) /. float_of_int extent
+    float_of_int ((Load.ceil_div extent u * u) - extent) /. float_of_int extent
   in
   [|
     logi m;

@@ -1,14 +1,13 @@
 module Kernel_set = Mikpoly_core.Kernel_set
 module Calibration = Mikpoly_adapt.Calibration
 module Hardware = Mikpoly_accel.Hardware
+module Load = Mikpoly_accel.Load
 
 type t = {
   cal : Calibration.t;
   model : Model.t;
   hw : Hardware.t;
 }
-
-let ceil_div a b = (a + b - 1) / b
 
 (* The calibrated-Eq.-2 baseline, fit from the very same harvested
    examples the learner trains on — both the equal-information comparison
@@ -137,7 +136,7 @@ let score t ~m ~n ~k ~um ~un ~uk ~wave_capacity ~n_tasks ~pipe =
     Features.of_candidate ~hw:t.hw ~m ~n ~k ~um ~un ~uk ~wave_capacity
       ~n_tasks ~pipe
   in
-  let waves = ceil_div n_tasks wave_capacity in
+  let waves = Load.waves ~capacity:wave_capacity n_tasks in
   let raw = float_of_int waves *. pipe in
   Calibration.apply t.cal (um, un, uk) raw *. exp (Model.predict t.model features)
 
@@ -146,8 +145,8 @@ let score t ~m ~n ~k ~um ~un ~uk ~wave_capacity ~n_tasks ~pipe =
    (raw = waves × pipe for that candidate). *)
 let ranking_scorer t (m, n, k) (e : Kernel_set.entry) raw =
   let d = e.desc in
-  let n_tasks = ceil_div m d.um * ceil_div n d.un in
-  let waves = ceil_div n_tasks e.wave_capacity in
+  let n_tasks = Load.tiles d ~rows:m ~cols:n in
+  let waves = Load.waves ~capacity:e.wave_capacity n_tasks in
   let pipe = raw /. float_of_int waves in
   score t ~m ~n ~k ~um:d.um ~un:d.un ~uk:d.uk
     ~wave_capacity:e.wave_capacity ~n_tasks ~pipe

@@ -163,20 +163,6 @@ let cache_table ?(replicas = max_int) ?labels ?(stalls = [])
       Table.add_row table
         [ "stall"; cls; Table.fmt_time_us seconds; ""; ""; ""; "" ])
     stalls;
-  (* process-wide search-pruning economics behind those stalls: how many
-     candidates the analytic strategy space discarded before scoring vs
-     how many the scored bound rejected (cumulative telemetry counters) *)
-  let pruned_a, pruned_b = Mikpoly_core.Polymerize.prune_counter_values () in
-  Table.add_row table
-    [
-      "search";
-      "pruned";
-      string_of_int pruned_a;
-      "analytic";
-      string_of_int pruned_b;
-      "bound";
-      "";
-    ];
   table
 
 let header =

@@ -57,7 +57,9 @@ val cache_table :
     crashes, as [crashed-i]. A heterogeneous fleet instead passes
     [labels] — one per cache entry, e.g. ["gpu-0"], ["npu-1"],
     ["crashed-npu-0"] — and [stalls], extra [(class, seconds)] rows
-    attributing compile stalls to each device class. *)
+    attributing compile stalls to each device class. Every row is a fact
+    of [outcome] alone; process-wide counters such as
+    [polymerize.pruned_*] belong to the telemetry section. *)
 
 val header : string list
 (** Column names matching {!to_row}, with a leading "config" column. *)

@@ -48,11 +48,6 @@ val deadline : t -> float
 val tokens : t -> int
 (** Total token work: [prompt_len + output_len]. *)
 
-val slo_for : ?ttft_budget:float -> ?tpot_budget:float -> output_len:int -> unit -> slo
-(** Default SLO shape: a fixed TTFT budget (default 250 ms) plus a
-    per-output-token budget (default 20 ms/token) for the end-to-end
-    deadline — longer generations get proportionally longer deadlines. *)
-
 val poisson :
   ?length_dist:length_dist -> ?ttft_budget:float -> ?tpot_budget:float ->
   seed:int -> rate:float -> count:int -> max_prompt:int -> max_output:int ->

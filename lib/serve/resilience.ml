@@ -14,19 +14,15 @@ type arm = {
 
 type ab = { faults : Plan.t; with_resilience : arm; without_resilience : arm }
 
-let status_key (r, (s : Scheduler.status)) =
-  let tag =
-    match s with
-    | Scheduler.Completed -> "completed"
-    | Scheduler.Rejected why -> "rejected:" ^ why
-    | Scheduler.Timed_out -> "timed_out"
-    | Scheduler.Failed why -> "failed:" ^ why
-  in
-  Printf.sprintf "%d=%s" r.Request.id tag
+let digest named =
+  List.map (fun (id, status) -> Printf.sprintf "%d=%s" id status) named
+  |> List.sort String.compare |> String.concat "\n" |> Checksum.fnv1a64_hex
 
-let digest statuses =
-  let keys = List.sort String.compare (List.map status_key statuses) in
-  Checksum.fnv1a64_hex (String.concat "\n" keys)
+let status_tag = function
+  | Scheduler.Completed -> "completed"
+  | Scheduler.Rejected why -> "rejected:" ^ why
+  | Scheduler.Timed_out -> "timed_out"
+  | Scheduler.Failed why -> "failed:" ^ why
 
 (* A request is silently lost when it has no terminal status, or more
    than one. Counts both directions so duplicated statuses also fail. *)
@@ -54,7 +50,8 @@ let run_arm ~arm_name ~faults ~resilience config engine requests =
     injected_faults = outcome.Scheduler.injected_faults;
     crashes = outcome.Scheduler.crashes;
     silent_losses = silent_losses requests statuses;
-    status_digest = digest statuses;
+    status_digest =
+      digest (List.map (fun (r, s) -> (r.Request.id, status_tag s)) statuses);
   }
 
 let run_ab ?(resilience = Scheduler.default_resilience) ~faults config engine

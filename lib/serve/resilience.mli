@@ -21,6 +21,11 @@ type arm = {
           check [mikpoly_cli chaos] runs across seeds and job counts) *)
 }
 
+val digest : (int * string) list -> string
+(** The terminal-status digest of a run, from [(request id, status
+    name)] pairs: FNV-1a hex over the sorted ["id=status"] lines. Equal
+    digests mean identical per-request outcomes. *)
+
 type ab = {
   faults : Mikpoly_fault.Plan.t;
   with_resilience : arm;

@@ -81,7 +81,6 @@ let memo_find_or lock tbl key compute =
 
 let mikpoly_engine compiler =
   let hw = Mikpoly_core.Compiler.hardware compiler in
-  let dtype = (Mikpoly_core.Compiler.config compiler).Mikpoly_core.Config.dtype in
   (* [operator_seconds] re-runs the device simulator on every call, and a
      40-layer graph launches each family shape dozens of times — memoize
      per shape for the engine's lifetime. *)
@@ -92,8 +91,8 @@ let mikpoly_engine compiler =
     else
       Ok
         (memo_find_or gemm_lock gemm_memo (m, n, k) (fun () ->
-             let op = Mikpoly_ir.Operator.gemm ~dtype ~m ~n ~k () in
-             Mikpoly_core.Compiler.operator_seconds compiler op))
+             Mikpoly_core.Compiler.operator_seconds compiler
+               (Mikpoly_core.Compiler.gemm compiler (m, n, k))))
   in
   (* The KV length only drives the bandwidth-bound attention scan;
      bucketing it to a power of two keeps the step memo small. *)
@@ -115,11 +114,9 @@ let mikpoly_engine compiler =
   in
   let compile_memo = Hashtbl.create 256 in
   let compile_lock = Mutex.create () in
-  let compile_seconds (m, n, k) =
-    memo_find_or compile_lock compile_memo (m, n, k) (fun () ->
-        let op = Mikpoly_ir.Operator.gemm ~dtype ~m ~n ~k () in
-        let c = Mikpoly_core.Compiler.compile compiler op in
-        Mikpoly_core.Polymerize.modeled_search_seconds c)
+  let compile_seconds shape =
+    memo_find_or compile_lock compile_memo shape (fun () ->
+        Mikpoly_core.Compiler.compile_seconds compiler shape)
   in
   {
     engine_name = "mikpoly@" ^ hw.Mikpoly_accel.Hardware.name;
@@ -162,11 +159,9 @@ let graph_engine ~name ~bind compiler =
   in
   let compile_memo = Hashtbl.create 256 in
   let compile_lock = Mutex.create () in
-  let compile_seconds (m, n, k) =
-    memo_find_or compile_lock compile_memo (m, n, k) (fun () ->
-        let op = Mikpoly_ir.Operator.gemm ~m ~n ~k () in
-        Mikpoly_core.Polymerize.modeled_search_seconds
-          (Mikpoly_core.Compiler.compile compiler op))
+  let compile_seconds shape =
+    memo_find_or compile_lock compile_memo shape (fun () ->
+        Mikpoly_core.Compiler.compile_seconds compiler shape)
   in
   {
     engine_name = name;

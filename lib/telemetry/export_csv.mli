@@ -5,7 +5,5 @@
     ([key = "le=<bound>"], the overflow bucket as [le=+inf]) plus
     [sum] and [count] rows. *)
 
-val metrics_csv : Metrics.snapshot -> string
-
 val of_registry : unit -> string
-(** {!metrics_csv} of the global registry's current snapshot. *)
+(** The global registry's current snapshot as CSV. *)

@@ -25,6 +25,11 @@ val make :
     "same"-preserving [kernel/2]. Raises on non-positive dimensions or an
     empty output. *)
 
+val out_dim : int -> int -> int -> int -> int
+(** [out_dim size kernel stride pad] — the output extent of a sliding
+    window along one axis, [(size + 2·pad − kernel) / stride + 1]: the one
+    conv/pool output-size formula. *)
+
 val out_h : t -> int
 
 val out_w : t -> int

@@ -32,3 +32,33 @@ let write ~path f =
     close_out_noerr oc;
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e
+
+let read_lines path =
+  match open_in path with
+  | exception Sys_error e -> Error e
+  | ic ->
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        let rec go acc =
+          match input_line ic with
+          | line -> go (line :: acc)
+          | exception End_of_file -> Ok (List.rev acc)
+        in
+        go [])
+
+let read_checked ~path ~header ~checksum ~corrupt ~truncated =
+  match read_lines path with
+  | Error _ as e -> e
+  | Ok lines when List.length lines <= List.length header -> Error truncated
+  | Ok lines ->
+    let rec check header lines =
+      match (header, lines) with
+      | (expected, mismatch) :: header, line :: lines ->
+        if line = expected then check header lines else Error (mismatch line)
+      | [], sum_line :: body ->
+        if sum_line = "checksum " ^ checksum body then Ok body
+        else Error corrupt
+      | _ :: _, [] | [], [] -> Error truncated
+    in
+    check header lines

@@ -1,4 +1,5 @@
-(** Crash-safe whole-file writes (tempfile + flush + atomic rename).
+(** Crash-safe whole-file writes (tempfile + flush + atomic rename), and
+    the checked read of the versioned artifacts written this way.
 
     [write ~path f] runs [f] on an output channel backed by a tempfile
     in [path]'s directory, flushes, and renames it over [path]. If [f],
@@ -11,6 +12,22 @@
     raises [Sys_error] before creating the tempfile. *)
 
 val write : path:string -> (out_channel -> unit) -> unit
+
+val read_lines : string -> (string list, string) result
+(** Every line of the file, without terminators; [Error] with the system
+    message when it cannot be opened. *)
+
+val read_checked :
+  path:string -> header:(string * (string -> string)) list ->
+  checksum:(string list -> string) -> corrupt:string -> truncated:string ->
+  (string list, string) result
+(** Read a versioned artifact: the header lines (magic, platform,
+    fingerprint, …), then [checksum <h>], then the body. Each
+    [(expected, mismatch)] of [header] must equal its line, in order, or
+    the load fails with [mismatch line]; [h] must equal [checksum body]
+    or it fails with [corrupt]. A file too short to hold the header and
+    checksum lines fails with [truncated] before any other check. Returns
+    the body lines. *)
 
 val temp_path : string -> string
 (** The tempfile name [write] uses for [path] — exposed so tests can

@@ -14,6 +14,19 @@ let of_points pts =
 
 let breakpoints t = Array.to_list (Array.map2 (fun x y -> (x, y)) t.xs t.ys)
 
+let to_string t =
+  String.concat " "
+    (List.map (fun (x, y) -> Printf.sprintf "%.9g:%.9g" x y) (breakpoints t))
+
+let points_of_string s =
+  let parse_one tok =
+    match String.split_on_char ':' tok with
+    | [ x; y ] -> (float_of_string x, float_of_string y)
+    | _ -> failwith "bad breakpoint"
+  in
+  List.map parse_one
+    (List.filter (fun t -> t <> "") (String.split_on_char ' ' s))
+
 let eval t x =
   let n = Array.length t.xs in
   (* Find the segment [i, i+1] bracketing x (clamped for extrapolation). *)

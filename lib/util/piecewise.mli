@@ -20,6 +20,14 @@ val eval : t -> float -> float
 val breakpoints : t -> (float * float) list
 (** The defining breakpoints, in increasing abscissa order. *)
 
+val to_string : t -> string
+(** The breakpoints as space-separated [x:y] pairs, [%.9g] each — the
+    artifact encoding of the kernel store and calibration profiles. *)
+
+val points_of_string : string -> (float * float) list
+(** Decode {!to_string}'s encoding (points only, unvalidated). Raises
+    [Failure] on a malformed pair. *)
+
 val fit : ?max_segments:int -> ?tolerance:float -> (float * float) list -> t
 (** [fit samples] learns a compact piecewise-linear approximation of the
     sampled function by greedy segment merging: starts from the exact

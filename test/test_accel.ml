@@ -282,6 +282,20 @@ let test_simulator_never_beats_peak () =
     (Simulator.tflops r ~useful_flops:useful
      < Hardware.peak_tflops gpu Hardware.Matrix)
 
+(* --- Load: the GEMM tiling owner --- *)
+
+let test_load_gemm_single_region () =
+  let load = Load.gemm kernel_b ~m:100 ~n:100 ~k:100 in
+  match load.regions with
+  | [ r ] ->
+    Alcotest.(check int) "2x2 tiles" 4 r.n_tasks;
+    Alcotest.(check int) "2 K steps" 2 r.t_steps;
+    Alcotest.(check (float 0.)) "fp16 footprint"
+      (Load.gemm_footprint_bytes ~dtype:kernel_b.dtype ~m:100 ~n:100 ~k:100)
+      load.footprint_bytes;
+    Alcotest.(check int) "waves" 2 (Load.waves ~capacity:3 r.n_tasks)
+  | _ -> Alcotest.fail "expected one region"
+
 let prop_simulator_below_peak =
   QCheck.Test.make ~name:"simulator: achieved TFLOPS <= device peak" ~count:40
     QCheck.(triple (int_range 1 64) (int_range 1 64) (int_range 1 64))
@@ -497,6 +511,11 @@ let () =
             test_simulator_mixed_paths_rejected;
           Alcotest.test_case "gemm footprint" `Quick test_gemm_footprint;
           qtest prop_simulator_below_peak;
+        ] );
+      ( "load",
+        [
+          Alcotest.test_case "single-region gemm" `Quick
+            test_load_gemm_single_region;
         ] );
       ( "trace",
         [

@@ -41,11 +41,6 @@ let test_catalog_selection_small_m () =
   in
   Alcotest.(check bool) "small um avoids padding" true (k.um <= 64)
 
-let test_catalog_gemm_load_single_region () =
-  let load = Catalog.gemm_load Catalog.cublas gpu ~m:100 ~n:100 ~k:100 () in
-  Alcotest.(check int) "one region" 1 (List.length load.regions);
-  Alcotest.(check bool) "footprint set" true (load.footprint_bytes > 0.)
-
 (* --- Backend --- *)
 
 let test_backend_of_catalog () =
@@ -167,8 +162,6 @@ let () =
           Alcotest.test_case "large-shape selection" `Quick
             test_catalog_selection_large_shape;
           Alcotest.test_case "small-M selection" `Quick test_catalog_selection_small_m;
-          Alcotest.test_case "single-region load" `Quick
-            test_catalog_gemm_load_single_region;
         ] );
       ( "backend",
         [

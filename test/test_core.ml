@@ -298,6 +298,30 @@ let prop_region_cost_monotone_in_area =
       <= Cost_model.region_cost Cost_model.Full e ~rows:(rows + 64) ~cols ~k_len
          +. 1e-9)
 
+(* The baselines' single-kernel lowering ([Load.gemm]) and the compiler's
+   ([Program.to_load] of a one-region program) must agree for every
+   kernel of either platform's tuned set. *)
+let prop_gemm_lowerings_agree =
+  QCheck.Test.make
+    ~name:"lowering: Load.gemm = Program.to_load of the one-region program"
+    ~count:60
+    QCheck.(
+      quad bool (int_range 0 1000) (int_range 1 3000)
+        (pair (int_range 1 3000) (int_range 1 3000)))
+    (fun (on_npu, pick, m, (n, k)) ->
+      let set =
+        Compiler.kernels (Lazy.force (if on_npu then npu_compiler else gpu_compiler))
+      in
+      let kernel = set.entries.(pick mod Array.length set.entries).desc in
+      let program =
+        Program.make
+          ~op:(Operator.gemm ~dtype:kernel.dtype ~m ~n ~k ())
+          ~regions:
+            [ Region.make ~row_off:0 ~col_off:0 ~rows:m ~cols:n ~k_len:k ~kernel ]
+          ~pattern_name:"I"
+      in
+      Load.gemm kernel ~m ~n ~k = Program.to_load program)
+
 let prop_polymerize_no_worse_than_pattern_one =
   QCheck.Test.make
     ~name:"polymerize: predicted cost <= best Pattern-I cost" ~count:25
@@ -1005,6 +1029,7 @@ let () =
             test_oracle_at_least_as_good;
           qtest prop_polymerize_valid_random_shapes;
           qtest prop_polymerize_numerically_correct;
+          qtest prop_gemm_lowerings_agree;
         ] );
       ( "search_invariants",
         [

@@ -769,6 +769,20 @@ let metrics_fingerprint (m : Metrics.t) =
     m.tokens_per_second m.mean_queue_depth m.cache_hit_rate
     m.compile_stall_seconds m.adapt_stall_seconds m.padding_overhead m.makespan
 
+(* A per-run table reports facts of its own outcome only: a search made
+   by an unrelated compile between two renders must not change it. *)
+let test_cache_table_per_outcome () =
+  let o = Scheduler.run config (Scheduler.synthetic_engine ()) trace in
+  let render () =
+    Mikpoly_util.Table.render (Metrics.cache_table ~replicas:2 o)
+  in
+  let before = render () in
+  let c = Mikpoly_core.Compiler.create Mikpoly_accel.Hardware.a100 in
+  ignore
+    (Mikpoly_core.Compiler.compile c
+       (Mikpoly_ir.Operator.gemm ~m:777 ~n:333 ~k:129 ()));
+  Alcotest.(check string) "unchanged by an unrelated compile" before (render ())
+
 let test_metrics_pinned () =
   let engine = Scheduler.synthetic_engine () in
   let single =
@@ -1025,6 +1039,8 @@ let () =
           Alcotest.test_case "heavy-tail traces" `Quick test_heavy_tail_traces;
           Alcotest.test_case "pinned chaos outcome" `Quick test_scheduler_pinned;
           Alcotest.test_case "pinned report" `Quick test_metrics_pinned;
+          Alcotest.test_case "cache table per outcome" `Quick
+            test_cache_table_per_outcome;
           QCheck_alcotest.to_alcotest prop_run_conserves;
           Alcotest.test_case "precompile bounded by trace" `Quick
             test_precompile_bounded_by_trace;
