@@ -88,7 +88,7 @@ let compile_shape jobs m n k npu =
   end;
   let hw = if npu then Mikpoly_accel.Hardware.ascend910 else Mikpoly_accel.Hardware.a100 in
   let compiler = Mikpoly_core.Compiler.create hw in
-  let op = Mikpoly_ir.Operator.gemm ~m ~n ~k () in
+  let op = Mikpoly_core.Compiler.gemm compiler (m, n, k) in
   let compiled = Mikpoly_core.Compiler.compile compiler op in
   let sim = Mikpoly_core.Compiler.simulate compiler compiled in
   Printf.printf "%s\n" (Mikpoly_ir.Program.to_string compiled.program);

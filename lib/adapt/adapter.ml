@@ -149,8 +149,8 @@ let recalibrate_locked t =
   in
   let recompiled =
     List.fold_left
-      (fun acc (m, n, k) ->
-        let op = Operator.gemm ~m ~n ~k () in
+      (fun acc shape ->
+        let op = Compiler.gemm t.compiler shape in
         if Compiler.cached t.compiler op then acc
         else begin
           let c = Compiler.compile t.compiler op in
@@ -281,8 +281,8 @@ let compiler t = t.compiler
 
 let set_execution_hardware t hw = locked t (fun () -> t.exec_hw <- Some hw)
 
-let observe_shape t (m, n, k) =
-  let op = Operator.gemm ~m ~n ~k () in
+let observe_shape t shape =
+  let op = Compiler.gemm t.compiler shape in
   let c = Compiler.compile t.compiler op in
   let hw = locked t (fun () -> t.exec_hw) in
   let result, obs = Compiler.simulate_observed ?hw t.compiler c in

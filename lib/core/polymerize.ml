@@ -67,15 +67,96 @@ type choice = {
 }
 
 (* Total order on equal-cost candidates: (pattern, cuts, pinned kernel
-   ranks, fill rank). The search keeps the smallest (cost, key), so the
-   winner is independent of enumeration order. *)
-type tie_key = Pattern.t * int list * int list * int
+   ranks, fill rank), each compared lexicographically. The search keeps
+   the smallest (cost, key), so the winner is independent of enumeration
+   order. *)
+let rec compare_lex cmp a b =
+  match (a, b) with
+  | [], [] -> 0
+  | [], _ :: _ -> -1
+  | _ :: _, [] -> 1
+  | x :: xs, y :: ys ->
+    let c = cmp x y in
+    if c <> 0 then c else compare_lex cmp xs ys
 
-let choice_key (ch : choice) : tie_key =
-  ( ch.c_pattern,
-    ch.c_cuts,
-    List.map (fun (e : Kernel_set.entry) -> e.rank) ch.c_pins,
-    match ch.c_fill with Some e -> e.rank | None -> -1 )
+let pattern_index : Pattern.t -> int = function
+  | I -> 0 | II -> 1 | III -> 2 | IV -> 3 | V -> 4 | VI -> 5 | VII -> 6
+  | VIII -> 7 | IX -> 8
+
+let by_rank (a : Kernel_set.entry) (b : Kernel_set.entry) = Int.compare a.rank b.rank
+
+let fill_rank = function Some (e : Kernel_set.entry) -> e.rank | None -> -1
+
+let key_less (a : choice) (b : choice) =
+  let c = Int.compare (pattern_index a.c_pattern) (pattern_index b.c_pattern) in
+  let c = if c <> 0 then c else compare_lex Int.compare a.c_cuts b.c_cuts in
+  let c = if c <> 0 then c else compare_lex by_rank a.c_pins b.c_pins in
+  let c = if c <> 0 then c else Int.compare (fill_rank a.c_fill) (fill_rank b.c_fill) in
+  c < 0
+
+(* Indices of the [k] smallest [costs] in (cost, index) order: insertion
+   into a sorted prefix, so picking 12 of 40 never sorts the other 28. *)
+let smallest k (costs : float array) =
+  let k = Int.min k (Array.length costs) in
+  let top = Array.make k 0 and top_cost = Array.make k infinity in
+  let len = ref 0 in
+  for i = 0 to Array.length costs - 1 do
+    let c = costs.(i) in
+    if !len < k || c < top_cost.(k - 1) then begin
+      let j = ref (Int.min !len (k - 1)) in
+      while !j > 0 && top_cost.(!j - 1) > c do
+        top.(!j) <- top.(!j - 1);
+        top_cost.(!j) <- top_cost.(!j - 1);
+        decr j
+      done;
+      top.(!j) <- i;
+      top_cost.(!j) <- c;
+      if !len < k then incr len
+    end
+  done;
+  top
+
+(* The distinct values among the primaries' first cuts on one axis, each
+   with how many primaries cut there. Primaries share cuts, so a
+   two-pin pattern computes the leaf count under each distinct cut once
+   and sums a skipped pattern over [size] values, not over every
+   (primary, cut) pair. *)
+type first_cuts = { vals : int array; mult : int array; size : int }
+
+(* Position of [a] among the first [size] values, or -1. *)
+let rec index_of (vals : int array) size (a : int) i =
+  if i >= size then -1 else if vals.(i) = a then i else index_of vals size a (i + 1)
+
+let first_cuts (lists : int list array) =
+  let total = Array.fold_left (fun acc l -> acc + List.length l) 0 lists in
+  let vals = Array.make total 0 and mult = Array.make total 0 in
+  let size = ref 0 in
+  Array.iter
+    (List.iter (fun a ->
+         let j = index_of vals !size a 0 in
+         if j >= 0 then mult.(j) <- mult.(j) + 1
+         else begin
+           vals.(!size) <- a;
+           mult.(!size) <- 1;
+           incr size
+         end))
+    lists;
+  { vals; mult; size = !size }
+
+(* The branch-and-bound state. Both fields are floats, so the record is
+   stored flat and updating it never allocates. *)
+type incumbent = {
+  mutable bound : float;
+      (** the lowest achievable cost known so far (seeded with the best
+          Pattern-I cost under analytic pruning) *)
+  mutable best_cost : float;  (** the recorded winner's cost *)
+}
+
+let regions : Pattern.t -> int = function
+  | I -> 1
+  | II | III -> 2
+  | IV -> 4
+  | V | VI | VII | VIII | IX -> 3
 
 (* Algorithm 1's heuristic narrowing: how many kernels, best Pattern-I
    cost first, a split pattern tries as its primary kernel and as the
@@ -143,11 +224,9 @@ let search ~scorer ~tracing ~setup (set : Kernel_set.t) (config : Config.t) op
   let oracle = match scorer with Simulate -> true | Model _ | Calibrated _ -> false in
   (* Per-kernel multiplicative/affine correction learned online; clamped
      non-negative so region-order pruning against the monotone bound stays
-     sound. Identity for the uncalibrated model. *)
-  let correct =
-    match scorer with
-    | Calibrated f -> fun e x -> Float.max 0. (f e x)
-    | Model _ | Simulate -> fun _ x -> x
+     sound. None for the uncalibrated model. *)
+  let correction =
+    match scorer with Calibrated f -> Some f | Model _ | Simulate -> None
   in
   let icount = Operator.instance_count op in
   let rcost_dims (e : Kernel_set.entry) rows cols =
@@ -155,7 +234,10 @@ let search ~scorer ~tracing ~setup (set : Kernel_set.t) (config : Config.t) op
     let wave = float_of_int (ceil_div tasks e.wave_capacity) in
     let p = pipe.(e.rank) in
     match objective with
-    | Cost_model.Full -> correct e (wave *. p) +. launch
+    | Cost_model.Full -> (
+      match correction with
+      | None -> (wave *. p) +. launch
+      | Some f -> Float.max 0. (f e (wave *. p)) +. launch)
     | Cost_model.Wave_only ->
       let padded =
         float_of_int tasks
@@ -172,25 +254,19 @@ let search ~scorer ~tracing ~setup (set : Kernel_set.t) (config : Config.t) op
      candidate scores, so the enumeration below never recomputes them and
      the analytic pruner can seed its bound with the best one. *)
   let p1 = Array.map (fun e -> rcost_dims e m n) entries in
-  let by_p1 =
-    let idx = Array.init n_entries Fun.id in
-    Array.sort (fun a b -> compare p1.(a) p1.(b)) idx;
-    idx
+  let by_p1 = smallest primary_kernels p1 in
+  let primaries = Array.map (fun i -> entries.(i)) by_p1 in
+  let secondaries =
+    Array.sub primaries 0 (Int.min secondary_kernels (Array.length primaries))
   in
-  let take cnt =
-    Array.map (fun i -> entries.(i))
-      (Array.sub by_p1 0 (min cnt n_entries))
-  in
-  let primaries = take primary_kernels in
-  let secondaries = take secondary_kernels in
   (* Branch-and-bound state: the lowest full-candidate cost found so far.
      Monotonically non-increasing, so pruning a partial sum that strictly
      exceeds it can never discard a candidate tying the eventual minimum
      — the winner and its tie-break do not depend on visitation order. *)
-  let bound = ref infinity in
-  let lower_bound c = if c < !bound then bound := c in
-  let live_ok =
-    match view with Some v -> fun i -> v.live.(i) | None -> fun _ -> true
+  let st = { bound = infinity; best_cost = infinity } in
+  let lower_bound c = if c < st.bound then st.bound <- c in
+  let live =
+    match view with Some v -> v.live | None -> Array.make n_entries true
   in
   let floor_cost rows cols =
     match view with
@@ -209,39 +285,46 @@ let search ~scorer ~tracing ~setup (set : Kernel_set.t) (config : Config.t) op
      always live, so the scan never comes up empty. *)
   let memo = Hashtbl.create 64 in
   let best_single rows cols =
-    let key = (rows, cols) in
-    match Hashtbl.find_opt memo key with
-    | Some hit -> hit
-    | None ->
-      let best_e = ref entries.(0) and best_c = ref infinity in
+    let key = (rows * (n + 1)) + cols in
+    match Hashtbl.find memo key with
+    | hit -> hit
+    | exception Not_found ->
+      let best_i = ref 0 and best_c = ref infinity in
       for i = 0 to n_entries - 1 do
-        if live_ok i then begin
+        if live.(i) then begin
           let c = rcost_dims entries.(i) rows cols in
           if c < !best_c then begin
             best_c := c;
-            best_e := entries.(i)
+            best_i := i
           end
         end
       done;
-      let hit = (!best_e, !best_c) in
+      let hit = (entries.(!best_i), !best_c) in
       Hashtbl.add memo key hit;
       hit
   in
-  (* The search tallies. [best] is the smallest (cost, tie_key) recorded;
-     [first_hit] is the [candidates] count at the moment it was first
-     recorded. [pruned_a] counts candidates skipped unscored by the
-     analytic filters, [pruned] those cut mid-scoring by the bound. *)
+  (* The search tallies. [best] is the recorded choice with the smallest
+     (cost, tie key); [first_hit] is the [candidates] count at the moment
+     it was first recorded. [pruned_a] counts candidates skipped unscored
+     by the analytic filters, [pruned] those cut mid-scoring by the
+     bound. *)
   let best = ref None in
   let candidates = ref 0 and pruned = ref 0 and pruned_a = ref 0 in
   let first_hit = ref 0 in
-  let record cost choice =
-    let key = choice_key choice in
-    (match !best with
-    | Some (bc, bk, _) when (bc, bk) <= (cost, key) -> ()
+  (* Recording a candidate lowers the bound; its choice is built and its
+     tie key compared only when [can_win] says its cost is at most the
+     winner's. *)
+  let can_win cost =
+    lower_bound cost;
+    match !best with None -> true | Some _ -> cost <= st.best_cost
+  in
+  let offer cost (ch : choice) =
+    match !best with
+    | Some b when not (cost < st.best_cost || key_less ch b) -> ()
     | _ ->
-      best := Some (cost, key, choice);
-      first_hit := !candidates);
-    lower_bound cost
+      best := Some ch;
+      st.best_cost <- cost;
+      first_hit := !candidates
   in
   (* Resolve a choice into concrete (rect, kernel) pairs. *)
   let resolve (ch : choice) =
@@ -262,45 +345,91 @@ let search ~scorer ~tracing ~setup (set : Kernel_set.t) (config : Config.t) op
       in
       Some (zip rects ch.c_pins)
   in
-  (* Model scoring of a generic (multi-cut) choice, with region-order
-     pruning against the bound. Pruning is strict (>): a partial sum equal
-     to the incumbent may still win the tie-break.
+  let choice pattern cuts pins fill =
+    { c_pattern = pattern; c_cuts = cuts; c_pins = pins; c_fill = fill }
+  in
+  (* Extents of the split leaf being scored under the model, in
+     [Pattern.decompose]'s region order. A leaf is gated and scored from
+     its two cut positions alone; only a candidate that can win becomes a
+     [choice], and only the winner becomes rectangles. *)
+  let leaf_rows = Array.make 4 0 and leaf_cols = Array.make 4 0 in
+  let set_extents (p : Pattern.t) a b =
+    match p with
+    | IV ->
+      leaf_rows.(0) <- a; leaf_cols.(0) <- b;
+      leaf_rows.(1) <- a; leaf_cols.(1) <- n - b;
+      leaf_rows.(2) <- m - a; leaf_cols.(2) <- b;
+      leaf_rows.(3) <- m - a; leaf_cols.(3) <- n - b
+    | V ->
+      leaf_rows.(0) <- a; leaf_cols.(0) <- b;
+      leaf_rows.(1) <- a; leaf_cols.(1) <- n - b;
+      leaf_rows.(2) <- m - a; leaf_cols.(2) <- n
+    | VI ->
+      leaf_rows.(0) <- a; leaf_cols.(0) <- b;
+      leaf_rows.(1) <- m; leaf_cols.(1) <- n - b;
+      leaf_rows.(2) <- m - a; leaf_cols.(2) <- b
+    | VII ->
+      leaf_rows.(0) <- a; leaf_cols.(0) <- n;
+      leaf_rows.(1) <- b - a; leaf_cols.(1) <- n;
+      leaf_rows.(2) <- m - b; leaf_cols.(2) <- n
+    | VIII ->
+      leaf_rows.(0) <- m; leaf_cols.(0) <- a;
+      leaf_rows.(1) <- m; leaf_cols.(1) <- b - a;
+      leaf_rows.(2) <- m; leaf_cols.(2) <- n - b
+    | IX ->
+      leaf_rows.(0) <- a; leaf_cols.(0) <- n;
+      leaf_rows.(1) <- m - a; leaf_cols.(1) <- b;
+      leaf_rows.(2) <- m - a; leaf_cols.(2) <- n - b
+    | I | II | III -> invalid_arg "Polymerize: not a two-cut pattern"
+  in
+  (* Model scoring of a two-cut leaf: its first [pins] regions are pinned
+     to [e1] (and [e2]), the rest are free. Region-order pruning against
+     the bound is strict (>): a partial sum equal to the incumbent may
+     still win the tie-break.
 
      Analytic gate (before the candidate is counted or any free region
      resolved): pinned regions at their exact cost plus free regions at
      their pipeline-depth floor already lower-bound the candidate, so
      strictly exceeding the achievable bound proves it cannot win — the
      expensive best-single scans for the free regions never happen. *)
-  let score_choice_model (ch : choice) =
+  let split_leaf (p : Pattern.t) a b ~pins e1 e2 =
+    set_extents p a b;
+    let regions = regions p in
     let gated =
       analytic
-      && (match Pattern.decompose ch.c_pattern ~m ~n ~cuts:ch.c_cuts with
-         | None -> false
-         | Some rects ->
-           let rec lb acc rects pins =
-             match (rects, pins) with
-             | [], _ -> acc
-             | (r : Pattern.rect) :: rs, (e : Kernel_set.entry) :: ps ->
-               lb (acc +. rcost_dims e r.rows r.cols) rs ps
-             | (r : Pattern.rect) :: rs, [] ->
-               lb (acc +. floor_cost r.rows r.cols) rs []
-           in
-           lb 0. rects ch.c_pins > !bound)
+      &&
+      let lb = ref 0. in
+      for i = 0 to regions - 1 do
+        lb :=
+          !lb
+          +.
+          if i < pins then
+            rcost_dims (if i = 0 then e1 else e2) leaf_rows.(i) leaf_cols.(i)
+          else floor_cost leaf_rows.(i) leaf_cols.(i)
+      done;
+      !lb > st.bound
     in
     if gated then incr pruned_a
-    else
-      match resolve ch with
-      | None -> ()
-      | Some assignment ->
-        incr candidates;
-        let limit = !bound in
-        let rec go acc = function
-          | [] -> record acc ch
-          | ((r : Pattern.rect), e) :: rest ->
-            let acc = acc +. rcost_dims e r.rows r.cols in
-            if acc > limit then incr pruned else go acc rest
-        in
-        go 0. assignment
+    else begin
+      incr candidates;
+      let limit = st.bound in
+      let acc = ref 0. and i = ref 0 and over = ref false in
+      while (not !over) && !i < regions do
+        let r = !i in
+        acc :=
+          !acc
+          +.
+          if r < pins then
+            rcost_dims (if r = 0 then e1 else e2) leaf_rows.(r) leaf_cols.(r)
+          else snd (best_single leaf_rows.(r) leaf_cols.(r));
+        if !acc > limit then over := true;
+        incr i
+      done;
+      if !over then incr pruned
+      else if can_win !acc then
+        offer !acc
+          (choice p [ a; b ] (if pins = 1 then [ e1 ] else [ e1; e2 ]) None)
+    end
   in
   let score_choice_simulate (ch : choice) =
     match resolve ch with
@@ -318,24 +447,23 @@ let search ~scorer ~tracing ~setup (set : Kernel_set.t) (config : Config.t) op
       let load =
         Load.make ~regions ~footprint_bytes:(Operator.footprint_bytes op)
       in
-      record (Simulator.run set.hw load).cycles ch
+      let cycles = (Simulator.run set.hw load).cycles in
+      if can_win cycles then offer cycles ch
   in
-  let choice pattern cuts pins fill =
-    { c_pattern = pattern; c_cuts = cuts; c_pins = pins; c_fill = fill }
+  (* Under the oracle, a choice with free slots is enumerated once with
+     its free regions resolved and once per secondary kernel as a uniform
+     fill. *)
+  let simulate_free pattern cuts pins =
+    score_choice_simulate (choice pattern cuts pins None);
+    Array.iter
+      (fun e -> score_choice_simulate (choice pattern cuts pins (Some e)))
+      secondaries
   in
-  (* Under the oracle, a choice with free slots is additionally enumerated
-     with every secondary kernel as a uniform fill. *)
-  let consider ?(has_free = false) pattern cuts pins =
-    if not oracle then score_choice_model (choice pattern cuts pins None)
-    else begin
-      score_choice_simulate (choice pattern cuts pins None);
-      if has_free then
-        Array.iter
-          (fun e -> score_choice_simulate (choice pattern cuts pins (Some e)))
-          secondaries
-    end
+  let split p a b ~pins e1 e2 =
+    if oracle then simulate_free p [ a; b ] (if pins = 1 then [ e1 ] else [ e1; e2 ])
+    else split_leaf p a b ~pins e1 e2
   in
-  (* Fast allocation-free path for Pattern I. Under the analytic pruner
+  (* Pattern I scores are the precomputed [p1]. Under the analytic pruner
      only live entries whose precomputed cost can still matter are
      counted: a dominated entry loses to its dominator including the
      tie-break, and an entry strictly above the achievable bound cannot
@@ -343,105 +471,213 @@ let search ~scorer ~tracing ~setup (set : Kernel_set.t) (config : Config.t) op
   let pattern_one () =
     if not oracle then
       for i = 0 to n_entries - 1 do
-        if analytic && (not (live_ok i) || p1.(i) > !bound) then incr pruned_a
+        if analytic && ((not live.(i)) || p1.(i) > st.bound) then incr pruned_a
         else begin
           incr candidates;
-          record p1.(i) (choice I [] [ entries.(i) ] None)
+          if can_win p1.(i) then offer p1.(i) (choice I [] [ entries.(i) ] None)
         end
       done
     else
       Array.iter (fun e -> score_choice_simulate (choice I [] [ e ] None)) entries
   in
-  let pattern_two (e1 : Kernel_set.entry) =
+  (* Each primary's cut lists, derived once per search and shared by every
+     pattern that pins it. *)
+  let n_prim = Array.length primaries in
+  let style = config.cut_style in
+  let row_lists = Array.make n_prim None and col_lists = Array.make n_prim None in
+  let rows_of i =
+    match row_lists.(i) with
+    | Some l -> l
+    | None ->
+      let l =
+        row_cuts ~style primaries.(i) ~rows:m ~cols:n ~max_cuts:config.max_cuts
+      in
+      row_lists.(i) <- Some l;
+      l
+  in
+  let cols_of i =
+    match col_lists.(i) with
+    | Some l -> l
+    | None ->
+      let l =
+        col_cuts ~style primaries.(i) ~rows:m ~cols:n ~max_cuts:config.max_cuts
+      in
+      col_lists.(i) <- Some l;
+      l
+  in
+  let pattern_two i =
+    let e1 = primaries.(i) in
     List.iter
       (fun r ->
-        if oracle then consider ~has_free:true II [ r ] [ e1 ]
+        if oracle then simulate_free II [ r ] [ e1 ]
         else
           let c1 = rcost_dims e1 r n in
-          if analytic && c1 +. floor_cost (m - r) n > !bound then incr pruned_a
+          if analytic && c1 +. floor_cost (m - r) n > st.bound then incr pruned_a
           else begin
             incr candidates;
-            if c1 > !bound then incr pruned
+            if c1 > st.bound then incr pruned
             else begin
               let e2, c2 = best_single (m - r) n in
-              record (c1 +. c2) (choice II [ r ] [ e1; e2 ] None)
+              if can_win (c1 +. c2) then
+                offer (c1 +. c2) (choice II [ r ] [ e1; e2 ] None)
             end
           end)
-      (row_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts)
+      (rows_of i)
   in
-  let pattern_three (e1 : Kernel_set.entry) =
+  let pattern_three i =
+    let e1 = primaries.(i) in
     List.iter
       (fun c ->
-        if oracle then consider ~has_free:true III [ c ] [ e1 ]
+        if oracle then simulate_free III [ c ] [ e1 ]
         else
           let c1 = rcost_dims e1 m c in
-          if analytic && c1 +. floor_cost m (n - c) > !bound then incr pruned_a
+          if analytic && c1 +. floor_cost m (n - c) > st.bound then incr pruned_a
           else begin
             incr candidates;
-            if c1 > !bound then incr pruned
+            if c1 > st.bound then incr pruned
             else begin
               let e2, c2 = best_single m (n - c) in
-              record (c1 +. c2) (choice III [ c ] [ e1; e2 ] None)
+              if can_win (c1 +. c2) then
+                offer (c1 +. c2) (choice III [ c ] [ e1; e2 ] None)
             end
           end)
-      (col_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts)
+      (cols_of i)
   in
-  let two_cut_pattern pattern (e1 : Kernel_set.entry) =
-    let rcs = row_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts in
-    let ccs = col_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts in
+  (* Subtree bounds (analytic search only). A subtree is a pinned prefix
+     of exact cost [pinned] plus [regions] regions tiling a [rows×cols]
+     rest; when its floor strictly exceeds the incumbent, every leaf in it
+     fails its gate, and no leaf records anything, so the bound stays put
+     while the walk counts the leaves instead of visiting them. *)
+  let subtree_loses ~pinned ~regions ~rows ~cols =
+    match view with
+    | Some v ->
+      Strategy_space.subtree_floor v ~pinned ~icount ~regions ~rows ~cols
+      > st.bound
+    | None -> false
+  in
+  (* The strip a two-pin pattern pins to its primary at first cut [a],
+     and the rest its second kernel and free region share. *)
+  let strip_rows (p : Pattern.t) a = match p with VIII -> m | _ -> a in
+  let strip_cols (p : Pattern.t) a = match p with VIII -> a | _ -> n in
+  let rest_rows (p : Pattern.t) a = match p with VIII -> m | _ -> m - a in
+  let rest_cols (p : Pattern.t) a = match p with VIII -> n - a | _ -> n in
+  (* Leaves under the [j]-th distinct first cut of a two-pin pattern,
+     summed over the secondaries: Pattern VII cuts the rest's rows, VIII
+     and IX its columns, at most two cuts per secondary. Memoized in
+     [leaves_at] for the pattern. *)
+  let leaves_under (p : Pattern.t) fc leaves_at j =
+    if leaves_at.(j) >= 0 then leaves_at.(j)
+    else begin
+      let a = fc.vals.(j) in
+      let rows = rest_rows p a and cols = rest_cols p a in
+      let c = ref 0 in
+      for s = 0 to Array.length secondaries - 1 do
+        c :=
+          !c
+          +
+          match p with
+          | VII ->
+            Strategy_space.row_cut_count style secondaries.(s) ~rows ~cols
+              ~max_cuts:2
+          | _ ->
+            Strategy_space.col_cut_count style secondaries.(s) ~rows ~cols
+              ~max_cuts:2
+      done;
+      leaves_at.(j) <- !c;
+      !c
+    end
+  in
+  let cuts_on (p : Pattern.t) i = match p with VIII -> cols_of i | _ -> rows_of i in
+  let two_pin (p : Pattern.t) fc leaves_at i =
+    let e1 = primaries.(i) in
     List.iter
-      (fun r ->
-        List.iter (fun c -> consider ~has_free:true pattern [ r; c ] [ e1 ]) ccs)
-      rcs
+      (fun a ->
+        let rows = rest_rows p a and cols = rest_cols p a in
+        if
+          analytic
+          && subtree_loses
+               ~pinned:(rcost_dims e1 (strip_rows p a) (strip_cols p a))
+               ~regions:2 ~rows ~cols
+        then
+          pruned_a :=
+            !pruned_a + leaves_under p fc leaves_at (index_of fc.vals fc.size a 0)
+        else
+          Array.iter
+            (fun e2 ->
+              List.iter
+                (fun b ->
+                  (* VII and VIII cut the rest after the strip; IX cuts
+                     the bottom band's columns from the left edge. *)
+                  split p a (match p with IX -> b | _ -> a + b) ~pins:2 e1 e2)
+                (match p with
+                | VII -> row_cuts ~style e2 ~rows ~cols ~max_cuts:2
+                | _ -> col_cuts ~style e2 ~rows ~cols ~max_cuts:2))
+            secondaries)
+      (cuts_on p i)
+  in
+  (* The distinct first cuts per axis, built when a two-pin pattern
+     first needs them; VII and IX share the row table. *)
+  let row_firsts = ref None and col_firsts = ref None in
+  let firsts (p : Pattern.t) =
+    let table, lists_of =
+      match p with
+      | VIII -> (col_firsts, cols_of)
+      | _ -> (row_firsts, rows_of)
+    in
+    match !table with
+    | Some fc -> fc
+    | None ->
+      let fc = first_cuts (Array.init n_prim lists_of) in
+      table := Some fc;
+      fc
+  in
+  (* Leaves of a whole split pattern, for when its bound skips it. The
+     one-cut-per-axis patterns IV-VI share one grid count. *)
+  let grid_leaves = ref (-1) in
+  let over_primaries f =
+    let total = ref 0 in
+    for i = 0 to n_prim - 1 do
+      total := !total + f i
+    done;
+    !total
+  in
+  let one_pin_leaves (p : Pattern.t) =
+    match p with
+    | II -> over_primaries (fun i -> List.length (rows_of i))
+    | III -> over_primaries (fun i -> List.length (cols_of i))
+    | _ ->
+      if !grid_leaves < 0 then
+        grid_leaves :=
+          over_primaries (fun i ->
+              List.length (rows_of i) * List.length (cols_of i));
+      !grid_leaves
   in
   (* Patterns run in configuration order, each over its primaries in
      Pattern-I cost order. The pool's grain is whole shapes
      ({!search_batch}), never parts of one search, so the bound's
      evolution and with it every tally is deterministic. *)
   let explore (p : Pattern.t) =
-    let each f = Array.iter f primaries in
+    let each f = for i = 0 to n_prim - 1 do f i done in
+    let skipped () = subtree_loses ~pinned:0. ~regions:(regions p) ~rows:m ~cols:n in
     match p with
     | I -> pattern_one ()
+    | VII | VIII | IX ->
+      let fc = firsts p in
+      let leaves_at = Array.make fc.size (-1) in
+      if skipped () then
+        for j = 0 to fc.size - 1 do
+          pruned_a := !pruned_a + (fc.mult.(j) * leaves_under p fc leaves_at j)
+        done
+      else each (two_pin p fc leaves_at)
+    | _ when skipped () -> pruned_a := !pruned_a + one_pin_leaves p
     | II -> each pattern_two
     | III -> each pattern_three
-    | IV | V | VI -> each (two_cut_pattern p)
-    | VII ->
-      each (fun e1 ->
+    | IV | V | VI ->
+      each (fun i ->
+          let e1 = primaries.(i) in
           List.iter
-            (fun r1 ->
-              Array.iter
-                (fun (e2 : Kernel_set.entry) ->
-                  List.iter
-                    (fun dr ->
-                      if r1 + dr < m then
-                        consider ~has_free:true VII [ r1; r1 + dr ] [ e1; e2 ])
-                    (row_cuts ~style:config.cut_style e2 ~rows:(m - r1) ~cols:n ~max_cuts:2))
-                secondaries)
-            (row_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts))
-    | VIII ->
-      each (fun e1 ->
-          List.iter
-            (fun c1 ->
-              Array.iter
-                (fun (e2 : Kernel_set.entry) ->
-                  List.iter
-                    (fun dc ->
-                      if c1 + dc < n then
-                        consider ~has_free:true VIII [ c1; c1 + dc ] [ e1; e2 ])
-                    (col_cuts ~style:config.cut_style e2 ~rows:m ~cols:(n - c1) ~max_cuts:2))
-                secondaries)
-            (col_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts))
-    | IX ->
-      each (fun e1 ->
-          List.iter
-            (fun r ->
-              Array.iter
-                (fun (e2 : Kernel_set.entry) ->
-                  List.iter
-                    (fun c -> consider ~has_free:true IX [ r; c ] [ e1; e2 ])
-                    (col_cuts ~style:config.cut_style e2 ~rows:(m - r) ~cols:n ~max_cuts:2))
-                secondaries)
-            (row_cuts ~style:config.cut_style e1 ~rows:m ~cols:n ~max_cuts:config.max_cuts))
+            (fun r -> List.iter (fun c -> split p r c ~pins:1 e1 e1) (cols_of i))
+            (rows_of i))
   in
   let explore_traced (p : Pattern.t) =
     Tm.Tracer.with_span ("polymerize.pattern." ^ Pattern.to_string p)
@@ -456,7 +692,8 @@ let search ~scorer ~tracing ~setup (set : Kernel_set.t) (config : Config.t) op
   (* Pattern I is always feasible; make sure it was explored even when the
      configuration omits it and every split pattern degenerated. *)
   if Option.is_none !best then pattern_one ();
-  let cost, _, winner = match !best with Some x -> x | None -> assert false in
+  let winner = match !best with Some ch -> ch | None -> assert false in
+  let cost = st.best_cost in
   let assignment =
     match resolve winner with Some a -> a | None -> assert false
   in

@@ -65,6 +65,29 @@ val polymerize :
     all three preserve the total tie-break order, so the chosen program
     is bit-identical with pruning on or off.
 
+    The floors also reject whole subtrees before their leaves exist.
+    Before a split pattern with R regions is enumerated, one comparison
+    of [Strategy_space.subtree_floor] (R launches plus
+    [max(R·min_pipe, icount·m·n·vol_rate)]) against the incumbent
+    decides it; under Patterns VII–IX each (primary, first cut) subtree
+    is decided the same way from the pinned strip's exact cost plus the
+    floor of the rest. A region's exact cost is at least its own floor,
+    so the subtree floor bounds every leaf's gate; it is shaved by a
+    relative 1e-12, far above the rounding of a gate's three- or
+    four-term float sum, so it never exceeds a leaf's {e computed}
+    gate. A rejected subtree therefore holds only leaves the leaf gate
+    would have rejected one by one, none of which records anything, so
+    the incumbent does not move while it is skipped. The skipped leaves
+    are counted, not built: the product of the primary's row- and
+    column-cut counts for IV–VI, and for VII–IX a sum over first cuts of
+    the secondaries' second-cut counts ([Strategy_space.row_cut_count],
+    the walk that also yields the cut lists), computed once per distinct
+    first cut. [pruned_analytic], [candidates], [pruned] and [first_hit]
+    are exactly what a leaf-by-leaf walk gives. Surviving leaves are
+    gated from their cut positions alone; a [choice] is built only for a
+    candidate whose cost can win, and the 12 primaries are picked in
+    (Pattern-I cost, rank) order without sorting the set.
+
     Every search feeds the always-on [polymerize.*] metrics (search
     count, candidate and wall-time histograms, and the
     [polymerize.pruned_analytic] / [polymerize.pruned_bound] counters);

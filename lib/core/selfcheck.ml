@@ -8,7 +8,7 @@ type failure = {
 }
 
 let check_gemm ?(tolerance = 1e-3) ?(seed = 0) compiler ~m ~n ~k =
-  let op = Operator.gemm ~m ~n ~k () in
+  let op = Compiler.gemm compiler (m, n, k) in
   let compiled = Compiler.compile compiler op in
   let rng = Mikpoly_util.Prng.create (seed lxor (m + (31 * n) + (977 * k))) in
   let a = Tensor.create (Shape.of_list [ m; k ]) in
@@ -38,7 +38,7 @@ let check_prune ?config compiler ~m ~n ~k =
   let base =
     match config with Some c -> c | None -> Compiler.config compiler
   in
-  let op = Operator.gemm ~m ~n ~k () in
+  let op = Operator.gemm ~dtype:base.Config.dtype ~m ~n ~k () in
   let run analytic =
     Polymerize.polymerize (Compiler.kernels compiler)
       { base with Config.analytic_prune = analytic }

@@ -19,55 +19,75 @@ let ceil_div a b = (a + b - 1) / b
    survives — any smaller one has the same wave count for the primary
    strip but strictly more remainder work, so it can never win under the
    monotone Eq.-2 bound. *)
-let axis_cuts ?(style = `Wave_aligned) ~tile ~other_tile ~cap ~axis_len
-    ~other_len ~max_cuts () =
-  let q_full = axis_len / tile in
-  if q_full < 1 then []
-  else if style = `Remainder_only then begin
-    let cut = q_full * tile in
-    if cut > 0 && cut < axis_len then [ cut ] else []
-  end
+let rec walk_waves f acc ~tile ~tiles_other ~cap ~axis_len ~max_cuts ~count
+    ~last w =
+  if w < 1 then acc
   else begin
-    let tiles_other = ceil_div other_len other_tile in
-    let full_waves = ceil_div (q_full * tiles_other) cap in
-    let acc = ref [] and count = ref 0 in
-    (* The walk visits q values in non-increasing order, so a duplicate
-       can only equal the most recent cut — one comparison replaces the
-       O(cuts) membership scan of the old [List.mem] dedupe. *)
-    let last_added = ref max_int in
-    let add q =
-      if q >= 1 && q <= q_full then begin
-        let cut = q * tile in
-        if cut > 0 && cut < axis_len && cut < !last_added then begin
-          acc := cut :: !acc;
-          last_added := cut;
-          incr count
-        end
-      end
-    in
-    add q_full;
-    (* Walk wave boundaries downward; each step strictly shrinks q, so the
-       loop runs at most max_cuts iterations. *)
-    let w = ref (full_waves - 1) in
-    let continue = ref true in
-    while !continue && !w >= 1 && !count < max_cuts do
-      let q = !w * cap / tiles_other in
-      if q < 1 then continue := false
-      else begin
-        add q;
-        w := min (!w - 1) (ceil_div (q * tiles_other) cap - 1)
-      end
-    done;
-    List.rev !acc
+    let q = w * cap / tiles_other in
+    if q < 1 then acc
+    else begin
+      (* The walk visits q values in non-increasing order, so a duplicate
+         can only equal the most recent cut; [cut < axis_len] also keeps
+         q within the full-tile count. *)
+      let cut = q * tile in
+      let added = cut < axis_len && cut < last in
+      let acc = if added then f acc cut else acc in
+      let count = if added then count + 1 else count in
+      if count >= max_cuts then acc
+      else
+        (* The next wave boundary strictly below this strip's. *)
+        walk_waves f acc ~tile ~tiles_other ~cap ~axis_len ~max_cuts ~count
+          ~last:(if added then cut else last)
+          (Int.min (w - 1) (ceil_div (q * tiles_other) cap - 1))
+    end
   end
 
-let row_cuts ?style (e : Kernel_set.entry) ~rows ~cols ~max_cuts =
-  axis_cuts ?style ~tile:e.desc.um ~other_tile:e.desc.un ~cap:e.wave_capacity
-    ~axis_len:rows ~other_len:cols ~max_cuts ()
+(* The one cut walk: [f] sees each cut of the axis in order, largest
+   first. Lists and counts are both folds of it, and it allocates nothing
+   of its own, so counting a skipped subtree's cuts is integer work. *)
+let fold_axis_cuts style ~tile ~other_tile ~cap ~axis_len ~other_len ~max_cuts
+    f acc =
+  let q_full = axis_len / tile in
+  if q_full < 1 then acc
+  else begin
+    let full = q_full * tile in
+    let has_full = full < axis_len in
+    let acc = if has_full then f acc full else acc in
+    let count = if has_full then 1 else 0 in
+    match style with
+    | `Remainder_only -> acc
+    | `Wave_aligned when count >= max_cuts -> acc
+    | `Wave_aligned ->
+      (* Walk wave boundaries downward from the maximal full-tile cut. *)
+      let tiles_other = ceil_div other_len other_tile in
+      walk_waves f acc ~tile ~tiles_other ~cap ~axis_len ~max_cuts ~count
+        ~last:(if has_full then full else max_int)
+        (ceil_div (q_full * tiles_other) cap - 1)
+  end
 
-let col_cuts ?style (e : Kernel_set.entry) ~rows ~cols ~max_cuts =
-  axis_cuts ?style ~tile:e.desc.un ~other_tile:e.desc.um ~cap:e.wave_capacity
-    ~axis_len:cols ~other_len:rows ~max_cuts ()
+let fold_row_cuts style (e : Kernel_set.entry) ~rows ~cols ~max_cuts f acc =
+  fold_axis_cuts style ~tile:e.desc.um ~other_tile:e.desc.un
+    ~cap:e.wave_capacity ~axis_len:rows ~other_len:cols ~max_cuts f acc
+
+let fold_col_cuts style (e : Kernel_set.entry) ~rows ~cols ~max_cuts f acc =
+  fold_axis_cuts style ~tile:e.desc.un ~other_tile:e.desc.um
+    ~cap:e.wave_capacity ~axis_len:cols ~other_len:rows ~max_cuts f acc
+
+let cons acc cut = cut :: acc
+
+let succ acc _ = acc + 1
+
+let row_cuts ?(style = `Wave_aligned) e ~rows ~cols ~max_cuts =
+  List.rev (fold_row_cuts style e ~rows ~cols ~max_cuts cons [])
+
+let col_cuts ?(style = `Wave_aligned) e ~rows ~cols ~max_cuts =
+  List.rev (fold_col_cuts style e ~rows ~cols ~max_cuts cons [])
+
+let row_cut_count style e ~rows ~cols ~max_cuts =
+  fold_row_cuts style e ~rows ~cols ~max_cuts succ 0
+
+let col_cut_count style e ~rows ~cols ~max_cuts =
+  fold_col_cuts style e ~rows ~cols ~max_cuts succ 0
 
 (* ---- Kernel dominance skeleton ----
 
@@ -134,7 +154,6 @@ let skeleton (set : Kernel_set.t) =
 
 type view = {
   live : bool array;
-  n_live : int;
   min_pipe : float;  (** smallest [f_pipe] in the set for this K *)
   vol_rate : float;
       (** min over entries of [pipe / (um·un·cap)] — the best possible
@@ -146,12 +165,13 @@ let view sk (set : Kernel_set.t) ~pipe ~launch =
   if Array.length pipe <> sk.sk_n then
     invalid_arg "Strategy_space.view: pipe array does not match skeleton";
   let live = Array.make sk.sk_n true in
-  let n_live = ref sk.sk_n in
   for i = 0 to sk.sk_n - 1 do
-    if Array.exists (fun j -> pipe.(j) <= pipe.(i)) sk.sk_dominators.(i) then begin
-      live.(i) <- false;
-      decr n_live
-    end
+    let doms = sk.sk_dominators.(i) in
+    let j = ref 0 in
+    while !j < Array.length doms && not (pipe.(doms.(!j)) <= pipe.(i)) do
+      incr j
+    done;
+    if !j < Array.length doms then live.(i) <- false
   done;
   let min_pipe = ref infinity and vol_rate = ref infinity in
   for i = 0 to sk.sk_n - 1 do
@@ -162,7 +182,7 @@ let view sk (set : Kernel_set.t) ~pipe ~launch =
     in
     if r < !vol_rate then vol_rate := r
   done;
-  { live; n_live = !n_live; min_pipe = !min_pipe; vol_rate = !vol_rate;
+  { live; min_pipe = !min_pipe; vol_rate = !vol_rate;
     v_launch = launch }
 
 (* Pipeline-depth floor for a region: every kernel runs at least one wave
@@ -177,3 +197,30 @@ let region_floor v ~icount ~rows ~cols =
     (float_of_int icount *. float_of_int rows *. float_of_int cols
    *. v.vol_rate)
   +. v.v_launch
+
+(* Subtree floor: the pinned prefix's exact cost plus [regions] free
+   regions tiling a [rows×cols] rest. Summing {!region_floor} over the
+   regions gives at least [regions·launch + max(regions·min_pipe,
+   icount·rows·cols·vol_rate)], since a sum of maxima is at least the
+   max of the sums and the areas add up to the rest; a pinned region's
+   exact cost is at least its own floor ([⌈tasks/cap⌉·pipe >=
+   area·vol_rate] and [pipe >= min_pipe]). So the value bounds every
+   leaf gate of the subtree in real arithmetic. The gates add three or
+   four non-negative terms, each rounded, so a computed gate may sit a
+   few ulps below its real value: the floor is shaved by a relative
+   1e-12, far above that rounding, and it is never larger than a leaf's
+   computed gate. A negative pipeline prediction would break the
+   non-negativity this relies on; the floor is then [neg_infinity] and
+   never skips anything. *)
+let subtree_floor v ~pinned ~icount ~regions ~rows ~cols =
+  if v.min_pipe < 0. || v.v_launch < 0. || pinned < 0. then neg_infinity
+  else begin
+    let r = float_of_int regions in
+    let b =
+      pinned +. (r *. v.v_launch)
+      +. Float.max (r *. v.min_pipe)
+           (float_of_int icount *. float_of_int rows *. float_of_int cols
+          *. v.vol_rate)
+    in
+    b -. (1e-12 *. b)
+  end

@@ -19,6 +19,11 @@
       cycles-per-element rate in the set ({!region_floor}) — so a
       candidate whose pinned regions plus floored free regions already
       exceed an {e achievable} bound strictly can be skipped unscored.
+      Summed over a whole subtree of the search ({!subtree_floor}: a
+      split pattern, or a two-pin pattern's pinned first strip), the
+      floors reject every leaf of the subtree with one comparison, and
+      the search adds the subtree's leaf count ({!row_cut_count},
+      {!col_cut_count}) to its tally instead of visiting the leaves.
 
     All three preserve the search's total tie-break order, so pruned
     and unpruned searches choose bit-identical programs
@@ -42,6 +47,19 @@ val col_cuts :
   cols:int -> max_cuts:int -> int list
 (** {!row_cuts} on the column axis. *)
 
+val row_cut_count :
+  [ `Wave_aligned | `Remainder_only ] -> Kernel_set.entry -> rows:int ->
+  cols:int -> max_cuts:int -> int
+(** [List.length (row_cuts ~style e ~rows ~cols ~max_cuts)], from the same
+    walk that produces the list, without building it and without
+    allocating: the search counts the leaves of a skipped subtree with
+    it. *)
+
+val col_cut_count :
+  [ `Wave_aligned | `Remainder_only ] -> Kernel_set.entry -> rows:int ->
+  cols:int -> max_cuts:int -> int
+(** {!row_cut_count} on the column axis. *)
+
 type skeleton
 (** The K-independent half of kernel dominance for one kernel set: for
     each entry, the entries with tiles, wave capacity {e and} rank all
@@ -53,7 +71,6 @@ type view = {
   live : bool array;
       (** [live.(i)] — entry [i] is not dominated for this K and may
           appear in a winning program *)
-  n_live : int;
   min_pipe : float;
   vol_rate : float;
   v_launch : float;
@@ -69,3 +86,20 @@ val region_floor : view -> icount:int -> rows:int -> cols:int -> float
 (** Sound lower bound on the Eq.-2 cost of a [rows×cols] region
     (with [icount] batched instances) under {e any} kernel in the set,
     launch term included. *)
+
+val subtree_floor :
+  view -> pinned:float -> icount:int -> regions:int -> rows:int -> cols:int ->
+  float
+(** Lower bound on every leaf gate of a subtree of the search: a pinned
+    prefix of exact cost [pinned], plus [regions] regions of any kernels
+    tiling the [rows×cols] rest, is at least [pinned + regions·launch +
+    max(regions·min_pipe, icount·rows·cols·vol_rate)], the {!region_floor}s
+    summed over the rest. A pinned region's exact cost is at least its own
+    floor, so with [pinned = 0.] and the whole output this also bounds
+    every leaf of a split pattern. The result is shaved by a relative
+    1e-12, far above the rounding of the gates' three- or four-term float
+    sums, so it never exceeds a leaf's {e computed} gate: when it
+    strictly exceeds the incumbent, so does every leaf's gate, and the
+    search may count the subtree's leaves as pruned without visiting
+    them. [neg_infinity] (never skips) if a pipeline prediction, the
+    launch term or [pinned] is negative. *)

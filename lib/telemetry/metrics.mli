@@ -59,7 +59,9 @@ val histogram : ?registry:t -> ?buckets:float array -> string -> histogram
 
 val observe : histogram -> float -> unit
 (** Count the observation in the first bucket whose bound is [>=] the
-    value ([le] semantics), accumulating sum and count. *)
+    value ([le] semantics), accumulating sum and count. Lock-free and
+    domain-safe; a {!snapshot} taken while another domain observes may
+    see the bucket counted before the sum. *)
 
 (** {1 Snapshots} *)
 

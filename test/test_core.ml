@@ -831,6 +831,99 @@ let prop_prune_sound_npu =
       let pruned, unpruned = prune_arms (Lazy.force npu_compiler) shape in
       compiled_fingerprint pruned = compiled_fingerprint unpruned)
 
+(* The search counts a skipped subtree's leaves with [row_cut_count] /
+   [col_cut_count] and enumerates the others from [row_cuts] /
+   [col_cuts]; both are folds of one walk, so the count must be the
+   list's length for every entry of either platform, extent, cut budget
+   and cut style. *)
+let prop_cut_counts_match_lists =
+  QCheck.Test.make ~name:"cut counts equal cut-list lengths" ~count:500
+    QCheck.(
+      quad (int_range 0 1_000) (int_range 1 20_000) (int_range 1 20_000)
+        (pair (int_range 1 6) bool))
+    (fun (pick, rows, cols, (max_cuts, wave)) ->
+      let compiler = Lazy.force (if pick mod 2 = 0 then gpu_compiler else npu_compiler) in
+      let entries = (Compiler.kernels compiler).entries in
+      let e = entries.(pick / 2 mod Array.length entries) in
+      let style = if wave then `Wave_aligned else `Remainder_only in
+      Strategy_space.row_cut_count style e ~rows ~cols ~max_cuts
+      = List.length (Strategy_space.row_cuts ~style e ~rows ~cols ~max_cuts)
+      && Strategy_space.col_cut_count style e ~rows ~cols ~max_cuts
+         = List.length (Strategy_space.col_cuts ~style e ~rows ~cols ~max_cuts))
+
+(* A subtree is skipped when its floor strictly exceeds the incumbent,
+   which is sound only if the floor never exceeds the float sum a leaf's
+   own gate computes: pinned regions at their exact Eq.-2 cost, free
+   regions at their floor, added in region order. Checked for the
+   whole-pattern floor of Patterns IV (four regions) and V (three), and
+   for the (primary, first cut) floor of Pattern VII. *)
+let prop_subtree_floor_below_leaf_gates =
+  QCheck.Test.make ~name:"subtree floors never exceed a leaf gate" ~count:300
+    QCheck.(
+      quad (triple (int_range 2 16384) (int_range 2 16384) (int_range 16 16384))
+        (pair (int_range 0 1_000) (int_range 0 1_000))
+        (pair (int_range 1 16383) (int_range 1 16383))
+        (int_range 1 16383))
+    (fun ((m, n, k), (pick1, pick2), (a, b), d) ->
+      let a = 1 + (a mod (m - 1)) and b = 1 + (b mod (n - 1)) in
+      let compiler =
+        Lazy.force (if pick1 mod 2 = 0 then gpu_compiler else npu_compiler)
+      in
+      let set = Compiler.kernels compiler in
+      let hw = Compiler.hardware compiler in
+      let launch = hw.Hardware.launch_overhead_s *. hw.clock_hz in
+      let pipe = Array.map (fun e -> Cost_model.f_pipe e ~k_len:k) set.entries in
+      let v = Strategy_space.view (Strategy_space.skeleton set) set ~pipe ~launch in
+      let entry i = set.entries.(i mod Array.length set.entries) in
+      let e1 = entry (pick1 / 2) and e2 = entry pick2 in
+      let exact (e : Kernel_set.entry) rows cols =
+        (Cost_model.f_wave e ~rows ~cols *. pipe.(e.rank)) +. launch
+      in
+      let floor rows cols = Strategy_space.region_floor v ~icount:1 ~rows ~cols in
+      let whole regions =
+        Strategy_space.subtree_floor v ~pinned:0. ~icount:1 ~regions ~rows:m
+          ~cols:n
+      in
+      let gate_iv =
+        exact e1 a b +. floor a (n - b) +. floor (m - a) b +. floor (m - a) (n - b)
+      in
+      let gate_v = exact e1 a b +. floor a (n - b) +. floor (m - a) n in
+      let strip_ok =
+        a = m - 1
+        ||
+        let dr = 1 + (d mod (m - a - 1)) in
+        let c1 = exact e1 a n in
+        Strategy_space.subtree_floor v ~pinned:c1 ~icount:1 ~regions:2
+          ~rows:(m - a) ~cols:n
+        <= c1 +. exact e2 dr n +. floor (m - a - dr) n
+      in
+      whole 4 <= gate_iv && whole 3 <= gate_v && strip_ok)
+
+(* The search scores a split leaf from its cut positions, but emits the
+   winner through [Pattern.decompose]; the two must describe the same
+   regions, so the predicted cost is the emitted program's Eq.-2 cost
+   plus one launch per region. *)
+let prop_predicted_cost_is_program_cost =
+  QCheck.Test.make ~name:"predicted cost is the emitted program's cost"
+    ~count:40
+    QCheck.(
+      pair bool (triple (int_range 1 16384) (int_range 16 16384) (int_range 16 16384)))
+    (fun (on_gpu, (m, n, k)) ->
+      let compiler = Lazy.force (if on_gpu then gpu_compiler else npu_compiler) in
+      let set = Compiler.kernels compiler in
+      let hw = Compiler.hardware compiler in
+      let c =
+        Polymerize.polymerize ~instrument:false set (Compiler.config compiler)
+          (Compiler.gemm compiler (m, n, k))
+      in
+      let regions = List.length c.Polymerize.program.Program.regions in
+      let cost =
+        Cost_model.program_cost Cost_model.Full set c.Polymerize.program
+        +. (float_of_int regions *. hw.Hardware.launch_overhead_s *. hw.clock_hz)
+      in
+      Float.abs (cost -. c.Polymerize.predicted_cost)
+      <= 1e-9 *. c.Polymerize.predicted_cost)
+
 let test_prune_candidates_reduction () =
   (* The acceptance bar: analytic pruning must cut scored candidates at
      least 5x on the headline shapes while keeping the program. *)
@@ -968,6 +1061,34 @@ let test_search_tallies_pinned () =
     "42891228860247f73c959c50502d9c5e"
     (Digest.to_hex (Digest.string (String.concat "\n" lines)))
 
+(* The same digest over the benchmark's compile-cold distribution, where
+   the skipped subtrees are large and irregular: 300 log-uniform shapes
+   per device (M in [1, 16384], N and K in [16, 16384]) under the plain
+   model. Recorded before the search learned to skip whole subtrees. *)
+let test_search_tallies_pinned_cold () =
+  let rng = Mikpoly_util.Prng.create 0xC01D in
+  let shapes =
+    List.init 300 (fun _ ->
+        let m = Mikpoly_util.Prng.log_int_in rng 1 16384 in
+        let n = Mikpoly_util.Prng.log_int_in rng 16 16384 in
+        let k = Mikpoly_util.Prng.log_int_in rng 16 16384 in
+        (m, n, k))
+  in
+  let run compiler =
+    List.map
+      (fun (m, n, k) ->
+        search_tally
+          (Polymerize.polymerize ~instrument:false (Compiler.kernels compiler)
+             (Compiler.config compiler) (Compiler.gemm compiler (m, n, k))))
+      shapes
+  in
+  let lines =
+    run (Lazy.force gpu_compiler) @ run (Lazy.force npu_compiler)
+  in
+  Alcotest.(check string) "compile-cold tally digest"
+    "d3b581ef95e75a40646f55100d6285cd"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines)))
+
 let test_kernel_set_concurrent_create () =
   Kernel_set.clear_cache ();
   let config = Config.default gpu in
@@ -1100,6 +1221,9 @@ let () =
         [
           qtest prop_prune_sound_gpu;
           qtest prop_prune_sound_npu;
+          qtest prop_cut_counts_match_lists;
+          qtest prop_subtree_floor_below_leaf_gates;
+          qtest prop_predicted_cost_is_program_cost;
           Alcotest.test_case "candidates scored drop >= 5x" `Quick
             test_prune_candidates_reduction;
           Alcotest.test_case "selfcheck prune oracle" `Quick
@@ -1110,5 +1234,7 @@ let () =
             test_search_batch_shared_view_tallies;
           Alcotest.test_case "search tallies pinned" `Quick
             test_search_tallies_pinned;
+          Alcotest.test_case "search tallies pinned (compile-cold shapes)"
+            `Quick test_search_tallies_pinned_cold;
         ] );
     ]
