@@ -230,19 +230,19 @@ let earliest q time =
     Some
       (List.fold_left (fun acc tg -> Float.min acc (time tg)) infinity (Wfq.to_list q))
 
-(* Let the batcher rule on an offer taken from the queue: deferred
-   requests return to their lane heads. *)
+(* Let the batcher rule on an offer taken from the queue (distinct ids):
+   deferred requests return to their lane heads. *)
 let grant batcher q ~now ~in_flight offer =
   let table = Ids.create 8 in
   List.iter (fun tg -> Ids.replace table tg.Tenant.req.Request.id tg) offer;
   let tagged_of (req : Request.t) = Ids.find table req.Request.id in
-  let d =
-    Batcher.admit batcher ~now ~in_flight
-      ~waiting:(List.map (fun tg -> tg.Tenant.req) offer)
+  let d, deferred =
+    Batcher.admit_list batcher ~now ~in_flight
+      (List.map (fun tg -> tg.Tenant.req) offer)
   in
   List.iter
     (fun req -> Wfq.push_front q (tagged_of req))
-    (List.rev d.Batcher.deferred);
+    (List.rev deferred);
   (d, tagged_of)
 
 (* Event kinds in tie priority order: a crash preempts the arrival it

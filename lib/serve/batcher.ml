@@ -22,71 +22,156 @@ let validate p =
     invalid_arg "Batcher: negative timeout window"
   | _ -> ()
 
+module Heap = Mikpoly_util.Heap
+
+(* A waiting request. Under [Slo_aware] it sits in both heaps of its
+   queue: taking it through one clears [queued], and the other discards
+   it when it reaches the top. *)
+type entry = {
+  req : Request.t;
+  deadline : float;
+      (** [Request.deadline req], computed once so that a heap comparison
+          allocates nothing *)
+  mutable queued : bool;
+}
+
+(* Earliest deadline first, ties by id, given each request's deadline. *)
+let edf da (a : Request.t) db (b : Request.t) =
+  match Float.compare da db with 0 -> Int.compare a.id b.id | c -> c
+
+let compare_deadline a b = edf (Request.deadline a) a (Request.deadline b) b
+
+(* The order a policy admits in. *)
+let admits_by_deadline = function
+  | Slo_aware _ -> true
+  | Greedy _ | Timeout _ -> false
+
 type decision = {
   admitted : Request.t list;
-  deferred : Request.t list;
   dropped : Request.t list;
 }
 
-let take n xs =
-  let rec go n acc = function
-    | rest when n = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | x :: rest -> go (n - 1) (x :: acc) rest
-  in
-  go (max 0 n) [] xs
+let every _ = true
 
-let admit policy ~now ~in_flight ~waiting =
-  validate policy;
+(* Each policy's rule, stated once for both entry points. [take n ok]
+   removes at most [n] requests from the front of the policy's order
+   while [ok] holds for the front, and returns them in that order;
+   [length] requests are waiting. *)
+let decide policy ~now ~in_flight ~length take =
   let cap = max 0 (max_batch policy - in_flight) in
-  let by_arrival = List.stable_sort Request.compare_arrival waiting in
   match policy with
-  | Greedy _ ->
-    let admitted, deferred = take cap by_arrival in
-    { admitted; deferred; dropped = [] }
+  | Greedy _ -> { admitted = take cap every; dropped = [] }
   | Timeout { window; max_batch } ->
-    if List.length by_arrival + in_flight >= max_batch then
-      (* The queue alone fills the batch: no point waiting longer. *)
-      let admitted, deferred = take cap by_arrival in
-      { admitted; deferred; dropped = [] }
-    else
-      (* [now >= arrival +. window] (not [now -. arrival >= window]): the
-         event loop sleeps until exactly [arrival +. window], and the
-         subtracted form can round below [window] at that instant, which
-         would admit nothing and livelock the clock. *)
-      let eligible, young =
-        List.partition (fun (r : Request.t) -> now >= r.arrival +. window) by_arrival
-      in
-      let admitted, deferred = take cap eligible in
-      {
-        admitted;
-        deferred = List.stable_sort Request.compare_arrival (deferred @ young);
-        dropped = [];
-      }
+    (* A queue that alone fills the batch has no reason to wait longer.
+       Otherwise only requests whose window has passed are admitted, and
+       those are the oldest: [arrival +. window] is monotone in a finite
+       arrival. [now >= arrival +. window] (not [now -. arrival >=
+       window]): the event loop sleeps until exactly [arrival +. window],
+       and the subtracted form can round below [window] at that instant,
+       which would admit nothing and livelock the clock. *)
+    let aged =
+      if length + in_flight >= max_batch then every
+      else fun (r : Request.t) -> now >= r.arrival +. window
+    in
+    { admitted = take cap aged; dropped = [] }
   | Slo_aware _ ->
-    let live, dropped =
-      List.partition (fun r -> now < Request.deadline r) by_arrival
-    in
-    let edf =
-      List.stable_sort
-        (fun (a : Request.t) (b : Request.t) ->
-          match compare (Request.deadline a) (Request.deadline b) with
-          | 0 -> compare a.id b.id
-          | c -> c)
-        live
-    in
-    let admitted, deferred = take cap edf in
-    { admitted; deferred; dropped }
+    (* Every request past its deadline is shed, whatever [cap]: those
+       lead the deadline order. They are reported in arrival order. *)
+    let dropped = take max_int (fun r -> not (now < Request.deadline r)) in
+    let admitted = take cap every in
+    { admitted; dropped = List.sort Request.compare_arrival dropped }
 
-let next_eligible policy ~waiting =
-  match waiting with
-  | [] -> None
-  | _ ->
-    let min_arrival =
-      List.fold_left (fun acc (r : Request.t) -> min acc r.arrival) infinity waiting
-    in
-    (match policy with
-    | Greedy _ | Slo_aware _ -> Some min_arrival
+type queue = {
+  policy : policy;
+  by_arrival : entry Heap.t;  (** (arrival, id) *)
+  by_deadline : entry Heap.t;  (** (deadline, id); empty unless [Slo_aware] *)
+  mutable length : int;
+}
+
+let queue policy =
+  validate policy;
+  {
+    policy;
+    by_arrival =
+      Heap.create ~cmp:(fun a b -> Request.compare_arrival a.req b.req);
+    by_deadline =
+      Heap.create ~cmp:(fun a b -> edf a.deadline a.req b.deadline b.req);
+    length = 0;
+  }
+
+let length q = q.length
+
+(* The smallest entry of [h] still queued, once the entries the other
+   heap took are discarded. *)
+let rec front h =
+  match Heap.peek h with
+  | Some e when not e.queued ->
+    ignore (Heap.pop h);
+    front h
+  | first -> first
+
+let push q req =
+  let e = { req; deadline = Request.deadline req; queued = true } in
+  if admits_by_deadline q.policy then begin
+    (* Requests admitted or shed through the deadline heap leave the
+       arrival heap only from its top. Discarding them there on every
+       push bounds that heap by the requests pushed since the oldest one
+       still queued. *)
+    ignore (front q.by_arrival);
+    Heap.push q.by_deadline e
+  end;
+  Heap.push q.by_arrival e;
+  q.length <- q.length + 1
+
+(* Take at most [n] requests from the front of [h], in its order, while
+   [ok] holds for the front; [acc] holds those taken, last first. *)
+let rec take q h n ok acc =
+  match front h with
+  | Some e when n > 0 && ok e.req ->
+    ignore (Heap.pop h);
+    e.queued <- false;
+    q.length <- q.length - 1;
+    take q h (n - 1) ok (e.req :: acc)
+  | _ -> List.rev acc
+
+let pop_oldest q =
+  match take q q.by_arrival 1 every [] with [ r ] -> Some r | _ -> None
+
+let admit q ~now ~in_flight =
+  let h = if admits_by_deadline q.policy then q.by_deadline else q.by_arrival in
+  decide q.policy ~now ~in_flight ~length:q.length (fun n ok ->
+      take q h n ok [])
+
+(* [take] on a sorted list: the front of [!rest]. *)
+let rec take_list rest n ok acc =
+  match !rest with
+  | r :: tl when n > 0 && ok r ->
+    rest := tl;
+    take_list rest (n - 1) ok (r :: acc)
+  | _ -> List.rev acc
+
+(* A short list is cheaper to sort once in the policy's order than to
+   push through the heaps. *)
+let admit_list policy ~now ~in_flight reqs =
+  validate policy;
+  let rest =
+    ref
+      (List.sort
+         (if admits_by_deadline policy then compare_deadline
+          else Request.compare_arrival)
+         reqs)
+  in
+  let d =
+    decide policy ~now ~in_flight ~length:(List.length reqs) (fun n ok ->
+        take_list rest n ok [])
+  in
+  (d, !rest)
+
+let next_eligible q =
+  match front q.by_arrival with
+  | None -> None
+  | Some { req = { arrival; _ }; _ } -> (
+    match q.policy with
+    | Greedy _ | Slo_aware _ -> Some arrival
     | Timeout { window; max_batch } ->
-      if List.length waiting >= max_batch then Some min_arrival
-      else Some (min_arrival +. window))
+      if q.length >= max_batch then Some arrival else Some (arrival +. window))

@@ -326,6 +326,19 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
               fleet"
              i config.replicas))
     faults.Plan.crashes;
+  let ids = Hashtbl.create (List.length requests) in
+  List.iter
+    (fun (r : Request.t) ->
+      if not (Float.is_finite r.arrival) then
+        invalid_arg
+          (Printf.sprintf "Scheduler.run: request %d arrives at %g" r.id
+             r.arrival);
+      if Hashtbl.mem ids r.id then
+        invalid_arg
+          (Printf.sprintf "Scheduler.run: request id %d appears more than once"
+             r.id);
+      Hashtbl.add ids r.id ())
+    requests;
   (match resilience with
   | Some r ->
     Retry.validate r.retry;
@@ -341,12 +354,16 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
     Array.init config.replicas (fun index ->
         Replica.slot ~index ~capacity:config.cache_capacity)
   in
-  (* Per-replica FIFO queues, arrival order, and consecutive failed
-     attempts for backoff. *)
-  let waiting = Array.make config.replicas [] in
+  (* Per-replica waiting queues, and consecutive failed attempts for
+     backoff. *)
+  let waiting =
+    Array.init config.replicas (fun _ -> Batcher.queue config.batcher)
+  in
   let fail_streak = Array.make config.replicas 0 in
   let c = Replica.counters () in
-  let pending = ref (List.stable_sort Request.compare_arrival requests) in
+  (* The trace in (arrival, id) order: the keys are unique, so any sort
+     agrees. *)
+  let pending = ref (List.sort Request.compare_arrival requests) in
   let completed = ref [] in
   let dropped = ref [] in
   let rejected = ref [] in
@@ -383,27 +400,36 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
     timed_out := req :: !timed_out;
     Tm.Metrics.incr m_timed_out
   in
-  let outstanding i = List.length waiting.(i) + List.length reps.(i).act in
+  let outstanding i = Batcher.length waiting.(i) + List.length reps.(i).act in
   let assign req =
     (* Least outstanding work wins; ties go to the lowest index so the
        routing is deterministic. *)
-    let i = ref 0 in
-    Array.iteri (fun j _ -> if outstanding j < outstanding !i then i := j) reps;
-    let i = !i in
+    let i = ref 0 and least = ref (outstanding 0) in
+    for j = 1 to config.replicas - 1 do
+      let load = outstanding j in
+      if load < !least then begin
+        i := j;
+        least := load
+      end
+    done;
+    let q = waiting.(!i) in
     (* Load-shedding admission: a bounded queue refuses (or evicts) work
-       instead of letting latency grow without bound under overload. *)
+       instead of letting latency grow without bound under overload.
+       The evicted request is the smallest (arrival, id). Under [Greedy]
+       and [Timeout] that is also the head of line, the request pushed
+       longest ago: arrivals come in (arrival, id) order, admission takes
+       the smallest requests, and a crash puts back requests older than
+       everything still waiting. *)
     match resilience with
-    | Some res
-      when res.max_queue > 0 && List.length waiting.(i) >= res.max_queue -> (
+    | Some res when res.max_queue > 0 && Batcher.length q >= res.max_queue -> (
       match res.shed with
       | `Reject_new -> reject req "queue full"
-      | `Drop_oldest -> (
-        match waiting.(i) with
-        | oldest :: rest ->
-          reject oldest "queue full (dropped oldest)";
-          waiting.(i) <- rest @ [ req ]
-        | [] -> waiting.(i) <- [ req ]))
-    | _ -> waiting.(i) <- waiting.(i) @ [ req ]
+      | `Drop_oldest ->
+        Option.iter
+          (fun oldest -> reject oldest "queue full (dropped oldest)")
+          (Batcher.pop_oldest q);
+        Batcher.push q req)
+    | _ -> Batcher.push q req
   in
   (* Time at which a replica can next make progress, None if it is idle
      with an empty queue; a crashed replica makes no progress before its
@@ -415,7 +441,7 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
   let next_time (r : _ Replica.slot) =
     match
       Replica.ready_at r (fun () ->
-          Batcher.next_eligible config.batcher ~waiting:waiting.(r.index))
+          Batcher.next_eligible waiting.(r.index))
     with
     | Some t when t < !last_event -> Some !last_event
     | ready -> ready
@@ -441,7 +467,7 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
        re-polymerized after restart. *)
     retired_caches :=
       Replica.crash c r ~now ~restart_delay:faults.Plan.restart_delay
-        ~requeue:(fun q -> waiting.(i) <- q :: waiting.(i))
+        ~requeue:(Batcher.push waiting.(i))
       :: !retired_caches;
     fail_streak.(i) <- 0;
     if tracing then
@@ -451,10 +477,8 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
   let step (r : Request.t Replica.slot) ~now =
     let i = r.index in
     let d =
-      Batcher.admit config.batcher ~now ~in_flight:(List.length r.act)
-        ~waiting:waiting.(i)
+      Batcher.admit waiting.(i) ~now ~in_flight:(List.length r.act)
     in
-    waiting.(i) <- d.Batcher.deferred;
     dropped := List.rev_append d.Batcher.dropped !dropped;
     if d.Batcher.dropped <> [] then
       Tm.Metrics.add m_dropped (List.length d.Batcher.dropped);
@@ -472,7 +496,9 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
     Replica.admit r ~item:Fun.id d.Batcher.admitted;
     if r.act = [] then Replica.idle r ~now ~shed:(d.Batcher.dropped <> [])
     else begin
-      let queued = Array.fold_left (fun acc w -> acc + List.length w) 0 waiting in
+      let queued =
+        Array.fold_left (fun acc q -> acc + Batcher.length q) 0 waiting
+      in
       let b =
         Replica.batch c r ~queued ~bucketing:config.bucketing ~coalesce:false
           ~step_shapes:engine.step_shapes

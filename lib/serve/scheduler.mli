@@ -98,7 +98,8 @@ type resilience = {
   max_queue : int;  (** per-replica waiting-queue bound (0 = unbounded) *)
   shed : [ `Reject_new | `Drop_oldest ];
       (** what a full queue does: refuse the arrival, or evict its
-          oldest waiting request to make room *)
+          oldest waiting request — the smallest (arrival, id), whatever
+          order the batcher admits in — to make room *)
 }
 
 val default_resilience : resilience
@@ -155,7 +156,12 @@ val run :
     engine: the same configuration and trace produce the identical
     outcome. The empty trace yields an empty outcome. Raises
     [Invalid_argument] before the first event when a crash in [faults]
-    names a replica outside [0, replicas).
+    names a replica outside [0, replicas), when the batcher policy is
+    invalid, when two requests share an id, or when a request's arrival
+    is not finite: the waiting queues order requests by (arrival, id)
+    ({!Batcher.queue}). Queueing an arrival, and admitting or shedding
+    a request, costs O(log n) amortized in a queue of [n]; no arrival
+    or step walks a whole queue.
 
     [adapt] is polled once after every engine step; a positive return is
     online-adaptation work (drift-reaction recompiles) in seconds, charged

@@ -822,6 +822,40 @@ let test_crash_index_out_of_range () =
        "Scheduler.run: fault plan crashes replica -1 of a 2-replica fleet")
     (fun () -> run { Plan.none with crashes = [ (0.05, -1) ] })
 
+(* The waiting queues order requests by (arrival, id), so a trace with a
+   repeated id or an arrival that is not a finite number has no order:
+   rejected before the first event, naming the request. *)
+let run_trace requests =
+  ignore (Scheduler.run chaos_config (Scheduler.synthetic_engine ()) requests)
+
+let test_repeated_request_id () =
+  let requests = chaos_requests () in
+  let twin = { (List.nth requests 7) with Request.arrival = 0.9 } in
+  Alcotest.check_raises "a repeated id is rejected"
+    (Invalid_argument "Scheduler.run: request id 7 appears more than once")
+    (fun () -> run_trace (requests @ [ twin ]))
+
+let test_nan_arrival () =
+  let requests =
+    List.mapi
+      (fun i (r : Request.t) -> if i = 4 then { r with arrival = nan } else r)
+      (chaos_requests ())
+  in
+  Alcotest.check_raises "a NaN arrival is rejected"
+    (Invalid_argument "Scheduler.run: request 4 arrives at nan") (fun () ->
+      run_trace requests)
+
+let test_infinite_arrival () =
+  let requests =
+    List.mapi
+      (fun i (r : Request.t) ->
+        if i = 29 then { r with arrival = infinity } else r)
+      (chaos_requests ())
+  in
+  Alcotest.check_raises "an infinite arrival is rejected"
+    (Invalid_argument "Scheduler.run: request 29 arrives at inf") (fun () ->
+      run_trace requests)
+
 let () =
   Alcotest.run "fault"
     [
@@ -899,6 +933,10 @@ let () =
           Alcotest.test_case "crash requeue" `Quick test_crash_requeue;
           Alcotest.test_case "crash index out of range" `Quick
             test_crash_index_out_of_range;
+          Alcotest.test_case "repeated request id" `Quick
+            test_repeated_request_id;
+          Alcotest.test_case "NaN arrival" `Quick test_nan_arrival;
+          Alcotest.test_case "infinite arrival" `Quick test_infinite_arrival;
           Alcotest.test_case "canonical A/B gates" `Quick
             test_canonical_chaos_gates;
         ] );

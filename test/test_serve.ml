@@ -126,60 +126,69 @@ let test_bucketing_of_string_roundtrip () =
 
 (* --- Batcher --- *)
 
+let ids_of = List.map (fun (r : Request.t) -> r.id)
+
+let queue_of policy waiting =
+  let q = Batcher.queue policy in
+  List.iter (Batcher.push q) waiting;
+  q
+
 let test_greedy_admission () =
-  let waiting = [ req ~id:2 ~arrival:0.2 (); req ~id:1 ~arrival:0.1 () ] in
-  let d =
-    Batcher.admit (Batcher.Greedy { max_batch = 2 }) ~now:1.0 ~in_flight:1 ~waiting
+  let q =
+    queue_of
+      (Batcher.Greedy { max_batch = 2 })
+      [ req ~id:2 ~arrival:0.2 (); req ~id:1 ~arrival:0.1 () ]
   in
+  let d = Batcher.admit q ~now:1.0 ~in_flight:1 in
   Alcotest.(check (list int)) "oldest first, capped by in-flight" [ 1 ]
-    (List.map (fun (r : Request.t) -> r.id) d.Batcher.admitted);
+    (ids_of d.Batcher.admitted);
+  Alcotest.(check (list int)) "greedy never drops" [] (ids_of d.Batcher.dropped);
   Alcotest.(check (list int)) "rest deferred" [ 2 ]
-    (List.map (fun (r : Request.t) -> r.id) d.Batcher.deferred);
-  Alcotest.(check (list int)) "greedy never drops" []
-    (List.map (fun (r : Request.t) -> r.id) d.Batcher.dropped)
+    (ids_of (Option.to_list (Batcher.pop_oldest q)))
 
 let test_timeout_admission () =
   let p = Batcher.Timeout { max_batch = 4; window = 0.1 } in
-  let waiting = [ req ~id:1 ~arrival:0.0 (); req ~id:2 ~arrival:0.35 () ] in
+  let q = queue_of p [ req ~id:1 ~arrival:0.0 (); req ~id:2 ~arrival:0.35 () ] in
   (* Before the window elapses nothing is admitted... *)
-  let early = Batcher.admit p ~now:0.05 ~in_flight:0 ~waiting in
+  let early = Batcher.admit q ~now:0.05 ~in_flight:0 in
   Alcotest.(check int) "held back" 0 (List.length early.Batcher.admitted);
   (* ...at exactly the instant next_eligible reports, the oldest is. *)
   let t =
-    match Batcher.next_eligible p ~waiting with
+    match Batcher.next_eligible q with
     | Some t -> t
     | None -> Alcotest.fail "queue is non-empty"
   in
-  let d = Batcher.admit p ~now:t ~in_flight:0 ~waiting in
+  let d = Batcher.admit q ~now:t ~in_flight:0 in
   Alcotest.(check (list int)) "aged request admitted at next_eligible" [ 1 ]
-    (List.map (fun (r : Request.t) -> r.id) d.Batcher.admitted);
+    (ids_of d.Batcher.admitted);
   (* A queue that alone fills the batch is released immediately. *)
   let full =
-    List.init 4 (fun i -> req ~id:i ~arrival:(float_of_int i *. 1e-3) ())
+    queue_of p
+      (List.init 4 (fun i -> req ~id:i ~arrival:(float_of_int i *. 1e-3) ()))
   in
-  let d = Batcher.admit p ~now:0.004 ~in_flight:0 ~waiting:full in
+  let d = Batcher.admit full ~now:0.004 ~in_flight:0 in
   Alcotest.(check int) "full batch skips the window" 4
     (List.length d.Batcher.admitted)
 
 let test_slo_aware_admission () =
-  let p = Batcher.Slo_aware { max_batch = 2 } in
   let expired = req ~id:1 ~arrival:0.0 ~e2e:0.5 () in
   let tight = req ~id:2 ~arrival:0.8 ~e2e:0.4 () in
   let loose = req ~id:3 ~arrival:0.7 ~e2e:2.0 () in
-  let d = Batcher.admit p ~now:1.0 ~in_flight:0 ~waiting:[ loose; tight; expired ] in
-  Alcotest.(check (list int)) "expired request shed" [ 1 ]
-    (List.map (fun (r : Request.t) -> r.id) d.Batcher.dropped);
+  let q = queue_of (Batcher.Slo_aware { max_batch = 2 }) [ loose; tight; expired ] in
+  let d = Batcher.admit q ~now:1.0 ~in_flight:0 in
+  Alcotest.(check (list int)) "expired request shed" [ 1 ] (ids_of d.Batcher.dropped);
   Alcotest.(check (list int)) "earliest deadline first" [ 2; 3 ]
-    (List.map (fun (r : Request.t) -> r.id) d.Batcher.admitted)
+    (ids_of d.Batcher.admitted)
 
 let test_next_eligible () =
   Alcotest.(check (option (float 1e-9))) "empty queue" None
-    (Batcher.next_eligible (Batcher.Greedy { max_batch = 4 }) ~waiting:[]);
+    (Batcher.next_eligible (Batcher.queue (Batcher.Greedy { max_batch = 4 })));
   let waiting = [ req ~id:1 ~arrival:0.3 (); req ~id:2 ~arrival:0.6 () ] in
   Alcotest.(check (option (float 1e-9))) "greedy: earliest arrival" (Some 0.3)
-    (Batcher.next_eligible (Batcher.Greedy { max_batch = 4 }) ~waiting);
+    (Batcher.next_eligible (queue_of (Batcher.Greedy { max_batch = 4 }) waiting));
   Alcotest.(check (option (float 1e-9))) "timeout: arrival + window" (Some 0.4)
-    (Batcher.next_eligible (Batcher.Timeout { max_batch = 4; window = 0.1 }) ~waiting)
+    (Batcher.next_eligible
+       (queue_of (Batcher.Timeout { max_batch = 4; window = 0.1 }) waiting))
 
 let test_next_eligible_edges () =
   (* Empty queue: None for every policy — the only case with no event. *)
@@ -187,7 +196,7 @@ let test_next_eligible_edges () =
     (fun p ->
       Alcotest.(check (option (float 1e-9)))
         (Batcher.name p ^ ": empty queue") None
-        (Batcher.next_eligible p ~waiting:[]))
+        (Batcher.next_eligible (Batcher.queue p)))
     [
       Batcher.Greedy { max_batch = 4 };
       Batcher.Timeout { max_batch = 4; window = 0.1 };
@@ -196,28 +205,251 @@ let test_next_eligible_edges () =
   (* Timeout window expiring exactly at [now]: the instant next_eligible
      reports must admit — [now >= arrival +. window] is deliberately
      non-strict, else the event loop would livelock at that instant. *)
-  let p = Batcher.Timeout { max_batch = 4; window = 0.1 } in
-  let waiting = [ req ~id:1 ~arrival:0.3 () ] in
-  let at = Option.get (Batcher.next_eligible p ~waiting) in
+  let q =
+    queue_of
+      (Batcher.Timeout { max_batch = 4; window = 0.1 })
+      [ req ~id:1 ~arrival:0.3 () ]
+  in
+  let at = Option.get (Batcher.next_eligible q) in
   Alcotest.(check (float 1e-9)) "reported instant" 0.4 at;
-  let d = Batcher.admit p ~now:at ~in_flight:0 ~waiting in
+  let d = Batcher.admit q ~now:at ~in_flight:0 in
   Alcotest.(check (list int)) "admits at exactly the reported instant" [ 1 ]
-    (List.map (fun (r : Request.t) -> r.Request.id) d.Batcher.admitted);
+    (ids_of d.Batcher.admitted);
   (* Slo_aware with every waiting request past its deadline: the queue
      still has a pending event (the shed), so next_eligible must report
      the drop instant, not None — and admitting there drops them all. *)
-  let p = Batcher.Slo_aware { max_batch = 4 } in
-  let expired =
-    [ req ~id:1 ~arrival:0.1 ~e2e:0.5 (); req ~id:2 ~arrival:0.2 ~e2e:0.5 () ]
+  let q =
+    queue_of
+      (Batcher.Slo_aware { max_batch = 4 })
+      [ req ~id:1 ~arrival:0.1 ~e2e:0.5 (); req ~id:2 ~arrival:0.2 ~e2e:0.5 () ]
   in
   Alcotest.(check (option (float 1e-9)))
     "all-expired queue still reports an instant" (Some 0.1)
-    (Batcher.next_eligible p ~waiting:expired);
-  let d = Batcher.admit p ~now:5.0 ~in_flight:0 ~waiting:expired in
+    (Batcher.next_eligible q);
+  let d = Batcher.admit q ~now:5.0 ~in_flight:0 in
   Alcotest.(check int) "nothing admitted" 0 (List.length d.Batcher.admitted);
-  Alcotest.(check int) "nothing deferred" 0 (List.length d.Batcher.deferred);
-  Alcotest.(check (list int)) "both shed" [ 1; 2 ]
-    (List.sort compare (List.map (fun (r : Request.t) -> r.Request.id) d.Batcher.dropped))
+  Alcotest.(check int) "nothing deferred" 0 (Batcher.length q);
+  Alcotest.(check (list int)) "both shed" [ 1; 2 ] (ids_of d.Batcher.dropped)
+
+(* --- Batcher against the list reference ---
+
+   The reference is a plain list algorithm: every call re-sorts the
+   whole waiting list, and its loop keeps the list as it comes back
+   ([deferred]), appends arrivals and puts crash requeues in front. A
+   random operation sequence drives the reference and a queue in
+   lockstep; at every admission [admit_list] also rules on the
+   reference's list. *)
+
+module Reference = struct
+  type decision = {
+    admitted : Request.t list;
+    deferred : Request.t list;
+    dropped : Request.t list;
+  }
+
+  let take n xs =
+    let rec go n acc = function
+      | rest when n = 0 -> (List.rev acc, rest)
+      | [] -> (List.rev acc, [])
+      | x :: rest -> go (n - 1) (x :: acc) rest
+    in
+    go (max 0 n) [] xs
+
+  let admit policy ~now ~in_flight ~waiting =
+    let cap = max 0 (Batcher.max_batch policy - in_flight) in
+    let by_arrival = List.stable_sort Request.compare_arrival waiting in
+    match policy with
+    | Batcher.Greedy _ ->
+      let admitted, deferred = take cap by_arrival in
+      { admitted; deferred; dropped = [] }
+    | Batcher.Timeout { window; max_batch } ->
+      if List.length by_arrival + in_flight >= max_batch then
+        let admitted, deferred = take cap by_arrival in
+        { admitted; deferred; dropped = [] }
+      else
+        let eligible, young =
+          List.partition
+            (fun (r : Request.t) -> now >= r.arrival +. window)
+            by_arrival
+        in
+        let admitted, deferred = take cap eligible in
+        {
+          admitted;
+          deferred = List.stable_sort Request.compare_arrival (deferred @ young);
+          dropped = [];
+        }
+    | Batcher.Slo_aware _ ->
+      let live, dropped =
+        List.partition (fun r -> now < Request.deadline r) by_arrival
+      in
+      let edf =
+        List.stable_sort
+          (fun (a : Request.t) (b : Request.t) ->
+            match compare (Request.deadline a) (Request.deadline b) with
+            | 0 -> compare a.id b.id
+            | c -> c)
+          live
+      in
+      let admitted, deferred = take cap edf in
+      { admitted; deferred; dropped }
+
+  let next_eligible policy ~waiting =
+    match waiting with
+    | [] -> None
+    | _ -> (
+      let min_arrival =
+        List.fold_left
+          (fun acc (r : Request.t) -> min acc r.arrival)
+          infinity waiting
+      in
+      match policy with
+      | Batcher.Greedy _ | Batcher.Slo_aware _ -> Some min_arrival
+      | Batcher.Timeout { window; max_batch } ->
+        if List.length waiting >= max_batch then Some min_arrival
+        else Some (min_arrival +. window))
+end
+
+type queue_op =
+  | Push  (** the next request of the trace arrives *)
+  | Admit of float * int  (** the clock advances by dt; admit with in_flight *)
+  | Finish of int  (** the batch's first n requests complete *)
+  | Crash  (** the whole batch returns to the queue *)
+  | Drop_oldest
+
+let show_queue_op = function
+  | Push -> "push"
+  | Admit (dt, in_flight) -> Printf.sprintf "admit(+%g, %d)" dt in_flight
+  | Finish n -> Printf.sprintf "finish %d" n
+  | Crash -> "crash"
+  | Drop_oldest -> "drop-oldest"
+
+(* A policy, a trace of (arrival step, e2e) pairs and the operations. *)
+let arb_queue_case =
+  let open QCheck.Gen in
+  let policy =
+    int_range 1 8 >>= fun max_batch ->
+    oneof
+      [
+        return (Batcher.Greedy { max_batch });
+        map
+          (fun window -> Batcher.Timeout { max_batch; window })
+          (oneofl [ 0.; 2e-3; 8e-3 ]);
+        return (Batcher.Slo_aware { max_batch });
+      ]
+  in
+  let trace =
+    list_size (int_range 1 40)
+      (pair (oneofl [ 0.; 1e-3; 2.5e-3 ]) (oneofl [ 1e-3; 4e-3; 1e-2; 5e-2 ]))
+  in
+  let op =
+    frequency
+      [
+        (4, return Push);
+        ( 3,
+          map2
+            (fun dt n -> Admit (dt, n))
+            (oneofl [ 0.; 5e-4; 2e-3; 8e-3 ])
+            (int_bound 9) );
+        (1, map (fun n -> Finish n) (int_bound 4));
+        (1, return Crash);
+        (1, return Drop_oldest);
+      ]
+  in
+  let print (p, trace, ops) =
+    Printf.sprintf "policy=%s trace=%s ops=%s" (Batcher.name p)
+      QCheck.Print.(list (pair float float) trace)
+      (String.concat " " (List.map show_queue_op ops))
+  in
+  QCheck.make ~print (triple policy trace (list_size (int_range 1 100) op))
+
+(* Replay a case on the queue and on the reference; raise on the first
+   observation where they differ. *)
+let replay_queue_case (policy, steps, ops) =
+  let trace =
+    let clock = ref 0. in
+    Array.of_list
+      (List.mapi
+         (fun id (gap, e2e) ->
+           clock := !clock +. gap;
+           req ~id ~arrival:!clock ~e2e ())
+         steps)
+  in
+  let q = Batcher.queue policy in
+  let waiting = ref [] and batch = ref [] in
+  let next = ref 0 and now = ref 0. in
+  let fail what expected got =
+    QCheck.Test.fail_reportf "%s: reference %s, batcher %s" what expected got
+  in
+  let show_ids rs = QCheck.Print.(list int) (ids_of rs) in
+  let same what show expected got =
+    if expected <> got then fail what (show expected) (show got)
+  in
+  let observe () =
+    same "length" string_of_int (List.length !waiting) (Batcher.length q);
+    same "next_eligible"
+      QCheck.Print.(option float)
+      (Reference.next_eligible policy ~waiting:!waiting)
+      (Batcher.next_eligible q)
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Push ->
+        if !next < Array.length trace then begin
+          let r = trace.(!next) in
+          incr next;
+          now := Float.max !now r.Request.arrival;
+          waiting := !waiting @ [ r ];
+          Batcher.push q r
+        end
+      | Admit (dt, in_flight) ->
+        now := !now +. dt;
+        let expected =
+          Reference.admit policy ~now:!now ~in_flight ~waiting:!waiting
+        in
+        let listed, deferred =
+          Batcher.admit_list policy ~now:!now ~in_flight !waiting
+        in
+        same "admit_list admitted" show_ids expected.admitted
+          listed.Batcher.admitted;
+        same "admit_list dropped" show_ids expected.dropped
+          listed.Batcher.dropped;
+        same "admit_list deferred" show_ids expected.deferred deferred;
+        let got = Batcher.admit q ~now:!now ~in_flight in
+        same "admitted" show_ids expected.admitted got.Batcher.admitted;
+        same "dropped" show_ids expected.dropped got.Batcher.dropped;
+        waiting := expected.deferred;
+        batch := !batch @ expected.admitted
+      | Finish n -> batch := snd (Reference.take n !batch)
+      | Crash ->
+        waiting := !batch @ !waiting;
+        List.iter (Batcher.push q) !batch;
+        batch := []
+      | Drop_oldest -> (
+        (* Under [Slo_aware] the list is in deadline order after an
+           admit, so its head is not the oldest: compare with the
+           smallest (arrival, id) instead. *)
+        let oldest =
+          match policy with
+          | Batcher.Slo_aware _ ->
+            List.stable_sort Request.compare_arrival !waiting
+          | Batcher.Greedy _ | Batcher.Timeout _ -> !waiting
+        in
+        match oldest with
+        | [] ->
+          same "pop_oldest on empty" show_ids []
+            (Option.to_list (Batcher.pop_oldest q))
+        | r :: _ ->
+          same "pop_oldest" show_ids [ r ]
+            (Option.to_list (Batcher.pop_oldest q));
+          waiting := List.filter (fun x -> x != r) !waiting));
+      observe ())
+    ops;
+  true
+
+let prop_queue_matches_list =
+  QCheck.Test.make ~name:"batcher: same decisions as the list reference"
+    ~count:500 arb_queue_case replay_queue_case
 
 (* --- Scheduler + Metrics --- *)
 
@@ -729,27 +961,89 @@ let pinned_outcome () =
   Scheduler.run ~faults ~resilience:fast_retry config
     (Scheduler.synthetic_engine ()) trace
 
+let status_digest o =
+  Scheduler.statuses o
+  |> List.map (fun ((r : Request.t), st) ->
+         Printf.sprintf "%d=%s" r.id
+           (match st with
+           | Scheduler.Completed -> "completed"
+           | Scheduler.Rejected why -> "rejected:" ^ why
+           | Scheduler.Timed_out -> "timed_out"
+           | Scheduler.Failed why -> "failed:" ^ why))
+  |> List.sort compare |> String.concat "\n"
+  |> Mikpoly_util.Checksum.fnv1a64_hex
+
 let test_scheduler_pinned () =
   let o = pinned_outcome () in
-  let digest =
-    Scheduler.statuses o
-    |> List.map (fun ((r : Request.t), st) ->
-           Printf.sprintf "%d=%s" r.id
-             (match st with
-             | Scheduler.Completed -> "completed"
-             | Scheduler.Rejected why -> "rejected:" ^ why
-             | Scheduler.Timed_out -> "timed_out"
-             | Scheduler.Failed why -> "failed:" ^ why))
-    |> List.sort compare |> String.concat "\n"
-    |> Mikpoly_util.Checksum.fnv1a64_hex
-  in
   Alcotest.(check string)
     "fingerprint"
     "63880c8a738694bf steps=96 makespan=0x1.f6d00f19d1ea5p-2 \
      stall=0x1.54c985f06f696p-8 caches=480/16;102/2;38/2;122/6"
-    (fingerprint ~digest
+    (fingerprint ~digest:(status_digest o)
        ~steps:o.Scheduler.steps ~makespan:o.Scheduler.makespan
        ~stall:o.Scheduler.compile_stall_seconds o.Scheduler.cache)
+
+(* The same fingerprint, plus the summed queue depth, on a deep queue:
+   2 000 requests at several times the capacity of two replicas. The
+   mean depth is 498 waiting requests per step, and the SLO-aware
+   batcher sheds 918 of the 2 000. *)
+let test_overload_pinned () =
+  let o =
+    Scheduler.run
+      {
+        Scheduler.replicas = 2;
+        batcher = Batcher.Slo_aware { max_batch = 32 };
+        bucketing = Bucketing.Exact;
+        cache_capacity = 16;
+      }
+      (Scheduler.synthetic_engine ())
+      (Request.poisson ~seed:42 ~rate:5000. ~count:2000 ~max_prompt:32
+         ~max_output:16 ())
+  in
+  let depth =
+    float_of_int o.Scheduler.queue_depth_sum
+    /. float_of_int o.Scheduler.queue_samples
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "deep queue (mean depth %.0f)" depth)
+    true (depth >= 200.);
+  Alcotest.(check string)
+    "fingerprint"
+    "8b5886d8048afd59 steps=209 makespan=0x1.f7e531158f69cp-1 \
+     stall=0x1.38ef34d6a160dp-4 caches=646/186;644/196 queue=104113"
+    (Printf.sprintf "%s queue=%d"
+       (fingerprint ~digest:(status_digest o) ~steps:o.Scheduler.steps
+          ~makespan:o.Scheduler.makespan
+          ~stall:o.Scheduler.compile_stall_seconds o.Scheduler.cache)
+       o.Scheduler.queue_depth_sum)
+
+(* A full queue under [`Drop_oldest] evicts the request that arrived
+   first, whatever order the batcher admits in. Request 0 holds the only
+   batch slot while 1 and 2 wait; 2 has the earlier deadline, but 1
+   arrived first, so 1 makes room for 3. *)
+let test_drop_oldest_under_slo () =
+  let o =
+    Scheduler.run
+      ~resilience:
+        { Scheduler.default_resilience with max_queue = 2; shed = `Drop_oldest }
+      {
+        Scheduler.replicas = 1;
+        batcher = Batcher.Slo_aware { max_batch = 1 };
+        bucketing = Bucketing.Exact;
+        cache_capacity = 16;
+      }
+      (Scheduler.synthetic_engine ())
+      [
+        req ~id:0 ~arrival:0. ~e2e:100. ~output:8 ();
+        req ~id:1 ~arrival:1e-4 ~e2e:10. ();
+        req ~id:2 ~arrival:2e-4 ~e2e:1. ();
+        req ~id:3 ~arrival:5e-3 ~e2e:10. ();
+      ]
+  in
+  Alcotest.(check (list (pair int string)))
+    "the oldest waiting request is evicted"
+    [ (1, "queue full (dropped oldest)") ]
+    (List.map (fun ((r : Request.t), why) -> (r.id, why)) o.Scheduler.rejected)
 
 (* --- Pinned report ---
 
@@ -1023,6 +1317,7 @@ let () =
           Alcotest.test_case "next_eligible" `Quick test_next_eligible;
           Alcotest.test_case "next_eligible edge cases" `Quick
             test_next_eligible_edges;
+          QCheck_alcotest.to_alcotest prop_queue_matches_list;
         ] );
       ( "scheduler",
         [
@@ -1038,6 +1333,10 @@ let () =
           Alcotest.test_case "poisson trace" `Quick test_poisson_trace_properties;
           Alcotest.test_case "heavy-tail traces" `Quick test_heavy_tail_traces;
           Alcotest.test_case "pinned chaos outcome" `Quick test_scheduler_pinned;
+          Alcotest.test_case "pinned overload outcome" `Quick
+            test_overload_pinned;
+          Alcotest.test_case "drop oldest under SLO-aware" `Quick
+            test_drop_oldest_under_slo;
           Alcotest.test_case "pinned report" `Quick test_metrics_pinned;
           Alcotest.test_case "cache table per outcome" `Quick
             test_cache_table_per_outcome;
