@@ -10,7 +10,9 @@
    Usage: main.exe [--quick] [--only STAGE,...] [ids...]
 
    Stages, in run order: experiments, micro, telemetry (writes
-   BENCH_telemetry.json) and parallel (writes BENCH_parallel.json).
+   BENCH_telemetry.json) and parallel (writes BENCH_parallel.json: the
+   host's [recommended_domains], and per job count its
+   [effective_jobs], walls and candidate tallies).
    Every stage runs unless [--only] names a subset. A failing stage does
    not stop the others: each failure is printed and the run exits 1 at
    the end. [ids] restrict the experiments stage to those experiment
@@ -333,11 +335,13 @@ let run_parallel_bench () =
   in
   let n_shapes = Array.length ops in
   let batch ?(config = config) jobs =
-    Mikpoly_core.Polymerize.search_batch ~instrument:false ~jobs ~min_chunk:1
-      kernels config ops
+    Mikpoly_core.Polymerize.search_batch ~instrument:false ~jobs kernels config
+      ops
   in
   ignore (batch 1);
-  (* warm the domain pool, the allocator and the kernel-set cache *)
+  (* warm the allocator and the kernel-set cache; the first rep at a new
+     effective job count spawns its workers, and each level keeps its
+     fastest rep *)
   let reps = if quick then 2 else 3 in
   let sweep jobs =
     let wall = ref infinity in
@@ -458,7 +462,6 @@ let run_parallel_bench () =
       [
         ("suite", Json.String "table3_gemm");
         ("shapes", Json.Number (float_of_int n_shapes));
-        ("host_cores", Json.Number (float_of_int (Dp.host_cores ())));
         ( "recommended_domains",
           Json.Number (float_of_int (Domain.recommended_domain_count ())) );
         ( "pruning",

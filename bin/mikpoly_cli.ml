@@ -10,8 +10,7 @@ let set_jobs jobs =
   if jobs < 0 then (
     Printf.eprintf "bad --jobs: %d (expected 0 = auto or a positive count)\n" jobs;
     exit 2);
-  Mikpoly_util.Domain_pool.set_default_jobs
-    (if jobs = 0 then Mikpoly_util.Domain_pool.recommended_jobs () else jobs)
+  Mikpoly_util.Domain_pool.set_default_jobs jobs
 
 (* Process-wide PRNG seed default: subcommands with a --seed flag set it
    before building traces, and every [Prng.default_seed ~fallback] call
@@ -242,11 +241,12 @@ let serve jobs seed quick csv npu adapt_on replicas requests rate cache bucket
     match requests with Some n -> n | None -> if quick then 16 else 96
   in
   if replicas < 1 || count < 1 || cache < 0 || max_batch < 1
-     || not (rate > 0.) || not (window >= 0. && Float.is_finite window)
+     || not (rate > 0. && Float.is_finite rate)
+     || not (window >= 0. && Float.is_finite window)
   then begin
     Printf.eprintf
       "serve: need --replicas >= 1, --requests >= 1, --cache >= 0, \
-       --max-batch >= 1, --rate > 0 and a finite --window >= 0\n";
+       --max-batch >= 1, a finite --rate > 0 and a finite --window >= 0\n";
     exit 2
   end;
   let trace =
@@ -665,8 +665,8 @@ let jobs_arg =
         ~doc:
           "Worker domains for the parallel polymerization search, offline \
            tuning and serving precompile (0 = auto-detect, capped at 8; 1 \
-           = sequential). The chosen programs are identical for every \
-           value.")
+           = sequential). Counts above the host's cores are clamped to \
+           them. The chosen programs are identical for every value.")
 
 let csv_flag = Arg.(value & flag & info [ "csv" ] ~doc:"Emit tables as CSV.")
 

@@ -35,16 +35,25 @@ dune exec bin/mikpoly_cli.exe -- validate-trace "$trace_out"
 rm -f "$trace_out"
 
 echo "== multicore smoke test =="
-# The same serving and profiling paths under 4 worker domains: exercises
-# the parallel search, the concurrent precompile fan-out and the
-# domain-safe tracer; validate-trace checks the merged per-domain span
-# buffers still export a loadable Chrome trace.
+# The same serving and profiling paths at --jobs 4, which asks for 4
+# worker domains and gets at most the host's core count: exercises the
+# parallel search, the concurrent precompile fan-out and the domain-safe
+# tracer; validate-trace checks the merged per-domain span buffers still
+# export a loadable Chrome trace.
 dune exec bin/mikpoly_cli.exe -- serve --quick --jobs 4
 trace_out="${TMPDIR:-/tmp}/mikpoly_ci_trace_j4.json"
 dune exec bin/mikpoly_cli.exe -- profile serve --quick --jobs 4 --trace-out "$trace_out"
 test -s "$trace_out"
 dune exec bin/mikpoly_cli.exe -- validate-trace "$trace_out"
 rm -f "$trace_out"
+# A count far above the core count is clamped, not an error, and prints
+# what --jobs 1 prints.
+jobs_1="${TMPDIR:-/tmp}/mikpoly_ci_jobs_1"
+jobs_1000="${TMPDIR:-/tmp}/mikpoly_ci_jobs_1000"
+dune exec bin/mikpoly_cli.exe -- serve --quick --csv --jobs 1 > "$jobs_1"
+dune exec bin/mikpoly_cli.exe -- serve --quick --csv --jobs 1000 > "$jobs_1000"
+cmp "$jobs_1" "$jobs_1000"
+rm -f "$jobs_1" "$jobs_1000"
 
 echo "== adapt smoke test =="
 # The online-adaptation loop end to end on a tiny GEMM trace: compile,
@@ -221,6 +230,7 @@ rm -rf "$scratch_dir" "$scratch_fifo"
 expect_usage_error fleet --quick --store "$missing"
 expect_usage_error profile serve --quick --trace-out "$missing"
 expect_usage_error serve --quick --window=nan
+expect_usage_error serve --quick --rate=inf
 expect_usage_error serve --quick --batcher timeout --window=inf
 expect_usage_error adapt --quick --severity=nan
 expect_usage_error serve --quick --replicas abc

@@ -27,27 +27,13 @@ let size_tflops hw kd ~size =
 
 let generate ~n_gen ~n_syn ~n_mik ~n_pred ~dtype ~path ~codegen_eff
     ~rank_style hw =
-  let jobs = Mikpoly_util.Domain_pool.default_jobs () in
   (* Candidate scoring and g_predict learning are pure per-kernel maps —
-     the bulk of the offline stage — so they fan out over the shared
-     domain pool; each result lands at its own index, so the list is
-     identical to the sequential one. *)
+     the bulk of the offline stage — so they go through the domain pool;
+     each result lands at its own index, so the list is identical to the
+     sequential one. *)
   let pmap f l =
-    if jobs > 1 then begin
-      let arr = Array.of_list l in
-      let n = Array.length arr in
-      let out = Array.make n None in
-      (* Batched fan-out: coarse chunks amortize pool dispatch, and the
-         [min_chunk] floor keeps tiny candidate lists on the inline path
-         (zero dispatches) instead of paying per-element submissions. *)
-      Mikpoly_util.Domain_pool.parallel_for_batched
-        (Mikpoly_util.Domain_pool.global ~jobs ())
-        ~min_chunk:8 ~start:0 ~stop:n
-        (fun i -> out.(i) <- Some (f arr.(i)));
-      Array.to_list
-        (Array.map (function Some v -> v | None -> assert false) out)
-    end
-    else List.map f l
+    Array.to_list
+      (Mikpoly_util.Domain_pool.map ~min_chunk:8 f (Array.of_list l))
   in
   let candidates = Search_space.enumerate hw ~n_gen ~dtype ~path ~codegen_eff in
   let sizes = Array.of_list (synthetic_sizes ~n_syn) in

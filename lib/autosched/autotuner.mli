@@ -51,6 +51,6 @@ val generate :
   tuned list
 (** The full offline stage, best-ranked first. The paper's values of the
     hyper-parameters live in [Mikpoly_core.Config.default]. Candidate
-    scoring and [g_predict] learning run over the shared domain pool at
-    {!Mikpoly_util.Domain_pool.default_jobs} workers; the returned list
-    is identical for every job count. *)
+    scoring and [g_predict] learning run through
+    {!Mikpoly_util.Domain_pool.map} at the process default; the returned
+    list is identical for every job count. *)

@@ -228,8 +228,8 @@ let cached t op =
   locked t (fun () -> Hashtbl.mem t.cache (Operator.gemm_shape op))
 
 (* Bulk precompilation for warm stores. The distinct not-yet-cached
-   shapes go through one [Polymerize.search_batch] — per-shape pool
-   units, so the dispatch amortizes over the whole suite — and each
+   shapes go through one [Polymerize.search_batch] — whole shapes over
+   the domain pool, so a region amortizes over the whole suite — and each
    result is exactly what a cache-miss compile of that shape would have
    produced (same scorer, same config, deterministic search), with the
    same Full_search rung accounting. If the batch search

@@ -87,7 +87,7 @@ val cached : t -> Mikpoly_ir.Operator.t -> bool
 val warm : ?jobs:int -> t -> (int * int * int) list -> int
 (** [warm t shapes] precompiles every shape not already in the memo —
     the distinct misses go through one {!Polymerize.search_batch}
-    (per-shape pool units; [jobs] resolves and clamps like there), with
+    (whole shapes over the domain pool; [jobs] is passed to it), with
     per-shape fallback to the full degradation ladder if the batch
     fails — so a warmed program is exactly what the first cache-miss
     compile would have produced, and later [compile] calls for those

@@ -19,7 +19,7 @@ type t = {
    [cache_lock]. [create] holds the lock across the whole tuning pass:
    a second domain asking for the same platform blocks and then hits the
    memo, so the offline stage runs exactly once per (hw, config) — the
-   nested-submit fallback of {!Mikpoly_util.Domain_pool} keeps the
+   busy-pool fallback of {!Mikpoly_util.Domain_pool.map} keeps the
    pool-using autotuner from deadlocking while the lock is held. *)
 let cache : (string, t) Hashtbl.t = Hashtbl.create 8
 

@@ -20,8 +20,8 @@ val create : Mikpoly_accel.Hardware.t -> Config.t -> t
 (** Runs the offline stage (or returns the memoized result). Domain-safe:
     the memo is mutex-guarded and the lock is held across the tuning
     pass, so concurrent callers for the same (platform, config) tune
-    exactly once. Candidate evaluation inside the tuning pass runs on
-    {!Mikpoly_util.Domain_pool.default_jobs} workers. *)
+    exactly once. Candidate evaluation inside the tuning pass runs
+    through {!Mikpoly_util.Domain_pool.map} at the process default. *)
 
 val safe_generic : Mikpoly_accel.Hardware.t -> Config.t -> t
 (** The guaranteed-safe single-kernel set: one conservative 16×16×16

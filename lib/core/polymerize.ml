@@ -752,27 +752,15 @@ let polymerize ?(scorer = Model Cost_model.Full) ?(instrument = true)
     ~setup:(fun k -> setup ~scorer set config ~k)
     set config op
 
-(* Batched suite search: one pool region over whole shapes. Each shape's
+(* Batched suite search: one [Dp.map] over whole shapes. Each shape's
    search is independent and fully deterministic, so the result array is
    bit-identical to [Array.map (polymerize ...)] at every job count —
-   only wall-clock changes. The requested job count is clamped to the
-   cores that can actually run concurrently ([Dp.effective_jobs]):
-   over-subscribing a small host with worker domains is precisely the
-   slowdown the per-unit design suffered from. *)
-let search_batch ?(scorer = Model Cost_model.Full) ?(instrument = true) ?jobs
-    ?(min_chunk = 4) (set : Kernel_set.t) (config : Config.t) ops =
-  if min_chunk < 1 then
-    invalid_arg "Polymerize.search_batch: min_chunk must be >= 1";
-  let requested =
-    match jobs with
-    | Some j -> max 1 j
-    | None -> Dp.default_jobs ()
-  in
-  let ejobs = Dp.effective_jobs requested in
-  let n = Array.length ops in
+   only wall-clock changes. *)
+let search_batch ?(scorer = Model Cost_model.Full) ?(instrument = true)
+    ?(jobs = 0) (set : Kernel_set.t) (config : Config.t) ops =
   (* One {!setup} per distinct reduction extent, shared by every shape of
      the batch with that K. Setups are immutable once built; computing
-     them before the pool region keeps the parallel arm read-only. *)
+     them before the map keeps its bodies read-only. *)
   let setups = Hashtbl.create 8 in
   Array.iter
     (fun op ->
@@ -784,27 +772,15 @@ let search_batch ?(scorer = Model Cost_model.Full) ?(instrument = true) ?jobs
     instrumented ~scorer ~instrument ~setup:(Hashtbl.find setups) set config op
   in
   let run () =
-    if n = 0 then [||]
-    else begin
-      if instrument then Tm.Metrics.incr m_batches;
-      if ejobs <= 1 || n <= min_chunk then Array.map one ops
-      else begin
-        let res = Array.make n None in
-        Dp.parallel_for_batched
-          (Dp.global ~jobs:ejobs ())
-          ~min_chunk ~start:0 ~stop:n
-          (fun i -> res.(i) <- Some (one ops.(i)));
-        Array.map (function Some c -> c | None -> assert false) res
-      end
-    end
+    if instrument && Array.length ops > 0 then Tm.Metrics.incr m_batches;
+    Dp.map ~jobs ~min_chunk:4 one ops
   in
   if not (instrument && Tm.Tracer.enabled ()) then run ()
   else
     Tm.Tracer.with_span "polymerize.search_batch"
       ~attrs:
         [
-          ("shapes", string_of_int n);
-          ("search.jobs", string_of_int requested);
-          ("search.effective_jobs", string_of_int ejobs);
+          ("shapes", string_of_int (Array.length ops));
+          ("search.effective_jobs", string_of_int (Dp.effective_jobs jobs));
         ]
       run

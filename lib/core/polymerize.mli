@@ -97,21 +97,17 @@ val polymerize :
     the telemetry overhead benchmark. *)
 
 val search_batch :
-  ?scorer:scorer -> ?instrument:bool -> ?jobs:int -> ?min_chunk:int ->
+  ?scorer:scorer -> ?instrument:bool -> ?jobs:int ->
   Kernel_set.t -> Config.t -> Mikpoly_ir.Operator.t array -> compiled array
-(** Search a whole suite of shapes with the domain pool at per-shape
-    granularity: element [i] of the result is exactly what
+(** Search a whole suite of shapes with one
+    {!Mikpoly_util.Domain_pool.map} over whole shapes, at least 4 per
+    chunk: element [i] of the result is exactly what
     [polymerize ops.(i)] returns (each shape's search is independent and
     deterministic, so the array is bit-identical at every job count).
-    [jobs] (default: {!Mikpoly_util.Domain_pool.default_jobs}, the
-    CLI's [--jobs]) is clamped to the
-    host's concurrency ({!Mikpoly_util.Domain_pool.effective_jobs}) —
-    worker domains beyond the core count only add dispatch overhead.
-    Chunks carry at least [min_chunk] shapes (default 4) so dispatch
-    amortizes across many searches; batches of [<= min_chunk] shapes (or
-    an effective job count of 1) run inline with zero pool dispatches.
-    This is the entry the compiler's precompile paths, the fleet warm
-    store and the graph executor's compile stage go through. *)
+    [jobs] (default [0], the process default) is passed to the map
+    unchanged. This is the entry the compiler's precompile paths, the
+    fleet warm store and the graph executor's compile stage go
+    through. *)
 
 val modeled_search_seconds : compiled -> float
 (** Online overhead charged to end-to-end runs: a fixed dispatch cost plus

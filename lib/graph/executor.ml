@@ -60,10 +60,11 @@ type node_cost = {
 
 let node_costs bk bound =
   (* Warm the backend's compile path for every shape the bound graph
-     launches in one coarse batched search (per-shape pool units) before
-     the per-node sweep prices them — the sweep's [bk_compile] calls then
-     hit the compiler memo. Charged costs are identical either way; this
-     only moves the wall-clock work into one batch. *)
+     launches in one batched search (whole shapes over the domain pool,
+     at the process default's job count) before the per-node sweep
+     prices them — the sweep's [bk_compile] calls then hit the compiler
+     memo. Charged costs are identical either way; this only moves the
+     wall-clock work into one batch. *)
   ignore (bk.bk_precompile ~jobs:0 (Infer.distinct_shapes bound));
   let g = Infer.dag bound in
   let input_bytes (n : Dag.node) =

@@ -87,9 +87,13 @@ let check_lengths ~count ~max_prompt ~max_output =
   if max_prompt < 1 || max_output < 1 then
     invalid_arg "Request: max_prompt and max_output must be >= 1"
 
+(* An infinite rate would put every arrival at t = 0. *)
+let valid_rate r = r > 0. && Float.is_finite r
+
 let poisson ?(length_dist = Log_uniform) ?ttft_budget ?tpot_budget ~seed ~rate
     ~count ~max_prompt ~max_output () =
-  if rate <= 0. then invalid_arg "Request.poisson: rate must be positive";
+  if not (valid_rate rate) then
+    invalid_arg "Request.poisson: rate must be positive and finite";
   check_lengths ~count ~max_prompt ~max_output;
   validate_dist length_dist;
   let rng = Mikpoly_util.Prng.create seed in
@@ -101,8 +105,8 @@ let poisson ?(length_dist = Log_uniform) ?ttft_budget ?tpot_budget ~seed ~rate
 
 let bursty ?(length_dist = Log_uniform) ?ttft_budget ?tpot_budget ~seed
     ~base_rate ~burst_rate ~period ~duty ~count ~max_prompt ~max_output () =
-  if base_rate <= 0. || burst_rate <= 0. then
-    invalid_arg "Request.bursty: rates must be positive";
+  if not (valid_rate base_rate && valid_rate burst_rate) then
+    invalid_arg "Request.bursty: rates must be positive and finite";
   if period <= 0. || duty <= 0. || duty > 1. then
     invalid_arg "Request.bursty: need period > 0 and 0 < duty <= 1";
   check_lengths ~count ~max_prompt ~max_output;

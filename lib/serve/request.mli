@@ -54,7 +54,8 @@ val poisson :
   unit -> t list
 (** [count] requests with exponential inter-arrival times at [rate]
     requests/second; prompt and output lengths follow [length_dist]
-    (default [Log_uniform]) in [\[1, max\]]. Sorted by arrival. *)
+    (default [Log_uniform]) in [\[1, max\]]. Sorted by arrival. Raises
+    [Invalid_argument] unless [rate] is positive and finite. *)
 
 val bursty :
   ?length_dist:length_dist -> ?ttft_budget:float -> ?tpot_budget:float ->
@@ -63,4 +64,4 @@ val bursty :
 (** Piecewise-Poisson arrivals: within every [period] seconds the first
     [duty] fraction runs at [burst_rate], the remainder at [base_rate] —
     the diurnal / thundering-herd pattern serving systems must absorb.
-    Requires [0 < duty <= 1]. *)
+    Requires [0 < duty <= 1] and positive, finite rates. *)

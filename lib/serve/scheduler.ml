@@ -269,10 +269,9 @@ end)
 (* Warm the engine's compile path before the event loop: the bucketed
    token counts the batcher can admit map to a bounded set of GEMM
    shapes, which go through the engine's [precompile_batch] — one
-   coarse batched search with per-shape pool units, instead of the
-   per-shape pool dispatches this harness used before. The sequential
-   [compile_seconds] sweep afterwards fills the engine's stall memo from
-   the now-hot compiler cache. Purely a wall-clock optimization of the
+   batched search over whole shapes. The sequential [compile_seconds]
+   sweep afterwards fills the engine's stall memo from the now-hot
+   compiler cache. Purely a wall-clock optimization of the
    harness itself — replica shape caches are untouched, so the
    simulated outcome (compile stalls included) is bit-identical to a
    cold sequential run. Prefill steps can exceed the batch cap in
@@ -298,7 +297,7 @@ let precompile ~jobs ~n_requests config engine =
       ~attrs:
         [
           ("shapes", string_of_int (Array.length arr));
-          ("jobs", string_of_int jobs);
+          ("jobs", string_of_int (Dp.effective_jobs jobs));
         ]
       (fun () ->
         ignore (engine.precompile_batch ~jobs (Array.to_list arr));
@@ -345,8 +344,7 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
     if r.attempt_timeout <= 0. then
       invalid_arg "Scheduler.run: attempt_timeout must be positive"
   | None -> ());
-  let jobs = Dp.resolve_jobs jobs in
-  if jobs > 1 then
+  if Dp.effective_jobs jobs > 1 then
     precompile ~jobs ~n_requests:(List.length requests) config engine;
   let tracing = Tm.Tracer.enabled () in
   if tracing then Tm.Tracer.set_units ~track:serve_track ~per_second:1.0;

@@ -24,8 +24,8 @@ type engine = {
   precompile_batch : jobs:int -> (int * int * int) list -> int;
       (** warm the engine's compile path for a whole shape suite in one
           batched search ({!Mikpoly_core.Compiler.warm} →
-          [Polymerize.search_batch]: per-shape pool units, [jobs]
-          clamped to host concurrency); returns the number of fresh
+          [Polymerize.search_batch], [jobs] passed through to
+          {!Mikpoly_util.Domain_pool.map}); returns the number of fresh
           compiles. Purely a wall-clock optimization of the harness —
           modeled stalls and simulated outcomes are unchanged. *)
 }
@@ -173,10 +173,11 @@ val run :
 
     [jobs] ([0], the default, inherits
     {!Mikpoly_util.Domain_pool.default_jobs}; [1] forces sequential)
-    controls a concurrent precompile phase: with [jobs > 1] the GEMM
-    shapes reachable from the batcher's admissible bucketed token counts
-    (decode batches up to [min max_batch (List.length requests)]) are
-    compiled up front on [jobs] worker domains through the engine's
+    controls a concurrent precompile phase: when
+    [Domain_pool.effective_jobs jobs > 1], the GEMM shapes reachable
+    from the batcher's admissible bucketed token counts (decode batches
+    up to [min max_batch (List.length requests)]) are compiled up front
+    through [engine.precompile_batch ~jobs] and the engine's
     mutex-guarded memos, before the (inherently sequential) event loop
     runs. This accelerates the harness's wall clock only — the simulated
     outcome, including per-replica compile stalls, is identical for

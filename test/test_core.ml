@@ -773,13 +773,13 @@ let check_jobs_invariant ?scorer compiler cases =
            Operator.gemm ~m:case.m ~n:case.n ~k:case.k ())
          cases)
   in
-  let at ?min_chunk jobs =
+  let at jobs =
     Array.to_list
       (Array.map search_tally
-         (Polymerize.search_batch ?scorer ~instrument:false ~jobs ?min_chunk
-            kernels config ops))
+         (Polymerize.search_batch ?scorer ~instrument:false ~jobs kernels config
+            ops))
   in
-  Alcotest.(check (list string)) "jobs=1 vs jobs=4" (at 1) (at ~min_chunk:1 4)
+  Alcotest.(check (list string)) "jobs=1 vs jobs=4" (at 1) (at 4)
 
 let test_parallel_search_deterministic_gpu () =
   let cases =
@@ -800,6 +800,46 @@ let test_parallel_oracle_deterministic () =
   in
   check_jobs_invariant ~scorer:Polymerize.Simulate (Lazy.force gpu_compiler)
     cases
+
+(* The regression test for [~jobs:0] ("the process default"), which
+   [search_batch] used to run on one domain. A pass-through calibration
+   records the domains that score candidates; until a second domain has
+   scored one it makes every caller wait (up to 5 s), so a batch that can
+   run on two domains does. *)
+let test_search_batch_jobs0_inherits () =
+  let module Dp = Mikpoly_util.Domain_pool in
+  if Domain.recommended_domain_count () >= 2 then begin
+    let compiler = Lazy.force gpu_compiler in
+    let seen = Atomic.make [] in
+    let rec note d =
+      let l = Atomic.get seen in
+      if not (List.mem d l || Atomic.compare_and_set seen l (d :: l)) then note d
+    in
+    let t0 = Unix.gettimeofday () in
+    let correction _ x =
+      note (Domain.self () :> int);
+      while
+        List.length (Atomic.get seen) < 2 && Unix.gettimeofday () -. t0 < 5.
+      do
+        Domain.cpu_relax ()
+      done;
+      x
+    in
+    let ops =
+      Array.init 64 (fun i -> Operator.gemm ~m:(64 + i) ~n:256 ~k:128 ())
+    in
+    let saved = Dp.default_jobs () in
+    Dp.set_default_jobs 2;
+    Fun.protect
+      ~finally:(fun () -> Dp.set_default_jobs saved)
+      (fun () ->
+        ignore
+          (Polymerize.search_batch ~scorer:(Polymerize.Calibrated correction)
+             ~instrument:false ~jobs:0 (Compiler.kernels compiler)
+             (Compiler.config compiler) ops));
+    Alcotest.(check int) "domains that searched" 2
+      (List.length (Atomic.get seen))
+  end
 
 (* --- Analytic pruning soundness and batched search (this PR) --- *)
 
@@ -972,19 +1012,16 @@ let test_search_batch_matches_polymerize () =
         compiled_fingerprint (Polymerize.polymerize ~instrument:false set config op))
       ops
   in
-  let at ?min_chunk jobs =
+  let at jobs =
     Array.map compiled_fingerprint
-      (Polymerize.search_batch ~instrument:false ~jobs ?min_chunk set config ops)
+      (Polymerize.search_batch ~instrument:false ~jobs set config ops)
   in
   Alcotest.(check bool) "jobs=1 matches per-shape polymerize" true
     (at 1 = expect);
   Alcotest.(check bool) "jobs=4 matches per-shape polymerize" true
-    (at ~min_chunk:1 4 = expect);
+    (at 4 = expect);
   Alcotest.(check int) "empty batch" 0
-    (Array.length (Polymerize.search_batch ~jobs:4 set config [||]));
-  Alcotest.check_raises "min_chunk validated"
-    (Invalid_argument "Polymerize.search_batch: min_chunk must be >= 1")
-    (fun () -> ignore (Polymerize.search_batch ~min_chunk:0 set config ops))
+    (Array.length (Polymerize.search_batch ~jobs:4 set config [||]))
 
 (* Shapes sharing one reduction extent share one [Strategy_space.view]
    inside [search_batch]; sharing is a pure memoization, so every search
@@ -1016,11 +1053,52 @@ let test_search_batch_shared_view_tallies () =
   in
   let batched =
     Array.map tallies
-      (Polymerize.search_batch ~instrument:false ~jobs:1 ~min_chunk:1 set
-         config ops)
+      (Polymerize.search_batch ~instrument:false ~jobs:1 set config ops)
   in
   Alcotest.(check bool) "tallies identical under shared views" true
     (batched = expect)
+
+(* The Table-3 pruning oracle that [bench/main.exe --only parallel]
+   prints: over the 284-shape quick suite (every 4th Table-3 case, A100),
+   the pruned search scores 546 candidates and skips 13 839 unscored, and
+   the unpruned one scores 14 385 and picks the same programs — at jobs 1
+   and at jobs 4, every tally identical across the two. *)
+let test_table3_pruning_oracle () =
+  let compiler = Lazy.force gpu_compiler in
+  let set = Compiler.kernels compiler and config = Compiler.config compiler in
+  let ops =
+    Mikpoly_workloads.Suite.table3_gemm ()
+    |> List.filteri (fun i _ -> i mod 4 = 0)
+    |> List.map (fun (c : Mikpoly_workloads.Gemm_case.t) ->
+           Operator.gemm ~m:c.m ~n:c.n ~k:c.k ())
+    |> Array.of_list
+  in
+  Alcotest.(check int) "shapes" 284 (Array.length ops);
+  let unpruned = { config with Config.analytic_prune = false } in
+  let sum field cs = Array.fold_left (fun a c -> a + field c) 0 cs in
+  let scored = sum (fun (c : Polymerize.compiled) -> c.candidates) in
+  let skipped = sum (fun (c : Polymerize.compiled) -> c.pruned_analytic) in
+  let programs =
+    Array.map (fun (c : Polymerize.compiled) -> Program.to_string c.program)
+  in
+  let at config jobs =
+    Polymerize.search_batch ~instrument:false ~jobs set config ops
+  in
+  let p1 = at config 1 and p4 = at config 4 in
+  let u1 = at unpruned 1 and u4 = at unpruned 4 in
+  List.iter
+    (fun (label, p, u) ->
+      Alcotest.(check int) (label ^ ": scored") 546 (scored p);
+      Alcotest.(check int) (label ^ ": skipped unscored") 13_839 (skipped p);
+      Alcotest.(check int) (label ^ ": unpruned scored") 14_385 (scored u);
+      Alcotest.(check (array string))
+        (label ^ ": unpruned programs")
+        (programs p) (programs u))
+    [ ("jobs 1", p1, u1); ("jobs 4", p4, u4) ];
+  Alcotest.(check (array string)) "pruned tallies jobs 1 = jobs 4"
+    (Array.map search_tally p1) (Array.map search_tally p4);
+  Alcotest.(check (array string)) "unpruned tallies jobs 1 = jobs 4"
+    (Array.map search_tally u1) (Array.map search_tally u4)
 
 (* Every search statistic — program, exact predicted cost, candidates
    scored, both prune tallies and the first-hit index — digested over a
@@ -1214,6 +1292,8 @@ let () =
             test_parallel_search_deterministic_npu;
           Alcotest.test_case "oracle scorer jobs-invariant" `Quick
             test_parallel_oracle_deterministic;
+          Alcotest.test_case "~jobs:0 inherits the default" `Quick
+            test_search_batch_jobs0_inherits;
           Alcotest.test_case "concurrent offline create tunes once" `Quick
             test_kernel_set_concurrent_create;
         ] );
@@ -1232,6 +1312,8 @@ let () =
             test_search_batch_matches_polymerize;
           Alcotest.test_case "shared views leave tallies unchanged" `Quick
             test_search_batch_shared_view_tallies;
+          Alcotest.test_case "Table-3 pruning oracle pinned" `Quick
+            test_table3_pruning_oracle;
           Alcotest.test_case "search tallies pinned" `Quick
             test_search_tallies_pinned;
           Alcotest.test_case "search tallies pinned (compile-cold shapes)"

@@ -616,7 +616,24 @@ let test_poisson_trace_properties () =
     Request.bursty ~seed:7 ~base_rate:5. ~burst_rate:100. ~period:1. ~duty:0.25
       ~count:40 ~max_prompt:16 ~max_output:4 ()
   in
-  Alcotest.(check int) "bursty count" 40 (List.length bursty)
+  Alcotest.(check int) "bursty count" 40 (List.length bursty);
+  (* An infinite rate would put every arrival at t = 0. *)
+  List.iter
+    (fun rate ->
+      Alcotest.check_raises
+        (Printf.sprintf "poisson rate %g rejected" rate)
+        (Invalid_argument "Request.poisson: rate must be positive and finite")
+        (fun () ->
+          ignore
+            (Request.poisson ~seed:42 ~rate ~count:4 ~max_prompt:32
+               ~max_output:6 ())))
+    [ infinity; nan; 0. ];
+  Alcotest.check_raises "bursty infinite rate rejected"
+    (Invalid_argument "Request.bursty: rates must be positive and finite")
+    (fun () ->
+      ignore
+        (Request.bursty ~seed:7 ~base_rate:5. ~burst_rate:infinity ~period:1.
+           ~duty:0.25 ~count:4 ~max_prompt:16 ~max_output:4 ()))
 
 let test_heavy_tail_traces () =
   let gen dist =

@@ -229,11 +229,13 @@ let test_noop_overhead_under_5_percent () =
 let test_parallel_spans_recorded () =
   with_tracer (fun () ->
       let n = 24 in
-      Mikpoly_util.Domain_pool.with_pool ~jobs:4 (fun pool ->
-          Mikpoly_util.Domain_pool.parallel_for pool ~start:0 ~stop:n (fun i ->
-              Tracer.with_span
-                ("work." ^ string_of_int i)
-                (fun () -> Tracer.annotate "i" (string_of_int i))));
+      ignore
+        (Mikpoly_util.Domain_pool.map ~jobs:4 ~min_chunk:1
+           (fun i ->
+             Tracer.with_span
+               ("work." ^ string_of_int i)
+               (fun () -> Tracer.annotate "i" (string_of_int i)))
+           (Array.init n Fun.id));
       (* every body's span was captured, none corrupted, ids all unique *)
       let spans = Tracer.spans () in
       let work =

@@ -1,5 +1,5 @@
 (* Tests for the utility substrate: PRNG, statistics, piecewise-linear
-   fitting, heap and table rendering. *)
+   fitting, heap, table rendering and the domain pool. *)
 
 open Mikpoly_util
 
@@ -353,123 +353,203 @@ let test_table_fmt () =
 
 (* --- Domain_pool --- *)
 
-let test_pool_parallel_for_covers () =
-  Domain_pool.with_pool ~jobs:4 (fun pool ->
-      let n = 1000 in
-      let acc = Array.make n 0 in
-      Domain_pool.parallel_for pool ~start:0 ~stop:n (fun i ->
-          acc.(i) <- (i * i) + 1);
-      Alcotest.(check bool) "every index ran exactly once" true
-        (acc = Array.init n (fun i -> (i * i) + 1)))
+exception Boom of int
 
-exception Boom
+let with_default_jobs d f =
+  let saved = Domain_pool.default_jobs () in
+  Domain_pool.set_default_jobs d;
+  Fun.protect ~finally:(fun () -> Domain_pool.set_default_jobs saved) f
+
+let self () = (Domain.self () :> int)
+
+(* The sorted ids of the domains a map over [n] elements ran bodies on.
+   With [~meet], the body of element 0 waits (up to 5 s) until a second
+   domain has run a body, so a map that can use two domains does; with
+   [~pause], every body sleeps 0.2 ms, so every worker that wakes claims
+   a chunk. *)
+let domains_used ?jobs ?(meet = false) ?(pause = false) ~min_chunk n =
+  let seen = Atomic.make [] in
+  let rec note d =
+    let l = Atomic.get seen in
+    if not (List.mem d l || Atomic.compare_and_set seen l (d :: l)) then note d
+  in
+  let t0 = Unix.gettimeofday () in
+  ignore
+    (Domain_pool.map ?jobs ~min_chunk
+       (fun i ->
+         note (self ());
+         if pause then Unix.sleepf 2e-4;
+         if meet && i = 0 then
+           while
+             List.length (Atomic.get seen) < 2 && Unix.gettimeofday () -. t0 < 5.
+           do
+             Domain.cpu_relax ()
+           done)
+       (Array.init n Fun.id));
+  List.sort compare (Atomic.get seen)
+
+let multicore = Domain.recommended_domain_count () >= 2
+
+let prop_map_is_array_map =
+  QCheck.Test.make ~name:"map: equals Array.map and recovers" ~count:100
+    QCheck.(
+      quad
+        (list_of_size Gen.(0 -- 300) small_int)
+        (int_range 0 8) (int_range 1 16) small_nat)
+    (fun (xs, jobs, min_chunk, k) ->
+      let a = Array.of_list xs in
+      let n = Array.length a in
+      let f x = (x * x) + 1 in
+      let same () = Domain_pool.map ~jobs ~min_chunk f a = Array.map f a in
+      let reraised () =
+        n = 0
+        ||
+        let bad = k mod n in
+        match
+          Domain_pool.map ~jobs ~min_chunk
+            (fun i -> if i = bad then raise (Boom i) else i)
+            (Array.init n Fun.id)
+        with
+        | _ -> false
+        | exception Boom i -> i = bad
+      in
+      same () && reraised () && same ())
 
 let test_pool_exception_propagates_and_drains () =
-  Domain_pool.with_pool ~jobs:4 (fun pool ->
-      (match
-         Domain_pool.parallel_for pool ~start:0 ~stop:100 (fun i ->
-             if i = 37 then raise Boom)
-       with
-      | () -> Alcotest.fail "expected Boom to propagate"
-      | exception Boom -> ());
-      (* the failed region must leave the pool drained and usable *)
-      let hits = Atomic.make 0 in
-      Domain_pool.parallel_for pool ~start:0 ~stop:64 (fun _ ->
-          Atomic.incr hits);
-      Alcotest.(check int) "pool usable after failure" 64 (Atomic.get hits))
+  (match
+     Domain_pool.map ~jobs:4 ~min_chunk:1
+       (fun i -> if i = 37 then raise (Boom i))
+       (Array.init 100 Fun.id)
+   with
+  | _ -> Alcotest.fail "expected Boom to propagate"
+  | exception Boom 37 -> ());
+  (* the failed map must leave the workers idle and usable *)
+  let hits = Atomic.make 0 in
+  ignore
+    (Domain_pool.map ~jobs:4 ~min_chunk:1
+       (fun _ -> Atomic.incr hits)
+       (Array.make 64 ()));
+  Alcotest.(check int) "usable after failure" 64 (Atomic.get hits)
 
 let test_pool_nested_submit_runs_inline () =
-  Domain_pool.with_pool ~jobs:2 (fun pool ->
-      let outer = Atomic.make 0 and inner = Atomic.make 0 in
-      Domain_pool.parallel_for pool ~start:0 ~stop:4 (fun _ ->
-          Atomic.incr outer;
-          (* a body calling back into its own pool must not deadlock *)
-          Domain_pool.parallel_for pool ~start:0 ~stop:3 (fun _ ->
-              Atomic.incr inner));
-      Alcotest.(check int) "outer bodies" 4 (Atomic.get outer);
-      Alcotest.(check int) "inner bodies" 12 (Atomic.get inner))
-
-let test_pool_jobs1_and_shutdown_idempotent () =
-  let pool = Domain_pool.create ~jobs:1 in
-  let hits = ref 0 in
-  Domain_pool.parallel_for pool ~start:0 ~stop:5 (fun _ -> incr hits);
-  Alcotest.(check int) "jobs=1 runs inline" 5 !hits;
-  Domain_pool.shutdown pool;
-  Domain_pool.shutdown pool;
-  (* submitting to a shut-down pool degrades to sequential *)
-  Domain_pool.parallel_for pool ~start:0 ~stop:3 (fun _ -> incr hits);
-  Alcotest.(check int) "after shutdown" 8 !hits
+  let inline = Atomic.make true in
+  let sums =
+    Domain_pool.map ~jobs:2 ~min_chunk:1
+      (fun i ->
+        let outer = self () in
+        (* a body mapping again must not deadlock: it runs inline *)
+        Array.fold_left ( + ) 0
+          (Domain_pool.map ~jobs:2 ~min_chunk:1
+             (fun j ->
+               if self () <> outer then Atomic.set inline false;
+               i * j)
+             [| 1; 2; 3 |]))
+      [| 0; 1; 2; 3 |]
+  in
+  Alcotest.(check (array int)) "nested results" [| 0; 6; 12; 18 |] sums;
+  Alcotest.(check bool) "inner bodies on their outer body's domain" true
+    (Atomic.get inline)
 
 let test_pool_batched_covers () =
-  Domain_pool.with_pool ~jobs:4 (fun pool ->
-      let n = 1000 in
-      let acc = Array.make n 0 in
-      Domain_pool.parallel_for_batched pool ~min_chunk:16 ~start:0 ~stop:n
-        (fun i -> acc.(i) <- i + 1);
-      Alcotest.(check bool) "every index ran exactly once" true
-        (acc = Array.init n (fun i -> i + 1)))
+  let a = Array.init 1000 Fun.id in
+  Alcotest.(check (array int)) "every element, in order"
+    (Array.map (fun i -> i + 1) a)
+    (Domain_pool.map ~jobs:4 ~min_chunk:16 (fun i -> i + 1) a)
 
 let test_pool_batched_inline_paths () =
-  (* jobs=1: the batched loop must never submit a region *)
-  Domain_pool.with_pool ~jobs:1 (fun pool ->
-      let hits = ref 0 in
-      Domain_pool.parallel_for_batched pool ~min_chunk:1 ~start:0 ~stop:100
-        (fun _ -> incr hits);
-      Alcotest.(check int) "jobs=1 covers" 100 !hits;
-      Alcotest.(check int) "jobs=1: zero dispatches" 0
-        (Domain_pool.dispatches pool));
-  (* short range on a parallel pool: below the min_chunk floor the call
-     is a plain loop — the dispatch counter must not move *)
-  Domain_pool.with_pool ~jobs:4 (fun pool ->
-      let hits = ref 0 in
-      Domain_pool.parallel_for_batched pool ~min_chunk:64 ~start:0 ~stop:64
-        (fun _ -> incr hits);
-      Alcotest.(check int) "short range covers" 64 !hits;
-      Alcotest.(check int) "short range: zero dispatches" 0
-        (Domain_pool.dispatches pool);
-      (* nested inside a region body: inline, no second dispatch *)
-      let inner = Atomic.make 0 in
-      Domain_pool.parallel_for pool ~start:0 ~stop:4 (fun _ ->
-          Domain_pool.parallel_for_batched pool ~min_chunk:1 ~start:0 ~stop:50
-            (fun _ -> Atomic.incr inner));
-      Alcotest.(check int) "nested covers" 200 (Atomic.get inner);
-      Alcotest.(check int) "nested: only the outer region dispatched" 1
-        (Domain_pool.dispatches pool))
+  let caller = [ self () ] in
+  Alcotest.(check (list int)) "jobs=1: caller only" caller
+    (domains_used ~jobs:1 ~pause:true ~min_chunk:1 100);
+  Alcotest.(check (list int)) "at most min_chunk elements: caller only" caller
+    (domains_used ~jobs:4 ~pause:true ~min_chunk:64 64);
+  with_default_jobs 1 (fun () ->
+      Alcotest.(check (list int)) "default 1: caller only" caller
+        (domains_used ~pause:true ~min_chunk:1 100))
 
 let test_pool_batched_dispatches_when_worth_it () =
-  Domain_pool.with_pool ~jobs:4 (fun pool ->
-      let hits = Atomic.make 0 in
-      Domain_pool.parallel_for_batched pool ~min_chunk:8 ~start:0 ~stop:1024
-        (fun _ -> Atomic.incr hits);
-      Alcotest.(check int) "covers" 1024 (Atomic.get hits);
-      Alcotest.(check bool) "large range dispatches to workers" true
-        (Domain_pool.dispatches pool > 0);
-      Alcotest.check_raises "min_chunk validated"
-        (Invalid_argument
-           "Domain_pool.parallel_for_batched: min_chunk must be >= 1")
-        (fun () ->
-          Domain_pool.parallel_for_batched pool ~min_chunk:0 ~start:0 ~stop:4
-            (fun _ -> ())))
+  let used =
+    List.length (domains_used ~jobs:4 ~meet:multicore ~min_chunk:8 1024)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d domains: two or more, at most effective_jobs" used)
+    true
+    (used >= (if multicore then 2 else 1)
+    && used <= Domain_pool.effective_jobs 4);
+  Alcotest.check_raises "min_chunk validated"
+    (Invalid_argument "Domain_pool.map: min_chunk must be >= 1")
+    (fun () -> ignore (Domain_pool.map ~min_chunk:0 Fun.id [| 1 |]))
 
-let test_pool_host_cores_and_effective_jobs () =
-  Alcotest.(check bool) "host_cores >= 1" true (Domain_pool.host_cores () >= 1);
-  Alcotest.(check int) "effective_jobs floor" 1 (Domain_pool.effective_jobs 1);
-  let cap = Domain.recommended_domain_count () in
-  Alcotest.(check bool) "effective_jobs clamps to host concurrency" true
-    (Domain_pool.effective_jobs 64 <= cap);
-  Alcotest.(check bool) "host_cores covers the clamp" true
-    (Domain_pool.host_cores () >= cap)
+(* The regression test for [~jobs:0], which used to mean one worker. *)
+let test_pool_jobs0_inherits () =
+  if multicore then
+    with_default_jobs 2 (fun () ->
+        Alcotest.(check int) "two domains" 2
+          (List.length (domains_used ~jobs:0 ~meet:true ~min_chunk:1 200)))
 
+let test_pool_never_oversubscribes () =
+  with_default_jobs 4 (fun () ->
+      let used =
+        List.length (domains_used ~jobs:4 ~pause:true ~min_chunk:1 64)
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d domains <= %d cores" used
+           (Domain.recommended_domain_count ()))
+        true
+        (used <= Domain.recommended_domain_count ()))
+
+let test_pool_concurrent_maps () =
+  let a = Array.init 10_000 Fun.id in
+  let f i = (i * 7) + 3 in
+  for _ = 1 to 20 do
+    let other =
+      Domain.spawn (fun () -> Domain_pool.map ~jobs:2 ~min_chunk:1 f a)
+    in
+    let mine = Domain_pool.map ~jobs:2 ~min_chunk:1 f a in
+    Alcotest.(check bool) "this domain's map" true (mine = Array.map f a);
+    Alcotest.(check bool) "the other domain's map" true
+      (Domain.join other = Array.map f a)
+  done
+
+(* jobs 1 runs on the caller. On a host with three or more cores, a map
+   at another effective count replaces the workers, shutting the old
+   ones down; every map after a replacement, and after a second one, is
+   still right. *)
+let test_pool_jobs1_and_replaced_workers () =
+  Alcotest.(check (list int)) "jobs=1 runs inline" [ self () ]
+    (domains_used ~jobs:1 ~pause:true ~min_chunk:1 5);
+  let a = Array.init 500 Fun.id and f i = (3 * i) - 1 in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d after a replacement" jobs)
+        true
+        (Domain_pool.map ~jobs ~min_chunk:1 f a = Array.map f a))
+    [ 2; 3; 2; 3; 1; 2 ]
+
+(* Decoding a job count: what [resolve_jobs] did is [effective_jobs]'s. *)
 let test_pool_resolve_jobs () =
-  let saved = Domain_pool.default_jobs () in
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.set_default_jobs saved)
-    (fun () ->
-      Domain_pool.set_default_jobs 3;
-      Alcotest.(check int) "0 inherits default" 3 (Domain_pool.resolve_jobs 0);
-      Alcotest.(check int) "explicit wins" 2 (Domain_pool.resolve_jobs 2);
-      Alcotest.(check bool) "recommended >= 1" true
-        (Domain_pool.recommended_jobs () >= 1))
+  let cores = Domain.recommended_domain_count () in
+  with_default_jobs 3 (fun () ->
+      Alcotest.(check int) "0 inherits the default" (min 3 cores)
+        (Domain_pool.effective_jobs 0);
+      Alcotest.(check int) "negative inherits too" (min 3 cores)
+        (Domain_pool.effective_jobs (-2));
+      Alcotest.(check int) "explicit wins" (min 2 cores)
+        (Domain_pool.effective_jobs 2));
+  with_default_jobs 0 (fun () ->
+      Alcotest.(check int) "0 sets the recommended count"
+        (Domain_pool.recommended_jobs ()) (Domain_pool.default_jobs ()));
+  let r = Domain_pool.recommended_jobs () in
+  Alcotest.(check bool) "recommended in 1..8" true (r >= 1 && r <= 8)
+
+(* The host's core count bounds every job count. *)
+let test_pool_host_cores_and_effective_jobs () =
+  let cores = Domain.recommended_domain_count () in
+  Alcotest.(check int) "effective_jobs floor" 1 (Domain_pool.effective_jobs 1);
+  Alcotest.(check int) "effective_jobs clamps to the cores" cores
+    (Domain_pool.effective_jobs 1000);
+  Alcotest.(check bool) "the clamp is at most the cores" true
+    (Domain_pool.effective_jobs 64 <= cores)
 
 let () =
   Alcotest.run "util"
@@ -540,21 +620,26 @@ let () =
         ] );
       ( "domain_pool",
         [
-          Alcotest.test_case "parallel_for covers range" `Quick
-            test_pool_parallel_for_covers;
+          qtest prop_map_is_array_map;
           Alcotest.test_case "exception propagates, pool drains" `Quick
             test_pool_exception_propagates_and_drains;
           Alcotest.test_case "nested submit runs inline" `Quick
             test_pool_nested_submit_runs_inline;
-          Alcotest.test_case "jobs=1 and shutdown idempotent" `Quick
-            test_pool_jobs1_and_shutdown_idempotent;
-          Alcotest.test_case "resolve_jobs" `Quick test_pool_resolve_jobs;
           Alcotest.test_case "batched covers range" `Quick
             test_pool_batched_covers;
           Alcotest.test_case "batched inline paths dispatch nothing" `Quick
             test_pool_batched_inline_paths;
           Alcotest.test_case "batched dispatches when worth it" `Quick
             test_pool_batched_dispatches_when_worth_it;
+          Alcotest.test_case "~jobs:0 under default 2 uses 2 domains" `Quick
+            test_pool_jobs0_inherits;
+          Alcotest.test_case "never more domains than cores" `Quick
+            test_pool_never_oversubscribes;
+          Alcotest.test_case "concurrent maps both correct" `Quick
+            test_pool_concurrent_maps;
+          Alcotest.test_case "jobs=1 and shutdown idempotent" `Quick
+            test_pool_jobs1_and_replaced_workers;
+          Alcotest.test_case "resolve_jobs" `Quick test_pool_resolve_jobs;
           Alcotest.test_case "host_cores and effective_jobs" `Quick
             test_pool_host_cores_and_effective_jobs;
         ] );
