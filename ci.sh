@@ -148,8 +148,10 @@ echo "== fleet smoke test =="
 # Multi-tenant fleet serving end to end: weighted fair queueing,
 # shape-aware coalescing, the learned warm store and the autoscaler
 # on the heavy-tail multi-tenant trace. The subcommand exits non-zero
-# if any acceptance gate fails.
+# if any acceptance gate fails. The full-size run is the serving
+# oracle's too.
 check_report out '"gates_ok":true' fleet --quick
+check_report out '"gates_ok":true' fleet
 
 echo "== rank smoke test =="
 # The learned candidate ranker, an offline experiment: harvest
@@ -165,8 +167,9 @@ echo "== hetero smoke test =="
 # breaker with trip-drain and half-open probes, hedged dispatch and the
 # brown-out ladder, against equal-PE single-backend fleets and the
 # chaos failover A/B. The subcommand exits non-zero if any acceptance
-# gate fails.
+# gate fails. The full-size run is the serving oracle's too.
 check_report out '"gates_ok":true "silent_losses":0' hetero --quick
+check_report out '"gates_ok":true "silent_losses":0' hetero
 
 echo "== store safety =="
 # fleet --store tunes and writes a store only when the path is missing.

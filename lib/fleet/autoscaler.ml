@@ -19,11 +19,13 @@ let validate c =
     invalid_arg "Autoscaler: min_replicas must be >= 1";
   if c.max_replicas < c.min_replicas then
     invalid_arg "Autoscaler: max_replicas must be >= min_replicas";
-  if c.down_queue_depth < 0. || c.up_queue_depth <= c.down_queue_depth then
+  (* [not (x >= bound)], so that NaN fails each check too. *)
+  if not (c.down_queue_depth >= 0. && c.up_queue_depth > c.down_queue_depth)
+  then
     invalid_arg
       "Autoscaler: need 0 <= down_queue_depth < up_queue_depth (hysteresis)";
-  if c.cooldown < 0. then invalid_arg "Autoscaler: cooldown must be >= 0";
-  if c.interval <= 0. then invalid_arg "Autoscaler: interval must be > 0"
+  if not (c.cooldown >= 0.) then invalid_arg "Autoscaler: cooldown must be >= 0";
+  if not (c.interval > 0.) then invalid_arg "Autoscaler: interval must be > 0"
 
 type signal = {
   queue_depth : float;

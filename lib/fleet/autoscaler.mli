@@ -28,7 +28,7 @@ type config = {
 
 val validate : config -> unit
 (** Raises [Invalid_argument] on non-sensical bounds (e.g. no
-    hysteresis gap). *)
+    hysteresis gap) or a NaN depth, cooldown or interval. *)
 
 type signal = {
   queue_depth : float;  (** waiting requests per live replica *)

@@ -56,18 +56,22 @@ type config = {
   ratelimit : Ratelimit.config option;
 }
 
+(* Range checks are written [not (x >= bound)] so that NaN fails them:
+   a NaN interval or age would never let the event clock move on. *)
 let validate config =
   if config.replicas < 1 then invalid_arg "Fleet: replicas must be >= 1";
+  Batcher.validate config.batcher;
   (match config.ratelimit with
   | Some rl -> Ratelimit.validate rl
   | None -> ());
   if config.cache_capacity < 0 then
     invalid_arg "Fleet: negative cache capacity";
-  if config.steal_age < 0. then invalid_arg "Fleet: steal_age must be >= 0";
+  if not (config.steal_age >= 0.) then
+    invalid_arg "Fleet: steal_age must be >= 0";
   (match config.warm with
   | Some w ->
     if w.warm_top_k < 0 then invalid_arg "Fleet: warm_top_k must be >= 0";
-    if w.warm_interval <= 0. then
+    if not (w.warm_interval > 0.) then
       invalid_arg "Fleet: warm_interval must be > 0"
   | None -> ());
   match config.autoscale with
@@ -224,11 +228,18 @@ let by_arrival trace =
       Request.compare_arrival a.Tenant.req b.Tenant.req)
     trace
 
+(* Earliest [time signature arrival] over a queue's requests, where
+   [time] is non-decreasing in [arrival] for each signature: the minimum
+   then sits at each signature's oldest request, so one evaluation per
+   signature gives the float a fold over every request would (a float
+   minimum does not depend on order). *)
 let earliest q time =
   if Wfq.is_empty q then None
   else
     Some
-      (List.fold_left (fun acc tg -> Float.min acc (time tg)) infinity (Wfq.to_list q))
+      (Wfq.fold_oldest q
+         (fun s arrival _ acc -> Float.min acc (time s arrival))
+         infinity)
 
 (* Let the batcher rule on an offer taken from the queue (distinct ids):
    deferred requests return to their lane heads. *)
@@ -302,6 +313,9 @@ let serve ?(faults = Plan.none) config p trace =
     | _ when p.class_store -> Some (Shape_cache.create ~capacity:config.cache_capacity)
     | _ -> None
   in
+  let signature tg =
+    Bucketing.bucket config.bucketing tg.Tenant.req.Request.prompt_len
+  in
   let next_index = ref 0 in
   let classes =
     Array.of_list
@@ -318,7 +332,7 @@ let serve ?(faults = Plan.none) config p trace =
              c_idx = i;
              c_engine = engine;
              c_slots = Array.init total slot;
-             c_q = Wfq.create ();
+             c_q = Wfq.create ~signature;
              c_health = Health.create p.health;
              c_store = store ();
              c_retired = [];
@@ -363,6 +377,10 @@ let serve ?(faults = Plan.none) config p trace =
   (* Coalescing affinity, per class: signature -> the slot that last led
      a group for it. *)
   let owners = Array.map (fun _ -> Ids.create 32) classes in
+  (* The router's predicted service per class: signature -> one
+     [kv_tokens = 0] step of it. Engines are deterministic, so a value
+     filled on first use is the float every later call would return. *)
+  let services = Array.map (fun _ -> Ids.create 32) classes in
   let k = Replica.counters () in
   let completed = ref [] and dropped = ref [] and rate_limited = ref [] in
   let warm_hits = ref 0 and warm_compiles = ref 0 in
@@ -377,9 +395,6 @@ let serve ?(faults = Plan.none) config p trace =
   in
   let next_tick =
     ref (match config.autoscale with Some a -> a.Autoscaler.interval | None -> infinity)
-  in
-  let signature tg =
-    Bucketing.bucket config.bucketing tg.Tenant.req.Request.prompt_len
   in
   let step_shapes c ~tokens =
     let shapes = c.c_engine.Sch.step_shapes ~tokens in
@@ -427,6 +442,15 @@ let serve ?(faults = Plan.none) config p trace =
     c.c_requeues <- c.c_requeues + n;
     k.requeues <- k.requeues + n
   in
+  let service_of c s =
+    let table = services.(c.c_idx) in
+    match Ids.find table s with
+    | v -> v
+    | exception Not_found ->
+      let v = c.c_engine.Sch.step_seconds ~tokens:s ~kv_tokens:0 in
+      Ids.replace table s v;
+      v
+  in
   (* Snapshot one class for the router: predicted service for this
      bucketed shape, recompile-on-arrival cost for the shapes missing
      from the class store, live backlog, and the health verdict (the
@@ -434,16 +458,15 @@ let serve ?(faults = Plan.none) config p trace =
      class there is only one place a request can go: the router still
      applies the health gate (probe commit, forced flag), but the cost
      terms — the backlog is an O(queue) fold — cannot change its pick,
-     so they are left at zero. *)
+     so they are left at zero. The backlog is summed in queue order on
+     every placement, not kept as a running total: a total updated on
+     push and grant would round differently and route differently. *)
   let view_of ~now ~btokens c =
     let engine = c.c_engine in
-    let service_of tg' =
-      engine.Sch.step_seconds ~tokens:(signature tg') ~kv_tokens:0
-    in
     let service, cold, backlog =
       if n_classes = 1 then (0., 0., 0.)
       else
-        let service = engine.Sch.step_seconds ~tokens:btokens ~kv_tokens:0 in
+        let service = service_of c btokens in
         let cold =
           List.fold_left
             (fun acc (shape, _) ->
@@ -454,14 +477,15 @@ let serve ?(faults = Plan.none) config p trace =
             (engine.Sch.step_shapes ~tokens:btokens)
         in
         let queued =
-          List.fold_left (fun acc tg' -> acc +. service_of tg') 0. (Wfq.to_list c.c_q)
+          Wfq.fold c.c_q (fun acc tg' -> acc +. service_of c (signature tg')) 0.
         in
         ( service,
           cold,
           Array.fold_left
             (fun acc (s : slot) ->
               List.fold_left
-                (fun acc (a : _ Replica.active) -> acc +. service_of a.item)
+                (fun acc (a : _ Replica.active) ->
+                  acc +. service_of c (signature a.item))
                 acc s.act)
             queued c.c_slots )
     in
@@ -532,11 +556,10 @@ let serve ?(faults = Plan.none) config p trace =
     | _ -> None
   in
   let hedge_next h =
-    let best = ref None in
-    Array.iter
-      (fun c ->
-        List.iter
-          (fun (tg : Tenant.tagged) ->
+    Array.fold_left
+      (fun best c ->
+        Wfq.fold c.c_q
+          (fun best (tg : Tenant.tagged) ->
             let req = tg.Tenant.req in
             let id = req.Request.id in
             if
@@ -548,14 +571,14 @@ let serve ?(faults = Plan.none) config p trace =
                 Float.max !floor_now
                   (req.Request.arrival +. (h.hedge_slack *. req.Request.slo.Request.ttft))
               in
-              match !best with
+              match best with
               | Some (bt, _, (b : Tenant.tagged))
-                when bt < t || (bt = t && b.Tenant.req.Request.id <= id) -> ()
-              | _ -> best := Some (t, c, tg)
-            end)
-          (Wfq.to_list c.c_q))
-      classes;
-    !best
+                when bt < t || (bt = t && b.Tenant.req.Request.id <= id) -> best
+              | _ -> Some (t, c, tg)
+            end
+            else best)
+          best)
+      None classes
   in
   let do_hedge c tg ~now =
     let req = tg.Tenant.req in
@@ -606,10 +629,10 @@ let serve ?(faults = Plan.none) config p trace =
       Array.iter
         (fun s -> moved (Replica.evict s ~requeue:(requeue_into tgt.c_q)))
         c.c_slots;
-      let waiting = Wfq.to_list c.c_q in
-      c.c_q <- Wfq.create ();
-      moved (List.length waiting);
-      List.iter (fun tg -> Wfq.push tgt.c_q tg) waiting
+      let waiting = c.c_q in
+      c.c_q <- Wfq.create ~signature;
+      moved (Wfq.length waiting);
+      Wfq.fold waiting (fun () tg -> Wfq.push tgt.c_q tg) ()
   in
   let do_crash target ~now =
     match live_slots () with
@@ -628,15 +651,15 @@ let serve ?(faults = Plan.none) config p trace =
      predicates over a shared queue: a Timeout batcher holds a request
      back for its window unless the queue plus [in_flight] can fill the
      batch. *)
-  let aged_time c in_flight tg =
-    let arrival = tg.Tenant.req.Request.arrival in
+  let aged_time c in_flight arrival =
     match config.batcher with
     | Batcher.Greedy _ | Batcher.Slo_aware _ -> arrival
     | Batcher.Timeout { window; max_batch } ->
       if Wfq.length c.c_q + in_flight >= max_batch then arrival
       else arrival +. window
   in
-  (* Earliest instant slot [r] may take this request as a group leader.
+  (* Earliest instant slot [r] may take a request as a group leader,
+     from the request's signature [s] and [arrival].
      Coalescing affinity: a signature is sticky to the slot that last
      led a group for it, within its class, until that owner retires or
      the request ages past [steal_age]. Affinity never un-work-conserves
@@ -650,16 +673,23 @@ let serve ?(faults = Plan.none) config p trace =
      at [max aged (arrival + 0)] and [aged >= arrival] (the Timeout
      window is never negative), so [Wfq.take]'s [~first] filter equals
      its [~eligible] one — the mixed fleet runs that way, and skips the
-     owner lookup. *)
-  let affinity_time c (r : slot) in_flight tg =
-    let aged = aged_time c in_flight tg in
+     owner lookup.
+     For a fixed signature and owner state the result is non-decreasing
+     in [arrival], which is what lets [earliest] read only each
+     signature's oldest request: [aged] is [arrival] or [arrival +.
+     window] with one branch for the whole queue, and rounding is
+     monotone; the deferral applies from the first arrival whose [aged]
+     reaches the owner's [down_until] onward, and only raises the
+     value. *)
+  let affinity_time c (r : slot) in_flight s arrival =
+    let aged = aged_time c in_flight arrival in
     if (not config.coalesce) || config.steal_age = 0. then aged
     else
-      match Ids.find_opt owners.(c.c_idx) (signature tg) with
+      match Ids.find_opt owners.(c.c_idx) s with
       | Some i when live.(i) && i <> r.index ->
         let o = slots.(i) in
         if o.act <> [] || o.down_until > aged then aged
-        else Float.max aged (tg.Tenant.req.Request.arrival +. config.steal_age)
+        else Float.max aged (arrival +. config.steal_age)
       | _ -> aged
   in
   let slot_next_time c (r : slot) =
@@ -779,8 +809,11 @@ let serve ?(faults = Plan.none) config p trace =
       if cap <= 0 || Wfq.is_empty c.c_q then []
       else
         Wfq.take c.c_q ~max:cap
-          ~eligible:(fun tg -> aged_time c in_flight tg <= now)
-          ~first:(fun tg -> affinity_time c r in_flight tg <= now)
+          ~eligible:(fun tg ->
+            aged_time c in_flight tg.Tenant.req.Request.arrival <= now)
+          ~first:(fun tg ->
+            affinity_time c r in_flight (signature tg) tg.Tenant.req.Request.arrival
+            <= now)
           ~group:(fun leader tg ->
             (not config.coalesce) || signature leader = signature tg)
           ()

@@ -67,7 +67,8 @@ type config = {
 }
 
 val validate : config -> unit
-(** Raises [Invalid_argument] on nonsensical settings. *)
+(** Raises [Invalid_argument] on nonsensical settings, the batcher
+    policy's and NaN ones included. *)
 
 type tier_metrics = {
   tm_tier : Tenant.tier;

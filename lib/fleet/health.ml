@@ -24,14 +24,15 @@ let default =
     min_dwell = 0.1;
   }
 
+(* [not (x >= bound)], so that NaN fails each check too. *)
 let validate c =
-  if c.ewma_alpha <= 0. || c.ewma_alpha > 1. then
+  if not (c.ewma_alpha > 0. && c.ewma_alpha <= 1.) then
     invalid_arg "Health: ewma_alpha must be in (0, 1]";
-  if c.degrade_enter <= 1. then
+  if not (c.degrade_enter > 1.) then
     invalid_arg "Health: degrade_enter must be > 1";
-  if c.degrade_exit >= c.degrade_enter then
+  if not (c.degrade_exit < c.degrade_enter) then
     invalid_arg "Health: degrade_exit must be < degrade_enter (hysteresis)";
-  if c.min_dwell < 0. then invalid_arg "Health: min_dwell must be >= 0"
+  if not (c.min_dwell >= 0.) then invalid_arg "Health: min_dwell must be >= 0"
 
 type t = {
   config : config;

@@ -37,6 +37,9 @@ val default : config
     degrade at 2.0×, recover below 1.2×, 0.1 s dwell. *)
 
 val validate : config -> unit
+(** Raises [Invalid_argument] unless [0 < ewma_alpha <= 1],
+    [1 < degrade_enter], [degrade_exit < degrade_enter] and
+    [min_dwell >= 0] — so a NaN setting fails too. *)
 
 type t
 

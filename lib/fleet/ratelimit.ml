@@ -9,9 +9,10 @@ type config = {
   rl_burst : float;
 }
 
+(* [not (x >= bound)], so that NaN fails each check too. *)
 let validate c =
-  if c.rl_rate <= 0. then invalid_arg "Ratelimit: rate must be > 0";
-  if c.rl_burst < 1. then invalid_arg "Ratelimit: burst must be >= 1"
+  if not (c.rl_rate > 0.) then invalid_arg "Ratelimit: rate must be > 0";
+  if not (c.rl_burst >= 1.) then invalid_arg "Ratelimit: burst must be >= 1"
 
 let for_tier ~base tier =
   let w = float_of_int (Tenant.weight tier) in

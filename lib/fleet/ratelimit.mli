@@ -18,7 +18,8 @@ type config = {
 }
 
 val validate : config -> unit
-(** Raises [Invalid_argument] on non-positive rate or burst. *)
+(** Raises [Invalid_argument] on a rate that is not > 0 or a burst that
+    is not >= 1, NaN included. *)
 
 val for_tier : base:config -> Tenant.tier -> config
 (** Scale a base bucket by the tier's WFQ weight (4 : 2 : 1), so the

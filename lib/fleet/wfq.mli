@@ -28,7 +28,9 @@ type lane_stats = {
   s_cost : float;  (** token cost granted so far *)
 }
 
-val create : unit -> t
+val create : signature:(Tenant.tagged -> int) -> t
+(** An empty queue that indexes its requests by [signature] (the
+    fleet's bucketed shape signature) for {!fold_oldest}. *)
 
 val push : t -> Tenant.tagged -> unit
 (** Enqueue at the tail of the request's tenant lane. *)
@@ -38,12 +40,24 @@ val push_front : t -> Tenant.tagged -> unit
     time — for work bounced back by a replica crash. *)
 
 val length : t -> int
+(** O(1). *)
 
 val is_empty : t -> bool
 
-val to_list : t -> Tenant.tagged list
-(** Every queued request, in deterministic (tenant id, FIFO) order —
-    for event-time computation, not consumption. *)
+val fold : t -> ('a -> Tenant.tagged -> 'a) -> 'a -> 'a
+(** Fold over every queued request in deterministic (tenant id, FIFO)
+    order — for reading the queue, not consuming it. O(n), and it copies
+    nothing. There is no list view of a queue: copying it on every event
+    made the fleet loop's cost grow with its backlog. *)
+
+val fold_oldest : t -> (int -> float -> int -> 'a -> 'a) -> 'a -> 'a
+(** [fold_oldest q f init] calls [f signature arrival id] once for each
+    signature with a queued request, where (arrival, id) is the smallest
+    among that signature's queued requests. O(signatures), in an
+    unspecified order. {!push}, {!push_front} and every grant of {!take}
+    keep the index up to date in O(1) amortized (times the number of
+    tenant lanes queueing the signature), allocating nothing per
+    request. *)
 
 val take :
   t -> max:int -> eligible:(Tenant.tagged -> bool) ->

@@ -18,8 +18,8 @@ let name = function
 let validate p =
   if max_batch p < 1 then invalid_arg "Batcher: max_batch must be >= 1";
   match p with
-  | Timeout { window; _ } when window < 0. ->
-    invalid_arg "Batcher: negative timeout window"
+  | Timeout { window; _ } when not (window >= 0.) ->
+    invalid_arg "Batcher: timeout window must be >= 0"
   | _ -> ()
 
 module Heap = Mikpoly_util.Heap

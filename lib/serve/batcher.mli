@@ -25,6 +25,10 @@ val name : policy -> string
 
 val max_batch : policy -> int
 
+val validate : policy -> unit
+(** Raises [Invalid_argument] if [max_batch < 1] or a [Timeout] window
+    is negative or NaN. *)
+
 (** {1 Waiting queue}
 
     One replica's waiting requests, kept in (arrival, id) order — the
@@ -39,8 +43,7 @@ type queue
 
 val queue : policy -> queue
 (** An empty queue that admits under [policy]. Raises
-    [Invalid_argument] if [max_batch < 1] or a [Timeout] window is
-    negative. *)
+    [Invalid_argument] as {!validate} does. *)
 
 val length : queue -> int
 

@@ -27,15 +27,15 @@ let req ?(ttft = 0.25) ?(e2e = 2.0) ~id ~arrival ?(prompt = 8) ?(output = 2) () 
 
 let tag tenant r = { Tenant.req = r; tenant }
 
-let specs ?(count = 8) () =
+let specs ?(rate = 40.) ?(count = 8) () =
   [
-    { Tenant.tenant = gold; rate = 40.; count };
-    { Tenant.tenant = silver; rate = 40.; count };
-    { Tenant.tenant = be; rate = 40.; count };
+    { Tenant.tenant = gold; rate; count };
+    { Tenant.tenant = silver; rate; count };
+    { Tenant.tenant = be; rate; count };
   ]
 
-let trace ?count () =
-  Tenant.trace ~seed:7 ~max_prompt:64 ~max_output:4 (specs ?count ()) ()
+let trace ?rate ?count () =
+  Tenant.trace ~seed:7 ~max_prompt:64 ~max_output:4 (specs ?rate ?count ()) ()
 
 let fleet_config =
   {
@@ -107,12 +107,14 @@ let test_lookup () =
 
 (* --- Wfq --- *)
 
+let wfq () = Wfq.create ~signature:(fun tg -> tg.Tenant.req.Request.prompt_len)
+
 let take_ids q ~max =
   Wfq.take q ~max ~eligible:(fun _ -> true) ()
   |> List.map (fun (tg : Tenant.tagged) -> tg.req.Request.id)
 
 let test_wfq_weighted_order () =
-  let q = Wfq.create () in
+  let q = wfq () in
   (* Equal-cost backlogs: weight-4 gold finishes four grants per
      virtual-time unit the weight-1 batch tenant finishes one, and the
      tie at equal tags goes to the lower tenant id. *)
@@ -133,7 +135,7 @@ let test_wfq_weighted_order () =
     (List.map (fun l -> l.Wfq.s_queued) s)
 
 let test_wfq_starvation_bound () =
-  let q = Wfq.create () in
+  let q = wfq () in
   for i = 0 to 19 do
     Wfq.push q (tag gold (req ~id:i ~arrival:0. ()))
   done;
@@ -144,7 +146,7 @@ let test_wfq_starvation_bound () =
     (List.mem 100 granted)
 
 let test_wfq_push_front () =
-  let q = Wfq.create () in
+  let q = wfq () in
   Wfq.push q (tag gold (req ~id:0 ~arrival:0. ()));
   Wfq.push q (tag gold (req ~id:1 ~arrival:0. ()));
   Alcotest.(check (list int)) "fifo head" [ 0 ] (take_ids q ~max:1);
@@ -153,8 +155,21 @@ let test_wfq_push_front () =
     "requeued request goes first" [ 0; 1 ] (take_ids q ~max:2);
   Alcotest.(check bool) "drained" true (Wfq.is_empty q)
 
+let test_wfq_fold_order () =
+  let q = wfq () in
+  List.iter (fun id -> Wfq.push q (tag gold (req ~id ~arrival:0. ()))) [ 0; 1; 2 ];
+  Wfq.push q (tag be (req ~id:10 ~arrival:0. ()));
+  Alcotest.(check (list int)) "grant" [ 0 ] (take_ids q ~max:1);
+  (* gold's lane is now a granted-from front and a pushed-to back. *)
+  Wfq.push q (tag gold (req ~id:3 ~arrival:0. ()));
+  Wfq.push_front q (tag gold (req ~id:4 ~arrival:0. ()));
+  Alcotest.(check (list int))
+    "tenant id, then FIFO" [ 4; 1; 2; 3; 10 ]
+    (List.rev
+       (Wfq.fold q (fun acc (tg : Tenant.tagged) -> tg.req.Request.id :: acc) []))
+
 let test_wfq_eligible_filter () =
-  let q = Wfq.create () in
+  let q = wfq () in
   Wfq.push q (tag gold (req ~id:0 ~arrival:5. ()));
   let late =
     Wfq.take q ~max:1
@@ -165,7 +180,7 @@ let test_wfq_eligible_filter () =
   Alcotest.(check int) "still queued" 1 (Wfq.length q)
 
 let test_wfq_group_coalescing () =
-  let q = Wfq.create () in
+  let q = wfq () in
   Wfq.push q (tag gold (req ~id:0 ~arrival:0. ~prompt:8 ()));
   Wfq.push q (tag silver (req ~id:1 ~arrival:0. ~prompt:16 ()));
   Wfq.push q (tag be (req ~id:2 ~arrival:0. ~prompt:8 ()));
@@ -184,7 +199,7 @@ let test_wfq_group_coalescing () =
   Alcotest.(check (list int)) "group-first order" [ 0; 2; 1 ] ids
 
 let test_wfq_first_filter_gates_offer () =
-  let q = Wfq.create () in
+  let q = wfq () in
   Wfq.push q (tag gold (req ~id:0 ~arrival:0. ~prompt:8 ()));
   let none =
     Wfq.take q ~max:2
@@ -194,6 +209,163 @@ let test_wfq_first_filter_gates_offer () =
   in
   Alcotest.(check int) "offer declined entirely" 0 (List.length none);
   Alcotest.(check int) "nothing consumed" 1 (Wfq.length q)
+
+(* The queue against a multiset model: random pushes (tied arrivals,
+   repeated ids, copies of queued requests), lane-head requeues, takes
+   under random filters and whole-queue drains into a fresh queue. After
+   every operation the queue holds exactly the model's requests, and
+   each signature's oldest (arrival, id) is the minimum over them. *)
+type wfq_op =
+  | Push of int * int * float * int  (* tenant, id, arrival, prompt *)
+  | Push_front of int * int * float * int
+  | Copy of int  (* push the k-th queued request again *)
+  | Take of int * float * int option * bool
+      (* max, eligible arrival cutoff, first-grant prompt, group *)
+  | Drain
+
+let show_wfq_op = function
+  | Push (t, id, a, p) -> Printf.sprintf "push(%d,#%d,%g,%d)" t id a p
+  | Push_front (t, id, a, p) -> Printf.sprintf "front(%d,#%d,%g,%d)" t id a p
+  | Copy k -> Printf.sprintf "copy %d" k
+  | Take (m, cut, first, group) ->
+    Printf.sprintf "take(%d,<=%g,%s,%b)" m cut
+      (match first with Some p -> string_of_int p | None -> "-")
+      group
+  | Drain -> "drain"
+
+let arb_wfq_ops =
+  let open QCheck.Gen in
+  let request =
+    quad (int_bound 2) (int_bound 11) (oneofl [ 0.; 1.; 2.; 3. ])
+      (oneofl [ 8; 16; 32 ])
+  in
+  let op =
+    frequency
+      [
+        (5, map (fun (t, id, a, p) -> Push (t, id, a, p)) request);
+        (2, map (fun (t, id, a, p) -> Push_front (t, id, a, p)) request);
+        (1, map (fun k -> Copy k) (int_bound 20));
+        ( 3,
+          map
+            (fun (m, cut, first, group) -> Take (m, cut, first, group))
+            (quad (int_bound 4)
+               (oneofl [ 0.; 1.; 2.; 3. ])
+               (opt (oneofl [ 8; 16; 32 ]))
+               bool) );
+        (1, return Drain);
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map show_wfq_op ops))
+    (list_size (int_range 1 60) op)
+
+let replay_wfq ops =
+  let tenants = [| gold; silver; be |] in
+  let signature (tg : Tenant.tagged) = tg.req.Request.prompt_len in
+  let q = ref (Wfq.create ~signature) and model = ref [] in
+  let key (tg : Tenant.tagged) = (tg.req.Request.arrival, tg.req.Request.id) in
+  (* Per signature, the smallest (arrival, id) of [contents], ascending. *)
+  let oldest contents =
+    List.fold_left
+      (fun acc tg ->
+        let s = signature tg in
+        match List.assoc_opt s acc with
+        | Some k when k <= key tg -> acc
+        | _ -> (s, key tg) :: List.remove_assoc s acc)
+      [] contents
+    |> List.sort compare
+  in
+  let fail what expected got =
+    QCheck.Test.fail_reportf "%s: expected %s, got %s" what expected got
+  in
+  let show_oldest =
+    QCheck.Print.(list (pair int (pair float int)))
+  in
+  let observe () =
+    let contents = Wfq.fold !q (fun acc tg -> tg :: acc) [] in
+    if Wfq.length !q <> List.length !model then
+      fail "length" (string_of_int (List.length !model))
+        (string_of_int (Wfq.length !q));
+    if List.sort compare contents <> List.sort compare !model then
+      fail "contents"
+        (QCheck.Print.(list (pair float int)) (List.map key !model))
+        (QCheck.Print.(list (pair float int)) (List.map key contents));
+    let expected = oldest contents
+    and got =
+      Wfq.fold_oldest !q (fun s arrival id acc -> (s, (arrival, id)) :: acc) []
+      |> List.sort compare
+    in
+    if expected <> got then fail "oldest" (show_oldest expected) (show_oldest got)
+  in
+  let make t id arrival prompt = tag tenants.(t) (req ~id ~arrival ~prompt ()) in
+  let rec remove_one (tg : Tenant.tagged) = function
+    | [] ->
+      fail "granted" "absent"
+        (Printf.sprintf "#%d at %g" tg.req.Request.id tg.req.Request.arrival)
+    | x :: rest when x = tg -> rest
+    | x :: rest -> x :: remove_one tg rest
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | Push (t, id, a, p) ->
+        let tg = make t id a p in
+        Wfq.push !q tg;
+        model := tg :: !model
+      | Push_front (t, id, a, p) ->
+        let tg = make t id a p in
+        Wfq.push_front !q tg;
+        model := tg :: !model
+      | Copy k -> (
+        match !model with
+        | [] -> ()
+        | m ->
+          let tg = List.nth m (k mod List.length m) in
+          Wfq.push !q tg;
+          model := tg :: !model)
+      | Take (max, cut, first, group) ->
+        let granted =
+          Wfq.take !q ~max
+            ~eligible:(fun tg -> tg.req.Request.arrival <= cut)
+            ~first:(fun tg ->
+              match first with
+              | Some p -> tg.req.Request.prompt_len = p
+              | None -> true)
+            ~group:(fun l tg -> (not group) || signature l = signature tg)
+            ()
+        in
+        List.iter (fun tg -> model := remove_one tg !model) granted
+      | Drain ->
+        let fresh = Wfq.create ~signature in
+        Wfq.fold !q (fun () tg -> Wfq.push fresh tg) ();
+        q := fresh);
+      observe ())
+    ops;
+  true
+
+(* Long ascending sub-queues keep every request a candidate, so the
+   index's buffers grow and, under head pushes, wrap around. *)
+let test_wfq_oldest_deep () =
+  let ascending tenant base =
+    List.init 40 (fun i -> Push (tenant, base + i, float_of_int i, 8))
+  in
+  Alcotest.(check bool)
+    "index equals a fold" true
+    (replay_wfq
+       (ascending 0 0 @ ascending 2 100
+       @ [
+           Take (5, 50., None, true);
+           Push_front (0, 200, -1., 8);
+           Push_front (2, 201, 5., 8);
+           Take (30, 50., None, false);
+           Drain;
+           Push (1, 202, 0.5, 8);
+           Take (60, 50., None, true);
+         ]))
+
+let prop_wfq_oldest_index =
+  QCheck.Test.make ~name:"oldest per signature equals a fold over the queue"
+    ~count:500 arb_wfq_ops replay_wfq
 
 (* --- Learner --- *)
 
@@ -344,7 +516,23 @@ let test_autoscaler_validate () =
     (fun () -> Autoscaler.validate { asc with down_queue_depth = 4. });
   Alcotest.check_raises "bad bounds"
     (Invalid_argument "Autoscaler: max_replicas must be >= min_replicas")
-    (fun () -> Autoscaler.validate { asc with max_replicas = 0 })
+    (fun () -> Autoscaler.validate { asc with max_replicas = 0 });
+  (* NaN fails every range check; a NaN interval would never let the
+     fleet's event clock move past the tick. *)
+  let hysteresis =
+    Invalid_argument
+      "Autoscaler: need 0 <= down_queue_depth < up_queue_depth (hysteresis)"
+  in
+  Alcotest.check_raises "up_queue_depth nan" hysteresis (fun () ->
+      Autoscaler.validate { asc with up_queue_depth = nan });
+  Alcotest.check_raises "down_queue_depth nan" hysteresis (fun () ->
+      Autoscaler.validate { asc with down_queue_depth = nan });
+  Alcotest.check_raises "cooldown nan"
+    (Invalid_argument "Autoscaler: cooldown must be >= 0") (fun () ->
+      Autoscaler.validate { asc with cooldown = nan });
+  Alcotest.check_raises "interval nan"
+    (Invalid_argument "Autoscaler: interval must be > 0") (fun () ->
+      Autoscaler.validate { asc with interval = nan })
 
 (* --- Fleet --- *)
 
@@ -387,7 +575,41 @@ let test_fleet_validate () =
         {
           fleet_config with
           warm = Some { Fleet.warm_top_k = 8; warm_interval = 0. };
-        })
+        });
+  (* The batcher policy fails before the first event, not at the first
+     step; and NaN fails every range check — a NaN window, age or
+     interval would never let the event clock move on, and a NaN rate
+     would shed every request. *)
+  let rejects name message config =
+    Alcotest.check_raises name (Invalid_argument message) (fun () ->
+        Fleet.validate config)
+  in
+  rejects "max_batch 0" "Batcher: max_batch must be >= 1"
+    { fleet_config with batcher = Batcher.Greedy { max_batch = 0 } };
+  rejects "window nan" "Batcher: timeout window must be >= 0"
+    { fleet_config with batcher = Batcher.Timeout { max_batch = 4; window = nan } };
+  rejects "steal_age nan" "Fleet: steal_age must be >= 0"
+    { fleet_config with steal_age = nan };
+  rejects "warm_interval nan" "Fleet: warm_interval must be > 0"
+    { fleet_config with warm = Some { Fleet.warm_top_k = 8; warm_interval = nan } };
+  let rl = { Ratelimit.rl_rate = 100.; rl_burst = 3. } in
+  rejects "rl_rate nan" "Ratelimit: rate must be > 0"
+    { fleet_config with ratelimit = Some { rl with rl_rate = nan } };
+  rejects "rl_burst nan" "Ratelimit: burst must be >= 1"
+    { fleet_config with ratelimit = Some { rl with rl_burst = nan } };
+  let health name message config =
+    Alcotest.check_raises name (Invalid_argument message) (fun () ->
+        Health.validate config)
+  in
+  health "ewma_alpha nan" "Health: ewma_alpha must be in (0, 1]"
+    { Health.default with ewma_alpha = nan };
+  health "degrade_enter nan" "Health: degrade_enter must be > 1"
+    { Health.default with degrade_enter = nan };
+  health "degrade_exit nan"
+    "Health: degrade_exit must be < degrade_enter (hysteresis)"
+    { Health.default with degrade_exit = nan };
+  health "min_dwell nan" "Health: min_dwell must be >= 0"
+    { Health.default with min_dwell = nan }
 
 let test_fleet_coalescing_cuts_stalls () =
   (* A synchronized burst of same-shape prompts from all three tenants:
@@ -470,16 +692,10 @@ let test_fleet_scheduler_projection () =
   Alcotest.(check int) "tier rows partition the trace" (List.length tr)
     tier_reqs
 
-(* The full fleet (coalescing, warm store, autoscaler) under a crash
-   plan, reduced to a pinned fingerprint: status digest, steps, the
-   exact bits of makespan and stall, and every cache's hits/misses (warm
-   store last). *)
-let test_fleet_pinned () =
-  let tr = trace ~count:16 () in
-  let plan =
-    Plan.make ~crashes:[ (0.02, 0); (0.06, 1) ] ~restart_delay:0.05 ~seed:3 ()
-  in
-  let o = Fleet.run ~faults:plan full_config engine tr in
+(* An outcome reduced to a fingerprint: status digest, steps, the exact
+   bits of makespan and stall, and every cache's hits/misses (warm store
+   last). *)
+let fingerprint (o : Fleet.outcome) =
   let statuses =
     List.map
       (fun (c : Scheduler.completed) -> (c.request.Request.id, "completed"))
@@ -495,17 +711,57 @@ let test_fleet_pinned () =
     |> Mikpoly_util.Checksum.fnv1a64_hex
   in
   let caches = o.Fleet.cache @ Option.to_list o.Fleet.warm_stats in
+  Printf.sprintf "%s steps=%d makespan=%h stall=%h caches=%s" digest
+    o.Fleet.steps o.Fleet.makespan o.Fleet.compile_stall_seconds
+    (String.concat ";"
+       (List.map
+          (fun (s : Mikpoly_serve.Shape_cache.stats) ->
+            Printf.sprintf "%d/%d" s.hits s.misses)
+          caches))
+
+let crash_plan =
+  Plan.make ~crashes:[ (0.02, 0); (0.06, 1) ] ~restart_delay:0.05 ~seed:3 ()
+
+(* The full fleet (coalescing, warm store, autoscaler) under a crash
+   plan. *)
+let test_fleet_pinned () =
+  let o = Fleet.run ~faults:crash_plan full_config engine (trace ~count:16 ()) in
   Alcotest.(check string)
     "fingerprint"
     "c0fe7e1c0707d0ad steps=95 makespan=0x1.2131a07066c95p-1 \
      stall=0x1.cac083126e979p-7 caches=754/14;0/0;90/14;50/6;20/14"
-    (Printf.sprintf "%s steps=%d makespan=%h stall=%h caches=%s" digest
-       o.Fleet.steps o.Fleet.makespan o.Fleet.compile_stall_seconds
-       (String.concat ";"
-          (List.map
-             (fun (s : Mikpoly_serve.Shape_cache.stats) ->
-               Printf.sprintf "%d/%d" s.hits s.misses)
-             caches)))
+    (fingerprint o)
+
+(* The same fleet at depth: 2 001 requests at 1 800 req/s keep hundreds
+   queued (mean depth 387 under Slo_aware, 492 under Timeout, whose deep
+   queue takes [aged_time]'s full-batch branch), where an idle replica's
+   wake-up time is a minimum over the whole class queue. *)
+let test_fleet_pinned_overload () =
+  let tr = trace ~rate:600. ~count:667 () in
+  List.iter
+    (fun (batcher, expected) ->
+      let o =
+        Fleet.run ~faults:crash_plan { full_config with batcher } engine tr
+      in
+      let name = Mikpoly_serve.Batcher.name batcher in
+      let depth =
+        float_of_int o.Fleet.queue_depth_sum /. float_of_int o.Fleet.queue_samples
+      in
+      Alcotest.(check bool) (name ^ ": mean depth >= 200") true (depth >= 200.);
+      Alcotest.(check string) name expected
+        (Printf.sprintf "%s depth_sum=%d" (fingerprint o) o.Fleet.queue_depth_sum))
+    [
+      ( Batcher.Slo_aware { max_batch = 4 },
+        "9cd966364acca5f3 steps=1149 makespan=0x1.5916ba00c247fp+0 \
+         stall=0x1.0624dd2f1a9fcp-6 \
+         caches=4562/14;4442/14;4370/14;4570/14;30/10;162/14;68/12 \
+         depth_sum=444907" );
+      ( Batcher.Timeout { max_batch = 4; window = 0.01 },
+        "aeaf220f30972e5b steps=1524 makespan=0x1.f0661d6b4ad1ep+0 \
+         stall=0x1.cac083126e979p-7 \
+         caches=6170/14;6466/14;6978/14;6298/14;18/6;146/14;62/14 \
+         depth_sum=749401" );
+    ]
 
 let () =
   Alcotest.run "fleet"
@@ -526,12 +782,15 @@ let () =
           Alcotest.test_case "starvation bound" `Quick
             test_wfq_starvation_bound;
           Alcotest.test_case "push_front" `Quick test_wfq_push_front;
+          Alcotest.test_case "fold order" `Quick test_wfq_fold_order;
           Alcotest.test_case "eligible filter" `Quick
             test_wfq_eligible_filter;
           Alcotest.test_case "group coalescing" `Quick
             test_wfq_group_coalescing;
           Alcotest.test_case "first filter" `Quick
             test_wfq_first_filter_gates_offer;
+          Alcotest.test_case "oldest index, deep" `Quick test_wfq_oldest_deep;
+          QCheck_alcotest.to_alcotest prop_wfq_oldest_index;
         ] );
       ( "learner",
         [
@@ -569,5 +828,7 @@ let () =
           Alcotest.test_case "scheduler projection" `Quick
             test_fleet_scheduler_projection;
           Alcotest.test_case "pinned crash outcome" `Quick test_fleet_pinned;
+          Alcotest.test_case "pinned overload outcome" `Quick
+            test_fleet_pinned_overload;
         ] );
     ]

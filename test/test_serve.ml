@@ -133,6 +133,19 @@ let queue_of policy waiting =
   List.iter (Batcher.push q) waiting;
   q
 
+let test_batcher_validate () =
+  Alcotest.check_raises "max_batch 0"
+    (Invalid_argument "Batcher: max_batch must be >= 1") (fun () ->
+      Batcher.validate (Batcher.Greedy { max_batch = 0 }));
+  Alcotest.check_raises "negative window"
+    (Invalid_argument "Batcher: timeout window must be >= 0") (fun () ->
+      Batcher.validate (Batcher.Timeout { max_batch = 4; window = -1. }));
+  (* A NaN window never ages a request: the scheduler would hold it
+     forever. *)
+  Alcotest.check_raises "window nan"
+    (Invalid_argument "Batcher: timeout window must be >= 0") (fun () ->
+      ignore (Batcher.queue (Batcher.Timeout { max_batch = 4; window = nan })))
+
 let test_greedy_admission () =
   let q =
     queue_of
@@ -1328,6 +1341,7 @@ let () =
         ] );
       ( "batcher",
         [
+          Alcotest.test_case "validate" `Quick test_batcher_validate;
           Alcotest.test_case "greedy" `Quick test_greedy_admission;
           Alcotest.test_case "timeout" `Quick test_timeout_admission;
           Alcotest.test_case "slo-aware" `Quick test_slo_aware_admission;
