@@ -127,9 +127,11 @@ done
 
 echo "== experiment determinism =="
 # The experiments whose CSV tables hold only simulated quantities, run
-# back to back in one process: byte-identical across --jobs counts.
+# back to back in one process: byte-identical across --jobs counts. fig7,
+# npu_e2e and case_study lean on the device simulator: the NPU operator
+# and end-to-end runs, and the A100 Figure-15 timelines from Trace.record.
 check_report stdout "" run serving resilience adaptation ablations fig10 \
-  tab5 fusion fleet hetero --quick --csv
+  tab5 fusion fleet hetero fig7 npu_e2e case_study --quick --csv
 
 echo "== chaos smoke test =="
 # The seeded fault-injection A/B end to end: the subcommand exits

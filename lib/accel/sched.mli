@@ -29,10 +29,21 @@ val event_sim_threshold : int
 val schedule_gpu :
   ?on_span:(pe:int -> start:float -> finish:float -> warps:int -> region:int -> unit) ->
   num_pes:int -> slot_capacity:int -> region_work list -> outcome
-(** [on_span] is invoked once per scheduled task (event-driven mode only;
-    the analytic fallback emits no spans). [region] is the task's index in
-    the input list. *)
+(** [on_span] is invoked once per scheduled task, in dispatch order
+    (event-driven mode only; the analytic fallback emits no spans).
+    [region] is the task's index among the regions with [count > 0].
+    Raises [Invalid_argument] if [num_pes < 1], a [count] or [duration]
+    is negative or a [duration] is NaN, a task needs more than
+    [slot_capacity] warps or fewer than 1, or [blocks_per_pe < 1]. *)
 
 val schedule_npu :
   ?on_span:(pe:int -> start:float -> finish:float -> warps:int -> region:int -> unit) ->
   num_pes:int -> region_work list -> outcome
+(** The static max-min schedule, computed over groups of equally loaded
+    cores (DESIGN §5): [makespan], [busy_pe_cycles] and each region's
+    first start and last finish are bit-identical to placing each task in
+    turn on a least-loaded core. [on_span] is invoked once per task (not
+    on the analytic fallback), with [warps = 1]; a task names the
+    lowest-index core still at its group's load, so each core's spans run
+    back to back from 0. Raises like {!schedule_gpu} with
+    [slot_capacity = 1]. *)

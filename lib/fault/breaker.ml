@@ -33,10 +33,16 @@ type t = {
   mutable rejected : int;
 }
 
-let create ?(policy = default) () =
+(* [not (cooldown >= 0.)]: a NaN cooldown would never let an open
+   breaker probe again ([now >= nan] is false). *)
+let validate policy =
   if policy.failure_threshold < 1 then
     invalid_arg "Breaker: failure_threshold must be >= 1";
-  if policy.cooldown < 0. then invalid_arg "Breaker: cooldown must be >= 0";
+  if not (policy.cooldown >= 0.) then
+    invalid_arg "Breaker: cooldown must be >= 0"
+
+let create ?(policy = default) () =
+  validate policy;
   {
     policy;
     state = Closed;

@@ -30,8 +30,12 @@ type stats = {
 
 type t
 
+val validate : policy -> unit
+(** Raises [Invalid_argument] unless [failure_threshold >= 1] and
+    [cooldown >= 0] (so a NaN cooldown is rejected). *)
+
 val create : ?policy:policy -> unit -> t
-(** Raises [Invalid_argument] on a malformed policy. *)
+(** Raises like {!validate}. *)
 
 val allow : t -> now:float -> bool
 (** Whether the protected operation may run now. May transition

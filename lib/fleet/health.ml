@@ -26,6 +26,7 @@ let default =
 
 (* [not (x >= bound)], so that NaN fails each check too. *)
 let validate c =
+  Breaker.validate c.breaker;
   if not (c.ewma_alpha > 0. && c.ewma_alpha <= 1.) then
     invalid_arg "Health: ewma_alpha must be in (0, 1]";
   if not (c.degrade_enter > 1.) then

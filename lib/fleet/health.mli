@@ -37,7 +37,8 @@ val default : config
     degrade at 2.0×, recover below 1.2×, 0.1 s dwell. *)
 
 val validate : config -> unit
-(** Raises [Invalid_argument] unless [0 < ewma_alpha <= 1],
+(** Raises [Invalid_argument] unless [breaker] passes
+    {!Mikpoly_fault.Breaker.validate}, [0 < ewma_alpha <= 1],
     [1 < degrade_enter], [degrade_exit < degrade_enter] and
     [min_dwell >= 0] — so a NaN setting fails too. *)
 

@@ -29,17 +29,14 @@ module Heap = Mikpoly_util.Heap
    it when it reaches the top. *)
 type entry = {
   req : Request.t;
-  deadline : float;
-      (** [Request.deadline req], computed once so that a heap comparison
-          allocates nothing *)
   mutable queued : bool;
 }
 
-(* Earliest deadline first, ties by id, given each request's deadline. *)
-let edf da (a : Request.t) db (b : Request.t) =
-  match Float.compare da db with 0 -> Int.compare a.id b.id | c -> c
-
-let compare_deadline a b = edf (Request.deadline a) a (Request.deadline b) b
+(* Earliest deadline first, ties by id: the deadline heap's order. *)
+let compare_deadline (a : Request.t) (b : Request.t) =
+  match Float.compare (Request.deadline a) (Request.deadline b) with
+  | 0 -> Int.compare a.id b.id
+  | c -> c
 
 (* The order a policy admits in. *)
 let admits_by_deadline = function
@@ -92,47 +89,45 @@ let queue policy =
   validate policy;
   {
     policy;
-    by_arrival =
-      Heap.create ~cmp:(fun a b -> Request.compare_arrival a.req b.req);
-    by_deadline =
-      Heap.create ~cmp:(fun a b -> edf a.deadline a.req b.deadline b.req);
+    by_arrival = Heap.create ();
+    by_deadline = Heap.create ();
     length = 0;
   }
 
 let length q = q.length
 
-(* The smallest entry of [h] still queued, once the entries the other
-   heap took are discarded. *)
-let rec front h =
-  match Heap.peek h with
-  | Some e when not e.queued ->
+(* Discard from the top of [h] the entries the other heap took; then [h]
+   is empty or its top is still queued. *)
+let rec discard_taken h =
+  if (not (Heap.is_empty h)) && not (Heap.top h).queued then begin
     ignore (Heap.pop h);
-    front h
-  | first -> first
+    discard_taken h
+  end
 
-let push q req =
-  let e = { req; deadline = Request.deadline req; queued = true } in
+let push q (req : Request.t) =
+  let e = { req; queued = true } in
   if admits_by_deadline q.policy then begin
     (* Requests admitted or shed through the deadline heap leave the
        arrival heap only from its top. Discarding them there on every
        push bounds that heap by the requests pushed since the oldest one
        still queued. *)
-    ignore (front q.by_arrival);
-    Heap.push q.by_deadline e
+    discard_taken q.by_arrival;
+    Heap.push q.by_deadline (Request.deadline req) req.id e
   end;
-  Heap.push q.by_arrival e;
+  Heap.push q.by_arrival req.arrival req.id e;
   q.length <- q.length + 1
 
 (* Take at most [n] requests from the front of [h], in its order, while
    [ok] holds for the front; [acc] holds those taken, last first. *)
 let rec take q h n ok acc =
-  match front h with
-  | Some e when n > 0 && ok e.req ->
-    ignore (Heap.pop h);
+  discard_taken h;
+  if n > 0 && (not (Heap.is_empty h)) && ok (Heap.top h).req then begin
+    let e = Heap.pop h in
     e.queued <- false;
     q.length <- q.length - 1;
     take q h (n - 1) ok (e.req :: acc)
-  | _ -> List.rev acc
+  end
+  else List.rev acc
 
 let pop_oldest q =
   match take q q.by_arrival 1 every [] with [ r ] -> Some r | _ -> None
@@ -168,10 +163,11 @@ let admit_list policy ~now ~in_flight reqs =
   (d, !rest)
 
 let next_eligible q =
-  match front q.by_arrival with
-  | None -> None
-  | Some { req = { arrival; _ }; _ } -> (
+  discard_taken q.by_arrival;
+  if Heap.is_empty q.by_arrival then None
+  else
+    let arrival = (Heap.top q.by_arrival).req.arrival in
     match q.policy with
     | Greedy _ | Slo_aware _ -> Some arrival
     | Timeout { window; max_batch } ->
-      if q.length >= max_batch then Some arrival else Some (arrival +. window))
+      if q.length >= max_batch then Some arrival else Some (arrival +. window)

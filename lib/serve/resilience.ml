@@ -15,8 +15,8 @@ type arm = {
 type ab = { faults : Plan.t; with_resilience : arm; without_resilience : arm }
 
 let digest named =
-  List.map (fun (id, status) -> Printf.sprintf "%d=%s" id status) named
-  |> List.sort String.compare |> String.concat "\n" |> Checksum.fnv1a64_hex
+  List.map (fun (id, status) -> string_of_int id ^ "=" ^ status) named
+  |> List.sort String.compare |> Checksum.fnv1a64_lines |> Checksum.to_hex
 
 let status_tag = function
   | Scheduler.Completed -> "completed"

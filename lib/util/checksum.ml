@@ -7,12 +7,22 @@ let prime = 0x100000001b3L
 
 let basis = 0xcbf29ce484222325L
 
-let fnv1a64 s =
-  let h = ref basis in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) prime)
-    s;
+let step h c = Int64.mul (Int64.logxor h (Int64.of_int (Char.code c))) prime
+
+let extend h s =
+  let h = ref h in
+  for i = 0 to String.length s - 1 do
+    h := step !h (String.unsafe_get s i)
+  done;
   !h
 
-let fnv1a64_hex s = Printf.sprintf "%016Lx" (fnv1a64 s)
+let fnv1a64 s = extend basis s
+
+let fnv1a64_lines = function
+  | [] -> basis
+  | first :: rest ->
+    List.fold_left (fun h line -> extend (step h '\n') line) (extend basis first) rest
+
+let to_hex h = Printf.sprintf "%016Lx" h
+
+let fnv1a64_hex s = to_hex (fnv1a64 s)

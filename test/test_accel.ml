@@ -242,6 +242,302 @@ let prop_sched_busy_bounded =
       in
       o.busy_pe_cycles <= (108. *. o.makespan) +. 1e-6)
 
+let test_sched_rejects_bad_input () =
+  let tasks duration = [ region ~duration ~warps:1 ~blocks:1 ~count:5 ] in
+  let rejects name message f =
+    Alcotest.check_raises name (Invalid_argument message) (fun () -> ignore (f ()))
+  in
+  let no_pes = "Sched: num_pes must be >= 1" in
+  let bad_work = "Sched: count and duration must be >= 0" in
+  rejects "gpu, no PEs" no_pes (fun () ->
+      Sched.schedule_gpu ~num_pes:0 ~slot_capacity:8 (tasks 10.));
+  rejects "npu, no cores" no_pes (fun () -> Sched.schedule_npu ~num_pes:0 (tasks 10.));
+  List.iter
+    (fun d ->
+      let name = Printf.sprintf "duration %h" d in
+      rejects ("gpu, " ^ name) bad_work (fun () ->
+          Sched.schedule_gpu ~num_pes:108 ~slot_capacity:8 (tasks d));
+      rejects ("npu, " ^ name) bad_work (fun () -> Sched.schedule_npu ~num_pes:32 (tasks d)))
+    [ nan; -1. ]
+
+(* The task-by-task schedulers [Sched] replaced, kept as reference
+   models: a closure-ordered heap of (finish, pe, warps) events and
+   list buckets on the GPU, a heap of (load, core) on the NPU. The
+   properties below check the current schedulers against them bit for
+   bit. *)
+module Ref_sched = struct
+  open Sched
+
+  let analytic ~num_pes regions =
+    let p = float_of_int num_pes in
+    let makespan, busy =
+      List.fold_left
+        (fun (mk, busy) r ->
+          let cap = float_of_int (num_pes * r.blocks_per_pe) in
+          let n = float_of_int r.count in
+          (mk +. (n /. cap *. r.duration), busy +. (n *. r.duration /. float_of_int r.blocks_per_pe)))
+        (0., 0.) regions
+    in
+    { makespan; busy_pe_cycles = min busy (p *. makespan); exact = false }
+
+  let total regions = List.fold_left (fun acc r -> acc + r.count) 0 regions
+
+  type gpu = {
+    slots : int;
+    free : int array;
+    buckets : int list array;
+    resident : int array;
+    busy_since : float array;
+    busy_accum : float array;
+  }
+
+  let rec pop_bucket t b =
+    match t.buckets.(b) with
+    | [] -> None
+    | pe :: rest ->
+      t.buckets.(b) <- rest;
+      if t.free.(pe) = b then Some pe else pop_bucket t b
+
+  let find_pe t ~warps =
+    let rec scan b =
+      if b < warps then None
+      else match pop_bucket t b with Some pe -> Some pe | None -> scan (b - 1)
+    in
+    scan t.slots
+
+  let push_bucket t pe = t.buckets.(t.free.(pe)) <- pe :: t.buckets.(t.free.(pe))
+
+  let schedule_gpu ?on_span ~num_pes ~slot_capacity regions =
+    let regions = List.filter (fun r -> r.count > 0) regions in
+    if regions = [] then { makespan = 0.; busy_pe_cycles = 0.; exact = true }
+    else if total regions > event_sim_threshold then analytic ~num_pes regions
+    else begin
+      let st =
+        {
+          slots = slot_capacity;
+          free = Array.make num_pes slot_capacity;
+          buckets = Array.make (slot_capacity + 1) [];
+          resident = Array.make num_pes 0;
+          busy_since = Array.make num_pes 0.;
+          busy_accum = Array.make num_pes 0.;
+        }
+      in
+      st.buckets.(slot_capacity) <- List.init num_pes (fun i -> i);
+      let remaining = Array.of_list regions in
+      let left = Array.map (fun r -> r.count) remaining in
+      let events =
+        Closure_heap.create ~cmp:(fun (a, _, _) (b, _, _) -> compare (a : float) b)
+      in
+      let try_assign time =
+        let progress = ref true in
+        while !progress do
+          progress := false;
+          let i = ref 0 and assigned = ref false in
+          while (not !assigned) && !i < Array.length remaining do
+            let r = remaining.(!i) in
+            match if left.(!i) > 0 then find_pe st ~warps:r.warps else None with
+            | Some pe ->
+              st.free.(pe) <- st.free.(pe) - r.warps;
+              push_bucket st pe;
+              if st.resident.(pe) = 0 then st.busy_since.(pe) <- time;
+              st.resident.(pe) <- st.resident.(pe) + 1;
+              left.(!i) <- left.(!i) - 1;
+              Closure_heap.push events (time +. r.duration, pe, r.warps);
+              (match on_span with
+              | Some f ->
+                f ~pe ~start:time ~finish:(time +. r.duration) ~warps:r.warps ~region:!i
+              | None -> ());
+              assigned := true;
+              progress := true
+            | None -> incr i
+          done
+        done
+      in
+      try_assign 0.;
+      let makespan = ref 0. in
+      let rec drain () =
+        match Closure_heap.pop events with
+        | None -> ()
+        | Some (time, pe, warps) ->
+          st.free.(pe) <- st.free.(pe) + warps;
+          push_bucket st pe;
+          st.resident.(pe) <- st.resident.(pe) - 1;
+          if st.resident.(pe) = 0 then
+            st.busy_accum.(pe) <- st.busy_accum.(pe) +. (time -. st.busy_since.(pe));
+          makespan := time;
+          try_assign time;
+          drain ()
+      in
+      drain ();
+      {
+        makespan = !makespan;
+        busy_pe_cycles = Array.fold_left ( +. ) 0. st.busy_accum;
+        exact = true;
+      }
+    end
+
+  let schedule_npu ?on_span ~num_pes regions =
+    let regions = List.filter (fun r -> r.count > 0) regions in
+    if regions = [] then { makespan = 0.; busy_pe_cycles = 0.; exact = true }
+    else if total regions > event_sim_threshold then analytic ~num_pes regions
+    else begin
+      let sorted =
+        List.sort
+          (fun (_, a) (_, b) -> compare b.duration a.duration)
+          (List.mapi (fun i r -> (i, r)) regions)
+      in
+      let cores = Closure_heap.create ~cmp:(fun (a, _) (b, _) -> compare (a : float) b) in
+      for i = 0 to num_pes - 1 do
+        Closure_heap.push cores (0., i)
+      done;
+      List.iter
+        (fun (region, r) ->
+          for _ = 1 to r.count do
+            match Closure_heap.pop cores with
+            | None -> assert false
+            | Some (load, core) ->
+              (match on_span with
+              | Some f -> f ~pe:core ~start:load ~finish:(load +. r.duration) ~warps:1 ~region
+              | None -> ());
+              Closure_heap.push cores (load +. r.duration, core)
+          done)
+        sorted;
+      let makespan = ref 0. and busy = ref 0. in
+      let rec drain () =
+        match Closure_heap.pop cores with
+        | None -> ()
+        | Some (load, _) ->
+          makespan := max !makespan load;
+          busy := !busy +. load;
+          drain ()
+      in
+      drain ();
+      { makespan = !makespan; busy_pe_cycles = !busy; exact = true }
+    end
+end
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_outcome (a : Sched.outcome) (b : Sched.outcome) =
+  same_bits a.makespan b.makespan
+  && same_bits a.busy_pe_cycles b.busy_pe_cycles
+  && a.exact = b.exact
+
+(* Every span a scheduler reports, in call order. *)
+let recorded schedule =
+  let spans = ref [] in
+  let on_span ~pe ~start ~finish ~warps ~region =
+    spans := (pe, start, finish, warps, region) :: !spans
+  in
+  let o = schedule ~on_span in
+  (o, List.rev !spans)
+
+(* Per region: task count, first start, last finish. *)
+let region_envelopes nregions spans =
+  let env = Array.make nregions (0, infinity, neg_infinity) in
+  List.iter
+    (fun (_, start, finish, _, region) ->
+      let n, lo, hi = env.(region) in
+      env.(region) <- (n + 1, Float.min lo start, Float.max hi finish))
+    spans;
+  env
+
+let same_envelopes a b =
+  Array.for_all2
+    (fun (n, lo, hi) (n', lo', hi') -> n = n' && same_bits lo lo' && same_bits hi hi')
+    a b
+
+(* Random programs: 1–5 regions whose durations are all zero, all equal
+   or drawn (integers, to provoke equal loads, or arbitrary floats), and
+   whose counts straddle multiples of [num_pes]. *)
+let gen_regions ~num_pes ~slots =
+  QCheck.Gen.(
+    let* nregions = int_range 1 5 in
+    let* kind = int_range 0 2 in
+    let* equal = map float_of_int (int_range 1 100) in
+    list_repeat nregions
+      (let* duration =
+         match kind with
+         | 0 -> return 0.
+         | 1 -> return equal
+         | _ ->
+           oneof
+             [ return 0.; map float_of_int (int_range 1 40); float_range 0. 1000. ]
+       in
+       let* warps = int_range 1 slots in
+       let* waves = int_range 0 3 in
+       let* skew = int_range (-2) 2 in
+       let count = max 0 ((waves * num_pes) + skew) in
+       return { Sched.duration; warps; blocks_per_pe = max 1 (slots / warps); count }))
+
+let show_regions regions =
+  String.concat "; "
+    (List.map
+       (fun (r : Sched.region_work) ->
+         Printf.sprintf "{d=%h w=%d b=%d n=%d}" r.duration r.warps r.blocks_per_pe r.count)
+       regions)
+
+let prop_npu_matches_reference =
+  QCheck.Test.make ~name:"npu groups == task-by-task max-min" ~count:300
+    (QCheck.make
+       ~print:(fun (p, rs) -> Printf.sprintf "cores=%d %s" p (show_regions rs))
+       QCheck.Gen.(
+         let* num_pes = int_range 1 40 in
+         pair (return num_pes) (gen_regions ~num_pes ~slots:1)))
+    (fun (num_pes, regions) ->
+      let o, spans =
+        recorded (fun ~on_span -> Sched.schedule_npu ~on_span ~num_pes regions)
+      in
+      let ro, rspans =
+        recorded (fun ~on_span -> Ref_sched.schedule_npu ~on_span ~num_pes regions)
+      in
+      let n = List.length regions in
+      same_outcome o ro
+      && same_outcome (Sched.schedule_npu ~num_pes regions) ro
+      && same_envelopes (region_envelopes n spans) (region_envelopes n rspans))
+
+let prop_gpu_matches_reference =
+  QCheck.Test.make ~name:"gpu dispatcher == closure-heap dispatcher" ~count:300
+    (QCheck.make
+       ~print:(fun (s, rs) -> Printf.sprintf "slots=%d %s" s (show_regions rs))
+       QCheck.Gen.(
+         let* slots = oneofl [ 8; 32 ] in
+         pair (return slots) (gen_regions ~num_pes:108 ~slots)))
+    (fun (slot_capacity, regions) ->
+      let o, spans =
+        recorded (fun ~on_span ->
+            Sched.schedule_gpu ~on_span ~num_pes:108 ~slot_capacity regions)
+      in
+      let ro, rspans =
+        recorded (fun ~on_span ->
+            Ref_sched.schedule_gpu ~on_span ~num_pes:108 ~slot_capacity regions)
+      in
+      same_outcome o ro
+      && same_outcome (Sched.schedule_gpu ~num_pes:108 ~slot_capacity regions) ro
+      && List.length spans = List.length rspans
+      && List.for_all2
+           (fun (pe, s, f, w, r) (pe', s', f', w', r') ->
+             pe = pe' && same_bits s s' && same_bits f f' && w = w' && r = r')
+           spans rspans)
+
+let test_sched_analytic_matches_reference () =
+  let regions =
+    [
+      region ~duration:7. ~warps:4 ~blocks:2 ~count:(Sched.event_sim_threshold / 2);
+      region ~duration:3. ~warps:8 ~blocks:1 ~count:((Sched.event_sim_threshold / 2) + 1);
+    ]
+  in
+  let check name o ro =
+    Alcotest.(check bool) (name ^ " analytic") false o.Sched.exact;
+    Alcotest.(check bool) (name ^ " bit-identical") true (same_outcome o ro)
+  in
+  check "gpu"
+    (Sched.schedule_gpu ~num_pes:108 ~slot_capacity:8 regions)
+    (Ref_sched.schedule_gpu ~num_pes:108 ~slot_capacity:8 regions);
+  let npu_regions = List.map (fun r -> { r with Sched.warps = 1 }) regions in
+  check "npu" (Sched.schedule_npu ~num_pes:32 npu_regions)
+    (Ref_sched.schedule_npu ~num_pes:32 npu_regions)
+
 (* --- Simulator: the case study --- *)
 
 let case_load ~m =
@@ -424,6 +720,41 @@ let test_trace_npu_max_min () =
     trace.spans;
   Array.iter (fun c -> Alcotest.(check int) "two per core" 2 c) per_core
 
+let test_trace_npu_regions () =
+  (* Three regions of unequal tasks, none a multiple of the 32 cores:
+     every task is a span of its region, and each core runs its spans
+     back to back from 0 until at most the makespan, reached by one. *)
+  let counts = [ 40; 33; 7 ] in
+  let load =
+    Load.make
+      ~regions:
+        (List.mapi
+           (fun i n -> Load.region ~kernel:(mk 64 64 64) ~n_tasks:n ~t_steps:(4 * (i + 1)))
+           counts)
+      ~footprint_bytes:0.
+  in
+  let trace = Trace.record npu load in
+  Alcotest.(check int) "one span per task" (Load.total_tasks load) (List.length trace.spans);
+  List.iteri
+    (fun i n ->
+      Alcotest.(check int) (Printf.sprintf "region %d spans" i) n
+        (List.length (List.filter (fun s -> Trace.region s = i) trace.spans)))
+    counts;
+  for core = 0 to npu.num_pes - 1 do
+    let spans =
+      List.filter (fun s -> Trace.pe s = core) trace.spans
+      |> List.sort (fun (a : Trace.span) b -> Float.compare a.start b.start)
+    in
+    ignore
+      (List.fold_left
+         (fun at (s : Trace.span) ->
+           Alcotest.(check (float 0.)) (Printf.sprintf "core %d back to back" core) at s.start;
+           s.finish)
+         0. spans)
+  done;
+  Alcotest.(check (float 0.)) "latest finish is the makespan" trace.makespan
+    (List.fold_left (fun m (s : Trace.span) -> Float.max m s.finish) 0. trace.spans)
+
 let test_hardware_presets_valid () =
   List.iter
     (fun (hw : Hardware.t) ->
@@ -495,6 +826,11 @@ let () =
           Alcotest.test_case "npu max-min" `Quick test_sched_npu_max_min_mixes_durations;
           Alcotest.test_case "empty" `Quick test_sched_empty;
           Alcotest.test_case "oversized rejected" `Quick test_sched_rejects_oversized;
+          Alcotest.test_case "bad input rejected" `Quick test_sched_rejects_bad_input;
+          qtest prop_npu_matches_reference;
+          qtest prop_gpu_matches_reference;
+          Alcotest.test_case "analytic fallback unchanged" `Quick
+            test_sched_analytic_matches_reference;
           qtest prop_sched_busy_bounded;
         ] );
       ( "simulator",
@@ -524,6 +860,8 @@ let () =
             test_trace_occupancy_drop;
           Alcotest.test_case "timeline renders" `Quick test_trace_timeline_renders;
           Alcotest.test_case "npu max-min spans" `Quick test_trace_npu_max_min;
+          Alcotest.test_case "npu spans per region and core" `Quick
+            test_trace_npu_regions;
           Alcotest.test_case "hardware presets valid" `Quick
             test_hardware_presets_valid;
           Alcotest.test_case "rejects huge programs" `Quick test_trace_rejects_huge;

@@ -182,6 +182,14 @@ let test_breaker_success_resets_streak () =
   Alcotest.(check bool) "success interrupted the streak" true
     (Breaker.state b = Breaker.Closed)
 
+let test_breaker_rejects_nan_cooldown () =
+  (* [now >= nan] is false: a NaN cooldown would keep a tripped breaker
+     open for ever. *)
+  Alcotest.check_raises "nan cooldown"
+    (Invalid_argument "Breaker: cooldown must be >= 0") (fun () ->
+      ignore
+        (Breaker.create ~policy:{ Breaker.failure_threshold = 1; cooldown = nan } ()))
+
 (* --- Device --- *)
 
 let test_device_draws () =
@@ -670,6 +678,29 @@ let test_chaos_conservation_and_reproducibility () =
   Alcotest.(check string) "bit-identical across job counts"
     a.Resilience.status_digest c.Resilience.status_digest
 
+(* The digest's first formula, kept as its reference: Printf lines,
+   sorted, joined, hashed. *)
+let printf_digest named =
+  List.map (fun (id, status) -> Printf.sprintf "%d=%s" id status) named
+  |> List.sort String.compare |> String.concat "\n"
+  |> Mikpoly_util.Checksum.fnv1a64_hex
+
+let prop_status_digest_formula =
+  QCheck.Test.make ~name:"status digest == sorted Printf lines hashed" ~count:200
+    QCheck.(
+      list
+        (pair
+           (oneof [ oneofl [ 1; 12; 123; 1234; -1; 0 ]; int ])
+           (oneofl [ "completed"; "timed_out"; "rejected:queue"; "failed:crash"; "" ])))
+    (fun named -> Resilience.digest named = printf_digest named)
+
+let test_status_digest_edges () =
+  List.iter
+    (fun named ->
+      Alcotest.(check string) "printf formula" (printf_digest named)
+        (Resilience.digest named))
+    [ []; [ (1, "completed") ]; [ (123, "a"); (12, "b"); (1, "c") ] ]
+
 let test_chaos_without_resilience_is_loud () =
   let requests = chaos_requests () in
   let faults = Plan.make ~step_fail_rate:0.5 ~seed:5 () in
@@ -886,6 +917,8 @@ let () =
             test_breaker_halfopen_failure_reopens;
           Alcotest.test_case "success resets the streak" `Quick
             test_breaker_success_resets_streak;
+          Alcotest.test_case "nan cooldown rejected" `Quick
+            test_breaker_rejects_nan_cooldown;
         ] );
       ( "device",
         [ Alcotest.test_case "bounded seeded draws" `Quick test_device_draws ] );
@@ -939,5 +972,8 @@ let () =
           Alcotest.test_case "infinite arrival" `Quick test_infinite_arrival;
           Alcotest.test_case "canonical A/B gates" `Quick
             test_canonical_chaos_gates;
+          Alcotest.test_case "status digest edge cases" `Quick
+            test_status_digest_edges;
+          QCheck_alcotest.to_alcotest prop_status_digest_formula;
         ] );
     ]

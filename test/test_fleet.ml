@@ -609,7 +609,9 @@ let test_fleet_validate () =
     "Health: degrade_exit must be < degrade_enter (hysteresis)"
     { Health.default with degrade_exit = nan };
   health "min_dwell nan" "Health: min_dwell must be >= 0"
-    { Health.default with min_dwell = nan }
+    { Health.default with min_dwell = nan };
+  health "breaker cooldown nan" "Breaker: cooldown must be >= 0"
+    { Health.default with breaker = { Health.default.breaker with cooldown = nan } }
 
 let test_fleet_coalescing_cuts_stalls () =
   (* A synchronized burst of same-shape prompts from all three tenants:

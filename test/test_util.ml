@@ -1,5 +1,5 @@
 (* Tests for the utility substrate: PRNG, statistics, piecewise-linear
-   fitting, heap, table rendering and the domain pool. *)
+   fitting, heap, checksums, table rendering and the domain pool. *)
 
 open Mikpoly_util
 
@@ -300,32 +300,78 @@ let prop_piecewise_interpolates =
 
 (* --- Heap --- *)
 
+(* Drain [h], payloads in pop order. *)
+let drain h =
+  let rec go acc = if Heap.is_empty h then List.rev acc else go (Heap.pop h :: acc) in
+  go []
+
 let test_heap_sorted_pops () =
-  let h = Heap.create ~cmp:compare in
-  List.iter (Heap.push h) [ 5; 3; 8; 1; 9; 2 ];
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int)) "ascending" [ 1; 2; 3; 5; 8; 9 ] (drain [])
+  let h = Heap.create () in
+  List.iter (fun x -> Heap.push h (float_of_int x) 0 x) [ 5; 3; 8; 1; 9; 2 ];
+  Alcotest.(check (list int)) "ascending" [ 1; 2; 3; 5; 8; 9 ] (drain h)
 
 let test_heap_peek () =
-  let h = Heap.create ~cmp:compare in
+  let h = Heap.create () in
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
-  Heap.push h 4;
-  Heap.push h 2;
-  Alcotest.(check (option int)) "peek min" (Some 2) (Heap.peek h);
-  Alcotest.(check int) "size" 2 (Heap.size h)
+  Alcotest.check_raises "top of empty" (Invalid_argument "Heap.top: empty")
+    (fun () -> ignore (Heap.top h));
+  Heap.push h 4. 0 "four";
+  Heap.push h 2. 1 "two, tie 1";
+  Heap.push h 2. 0 "two, tie 0";
+  Alcotest.(check (float 0.)) "min key" 2. (Heap.min_key h);
+  Alcotest.(check string) "peek min, tie first" "two, tie 0" (Heap.top h);
+  Alcotest.(check int) "size" 3 (Heap.size h);
+  Alcotest.(check string) "pop = top" "two, tie 0" (Heap.pop h);
+  Alcotest.(check int) "size after pop" 2 (Heap.size h)
 
 let prop_heap_matches_sort =
   QCheck.Test.make ~name:"heap: drains in sorted order" ~count:100
-    QCheck.(list int)
+    QCheck.(list (pair (int_range 0 5) small_nat))
     (fun xs ->
-      let h = Heap.create ~cmp:compare in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
+      let h = Heap.create () in
+      List.iter (fun (k, tie) -> Heap.push h (float_of_int k) tie (k, tie)) xs;
+      drain h = List.sort compare xs)
+
+(* Equal keys pop in exactly the order the closure heap gave them: the
+   GPU dispatcher's events rely on it. *)
+let prop_heap_matches_closure_heap =
+  QCheck.Test.make ~name:"heap: equal keys pop in the closure heap's order"
+    ~count:200
+    QCheck.(list (option (int_range 0 4)))
+    (fun ops ->
+      let h = Heap.create () in
+      let c = Closure_heap.create ~cmp:(fun (a, _) (b, _) -> Float.compare a b) in
+      let popped = ref [] and expected = ref [] in
+      List.iteri
+        (fun i op ->
+          match op with
+          | Some k ->
+            Heap.push h (float_of_int k) 0 i;
+            Closure_heap.push c (float_of_int k, i)
+          | None -> (
+            match Closure_heap.pop c with
+            | None -> ()
+            | Some (_, j) ->
+              expected := j :: !expected;
+              popped := Heap.pop h :: !popped))
+        ops;
+      let rec rest acc =
+        match Closure_heap.pop c with None -> List.rev acc | Some (_, j) -> rest (j :: acc)
       in
-      drain [] = List.sort compare xs)
+      List.rev_append !popped (drain h) = List.rev_append !expected (rest []))
+
+(* --- Checksum --- *)
+
+let test_fnv1a64_vectors () =
+  List.iter
+    (fun (s, hex) -> Alcotest.(check string) (Printf.sprintf "%S" s) hex (Checksum.fnv1a64_hex s))
+    [ ("", "cbf29ce484222325"); ("a", "af63dc4c8601ec8c"); ("foobar", "85944171f73967e8") ]
+
+let prop_fnv1a64_lines =
+  QCheck.Test.make ~name:"fnv1a64_lines hashes the joined lines" ~count:100
+    QCheck.(list string)
+    (fun lines ->
+      Checksum.fnv1a64_lines lines = Checksum.fnv1a64 (String.concat "\n" lines))
 
 (* --- Table --- *)
 
@@ -610,6 +656,12 @@ let () =
           Alcotest.test_case "sorted pops" `Quick test_heap_sorted_pops;
           Alcotest.test_case "peek/size" `Quick test_heap_peek;
           qtest prop_heap_matches_sort;
+          qtest prop_heap_matches_closure_heap;
+        ] );
+      ( "checksum",
+        [
+          Alcotest.test_case "fnv1a64 vectors" `Quick test_fnv1a64_vectors;
+          qtest prop_fnv1a64_lines;
         ] );
       ( "table",
         [
