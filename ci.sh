@@ -112,9 +112,11 @@ echo "== serve determinism =="
 # --cache 1 holds fewer programs than a step's distinct shapes, so every
 # step evicts between the per-shape cache probes. A --max-batch far above
 # the trace length must cost the parallel runs no more precompile work
-# than the trace can use. The last three hold hundreds of requests in each
-# replica's queue (2 000 requests at several times capacity), so every
-# batcher admits, and the SLO-aware one sheds, from a deep queue.
+# than the trace can use. The deep-queue runs hold hundreds of requests in
+# each replica's queue (2 000 requests at several times capacity), so every
+# batcher admits, and the SLO-aware one sheds, from a deep queue. The last
+# two are the steady regime: 8 replicas under capacity, where the event
+# pick chooses among many replicas' cached wake-ups on every event.
 check_report stdout "" serve --quick --csv
 check_report stdout "" serve --quick --csv --batcher timeout
 check_report stdout "" serve --quick --csv --batcher slo
@@ -123,6 +125,10 @@ check_report stdout "" serve --quick --csv --max-batch 65536
 for batcher in greedy timeout slo; do
   check_report stdout "" serve --quick --csv --bucket exact --replicas 2 \
     --requests 2000 --rate 5000 --batcher "$batcher"
+done
+for batcher in greedy timeout; do
+  check_report stdout "" serve --quick --csv --replicas 8 --requests 4000 \
+    --rate 400 --batcher "$batcher"
 done
 
 echo "== experiment determinism =="

@@ -26,16 +26,13 @@ let mixed_engine ?(cnn_cut = 64) compiler =
   if cnn_cut < 2 then invalid_arg "Engines.mixed_engine: cnn_cut must be >= 2";
   let llm = Sch.mikpoly_engine compiler in
   let hw = Compiler.hardware compiler in
-  let conv_memo = Hashtbl.create 32 in
-  let conv_lock = Mutex.create () in
   (* Image batch grows with the token budget well past one image per
      [cnn_cut] tokens, so the conv tail is genuinely heavy — a large
      CNN job costs the same order as (or more than) an LLM step, and
      misplacing it is what the router pays for. *)
   let conv_batch ~tokens = max 1 (tokens / 2) in
-  let conv_seconds ~tokens =
-    let batch = conv_batch ~tokens in
-    Sch.memo_find_or conv_lock conv_memo batch (fun () ->
+  let conv_memo =
+    Sch.memoize (module Mikpoly_util.Int_keys.Int) 32 (fun batch ->
         List.fold_left
           (fun acc (shape, launches) ->
             acc
@@ -44,6 +41,7 @@ let mixed_engine ?(cnn_cut = 64) compiler =
           0.
           (conv_shapes ~batch))
   in
+  let conv_seconds ~tokens = conv_memo (conv_batch ~tokens) in
   {
     Sch.engine_name = "mixed@" ^ hw.Mikpoly_accel.Hardware.name;
     step_seconds =

@@ -37,43 +37,51 @@ let slo_met (c : Scheduler.completed) =
   let s = c.request.Request.slo in
   ttft c <= s.Request.ttft && latency c <= s.Request.e2e
 
+(* One pass over the completions fills the latency and TTFT arrays and
+   every count, and sums TPOT in completion order (as a left fold of
+   the list of per-request TPOTs would). *)
 let of_outcome (o : Scheduler.outcome) =
-  let pcts ps = function
-    | [] -> List.map (fun _ -> 0.) ps
-    | xs -> Stats.percentiles ps xs
+  let n_completed = List.length o.completed in
+  let latencies = Array.create_float n_completed in
+  let ttfts = Array.create_float n_completed in
+  let tpot_sum = ref 0. and tpot_count = ref 0 in
+  let n_met = ref 0 and out_tokens = ref 0 in
+  List.iteri
+    (fun i (c : Scheduler.completed) ->
+      latencies.(i) <- latency c;
+      ttfts.(i) <- ttft c;
+      let output_len = c.request.Request.output_len in
+      let n = output_len - 1 in
+      if n > 0 then begin
+        let tpot = (c.finish -. c.first_token) /. float_of_int n in
+        tpot_sum := !tpot_sum +. tpot;
+        incr tpot_count
+      end;
+      if slo_met c then incr n_met;
+      out_tokens := !out_tokens + output_len)
+    o.completed;
+  let pcts ps xs =
+    if n_completed = 0 then List.map (fun _ -> 0.) ps
+    else Stats.percentiles_array ps xs
   in
   let latency_p50, latency_p95, latency_p99 =
-    match pcts [ 50.; 95.; 99. ] (List.map latency o.completed) with
+    match pcts [ 50.; 95.; 99. ] latencies with
     | [ a; b; c ] -> (a, b, c)
     | _ -> assert false
   in
   let ttft_p50, ttft_p95 =
-    match pcts [ 50.; 95. ] (List.map ttft o.completed) with
+    match pcts [ 50.; 95. ] ttfts with
     | [ a; b ] -> (a, b)
     | _ -> assert false
   in
-  let tpots =
-    List.filter_map
-      (fun (c : Scheduler.completed) ->
-        let n = c.request.Request.output_len - 1 in
-        if n <= 0 then None
-        else Some ((c.finish -. c.first_token) /. float_of_int n))
-      o.completed
-  in
-  let n_completed = List.length o.completed in
   let n_dropped = List.length o.dropped in
   let n_rejected = List.length o.rejected in
   let n_timed_out = List.length o.timed_out in
   let n_failed = List.length o.failed in
-  let n_met = List.length (List.filter slo_met o.completed) in
+  let n_met = !n_met and out_tokens = !out_tokens in
   let total = n_completed + n_dropped + n_rejected + n_timed_out + n_failed in
   let per_second n =
     if o.makespan > 0. then float_of_int n /. o.makespan else 0.
-  in
-  let out_tokens =
-    List.fold_left
-      (fun acc (c : Scheduler.completed) -> acc + c.request.Request.output_len)
-      0 o.completed
   in
   {
     requests = total;
@@ -88,7 +96,8 @@ let of_outcome (o : Scheduler.outcome) =
     latency_p99;
     ttft_p50;
     ttft_p95;
-    tpot_mean = (match tpots with [] -> 0. | l -> Stats.mean l);
+    tpot_mean =
+      (if !tpot_count = 0 then 0. else !tpot_sum /. float_of_int !tpot_count);
     throughput_rps = per_second n_completed;
     goodput_rps = per_second n_met;
     slo_attainment =

@@ -33,20 +33,22 @@ let slot ~index ~capacity =
     act = [];
   }
 
-let admit s ~item reqs =
-  s.act <-
-    s.act
-    @ List.map
-        (fun (req : Request.t) ->
-          {
-            item = item req;
-            req;
-            remaining = req.Request.output_len;
-            kv = 0;
-            prefill = req.Request.prompt_len;
-            first_token = nan;
-          })
-        reqs
+let admit s ~item = function
+  | [] -> ()
+  | reqs ->
+    s.act <-
+      s.act
+      @ List.map
+          (fun (req : Request.t) ->
+            {
+              item = item req;
+              req;
+              remaining = req.Request.output_len;
+              kv = 0;
+              prefill = req.Request.prompt_len;
+              first_token = nan;
+            })
+          reqs
 
 let ready_at s earliest =
   let base = Float.max s.clock s.down_until in
@@ -88,16 +90,18 @@ type batch = {
   shapes : (Shape_cache.key * int) list;
 }
 
+(* Token work (each prefilling member's prompt, 1 per decoder) and KV
+   length of a batch, in one pass. *)
+let rec sizes tokens kv = function
+  | [] -> (tokens, kv)
+  | a :: rest ->
+    sizes (tokens + if a.prefill > 0 then a.prefill else 1) (kv + a.kv) rest
+
 let batch c s ~queued ~bucketing ~coalesce ~step_shapes =
   c.queue_samples <- c.queue_samples + 1;
   c.queue_depth_sum <- c.queue_depth_sum + queued;
   let bucket = Bucketing.bucket bucketing in
-  let tokens =
-    List.fold_left
-      (fun acc a -> acc + if a.prefill > 0 then a.prefill else 1)
-      0 s.act
-  in
-  let kv_tokens = List.fold_left (fun acc a -> acc + a.kv) 0 s.act in
+  let tokens, kv_tokens = sizes 0 0 s.act in
   let btokens =
     if coalesce then
       List.fold_left
@@ -125,45 +129,67 @@ let batch c s ~queued ~bucketing ~coalesce ~step_shapes =
   in
   { kv_tokens; btokens; shapes }
 
-let lookup s ~now ~compile ~store ~on_store_hit shapes =
-  let stall = ref 0. in
-  (* One probe covers every launch left while the shape is resident; a
-     miss walks the rest of the ladder for one launch and probes again,
-     so a capacity-0 cache still pays the ladder on every launch. *)
-  let rec launch shape left =
-    if left > 0 then
-      match Shape_cache.find_n s.cache shape left with
-      | Some () -> ()
-      | None ->
-        let ready =
-          match store with
-          | Some st -> (
-            match Shape_cache.find st shape with
-            | Some at -> at <= now
-            | None -> false)
-          | None -> false
-        in
-        if ready then on_store_hit ()
+(* One probe covers every launch left while the shape is resident; a
+   miss walks the rest of the ladder for one launch and probes again,
+   so a capacity-0 cache still pays the ladder on every launch. [stall]
+   is the step's stall so far; no closure or reference is built, so a
+   step whose shapes all hit allocates only the probes' results. *)
+let rec launch s ~now ~compile ~store ~on_store_hit stall shape left =
+  if left <= 0 then stall
+  else
+    match Shape_cache.find_n s.cache shape left with
+    | Some () -> stall
+    | None ->
+      let ready =
+        match store with
+        | Some st -> (
+          match Shape_cache.find st shape with
+          | Some at -> at <= now
+          | None -> false)
+        | None -> false
+      in
+      let stall =
+        if ready then begin
+          on_store_hit ();
+          stall
+        end
         else begin
-          stall := !stall +. compile shape;
-          Option.iter
-            (fun st -> Shape_cache.add st shape (now +. !stall))
-            store
-        end;
-        Shape_cache.add s.cache shape ();
-        launch shape (left - 1)
-  in
-  List.iter (fun (shape, launches) -> launch shape launches) shapes;
-  !stall
+          let stall = stall +. compile shape in
+          Option.iter (fun st -> Shape_cache.add st shape (now +. stall)) store;
+          stall
+        end
+      in
+      Shape_cache.add s.cache shape ();
+      launch s ~now ~compile ~store ~on_store_hit stall shape (left - 1)
+
+let rec lookup_from s ~now ~compile ~store ~on_store_hit stall = function
+  | [] -> stall
+  | (shape, launches) :: rest ->
+    lookup_from s ~now ~compile ~store ~on_store_hit
+      (launch s ~now ~compile ~store ~on_store_hit stall shape launches)
+      rest
+
+let lookup s ~now ~compile ~store ~on_store_hit shapes =
+  lookup_from s ~now ~compile ~store ~on_store_hit 0. shapes
 
 let next_step s =
   let i = s.step_no in
   s.step_no <- i + 1;
   i
 
+(* [List.filter keep l], with [keep] run on the members in order, but
+   sharing the tail of [l] after the last member dropped: a step that
+   completes nobody, as most do, allocates nothing. *)
+let rec filter_shared keep = function
+  | [] -> []
+  | a :: rest as l ->
+    let stays = keep a in
+    let rest' = filter_shared keep rest in
+    if not stays then rest' else if rest' == rest then l else a :: rest'
+
 let advance s ~fin ~on_done =
   s.act <-
-    List.filter
+    filter_shared
       (fun a ->
         if a.prefill > 0 then begin
           a.kv <- a.prefill;

@@ -54,75 +54,78 @@ let next_pow2 n =
   let rec go p = if p >= n then p else go (2 * p) in
   go 1
 
-(* Engine memos are shared with the precompile fan-out's worker domains:
-   find under the lock, compute outside it (the compute path takes other
+(* Find under the lock, compute outside it (the compute path takes other
    locks — compiler memo, kernel-set cache — and must not nest inside
    this one), re-check on insert so racing domains converge on a single
    entry. The compute is deterministic, so a rare duplicated compute is
    only wasted work, never divergence. *)
-let memo_find_or lock tbl key compute =
-  Mutex.lock lock;
-  let hit = Hashtbl.find_opt tbl key in
-  Mutex.unlock lock;
-  match hit with
-  | Some v -> v
-  | None ->
-    let v = compute () in
+let memoize (type k) (module K : Hashtbl.HashedType with type t = k) size
+    compute =
+  let module Tbl = Hashtbl.Make (K) in
+  let table = Tbl.create size and lock = Mutex.create () in
+  fun key ->
     Mutex.lock lock;
-    let v =
-      match Hashtbl.find_opt tbl key with
-      | Some w -> w
-      | None ->
-        Hashtbl.replace tbl key v;
-        v
-    in
-    Mutex.unlock lock;
-    v
+    match Tbl.find table key with
+    | v ->
+      Mutex.unlock lock;
+      v
+    | exception Not_found ->
+      Mutex.unlock lock;
+      let v = compute key in
+      Mutex.lock lock;
+      let v =
+        match Tbl.find table key with
+        | w -> w
+        | exception Not_found ->
+          Tbl.replace table key v;
+          v
+      in
+      Mutex.unlock lock;
+      v
+
+module Keys = Mikpoly_util.Int_keys
 
 let mikpoly_engine compiler =
   let hw = Mikpoly_core.Compiler.hardware compiler in
   (* [operator_seconds] re-runs the device simulator on every call, and a
      40-layer graph launches each family shape dozens of times — memoize
      per shape for the engine's lifetime. *)
-  let gemm_memo = Hashtbl.create 1024 in
-  let gemm_lock = Mutex.create () in
+  let gemm_seconds =
+    memoize (module Keys.Triple) 1024 (fun shape ->
+        Mikpoly_core.Compiler.operator_seconds compiler
+          (Mikpoly_core.Compiler.gemm compiler shape))
+  in
   let gemm ~m ~n ~k =
     if m < 1 || n < 1 || k < 1 then Error "non-positive GEMM dimension"
-    else
-      Ok
-        (memo_find_or gemm_lock gemm_memo (m, n, k) (fun () ->
-             Mikpoly_core.Compiler.operator_seconds compiler
-               (Mikpoly_core.Compiler.gemm compiler (m, n, k))))
+    else Ok (gemm_seconds (m, n, k))
   in
   (* The KV length only drives the bandwidth-bound attention scan;
      bucketing it to a power of two keeps the step memo small. *)
-  let step_memo = Hashtbl.create 256 in
-  let step_lock = Mutex.create () in
-  let step_seconds ~tokens ~kv_tokens =
-    if tokens < 1 then invalid_arg "Scheduler.step_seconds: tokens must be >= 1";
-    let kv_len = next_pow2 (max 1 (kv_tokens / max 1 tokens)) in
-    memo_find_or step_lock step_memo (tokens, kv_len) (fun () ->
+  let step_time =
+    memoize (module Keys.Pair) 256 (fun (tokens, kv_len) ->
         let graph = Mikpoly_nn.Llama.decode_graph ~batch:tokens ~kv_len in
         let r = Mikpoly_nn.Inference.run hw graph ~gemm () in
         r.Mikpoly_nn.Inference.seconds)
   in
-  let step_shapes ~tokens =
-    List.map
-      (fun (g : Mikpoly_nn.Llama.layer_gemm) ->
-        (Mikpoly_nn.Llama.gemm_shape g ~tokens, g.repeat * Mikpoly_nn.Llama.layers))
-      Mikpoly_nn.Llama.layer_gemms
+  let step_seconds ~tokens ~kv_tokens =
+    if tokens < 1 then invalid_arg "Scheduler.step_seconds: tokens must be >= 1";
+    step_time (tokens, next_pow2 (max 1 (kv_tokens / max 1 tokens)))
   in
-  let compile_memo = Hashtbl.create 256 in
-  let compile_lock = Mutex.create () in
-  let compile_seconds shape =
-    memo_find_or compile_lock compile_memo shape (fun () ->
-        Mikpoly_core.Compiler.compile_seconds compiler shape)
+  let shapes =
+    memoize (module Keys.Int) 256 (fun tokens ->
+        List.map
+          (fun (g : Mikpoly_nn.Llama.layer_gemm) ->
+            ( Mikpoly_nn.Llama.gemm_shape g ~tokens,
+              g.repeat * Mikpoly_nn.Llama.layers ))
+          Mikpoly_nn.Llama.layer_gemms)
   in
   {
     engine_name = "mikpoly@" ^ hw.Mikpoly_accel.Hardware.name;
     step_seconds;
-    step_shapes;
-    compile_seconds;
+    step_shapes = (fun ~tokens -> shapes tokens);
+    compile_seconds =
+      memoize (module Keys.Triple) 256
+        (Mikpoly_core.Compiler.compile_seconds compiler);
     precompile_batch =
       (fun ~jobs shapes -> Mikpoly_core.Compiler.warm ~jobs compiler shapes);
   }
@@ -148,20 +151,12 @@ let graph_engine ~name ~bind compiler =
   (* one whole-graph pass per step: bind the model at the step's token
      count, price it once, and reuse the result for the engine's
      lifetime (the executor re-walks the DAG per call) *)
-  let step_memo = Hashtbl.create 64 in
-  let step_lock = Mutex.create () in
-  let costs tokens =
-    memo_find_or step_lock step_memo tokens (fun () ->
+  let costs =
+    memoize (module Keys.Int) 64 (fun tokens ->
         let bound = bind ~tokens in
         let run = Mikpoly_graph.Executor.execute backend bound in
         ( run.Mikpoly_graph.Executor.r_exec_seconds,
           Mikpoly_graph.Infer.shape_launches bound ))
-  in
-  let compile_memo = Hashtbl.create 256 in
-  let compile_lock = Mutex.create () in
-  let compile_seconds shape =
-    memo_find_or compile_lock compile_memo shape (fun () ->
-        Mikpoly_core.Compiler.compile_seconds compiler shape)
   in
   {
     engine_name = name;
@@ -171,7 +166,9 @@ let graph_engine ~name ~bind compiler =
           invalid_arg "Scheduler.step_seconds: tokens must be >= 1";
         fst (costs tokens));
     step_shapes = (fun ~tokens -> snd (costs tokens));
-    compile_seconds;
+    compile_seconds =
+      memoize (module Keys.Triple) 256
+        (Mikpoly_core.Compiler.compile_seconds compiler);
     precompile_batch =
       (fun ~jobs shapes -> Mikpoly_core.Compiler.warm ~jobs compiler shapes);
   }
@@ -398,7 +395,14 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
     timed_out := req :: !timed_out;
     Tm.Metrics.incr m_timed_out
   in
+  (* Requests waiting in every queue, kept on push and take. *)
+  let queued = ref 0 in
+  let push i req =
+    Batcher.push waiting.(i) req;
+    incr queued
+  in
   let outstanding i = Batcher.length waiting.(i) + List.length reps.(i).act in
+  (* Queue [req] on the least loaded replica; returns that replica. *)
   let assign req =
     (* Least outstanding work wins; ties go to the lowest index so the
        routing is deterministic. *)
@@ -410,7 +414,8 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
         least := load
       end
     done;
-    let q = waiting.(!i) in
+    let i = !i in
+    let q = waiting.(i) in
     (* Load-shedding admission: a bounded queue refuses (or evicts) work
        instead of letting latency grow without bound under overload.
        The evicted request is the smallest (arrival, id). Under [Greedy]
@@ -418,32 +423,37 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
        longest ago: arrivals come in (arrival, id) order, admission takes
        the smallest requests, and a crash puts back requests older than
        everything still waiting. *)
-    match resilience with
+    (match resilience with
     | Some res when res.max_queue > 0 && Batcher.length q >= res.max_queue -> (
       match res.shed with
       | `Reject_new -> reject req "queue full"
       | `Drop_oldest ->
         Option.iter
-          (fun oldest -> reject oldest "queue full (dropped oldest)")
+          (fun oldest ->
+            decr queued;
+            reject oldest "queue full (dropped oldest)")
           (Batcher.pop_oldest q);
-        Batcher.push q req)
-    | _ -> Batcher.push q req
+        push i req)
+    | _ -> push i req);
+    i
   in
-  (* Time at which a replica can next make progress, None if it is idle
-     with an empty queue; a crashed replica makes no progress before its
-     restart completes. Never before the last fired event: a Timeout
-     queue that fills up becomes eligible at its oldest arrival, which
-     would otherwise run the step in the past and admit the request that
-     filled it before that request arrived. *)
+  (* When each replica can next make progress ([Replica.ready_at]; a
+     crashed replica makes none before its restart completes), or
+     [neg_infinity] while it is idle with an empty queue: no wake-up is,
+     since arrivals are finite. A wake-up reads only its own replica's
+     slot and queue, and an event changes those of one replica only (the
+     arrival's assignee, the crashed or the stepped replica), so each
+     event recomputes that one entry. *)
+  let wake = Array.make config.replicas neg_infinity in
+  let rewake i =
+    wake.(i) <-
+      (match
+         Replica.ready_at reps.(i) (fun () -> Batcher.next_eligible waiting.(i))
+       with
+      | Some t -> t
+      | None -> neg_infinity)
+  in
   let last_event = ref neg_infinity in
-  let next_time (r : _ Replica.slot) =
-    match
-      Replica.ready_at r (fun () ->
-          Batcher.next_eligible waiting.(r.index))
-    with
-    | Some t when t < !last_event -> Some !last_event
-    | ready -> ready
-  in
   let do_crash i ~now =
     let r = reps.(i) in
     Tm.Metrics.incr m_crashes;
@@ -465,7 +475,7 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
        re-polymerized after restart. *)
     retired_caches :=
       Replica.crash c r ~now ~restart_delay:faults.Plan.restart_delay
-        ~requeue:(Batcher.push waiting.(i))
+        ~requeue:(push i)
       :: !retired_caches;
     fail_streak.(i) <- 0;
     if tracing then
@@ -474,9 +484,10 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
   in
   let step (r : Request.t Replica.slot) ~now =
     let i = r.index in
-    let d =
-      Batcher.admit waiting.(i) ~now ~in_flight:(List.length r.act)
-    in
+    let q = waiting.(i) in
+    let before = Batcher.length q in
+    let d = Batcher.admit q ~now ~in_flight:(List.length r.act) in
+    queued := !queued - (before - Batcher.length q);
     dropped := List.rev_append d.Batcher.dropped !dropped;
     if d.Batcher.dropped <> [] then
       Tm.Metrics.add m_dropped (List.length d.Batcher.dropped);
@@ -494,12 +505,9 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
     Replica.admit r ~item:Fun.id d.Batcher.admitted;
     if r.act = [] then Replica.idle r ~now ~shed:(d.Batcher.dropped <> [])
     else begin
-      let queued =
-        Array.fold_left (fun acc q -> acc + Batcher.length q) 0 waiting
-      in
       let b =
-        Replica.batch c r ~queued ~bucketing:config.bucketing ~coalesce:false
-          ~step_shapes:engine.step_shapes
+        Replica.batch c r ~queued:!queued ~bucketing:config.bucketing
+          ~coalesce:false ~step_shapes:engine.step_shapes
       in
       (* Every micro-kernel launch consults the program cache; only
          misses pay the polymerization stall. At capacity 0 nothing is
@@ -585,11 +593,12 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
               ~start:now ~finish:(now +. stall) ()
         end;
         fail_streak.(i) <- 0;
-        List.iter
-          (fun (a : _ Replica.active) ->
-            if attempts_of a.req.Request.id > 0 then
-              Hashtbl.replace attempts a.req.Request.id 0)
-          r.act;
+        if Hashtbl.length attempts > 0 then
+          List.iter
+            (fun (a : _ Replica.active) ->
+              if attempts_of a.req.Request.id > 0 then
+                Hashtbl.replace attempts a.req.Request.id 0)
+            r.act;
         Replica.advance r ~fin ~on_done:(fun a done_ ->
             completed := done_ :: !completed;
             let ttft = a.first_token -. a.req.Request.arrival in
@@ -631,23 +640,38 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
       (match !crashes_left with
       | (t, i) :: _ -> Replica.consider n t prio_crash (`Crash i)
       | [] -> ());
-      Array.iter
-        (fun r ->
-          match next_time r with
-          | Some t -> Replica.consider n t prio_step (`Step r)
-          | None -> ())
-        reps)
+      (* Only the earliest wake-up is a candidate: lowest index on ties,
+         and never before the last fired event. A Timeout queue that
+         fills up becomes eligible at its oldest arrival, which would
+         otherwise run the step in the past and admit the request that
+         filled it before that request arrived. *)
+      let best = ref (-1) and best_t = ref 0. in
+      for i = 0 to config.replicas - 1 do
+        let t = wake.(i) in
+        if t <> neg_infinity then begin
+          let t = if t < !last_event then !last_event else t in
+          if !best < 0 || t < !best_t then begin
+            best := i;
+            best_t := t
+          end
+        end
+      done;
+      if !best >= 0 then
+        Replica.consider n !best_t prio_step (`Step reps.(!best)))
     ~fire:(fun t event ->
       last_event := t;
       match event with
       | `Arrival ->
         let p = List.hd !pending in
         pending := List.tl !pending;
-        assign p
+        rewake (assign p)
       | `Crash i ->
         crashes_left := List.tl !crashes_left;
-        do_crash i ~now:t
-      | `Step r -> step r ~now:t);
+        do_crash i ~now:t;
+        rewake i
+      | `Step (r : _ Replica.slot) ->
+        step r ~now:t;
+        rewake r.index);
   project c ~completed:(List.rev !completed) ~dropped:(List.rev !dropped)
     ~rejected:(List.rev !rejected) ~timed_out:(List.rev !timed_out)
     ~failed:(List.rev !failed) ~adapt_stall_seconds:!adapt_total

@@ -30,11 +30,17 @@ type engine = {
           modeled stalls and simulated outcomes are unchanged. *)
 }
 
-val memo_find_or :
-  Mutex.t -> ('k, 'v) Hashtbl.t -> 'k -> (unit -> 'v) -> 'v
-(** [memo_find_or lock tbl key compute]: the domain-safe memo every
-    engine uses — find under [lock], [compute] outside it, re-check on
-    insert so racing domains converge on one entry. *)
+val memoize :
+  (module Hashtbl.HashedType with type t = 'k) -> int -> ('k -> 'v) -> 'k -> 'v
+(** [memoize (module K) size compute] is [compute] memoized for the
+    caller's lifetime in a table of initial [size] keyed by [K]'s
+    equality and hash (e.g. {!Mikpoly_util.Int_keys}, which keeps the
+    polymorphic [caml_hash] off the step path). Every engine's memo is
+    one. A lock guards the table, because callers may share an engine
+    across domains: a call finds under the lock, computes outside it
+    (the compute takes other locks, such as the compiler's memo, and
+    must not nest inside this one) and re-checks on insert, so racing
+    domains converge on one entry. *)
 
 val mikpoly_engine : Mikpoly_core.Compiler.t -> engine
 (** The Llama2-13b continuous-batching engine of
@@ -161,7 +167,11 @@ val run :
     is not finite: the waiting queues order requests by (arrival, id)
     ({!Batcher.queue}). Queueing an arrival, and admitting or shedding
     a request, costs O(log n) amortized in a queue of [n]; no arrival
-    or step walks a whole queue.
+    or step walks a whole queue. Per event, the loop recomputes the
+    wake-up of the one replica the event touched (the arrival's
+    assignee, the crashed or the stepped replica) and picks the next
+    event by scanning the [replicas] cached wake-up times, so an event
+    costs O(replicas) float reads plus that queue work.
 
     [adapt] is polled once after every engine step; a positive return is
     online-adaptation work (drift-reaction recompiles) in seconds, charged

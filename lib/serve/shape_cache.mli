@@ -7,7 +7,9 @@
     capacity, least-recently-used eviction, and counters so the runtime
     can report hit rate and compile-stall behaviour instead of inferring
     it. A capacity of 0 models a cache-less system: every lookup misses
-    and nothing is retained. *)
+    and nothing is retained. Shapes are hashed and compared as three
+    ints ({!Mikpoly_util.Int_keys.Triple}), not by the polymorphic
+    [Hashtbl.hash] and [compare]. *)
 
 type key = int * int * int
 (** A GEMM shape (M, N, K). *)

@@ -20,18 +20,81 @@ let stddev xs =
   let var = mean (List.map (fun x -> (x -. m) ** 2.) xs) in
   sqrt var
 
-(* One sort serves every requested percentile. The sort is stable and
-   [Float.compare] orders floats as polymorphic [compare] does, so equal
-   samples such as [-0.] and [0.] keep their input order and every
-   interpolated value keeps its bits. *)
-let percentiles ps xs =
-  let xs = require_nonempty "Stats.percentile" xs in
+(* [Array.stable_sort Float.compare] on a float array, transcribed from
+   the standard library's merge sort (insertion sort below [cutoff]
+   elements, a temporary array of half the length) with the comparison
+   inlined: a polymorphic sort boxes both floats of every comparison for
+   its closure. A stable sort's output is fixed by the order alone, so
+   the result is the same bit for bit. *)
+let cutoff = 5
+
+(* [a.(srcofs .. srcofs+len-1)] insertion-sorted into [dst] from
+   [dstofs]. *)
+let isortto (a : float array) srcofs (dst : float array) dstofs len =
+  for i = 0 to len - 1 do
+    let e = a.(srcofs + i) in
+    let j = ref (dstofs + i - 1) in
+    while !j >= dstofs && Float.compare dst.(!j) e > 0 do
+      dst.(!j + 1) <- dst.(!j);
+      decr j
+    done;
+    dst.(!j + 1) <- e
+  done
+
+(* The sorted runs [a.(i1 .. i1+n1-1)] and [src2.(i2 .. i2+n2-1)] merged
+   into [dst] from [d], the first run's element first on ties. *)
+let merge (a : float array) i1 n1 (src2 : float array) i2 n2
+    (dst : float array) d =
+  let e1 = i1 + n1 and e2 = i2 + n2 in
+  let i = ref i1 and j = ref i2 and k = ref d in
+  while !i < e1 && !j < e2 do
+    if Float.compare a.(!i) src2.(!j) <= 0 then begin
+      dst.(!k) <- a.(!i);
+      incr i
+    end
+    else begin
+      dst.(!k) <- src2.(!j);
+      incr j
+    end;
+    incr k
+  done;
+  if !i < e1 then Array.blit a !i dst !k (e1 - !i)
+  else Array.blit src2 !j dst !k (e2 - !j)
+
+(* [a.(srcofs .. srcofs+len-1)] sorted into [dst] from [dstofs]. *)
+let rec sortto a srcofs dst dstofs len =
+  if len <= cutoff then isortto a srcofs dst dstofs len
+  else begin
+    let l1 = len / 2 in
+    let l2 = len - l1 in
+    sortto a (srcofs + l1) dst (dstofs + l1) l2;
+    sortto a srcofs a (srcofs + l2) l1;
+    merge a (srcofs + l2) l1 dst (dstofs + l1) l2 dst dstofs
+  end
+
+let stable_sort a =
+  let l = Array.length a in
+  if l <= cutoff then isortto a 0 a 0 l
+  else begin
+    let l1 = l / 2 in
+    let l2 = l - l1 in
+    let t = Array.create_float l2 in
+    sortto a l1 t 0 l2;
+    sortto a 0 a l2 l1;
+    merge a l2 l1 t 0 l2 a 0
+  end
+
+(* Every requested percentile of [arr], sorted in place first. The sort
+   is stable and [Float.compare] orders floats as polymorphic [compare]
+   does, so equal samples such as [-0.] and [0.] keep their input order
+   and every interpolated value keeps its bits. *)
+let sort_percentiles ps arr =
   List.iter
     (fun p ->
-      if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range")
+      if not (p >= 0. && p <= 100.) then
+        invalid_arg "Stats.percentile: p out of range")
     ps;
-  let arr = Array.of_list xs in
-  Array.stable_sort Float.compare arr;
+  stable_sort arr;
   let n = Array.length arr in
   List.map
     (fun p ->
@@ -44,6 +107,13 @@ let percentiles ps xs =
         (arr.(lo) *. (1. -. frac)) +. (arr.(hi) *. frac)
       end)
     ps
+
+let percentiles ps xs =
+  sort_percentiles ps (Array.of_list (require_nonempty "Stats.percentile" xs))
+
+let percentiles_array ps xs =
+  if Array.length xs = 0 then invalid_arg "Stats.percentile: empty array";
+  sort_percentiles ps (Array.copy xs)
 
 let percentile p xs = List.hd (percentiles [ p ] xs)
 

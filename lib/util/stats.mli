@@ -15,12 +15,20 @@ val median : float list -> float
 (** Median (lower-interpolated for even lengths is averaged). *)
 
 val percentile : float -> float list -> float
-(** [percentile p xs] with [p] in [\[0,100\]], linear interpolation. *)
+(** [percentile p xs] with [p] in [\[0,100\]], linear interpolation over
+    [xs] sorted in [Float.compare] order (a NaN sample sorts first).
+    Raises [Invalid_argument] on an empty [xs] or a [p] outside
+    [\[0,100\]], NaN included. *)
 
 val percentiles : float list -> float list -> float list
 (** [percentiles ps xs] is [List.map (fun p -> percentile p xs) ps],
     bit for bit, from one sort of [xs]; it raises as {!percentile} does
     on an empty [xs] or a [p] out of range. *)
+
+val percentiles_array : float list -> float array -> float list
+(** [percentiles_array ps xs] is [percentiles ps (Array.to_list xs)],
+    bit for bit, without building the list; it raises [Invalid_argument]
+    where that does. [xs] is not modified. *)
 
 val minimum : float list -> float
 

@@ -936,6 +936,119 @@ let prop_lookup_matches_per_launch =
           (String.concat "\n" expected) (String.concat "\n" got);
       true)
 
+(* --- Shape_cache against the polymorphic-table reference ---
+
+   Random operation sequences on the cache and on [Ref_shape_cache], the
+   implementation it replaced, at capacities 0–5 with plain and weighted
+   admission. The keys of a case are one shape, its permutations and
+   shapes one component away from it, so equal hashes and near-equal
+   keys are common. After every operation both must report the same
+   result, stats, LRU order and rejections. *)
+
+type cache_op =
+  | Add of Shape_cache.key * int
+  | Find of Shape_cache.key
+  | Find_n of Shape_cache.key * int
+  | Mem of Shape_cache.key
+
+let show_cache_op = function
+  | Add (k, v) -> Printf.sprintf "add %s %d" (show_key k) v
+  | Find k -> "find " ^ show_key k
+  | Find_n (k, n) -> Printf.sprintf "find_n %s %d" (show_key k) n
+  | Mem k -> "mem " ^ show_key k
+
+(* Finite weights with ties, so recency breaks them. *)
+let cache_weight (m, n, k) = float_of_int ((m lxor (3 * n) lxor (5 * k)) land 3)
+
+let arb_cache_case =
+  let open QCheck in
+  let component =
+    Gen.oneofl [ 0; 1; 2; 3; 8; 5120; 13824; -1; max_int; min_int ]
+  in
+  let op keys =
+    let key = Gen.oneofl keys in
+    Gen.(
+      frequency
+        [
+          (3, map2 (fun k v -> Add (k, v)) key (int_bound 9));
+          (2, map (fun k -> Find k) key);
+          (2, map2 (fun k n -> Find_n (k, n)) key (int_range 1 5));
+          (1, map (fun k -> Mem k) key);
+        ])
+  in
+  let case =
+    Gen.(
+      triple component component component >>= fun (m, n, k) ->
+      triple component component component >>= fun (m', n', k') ->
+      let keys =
+        [
+          (m, n, k); (m, k, n); (n, m, k); (n, k, m); (k, m, n); (k, n, m);
+          (m', n, k); (m, n', k); (m, n, k');
+        ]
+      in
+      triple (int_range 0 5) bool (list_size (int_range 1 60) (op keys)))
+  in
+  make
+    ~print:(fun (capacity, weighted, ops) ->
+      Printf.sprintf "capacity=%d weighted=%b\n%s" capacity weighted
+        (String.concat "\n" (List.map show_cache_op ops)))
+    case
+
+let prop_shape_cache_matches_reference =
+  QCheck.Test.make ~name:"shape cache: same as the polymorphic-table cache"
+    ~count:500 arb_cache_case (fun (capacity, weighted, ops) ->
+      let c, r =
+        if weighted then
+          ( Shape_cache.create_weighted ~weight:cache_weight ~capacity,
+            Ref_shape_cache.create_weighted ~weight:cache_weight ~capacity )
+        else (Shape_cache.create ~capacity, Ref_shape_cache.create ~capacity)
+      in
+      let show_opt = function Some v -> string_of_int v | None -> "none" in
+      let state () =
+        let s = Ref_shape_cache.stats r in
+        ( show_stats (Shape_cache.stats c)
+          :: Printf.sprintf "rejections=%d" (Shape_cache.rejections c)
+          :: List.map show_key (Shape_cache.lru_order c),
+          show_stats
+            {
+              Shape_cache.hits = s.hits;
+              misses = s.misses;
+              insertions = s.insertions;
+              evictions = s.evictions;
+              size = s.size;
+              capacity = s.capacity;
+            }
+          :: Printf.sprintf "rejections=%d" (Ref_shape_cache.rejections r)
+          :: List.map show_key (Ref_shape_cache.lru_order r) )
+      in
+      List.iteri
+        (fun i op ->
+          let got, expected =
+            match op with
+            | Add (k, v) ->
+              Shape_cache.add c k v;
+              Ref_shape_cache.add r k v;
+              ("()", "()")
+            | Find k ->
+              ( show_opt (Shape_cache.find c k),
+                show_opt (Ref_shape_cache.find r k) )
+            | Find_n (k, n) ->
+              ( show_opt (Shape_cache.find_n c k n),
+                show_opt (Ref_shape_cache.find_n r k n) )
+            | Mem k ->
+              ( string_of_bool (Shape_cache.mem c k),
+                string_of_bool (Ref_shape_cache.mem r k) )
+          in
+          let got_state, expected_state = state () in
+          if got :: got_state <> expected :: expected_state then
+            QCheck.Test.fail_reportf
+              "after operation %d (%s)\nexpected:\n%s\ngot:\n%s" i
+              (show_cache_op op)
+              (String.concat "\n" (expected :: expected_state))
+              (String.concat "\n" (got :: got_state)))
+        ops;
+      true)
+
 let test_replica_next_event () =
   let pending =
     ref [ (2., 0, "late"); (1., 2, "step"); (1., 1, "first"); (1., 1, "second") ]
@@ -1051,6 +1164,30 @@ let test_overload_pinned () =
    first, whatever order the batcher admits in. Request 0 holds the only
    batch slot while 1 and 2 wait; 2 has the earlier deadline, but 1
    arrived first, so 1 makes room for 3. *)
+(* Replicas that wake at the same instant step in index order. Three
+   equal requests arrive together, one per replica, so the three
+   replicas run the same steps at the same times, and every completion
+   ties: the completion order is the step order. *)
+let test_equal_wakeups_step_in_index_order () =
+  let o =
+    Scheduler.run
+      { config with Scheduler.replicas = 3 }
+      (Scheduler.synthetic_engine ())
+      (List.init 3 (fun id -> req ~id ~arrival:0.5 ~prompt:8 ~output:4 ()))
+  in
+  Alcotest.(check (list (pair int int)))
+    "(replica, request) in completion order"
+    [ (0, 0); (1, 1); (2, 2) ]
+    (List.map
+       (fun (c : Scheduler.completed) -> (c.replica, c.request.Request.id))
+       o.Scheduler.completed);
+  Alcotest.(check bool)
+    "the completions tie" true
+    (List.for_all
+       (fun (c : Scheduler.completed) ->
+         c.finish = (List.hd o.Scheduler.completed).finish)
+       o.Scheduler.completed)
+
 let test_drop_oldest_under_slo () =
   let o =
     Scheduler.run
@@ -1149,6 +1286,89 @@ let test_metrics_pinned () =
     (List.map
        (fun o -> metrics_fingerprint (Metrics.of_outcome o))
        [ pinned_outcome (); single; none_done ])
+
+(* The serve-steady regime at test size: 8 replicas under capacity with
+   Aligned 8 bucketing, 2 000 synthetic-engine requests, under Greedy,
+   under Timeout, and under Timeout with three crashes and a bounded
+   [`Drop_oldest] queue (5 requests evicted). Each run is reduced to the
+   outcome fingerprint and the report fingerprint, so the event pick,
+   the per-step bookkeeping and the report are pinned bit for bit. *)
+let test_steady_pinned () =
+  let trace =
+    Request.poisson ~seed:11 ~rate:400. ~count:2000 ~max_prompt:256
+      ~max_output:32 ()
+  in
+  let run ?faults ?resilience batcher =
+    Scheduler.run ?faults ?resilience
+      {
+        Scheduler.replicas = 8;
+        batcher;
+        bucketing = Bucketing.Aligned 8;
+        cache_capacity = 8;
+      }
+      (Scheduler.synthetic_engine ())
+      trace
+  in
+  let timeout = Batcher.Timeout { max_batch = 32; window = 0.01 } in
+  let crashed =
+    run
+      ~faults:
+        (Mikpoly_fault.Plan.make
+           ~crashes:[ (1.0, 0); (2.0, 3); (2.5, 7) ]
+           ~restart_delay:0.05 ~seed:3 ())
+      ~resilience:
+        { Scheduler.default_resilience with max_queue = 3; shed = `Drop_oldest }
+      timeout
+  in
+  Alcotest.(check (list string))
+    "fingerprints"
+    [
+      "c723d2a23d5782b5 steps=10583 makespan=0x1.3ec024cb76331p+2 \
+       stall=0x1.8ef34d6a16264p-2 \
+       caches=10224/288;9756/292;9920/264;10752/232;10410/246;10356/236;\
+       10878/194;10420/196";
+      "req=2000 done=2000 drop=0 rej=0 tout=0 fail=0 retry=0 steps=10583 \
+       lat=0x1.d2a65c6aa3a8p-6/0x1.9961eea4e3b09p-4/0x1.005b005b0d2cfp-3 \
+       ttft=0x1.3fb1d2ad7928p-7/0x1.f20b57e7e4c78p-6 \
+       tpot=0x1.ab4af2445a514p-9 thru=0x1.91916336bbd04p+8 \
+       good=0x1.91916336bbd04p+8 slo=0x1p+0 tok=0x1.a3093f7731cebp+11 \
+       queue=0x1.7ae876a060c25p-1 hit=0x1.f438378a25c8dp-1 \
+       stall=0x1.8ef34d6a16264p-2 adapt=0x0p+0 pad=0x1.22d85e4cb96bcp-1 \
+       makespan=0x1.3ec024cb76331p+2";
+      "c723d2a23d5782b5 steps=10126 makespan=0x1.3f4b7974893fep+2 \
+       stall=0x1.8c7e28240b7fep-2 \
+       caches=10098/262;9778/278;9842/246;9934/250;10068/228;9684/236;\
+       9874/230;9794/206";
+      "req=2000 done=2000 drop=0 rej=0 tout=0 fail=0 retry=0 steps=10126 \
+       lat=0x1.42725006ca5ap-5/0x1.c0b93bcc83958p-4/0x1.1262a1178086bp-3 \
+       ttft=0x1.456a32839107p-6/0x1.63c2b95b18ae6p-5 \
+       tpot=0x1.b1ce3409ed38cp-9 thru=0x1.90e227c3c8fb9p+8 \
+       good=0x1.90e227c3c8fb9p+8 slo=0x1p+0 tok=0x1.a25264a16bf73p+11 \
+       queue=0x1.33b1ba86ccfb6p+2 hit=0x1.f3c386d9ed16ep-1 \
+       stall=0x1.8c7e28240b7fep-2 adapt=0x0p+0 pad=0x1.12987fb39134ep-1 \
+       makespan=0x1.3f4b7974893fep+2";
+      "90af93944f731a52 steps=10093 makespan=0x1.3f8c75956ac21p+2 \
+       stall=0x1.9374bc6a7f01fp-2 \
+       caches=7778/230;10082/262;9426/270;5706/150;10002/254;10478/210;\
+       9250/254;5030/98;2244/44;3782/98;4996/100";
+      "req=2000 done=1995 drop=0 rej=5 tout=0 fail=0 retry=3 steps=10093 \
+       lat=0x1.4124adb458b8p-5/0x1.c1d6dfbb0710bp-4/0x1.16cdeed8ab885p-3 \
+       ttft=0x1.463b9a1c1364p-6/0x1.6f7a2457c7ac5p-5 \
+       tpot=0x1.ac5a375795096p-9 thru=0x1.8f9044ad94892p+8 \
+       good=0x1.8f9044ad94892p+8 slo=0x1.feb851eb851ecp-1 \
+       tok=0x1.a0698d4093b17p+11 queue=0x1.3817bda5c125dp+2 \
+       hit=0x1.f38217b0a93abp-1 stall=0x1.9374bc6a7f01fp-2 adapt=0x0p+0 \
+       pad=0x1.11693ea6bd53p-1 makespan=0x1.3f8c75956ac21p+2";
+    ]
+    (List.concat_map
+       (fun o ->
+         [
+           fingerprint ~digest:(status_digest o) ~steps:o.Scheduler.steps
+             ~makespan:o.Scheduler.makespan
+             ~stall:o.Scheduler.compile_stall_seconds o.Scheduler.cache;
+           metrics_fingerprint (Metrics.of_outcome o);
+         ])
+       [ run (Batcher.Greedy { max_batch = 32 }); run timeout; crashed ])
 
 (* --- Scheduler.run over random chaos ---
 
@@ -1332,6 +1552,7 @@ let () =
           Alcotest.test_case "stats counters" `Quick test_cache_stats_counters;
           Alcotest.test_case "capacity zero" `Quick test_cache_capacity_zero;
           Alcotest.test_case "find_n" `Quick test_cache_find_n;
+          QCheck_alcotest.to_alcotest prop_shape_cache_matches_reference;
         ] );
       ( "bucketing",
         [
@@ -1369,6 +1590,9 @@ let () =
           Alcotest.test_case "drop oldest under SLO-aware" `Quick
             test_drop_oldest_under_slo;
           Alcotest.test_case "pinned report" `Quick test_metrics_pinned;
+          Alcotest.test_case "pinned steady outcome" `Quick test_steady_pinned;
+          Alcotest.test_case "equal wake-ups step in index order" `Quick
+            test_equal_wakeups_step_in_index_order;
           Alcotest.test_case "cache table per outcome" `Quick
             test_cache_table_per_outcome;
           QCheck_alcotest.to_alcotest prop_run_conserves;

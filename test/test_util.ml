@@ -114,6 +114,25 @@ let test_stats_percentile () =
   check_float "p100" 100. (Stats.percentile 100. xs);
   check_float "p50" 50. (Stats.percentile 50. xs)
 
+(* A percentile outside [0, 100] is an error, and so is NaN: [nan < 0.]
+   and [nan > 100.] are both false. *)
+let test_stats_percentile_out_of_range () =
+  List.iter
+    (fun p ->
+      Alcotest.check_raises
+        (Printf.sprintf "p = %g" p)
+        (Invalid_argument "Stats.percentile: p out of range")
+        (fun () -> ignore (Stats.percentile p [ 1.; 2. ]));
+      Alcotest.check_raises
+        (Printf.sprintf "percentiles with p = %g" p)
+        (Invalid_argument "Stats.percentile: p out of range")
+        (fun () -> ignore (Stats.percentiles [ 50.; p ] [ 1.; 2. ]));
+      Alcotest.check_raises
+        (Printf.sprintf "percentiles_array with p = %g" p)
+        (Invalid_argument "Stats.percentile: p out of range")
+        (fun () -> ignore (Stats.percentiles_array [ p ] [| 1.; 2. |])))
+    [ -1.; 101.; nan ]
+
 (* The percentile as it was computed before the one-sort batch: one
    polymorphic-compare sort per requested percentile. *)
 let reference_percentile p xs =
@@ -130,14 +149,22 @@ let reference_percentile p xs =
 
 (* Samples rich in ties: duplicates, both zeros (equal under compare, so
    only a stable sort keeps their order and the sign of an interpolated
-   zero), infinities, and single-element lists. *)
+   zero), NaNs (equal to each other and below every other float under
+   compare), infinities, single-element lists, and lists of up to 600
+   samples, so the merge sort's runs and merges are crossed. *)
 let arb_percentile_case =
   let open QCheck in
   let sample =
     Gen.(
       frequency
         [
-          (3, oneofl [ 0.; -0.; 1.; -1.; 2.5; infinity; neg_infinity; 1e-300 ]);
+          ( 3,
+            oneofl
+              [
+                0.; -0.; 1.; -1.; 2.5; infinity; neg_infinity; 1e-300; nan;
+                -.nan;
+              ]
+          );
           (2, float_range (-10.) 10.);
         ])
   in
@@ -151,7 +178,11 @@ let arb_percentile_case =
     ~print:
       Print.(pair (list (fun p -> Printf.sprintf "%h" p))
         (list (fun x -> Printf.sprintf "%h" x)))
-    Gen.(pair ps (list_size (int_range 1 40) sample))
+    Gen.(
+      pair ps
+        (list_size
+           (frequency [ (3, int_range 1 40); (1, int_range 41 600) ])
+           sample))
 
 let prop_percentiles_match_reference =
   QCheck.Test.make ~name:"percentiles: bit-identical to one sort per p"
@@ -159,6 +190,7 @@ let prop_percentiles_match_reference =
       let bits = List.map Int64.bits_of_float in
       let expected = bits (List.map (fun p -> reference_percentile p xs) ps) in
       bits (Stats.percentiles ps xs) = expected
+      && bits (Stats.percentiles_array ps (Array.of_list xs)) = expected
       && bits (List.map (fun p -> Stats.percentile p xs) ps) = expected)
 
 let test_stats_stddev () =
@@ -622,6 +654,8 @@ let () =
           Alcotest.test_case "geomean equal" `Quick test_stats_geomean_simple;
           Alcotest.test_case "median" `Quick test_stats_median;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
+          Alcotest.test_case "percentile out of range" `Quick
+            test_stats_percentile_out_of_range;
           qtest prop_percentiles_match_reference;
           Alcotest.test_case "stddev" `Quick test_stats_stddev;
           Alcotest.test_case "min/max/sum" `Quick test_stats_minmax_sum;
