@@ -258,16 +258,18 @@ echo "== parallel-win =="
 # without degrading at jobs=8; on a single-core host (where a speedup is physically
 # impossible and effective_jobs clamps every level to one worker) the
 # batch machinery must stay within 10% of plain sequential. Either way
-# the programs must be byte-identical across job counts, and analytic
-# pruning must cut scored candidates at least 5x with the identical
-# program. The greps re-assert the recorded verdicts on the artifact.
-dune exec bench/main.exe -- --quick --only parallel
+# the programs must be byte-identical across job counts. The greps
+# re-assert the recorded verdicts on the artifact. The analytic-pruning
+# counts (546 scored vs 14 385 unpruned, identical programs) and the
+# jobs-invariance of every program and tally are checked by test_core's
+# "Table-3 pruning oracle pinned" and "search jobs-invariant" cases in
+# the dune runtest stage above.
+dune exec bench/main.exe -- --quick
 test -s BENCH_parallel.json
 grep -q '"passed":true' BENCH_parallel.json
 if grep -q '"programs_identical":false' BENCH_parallel.json; then
   echo "parallel-win: programs diverged across job counts"
   exit 1
 fi
-grep -q '"candidates_scored"' BENCH_parallel.json
 
 echo "CI OK"

@@ -32,6 +32,7 @@ open Mikpoly_serve
 module H = Mikpoly_hetero.Hetero
 module Backend = Mikpoly_hetero.Backend
 module Health = Mikpoly_fleet.Health
+module Fleet = Mikpoly_fleet.Fleet
 module Engines = Mikpoly_hetero.Engines
 module Tenant = Mikpoly_fleet.Tenant
 module Ratelimit = Mikpoly_fleet.Ratelimit
@@ -329,10 +330,10 @@ let gates r =
     };
     {
       Exp.gate_name = "ratelimit_engaged";
-      gate_ok = List.length r.r_mixed.H.o_rate_limited > 0;
+      gate_ok = List.length r.r_mixed.H.o_fleet.Fleet.rate_limited > 0;
       gate_detail =
         Printf.sprintf "%d requests shed at the door in the mixed arm"
-          (List.length r.r_mixed.H.o_rate_limited);
+          (List.length r.r_mixed.H.o_fleet.Fleet.rate_limited);
     };
     {
       Exp.gate_name = "no_silent_losses";
@@ -381,19 +382,20 @@ let json r =
       ]
   in
   let arm_obj (o : H.outcome) =
+    let f = o.H.o_fleet in
     J.Obj
       [
         ("metrics", Exp_fleet.metrics_obj (metrics o));
-        ("rate_limited", J.Number (float_of_int (List.length o.H.o_rate_limited)));
-        ("requeues", J.Number (float_of_int o.H.o_requeues));
+        ("rate_limited", J.Number (float_of_int (List.length f.Fleet.rate_limited)));
+        ("requeues", J.Number (float_of_int f.Fleet.requeues));
         ("reroutes", J.Number (float_of_int o.H.o_reroutes));
         ("hedges", J.Number (float_of_int o.H.o_hedges));
         ("hedge_cancels", J.Number (float_of_int o.H.o_hedge_cancels));
-        ("injected_faults", J.Number (float_of_int o.H.o_injected_faults));
+        ("injected_faults", J.Number (float_of_int f.Fleet.injected_faults));
         ("status_digest", J.String o.H.o_status_digest);
         ("conserved", J.Bool o.H.o_conserved);
         ("classes", J.List (List.map class_obj o.H.o_classes));
-        ("tiers", Exp_fleet.tiers_json o.H.o_tiers);
+        ("tiers", Exp_fleet.tiers_json f.Fleet.tiers);
       ]
   in
   (* Unaccounted requests across every arm: any deviation between the
@@ -402,10 +404,11 @@ let json r =
   let silent_losses =
     List.fold_left
       (fun acc (o : H.outcome) ->
+        let f = o.H.o_fleet in
         let resolved =
-          List.length o.H.o_completed
-          + List.length o.H.o_dropped
-          + List.length o.H.o_rate_limited
+          List.length f.Fleet.completed
+          + List.length f.Fleet.dropped
+          + List.length f.Fleet.rate_limited
         in
         acc + abs (List.length r.r_trace - resolved))
       0

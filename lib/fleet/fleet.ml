@@ -178,6 +178,20 @@ type placement = {
   failover : bool;
 }
 
+(* NaN-safe like [validate]: a NaN hedge slack would otherwise pass
+   both bounds and silently never hedge. *)
+let validate_placement p =
+  if p.devices = [] then invalid_arg "Fleet: no device classes";
+  if p.degraded_max_tokens < 1 then
+    invalid_arg "Fleet: degraded_max_tokens must be >= 1";
+  Health.validate p.health;
+  match p.hedge with
+  | Some h ->
+    if not (h.hedge_slack > 0. && h.hedge_slack <= 1.) then
+      invalid_arg "Fleet: hedge_slack must be in (0, 1]";
+    if h.hedge_tiers = [] then invalid_arg "Fleet: empty hedge_tiers"
+  | None -> ()
+
 type slot = Tenant.tagged Replica.slot
 
 type cls = {
@@ -276,6 +290,8 @@ let consider n t ev =
 
 let serve ?(faults = Plan.none) config p trace =
   validate config;
+  validate_placement p;
+  Request.validate_trace ~caller:"Fleet" (fun tg -> tg.Tenant.req) trace;
   let sizes n =
     match config.autoscale with
     | Some a ->

@@ -209,4 +209,11 @@ val serve :
     autoscale bounds). Device-class indices in the fault plan's outage
     and brown-out windows refer to [placement.devices] order. Event ties
     break crash < arrival < hedge < warm-refresh < autoscale-tick <
-    replica step, then class index, then slot index. *)
+    replica step, then class index, then slot index.
+
+    Raises [Invalid_argument] before the first event when {!validate}
+    rejects [config], when the placement has no device class, a
+    [degraded_max_tokens] below 1, a health config {!Health.validate}
+    rejects, or a hedge with a slack outside (0, 1] (NaN included) or
+    no tiers, or when the trace fails
+    {!Mikpoly_serve.Request.validate_trace}. *)

@@ -1,4 +1,3 @@
-module Sch = Mikpoly_serve.Scheduler
 module Replica = Mikpoly_serve.Replica
 module Request = Mikpoly_serve.Request
 module Batcher = Mikpoly_serve.Batcher
@@ -28,22 +27,6 @@ type config = {
   failover : bool;
   ratelimit : Ratelimit.config option;
 }
-
-(* The rate limit is validated by the fleet loop, with the rest of the
-   fleet configuration. *)
-let validate config =
-  if config.backends = [] then invalid_arg "Hetero: no backends";
-  if config.cache_capacity < 0 then
-    invalid_arg "Hetero: negative cache capacity";
-  if config.degraded_max_tokens < 1 then
-    invalid_arg "Hetero: degraded_max_tokens must be >= 1";
-  Health.validate config.health;
-  match config.hedge with
-  | Some h ->
-    if h.hedge_slack <= 0. || h.hedge_slack > 1. then
-      invalid_arg "Hetero: hedge_slack must be in (0, 1]";
-    if h.hedge_tiers = [] then invalid_arg "Hetero: empty hedge_tiers"
-  | None -> ()
 
 type status = Fleet.status = Completed | Dropped | Rate_limited
 
@@ -77,24 +60,11 @@ type class_stats = {
 }
 
 type outcome = {
-  o_completed : Sch.completed list;
-  o_dropped : Request.t list;
-  o_rate_limited : Request.t list;
-  o_steps : int;
-  o_makespan : float;
-  o_stall_seconds : float;
-  o_actual_tokens : int;
-  o_padded_tokens : int;
-  o_queue_depth_sum : int;
-  o_queue_samples : int;
-  o_crashes : int;
-  o_injected_faults : int;
-  o_requeues : int;
+  o_fleet : Fleet.outcome;
   o_reroutes : int;
   o_hedges : int;
   o_hedge_cancels : int;
   o_classes : class_stats list;
-  o_tiers : Fleet.tier_metrics list;
   o_statuses : (Request.t * status) list;
   o_status_digest : string;
   o_conserved : bool;
@@ -137,7 +107,6 @@ let class_stats (b : Backend.t) (c : Fleet.cls) =
    cost router and the health planes — and no warm plane, no
    autoscaler and [steal_age = 0] (owner affinity never defers). *)
 let run ?faults config trace =
-  validate config;
   let fleet =
     {
       Fleet.replicas = 1;
@@ -180,25 +149,12 @@ let run ?faults config trace =
   in
   let n = List.length trace in
   {
-    o_completed = o.Fleet.completed;
-    o_dropped = o.Fleet.dropped;
-    o_rate_limited = o.Fleet.rate_limited;
-    o_steps = o.Fleet.steps;
-    o_makespan = o.Fleet.makespan;
-    o_stall_seconds = o.Fleet.compile_stall_seconds;
-    o_actual_tokens = o.Fleet.actual_tokens;
-    o_padded_tokens = o.Fleet.padded_tokens;
-    o_queue_depth_sum = o.Fleet.queue_depth_sum;
-    o_queue_samples = o.Fleet.queue_samples;
-    o_crashes = o.Fleet.crashes;
-    o_injected_faults = o.Fleet.injected_faults;
-    o_requeues = o.Fleet.requeues;
+    o_fleet = o;
     o_reroutes = l.Fleet.reroutes;
     o_hedges = l.Fleet.hedges;
     o_hedge_cancels = l.Fleet.hedge_cancels;
     o_classes =
       List.map2 class_stats config.backends (Array.to_list l.Fleet.classes);
-    o_tiers = o.Fleet.tiers;
     o_statuses = statuses;
     o_status_digest = digest;
     o_conserved =
@@ -209,24 +165,9 @@ let run ?faults config trace =
       && l.Fleet.resolved = n;
   }
 
-let to_scheduler_outcome (o : outcome) =
-  Sch.project
-    {
-      Replica.steps = o.o_steps;
-      makespan = o.o_makespan;
-      stall = o.o_stall_seconds;
-      actual_tokens = o.o_actual_tokens;
-      padded_tokens = o.o_padded_tokens;
-      queue_depth_sum = o.o_queue_depth_sum;
-      queue_samples = o.o_queue_samples;
-      crashes = o.o_crashes;
-      injected = o.o_injected_faults;
-      requeues = o.o_requeues;
-    }
-    ~completed:o.o_completed ~dropped:o.o_dropped
-    ~rejected:(List.map (fun r -> (r, "rate-limited")) o.o_rate_limited)
-    ~timed_out:[] ~failed:[] ~adapt_stall_seconds:0.
-    ~cache:(List.concat_map (fun cs -> cs.cs_cache) o.o_classes)
+(* A mixed fleet has no autoscaler, so every slot stays live and the
+   fleet's cache list is the classes' [cs_cache] lists in order. *)
+let to_scheduler_outcome (o : outcome) = Fleet.to_scheduler_outcome o.o_fleet
 
 let cache_labels (o : outcome) =
   List.concat_map

@@ -4,11 +4,12 @@
 
     This module is a configuration of the one tenant event loop,
     {!Mikpoly_fleet.Fleet.serve}; it has no loop of its own. {!run}
-    validates the config, turns each {!Backend.t} into a device class of
-    {!Mikpoly_serve.Replica} slots, and projects the loop's per-class
-    state onto {!class_stats} and {!outcome}. The configuration: every
-    class has its own WFQ, its own {!Mikpoly_fleet.Health.t} (circuit
-    breaker + brown-out ladder) and a class-shared program store, keyed
+    turns each {!Backend.t} into a device class of
+    {!Mikpoly_serve.Replica} slots, leaves validation to the loop, and
+    projects the loop's per-class state onto {!class_stats} and
+    {!outcome}. The configuration: every class has its own WFQ, its own
+    {!Mikpoly_fleet.Health.t} (circuit breaker + brown-out ladder) and a
+    class-shared program store, keyed
     by the class hardware fingerprint — the lookup ladder's second
     rung. There is no warm plane, no autoscaler and no owner affinity
     ([steal_age = 0]). A {!Mikpoly_fleet.Router} places each arrival on
@@ -69,11 +70,6 @@ type config = {
   ratelimit : Mikpoly_fleet.Ratelimit.config option;
 }
 
-val validate : config -> unit
-(** Raises [Invalid_argument] on nonsensical settings. The rate limit is
-    checked with the rest of the loop's configuration when {!run}
-    starts. *)
-
 type status = Mikpoly_fleet.Fleet.status =
   | Completed
   | Dropped  (** shed by the SLO batcher *)
@@ -113,24 +109,12 @@ type class_stats = {
 }
 
 type outcome = {
-  o_completed : Mikpoly_serve.Scheduler.completed list;
-  o_dropped : Mikpoly_serve.Request.t list;
-  o_rate_limited : Mikpoly_serve.Request.t list;
-  o_steps : int;
-  o_makespan : float;
-  o_stall_seconds : float;
-  o_actual_tokens : int;
-  o_padded_tokens : int;
-  o_queue_depth_sum : int;
-  o_queue_samples : int;
-  o_crashes : int;
-  o_injected_faults : int;
-  o_requeues : int;
+  o_fleet : Mikpoly_fleet.Fleet.outcome;
+      (** the loop's outcome: terminal lists, counters, caches, tiers *)
   o_reroutes : int;  (** requests moved across classes by trip drains *)
   o_hedges : int;  (** hedge clones created *)
   o_hedge_cancels : int;  (** losing copies discarded at grant *)
   o_classes : class_stats list;  (** backend order *)
-  o_tiers : Mikpoly_fleet.Fleet.tier_metrics list;
   o_statuses : (Mikpoly_serve.Request.t * status) list;
       (** one terminal status per trace request, trace order *)
   o_status_digest : string;
@@ -149,10 +133,11 @@ val run :
     fleet. Device-class indices in the fault plan's outage/brown-out
     windows refer to [config.backends] order. Event ties break
     crash < arrival < hedge < replica step, then class index, then
-    slot index. *)
+    slot index. Raises [Invalid_argument] before the first event on the
+    settings and traces {!Mikpoly_fleet.Fleet.serve} rejects. *)
 
 val to_scheduler_outcome : outcome -> Mikpoly_serve.Scheduler.outcome
-(** Project onto the single-fleet outcome record so the
+(** {!Mikpoly_fleet.Fleet.to_scheduler_outcome} of [o_fleet], so the
     {!Mikpoly_serve.Metrics} pipeline (including
     {!Mikpoly_serve.Metrics.cache_table} with per-class labels) applies
     unchanged; rate-limited requests surface as rejections. *)

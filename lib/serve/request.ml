@@ -32,6 +32,26 @@ let validate_dist = function
   | Log_normal { sigma } ->
     if sigma <= 0. then invalid_arg "Request: Log_normal sigma must be positive"
 
+module Ids = Hashtbl.Make (Mikpoly_util.Int_keys.Int)
+
+let validate_trace ~caller request trace =
+  let ids = Ids.create (List.length trace) in
+  List.iter
+    (fun x ->
+      let r = request x in
+      if not (Float.is_finite r.arrival) then
+        invalid_arg
+          (Printf.sprintf "%s: request %d arrives at %g" caller r.id r.arrival);
+      if r.output_len < 1 then
+        invalid_arg
+          (Printf.sprintf "%s: request %d has output_len %d, below 1" caller r.id
+             r.output_len);
+      if Ids.mem ids r.id then
+        invalid_arg
+          (Printf.sprintf "%s: request id %d appears more than once" caller r.id);
+      Ids.add ids r.id ())
+    trace
+
 let compare_arrival a b =
   match compare a.arrival b.arrival with 0 -> compare a.id b.id | c -> c
 

@@ -322,19 +322,7 @@ let run ?(jobs = 0) ?(adapt = fun () -> 0.) ?(faults = Plan.none) ?resilience
               fleet"
              i config.replicas))
     faults.Plan.crashes;
-  let ids = Hashtbl.create (List.length requests) in
-  List.iter
-    (fun (r : Request.t) ->
-      if not (Float.is_finite r.arrival) then
-        invalid_arg
-          (Printf.sprintf "Scheduler.run: request %d arrives at %g" r.id
-             r.arrival);
-      if Hashtbl.mem ids r.id then
-        invalid_arg
-          (Printf.sprintf "Scheduler.run: request id %d appears more than once"
-             r.id);
-      Hashtbl.add ids r.id ())
-    requests;
+  Request.validate_trace ~caller:"Scheduler.run" Fun.id requests;
   (match resilience with
   | Some r ->
     Retry.validate r.retry;

@@ -163,10 +163,11 @@ val run :
     outcome. The empty trace yields an empty outcome. Raises
     [Invalid_argument] before the first event when a crash in [faults]
     names a replica outside [0, replicas), when the batcher policy is
-    invalid, when two requests share an id, or when a request's arrival
-    is not finite: the waiting queues order requests by (arrival, id)
-    ({!Batcher.queue}). Queueing an arrival, and admitting or shedding
-    a request, costs O(log n) amortized in a queue of [n]; no arrival
+    invalid, or when the trace fails {!Request.validate_trace}: the
+    waiting queues order requests by (arrival, id) ({!Batcher.queue}),
+    and a request with nothing to decode never completes. Queueing an
+    arrival, and admitting or shedding a request, costs O(log n)
+    amortized in a queue of [n]; no arrival
     or step walks a whole queue. Per event, the loop recomputes the
     wake-up of the one replica the event touched (the arrival's
     assignee, the crashed or the stepped replica) and picks the next

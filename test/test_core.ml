@@ -1058,11 +1058,12 @@ let test_search_batch_shared_view_tallies () =
   Alcotest.(check bool) "tallies identical under shared views" true
     (batched = expect)
 
-(* The Table-3 pruning oracle that [bench/main.exe --only parallel]
-   prints: over the 284-shape quick suite (every 4th Table-3 case, A100),
-   the pruned search scores 546 candidates and skips 13 839 unscored, and
-   the unpruned one scores 14 385 and picks the same programs — at jobs 1
-   and at jobs 4, every tally identical across the two. *)
+(* The Table-3 pruning oracle, the only producer of these counts: over
+   the 284-shape suite [bench/main.exe --quick] sweeps (every 4th
+   Table-3 case, A100), the pruned search scores 546 candidates and
+   skips 13 839 unscored, and the unpruned one scores 14 385 and picks
+   the same programs — at jobs 1 and at jobs 4, every tally identical
+   across the two. *)
 let test_table3_pruning_oracle () =
   let compiler = Lazy.force gpu_compiler in
   let set = Compiler.kernels compiler and config = Compiler.config compiler in

@@ -887,6 +887,18 @@ let test_infinite_arrival () =
     (Invalid_argument "Scheduler.run: request 29 arrives at inf") (fun () ->
       run_trace requests)
 
+(* A request with nothing to decode would never complete, so the loop
+   would never drain. *)
+let test_zero_output () =
+  let requests =
+    List.mapi
+      (fun i (r : Request.t) -> if i = 12 then { r with output_len = 0 } else r)
+      (chaos_requests ())
+  in
+  Alcotest.check_raises "an output length of 0 is rejected"
+    (Invalid_argument "Scheduler.run: request 12 has output_len 0, below 1")
+    (fun () -> run_trace requests)
+
 let () =
   Alcotest.run "fault"
     [
@@ -970,6 +982,7 @@ let () =
             test_repeated_request_id;
           Alcotest.test_case "NaN arrival" `Quick test_nan_arrival;
           Alcotest.test_case "infinite arrival" `Quick test_infinite_arrival;
+          Alcotest.test_case "zero output" `Quick test_zero_output;
           Alcotest.test_case "canonical A/B gates" `Quick
             test_canonical_chaos_gates;
           Alcotest.test_case "status digest edge cases" `Quick

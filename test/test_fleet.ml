@@ -611,7 +611,49 @@ let test_fleet_validate () =
   health "min_dwell nan" "Health: min_dwell must be >= 0"
     { Health.default with min_dwell = nan };
   health "breaker cooldown nan" "Breaker: cooldown must be >= 0"
-    { Health.default with breaker = { Health.default.breaker with cooldown = nan } }
+    { Health.default with breaker = { Health.default.breaker with cooldown = nan } };
+  (* A trace the loop cannot drain fails before the first event too: a
+     request with nothing to decode never completes, a NaN arrival has
+     no place in the arrival order, and a repeated id would leave one
+     request without a terminal status. *)
+  let run_trace name message trace =
+    Alcotest.check_raises name (Invalid_argument message) (fun () ->
+        ignore (Fleet.run fleet_config engine trace))
+  in
+  run_trace "output 0" "Fleet: request 0 has output_len 0, below 1"
+    [ tag gold (req ~id:0 ~arrival:0. ~output:0 ()) ];
+  run_trace "arrival nan" "Fleet: request 1 arrives at nan"
+    [ tag gold (req ~id:0 ~arrival:0. ()); tag gold (req ~id:1 ~arrival:nan ()) ];
+  run_trace "repeated id" "Fleet: request id 1 appears more than once"
+    [ tag gold (req ~id:1 ~arrival:0. ()); tag silver (req ~id:1 ~arrival:0.01 ()) ];
+  (* The mixed fleet's hedge goes through the same checks: a NaN slack
+     would otherwise never hedge. *)
+  let module Hetero = Mikpoly_hetero.Hetero in
+  let backend hw = Mikpoly_hetero.Backend.make ~hw ~replicas:1 engine in
+  let hedged slack =
+    {
+      Hetero.backends =
+        [
+          backend Mikpoly_accel.Hardware.a100;
+          backend Mikpoly_accel.Hardware.ascend910;
+        ];
+      batcher = fleet_config.batcher;
+      bucketing = fleet_config.bucketing;
+      cache_capacity = fleet_config.cache_capacity;
+      coalesce = false;
+      health = Health.default;
+      degraded_max_tokens = 16;
+      hedge = Some { Hetero.default_hedge with hedge_slack = slack };
+      failover = true;
+      ratelimit = None;
+    }
+  in
+  List.iter
+    (fun (name, slack) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Fleet: hedge_slack must be in (0, 1]") (fun () ->
+          ignore (Hetero.run (hedged slack) (trace ~count:2 ()))))
+    [ ("hedge_slack nan", nan); ("hedge_slack 0", 0.) ]
 
 let test_fleet_coalescing_cuts_stalls () =
   (* A synchronized burst of same-shape prompts from all three tenants:

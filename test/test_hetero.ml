@@ -10,6 +10,7 @@ open Mikpoly_hetero
 module Tenant = Mikpoly_fleet.Tenant
 module Ratelimit = Mikpoly_fleet.Ratelimit
 module Health = Mikpoly_fleet.Health
+module Fleet = Mikpoly_fleet.Fleet
 module Router = Mikpoly_fleet.Router
 module Request = Mikpoly_serve.Request
 module Batcher = Mikpoly_serve.Batcher
@@ -377,7 +378,7 @@ let test_hetero_conserves_and_is_deterministic () =
   Alcotest.(check int)
     "all completed on a quiet plan"
     (List.length tagged)
-    (List.length o1.Hetero.o_completed)
+    (List.length o1.Hetero.o_fleet.Fleet.completed)
 
 let test_hetero_digest_stable_across_jobs () =
   let tagged = trace () in
@@ -422,7 +423,7 @@ let test_hetero_outage_trips_and_fails_over () =
   Alcotest.(check int)
     "every request still completes"
     (List.length tagged)
-    (List.length o.Hetero.o_completed)
+    (List.length o.Hetero.o_fleet.Fleet.completed)
 
 let test_hetero_breaker_crash_interplay () =
   (* A replica crash in the middle of the outage-and-drain window: the
@@ -445,7 +446,7 @@ let test_hetero_breaker_crash_interplay () =
   in
   let o1 = run () in
   let o2 = run () in
-  Alcotest.(check bool) "crashes injected" true (o1.Hetero.o_crashes > 0);
+  Alcotest.(check bool) "crashes injected" true (o1.Hetero.o_fleet.Fleet.crashes > 0);
   Alcotest.(check bool)
     "conserved under breaker x crash" true o1.Hetero.o_conserved;
   Alcotest.(check bool)
@@ -473,7 +474,7 @@ let test_hetero_no_failover_keeps_class_queues () =
   Alcotest.(check int)
     "outage retries complete after the window"
     (List.length tagged)
-    (List.length o.Hetero.o_completed)
+    (List.length o.Hetero.o_fleet.Fleet.completed)
 
 let test_hetero_ratelimit_statuses () =
   let tagged = trace ~count:8 () in
@@ -486,13 +487,13 @@ let test_hetero_ratelimit_statuses () =
   in
   Alcotest.(check bool)
     "door sheds under the tiny bucket" true
-    (List.length o.Hetero.o_rate_limited > 0);
+    (List.length o.Hetero.o_fleet.Fleet.rate_limited > 0);
   Alcotest.(check bool)
     "shed requests stay in the ledger" true o.Hetero.o_conserved;
   Alcotest.(check int)
     "completed + shed covers the trace"
     (List.length tagged)
-    (List.length o.Hetero.o_completed + List.length o.Hetero.o_rate_limited)
+    (List.length o.Hetero.o_fleet.Fleet.completed + List.length o.Hetero.o_fleet.Fleet.rate_limited)
 
 let test_hetero_scheduler_projection () =
   let tagged = trace () in
@@ -500,7 +501,7 @@ let test_hetero_scheduler_projection () =
   let s = Hetero.to_scheduler_outcome o in
   Alcotest.(check int)
     "completed projected"
-    (List.length o.Hetero.o_completed)
+    (List.length o.Hetero.o_fleet.Fleet.completed)
     (List.length s.Scheduler.completed);
   Alcotest.(check int)
     "cache labels match cache list"
@@ -533,8 +534,8 @@ let test_hetero_pinned () =
     "63880c8a738694bf steps=50 makespan=0x1.a598ec56a407dp-5 \
      stall=0x1.92a737110e455p-17 caches=2/4;8/5;0/2;6/5;11/5;9/3;0/1;3/6"
     (Printf.sprintf "%s steps=%d makespan=%h stall=%h caches=%s"
-       o.Hetero.o_status_digest o.Hetero.o_steps o.Hetero.o_makespan
-       o.Hetero.o_stall_seconds
+       o.Hetero.o_status_digest o.Hetero.o_fleet.Fleet.steps o.Hetero.o_fleet.Fleet.makespan
+       o.Hetero.o_fleet.Fleet.compile_stall_seconds
        (String.concat ";"
           (List.map
              (fun (s : Mikpoly_serve.Shape_cache.stats) ->
@@ -543,7 +544,6 @@ let test_hetero_pinned () =
 
 (* --- One loop, one ledger: conservation over random chaos --- *)
 
-module Fleet = Mikpoly_fleet.Fleet
 module Autoscaler = Mikpoly_fleet.Autoscaler
 
 (* A random scenario: trace seed and size (three tenants of 1..21
@@ -637,8 +637,8 @@ let prop_hetero_conserves ~failover =
       in
       let o = run () in
       o.Hetero.o_conserved
-      && ledger_holds tagged ~completed:o.Hetero.o_completed
-           ~dropped:o.Hetero.o_dropped ~rate_limited:o.Hetero.o_rate_limited
+      && ledger_holds tagged ~completed:o.Hetero.o_fleet.Fleet.completed
+           ~dropped:o.Hetero.o_fleet.Fleet.dropped ~rate_limited:o.Hetero.o_fleet.Fleet.rate_limited
       && o = run ())
 
 let () =
