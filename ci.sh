@@ -55,19 +55,6 @@ dune exec bin/mikpoly_cli.exe -- serve --quick --csv --jobs 1000 > "$jobs_1000"
 cmp "$jobs_1" "$jobs_1000"
 rm -f "$jobs_1" "$jobs_1000"
 
-echo "== adapt smoke test =="
-# The online-adaptation loop end to end on a tiny GEMM trace: compile,
-# observe residuals, inject drift, detect, recalibrate, invalidate and
-# recompile; the subcommand exits non-zero if the detector never fires.
-# The saved calibration profile must be a non-empty versioned artifact.
-profile_out="${TMPDIR:-/tmp}/mikpoly_ci_profile.cal"
-dune exec bin/mikpoly_cli.exe -- adapt --quick --seed 7 --save "$profile_out"
-test -s "$profile_out"
-head -1 "$profile_out" | grep -q "mikpoly-calibration"
-rm -f "$profile_out"
-# Serving with the adaptation loop attached must run clean too.
-dune exec bin/mikpoly_cli.exe -- serve --quick --adapt
-
 # Subsystem smoke tests share one shape: run the subcommand (a gated
 # subcommand's exit code asserts every acceptance gate), require a
 # non-empty report carrying every expected verdict, then rerun it under
@@ -138,6 +125,25 @@ echo "== experiment determinism =="
 # and end-to-end runs, and the A100 Figure-15 timelines from Trace.record.
 check_report stdout "" run serving resilience adaptation ablations fig10 \
   tab5 fusion fleet hetero fig7 npu_e2e case_study --quick --csv
+
+echo "== adapt smoke test =="
+# The online-adaptation loop end to end on a tiny GEMM trace: compile,
+# observe residuals, inject drift, refit every 16 observations,
+# invalidate and recompile. The saved calibration profile must be a
+# non-empty versioned artifact.
+profile_out="${TMPDIR:-/tmp}/mikpoly_ci_profile.cal"
+dune exec bin/mikpoly_cli.exe -- adapt --quick --seed 7 --save "$profile_out"
+test -s "$profile_out"
+head -1 "$profile_out" | grep -q "mikpoly-calibration"
+rm -f "$profile_out"
+# With no drift on the NPU the subcommand still exits 0 (the schedule
+# refits whether or not the device drifted), and its report is
+# byte-identical across --jobs counts.
+check_report stdout "" adapt --quick --seed 7 --npu --severity 0
+# Serving with the adaptation loop attached must run clean too, on both
+# devices.
+dune exec bin/mikpoly_cli.exe -- serve --quick --adapt
+dune exec bin/mikpoly_cli.exe -- serve --quick --adapt --npu
 
 echo "== chaos smoke test =="
 # The seeded fault-injection A/B end to end: the subcommand exits

@@ -12,8 +12,6 @@ module Breaker = Mikpoly_fault.Breaker
 
 let m_observations = Tm.Metrics.counter "adapt.observations"
 
-let m_drift_events = Tm.Metrics.counter "adapt.drift_events"
-
 let m_recompiles = Tm.Metrics.counter "adapt.recompiles"
 
 let m_breaker_skipped = Tm.Metrics.counter "adapt.breaker.skipped"
@@ -21,25 +19,22 @@ let m_breaker_skipped = Tm.Metrics.counter "adapt.breaker.skipped"
 (* Per-kernel observation window (most recent kept). *)
 let window = 64
 
-(* Observations before a drift fire may recalibrate, so a cold start's
-   first few residuals never drive a fit. *)
-let min_observations = 4
+(* Observations between scheduled refits. *)
+let refit_every = 16
 
-(* Shapes recompiled eagerly per drift reaction. *)
+(* Shapes recompiled eagerly per refit. *)
 let hot_limit = 8
 
-(* Breaker around the drift reaction; its cooldown is counted in
+(* Breaker around the scheduled refit; its cooldown is counted in
    observations. *)
 let breaker_policy = { Breaker.failure_threshold = 3; cooldown = 256. }
 
 type stats = {
   observations : int;
-  drift_events : int;
   recalibrations : int;
   recompiles : int;
   invalidated : int;
   calibrated_kernels : int;
-  residual_ewma : float;
   breaker_state : string;
   breaker_trips : int;
   breaker_skipped : int;
@@ -49,15 +44,12 @@ type hot = { mutable touches : int }
 
 type t = {
   compiler : Compiler.t;
-  registered : bool;
   lock : Mutex.t;
-  detector : Drift.t;
   windows : (Calibration.key, (float * float) list) Hashtbl.t;
   hot : (int * int * int, hot) Hashtbl.t;
   mutable exec_hw : Hardware.t option;
   mutable calibration : Calibration.t;
   mutable observations : int;
-  mutable drift_events : int;
   mutable recalibrations : int;
   mutable recompiles : int;
   mutable invalidated : int;
@@ -166,98 +158,58 @@ let recalibrate_locked t =
   done;
   (dropped, recompiled)
 
-let corrected_prediction t (obs : Compiler.observation) =
-  List.fold_left
-    (fun acc (r : Compiler.region_observation) ->
-      acc
-      +. Calibration.apply t.calibration (key_of_desc r.ro_kernel) r.ro_predicted)
-    0. obs.ob_regions
-
 let observe t (obs : Compiler.observation) =
-  let fired =
-    locked t (fun () ->
-        t.observations <- t.observations + 1;
-        Tm.Metrics.incr m_observations;
-        List.iter
-          (fun (r : Compiler.region_observation) ->
-            window_sample_locked t (key_of_desc r.ro_kernel)
-              (r.ro_predicted, r.ro_observed))
-          obs.ob_regions;
-        (match Hashtbl.find_opt t.hot obs.ob_shape with
-        | Some h -> h.touches <- h.touches + 1
-        | None -> Hashtbl.add t.hot obs.ob_shape { touches = 1 });
-        let corrected = corrected_prediction t obs in
-        let residual =
-          if corrected > 0. && obs.ob_observed > 0. then
-            log (obs.ob_observed /. corrected)
-          else 0.
-        in
-        if
-          Drift.observe t.detector residual
-          && t.observations >= min_observations
-        then begin
-          (* The breaker's clock is the observation count — the adapter's
-             only monotone notion of time, and deterministic. *)
-          let now = float_of_int t.observations in
-          if not (Breaker.allow t.breaker ~now) then begin
-            (* Recalibration has been failing: keep serving on the
-               current calibration rather than thrash. The detector will
-               fire again; the first fire past the cooldown is the
-               half-open probe. *)
-            t.breaker_skipped <- t.breaker_skipped + 1;
-            Tm.Metrics.incr m_breaker_skipped;
-            false
-          end
-          else begin
-            t.drift_events <- t.drift_events + 1;
-            Tm.Metrics.incr m_drift_events;
-            (* Regime change: samples windowed before the shift describe
-               the old device and would drag the refit toward it. Drop
-               them and reseed from the observation that exposed the
-               drift; subsequent traffic and probes refill the windows
-               with the new regime. *)
-            Hashtbl.reset t.windows;
-            List.iter
-              (fun (r : Compiler.region_observation) ->
-                window_sample_locked t (key_of_desc r.ro_kernel)
-                  (r.ro_predicted, r.ro_observed))
-              obs.ob_regions;
-            let act () =
-              let dropped, recompiled = recalibrate_locked t in
-              if Tm.Tracer.enabled () then begin
-                Tm.Tracer.annotate "invalidated" (string_of_int dropped);
-                Tm.Tracer.annotate "recompiled" (string_of_int recompiled)
-              end
-            in
-            let react () =
-              if Tm.Tracer.enabled () then
-                Tm.Tracer.with_span "adapt.recalibrate"
-                  ~attrs:[ ("residual", Printf.sprintf "%.4f" residual) ]
-                  act
-              else act ()
-            in
-            (match react () with
-            | () -> Breaker.record_success t.breaker
-            | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-            | exception _ ->
-              (* A failed fit must not take serving down: the previous
-                 calibration stays installed, the failure feeds the
-                 breaker. *)
-              Breaker.record_failure t.breaker ~now);
-            true
-          end
+  locked t (fun () ->
+      t.observations <- t.observations + 1;
+      Tm.Metrics.incr m_observations;
+      List.iter
+        (fun (r : Compiler.region_observation) ->
+          window_sample_locked t (key_of_desc r.ro_kernel)
+            (r.ro_predicted, r.ro_observed))
+        obs.ob_regions;
+      (match Hashtbl.find_opt t.hot obs.ob_shape with
+      | Some h -> h.touches <- h.touches + 1
+      | None -> Hashtbl.add t.hot obs.ob_shape { touches = 1 });
+      if t.observations mod refit_every = 0 then begin
+        (* The breaker's clock is the observation count — the adapter's
+           only monotone notion of time, and deterministic. *)
+        let now = float_of_int t.observations in
+        if not (Breaker.allow t.breaker ~now) then begin
+          (* Refits have been failing: keep serving on the current
+             calibration rather than thrash, and keep the windowed samples
+             for the next scheduled refit, the first of which past the
+             cooldown is the half-open probe. *)
+          t.breaker_skipped <- t.breaker_skipped + 1;
+          Tm.Metrics.incr m_breaker_skipped
         end
-        else false)
-  in
-  fired
+        else begin
+          let act () =
+            let dropped, recompiled = recalibrate_locked t in
+            if Tm.Tracer.enabled () then begin
+              Tm.Tracer.annotate "invalidated" (string_of_int dropped);
+              Tm.Tracer.annotate "recompiled" (string_of_int recompiled)
+            end
+          in
+          (match Tm.Tracer.with_span "adapt.recalibrate" act with
+          | () -> Breaker.record_success t.breaker
+          | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
+          | exception _ ->
+            (* A failed fit must not take serving down: the previous
+               calibration stays installed, the failure feeds the
+               breaker. *)
+            Breaker.record_failure t.breaker ~now);
+          (* Each refit sees only the samples gathered since the last
+             one, so samples from before a device change age out within
+             one schedule period. *)
+          Hashtbl.reset t.windows
+        end
+      end)
 
-let create ?(register = true) compiler =
+let create compiler =
   let t =
     {
       compiler;
-      registered = register;
       lock = Mutex.create ();
-      detector = Drift.create ();
       windows = Hashtbl.create 64;
       hot = Hashtbl.create 64;
       exec_hw = None;
@@ -265,7 +217,6 @@ let create ?(register = true) compiler =
         Calibration.identity
           ~fingerprint:(Hardware.fingerprint (Compiler.hardware compiler));
       observations = 0;
-      drift_events = 0;
       recalibrations = 0;
       recompiles = 0;
       invalidated = 0;
@@ -274,7 +225,7 @@ let create ?(register = true) compiler =
       breaker_skipped = 0;
     }
   in
-  if register then Compiler.set_observer compiler (Some (fun obs -> ignore (observe t obs)));
+  Compiler.set_observer compiler (Some (observe t));
   t
 
 let compiler t = t.compiler
@@ -285,9 +236,7 @@ let observe_shape t shape =
   let op = Compiler.gemm t.compiler shape in
   let c = Compiler.compile t.compiler op in
   let hw = locked t (fun () -> t.exec_hw) in
-  let result, obs = Compiler.simulate_observed ?hw t.compiler c in
-  if not t.registered then ignore (observe t obs);
-  (result, obs)
+  Compiler.simulate_observed ?hw t.compiler c
 
 let calibrate t = locked t (fun () -> ignore (recalibrate_locked t))
 
@@ -295,8 +244,9 @@ let probe t (m, n, k) =
   (* Active profiling: run one single-kernel program per micro-kernel on
      the execution device and window the (predicted, observed) pair, so a
      subsequent recalibration covers the whole kernel set rather than only
-     the kernels compiled programs happened to use. Bypasses the drift
-     detector — probes are measurements, not serving traffic. *)
+     the kernels compiled programs happened to use. Probes are
+     measurements, not serving traffic: they count toward no refit
+     schedule. *)
   let hw = locked t (fun () -> effective_hardware t) in
   let set = Compiler.kernels t.compiler in
   let samples =
@@ -334,12 +284,10 @@ let stats t =
   locked t (fun () ->
       {
         observations = t.observations;
-        drift_events = t.drift_events;
         recalibrations = t.recalibrations;
         recompiles = t.recompiles;
         invalidated = t.invalidated;
         calibrated_kernels = List.length (Calibration.curves t.calibration);
-        residual_ewma = Drift.ewma t.detector;
         breaker_state = Breaker.state_name (Breaker.state t.breaker);
         breaker_trips = (Breaker.stats t.breaker).trips;
         breaker_skipped = t.breaker_skipped;

@@ -6,8 +6,6 @@ type result = {
   adapter : Adapter.t;
   before : Ranking.eval;
   after : Ranking.eval;
-  drift_events : int;
-  reaction_observations : int;
   stall_seconds : float;
   trace_length : int;
   holdout : (int * int * int) list;
@@ -66,16 +64,9 @@ let run ?(seed = 0xADA) ?(severity = 0.35) ?(trace = 48) ?(pool = 12)
   in
   let hw = Compiler.hardware compiler in
   let drifted = drifted_hardware ~severity hw in
-  let injection_at = trace / 2 in
-  let reaction = ref (-1) in
   for i = 0 to trace - 1 do
-    if i = injection_at then Adapter.set_execution_hardware adapter drifted;
-    let shape = Prng.choice rng pool_shapes in
-    ignore (Adapter.observe_shape adapter shape);
-    if
-      !reaction < 0 && i >= injection_at
-      && (Adapter.stats adapter).drift_events > 0
-    then reaction := i - injection_at + 1
+    if i = trace / 2 then Adapter.set_execution_hardware adapter drifted;
+    ignore (Adapter.observe_shape adapter (Prng.choice rng pool_shapes))
   done;
   let before =
     Ranking.evaluate ~compiler ~exec_hw:drifted holdout_shapes
@@ -93,13 +84,10 @@ let run ?(seed = 0xADA) ?(severity = 0.35) ?(trace = 48) ?(pool = 12)
   let after =
     Ranking.evaluate ~compiler ~exec_hw:drifted ?correction holdout_shapes
   in
-  let stats = Adapter.stats adapter in
   {
     adapter;
     before;
     after;
-    drift_events = stats.drift_events;
-    reaction_observations = !reaction;
     stall_seconds = Adapter.drain_stall_seconds adapter;
     trace_length = trace;
     holdout = holdout_shapes;

@@ -4,8 +4,8 @@
     The scenario serves a deterministic trace of GEMM shapes through an
     adapter-instrumented compiler; halfway through, the execution hardware
     degrades non-uniformly ({!drifted_hardware}) while the compiler's
-    model stays stale. The drift detector notices the residual shift,
-    recalibrates and recompiles; ranking quality on a held-out shape set
+    model stays stale. The adapter's scheduled refits recalibrate and
+    recompile along the way; ranking quality on a held-out shape set
     (disjoint from the training pool) is evaluated before and after
     calibration against the drifted device. *)
 
@@ -13,10 +13,6 @@ type result = {
   adapter : Adapter.t;  (** for further inspection / profile persistence *)
   before : Ranking.eval;  (** stale model vs the drifted device *)
   after : Ranking.eval;  (** calibrated model vs the drifted device *)
-  drift_events : int;
-  reaction_observations : int;
-      (** observations between drift injection and the first detector
-          fire; [-1] if it never fired *)
   stall_seconds : float;  (** modeled recompilation time accumulated *)
   trace_length : int;
   holdout : (int * int * int) list;

@@ -42,6 +42,10 @@ let validate_trace ~caller request trace =
       if not (Float.is_finite r.arrival) then
         invalid_arg
           (Printf.sprintf "%s: request %d arrives at %g" caller r.id r.arrival);
+      if r.prompt_len < 1 then
+        invalid_arg
+          (Printf.sprintf "%s: request %d has prompt_len %d, below 1" caller r.id
+             r.prompt_len);
       if r.output_len < 1 then
         invalid_arg
           (Printf.sprintf "%s: request %d has output_len %d, below 1" caller r.id

@@ -42,11 +42,12 @@ val dist_name : length_dist -> string
 val validate_trace : caller:string -> ('a -> t) -> 'a list -> unit
 (** [validate_trace ~caller request trace] raises [Invalid_argument]
     (message prefixed by [caller]) unless every [request x] of the trace
-    arrives at a finite time, has [output_len >= 1] and carries an id no
-    other does. The serving loops call it before their first event:
-    queues order requests by (arrival, id), which a NaN arrival or a
-    repeated id leaves without an order, and a request with nothing to
-    decode never completes. *)
+    arrives at a finite time, has [prompt_len >= 1] and [output_len >= 1]
+    and carries an id no other does. The serving loops call it before
+    their first event: queues order requests by (arrival, id), which a
+    NaN arrival or a repeated id leaves without an order, an empty
+    prompt has no token bucket to compile for, and a request with
+    nothing to decode never completes. *)
 
 val compare_arrival : t -> t -> int
 (** Order by arrival time, ties broken by id (total and deterministic). *)

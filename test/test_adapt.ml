@@ -1,8 +1,7 @@
-(* Tests for the online adaptation subsystem: calibration fitting, the
-   Page–Hinkley drift detector, profile persistence (round-trip and
-   wrong-hardware rejection), the adapter's drift reaction end to end on
-   the drift scenario, and determinism of the whole loop across job
-   counts. *)
+(* Tests for the online adaptation subsystem: calibration fitting,
+   profile persistence (round-trip and wrong-hardware rejection), the
+   adapter's fixed refit schedule, its reaction end to end on the drift
+   scenario, and determinism of the whole loop across job counts. *)
 
 open Mikpoly_adapt
 module Hardware = Mikpoly_accel.Hardware
@@ -83,51 +82,6 @@ let test_calibration_negative_slope_falls_back () =
   match Calibration.find cal (16, 16, 16) with
   | Some (Calibration.Scale _) -> ()
   | _ -> Alcotest.fail "expected Scale fallback"
-
-(* --- Drift detection --- *)
-
-let test_drift_constant_stream_never_fires () =
-  let d = Drift.create () in
-  for _ = 1 to 200 do
-    Alcotest.(check bool) "no fire" false (Drift.observe d 0.3)
-  done;
-  Alcotest.(check (float 1e-6)) "mean absorbs bias" 0.3 (Drift.mean d)
-
-let test_drift_upward_shift_fires () =
-  let d = Drift.create () in
-  for _ = 1 to 30 do
-    ignore (Drift.observe d 0.)
-  done;
-  let fired = ref false in
-  let steps = ref 0 in
-  while (not !fired) && !steps < 50 do
-    incr steps;
-    fired := Drift.observe d 0.8
-  done;
-  Alcotest.(check bool) "fired" true !fired;
-  Alcotest.(check bool) "fired promptly" true (!steps <= 10);
-  Alcotest.(check int) "reset on fire" 0 (Drift.count d)
-
-let test_drift_downward_shift_fires () =
-  let d = Drift.create () in
-  for _ = 1 to 30 do
-    ignore (Drift.observe d 0.5)
-  done;
-  let fired = ref false in
-  for _ = 1 to 50 do
-    if not !fired then fired := Drift.observe d (-0.4)
-  done;
-  Alcotest.(check bool) "fired" true !fired
-
-let test_drift_noise_tolerance () =
-  (* Alternating small residuals around a stable mean must not fire. *)
-  let d = Drift.create () in
-  let fired = ref false in
-  for i = 1 to 200 do
-    let x = if i mod 2 = 0 then 0.12 else 0.08 in
-    if Drift.observe d x then fired := true
-  done;
-  Alcotest.(check bool) "stable noisy stream" false !fired
 
 (* --- Profile store --- *)
 
@@ -214,26 +168,67 @@ let test_profile_rejects_garbage () =
 (* --- Adapter and scenario --- *)
 
 let test_adapter_stable_no_drift () =
-  (* Serving on the hardware the model was tuned for: residuals are a
-     stable model bias, the detector must not fire and no correction may
-     be installed. *)
+  (* Serving on the hardware the model was tuned for: the only refit is
+     the scheduled one at the 16th observation, and nothing else adapts
+     in between. *)
   let compiler = Compiler.create gpu in
   let adapter = Adapter.create compiler in
   let shapes = [ (512, 512, 256); (384, 768, 256); (1024, 256, 512) ] in
-  for i = 0 to 23 do
-    ignore (Adapter.observe_shape adapter (List.nth shapes (i mod 3)))
+  for i = 1 to 24 do
+    ignore (Adapter.observe_shape adapter (List.nth shapes (i mod 3)));
+    Alcotest.(check int)
+      (Printf.sprintf "refits after observation %d" i)
+      (if i < 16 then 0 else 1)
+      (Adapter.stats adapter).recalibrations
   done;
-  let stats = Adapter.stats adapter in
-  Alcotest.(check int) "observations" 24 stats.observations;
-  Alcotest.(check int) "no drift events" 0 stats.drift_events;
-  Alcotest.(check bool) "no correction installed" true
-    (Adapter.correction adapter = None);
-  Alcotest.(check (float 1e-9)) "no stall" 0.
-    (Adapter.drain_stall_seconds adapter)
+  Alcotest.(check int) "observations" 24 (Adapter.stats adapter).observations
+
+(* The scheduled refit fits only the samples gathered since the previous
+   one: after 16 observations on the tuned device and 16 on a drifted
+   one, the installed calibration is exactly the fit of the second 16. *)
+let test_adapter_refits_from_last_period () =
+  let compiler = Compiler.create gpu in
+  let adapter = Adapter.create compiler in
+  let shapes =
+    [| (512, 512, 256); (384, 768, 256); (1024, 256, 512); (200, 900, 320) |]
+  in
+  let feed () =
+    List.init 16 (fun i ->
+        snd (Adapter.observe_shape adapter shapes.(i mod Array.length shapes)))
+  in
+  ignore (feed ());
+  let drifted = Scenario.drifted_hardware gpu in
+  Adapter.set_execution_hardware adapter drifted;
+  let second = feed () in
+  let samples = Hashtbl.create 16 in
+  List.iter
+    (fun (obs : Compiler.observation) ->
+      List.iter
+        (fun (r : Compiler.region_observation) ->
+          let key = (r.ro_kernel.um, r.ro_kernel.un, r.ro_kernel.uk) in
+          let prev = Option.value (Hashtbl.find_opt samples key) ~default:[] in
+          Hashtbl.replace samples key ((r.ro_predicted, r.ro_observed) :: prev))
+        obs.ob_regions)
+    second;
+  let expected =
+    Calibration.fit
+      ~fingerprint:(Hardware.fingerprint drifted)
+      (Hashtbl.fold (fun key w acc -> (key, w) :: acc) samples []
+      |> List.sort (fun (k1, _) (k2, _) -> compare k1 k2))
+  in
+  let actual = Adapter.calibration adapter in
+  Alcotest.(check int) "two refits" 2 (Adapter.stats adapter).recalibrations;
+  Alcotest.(check string) "fingerprint of the drifted device"
+    (Hardware.fingerprint drifted)
+    (Calibration.fingerprint actual);
+  Alcotest.(check string) "fit of the second 16 observations alone"
+    (Calibration.to_string expected)
+    (Calibration.to_string actual)
 
 (* Serving A/B on a healthy device: the same 16-request trace with and
-   without an attached adapter. The detector has no drift to react to,
-   so attaching it must not cost SLO attainment. *)
+   without an attached adapter, on both devices. The scheduled refits
+   have no drift to correct, so attaching the adapter must not cost SLO
+   attainment. *)
 let test_adapter_serving_no_worse () =
   let open Mikpoly_serve in
   let config =
@@ -248,30 +243,38 @@ let test_adapter_serving_no_worse () =
     Request.poisson ~seed:0x5E2 ~rate:30. ~count:16 ~max_prompt:64
       ~max_output:8 ()
   in
-  let slo_attainment ~adapted =
-    let compiler = Compiler.create gpu in
+  let slo_attainment (hw : Hardware.t) ~adapted =
+    let compiler = Compiler.create hw in
+    let adapter = if adapted then Some (Adapter.create compiler) else None in
     let adapt =
-      if adapted then
-        let a = Adapter.create compiler in
-        Some (fun () -> Adapter.drain_stall_seconds a)
-      else None
+      Option.map (fun a () -> Adapter.drain_stall_seconds a) adapter
     in
-    (Metrics.of_outcome
-       (Scheduler.run ?adapt config (Scheduler.mikpoly_engine compiler)
-          requests))
-      .Metrics.slo_attainment
+    let m =
+      Metrics.of_outcome
+        (Scheduler.run ?adapt config (Scheduler.mikpoly_engine compiler)
+           requests)
+    in
+    Option.iter
+      (fun a ->
+        Alcotest.(check bool) (hw.name ^ ": the adapter refit") true
+          ((Adapter.stats a).recalibrations >= 1))
+      adapter;
+    m.Metrics.slo_attainment
   in
-  let without = slo_attainment ~adapted:false in
-  let with_adapt = slo_attainment ~adapted:true in
-  Alcotest.(check bool)
-    (Printf.sprintf "SLO attainment %.4f with the adapter vs %.4f without"
-       with_adapt without)
-    true
-    (with_adapt >= without -. 1e-9)
+  List.iter
+    (fun hw ->
+      let without = slo_attainment hw ~adapted:false in
+      let with_adapt = slo_attainment hw ~adapted:true in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: SLO attainment %.4f with the adapter vs %.4f without"
+           hw.name with_adapt without)
+        true
+        (with_adapt >= without -. 1e-9))
+    [ gpu; Hardware.ascend910 ]
 
 let scenario_result = lazy (Scenario.run ~seed:0xADA (Lazy.force gpu_compiler))
 
-(* The drift checks hold at the default 48-step trace and at a shorter
+(* The scenario checks hold at the default 48-step trace and at a shorter
    32-step one. *)
 let scenario_results =
   lazy
@@ -283,11 +286,6 @@ let scenario_results =
 let test_scenario_detects_drift () =
   List.iter
     (fun (r : Scenario.result) ->
-      Alcotest.(check bool) "drift detected" true (r.drift_events >= 1);
-      Alcotest.(check bool) "reaction recorded" true
-        (r.reaction_observations >= 1);
-      Alcotest.(check bool) "reaction prompt" true
-        (r.reaction_observations <= 16);
       let stats = Adapter.stats r.adapter in
       Alcotest.(check bool) "programs invalidated" true (stats.invalidated >= 1);
       Alcotest.(check bool) "hot shapes recompiled" true (stats.recompiles >= 1);
@@ -336,7 +334,9 @@ let test_scenario_deterministic_across_jobs () =
   Alcotest.(check string) "bit-identical calibration" cal1 cal4;
   Alcotest.(check (list string)) "bit-identical recompiled programs" progs1
     progs4;
-  Alcotest.(check int) "same drift events" r1.drift_events r4.drift_events;
+  Alcotest.(check int) "same recalibrations"
+    (Adapter.stats r1.adapter).recalibrations
+    (Adapter.stats r4.adapter).recalibrations;
   Alcotest.(check (float 1e-12)) "same tau after" r1.after.tau r4.after.tau
 
 let test_adapter_profile_roundtrip_through_store () =
@@ -344,9 +344,9 @@ let test_adapter_profile_roundtrip_through_store () =
   let path = temp_path "mikpoly_test_adapter_profile.cal" in
   Adapter.save_profile r.adapter ~path;
   (* A fresh adapter on the same (drifted) execution hardware warm-starts
-     from the artifact with identical corrections. *)
-  let compiler = Lazy.force gpu_compiler in
-  let fresh = Adapter.create ~register:false compiler in
+     from the artifact with identical corrections. Each adapter gets its
+     own compiler: creating one installs it as the compiler's observer. *)
+  let fresh = Adapter.create (Compiler.create gpu) in
   Adapter.set_execution_hardware fresh
     (Scenario.drifted_hardware ~severity:0.35 gpu);
   (match Adapter.load_profile fresh ~path with
@@ -359,13 +359,11 @@ let test_adapter_profile_roundtrip_through_store () =
       (Calibration.to_string (Adapter.calibration r.adapter))
       (Calibration.to_string (Adapter.calibration fresh)));
   (* And a mismatched execution device refuses the artifact. *)
-  let mismatched = Adapter.create ~register:false compiler in
+  let mismatched = Adapter.create (Compiler.create gpu) in
   (match Adapter.load_profile mismatched ~path with
   | Ok () -> Alcotest.fail "wrong-hardware warm start must fail"
   | Error _ -> ());
-  Sys.remove path;
-  Compiler.set_observer compiler None;
-  Compiler.set_correction compiler None
+  Sys.remove path
 
 let () =
   Alcotest.run "adapt"
@@ -385,17 +383,6 @@ let () =
           Alcotest.test_case "negative slope falls back" `Quick
             test_calibration_negative_slope_falls_back;
         ] );
-      ( "drift",
-        [
-          Alcotest.test_case "constant bias never fires" `Quick
-            test_drift_constant_stream_never_fires;
-          Alcotest.test_case "upward shift fires" `Quick
-            test_drift_upward_shift_fires;
-          Alcotest.test_case "downward shift fires" `Quick
-            test_drift_downward_shift_fires;
-          Alcotest.test_case "stable noise tolerated" `Quick
-            test_drift_noise_tolerance;
-        ] );
       ( "profile store",
         [
           Alcotest.test_case "roundtrip" `Quick test_profile_roundtrip;
@@ -410,6 +397,8 @@ let () =
         [
           Alcotest.test_case "stable serving never adapts" `Quick
             test_adapter_stable_no_drift;
+          Alcotest.test_case "refits from the last 16 observations" `Quick
+            test_adapter_refits_from_last_period;
           Alcotest.test_case "serving SLO no worse" `Quick
             test_adapter_serving_no_worse;
           Alcotest.test_case "scenario detects drift" `Quick

@@ -736,6 +736,26 @@ let test_fleet_scheduler_projection () =
   Alcotest.(check int) "tier rows partition the trace" (List.length tr)
     tier_reqs
 
+(* Both serving loops refuse an empty prompt before their first event:
+   it has no token bucket, so the fleet would otherwise raise from inside
+   its loop while the single-tenant scheduler served it. *)
+let test_zero_prompt_rejected () =
+  let r = req ~id:0 ~arrival:0. ~prompt:0 () in
+  let config =
+    {
+      Scheduler.replicas = 1;
+      batcher = fleet_config.batcher;
+      bucketing = fleet_config.bucketing;
+      cache_capacity = fleet_config.cache_capacity;
+    }
+  in
+  Alcotest.check_raises "Scheduler.run"
+    (Invalid_argument "Scheduler.run: request 0 has prompt_len 0, below 1")
+    (fun () -> ignore (Scheduler.run config engine [ r ]));
+  Alcotest.check_raises "Fleet.run"
+    (Invalid_argument "Fleet: request 0 has prompt_len 0, below 1")
+    (fun () -> ignore (Fleet.run fleet_config engine [ tag gold r ]))
+
 (* An outcome reduced to a fingerprint: status digest, steps, the exact
    bits of makespan and stall, and every cache's hits/misses (warm store
    last). *)
@@ -871,6 +891,8 @@ let () =
             test_fleet_autoscaler_stays_in_bounds;
           Alcotest.test_case "scheduler projection" `Quick
             test_fleet_scheduler_projection;
+          Alcotest.test_case "empty prompt rejected by both loops" `Quick
+            test_zero_prompt_rejected;
           Alcotest.test_case "pinned crash outcome" `Quick test_fleet_pinned;
           Alcotest.test_case "pinned overload outcome" `Quick
             test_fleet_pinned_overload;
