@@ -85,6 +85,10 @@ let compile_shape jobs m n k npu =
     Printf.eprintf "compile: need -m, -n and -k >= 1 (got %d, %d, %d)\n" m n k;
     exit 2
   end;
+  if not (Mikpoly_ir.Operator.within_volume ~count:1 ~m ~n ~k) then begin
+    Printf.eprintf "compile: need M·N·K <= 2^48 (got %d, %d, %d)\n" m n k;
+    exit 2
+  end;
   let hw = if npu then Mikpoly_accel.Hardware.ascend910 else Mikpoly_accel.Hardware.a100 in
   let compiler = Mikpoly_core.Compiler.create hw in
   let op = Mikpoly_core.Compiler.gemm compiler (m, n, k) in

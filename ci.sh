@@ -222,6 +222,9 @@ expect_usage_error() {
 missing=/nonexistent/d/x
 dune build bin/mikpoly_cli.exe
 expect_usage_error compile -m 0 -n 4 -k 4
+expect_usage_error compile -m 1099511627776 -n 1099511627776 -k 4096
+expect_usage_error compile -m 4096 -n 4096 -k 4611686018427387903
+expect_usage_error compile -m 4096 -n 4096 -k 4611686018427387903 --npu
 expect_usage_error patterns -m 0 -n 4
 expect_usage_error patterns -m 4 -n 0
 expect_usage_error verify --count 0

@@ -166,8 +166,8 @@ let primary_kernels = 12
 let secondary_kernels = 8
 
 (* The half of a search that depends on the shape only through its
-   reduction extent K. [search_batch] builds one per distinct K and
-   shares it across the batch. *)
+   reduction extent K, and on K only through its class ⌈K/g⌉ (below).
+   Immutable once built, so every search of the class shares one. *)
 type setup = {
   launch : float;
       (** Every region is a separate kernel launch on the device; charging
@@ -189,7 +189,102 @@ type setup = {
   view : Strategy_space.view option;  (** [Some] exactly when [analytic] *)
 }
 
+(* The shared setup tables. With g the gcd of a set's uK values,
+   ⌈K/uK⌉ = ⌈⌈K/g⌉ / (uK/g)⌉, so a setup depends on K only through the
+   class c = ⌈K/g⌉. One table per (entries, launch, analytic) holds the
+   setup of each class up to [table_classes], built on first use from the
+   class's largest K (c·g) and published through its slot's [Atomic]:
+   domains that race on a slot build identical values, and either may
+   stay. Classes past the range are built per search. The table also
+   holds the set's dominance skeleton and the distinct live masks of its
+   views: the classes of a tuned set share a few dozen at most, so a
+   slot points at its mask instead of holding a copy. At most
+   [max_tables] tables are kept, newest first; an older one is dropped,
+   so tables of cleared, reloaded or fresh safe-generic sets never pile
+   up.
+
+   512 classes cover K up to 8 192 at g = 16, 90 % of log-uniform K in
+   [16, 16 384]. Doubling the range served the last 10 % too, but its
+   extra 0.24 MiB of slots, promoted while the compiles run, lifted
+   compile-cold-gpu's peak heap in [bench/perf] from about 13.2 to 15 MiB
+   on a 2-core x86 VM. *)
+let table_classes = 512
+
+let max_tables = 8
+
+type table = {
+  t_entries : Kernel_set.entry array;
+  t_launch : float;
+  t_analytic : bool;
+  g : int;
+  skeleton : Strategy_space.skeleton option;  (** [Some] exactly when analytic *)
+  masks : bool array list Atomic.t;
+  slots : setup Atomic.t array;  (** class [c] at [c - 1]; [unfilled] until used *)
+}
+
+let unfilled = { launch = nan; analytic = false; pipe = [||]; view = None }
+
+let tables : table list Atomic.t = Atomic.make []
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+let rec intern masks live =
+  let known = Atomic.get masks in
+  match List.find_opt (fun m -> m = live) known with
+  | Some m -> m
+  | None ->
+    if Atomic.compare_and_set masks known (live :: known) then live
+    else intern masks live
+
+(* A setup for reduction extent [k]; [kept] when it goes into a slot,
+   whose view then shares the table's copy of its live mask. *)
+let build t (set : Kernel_set.t) ~kept ~k =
+  let pipe = Array.map (fun e -> Cost_model.f_pipe e ~k_len:k) set.entries in
+  let view =
+    match t.skeleton with
+    | None -> None
+    | Some sk ->
+      let v = Strategy_space.view sk set ~pipe ~launch:t.t_launch in
+      if kept then Some { v with live = intern t.masks v.live } else Some v
+  in
+  { launch = t.t_launch; analytic = t.t_analytic; pipe; view }
+
+let rec table_in entries launch analytic = function
+  | [] -> raise_notrace Not_found
+  | t :: rest ->
+    if t.t_entries == entries && t.t_analytic = analytic
+       && Float.equal t.t_launch launch
+    then t
+    else table_in entries launch analytic rest
+
+let rec table_for (set : Kernel_set.t) ~launch ~analytic =
+  let known = Atomic.get tables in
+  match table_in set.entries launch analytic known with
+  | t -> t
+  | exception Not_found ->
+    let t =
+      {
+        t_entries = set.entries;
+        t_launch = launch;
+        t_analytic = analytic;
+        g =
+          Array.fold_left
+            (fun g (e : Kernel_set.entry) -> gcd e.desc.uk g)
+            0 set.entries;
+        skeleton = (if analytic then Some (Strategy_space.skeleton set) else None);
+        masks = Atomic.make [];
+        slots = Array.init table_classes (fun _ -> Atomic.make unfilled);
+      }
+    in
+    let kept = List.filteri (fun i _ -> i < max_tables - 1) known in
+    if Atomic.compare_and_set tables known (t :: kept) then t
+    else table_for set ~launch ~analytic
+
+(* The one owner of a search's setup: the shared table's slot for K's
+   class, filled on first use. *)
 let setup ~scorer (set : Kernel_set.t) (config : Config.t) ~k =
+  if Array.length set.entries = 0 then
+    invalid_arg "Polymerize: empty kernel set";
   let launch =
     if config.search_launch_term then
       set.hw.Hardware.launch_overhead_s *. set.hw.clock_hz
@@ -199,21 +294,28 @@ let setup ~scorer (set : Kernel_set.t) (config : Config.t) ~k =
     config.analytic_prune
     && (match scorer with Model Cost_model.Full -> true | _ -> false)
   in
-  let pipe = Array.map (fun e -> Cost_model.f_pipe e ~k_len:k) set.entries in
-  let view =
-    if analytic then
-      Some (Strategy_space.view (Strategy_space.skeleton set) set ~pipe ~launch)
-    else None
-  in
-  { launch; analytic; pipe; view }
+  let t = table_for set ~launch ~analytic in
+  let c = ((k - 1) / t.g) + 1 in
+  if c < 1 || c > table_classes then build t set ~kept:false ~k
+  else begin
+    let slot = t.slots.(c - 1) in
+    let s = Atomic.get slot in
+    if s != unfilled then s
+    else begin
+      let s = build t set ~kept:true ~k:(c * t.g) in
+      Atomic.set slot s;
+      s
+    end
+  end
 
-let search ~scorer ~tracing ~setup (set : Kernel_set.t) (config : Config.t) op
-    =
-  if Array.length set.entries = 0 then
-    invalid_arg "Polymerize.polymerize: empty kernel set";
+let search_setup set config ~k =
+  let s = setup ~scorer:(Model Cost_model.Full) set config ~k in
+  (s.pipe, s.view)
+
+let search ~scorer ~tracing (set : Kernel_set.t) (config : Config.t) op =
   let t0 = Unix.gettimeofday () in
   let m, n, k = Operator.gemm_shape op in
-  let { launch; analytic; pipe; view } = setup k in
+  let { launch; analytic; pipe; view } = setup ~scorer set config ~k in
   let entries = set.entries in
   let n_entries = Array.length entries in
   let objective =
@@ -719,8 +821,8 @@ let search ~scorer ~tracing ~setup (set : Kernel_set.t) (config : Config.t) op
     first_hit = !first_hit;
   }
 
-let instrumented ~scorer ~instrument ~setup (set : Kernel_set.t)
-    (config : Config.t) op =
+let polymerize ?(scorer = Model Cost_model.Full) ?(instrument = true)
+    (set : Kernel_set.t) (config : Config.t) op =
   let finish (c : compiled) =
     if instrument then begin
       Tm.Metrics.incr m_searches;
@@ -732,13 +834,13 @@ let instrumented ~scorer ~instrument ~setup (set : Kernel_set.t)
     c
   in
   if not (instrument && Tm.Tracer.enabled ()) then
-    finish (search ~scorer ~tracing:false ~setup set config op)
+    finish (search ~scorer ~tracing:false set config op)
   else begin
     let m, n, k = Operator.gemm_shape op in
     Tm.Tracer.with_span "polymerize.search"
       ~attrs:[ ("shape", Printf.sprintf "%dx%dx%d" m n k) ]
       (fun () ->
-        let c = search ~scorer ~tracing:true ~setup set config op in
+        let c = search ~scorer ~tracing:true set config op in
         Tm.Tracer.annotate "pattern" (Pattern.to_string c.pattern);
         Tm.Tracer.annotate "candidates" (string_of_int c.candidates);
         Tm.Tracer.annotate "pruned" (string_of_int c.pruned);
@@ -746,34 +848,15 @@ let instrumented ~scorer ~instrument ~setup (set : Kernel_set.t)
         finish c)
   end
 
-let polymerize ?(scorer = Model Cost_model.Full) ?(instrument = true)
-    (set : Kernel_set.t) (config : Config.t) op =
-  instrumented ~scorer ~instrument
-    ~setup:(fun k -> setup ~scorer set config ~k)
-    set config op
-
 (* Batched suite search: one [Dp.map] over whole shapes. Each shape's
    search is independent and fully deterministic, so the result array is
    bit-identical to [Array.map (polymerize ...)] at every job count —
-   only wall-clock changes. *)
+   only wall-clock changes. The shapes share setups through the table. *)
 let search_batch ?(scorer = Model Cost_model.Full) ?(instrument = true)
     ?(jobs = 0) (set : Kernel_set.t) (config : Config.t) ops =
-  (* One {!setup} per distinct reduction extent, shared by every shape of
-     the batch with that K. Setups are immutable once built; computing
-     them before the map keeps its bodies read-only. *)
-  let setups = Hashtbl.create 8 in
-  Array.iter
-    (fun op ->
-      let _, _, k = Operator.gemm_shape op in
-      if not (Hashtbl.mem setups k) then
-        Hashtbl.add setups k (setup ~scorer set config ~k))
-    ops;
-  let one op =
-    instrumented ~scorer ~instrument ~setup:(Hashtbl.find setups) set config op
-  in
   let run () =
     if instrument && Array.length ops > 0 then Tm.Metrics.incr m_batches;
-    Dp.map ~jobs ~min_chunk:4 one ops
+    Dp.map ~jobs ~min_chunk:4 (polymerize ~scorer ~instrument set config) ops
   in
   if not (instrument && Tm.Tracer.enabled ()) then run ()
   else

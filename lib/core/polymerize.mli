@@ -88,6 +88,21 @@ val polymerize :
     candidate whose cost can win, and the 12 primaries are picked in
     (Pattern-I cost, rank) order without sorting the set.
 
+    A search starts from a setup that depends on the shape only through
+    the class [⌈K/g⌉], g the gcd of the set's uK values: each kernel's
+    [f_pipe] and, under analytic pruning, the K half of the dominance
+    view. Setups are shared across searches, compilers and domains
+    through one table per (kernel set's [entries], launch term, analytic
+    flag) holding classes 1 to 512 (K up to 8 192 at g = 16); a slot is
+    filled on first use, never at set creation, and classes past the
+    range are built per search. {b Memory bound}: at most 8 tables are
+    kept, newest first, and the ninth-newest is dropped, so however
+    kernel sets churn ([Kernel_set.clear_cache],
+    [Kernel_set.safe_generic], [Kernel_store.load]) the tables hold at
+    most 8 × 512 setups. A full table of a 40-kernel set is about 32 k
+    words (0.25 MiB), so the tables hold at most about 2 MiB, plus the
+    [entries] arrays the 8 tables keep alive.
+
     Every search feeds the always-on [polymerize.*] metrics (search
     count, candidate and wall-time histograms, and the
     [polymerize.pruned_analytic] / [polymerize.pruned_bound] counters);
@@ -105,9 +120,19 @@ val search_batch :
     [polymerize ops.(i)] returns (each shape's search is independent and
     deterministic, so the array is bit-identical at every job count).
     [jobs] (default [0], the process default) is passed to the map
-    unchanged. This is the entry the compiler's precompile paths, the
-    fleet warm store and the graph executor's compile stage go
-    through. *)
+    unchanged. The shapes share their setups through the same table as
+    every other search, so a batch builds nothing of its own before the
+    map. This is the entry the compiler's precompile paths, the fleet
+    warm store and the graph executor's compile stage go through. *)
+
+val search_setup :
+  Kernel_set.t -> Config.t -> k:int -> float array * Strategy_space.view option
+(** The setup a plain-model search of reduction extent [k] uses: each
+    entry's [f_pipe] ([pipe.(i)] for entry [i]) and, under analytic
+    pruning, the dominance view ([None] otherwise). Both are shared with
+    every search of the class and must not be mutated. Exposed so a test
+    can compare them with a fresh build. Raises [Invalid_argument] on an
+    empty set. *)
 
 val modeled_search_seconds : compiled -> float
 (** Online overhead charged to end-to-end runs: a fixed dispatch cost plus

@@ -98,16 +98,16 @@ let col_cut_count style e ~rows ~cols ~max_cuts =
    waves, and [rank_d < rank_e] settles ties (the search's total
    tie-break key orders equal costs by kernel rank, and the dominator's
    is strictly smaller). The K-dependent part — [f_pipe d <= f_pipe e] —
-   is checked per search by {!view}. The skeleton is cached per kernel
-   set (physical equality on the entries array, which the
-   [Kernel_set.create] memo makes stable per (hardware, config)). *)
+   is checked per K class by {!view}. [Polymerize] keeps one skeleton in
+   each of its shared setup tables, so no search rebuilds it. *)
 type skeleton = {
   sk_n : int;
   sk_dominators : int array array;
       (** for each entry index, the indices of its candidate dominators *)
 }
 
-let skeleton_of_entries (entries : Kernel_set.entry array) =
+let skeleton (set : Kernel_set.t) =
+  let entries = set.entries in
   let n = Array.length entries in
   let sk_dominators =
     Array.init n (fun i ->
@@ -125,32 +125,7 @@ let skeleton_of_entries (entries : Kernel_set.entry array) =
   in
   { sk_n = n; sk_dominators }
 
-let cache : (Kernel_set.entry array * skeleton) list ref = ref []
-
-let cache_lock = Mutex.create ()
-
-let cache_bound = 16
-
-let skeleton (set : Kernel_set.t) =
-  let key = set.entries in
-  Mutex.lock cache_lock;
-  let sk =
-    match List.find_opt (fun (k, _) -> k == key) !cache with
-    | Some (_, sk) -> sk
-    | None ->
-      let sk = skeleton_of_entries key in
-      let kept =
-        if List.length !cache >= cache_bound then
-          List.filteri (fun i _ -> i < cache_bound - 1) !cache
-        else !cache
-      in
-      cache := (key, sk) :: kept;
-      sk
-  in
-  Mutex.unlock cache_lock;
-  sk
-
-(* ---- Per-search view: live mask and pipeline-depth floors ---- *)
+(* ---- Per-K-class view: live mask and pipeline-depth floors ---- *)
 
 type view = {
   live : bool array;

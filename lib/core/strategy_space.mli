@@ -63,9 +63,11 @@ val col_cut_count :
 type skeleton
 (** The K-independent half of kernel dominance for one kernel set: for
     each entry, the entries with tiles, wave capacity {e and} rank all
-    at least as good. Cached per kernel set. *)
+    at least as good. *)
 
 val skeleton : Kernel_set.t -> skeleton
+(** Built afresh on each call, in O(entries²); [Polymerize] keeps one in
+    each of its shared setup tables. *)
 
 type view = {
   live : bool array;
@@ -77,10 +79,10 @@ type view = {
 }
 
 val view : skeleton -> Kernel_set.t -> pipe:float array -> launch:float -> view
-(** Finish the dominance check with this search's per-entry [f_pipe]
-    values ([pipe.(i)] for entry [i]; the reduction extent is fixed per
-    compile) and compute the floor ingredients. [launch] is the
-    per-region launch term in cycles (0 when disabled). *)
+(** Finish the dominance check with the per-entry [f_pipe] values of one
+    reduction extent ([pipe.(i)] for entry [i]) and compute the floor
+    ingredients. [launch] is the per-region launch term in cycles (0 when
+    disabled). *)
 
 val region_floor : view -> icount:int -> rows:int -> cols:int -> float
 (** Sound lower bound on the Eq.-2 cost of a [rows×cols] region

@@ -5,13 +5,25 @@ type t =
   | Conv of Conv_spec.t
   | Batched_gemm of { count : int; m : int; n : int; k : int; dtype : Dtype.t }
 
+let max_volume = 1 lsl 48
+
+(* a ≤ ⌊V/b⌋ exactly when a·b ≤ V, for positive a and b. *)
+let within_volume ~count ~m ~n ~k =
+  count <= max_volume / m
+  && count * m <= max_volume / n
+  && count * m * n <= max_volume / k
+
 let gemm ?(dtype = Dtype.F16) ~m ~n ~k () =
   if m <= 0 || n <= 0 || k <= 0 then invalid_arg "Operator.gemm: non-positive dimension";
+  if not (within_volume ~count:1 ~m ~n ~k) then
+    invalid_arg "Operator.gemm: M·N·K above 2^48";
   Gemm { m; n; k; dtype }
 
 let batched_gemm ?(dtype = Dtype.F16) ~count ~m ~n ~k () =
   if count <= 0 || m <= 0 || n <= 0 || k <= 0 then
     invalid_arg "Operator.batched_gemm: non-positive dimension";
+  if not (within_volume ~count ~m ~n ~k) then
+    invalid_arg "Operator.batched_gemm: count·M·N·K above 2^48";
   Batched_gemm { count; m; n; k; dtype }
 
 let conv spec = Conv spec

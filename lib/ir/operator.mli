@@ -15,8 +15,20 @@ type t =
       dtype : Mikpoly_tensor.Dtype.t;
     }
 
+val within_volume : count:int -> m:int -> n:int -> k:int -> bool
+(** Whether positive [count], [m], [n] and [k] have a volume
+    [count·m·n·k] of at most 2^48, decided without overflow. That is the
+    bound on every GEMM: under it every integer derived from the shape
+    fits OCaml's 63-bit [int] with room to spare — tile and task counts
+    ([≤ count·M·N]), [⌈K/uK⌉] and [⌈K/g⌉], the element count
+    [M·K + K·N + M·N] and its bytes ([< 2^53]), and the search's
+    per-region memo key. Every shape of the model zoo, the conv lowering,
+    the workload suites and the tests is far below it (16 384³ is
+    [2^42]). *)
+
 val gemm : ?dtype:Mikpoly_tensor.Dtype.t -> m:int -> n:int -> k:int -> unit -> t
-(** Raises [Invalid_argument] on non-positive dimensions. *)
+(** Raises [Invalid_argument] on non-positive dimensions or a volume above
+    2^48 ({!within_volume}). *)
 
 val batched_gemm :
   ?dtype:Mikpoly_tensor.Dtype.t -> count:int -> m:int -> n:int -> k:int ->
@@ -24,7 +36,8 @@ val batched_gemm :
 (** A grouped/batched GEMM: [count] independent (M,N,K) products launched
     as one grid. The per-instance program is shared; the device sees
     count× the pipelined tasks, which packs waves that a single small
-    instance would leave idle (the attention GEMMs of Figures 8/11). *)
+    instance would leave idle (the attention GEMMs of Figures 8/11).
+    Raises [Invalid_argument] like {!gemm}. *)
 
 val conv : Mikpoly_tensor.Conv_spec.t -> t
 

@@ -1023,11 +1023,13 @@ let test_search_batch_matches_polymerize () =
   Alcotest.(check int) "empty batch" 0
     (Array.length (Polymerize.search_batch ~jobs:4 set config [||]))
 
-(* Shapes sharing one reduction extent share one [Strategy_space.view]
-   inside [search_batch]; sharing is a pure memoization, so every search
-   statistic — candidates scored, both pruning tallies, the first-hit
-   index — must match the per-shape searches exactly, not just the chosen
-   program. (search_seconds is wall time and excluded.) *)
+(* Shapes sharing one reduction extent share one setup, its
+   [Strategy_space.view] included, from the kernel set's shared table,
+   whichever entry point they come through; sharing is a pure
+   memoization, so every search statistic — candidates scored, both
+   pruning tallies, the first-hit index — must match the per-shape
+   searches exactly, not just the chosen program. (search_seconds is
+   wall time and excluded.) *)
 let test_search_batch_shared_view_tallies () =
   let compiler = Lazy.force gpu_compiler in
   let set = Compiler.kernels compiler in
@@ -1168,6 +1170,198 @@ let test_search_tallies_pinned_cold () =
     "d3b581ef95e75a40646f55100d6285cd"
     (Digest.to_hex (Digest.string (String.concat "\n" lines)))
 
+(* A GEMM whose volume count·M·N·K exceeds 2^48 used to construct fine
+   and then crash the compile on an overflowed tile, step or footprint
+   count. It is now refused at construction, while shapes at the bound,
+   however lopsided, compile and simulate on both devices. *)
+let test_volume_bound () =
+  let refused label f =
+    Alcotest.(check bool) label true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  refused "2^40 x 2^40 x 4096" (fun () ->
+      Operator.gemm ~m:(1 lsl 40) ~n:(1 lsl 40) ~k:4096 ());
+  refused "K = max_int" (fun () -> Operator.gemm ~m:4096 ~n:4096 ~k:max_int ());
+  refused "one past the bound" (fun () ->
+      Operator.gemm ~m:((1 lsl 48) + 1) ~n:1 ~k:1 ());
+  refused "batched: 2^49" (fun () ->
+      Operator.batched_gemm ~count:(1 lsl 20) ~m:1024 ~n:1024 ~k:512 ());
+  List.iter
+    (fun (compiler, (m, n, k)) ->
+      let compiler = Lazy.force compiler in
+      let op = Compiler.gemm compiler (m, n, k) in
+      let c = Compiler.compile compiler op in
+      let sim = Compiler.simulate compiler c in
+      let regions = c.Polymerize.program.Program.regions in
+      Alcotest.(check bool)
+        (Printf.sprintf "%dx%dx%d compiles and simulates" m n k)
+        true
+        (Program.validate ~op ~regions = Ok ()
+        && Float.is_finite sim.Simulator.cycles && sim.cycles > 0.))
+    [
+      (gpu_compiler, (1 lsl 16, 1 lsl 16, 1 lsl 16));
+      (gpu_compiler, (1 lsl 48, 1, 1));
+      (npu_compiler, (1, 1, 1 lsl 48));
+      (npu_compiler, (1 lsl 24, 1 lsl 24, 1));
+    ]
+
+(* --- The shared setup table --- *)
+
+(* A set whose uK values have gcd 8, not the tuned sets' 16, so its K
+   classes are ⌈K/8⌉. *)
+let gcd8_set =
+  lazy
+    (let entry rank (um, un, uk) =
+       let desc = { (Kernel_desc.make ~um ~un ~uk:16 ()) with Kernel_desc.uk } in
+       {
+         Kernel_set.desc;
+         model = Mikpoly_autosched.Perf_model.learn ~n_pred:512 gpu desc;
+         wave_capacity = Kernel_model.wave_capacity gpu desc;
+         rank;
+         rank_score = 0.;
+       }
+     in
+     {
+       Kernel_set.hw = gpu;
+       entries =
+         Array.of_list
+           (List.mapi entry
+              [ (128, 128, 24); (64, 128, 40); (128, 64, 24); (64, 64, 40) ]);
+     })
+
+(* A search reads its setup from the shared per-class table, a pure memo:
+   what it hands out must equal a fresh build for the exact K, bit for
+   bit, whether the slot was just filled or read back, and for classes
+   past the table's range too. *)
+let prop_shared_setup_exact =
+  QCheck.Test.make ~name:"shared setup equals a fresh build" ~count:400
+    QCheck.(
+      triple (int_range 0 2) bool
+        (oneof [ int_range 1 16_384; int_range 1 (1 lsl 20) ]))
+    (fun (which, analytic, k) ->
+      let set, config =
+        match which with
+        | 0 | 1 ->
+          let c = Lazy.force (if which = 0 then gpu_compiler else npu_compiler) in
+          (Compiler.kernels c, Compiler.config c)
+        | _ -> (Lazy.force gcd8_set, Config.default gpu)
+      in
+      let config = { config with Config.analytic_prune = analytic } in
+      let launch = set.hw.Hardware.launch_overhead_s *. set.hw.clock_hz in
+      let pipe = Array.map (fun e -> Cost_model.f_pipe e ~k_len:k) set.entries in
+      let fresh =
+        if analytic then
+          Some (Strategy_space.view (Strategy_space.skeleton set) set ~pipe ~launch)
+        else None
+      in
+      let bits = Array.map Int64.bits_of_float in
+      let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let same_view (a : Strategy_space.view option) (b : Strategy_space.view option) =
+        match (a, b) with
+        | None, None -> true
+        | Some a, Some b ->
+          a.live = b.live && same_float a.min_pipe b.min_pipe
+          && same_float a.vol_rate b.vol_rate && same_float a.v_launch b.v_launch
+        | _ -> false
+      in
+      let exact () =
+        let p, v = Polymerize.search_setup set config ~k in
+        bits p = bits pipe && same_view v fresh
+      in
+      exact () && exact ())
+
+(* A cold table filled by several domains at once: after the memo is
+   cleared, a fresh set's first searches run under [search_batch ~jobs:4]
+   and race on the same slots (753, 760 and 768 share ⌈K/16⌉ = 48;
+   9 000, 20 000 and 20 001 are past the table's range). Every tally
+   must equal the sequential [polymerize]'s. *)
+let test_cold_table_parallel () =
+  let ks =
+    [| 753; 760; 768; 100; 105; 112; 4001; 4010; 4016; 9_000; 20_000; 20_001 |]
+  in
+  List.iter
+    (fun hw ->
+      Kernel_set.clear_cache ();
+      let config = Config.default hw in
+      let set = Kernel_set.create hw config in
+      let rng = Mikpoly_util.Prng.create 27 in
+      let ops =
+        Array.init 400 (fun i ->
+            Operator.gemm
+              ~m:(Mikpoly_util.Prng.log_int_in rng 1 16384)
+              ~n:(Mikpoly_util.Prng.log_int_in rng 16 16384)
+              ~k:ks.(i mod Array.length ks) ())
+      in
+      let parallel =
+        Array.map search_tally
+          (Polymerize.search_batch ~instrument:false ~jobs:4 set config ops)
+      in
+      let sequential =
+        Array.map
+          (fun op -> search_tally (Polymerize.polymerize ~instrument:false set config op))
+          ops
+      in
+      Alcotest.(check (array string))
+        (hw.Hardware.name ^ ": cold jobs 4 = sequential") sequential parallel)
+    [ gpu; npu ]
+
+(* Kernel sets churn: the memo is cleared (the benchmark's set-up loop,
+   these tests), the ladder's last rung mints a fresh set per call, and
+   every store load is a fresh set; each gets its own setup tables.
+   Polymerize keeps at most 8 tables of at most 512 setups, so 32
+   cycles of clear, create and compile, each also searching a fresh
+   safe-generic set and a reloaded store, must not grow live words past
+   8 full tables plus the 8 sets they keep alive, and the second 16
+   cycles must not grow them further. *)
+let test_setup_tables_bounded () =
+  let config = Config.default gpu in
+  let path = Filename.temp_file "mikpoly_tables" ".set" in
+  Kernel_store.save ~path config (Kernel_set.create gpu config);
+  (* 64 distinct K classes per set, all in the table's range *)
+  let shapes = List.init 64 (fun i -> (512, 384, 16 * (1 + (8 * i)))) in
+  let search set =
+    List.iter
+      (fun (m, n, k) ->
+        ignore
+          (Polymerize.polymerize ~instrument:false set config
+             (Operator.gemm ~m ~n ~k ())))
+      shapes
+  in
+  let cycle () =
+    Kernel_set.clear_cache ();
+    let c = Compiler.create gpu in
+    List.iter (fun s -> ignore (Compiler.compile c (Compiler.gemm c s))) shapes;
+    search (Kernel_set.safe_generic gpu config);
+    match Kernel_store.load ~path gpu config with
+    | Ok set -> search set
+    | Error e -> Alcotest.fail e
+  in
+  let live () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let set = Kernel_set.create gpu config in
+  let slot_words =
+    Obj.reachable_words (Obj.repr (Polymerize.search_setup set config ~k:4096))
+  in
+  let bound =
+    8 * ((512 * (slot_words + 8)) + Obj.reachable_words (Obj.repr set.entries))
+  in
+  let before = live () in
+  for _ = 1 to 16 do cycle () done;
+  let mid = live () in
+  for _ = 1 to 16 do cycle () done;
+  let after = live () in
+  Sys.remove path;
+  Alcotest.(check bool)
+    (Printf.sprintf "growth %d words within the bound %d" (after - before) bound)
+    true
+    (after - before <= bound);
+  Alcotest.(check bool)
+    (Printf.sprintf "no growth past 16 cycles (%d words)" (after - mid))
+    true
+    (after - mid <= bound / 16)
+
 let test_kernel_set_concurrent_create () =
   Kernel_set.clear_cache ();
   let config = Config.default gpu in
@@ -1284,6 +1478,7 @@ let () =
           Alcotest.test_case "cache stats" `Quick test_compiler_cache_stats;
           Alcotest.test_case "invalidate" `Quick test_compiler_invalidate;
           Alcotest.test_case "invalidate_if" `Quick test_compiler_invalidate_if;
+          Alcotest.test_case "volume bound" `Quick test_volume_bound;
         ] );
       ( "parallel",
         [
@@ -1319,5 +1514,12 @@ let () =
             test_search_tallies_pinned;
           Alcotest.test_case "search tallies pinned (compile-cold shapes)"
             `Quick test_search_tallies_pinned_cold;
+        ] );
+      ( "setup_table",
+        [
+          qtest prop_shared_setup_exact;
+          Alcotest.test_case "cold table under jobs 4" `Quick test_cold_table_parallel;
+          Alcotest.test_case "tables bounded under churn" `Quick
+            test_setup_tables_bounded;
         ] );
     ]
