@@ -228,7 +228,7 @@ expect_usage_error compile -m 4096 -n 4096 -k 4611686018427387903 --npu
 expect_usage_error patterns -m 0 -n 4
 expect_usage_error patterns -m 4 -n 0
 expect_usage_error verify --count 0
-for sub in graph fleet hetero chaos; do
+for sub in graph fleet hetero chaos rank; do
   expect_usage_error "$sub" --quick --out "$missing"
 done
 expect_usage_error adapt --quick --save "$missing"

@@ -242,19 +242,6 @@ let by_arrival trace =
       Request.compare_arrival a.Tenant.req b.Tenant.req)
     trace
 
-(* Earliest [time signature arrival] over a queue's requests, where
-   [time] is non-decreasing in [arrival] for each signature: the minimum
-   then sits at each signature's oldest request, so one evaluation per
-   signature gives the float a fold over every request would (a float
-   minimum does not depend on order). *)
-let earliest q time =
-  if Wfq.is_empty q then None
-  else
-    Some
-      (Wfq.fold_oldest q
-         (fun s arrival _ acc -> Float.min acc (time s arrival))
-         infinity)
-
 (* Let the batcher rule on an offer taken from the queue (distinct ids):
    deferred requests return to their lane heads. *)
 let grant batcher q ~now ~in_flight offer =
@@ -348,7 +335,7 @@ let serve ?(faults = Plan.none) config p trace =
              c_idx = i;
              c_engine = engine;
              c_slots = Array.init total slot;
-             c_q = Wfq.create ~signature;
+             c_q = Wfq.create ();
              c_health = Health.create p.health;
              c_store = store ();
              c_retired = [];
@@ -646,7 +633,7 @@ let serve ?(faults = Plan.none) config p trace =
         (fun s -> moved (Replica.evict s ~requeue:(requeue_into tgt.c_q)))
         c.c_slots;
       let waiting = c.c_q in
-      c.c_q <- Wfq.create ~signature;
+      c.c_q <- Wfq.create ();
       moved (Wfq.length waiting);
       Wfq.fold waiting (fun () tg -> Wfq.push tgt.c_q tg) ()
   in
@@ -663,16 +650,17 @@ let serve ?(faults = Plan.none) config p trace =
           ~requeue:(requeue_into c.c_q)
         :: c.c_retired
   in
-  (* Policy-aging instant of a queued request, mirroring the Batcher
-     predicates over a shared queue: a Timeout batcher holds a request
-     back for its window unless the queue plus [in_flight] can fill the
-     batch. *)
-  let aged_time c in_flight arrival =
+  (* How long the batcher holds a queued request back: a Timeout
+     batcher's window, unless the queue plus [in_flight] can fill the
+     batch. An admission reads it once, before [Wfq.take] shrinks the
+     queue, so the offer's filters and [Batcher.admit_list], which
+     applies the same test to the offer, agree on it. *)
+  let hold c in_flight =
     match config.batcher with
-    | Batcher.Greedy _ | Batcher.Slo_aware _ -> arrival
-    | Batcher.Timeout { window; max_batch } ->
-      if Wfq.length c.c_q + in_flight >= max_batch then arrival
-      else arrival +. window
+    | Batcher.Timeout { window; max_batch }
+      when Wfq.length c.c_q + in_flight < max_batch ->
+      window
+    | Batcher.Greedy _ | Batcher.Slo_aware _ | Batcher.Timeout _ -> 0.
   in
   (* Earliest instant slot [r] may take a request as a group leader,
      from the request's signature [s] and [arrival].
@@ -685,20 +673,13 @@ let serve ?(faults = Plan.none) config p trace =
      to take the request itself — is deferred to. Owner state is read
      at evaluation time; the event loop recomputes slot wake-ups every
      iteration, so the answer is always current.
-     At [steal_age = 0] this is exactly [aged_time]: the deferral ends
-     at [max aged (arrival + 0)] and [aged >= arrival] (the Timeout
-     window is never negative), so [Wfq.take]'s [~first] filter equals
-     its [~eligible] one — the mixed fleet runs that way, and skips the
-     owner lookup.
-     For a fixed signature and owner state the result is non-decreasing
-     in [arrival], which is what lets [earliest] read only each
-     signature's oldest request: [aged] is [arrival] or [arrival +.
-     window] with one branch for the whole queue, and rounding is
-     monotone; the deferral applies from the first arrival whose [aged]
-     reaches the owner's [down_until] onward, and only raises the
-     value. *)
-  let affinity_time c (r : slot) in_flight s arrival =
-    let aged = aged_time c in_flight arrival in
+     At [steal_age = 0] this is exactly the aged time [arrival +. hold]:
+     the deferral ends at [max aged (arrival + 0)] and [aged >= arrival]
+     (the Timeout window is never negative), so [Wfq.take]'s [~first]
+     filter equals its [~eligible] one — the mixed fleet runs that way,
+     and skips the owner lookup. *)
+  let affinity_time c (r : slot) ~hold s arrival =
+    let aged = arrival +. hold in
     if (not config.coalesce) || config.steal_age = 0. then aged
     else
       match Ids.find_opt owners.(c.c_idx) s with
@@ -708,9 +689,22 @@ let serve ?(faults = Plan.none) config p trace =
         else Float.max aged (arrival +. config.steal_age)
       | _ -> aged
   in
+  (* An idle live slot wakes when [Wfq.take] can grant it a lane head,
+     the earliest [affinity_time] among the heads, and never before the
+     last fired event: a wake-up in the past would step the slot before
+     events that already changed its queue. *)
   let slot_next_time c (r : slot) =
     if not live.(r.index) then None
-    else Replica.ready_at r (fun () -> earliest c.c_q (affinity_time c r 0))
+    else
+      Replica.ready_at r (fun () ->
+          if Wfq.is_empty c.c_q then None
+          else
+            let hold = hold c 0 in
+            let earliest acc (tg : Tenant.tagged) =
+              Float.min acc
+                (affinity_time c r ~hold (signature tg) tg.Tenant.req.Request.arrival)
+            in
+            Some (Float.max !floor_now (Wfq.fold_heads c.c_q earliest infinity)))
   in
   let do_refresh w l ~now =
     warm_now := now;
@@ -824,11 +818,11 @@ let serve ?(faults = Plan.none) config p trace =
     let offer =
       if cap <= 0 || Wfq.is_empty c.c_q then []
       else
+        let hold = hold c in_flight in
         Wfq.take c.c_q ~max:cap
-          ~eligible:(fun tg ->
-            aged_time c in_flight tg.Tenant.req.Request.arrival <= now)
+          ~eligible:(fun tg -> tg.Tenant.req.Request.arrival +. hold <= now)
           ~first:(fun tg ->
-            affinity_time c r in_flight (signature tg) tg.Tenant.req.Request.arrival
+            affinity_time c r ~hold (signature tg) tg.Tenant.req.Request.arrival
             <= now)
           ~group:(fun leader tg ->
             (not config.coalesce) || signature leader = signature tg)

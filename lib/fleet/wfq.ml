@@ -28,42 +28,11 @@ type lane = {
   mutable l_cost : float;
 }
 
-(* The oldest-request index. Grants only ever take a lane head, so each
-   lane's requests of one signature form a sub-queue with the lane's
-   three operations: push at the tail, push at the head, pop the head.
-   Its candidates are the requests with no older request queued behind
-   them in that sub-queue ("older" is smaller (arrival, id)), kept in
-   lane order, so ascending: the front is the sub-queue's oldest. A
-   tail push drops the candidates newer than the pushed request; a head
-   push is a candidate only if it is no newer than the front; a granted
-   head is either the front or no candidate at all. Every step is O(1)
-   amortized and allocates nothing per request: a deep queue that is
-   in arrival order keeps every request a candidate, one array slot
-   each. *)
-let compare_key (a : Tenant.tagged) (b : Tenant.tagged) =
-  Request.compare_arrival a.Tenant.req b.Tenant.req
-
-(* A ring buffer of candidates; its capacity is a power of two. *)
-type cands = {
-  mutable c_buf : Tenant.tagged array;
-  mutable c_first : int;
-  mutable c_len : int;
-}
-
-(* One signature's candidates per lane that queues it, and the oldest
-   of their fronts. *)
-type group = {
-  mutable g_lanes : (lane * cands) list;
-  mutable g_oldest : Tenant.tagged;
-}
-
 type t = {
   lanes : (int, lane) Hashtbl.t;
   mutable order : int list;  (* tenant ids ascending: deterministic scans *)
   mutable vtime : float;
   mutable size : int;
-  signature : Tenant.tagged -> int;
-  groups : (int, group) Hashtbl.t;  (* signatures with a queued request *)
 }
 
 type lane_stats = {
@@ -73,15 +42,7 @@ type lane_stats = {
   s_cost : float;
 }
 
-let create ~signature =
-  {
-    lanes = Hashtbl.create 8;
-    order = [];
-    vtime = 0.;
-    size = 0;
-    signature;
-    groups = Hashtbl.create 16;
-  }
+let create () = { lanes = Hashtbl.create 8; order = []; vtime = 0.; size = 0 }
 
 let lane t (tenant : Tenant.t) =
   match Hashtbl.find_opt t.lanes tenant.Tenant.tenant_id with
@@ -114,95 +75,17 @@ let stamp t l tg =
       (Float.max l.l_finish t.vtime
       +. (cost tg /. float_of_int (Tenant.weight l.l_tenant.Tenant.tier)))
 
-let slot c i = (c.c_first + i) land (Array.length c.c_buf - 1)
-
-let front c = c.c_buf.(c.c_first)
-
-let back c = c.c_buf.(slot c (c.c_len - 1))
-
-let make_room c =
-  let cap = Array.length c.c_buf in
-  if c.c_len = cap then begin
-    let buf = Array.make (2 * cap) (front c) in
-    for i = 0 to c.c_len - 1 do
-      buf.(i) <- c.c_buf.(slot c i)
-    done;
-    c.c_buf <- buf;
-    c.c_first <- 0
-  end
-
-(* The candidates of [tg]'s signature in lane [l], created empty on
-   first use. *)
-let cands_of t l tg =
-  let s = t.signature tg in
-  let g =
-    match Hashtbl.find t.groups s with
-    | g -> g
-    | exception Not_found ->
-      let g = { g_lanes = []; g_oldest = tg } in
-      Hashtbl.replace t.groups s g;
-      g
-  in
-  match List.assq l g.g_lanes with
-  | c -> (s, g, c)
-  | exception Not_found ->
-    let c = { c_buf = Array.make 8 tg; c_first = 0; c_len = 0 } in
-    g.g_lanes <- (l, c) :: g.g_lanes;
-    (s, g, c)
-
-(* Re-read a group's oldest after candidates [c] changed; a signature
-   with no queued request leaves the index. *)
-let refresh t s g c =
-  if c.c_len = 0 then g.g_lanes <- List.filter (fun (_, c') -> c' != c) g.g_lanes;
-  match g.g_lanes with
-  | [] -> Hashtbl.remove t.groups s
-  | (_, first) :: rest ->
-    g.g_oldest <-
-      List.fold_left
-        (fun acc (_, c) -> if compare_key (front c) acc < 0 then front c else acc)
-        (front first) rest
-
-let index_push t l tg =
-  let s, g, c = cands_of t l tg in
-  while c.c_len > 0 && compare_key (back c) tg > 0 do
-    c.c_len <- c.c_len - 1
-  done;
-  make_room c;
-  c.c_buf.(slot c c.c_len) <- tg;
-  c.c_len <- c.c_len + 1;
-  refresh t s g c
-
-let index_push_front t l tg =
-  let s, g, c = cands_of t l tg in
-  if c.c_len = 0 || compare_key tg (front c) <= 0 then begin
-    make_room c;
-    c.c_first <- slot c (-1);
-    c.c_buf.(c.c_first) <- tg;
-    c.c_len <- c.c_len + 1
-  end;
-  refresh t s g c
-
-let index_grant t l tg =
-  let s, g, c = cands_of t l tg in
-  if c.c_len > 0 && front c == tg then begin
-    c.c_first <- slot c 1;
-    c.c_len <- c.c_len - 1
-  end;
-  refresh t s g c
-
 let push t (tg : Tenant.tagged) =
   let l = lane t tg.Tenant.tenant in
   let was_empty = l.l_front = [] && l.l_back = [] in
   l.l_back <- tg :: l.l_back;
   t.size <- t.size + 1;
-  index_push t l tg;
   if was_empty then stamp t l tg
 
 let push_front t (tg : Tenant.tagged) =
   let l = lane t tg.Tenant.tenant in
   l.l_front <- tg :: l.l_front;
   t.size <- t.size + 1;
-  index_push_front t l tg;
   stamp t l tg
 
 let length t = t.size
@@ -235,12 +118,11 @@ let fold t f init =
       back (List.fold_left f acc l.l_front) l.l_back)
     init t.order
 
-let fold_oldest t f init =
-  Hashtbl.fold
-    (fun s g acc ->
-      let r = g.g_oldest.Tenant.req in
-      f s r.Request.arrival r.Request.id acc)
-    t.groups init
+let fold_heads t f init =
+  List.fold_left
+    (fun acc id ->
+      match head (Hashtbl.find t.lanes id) with Some tg -> f acc tg | None -> acc)
+    init t.order
 
 (* WFQ-first lane whose head satisfies [admissible]: minimum frozen
    finish tag, ties to the lowest tenant id (the [order] scan gives the
@@ -278,7 +160,6 @@ let grant t l tg =
   l.l_cost <- l.l_cost +. cost tg;
   drop_head l;
   t.size <- t.size - 1;
-  index_grant t l tg;
   l.l_head_tag <- None;
   match head l with Some next -> stamp t l next | None -> ()
 

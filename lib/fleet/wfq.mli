@@ -28,9 +28,8 @@ type lane_stats = {
   s_cost : float;  (** token cost granted so far *)
 }
 
-val create : signature:(Tenant.tagged -> int) -> t
-(** An empty queue that indexes its requests by [signature] (the
-    fleet's bucketed shape signature) for {!fold_oldest}. *)
+val create : unit -> t
+(** An empty queue. *)
 
 val push : t -> Tenant.tagged -> unit
 (** Enqueue at the tail of the request's tenant lane. *)
@@ -50,14 +49,10 @@ val fold : t -> ('a -> Tenant.tagged -> 'a) -> 'a -> 'a
     nothing. There is no list view of a queue: copying it on every event
     made the fleet loop's cost grow with its backlog. *)
 
-val fold_oldest : t -> (int -> float -> int -> 'a -> 'a) -> 'a -> 'a
-(** [fold_oldest q f init] calls [f signature arrival id] once for each
-    signature with a queued request, where (arrival, id) is the smallest
-    among that signature's queued requests. O(signatures), in an
-    unspecified order. {!push}, {!push_front} and every grant of {!take}
-    keep the index up to date in O(1) amortized (times the number of
-    tenant lanes queueing the signature), allocating nothing per
-    request. *)
+val fold_heads : t -> ('a -> Tenant.tagged -> 'a) -> 'a -> 'a
+(** Fold over the head of every non-empty lane, in tenant-id order.
+    Every grant of {!take} takes a lane head, so these are the requests
+    it can grant first. O(lanes). *)
 
 val take :
   t -> max:int -> eligible:(Tenant.tagged -> bool) ->

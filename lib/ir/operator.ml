@@ -26,7 +26,22 @@ let batched_gemm ?(dtype = Dtype.F16) ~count ~m ~n ~k () =
     invalid_arg "Operator.batched_gemm: count·M·N·K above 2^48";
   Batched_gemm { count; m; n; k; dtype }
 
-let conv spec = Conv spec
+(* The lowered M and K are products too: bound their factors first, so
+   no product below can overflow. *)
+let conv (spec : Conv_spec.t) =
+  let out_h = Conv_spec.out_h spec and out_w = Conv_spec.out_w spec in
+  if spec.batch <= 0 || out_h <= 0 || out_w <= 0 || spec.out_channels <= 0
+     || spec.in_channels <= 0 || spec.kernel_h <= 0 || spec.kernel_w <= 0
+  then invalid_arg "Operator.conv: non-positive dimension";
+  if
+    not
+      (within_volume ~count:spec.batch ~m:out_h ~n:out_w ~k:1
+      && within_volume ~count:spec.in_channels ~m:spec.kernel_h ~n:spec.kernel_w ~k:1
+      &&
+      let m, n, k = Conv_spec.gemm_shape spec in
+      within_volume ~count:1 ~m ~n ~k)
+  then invalid_arg "Operator.conv: lowered M·N·K above 2^48";
+  Conv spec
 
 let gemm_shape = function
   | Gemm { m; n; k; _ } | Batched_gemm { m; n; k; _ } -> (m, n, k)

@@ -40,6 +40,11 @@ val batched_gemm :
     Raises [Invalid_argument] like {!gemm}. *)
 
 val conv : Mikpoly_tensor.Conv_spec.t -> t
+(** The convolution through its im2col GEMM ({!gemm_shape}). Raises
+    [Invalid_argument] on a non-positive dimension of that GEMM, or when
+    its volume is above 2^48 — decided without overflow, even where
+    [batch·out_h·out_w] or [in_channels·kernel_h·kernel_w] would not fit
+    an [int]. *)
 
 val instance_count : t -> int
 (** 1 except for [Batched_gemm]. *)

@@ -55,7 +55,16 @@ let ready_at s earliest =
   if s.act <> [] then Some base
   else Option.map (Float.max base) (earliest ())
 
-let idle s ~now ~shed = s.clock <- (if shed then now else now +. 1e-6)
+(* Always on, like the loops' own counters: a nudge is a wake-up that
+   admitted and shed nothing. *)
+let m_idle_nudges = Mikpoly_telemetry.Metrics.counter "replica.idle_nudges"
+
+let idle s ~now ~shed =
+  if shed then s.clock <- now
+  else begin
+    Mikpoly_telemetry.Metrics.incr m_idle_nudges;
+    s.clock <- now +. 1e-6
+  end
 
 type counters = {
   mutable steps : int;

@@ -49,13 +49,18 @@ val admit : 'a slot -> item:(Request.t -> 'a) -> Request.t list -> unit
 
 val ready_at : 'a slot -> (unit -> float option) -> float option
 (** When the slot can next step: at its clock (or restart) while it has
-    in-flight work, else once the earliest queued request — the thunk,
-    [None] for an empty queue — becomes eligible. *)
+    in-flight work, else at the thunk's time, if later — [None] for an
+    empty queue. The thunk is the loop's wake-up rule: the earliest time
+    its admission would take or shed a request. *)
 
 val idle : 'a slot -> now:float -> shed:bool -> unit
 (** An admission that left the batch empty. If it [shed] work the clock
     stays at [now]; otherwise it is nudged 1 µs forward so a policy that
-    admits nothing cannot livelock the event loop. *)
+    admits nothing cannot livelock the event loop. Each nudge counts on
+    the always-on [replica.idle_nudges] counter. A loop that wakes a
+    replica only when its admission can take or shed a request does not
+    nudge, unless the admission discards what it took (a fleet's
+    cancelled hedge copy). *)
 
 type counters = {
   mutable steps : int;

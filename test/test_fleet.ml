@@ -107,7 +107,7 @@ let test_lookup () =
 
 (* --- Wfq --- *)
 
-let wfq () = Wfq.create ~signature:(fun tg -> tg.Tenant.req.Request.prompt_len)
+let wfq () = Wfq.create ()
 
 let take_ids q ~max =
   Wfq.take q ~max ~eligible:(fun _ -> true) ()
@@ -210,11 +210,13 @@ let test_wfq_first_filter_gates_offer () =
   Alcotest.(check int) "offer declined entirely" 0 (List.length none);
   Alcotest.(check int) "nothing consumed" 1 (Wfq.length q)
 
-(* The queue against a multiset model: random pushes (tied arrivals,
-   repeated ids, copies of queued requests), lane-head requeues, takes
-   under random filters and whole-queue drains into a fresh queue. After
-   every operation the queue holds exactly the model's requests, and
-   each signature's oldest (arrival, id) is the minimum over them. *)
+(* The queue against a model of one FIFO per tenant: random pushes
+   (tied arrivals, repeated ids, copies of queued requests), lane-head
+   requeues, takes under random filters and whole-queue drains into a
+   fresh queue. A push appends to its tenant's FIFO, a head push
+   prepends, and every grant must be, and removes, its lane's head.
+   After every operation the queue holds exactly the model's requests,
+   and [fold_heads] yields the non-empty FIFOs' heads in tenant order. *)
 type wfq_op =
   | Push of int * int * float * int  (* tenant, id, arrival, prompt *)
   | Push_front of int * int * float * int
@@ -262,67 +264,47 @@ let arb_wfq_ops =
 let replay_wfq ops =
   let tenants = [| gold; silver; be |] in
   let signature (tg : Tenant.tagged) = tg.req.Request.prompt_len in
-  let q = ref (Wfq.create ~signature) and model = ref [] in
+  let q = ref (Wfq.create ()) and lanes = Array.make 3 [] in
   let key (tg : Tenant.tagged) = (tg.req.Request.arrival, tg.req.Request.id) in
-  (* Per signature, the smallest (arrival, id) of [contents], ascending. *)
-  let oldest contents =
-    List.fold_left
-      (fun acc tg ->
-        let s = signature tg in
-        match List.assoc_opt s acc with
-        | Some k when k <= key tg -> acc
-        | _ -> (s, key tg) :: List.remove_assoc s acc)
-      [] contents
-    |> List.sort compare
-  in
+  let show = QCheck.Print.(list (pair float int)) in
   let fail what expected got =
     QCheck.Test.fail_reportf "%s: expected %s, got %s" what expected got
   in
-  let show_oldest =
-    QCheck.Print.(list (pair int (pair float int)))
-  in
+  let lane_of (tg : Tenant.tagged) = tg.tenant.Tenant.tenant_id in
   let observe () =
+    let model = List.concat (Array.to_list lanes) in
     let contents = Wfq.fold !q (fun acc tg -> tg :: acc) [] in
-    if Wfq.length !q <> List.length !model then
-      fail "length" (string_of_int (List.length !model))
+    if Wfq.length !q <> List.length model then
+      fail "length" (string_of_int (List.length model))
         (string_of_int (Wfq.length !q));
-    if List.sort compare contents <> List.sort compare !model then
-      fail "contents"
-        (QCheck.Print.(list (pair float int)) (List.map key !model))
-        (QCheck.Print.(list (pair float int)) (List.map key contents));
-    let expected = oldest contents
-    and got =
-      Wfq.fold_oldest !q (fun s arrival id acc -> (s, (arrival, id)) :: acc) []
-      |> List.sort compare
-    in
-    if expected <> got then fail "oldest" (show_oldest expected) (show_oldest got)
+    if List.sort compare contents <> List.sort compare model then
+      fail "contents" (show (List.map key model)) (show (List.map key contents));
+    let expected =
+      List.filter_map (function [] -> None | tg :: _ -> Some tg) (Array.to_list lanes)
+    and got = List.rev (Wfq.fold_heads !q (fun acc tg -> tg :: acc) []) in
+    if expected <> got then
+      fail "heads" (show (List.map key expected)) (show (List.map key got))
   in
   let make t id arrival prompt = tag tenants.(t) (req ~id ~arrival ~prompt ()) in
-  let rec remove_one (tg : Tenant.tagged) = function
-    | [] ->
-      fail "granted" "absent"
-        (Printf.sprintf "#%d at %g" tg.req.Request.id tg.req.Request.arrival)
-    | x :: rest when x = tg -> rest
-    | x :: rest -> x :: remove_one tg rest
-  in
+  let append (tg : Tenant.tagged) = lanes.(lane_of tg) <- lanes.(lane_of tg) @ [ tg ] in
   List.iter
     (fun op ->
       (match op with
       | Push (t, id, a, p) ->
         let tg = make t id a p in
         Wfq.push !q tg;
-        model := tg :: !model
+        append tg
       | Push_front (t, id, a, p) ->
         let tg = make t id a p in
         Wfq.push_front !q tg;
-        model := tg :: !model
+        lanes.(t) <- tg :: lanes.(t)
       | Copy k -> (
-        match !model with
+        match List.concat (Array.to_list lanes) with
         | [] -> ()
         | m ->
           let tg = List.nth m (k mod List.length m) in
           Wfq.push !q tg;
-          model := tg :: !model)
+          append tg)
       | Take (max, cut, first, group) ->
         let granted =
           Wfq.take !q ~max
@@ -334,23 +316,29 @@ let replay_wfq ops =
             ~group:(fun l tg -> (not group) || signature l = signature tg)
             ()
         in
-        List.iter (fun tg -> model := remove_one tg !model) granted
+        List.iter
+          (fun tg ->
+            match lanes.(lane_of tg) with
+            | h :: rest when h = tg -> lanes.(lane_of tg) <- rest
+            | lane ->
+              fail "granted a lane head" (show (List.map key lane)) (show [ key tg ]))
+          granted
       | Drain ->
-        let fresh = Wfq.create ~signature in
+        let fresh = Wfq.create () in
         Wfq.fold !q (fun () tg -> Wfq.push fresh tg) ();
         q := fresh);
       observe ())
     ops;
   true
 
-(* Long ascending sub-queues keep every request a candidate, so the
-   index's buffers grow and, under head pushes, wrap around. *)
-let test_wfq_oldest_deep () =
+(* Long lanes, head pushes into them and whole-queue drains: the heads
+   stay the model's through every lane's front/back rebalancing. *)
+let test_wfq_heads_deep () =
   let ascending tenant base =
     List.init 40 (fun i -> Push (tenant, base + i, float_of_int i, 8))
   in
   Alcotest.(check bool)
-    "index equals a fold" true
+    "heads equal the model's" true
     (replay_wfq
        (ascending 0 0 @ ascending 2 100
        @ [
@@ -363,9 +351,9 @@ let test_wfq_oldest_deep () =
            Take (60, 50., None, true);
          ]))
 
-let prop_wfq_oldest_index =
-  QCheck.Test.make ~name:"oldest per signature equals a fold over the queue"
-    ~count:500 arb_wfq_ops replay_wfq
+let prop_wfq_heads =
+  QCheck.Test.make ~name:"lane heads match a FIFO per tenant" ~count:500
+    arb_wfq_ops replay_wfq
 
 (* --- Learner --- *)
 
@@ -821,11 +809,141 @@ let test_fleet_pinned_overload () =
          caches=4562/14;4442/14;4370/14;4570/14;30/10;162/14;68/12 \
          depth_sum=444907" );
       ( Batcher.Timeout { max_batch = 4; window = 0.01 },
-        "aeaf220f30972e5b steps=1524 makespan=0x1.f0661d6b4ad1ep+0 \
+        "aeaf220f30972e5b steps=1524 makespan=0x1.f0a106756507p+0 \
          stall=0x1.cac083126e979p-7 \
-         caches=6170/14;6466/14;6978/14;6298/14;18/6;146/14;62/14 \
-         depth_sum=749401" );
+         caches=6314/14;6522/14;6370/14;6506/14;32/8;108/12;64/12 \
+         depth_sum=752149" );
     ]
+
+let nudges () =
+  Mikpoly_telemetry.Metrics.(counter_value (counter "replica.idle_nudges"))
+
+(* The re-arm storm: 2 001 requests at 600 req/s under a Timeout batcher,
+   with coalescing and [steal_age] 0.05. A wake-up taken as a minimum
+   over every queued request, while [Wfq.take] grants only lane heads,
+   woke replicas that could take nothing and re-armed each 1 µs later:
+   761 701 nudges for 2 037 steps. Waking a replica only when a lane
+   head can be granted nudges none. *)
+let test_fleet_no_rearm_storm () =
+  let before = nudges () in
+  let o =
+    Fleet.run
+      { full_config with batcher = Batcher.Timeout { max_batch = 4; window = 0.01 } }
+      engine
+      (trace ~rate:200. ~count:667 ())
+  in
+  Alcotest.(check int) "idle nudges" 0 (nudges () - before);
+  Alcotest.(check string)
+    "fingerprint"
+    "aeaf220f30972e5b steps=1670 makespan=0x1.b89026456eb6cp+1 \
+     stall=0x1.89374bc6a7efap-7 \
+     caches=1314/14;108/12;354/14;2226/14;2882/14;2042/14;1458/14;1562/14;\
+     602/14;2466/14;698/14;7106/14;2226/14;1346/14;182/12"
+    (fingerprint o)
+
+(* Both loops over random traces and configurations: every request ends
+   in exactly one terminal status, every completion has [arrival <=
+   first_token <= finish], and no replica is woken with nothing to
+   admit or shed. *)
+let show_loop_case (trace, (config : Fleet.config), crash) =
+  Printf.sprintf "%s coalesce=%b steal_age=%g warm=%b autoscale=%b crash=%b [%s]"
+    (Batcher.name config.batcher) config.coalesce config.steal_age
+    (config.warm <> None) (config.autoscale <> None) crash
+    (String.concat "; "
+       (List.map
+          (fun (tg : Tenant.tagged) ->
+            let r = tg.req in
+            Printf.sprintf "%d:#%d@%g p%d o%d e2e%g" tg.tenant.Tenant.tenant_id
+              r.Request.id r.Request.arrival r.Request.prompt_len
+              r.Request.output_len r.Request.slo.Request.e2e)
+          trace))
+
+let arb_loop_case =
+  let open QCheck.Gen in
+  let request =
+    pair
+      (quad (int_bound 2) (oneofl [ 0.; 1e-3; 5e-3; 2e-2 ]) (int_range 1 64)
+         (int_range 1 4))
+      (oneofl [ 0.02; 2.0 ])
+  in
+  let trace =
+    map
+      (fun rs ->
+        let clock = ref 0. in
+        List.mapi
+          (fun id ((t, gap, prompt, output), e2e) ->
+            clock := !clock +. gap;
+            tag [| gold; silver; be |].(t)
+              (req ~e2e ~id ~arrival:!clock ~prompt ~output ()))
+          rs)
+      (list_size (int_range 1 60) request)
+  in
+  let batcher =
+    oneofl
+      [
+        Batcher.Greedy { max_batch = 4 };
+        Batcher.Timeout { max_batch = 4; window = 0.01 };
+        Batcher.Slo_aware { max_batch = 4 };
+      ]
+  in
+  let config =
+    map
+      (fun (batcher, (coalesce, steal_age), (warm, autoscale)) ->
+        {
+          fleet_config with
+          batcher;
+          coalesce;
+          steal_age;
+          warm = (if warm then full_config.warm else None);
+          autoscale = (if autoscale then full_config.autoscale else None);
+        })
+      (triple batcher (pair bool (oneofl [ 0.; 0.05 ])) (pair bool bool))
+  in
+  QCheck.make ~print:show_loop_case (triple trace config bool)
+
+let prop_loops_resolve_every_request =
+  QCheck.Test.make ~name:"both loops resolve each request once" ~count:300
+    arb_loop_case (fun (trace, config, crash) ->
+      let before = nudges () in
+      let faults = if crash then crash_plan else Plan.none in
+      let fleet = Fleet.run ~faults config engine trace in
+      let sched =
+        Scheduler.run ~faults
+          {
+            Scheduler.replicas = config.replicas;
+            batcher = config.batcher;
+            bucketing = config.bucketing;
+            cache_capacity = config.cache_capacity;
+          }
+          engine (Tenant.requests trace)
+      in
+      let ids = List.map (fun (tg : Tenant.tagged) -> tg.req.Request.id) trace in
+      let resolved loop completed others =
+        let got =
+          List.sort compare
+            (List.map (fun (d : Scheduler.completed) -> d.request.Request.id) completed
+            @ List.map (fun (r : Request.t) -> r.Request.id) others)
+        in
+        if got <> List.sort compare ids then
+          QCheck.Test.fail_reportf "%s: terminal statuses for %s, trace %s" loop
+            (QCheck.Print.(list int) got) (QCheck.Print.(list int) ids);
+        List.iter
+          (fun (d : Scheduler.completed) ->
+            let a = d.request.Request.arrival in
+            if not (a <= d.first_token && d.first_token <= d.finish) then
+              QCheck.Test.fail_reportf
+                "%s: request %d arrives %h, first token %h, finish %h" loop
+                d.request.Request.id a d.first_token d.finish)
+          completed
+      in
+      resolved "Fleet.run" fleet.Fleet.completed
+        (fleet.Fleet.dropped @ fleet.Fleet.rate_limited);
+      resolved "Scheduler.run" sched.Scheduler.completed
+        (sched.Scheduler.dropped @ List.map fst sched.Scheduler.rejected
+        @ sched.Scheduler.timed_out @ List.map fst sched.Scheduler.failed);
+      let n = nudges () - before in
+      if n <> 0 then QCheck.Test.fail_reportf "%d idle nudges" n;
+      true)
 
 let () =
   Alcotest.run "fleet"
@@ -853,8 +971,8 @@ let () =
             test_wfq_group_coalescing;
           Alcotest.test_case "first filter" `Quick
             test_wfq_first_filter_gates_offer;
-          Alcotest.test_case "oldest index, deep" `Quick test_wfq_oldest_deep;
-          QCheck_alcotest.to_alcotest prop_wfq_oldest_index;
+          Alcotest.test_case "lane heads, deep" `Quick test_wfq_heads_deep;
+          QCheck_alcotest.to_alcotest prop_wfq_heads;
         ] );
       ( "learner",
         [
@@ -896,5 +1014,7 @@ let () =
           Alcotest.test_case "pinned crash outcome" `Quick test_fleet_pinned;
           Alcotest.test_case "pinned overload outcome" `Quick
             test_fleet_pinned_overload;
+          Alcotest.test_case "no re-arm storm" `Quick test_fleet_no_rearm_storm;
+          QCheck_alcotest.to_alcotest prop_loops_resolve_every_request;
         ] );
     ]

@@ -30,6 +30,38 @@ let test_operator_conv_lowering () =
     (let m, n, k = Operator.gemm_shape op in
      [ m; n; k ])
 
+(* The conv lowering obeys the GEMM volume bound: 2^40 images of 64×64
+   through a 3×3, 64→64 conv lower to a 2^52 × 64 × 576 GEMM, whose
+   program the simulator could not size. *)
+let test_operator_conv_volume () =
+  let rejected name spec =
+    match Operator.conv spec with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejected "2^52 x 64 x 576"
+    (Conv_spec.make ~batch:(1 lsl 40) ~in_channels:64 ~out_channels:64 ~in_h:64
+       ~in_w:64 ~kernel:3 ());
+  (* batch·out_h·out_w is 2^80, which wraps to 0 in an int. *)
+  rejected "batch·out_h·out_w overflows"
+    (Conv_spec.make ~batch:(1 lsl 40) ~in_channels:1 ~out_channels:1
+       ~in_h:(1 lsl 20) ~in_w:(1 lsl 20) ~kernel:1 ());
+  let spec =
+    Conv_spec.make ~batch:8 ~in_channels:64 ~out_channels:64 ~in_h:56 ~in_w:56
+      ~kernel:3 ()
+  in
+  List.iter
+    (fun hw ->
+      let compiler = Mikpoly_core.Compiler.create hw in
+      let r =
+        Mikpoly_core.Compiler.simulate compiler
+          (Mikpoly_core.Compiler.compile compiler (Operator.conv spec))
+      in
+      Alcotest.(check bool)
+        (hw.Hardware.name ^ ": simulated") true
+        (r.Simulator.seconds > 0. && Float.is_finite r.Simulator.seconds))
+    [ Hardware.a100; Hardware.ascend910 ]
+
 let test_operator_invalid () =
   Alcotest.check_raises "bad dim"
     (Invalid_argument "Operator.gemm: non-positive dimension") (fun () ->
@@ -342,6 +374,7 @@ let () =
         [
           Alcotest.test_case "gemm" `Quick test_operator_gemm;
           Alcotest.test_case "conv lowering" `Quick test_operator_conv_lowering;
+          Alcotest.test_case "conv volume bound" `Quick test_operator_conv_volume;
           Alcotest.test_case "invalid" `Quick test_operator_invalid;
         ] );
       ( "template",
