@@ -23,12 +23,15 @@ let set_seed = function
   | Some seed -> Mikpoly_util.Prng.set_default_seed seed
 
 (* Write a subcommand's JSON report to [out], then exit 1 — after
-   printing each failed gate to stderr — unless every gate holds. *)
+   printing each failed gate to stderr — unless every gate holds. Each
+   subcommand that writes a report or trace checks the path with
+   [Atomic_file.check_target] before doing any work: a missing
+   directory, or anything but a regular file at the path, raises
+   [Sys_error], which ends the run with one stderr line and exit 2. The
+   check never opens the path, so a FIFO there cannot block it. *)
 let write_and_gate ~out ~prefix json gates =
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Mikpoly_telemetry.Json.to_string json));
+  Mikpoly_util.Atomic_file.write ~path:out (fun oc ->
+      output_string oc (Mikpoly_telemetry.Json.to_string json));
   Printf.printf "wrote %s\n" out;
   if Mikpoly_experiments.Exp.report_failed_gates ~prefix gates then 0 else 1
 
@@ -398,6 +401,7 @@ let adapt jobs seed quick csv npu severity trace_len save_path =
    at any --jobs count — must produce byte-identical files (checked by
    the CI chaos-smoke stage with cmp). *)
 let chaos jobs seed quick csv out =
+  Mikpoly_util.Atomic_file.check_target ~path:out;
   set_jobs jobs;
   set_seed seed;
   let open Mikpoly_serve in
@@ -461,6 +465,7 @@ let chaos jobs seed quick csv out =
    any --jobs count — must produce byte-identical files (checked by the
    CI graph-smoke stage with cmp). *)
 let graph jobs quick csv out =
+  Mikpoly_util.Atomic_file.check_target ~path:out;
   set_jobs jobs;
   let module E = Mikpoly_experiments.Exp_graph in
   let compiler = Mikpoly_experiments.Backends.gpu () in
@@ -480,6 +485,7 @@ let graph jobs quick csv out =
    is tuned and written; an existing one is never overwritten, and an
    unusable one puts the compiler in safe mode. *)
 let fleet jobs quick csv out store =
+  Mikpoly_util.Atomic_file.check_target ~path:out;
   set_jobs jobs;
   let module E = Mikpoly_experiments.Exp_fleet in
   let hw = Mikpoly_accel.Hardware.a100 in
@@ -525,6 +531,7 @@ let fleet jobs quick csv out store =
    so two runs — at any --jobs count — must produce byte-identical
    files (checked by the CI hetero-smoke stage with cmp). *)
 let hetero jobs quick csv out =
+  Mikpoly_util.Atomic_file.check_target ~path:out;
   set_jobs jobs;
   let module E = Mikpoly_experiments.Exp_hetero in
   let r = E.results ~quick in
@@ -540,6 +547,7 @@ let hetero jobs quick csv out =
    any --jobs count — must produce byte-identical files (checked by the
    CI rank-smoke stage with cmp). *)
 let rank jobs seed quick csv out =
+  Mikpoly_util.Atomic_file.check_target ~path:out;
   set_jobs jobs;
   set_seed seed;
   let module E = Mikpoly_experiments.Exp_rank in
@@ -554,6 +562,9 @@ let rank jobs seed quick csv out =
    engine, the serving scheduler on top); any experiment id profiles
    that reproduction instead. *)
 let profile jobs target quick npu trace_out top csv_metrics =
+  Option.iter
+    (fun path -> Mikpoly_util.Atomic_file.check_target ~path)
+    trace_out;
   set_jobs jobs;
   let open Mikpoly_telemetry in
   Tracer.reset ();
@@ -608,7 +619,10 @@ let profile jobs target quick npu trace_out top csv_metrics =
   else begin
     (match trace_out with
     | Some path ->
-      let n = Export_chrome.write ~path () in
+      let spans = Tracer.spans () in
+      Mikpoly_util.Atomic_file.write ~path (fun oc ->
+          output_string oc (Export_chrome.to_string ~units:Tracer.units spans));
+      let n = List.length spans in
       Printf.printf
         "wrote %d spans to %s (open in chrome://tracing or ui.perfetto.dev)\n" n
         path

@@ -208,10 +208,13 @@ echo "== bad input =="
 # Bad flag values and unwritable output paths are usage errors: each
 # must exit 2 with exactly one line on stderr, never an uncaught
 # exception.
+# With $usage_timeout set (say, "timeout 60"), a run that hangs is killed
+# and fails the check instead of stalling the stage.
+usage_timeout=
 expect_usage_error() {
   err="${TMPDIR:-/tmp}/mikpoly_ci_usage_err"
   status=0
-  ./_build/default/bin/mikpoly_cli.exe "$@" > /dev/null 2> "$err" || status=$?
+  $usage_timeout ./_build/default/bin/mikpoly_cli.exe "$@" > /dev/null 2> "$err" || status=$?
   if [ "$status" -ne 2 ] || [ "$(wc -l < "$err")" -ne 1 ]; then
     echo "expected exit 2 and one stderr line (got $status) from: $*"
     cat "$err"
@@ -249,6 +252,21 @@ test ! -e "$scratch_fifo.tmp"
 rm -rf "$scratch_dir" "$scratch_fifo"
 expect_usage_error fleet --quick --store "$missing"
 expect_usage_error profile serve --quick --trace-out "$missing"
+# A report or trace path is checked before the run, so a FIFO there is
+# refused at once and never opened (opening it would block until a
+# reader came).
+out_fifo="${TMPDIR:-/tmp}/mikpoly_ci_out_fifo"
+rm -f "$out_fifo" "$out_fifo.tmp"
+mkfifo "$out_fifo"
+usage_timeout="timeout 60"
+for sub in graph fleet hetero chaos rank; do
+  expect_usage_error "$sub" --quick --out "$out_fifo"
+done
+expect_usage_error profile serve --quick --trace-out "$out_fifo"
+usage_timeout=
+test -p "$out_fifo"
+test ! -e "$out_fifo.tmp"
+rm -f "$out_fifo"
 expect_usage_error serve --quick --window=nan
 expect_usage_error serve --quick --rate=inf
 expect_usage_error serve --quick --batcher timeout --window=inf

@@ -44,10 +44,6 @@ type compiled = {
 
 let ceil_div a b = (a + b - 1) / b
 
-let row_cuts = Strategy_space.row_cuts
-
-let col_cuts = Strategy_space.col_cuts
-
 let dispatch_seconds = 0.5e-6
 
 let per_candidate_seconds = 15e-9
@@ -116,32 +112,44 @@ let smallest k (costs : float array) =
   done;
   top
 
-(* The distinct values among the primaries' first cuts on one axis, each
-   with how many primaries cut there. Primaries share cuts, so a
-   two-pin pattern computes the leaf count under each distinct cut once
-   and sums a skipped pattern over [size] values, not over every
-   (primary, cut) pair. *)
-type first_cuts = { vals : int array; mult : int array; size : int }
+(* Every primary's cuts on one axis of the shape, in one array: for [n]
+   primaries, primary [i]'s cut count is [cuts.(i)] and its cuts follow
+   from [cuts.(n + i·stride)] on, largest first. The distinct values
+   among them, each with how many primaries cut there, are [uniq] and
+   [mult] up to [distinct], filled when a skipped two-pin pattern first
+   counts its leaves ([distinct] is -1 until then): primaries share
+   cuts, so the count runs over a few values, not over every (primary,
+   cut) pair. *)
+type axis_cuts = {
+  cuts : int array;
+  mutable distinct : int;
+  mutable uniq : int array;
+  mutable mult : int array;
+}
 
-(* Position of [a] among the first [size] values, or -1. *)
-let rec index_of (vals : int array) size (a : int) i =
-  if i >= size then -1 else if vals.(i) = a then i else index_of vals size a (i + 1)
+let no_cuts = { cuts = [||]; distinct = 0; uniq = [||]; mult = [||] }
 
-let first_cuts (lists : int list array) =
-  let total = Array.fold_left (fun acc l -> acc + List.length l) 0 lists in
-  let vals = Array.make total 0 and mult = Array.make total 0 in
+let fill_distinct (c : axis_cuts) ~n ~stride =
+  let uniq = Array.make (n * stride) 0 and mult = Array.make (n * stride) 0 in
   let size = ref 0 in
-  Array.iter
-    (List.iter (fun a ->
-         let j = index_of vals !size a 0 in
-         if j >= 0 then mult.(j) <- mult.(j) + 1
-         else begin
-           vals.(!size) <- a;
-           mult.(!size) <- 1;
-           incr size
-         end))
-    lists;
-  { vals; mult; size = !size }
+  for i = 0 to n - 1 do
+    for j = n + (i * stride) to n + (i * stride) + c.cuts.(i) - 1 do
+      let a = c.cuts.(j) in
+      let u = ref 0 in
+      while !u < !size && uniq.(!u) <> a do
+        incr u
+      done;
+      if !u < !size then mult.(!u) <- mult.(!u) + 1
+      else begin
+        uniq.(!size) <- a;
+        mult.(!size) <- 1;
+        incr size
+      end
+    done
+  done;
+  c.uniq <- uniq;
+  c.mult <- mult;
+  c.distinct <- !size
 
 (* The branch-and-bound state. Both fields are floats, so the record is
    stored flat and updating it never allocates. *)
@@ -582,35 +590,42 @@ let search ~scorer ~tracing (set : Kernel_set.t) (config : Config.t) op =
     else
       Array.iter (fun e -> score_choice_simulate (choice I [] [ e ] None)) entries
   in
-  (* Each primary's cut lists, derived once per search and shared by every
-     pattern that pins it. *)
+  (* Each primary's cuts, in closed form, for one axis at a time: filled
+     for every primary when a pattern first needs the axis, and shared by
+     every pattern that pins it. *)
   let n_prim = Array.length primaries in
-  let style = config.cut_style in
-  let row_lists = Array.make n_prim None and col_lists = Array.make n_prim None in
-  let rows_of i =
-    match row_lists.(i) with
-    | Some l -> l
-    | None ->
-      let l =
-        row_cuts ~style primaries.(i) ~rows:m ~cols:n ~max_cuts:config.max_cuts
-      in
-      row_lists.(i) <- Some l;
-      l
+  let style = config.cut_style and max_cuts = config.max_cuts in
+  let stride = Int.max 1 max_cuts in
+  let fill_axis fill =
+    let cuts = Array.make (n_prim * (stride + 1)) 0 in
+    for i = 0 to n_prim - 1 do
+      cuts.(i) <-
+        fill style primaries.(i) ~rows:m ~cols:n ~max_cuts cuts
+          ~pos:(n_prim + (i * stride))
+    done;
+    { cuts; distinct = -1; uniq = [||]; mult = [||] }
   in
-  let cols_of i =
-    match col_lists.(i) with
-    | Some l -> l
-    | None ->
-      let l =
-        col_cuts ~style primaries.(i) ~rows:m ~cols:n ~max_cuts:config.max_cuts
-      in
-      col_lists.(i) <- Some l;
-      l
+  let row_cuts = ref no_cuts and col_cuts = ref no_cuts in
+  let rows_cut () =
+    if !row_cuts == no_cuts then
+      row_cuts := fill_axis Strategy_space.fill_row_cuts;
+    !row_cuts
+  in
+  let cols_cut () =
+    if !col_cuts == no_cuts then
+      col_cuts := fill_axis Strategy_space.fill_col_cuts;
+    !col_cuts
+  in
+  (* [f] on each cut of primary [i]. *)
+  let each_cut (c : axis_cuts) i f =
+    let first = n_prim + (i * stride) in
+    for j = first to first + c.cuts.(i) - 1 do
+      f c.cuts.(j)
+    done
   in
   let pattern_two i =
     let e1 = primaries.(i) in
-    List.iter
-      (fun r ->
+    each_cut (rows_cut ()) i (fun r ->
         if oracle then simulate_free II [ r ] [ e1 ]
         else
           let c1 = rcost_dims e1 r n in
@@ -624,12 +639,10 @@ let search ~scorer ~tracing (set : Kernel_set.t) (config : Config.t) op =
                 offer (c1 +. c2) (choice II [ r ] [ e1; e2 ] None)
             end
           end)
-      (rows_of i)
   in
   let pattern_three i =
     let e1 = primaries.(i) in
-    List.iter
-      (fun c ->
+    each_cut (cols_cut ()) i (fun c ->
         if oracle then simulate_free III [ c ] [ e1 ]
         else
           let c1 = rcost_dims e1 m c in
@@ -643,13 +656,12 @@ let search ~scorer ~tracing (set : Kernel_set.t) (config : Config.t) op =
                 offer (c1 +. c2) (choice III [ c ] [ e1; e2 ] None)
             end
           end)
-      (cols_of i)
   in
   (* Subtree bounds (analytic search only). A subtree is a pinned prefix
      of exact cost [pinned] plus [regions] regions tiling a [rows×cols]
      rest; when its floor strictly exceeds the incumbent, every leaf in it
      fails its gate, and no leaf records anything, so the bound stays put
-     while the walk counts the leaves instead of visiting them. *)
+     while the search counts the leaves instead of visiting them. *)
   let subtree_loses ~pinned ~regions ~rows ~cols =
     match view with
     | Some v ->
@@ -663,79 +675,64 @@ let search ~scorer ~tracing (set : Kernel_set.t) (config : Config.t) op =
   let strip_cols (p : Pattern.t) a = match p with VIII -> a | _ -> n in
   let rest_rows (p : Pattern.t) a = match p with VIII -> m | _ -> m - a in
   let rest_cols (p : Pattern.t) a = match p with VIII -> n - a | _ -> n in
-  (* Leaves under the [j]-th distinct first cut of a two-pin pattern,
-     summed over the secondaries: Pattern VII cuts the rest's rows, VIII
-     and IX its columns, at most two cuts per secondary. Memoized in
-     [leaves_at] for the pattern. *)
-  let leaves_under (p : Pattern.t) fc leaves_at j =
-    if leaves_at.(j) >= 0 then leaves_at.(j)
-    else begin
-      let a = fc.vals.(j) in
-      let rows = rest_rows p a and cols = rest_cols p a in
-      let c = ref 0 in
-      for s = 0 to Array.length secondaries - 1 do
-        c :=
-          !c
-          +
-          match p with
-          | VII ->
-            Strategy_space.row_cut_count style secondaries.(s) ~rows ~cols
-              ~max_cuts:2
-          | _ ->
-            Strategy_space.col_cut_count style secondaries.(s) ~rows ~cols
-              ~max_cuts:2
-      done;
-      leaves_at.(j) <- !c;
-      !c
-    end
+  let first_axis (p : Pattern.t) =
+    match p with VIII -> cols_cut () | _ -> rows_cut ()
   in
-  let cuts_on (p : Pattern.t) i = match p with VIII -> cols_of i | _ -> rows_of i in
-  let two_pin (p : Pattern.t) fc leaves_at i =
+  (* The secondaries' second-cut counts on the rest, summed, as a step
+     function of the one rest extent the first cut moves: Pattern VII
+     cuts the rest's rows, VIII its columns, and IX its columns across
+     the rest's rows. Built when a pattern first counts a skipped
+     subtree. *)
+  let steps = [| None; None; None |] in
+  let subtree_leaves (p : Pattern.t) a =
+    let slot = match p with VII -> 0 | VIII -> 1 | _ -> 2 in
+    let s =
+      match steps.(slot) with
+      | Some s -> s
+      | None ->
+        let s =
+          match p with
+          | VII -> Strategy_space.row_steps style secondaries ~cols:n
+          | VIII -> Strategy_space.col_steps style secondaries ~rows:m
+          | _ -> Strategy_space.col_steps_over_rows style secondaries ~cols:n
+        in
+        steps.(slot) <- Some s;
+        s
+    in
+    Strategy_space.step_count s (match p with VIII -> n - a | _ -> m - a)
+  in
+  let second = [| 0; 0 |] in
+  let two_pin (p : Pattern.t) i =
     let e1 = primaries.(i) in
-    List.iter
-      (fun a ->
+    each_cut (first_axis p) i (fun a ->
         let rows = rest_rows p a and cols = rest_cols p a in
         if
           analytic
           && subtree_loses
                ~pinned:(rcost_dims e1 (strip_rows p a) (strip_cols p a))
                ~regions:2 ~rows ~cols
-        then
-          pruned_a :=
-            !pruned_a + leaves_under p fc leaves_at (index_of fc.vals fc.size a 0)
+        then pruned_a := !pruned_a + subtree_leaves p a
         else
-          Array.iter
-            (fun e2 ->
-              List.iter
-                (fun b ->
-                  (* VII and VIII cut the rest after the strip; IX cuts
-                     the bottom band's columns from the left edge. *)
-                  split p a (match p with IX -> b | _ -> a + b) ~pins:2 e1 e2)
-                (match p with
-                | VII -> row_cuts ~style e2 ~rows ~cols ~max_cuts:2
-                | _ -> col_cuts ~style e2 ~rows ~cols ~max_cuts:2))
-            secondaries)
-      (cuts_on p i)
+          for j = 0 to Array.length secondaries - 1 do
+            let e2 = secondaries.(j) in
+            let count =
+              match p with
+              | VII ->
+                Strategy_space.fill_row_cuts style e2 ~rows ~cols ~max_cuts:2
+                  second ~pos:0
+              | _ ->
+                Strategy_space.fill_col_cuts style e2 ~rows ~cols ~max_cuts:2
+                  second ~pos:0
+            in
+            for l = 0 to count - 1 do
+              (* VII and VIII cut the rest after the strip; IX cuts the
+                 bottom band's columns from the left edge. *)
+              let b = second.(l) in
+              split p a (match p with IX -> b | _ -> a + b) ~pins:2 e1 e2
+            done
+          done)
   in
-  (* The distinct first cuts per axis, built when a two-pin pattern
-     first needs them; VII and IX share the row table. *)
-  let row_firsts = ref None and col_firsts = ref None in
-  let firsts (p : Pattern.t) =
-    let table, lists_of =
-      match p with
-      | VIII -> (col_firsts, cols_of)
-      | _ -> (row_firsts, rows_of)
-    in
-    match !table with
-    | Some fc -> fc
-    | None ->
-      let fc = first_cuts (Array.init n_prim lists_of) in
-      table := Some fc;
-      fc
-  in
-  (* Leaves of a whole split pattern, for when its bound skips it. The
-     one-cut-per-axis patterns IV-VI share one grid count. *)
-  let grid_leaves = ref (-1) in
+  (* Leaves of a whole split pattern, for when its bound skips it. *)
   let over_primaries f =
     let total = ref 0 in
     for i = 0 to n_prim - 1 do
@@ -743,16 +740,22 @@ let search ~scorer ~tracing (set : Kernel_set.t) (config : Config.t) op =
     done;
     !total
   in
-  let one_pin_leaves (p : Pattern.t) =
+  let pattern_leaves (p : Pattern.t) =
     match p with
-    | II -> over_primaries (fun i -> List.length (rows_of i))
-    | III -> over_primaries (fun i -> List.length (cols_of i))
-    | _ ->
-      if !grid_leaves < 0 then
-        grid_leaves :=
-          over_primaries (fun i ->
-              List.length (rows_of i) * List.length (cols_of i));
-      !grid_leaves
+    | II -> over_primaries (fun i -> (rows_cut ()).cuts.(i))
+    | III -> over_primaries (fun i -> (cols_cut ()).cuts.(i))
+    | IV | V | VI ->
+      let rc = rows_cut () and cc = cols_cut () in
+      over_primaries (fun i -> rc.cuts.(i) * cc.cuts.(i))
+    | I -> 0
+    | VII | VIII | IX ->
+      let fc = first_axis p in
+      if fc.distinct < 0 then fill_distinct fc ~n:n_prim ~stride;
+      let total = ref 0 in
+      for u = 0 to fc.distinct - 1 do
+        total := !total + (fc.mult.(u) * subtree_leaves p fc.uniq.(u))
+      done;
+      !total
   in
   (* Patterns run in configuration order, each over its primaries in
      Pattern-I cost order. The pool's grain is whole shapes
@@ -763,23 +766,16 @@ let search ~scorer ~tracing (set : Kernel_set.t) (config : Config.t) op =
     let skipped () = subtree_loses ~pinned:0. ~regions:(regions p) ~rows:m ~cols:n in
     match p with
     | I -> pattern_one ()
-    | VII | VIII | IX ->
-      let fc = firsts p in
-      let leaves_at = Array.make fc.size (-1) in
-      if skipped () then
-        for j = 0 to fc.size - 1 do
-          pruned_a := !pruned_a + (fc.mult.(j) * leaves_under p fc leaves_at j)
-        done
-      else each (two_pin p fc leaves_at)
-    | _ when skipped () -> pruned_a := !pruned_a + one_pin_leaves p
+    | _ when skipped () -> pruned_a := !pruned_a + pattern_leaves p
     | II -> each pattern_two
     | III -> each pattern_three
     | IV | V | VI ->
       each (fun i ->
           let e1 = primaries.(i) in
-          List.iter
-            (fun r -> List.iter (fun c -> split p r c ~pins:1 e1 e1) (cols_of i))
-            (rows_of i))
+          let cc = cols_cut () in
+          each_cut (rows_cut ()) i (fun r ->
+              each_cut cc i (fun c -> split p r c ~pins:1 e1 e1)))
+    | VII | VIII | IX -> each (two_pin p)
   in
   let explore_traced (p : Pattern.t) =
     Tm.Tracer.with_span ("polymerize.pattern." ^ Pattern.to_string p)

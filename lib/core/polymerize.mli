@@ -78,15 +78,21 @@ val polymerize :
     gate. A rejected subtree therefore holds only leaves the leaf gate
     would have rejected one by one, none of which records anything, so
     the incumbent does not move while it is skipped. The skipped leaves
-    are counted, not built: the product of the primary's row- and
-    column-cut counts for IV–VI, and for VII–IX a sum over first cuts of
-    the secondaries' second-cut counts ([Strategy_space.row_cut_count],
-    the walk that also yields the cut lists), computed once per distinct
-    first cut. [pruned_analytic], [candidates], [pruned] and [first_hit]
-    are exactly what a leaf-by-leaf walk gives. Surviving leaves are
-    gated from their cut positions alone; a [choice] is built only for a
-    candidate whose cost can win, and the 12 primaries are picked in
-    (Pattern-I cost, rank) order without sorting the set.
+    are counted, not built, and without walking any cuts: each primary's
+    cuts come in closed form ([Strategy_space.fill_row_cuts]), filled
+    once per search and axis into an int array; a skipped II or III adds
+    the primaries' cut counts, IV–VI the products of their row and
+    column counts; under VII–IX the leaves under a first cut are the
+    secondaries' two-cut counts of the rest, a step function of the one
+    rest extent the first cut moves ([Strategy_space.step_count], two
+    thresholds per secondary built once per search), and a skipped
+    pattern sums them over the distinct first-cut values, weighted by
+    how many primaries cut there. [pruned_analytic], [candidates],
+    [pruned] and [first_hit] are exactly what a leaf-by-leaf walk
+    gives. Surviving leaves are gated from their cut positions alone; a
+    [choice] is built only for a candidate whose cost can win, and the
+    12 primaries are picked in (Pattern-I cost, rank) order without
+    sorting the set.
 
     A search starts from a setup that depends on the shape only through
     the class [⌈K/g⌉], g the gcd of the set's uK values: each kernel's

@@ -8,86 +8,180 @@
 
 let ceil_div a b = (a + b - 1) / b
 
+type style = [ `Wave_aligned | `Remainder_only ]
+
 (* ---- Wave-aligned cut derivation (hardware-valid tile hierarchies) ----
 
    Cut candidates along one axis for a pinned primary kernel: positions
    [q·tile] such that the primary strip of [q] tile rows fills exactly a
-   whole number of waves (walked from the largest feasible strip down, the
-   way the Section 6 case study carves 3072 of 4096 rows), plus the
-   maximal full-tile cut. This is already a dominance filter among cuts:
-   of all cuts landing inside the same wave count, only the largest
-   survives — any smaller one has the same wave count for the primary
-   strip but strictly more remainder work, so it can never win under the
-   monotone Eq.-2 bound. *)
-let rec walk_waves f acc ~tile ~tiles_other ~cap ~axis_len ~max_cuts ~count
-    ~last w =
-  if w < 1 then acc
+   whole number of waves (largest strip first, the way the Section 6
+   case study carves 3072 of 4096 rows), plus the maximal full-tile cut.
+   This is already a dominance filter among cuts: of all cuts landing
+   inside the same wave count, only the largest survives — any smaller
+   one has the same wave count for the primary strip but strictly more
+   remainder work, so it can never win under the monotone Eq.-2 bound.
+
+   In closed form, for an axis of length [len] in tiles of [tile], with
+   [tiles] tiles across the other axis and wave capacity [cap]: let
+   q = ⌊len/tile⌋ (no cut when it is 0). The full cut q·tile comes first
+   when it is interior (the remainder bit h = 1). Then, under
+   [`Wave_aligned], with T = min(tiles, cap) and w0 = ⌈q·T/cap⌉ − 1, come
+   the strips ⌊w·cap/T⌋·tile for w = w0, w0 − 1, …, 1: the largest strip
+   that fits in w waves, for each wave count below the full strip's.
+   When tiles ≥ cap a tile row adds at least a wave, so every strip
+   q − 1, …, 1 is the largest of its own wave count, which is what T =
+   cap gives (w0 = q − 1, strip w = w); when tiles < cap a wave adds at
+   least a tile row, so every w ≥ 1 gives its own strip. Each strip is
+   below q·tile ≤ len. At most [max_cuts] cuts come out, except that
+   the full cut always does (so [max_cuts] 0 still yields it). *)
+
+(* The number of wave strips, w0: q − 1 when T = cap, and 0 when
+   [tiles] is 0. *)
+let wave_strips ~q ~tiles ~cap =
+  if tiles >= cap then q - 1 else Int.max 0 (ceil_div (q * tiles) cap - 1)
+
+(* Strip [w] in tile rows: w itself when T = cap. *)
+let strip ~w ~tiles ~cap = if tiles >= cap then w else w * cap / tiles
+
+(* The cut count of an axis with q ≥ 1, remainder bit [h] and [w0]
+   wave strips. *)
+let count_of style ~h ~w0 ~max_cuts =
+  match style with
+  | `Remainder_only -> h
+  | `Wave_aligned when h >= max_cuts -> h
+  | `Wave_aligned -> Int.min max_cuts (h + w0)
+
+let axis_count style ~tile ~tiles ~cap ~len ~max_cuts =
+  let q = len / tile in
+  if q < 1 then 0
+  else
+    count_of style
+      ~h:(if q * tile < len then 1 else 0)
+      ~w0:(wave_strips ~q ~tiles ~cap) ~max_cuts
+
+(* Writes the axis's cuts, largest first, at [dst.(pos)] on, and returns
+   how many. *)
+let fill_axis style ~tile ~tiles ~cap ~len ~max_cuts dst ~pos =
+  let q = len / tile in
+  if q < 1 then 0
   else begin
-    let q = w * cap / tiles_other in
-    if q < 1 then acc
-    else begin
-      (* The walk visits q values in non-increasing order, so a duplicate
-         can only equal the most recent cut; [cut < axis_len] also keeps
-         q within the full-tile count. *)
-      let cut = q * tile in
-      let added = cut < axis_len && cut < last in
-      let acc = if added then f acc cut else acc in
-      let count = if added then count + 1 else count in
-      if count >= max_cuts then acc
-      else
-        (* The next wave boundary strictly below this strip's. *)
-        walk_waves f acc ~tile ~tiles_other ~cap ~axis_len ~max_cuts ~count
-          ~last:(if added then cut else last)
-          (Int.min (w - 1) (ceil_div (q * tiles_other) cap - 1))
-    end
+    let h = if q * tile < len then 1 else 0 in
+    let w0 = wave_strips ~q ~tiles ~cap in
+    let count = count_of style ~h ~w0 ~max_cuts in
+    if h = 1 then dst.(pos) <- q * tile;
+    for j = h to count - 1 do
+      dst.(pos + j) <- strip ~w:(w0 + h - j) ~tiles ~cap * tile
+    done;
+    count
   end
 
-(* The one cut walk: [f] sees each cut of the axis in order, largest
-   first. Lists and counts are both folds of it, and it allocates nothing
-   of its own, so counting a skipped subtree's cuts is integer work. *)
-let fold_axis_cuts style ~tile ~other_tile ~cap ~axis_len ~other_len ~max_cuts
-    f acc =
-  let q_full = axis_len / tile in
-  if q_full < 1 then acc
-  else begin
-    let full = q_full * tile in
-    let has_full = full < axis_len in
-    let acc = if has_full then f acc full else acc in
-    let count = if has_full then 1 else 0 in
-    match style with
-    | `Remainder_only -> acc
-    | `Wave_aligned when count >= max_cuts -> acc
-    | `Wave_aligned ->
-      (* Walk wave boundaries downward from the maximal full-tile cut. *)
-      let tiles_other = ceil_div other_len other_tile in
-      walk_waves f acc ~tile ~tiles_other ~cap ~axis_len ~max_cuts ~count
-        ~last:(if has_full then full else max_int)
-        (ceil_div (q_full * tiles_other) cap - 1)
-  end
+let row_tiles (e : Kernel_set.entry) ~cols = ceil_div cols e.desc.un
 
-let fold_row_cuts style (e : Kernel_set.entry) ~rows ~cols ~max_cuts f acc =
-  fold_axis_cuts style ~tile:e.desc.um ~other_tile:e.desc.un
-    ~cap:e.wave_capacity ~axis_len:rows ~other_len:cols ~max_cuts f acc
+let col_tiles (e : Kernel_set.entry) ~rows = ceil_div rows e.desc.um
 
-let fold_col_cuts style (e : Kernel_set.entry) ~rows ~cols ~max_cuts f acc =
-  fold_axis_cuts style ~tile:e.desc.un ~other_tile:e.desc.um
-    ~cap:e.wave_capacity ~axis_len:cols ~other_len:rows ~max_cuts f acc
+let row_cut_count style (e : Kernel_set.entry) ~rows ~cols ~max_cuts =
+  axis_count style ~tile:e.desc.um ~tiles:(row_tiles e ~cols)
+    ~cap:e.wave_capacity ~len:rows ~max_cuts
 
-let cons acc cut = cut :: acc
+let col_cut_count style (e : Kernel_set.entry) ~rows ~cols ~max_cuts =
+  axis_count style ~tile:e.desc.un ~tiles:(col_tiles e ~rows)
+    ~cap:e.wave_capacity ~len:cols ~max_cuts
 
-let succ acc _ = acc + 1
+let fill_row_cuts style (e : Kernel_set.entry) ~rows ~cols ~max_cuts dst ~pos =
+  fill_axis style ~tile:e.desc.um ~tiles:(row_tiles e ~cols)
+    ~cap:e.wave_capacity ~len:rows ~max_cuts dst ~pos
+
+let fill_col_cuts style (e : Kernel_set.entry) ~rows ~cols ~max_cuts dst ~pos =
+  fill_axis style ~tile:e.desc.un ~tiles:(col_tiles e ~rows)
+    ~cap:e.wave_capacity ~len:cols ~max_cuts dst ~pos
+
+let cut_list fill ~max_cuts =
+  let dst = Array.make (Int.max 1 max_cuts) 0 in
+  List.init (fill dst ~pos:0) (Array.get dst)
 
 let row_cuts ?(style = `Wave_aligned) e ~rows ~cols ~max_cuts =
-  List.rev (fold_row_cuts style e ~rows ~cols ~max_cuts cons [])
+  cut_list (fill_row_cuts style e ~rows ~cols ~max_cuts) ~max_cuts
 
 let col_cuts ?(style = `Wave_aligned) e ~rows ~cols ~max_cuts =
-  List.rev (fold_col_cuts style e ~rows ~cols ~max_cuts cons [])
+  cut_list (fill_col_cuts style e ~rows ~cols ~max_cuts) ~max_cuts
 
-let row_cut_count style e ~rows ~cols ~max_cuts =
-  fold_row_cuts style e ~rows ~cols ~max_cuts succ 0
+(* ---- Two-cut counts as step functions ----
 
-let col_cut_count style e ~rows ~cols ~max_cuts =
-  fold_col_cuts style e ~rows ~cols ~max_cuts succ 0
+   A two-pin pattern cuts the rest of its pinned strip again with each
+   secondary kernel, at most two cuts each. Within one search only one
+   extent v of that rest moves with the first cut, and a kernel's count,
+   min(2, h + w0), is a step function of it, since w0 = ⌈q·T/cap⌉ − 1
+   grows with q and with T. Below [hi] the count is [v ≥ mid] plus the
+   remainder bit; from [hi] on it is 2.
+   - The cut axis moves (v its length, T fixed, [tile] > 0): w0 reaches 1
+     at q1 = ⌊cap/T⌋ + 1 tiles and 2 at q2 = ⌊2·cap/T⌋ + 1, so mid =
+     q1·tile and hi = q2·tile; the bit is v's remainder against [tile],
+     0 up to v = tile (q1 ≥ 2 there).
+   - The other axis moves (v its length, [tile] = 0): q and the bit [h]
+     are fixed and T = min(⌈v/u⌉, cap), u its tile. w0 reaches 1 once
+     ⌈v/u⌉ > ⌊cap/q⌋, i.e. v > ⌊cap/q⌋·u (q ≥ 2), and 2 once v >
+     ⌊2·cap/q⌋·u (q ≥ 3); with h = 1 the count is 2 from the first on.
+   [`Remainder_only] keeps the bit alone: [mid] and [hi] at [max_int]. *)
+type step = { tile : int; h : int; mid : int; hi : int }
+
+type steps = step array
+
+let never = { tile = 0; h = 0; mid = max_int; hi = max_int }
+
+let cut_axis_step style ~tile ~tiles ~cap =
+  match style with
+  | `Remainder_only -> { never with tile }
+  | `Wave_aligned ->
+    let at w = (strip ~w ~tiles ~cap + 1) * tile in
+    { tile; h = 0; mid = at 1; hi = at 2 }
+
+let other_axis_step style ~tile ~len ~other_tile ~cap =
+  let q = len / tile in
+  let h = if q >= 1 && q * tile < len then 1 else 0 in
+  let above q_min w =
+    if q >= q_min then (w * cap / q * other_tile) + 1 else max_int
+  in
+  match style with
+  | `Remainder_only -> { never with h }
+  | `Wave_aligned -> { tile = 0; h; mid = above 2 1; hi = above 3 2 }
+
+let row_steps style es ~cols =
+  Array.map
+    (fun (e : Kernel_set.entry) ->
+      cut_axis_step style ~tile:e.desc.um ~tiles:(row_tiles e ~cols)
+        ~cap:e.wave_capacity)
+    es
+
+let col_steps style es ~rows =
+  Array.map
+    (fun (e : Kernel_set.entry) ->
+      cut_axis_step style ~tile:e.desc.un ~tiles:(col_tiles e ~rows)
+        ~cap:e.wave_capacity)
+    es
+
+let col_steps_over_rows style es ~cols =
+  Array.map
+    (fun (e : Kernel_set.entry) ->
+      other_axis_step style ~tile:e.desc.un ~len:cols ~other_tile:e.desc.um
+        ~cap:e.wave_capacity)
+    es
+
+let step_count (steps : steps) v =
+  let c = ref 0 in
+  for j = 0 to Array.length steps - 1 do
+    let s = steps.(j) in
+    c :=
+      !c
+      +
+      if v >= s.hi then 2
+      else
+        (if v >= s.mid then 1 else 0)
+        +
+        if s.tile = 0 then s.h
+        else if v > s.tile && v mod s.tile <> 0 then 1
+        else 0
+  done;
+  !c
 
 (* ---- Kernel dominance skeleton ----
 

@@ -22,8 +22,10 @@
       Summed over a whole subtree of the search ({!subtree_floor}: a
       split pattern, or a two-pin pattern's pinned first strip), the
       floors reject every leaf of the subtree with one comparison, and
-      the search adds the subtree's leaf count ({!row_cut_count},
-      {!col_cut_count}) to its tally instead of visiting the leaves.
+      the search adds the subtree's leaf count to its tally instead of
+      visiting the leaves: cut counts in closed form ({!fill_row_cuts}),
+      and for the second cuts of a two-pin pattern a step function of
+      the one extent the first cut moves ({!steps}).
 
     All three preserve the search's total tie-break order, so pruned
     and unpruned searches choose bit-identical programs
@@ -33,32 +35,76 @@
     monotonicity the proofs lean on, and the simulator oracle is not
     Eq.-2 at all. *)
 
+type style = [ `Wave_aligned | `Remainder_only ]
+
 val row_cuts :
-  ?style:[ `Wave_aligned | `Remainder_only ] -> Kernel_set.entry -> rows:int ->
-  cols:int -> max_cuts:int -> int list
+  ?style:style -> Kernel_set.entry -> rows:int -> cols:int -> max_cuts:int ->
+  int list
 (** Wave-aligned row cut candidates for a primary kernel on a
-    [rows×cols] region: multiples of uM whose full-width strip above the
-    cut fills close to an integer number of waves, plus the maximal
-    full-tile cut; at most [max_cuts], largest first in wave-count
-    order. [`Remainder_only] keeps just the maximal full-tile cut. *)
+    [rows×cols] region, largest first. With q = ⌊rows/uM⌋ (no cut when
+    0), T = min(⌈cols/uN⌉, cap) and w0 = ⌈q·T/cap⌉ − 1: the maximal
+    full-tile cut q·uM when it is below [rows], then ⌊w·cap/T⌋·uM for
+    w = w0, w0 − 1, …, 1 — for each wave count below the full strip's,
+    the largest strip of [⌈cols/uN⌉]-tile rows that fits in it. At most
+    [max_cuts] cuts, except that the full cut always comes out (even at
+    [max_cuts] 0). [`Remainder_only] keeps just the full cut. *)
 
 val col_cuts :
-  ?style:[ `Wave_aligned | `Remainder_only ] -> Kernel_set.entry -> rows:int ->
-  cols:int -> max_cuts:int -> int list
+  ?style:style -> Kernel_set.entry -> rows:int -> cols:int -> max_cuts:int ->
+  int list
 (** {!row_cuts} on the column axis. *)
 
 val row_cut_count :
-  [ `Wave_aligned | `Remainder_only ] -> Kernel_set.entry -> rows:int ->
-  cols:int -> max_cuts:int -> int
-(** [List.length (row_cuts ~style e ~rows ~cols ~max_cuts)], from the same
-    walk that produces the list, without building it and without
-    allocating: the search counts the leaves of a skipped subtree with
-    it. *)
+  style -> Kernel_set.entry -> rows:int -> cols:int -> max_cuts:int -> int
+(** [List.length (row_cuts ~style e ~rows ~cols ~max_cuts)] in closed
+    form: 0 if q = 0, else h (the full cut's remainder bit) under
+    [`Remainder_only] or when h ≥ [max_cuts], else
+    [min max_cuts (h + w0)]. *)
 
 val col_cut_count :
-  [ `Wave_aligned | `Remainder_only ] -> Kernel_set.entry -> rows:int ->
-  cols:int -> max_cuts:int -> int
+  style -> Kernel_set.entry -> rows:int -> cols:int -> max_cuts:int -> int
 (** {!row_cut_count} on the column axis. *)
+
+val fill_row_cuts :
+  style -> Kernel_set.entry -> rows:int -> cols:int -> max_cuts:int ->
+  int array -> pos:int -> int
+(** Writes {!row_cuts} into the array from [pos] on and returns their
+    count, without allocating. The array needs [max 1 max_cuts] free
+    slots. *)
+
+val fill_col_cuts :
+  style -> Kernel_set.entry -> rows:int -> cols:int -> max_cuts:int ->
+  int array -> pos:int -> int
+(** {!fill_row_cuts} on the column axis. *)
+
+type steps
+(** The two-cut counts ([max_cuts] 2) of a set of kernels on a region
+    one of whose extents varies, summed, as a step function of that
+    extent: each kernel's count min(2, h + w0) is non-decreasing in q
+    and in T, so it takes two thresholds, plus the remainder bit between
+    them when the cut axis itself varies. Built in O(kernels), for a
+    fixed extent of at least 1. *)
+
+val row_steps : style -> Kernel_set.entry array -> cols:int -> steps
+(** The sum over the kernels of
+    [row_cut_count style e ~rows ~cols ~max_cuts:2], as a function of
+    [rows]. *)
+
+val col_steps : style -> Kernel_set.entry array -> rows:int -> steps
+(** The sum over the kernels of
+    [col_cut_count style e ~rows ~cols ~max_cuts:2], as a function of
+    [cols]. *)
+
+val col_steps_over_rows : style -> Kernel_set.entry array -> cols:int -> steps
+(** The sum over the kernels of
+    [col_cut_count style e ~rows ~cols ~max_cuts:2], as a function of
+    [rows]. *)
+
+val step_count : steps -> int -> int
+(** The sum at an extent of at least 1, without allocating: per kernel
+    one comparison from its upper threshold on, a few below it, and,
+    for {!row_steps} and {!col_steps} between a kernel's two
+    thresholds, one division. *)
 
 type skeleton
 (** The K-independent half of kernel dominance for one kernel set: for

@@ -54,12 +54,3 @@ let to_json ~units spans =
 let to_string ~units spans = Json.to_string (to_json ~units spans)
 
 let of_tracer () = to_string ~units:Tracer.units (Tracer.spans ())
-
-let write ~path () =
-  let spans = Tracer.spans () in
-  let out = to_string ~units:Tracer.units spans in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc out);
-  List.length spans

@@ -17,6 +17,3 @@ val to_string : units:(string -> float) -> Span.t list -> string
 
 val of_tracer : unit -> string
 (** Export the global tracer's recorded spans with its track units. *)
-
-val write : path:string -> unit -> int
-(** Write {!of_tracer} output to [path]; returns the span count. *)

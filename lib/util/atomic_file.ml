@@ -16,8 +16,16 @@ let refuse_non_regular path =
   | _ -> raise (Sys_error (path ^ ": not a regular file; not replaced"))
   | exception Unix.Unix_error _ -> ()
 
+let check_target ~path =
+  (match (Unix.stat (Filename.dirname path)).Unix.st_kind with
+  | Unix.S_DIR -> ()
+  | _ -> raise (Sys_error (path ^ ": " ^ Unix.error_message Unix.ENOTDIR))
+  | exception Unix.Unix_error (err, _, _) ->
+    raise (Sys_error (path ^ ": " ^ Unix.error_message err)));
+  refuse_non_regular path
+
 let write ~path f =
-  refuse_non_regular path;
+  check_target ~path;
   let tmp = temp_path path in
   let oc = open_out tmp in
   match

@@ -8,10 +8,20 @@
     real) mid-write kill can never leave a truncated artifact at [path].
 
     Only a regular file is ever replaced: when [path] exists as anything
-    else — a FIFO, a directory, a device node or a symbolic link — [write]
-    raises [Sys_error] before creating the tempfile. *)
+    else — a FIFO, a directory, a device node or a symbolic link — or its
+    directory is missing, [write] raises [Sys_error] before creating the
+    tempfile ({!check_target}). *)
 
 val write : path:string -> (out_channel -> unit) -> unit
+
+val check_target : path:string -> unit
+(** Raises [Sys_error] (["<path>: <reason>"], as [open_out] words it)
+    when [write ~path] would fail before calling its writer: [path]'s
+    directory is missing or not a directory, or [path] exists as
+    anything but a regular file. Never opens [path], so a FIFO there
+    cannot block it. [write] runs this check first; a command can run
+    it before any work, so that an unwritable output is refused at
+    once. *)
 
 val read_lines : string -> (string list, string) result
 (** Every line of the file, without terminators; [Error] with the system

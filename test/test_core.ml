@@ -891,6 +891,142 @@ let prop_cut_counts_match_lists =
       && Strategy_space.col_cut_count style e ~rows ~cols ~max_cuts
          = List.length (Strategy_space.col_cuts ~style e ~rows ~cols ~max_cuts))
 
+(* The closed-form cuts against the walk they replaced, kept in
+   [Ref_cuts]: values in order and counts, on both axes, under both
+   styles, for cut budgets 0-8 and 100, on a kernel of random tiles and
+   wave capacity and on every entry of both tuned sets. Extents are drawn
+   small (up to 600, near the tile boundaries) or large (up to 70 000). *)
+let cut_tiles = [| 1; 2; 3; 16; 32; 48; 64; 100; 128; 208; 256; 512 |]
+
+let cut_caps = [| 1; 2; 3; 7; 16; 32; 64; 108; 216; 1000 |]
+
+let cut_budgets = [| 0; 1; 2; 3; 4; 5; 6; 7; 8; 100 |]
+
+let cut_styles = [ `Wave_aligned; `Remainder_only ]
+
+let synthetic_entry (um, un, cap) =
+  let e = entry () in
+  {
+    e with
+    Kernel_set.desc =
+      { e.desc with um = cut_tiles.(um); un = cut_tiles.(un) };
+    wave_capacity = cut_caps.(cap);
+  }
+
+let tuned_entries () =
+  Array.append (Compiler.kernels (Lazy.force gpu_compiler)).entries
+    (Compiler.kernels (Lazy.force npu_compiler)).entries
+
+let kernel_arb =
+  QCheck.(
+    triple
+      (int_range 0 (Array.length cut_tiles - 1))
+      (int_range 0 (Array.length cut_tiles - 1))
+      (int_range 0 (Array.length cut_caps - 1)))
+
+(* Not shrunk: an extent must stay at least 1. *)
+let extent_arb =
+  QCheck.make ~print:string_of_int
+    QCheck.Gen.(oneof [ int_range 1 600; int_range 1 70_000 ])
+
+let prop_closed_form_cuts_match_walk =
+  QCheck.Test.make ~name:"closed-form cuts equal the walk" ~count:300
+    QCheck.(
+      quad kernel_arb extent_arb extent_arb
+        (int_range 0 (Array.length cut_budgets - 1)))
+    (fun (kernel, rows, cols, budget) ->
+      let max_cuts = cut_budgets.(budget) in
+      let agrees (e : Kernel_set.entry) style =
+        let rc = Ref_cuts.row_cuts style e ~rows ~cols ~max_cuts in
+        let cc = Ref_cuts.col_cuts style e ~rows ~cols ~max_cuts in
+        Strategy_space.row_cuts ~style e ~rows ~cols ~max_cuts = rc
+        && Strategy_space.col_cuts ~style e ~rows ~cols ~max_cuts = cc
+        && Strategy_space.row_cut_count style e ~rows ~cols ~max_cuts
+           = List.length rc
+        && Strategy_space.col_cut_count style e ~rows ~cols ~max_cuts
+           = List.length cc
+      in
+      Array.for_all
+        (fun e -> List.for_all (agrees e) cut_styles)
+        (Array.append [| synthetic_entry kernel |] (tuned_entries ())))
+
+(* A two-pin pattern counts a skipped subtree's second cuts from step
+   thresholds: the sum of 1-8 kernels' two-cut counts must equal the
+   closed form's at every extent v of a random range, for each of the
+   three ways the search varies the rest (the cut axis's rows, the cut
+   axis's columns, and the rows across a column cut). *)
+let prop_step_counts_match_closed_form =
+  QCheck.Test.make ~name:"step-threshold counts equal the closed form"
+    ~count:300
+    QCheck.(
+      quad
+        (list_of_size (Gen.int_range 1 8)
+           (pair bool (pair kernel_arb (int_range 0 79))))
+        extent_arb extent_arb bool)
+    (fun (picks, fixed, v0, wave) ->
+      let tuned = tuned_entries () in
+      let es =
+        Array.of_list
+          (List.map
+             (fun (synthetic, (kernel, i)) ->
+               if synthetic then synthetic_entry kernel
+               else tuned.(i mod Array.length tuned))
+             picks)
+      in
+      let style = if wave then `Wave_aligned else `Remainder_only in
+      let sum f = Array.fold_left (fun acc e -> acc + f e) 0 es in
+      let by_rows = Strategy_space.row_steps style es ~cols:fixed in
+      let by_cols = Strategy_space.col_steps style es ~rows:fixed in
+      let across = Strategy_space.col_steps_over_rows style es ~cols:fixed in
+      let ok = ref true in
+      for v = v0 to v0 + 400 do
+        ok :=
+          !ok
+          && Strategy_space.step_count by_rows v
+             = sum (fun e ->
+                   Strategy_space.row_cut_count style e ~rows:v ~cols:fixed
+                     ~max_cuts:2)
+          && Strategy_space.step_count by_cols v
+             = sum (fun e ->
+                   Strategy_space.col_cut_count style e ~rows:fixed ~cols:v
+                     ~max_cuts:2)
+          && Strategy_space.step_count across v
+             = sum (fun e ->
+                   Strategy_space.col_cut_count style e ~rows:v ~cols:fixed
+                     ~max_cuts:2)
+      done;
+      !ok)
+
+(* Every leaf is accounted for, per shape: a leaf the analytic search
+   skips (one by one, or in a skipped pattern or subtree) is counted in
+   [pruned_analytic], so its [candidates + pruned_analytic] must equal
+   the unpruned search's [candidates], with the same program. Checked
+   over the compile-cold distribution under both cut styles. *)
+let prop_every_leaf_counted compiler_of name =
+  QCheck.Test.make ~count:200
+    ~name:(Printf.sprintf "every leaf scored or counted as skipped (%s)" name)
+    QCheck.(int_range 0 (1 lsl 30))
+    (fun seed ->
+      let rng = Mikpoly_util.Prng.create seed in
+      let m = Mikpoly_util.Prng.log_int_in rng 1 16384 in
+      let n = Mikpoly_util.Prng.log_int_in rng 16 16384 in
+      let k = Mikpoly_util.Prng.log_int_in rng 16 16384 in
+      let compiler = Lazy.force compiler_of in
+      let set = Compiler.kernels compiler and config = Compiler.config compiler in
+      let op = Compiler.gemm compiler (m, n, k) in
+      List.for_all
+        (fun cut_style ->
+          let at analytic_prune =
+            Polymerize.polymerize ~instrument:false set
+              { config with Config.cut_style; analytic_prune }
+              op
+          in
+          let pruned = at true and unpruned = at false in
+          pruned.candidates + pruned.pruned_analytic = unpruned.candidates
+          && Program.to_string pruned.program
+             = Program.to_string unpruned.program)
+        cut_styles)
+
 (* A subtree is skipped when its floor strictly exceeds the incumbent,
    which is sound only if the floor never exceeds the float sum a leaf's
    own gate computes: pinned regions at their exact Eq.-2 cost, free
@@ -1498,6 +1634,10 @@ let () =
           qtest prop_prune_sound_gpu;
           qtest prop_prune_sound_npu;
           qtest prop_cut_counts_match_lists;
+          qtest prop_closed_form_cuts_match_walk;
+          qtest prop_step_counts_match_closed_form;
+          qtest (prop_every_leaf_counted gpu_compiler "GPU");
+          qtest (prop_every_leaf_counted npu_compiler "NPU");
           qtest prop_subtree_floor_below_leaf_gates;
           qtest prop_predicted_cost_is_program_cost;
           Alcotest.test_case "candidates scored drop >= 5x" `Quick

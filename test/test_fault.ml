@@ -320,6 +320,48 @@ let test_atomic_refuses_non_regular () =
   Sys.remove link;
   Sys.remove target
 
+(* The check a command runs on an output path before doing any work: an
+   absent path or a regular file passes; a missing directory, a file in
+   the directory's place, a FIFO, a directory or a symlink is refused
+   with [Sys_error], without opening the path (a FIFO would block an
+   open) and without touching it. *)
+let test_atomic_check_target () =
+  let passes label path =
+    match Atomic_file.check_target ~path with
+    | () -> ()
+    | exception Sys_error e -> Alcotest.failf "%s refused: %s" label e
+  in
+  let refused label path =
+    match Atomic_file.check_target ~path with
+    | () -> Alcotest.failf "%s accepted" label
+    | exception Sys_error _ -> ()
+  in
+  let file = temp_path "mikpoly_test_check_file" in
+  (try Sys.remove file with Sys_error _ -> ());
+  passes "absent path" file;
+  write_file file "kept\n";
+  passes "regular file" file;
+  refused "missing directory" "/nonexistent/d/x";
+  refused "file as directory" (Filename.concat file "x");
+  Alcotest.(check string) "file untouched" "kept\n" (read_file file);
+  let fifo = temp_path "mikpoly_test_check_fifo" in
+  (try Sys.remove fifo with Sys_error _ -> ());
+  Unix.mkfifo fifo 0o600;
+  refused "fifo" fifo;
+  Alcotest.(check bool) "fifo left as it was" true
+    ((Unix.lstat fifo).Unix.st_kind = Unix.S_FIFO);
+  Sys.remove fifo;
+  let dir = temp_path "mikpoly_test_check_dir" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o700;
+  refused "directory" dir;
+  Sys.rmdir dir;
+  let link = temp_path "mikpoly_test_check_link" in
+  (try Sys.remove link with Sys_error _ -> ());
+  Unix.symlink file link;
+  refused "symlink" link;
+  Sys.remove link;
+  Sys.remove file
+
 (* --- Store checksums and crash safety --- *)
 
 (* The offline stage is reused across compilers for the same platform,
@@ -942,6 +984,8 @@ let () =
           Alcotest.test_case "mid-write kill" `Quick test_atomic_midwrite_kill;
           Alcotest.test_case "refuses non-regular targets" `Quick
             test_atomic_refuses_non_regular;
+          Alcotest.test_case "checks the target before any work" `Quick
+            test_atomic_check_target;
         ] );
       ( "stores",
         [
