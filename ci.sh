@@ -203,6 +203,24 @@ test "$(wc -l < "$store_err")" -eq 1
 grep -q "safe mode" "$store_err"
 cmp "$store" "$store_copy"
 rm -f "$store" "$store_copy" "$store_err" "$store_report"
+# A FIFO or a directory at the store path is an unusable store too: it is
+# never opened (a FIFO would block the load), the fleet serves in safe
+# mode, and the node is left as it was with no tempfile beside it.
+store_fifo="${TMPDIR:-/tmp}/mikpoly_ci_store_fifo"
+store_dir="${TMPDIR:-/tmp}/mikpoly_ci_store_dir"
+rm -rf "$store_fifo" "$store_dir"
+mkfifo "$store_fifo"
+mkdir "$store_dir"
+for node in "$store_fifo" "$store_dir"; do
+  timeout 60 ./_build/default/bin/mikpoly_cli.exe fleet --quick \
+    --store "$node" --out "$store_report" > /dev/null 2> "$store_err"
+  test "$(wc -l < "$store_err")" -eq 1
+  grep -q "safe mode" "$store_err"
+  test ! -e "$node.tmp"
+done
+test -p "$store_fifo"
+test -d "$store_dir"
+rm -rf "$store_fifo" "$store_dir" "$store_err" "$store_report"
 
 echo "== bad input =="
 # Bad flag values and unwritable output paths are usage errors: each

@@ -8,13 +8,10 @@ module Kernel_desc = Mikpoly_accel.Kernel_desc
 module Load = Mikpoly_accel.Load
 module Simulator = Mikpoly_accel.Simulator
 module Tm = Mikpoly_telemetry
-module Breaker = Mikpoly_fault.Breaker
 
 let m_observations = Tm.Metrics.counter "adapt.observations"
 
 let m_recompiles = Tm.Metrics.counter "adapt.recompiles"
-
-let m_breaker_skipped = Tm.Metrics.counter "adapt.breaker.skipped"
 
 (* Per-kernel observation window (most recent kept). *)
 let window = 64
@@ -25,19 +22,12 @@ let refit_every = 16
 (* Shapes recompiled eagerly per refit. *)
 let hot_limit = 8
 
-(* Breaker around the scheduled refit; its cooldown is counted in
-   observations. *)
-let breaker_policy = { Breaker.failure_threshold = 3; cooldown = 256. }
-
 type stats = {
   observations : int;
   recalibrations : int;
   recompiles : int;
   invalidated : int;
   calibrated_kernels : int;
-  breaker_state : string;
-  breaker_trips : int;
-  breaker_skipped : int;
 }
 
 type hot = { mutable touches : int }
@@ -54,8 +44,6 @@ type t = {
   mutable recompiles : int;
   mutable invalidated : int;
   mutable pending_stall : float;
-  breaker : Breaker.t;
-  mutable breaker_skipped : int;
 }
 
 let locked t f =
@@ -171,38 +159,16 @@ let observe t (obs : Compiler.observation) =
       | Some h -> h.touches <- h.touches + 1
       | None -> Hashtbl.add t.hot obs.ob_shape { touches = 1 });
       if t.observations mod refit_every = 0 then begin
-        (* The breaker's clock is the observation count — the adapter's
-           only monotone notion of time, and deterministic. *)
-        let now = float_of_int t.observations in
-        if not (Breaker.allow t.breaker ~now) then begin
-          (* Refits have been failing: keep serving on the current
-             calibration rather than thrash, and keep the windowed samples
-             for the next scheduled refit, the first of which past the
-             cooldown is the half-open probe. *)
-          t.breaker_skipped <- t.breaker_skipped + 1;
-          Tm.Metrics.incr m_breaker_skipped
-        end
-        else begin
-          let act () =
+        Tm.Tracer.with_span "adapt.recalibrate" (fun () ->
             let dropped, recompiled = recalibrate_locked t in
             if Tm.Tracer.enabled () then begin
               Tm.Tracer.annotate "invalidated" (string_of_int dropped);
               Tm.Tracer.annotate "recompiled" (string_of_int recompiled)
-            end
-          in
-          (match Tm.Tracer.with_span "adapt.recalibrate" act with
-          | () -> Breaker.record_success t.breaker
-          | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-          | exception _ ->
-            (* A failed fit must not take serving down: the previous
-               calibration stays installed, the failure feeds the
-               breaker. *)
-            Breaker.record_failure t.breaker ~now);
-          (* Each refit sees only the samples gathered since the last
-             one, so samples from before a device change age out within
-             one schedule period. *)
-          Hashtbl.reset t.windows
-        end
+            end);
+        (* Each refit sees only the samples gathered since the last one,
+           so samples from before a device change age out within one
+           schedule period. *)
+        Hashtbl.reset t.windows
       end)
 
 let create compiler =
@@ -221,8 +187,6 @@ let create compiler =
       recompiles = 0;
       invalidated = 0;
       pending_stall = 0.;
-      breaker = Breaker.create ~policy:breaker_policy ();
-      breaker_skipped = 0;
     }
   in
   Compiler.set_observer compiler (Some (observe t));
@@ -288,9 +252,6 @@ let stats t =
         recompiles = t.recompiles;
         invalidated = t.invalidated;
         calibrated_kernels = List.length (Calibration.curves t.calibration);
-        breaker_state = Breaker.state_name (Breaker.state t.breaker);
-        breaker_trips = (Breaker.stats t.breaker).trips;
-        breaker_skipped = t.breaker_skipped;
       })
 
 let save_profile t ~path =

@@ -18,12 +18,10 @@
     profile and recompiled programs at every [--jobs] count.
 
     The tuning is fixed: a refit every 16 observations, 64-sample
-    per-kernel windows, 8 hot shapes recompiled per refit, and a circuit
-    breaker around the refit. After 3 consecutive failed refits (a fit
-    exception) further scheduled refits are skipped — serving continues
-    on the current calibration and the windows keep their samples — for
-    256 {e observations}; the first scheduled refit past the cooldown
-    runs as a half-open probe. *)
+    per-kernel windows and 8 hot shapes recompiled per refit. A refit
+    runs directly on the observing call: fitting is plain arithmetic on
+    the windows and a recompile is one search, so neither fails on any
+    input, and a refit that raises is a bug, which propagates. *)
 
 type stats = {
   observations : int;
@@ -33,11 +31,6 @@ type stats = {
   recompiles : int;  (** hot shapes recompiled eagerly *)
   invalidated : int;  (** cached programs dropped by recalibrations *)
   calibrated_kernels : int;
-  breaker_state : string;  (** "closed" / "open" / "half-open" *)
-  breaker_trips : int;
-  breaker_skipped : int;
-      (** scheduled refits skipped because the breaker was open; also on
-          the [adapt.breaker.skipped] telemetry counter *)
 }
 
 type t

@@ -10,20 +10,12 @@ let m_misses = Tm.Metrics.counter "compiler.cache.misses"
 
 let m_invalidations = Tm.Metrics.counter "compiler.cache.invalidations"
 
-(* Degradation-ladder rung taken by each cache-miss compile; always-on so
-   a degraded serving run is visible in any telemetry dump. *)
+(* The rung each cache-miss compile lands on, which is the compiler's
+   mode; always-on so a degraded serving run is visible in any telemetry
+   dump. *)
 let m_full_search = Tm.Metrics.counter "compiler.ladder.full_search"
 
-let m_single_pattern = Tm.Metrics.counter "compiler.ladder.single_pattern"
-
 let m_safe_generic = Tm.Metrics.counter "compiler.ladder.safe_generic"
-
-type rung = Full_search | Single_pattern | Safe_generic
-
-let rung_name = function
-  | Full_search -> "full-search"
-  | Single_pattern -> "single-pattern"
-  | Safe_generic -> "safe-generic"
 
 type region_observation = {
   ro_kernel : Kernel_desc.t;
@@ -47,16 +39,12 @@ type t = {
   kernels : Kernel_set.t;
   safe_mode : bool;  (** kernel store was unusable: [kernels] is the
                          guaranteed-safe generic set *)
-  safe_set : Kernel_set.t Lazy.t;
-      (** last-rung fallback for compiles whose search itself fails *)
   lock : Mutex.t;  (** guards cache, the stats counters and hooks *)
   cache : (int * int * int, Polymerize.compiled) Hashtbl.t;
   mutable cache_hits : int;
   mutable cache_misses : int;
   mutable cache_invalidations : int;
-  mutable l_full_search : int;
-  mutable l_single_pattern : int;
-  mutable l_safe_generic : int;
+  mutable searches : int;
   mutable correction : (Kernel_set.entry -> float -> float) option;
   mutable observer : (observation -> unit) option;
 }
@@ -82,15 +70,12 @@ let make ?config ~safe_mode ~kernels hw =
     config;
     kernels = kernels config;
     safe_mode;
-    safe_set = lazy (Kernel_set.safe_generic hw config);
     lock = Mutex.create ();
     cache = Hashtbl.create 64;
     cache_hits = 0;
     cache_misses = 0;
     cache_invalidations = 0;
-    l_full_search = 0;
-    l_single_pattern = 0;
-    l_safe_generic = 0;
+    searches = 0;
     correction = None;
     observer = None;
   }
@@ -131,53 +116,22 @@ let default_scorer t =
   | Some f -> Polymerize.Calibrated f
   | None -> Polymerize.Model Cost_model.Full
 
-let note_rung t rung =
-  locked t (fun () ->
-      match rung with
-      | Full_search -> t.l_full_search <- t.l_full_search + 1
-      | Single_pattern -> t.l_single_pattern <- t.l_single_pattern + 1
-      | Safe_generic -> t.l_safe_generic <- t.l_safe_generic + 1);
-  (match rung with
-  | Full_search -> Tm.Metrics.incr m_full_search
-  | Single_pattern -> Tm.Metrics.incr m_single_pattern
-  | Safe_generic -> Tm.Metrics.incr m_safe_generic);
-  Tm.Tracer.annotate "ladder.rung" (rung_name rung)
+(* A cache miss is one search of the compiler's one kernel set: the
+   tuned set, or the safe generic set in safe mode. Pattern I over any
+   kernel tiles the whole output, so the search has no failing shape, and
+   the rung it lands on is the compiler's mode. *)
+let note_search t =
+  locked t (fun () -> t.searches <- t.searches + 1);
+  Tm.Metrics.incr (if t.safe_mode then m_safe_generic else m_full_search);
+  Tm.Tracer.annotate "ladder.rung"
+    (if t.safe_mode then "safe-generic" else "full-search")
 
-(* The degradation ladder: every cache-miss compile lands on some rung and
-   always produces a program. Full search → on any search failure, a
-   Pattern-I-only retry → on failure again, the guaranteed-safe generic
-   kernel set scored with the plain model. A safe-mode compiler (kernel
-   store unusable at creation) is permanently on the last rung. *)
-let search_ladder t op =
-  let scorer = default_scorer t in
-  if t.safe_mode then begin
-    let c = Polymerize.polymerize ~scorer t.kernels t.config op in
-    note_rung t Safe_generic;
-    c
-  end
-  else
-    match Polymerize.polymerize ~scorer t.kernels t.config op with
-    | c ->
-      note_rung t Full_search;
-      c
-    | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-    | exception _ -> (
-      match
-        Polymerize.polymerize ~scorer t.kernels
-          { t.config with patterns = [ Pattern.I ] }
-          op
-      with
-      | c ->
-        note_rung t Single_pattern;
-        c
-      | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-      | exception _ ->
-        let c =
-          Polymerize.polymerize ~scorer:(Polymerize.Model Cost_model.Full)
-            (Lazy.force t.safe_set) t.config op
-        in
-        note_rung t Safe_generic;
-        c)
+let search t op =
+  let c =
+    Polymerize.polymerize ~scorer:(default_scorer t) t.kernels t.config op
+  in
+  note_search t;
+  c
 
 let compile_lookup t op =
   let key = Operator.gemm_shape op in
@@ -202,7 +156,7 @@ let compile_lookup t op =
     (* Search outside the lock so concurrent compiles of distinct shapes
        overlap; on insert, re-check whether a racing domain won — the
        search is deterministic, so adopting either result is sound. *)
-    let c = search_ladder t op in
+    let c = search t op in
     locked t (fun () ->
         match Hashtbl.find_opt t.cache key with
         | Some incumbent -> incumbent
@@ -231,47 +185,29 @@ let cached t op =
    shapes go through one [Polymerize.search_batch] — whole shapes over
    the domain pool, so a region amortizes over the whole suite — and each
    result is exactly what a cache-miss compile of that shape would have
-   produced (same scorer, same config, deterministic search), with the
-   same Full_search rung accounting. If the batch search
-   itself fails, every shape falls back to the sequential per-shape
-   ladder ([compile]), which can still degrade rung by rung. Returns the
-   number of fresh compiles; shapes already cached cost nothing. *)
+   produced (same set, scorer and config, deterministic search), counted
+   as one search. Returns the number of fresh compiles; shapes already
+   cached cost nothing. *)
 let warm ?jobs t shapes =
-  let missing =
+  match
     List.sort_uniq compare shapes
     |> List.filter (fun key -> not (locked t (fun () -> Hashtbl.mem t.cache key)))
-  in
-  match missing with
+  with
   | [] -> 0
-  | _ ->
+  | missing ->
     let keys = Array.of_list missing in
-    let batched =
-      if t.safe_mode then None
-      else
-        match
-          Polymerize.search_batch ~scorer:(default_scorer t) ?jobs t.kernels
-            t.config (Array.map (gemm t) keys)
-        with
-        | cs -> Some cs
-        | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-        | exception _ -> None
+    let cs =
+      Polymerize.search_batch ~scorer:(default_scorer t) ?jobs t.kernels
+        t.config (Array.map (gemm t) keys)
     in
-    (match batched with
-    | Some cs ->
-      Array.iteri
-        (fun i (c : Polymerize.compiled) ->
-          note_rung t Full_search;
-          locked t (fun () ->
-              if not (Hashtbl.mem t.cache keys.(i)) then
-                Hashtbl.replace t.cache keys.(i) c))
-        cs;
-      Array.length cs
-    | None ->
-      List.fold_left
-        (fun fresh key ->
-          ignore (compile t (gemm t key));
-          fresh + 1)
-        0 missing)
+    Array.iteri
+      (fun i c ->
+        note_search t;
+        locked t (fun () ->
+            if not (Hashtbl.mem t.cache keys.(i)) then
+              Hashtbl.replace t.cache keys.(i) c))
+      cs;
+    Array.length cs
 
 let cache_stats t =
   locked t (fun () ->
@@ -283,13 +219,13 @@ let cache_stats t =
       })
 
 let ladder_stats t =
-  locked t (fun () ->
-      {
-        full_search = t.l_full_search;
-        best_effort = 0;
-        single_pattern = t.l_single_pattern;
-        safe_generic = t.l_safe_generic;
-      })
+  let searches = locked t (fun () -> t.searches) in
+  {
+    full_search = (if t.safe_mode then 0 else searches);
+    best_effort = 0;
+    single_pattern = 0;
+    safe_generic = (if t.safe_mode then searches else 0);
+  }
 
 let invalidate t key =
   locked t (fun () ->

@@ -19,32 +19,38 @@ val create_resilient :
     (missing, corrupted, checksum mismatch, wrong platform…), instead of
     failing — or worse, silently re-tuning, which a degraded production
     host may not have the budget for — the compiler comes up in safe
-    mode on {!Kernel_set.safe_generic} and serves every shape on the
-    ladder's last rung. Returns the rejection reason in that case. *)
+    mode on {!Kernel_set.safe_generic} and every cache-miss compile
+    searches that set. Returns the rejection reason in that case. *)
 
 val safe_mode : t -> bool
 (** Whether the compiler is running on the guaranteed-safe generic set
     ({!create_resilient} with an unusable artifact). *)
 
 type ladder_stats = {
-  full_search : int;  (** the complete configured search ran *)
+  full_search : int;  (** cache-miss searches of the tuned kernel set *)
   best_effort : int;
       (** always [0]: the search has no deadline, so no compile stops
           at a best-so-far program. Kept because [bench/perf] reads it. *)
   single_pattern : int;
-      (** the full search failed; a Pattern-I-only retry succeeded *)
+      (** always [0]: a search cannot fail, so no compile retries with
+          Pattern I alone. Kept because [bench/perf] reads it. *)
   safe_generic : int;
-      (** search on the configured kernel set was impossible or failed
-          twice: compiled against {!Kernel_set.safe_generic} *)
+      (** cache-miss searches of {!Kernel_set.safe_generic}, in safe
+          mode *)
 }
 
 val ladder_stats : t -> ladder_stats
-(** Degradation-ladder rung counts across this compiler's cache-miss
-    compiles (cache hits take no rung). Mirrored on the always-on
-    [compiler.ladder.*] telemetry counters, and annotated on the
-    compile span as [ladder.rung] when tracing. Every compile lands on
-    some rung and returns a program — the ladder is why MikPoly serving
-    has no "compilation failed" outcome. *)
+(** The rung counts of this compiler's searches ({!compile} misses and
+    {!warm}'s fresh compiles; cache hits take no rung). A cache miss is
+    one {!Polymerize.polymerize} of the compiler's one kernel set, so the
+    rung is the compiler's mode: every search counts as [full_search],
+    or as [safe_generic] in {!safe_mode}. Pattern I over any kernel tiles
+    the whole output, so every compile returns a program — why MikPoly
+    serving has no "compilation failed" outcome — and a search that
+    raises is a bug, which propagates. Mirrored on the always-on
+    [compiler.ladder.full_search] and [compiler.ladder.safe_generic]
+    telemetry counters, and annotated on the compile span as
+    [ladder.rung] when tracing. *)
 
 val hardware : t -> Mikpoly_accel.Hardware.t
 
@@ -85,15 +91,16 @@ val cached : t -> Mikpoly_ir.Operator.t -> bool
     new execution would pay no polymerization overhead). *)
 
 val warm : ?jobs:int -> t -> (int * int * int) list -> int
-(** [warm t shapes] precompiles every shape not already in the memo —
-    the distinct misses go through one {!Polymerize.search_batch}
-    (whole shapes over the domain pool; [jobs] is passed to it), with
-    per-shape fallback to the full degradation ladder if the batch
-    fails — so a warmed program is exactly what the first cache-miss
-    compile would have produced, and later [compile] calls for those
-    shapes are pure hits. Returns the number of fresh compiles
-    performed. The fleet warm store and the graph executor's compile
-    stage use this to pay compile cost off the request critical path. *)
+(** [warm t shapes] precompiles every shape not already in the memo: the
+    distinct misses go through one {!Polymerize.search_batch} on the
+    compiler's kernel set (whole shapes over the domain pool; [jobs] is
+    passed to it), in both modes. A warmed program is exactly what the
+    first cache-miss compile would have produced, each counts as one
+    search in {!ladder_stats}, and later [compile] calls for those
+    shapes are pure hits. Warming counts no cache hit or miss. Returns
+    the number of fresh compiles performed. The fleet warm store and the
+    graph executor's compile stage use this to pay compile cost off the
+    request critical path. *)
 
 type cache_stats = {
   hits : int;  (** [compile] calls served from the per-shape memo *)

@@ -344,7 +344,7 @@ let gates r =
            chaos digest %s)"
           (List.length arms)
           (List.length r.r_trace)
-          r.r_chaos.H.o_status_digest;
+          (H.status_digest r.r_chaos);
     };
   ]
 
@@ -392,7 +392,7 @@ let json r =
         ("hedges", J.Number (float_of_int o.H.o_hedges));
         ("hedge_cancels", J.Number (float_of_int o.H.o_hedge_cancels));
         ("injected_faults", J.Number (float_of_int f.Fleet.injected_faults));
-        ("status_digest", J.String o.H.o_status_digest);
+        ("status_digest", J.String (H.status_digest o));
         ("conserved", J.Bool o.H.o_conserved);
         ("classes", J.List (List.map class_obj o.H.o_classes));
         ("tiers", Exp_fleet.tiers_json f.Fleet.tiers);
@@ -515,7 +515,7 @@ let report r =
           r.r_chaos.H.o_reroutes r.r_chaos.H.o_hedges;
         Printf.sprintf
           "Every arm conserves its terminal-status ledger (%d requests -> completed+dropped+rate-limited, chaos digest %s); the brown-out ladder degrades and recovers the throttled class in %d transitions."
-          (List.length r.r_trace) r.r_chaos.H.o_status_digest
+          (List.length r.r_trace) (H.status_digest r.r_chaos)
           (class_stat r.r_brownout "gpu" (fun cs -> cs.H.cs_level_transitions));
         Exp.gates_summary (gates r)
           ~all_hold:

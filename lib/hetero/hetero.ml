@@ -66,7 +66,6 @@ type outcome = {
   o_hedge_cancels : int;
   o_classes : class_stats list;
   o_statuses : (Request.t * status) list;
-  o_status_digest : string;
   o_conserved : bool;
 }
 
@@ -141,12 +140,6 @@ let run ?faults config trace =
         Option.map (fun st -> (req, st)) (l.Fleet.status_of req.Request.id))
       trace
   in
-  let digest =
-    Mikpoly_serve.Resilience.digest
-      (List.map
-         (fun ((req : Request.t), st) -> (req.Request.id, status_name st))
-         statuses)
-  in
   let n = List.length trace in
   {
     o_fleet = o;
@@ -156,7 +149,6 @@ let run ?faults config trace =
     o_classes =
       List.map2 class_stats config.backends (Array.to_list l.Fleet.classes);
     o_statuses = statuses;
-    o_status_digest = digest;
     o_conserved =
       List.length statuses = n
       && List.length o.Fleet.completed + List.length o.Fleet.dropped
@@ -164,6 +156,12 @@ let run ?faults config trace =
          = n
       && l.Fleet.resolved = n;
   }
+
+let status_digest (o : outcome) =
+  Mikpoly_serve.Resilience.digest
+    (List.map
+       (fun ((req : Request.t), st) -> (req.Request.id, status_name st))
+       o.o_statuses)
 
 (* A mixed fleet has no autoscaler, so every slot stays live and the
    fleet's cache list is the classes' [cs_cache] lists in order. *)

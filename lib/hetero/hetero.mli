@@ -76,7 +76,7 @@ type status = Mikpoly_fleet.Fleet.status =
   | Rate_limited  (** refused at the door by the token bucket *)
       (** Terminal status of one request: exactly one per trace request,
           whatever hedging, re-routing and re-queueing did in between —
-          the conservation invariant behind [o_status_digest]. *)
+          the conservation invariant behind {!status_digest}. *)
 
 val status_name : status -> string
 
@@ -117,9 +117,6 @@ type outcome = {
   o_classes : class_stats list;  (** backend order *)
   o_statuses : (Mikpoly_serve.Request.t * status) list;
       (** one terminal status per trace request, trace order *)
-  o_status_digest : string;
-      (** FNV-1a over the sorted (id, status) set — byte-comparable
-          across arms and [--jobs] counts *)
   o_conserved : bool;
       (** every trace request has exactly one terminal status *)
 }
@@ -135,6 +132,11 @@ val run :
     crash < arrival < hedge < replica step, then class index, then
     slot index. Raises [Invalid_argument] before the first event on the
     settings and traces {!Mikpoly_fleet.Fleet.serve} rejects. *)
+
+val status_digest : outcome -> string
+(** FNV-1a over the sorted (id, status) set of [o_statuses] —
+    byte-comparable across arms and [--jobs] counts. Computed on demand,
+    so a run that never reads it does not pay for the sort. *)
 
 val to_scheduler_outcome : outcome -> Mikpoly_serve.Scheduler.outcome
 (** {!Mikpoly_fleet.Fleet.to_scheduler_outcome} of [o_fleet], so the

@@ -41,19 +41,25 @@ let write ~path f =
     (try Sys.remove tmp with Sys_error _ -> ());
     raise e
 
+(* Only a regular file is opened: open(2) on a FIFO blocks until a
+   writer comes, and reading a directory raises. A path [stat] cannot
+   reach is left to [open_in], which says why. *)
 let read_lines path =
-  match open_in path with
-  | exception Sys_error e -> Error e
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        let rec go acc =
-          match input_line ic with
-          | line -> go (line :: acc)
-          | exception End_of_file -> Ok (List.rev acc)
-        in
-        go [])
+  match (Unix.stat path).Unix.st_kind with
+  | Unix.S_REG | (exception Unix.Unix_error _) -> (
+    match open_in path with
+    | exception Sys_error e -> Error e
+    | ic ->
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () ->
+          let rec go acc =
+            match input_line ic with
+            | line -> go (line :: acc)
+            | exception End_of_file -> Ok (List.rev acc)
+          in
+          go []))
+  | _ -> Error (path ^ ": not a regular file")
 
 let read_checked ~path ~header ~checksum ~corrupt ~truncated =
   match read_lines path with

@@ -25,7 +25,10 @@ val check_target : path:string -> unit
 
 val read_lines : string -> (string list, string) result
 (** Every line of the file, without terminators; [Error] with the system
-    message when it cannot be opened. *)
+    message when it cannot be opened, and [Error "<path>: not a regular
+    file"] without opening it when the path names anything but a regular
+    file (after following links), so a FIFO cannot block it and a
+    directory cannot raise. *)
 
 val read_checked :
   path:string -> header:(string * (string -> string)) list ->

@@ -428,6 +428,28 @@ let test_profile_store_checksum () =
   | Error _ -> ());
   Sys.remove path
 
+(* A directory at a store path is refused before it is opened, like a
+   FIFO, which would block the open (ci.sh's store-safety stanza checks
+   that case). *)
+let test_store_load_refuses_directory () =
+  let dir = temp_path "mikpoly_test_store_dir" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o700;
+  let refused label = function
+    | Ok _ -> Alcotest.failf "%s loaded a directory" label
+    | Error e ->
+      let says = "not a regular file" in
+      let n = String.length says in
+      let rec found i =
+        i + n <= String.length e && (String.sub e i n = says || found (i + 1))
+      in
+      Alcotest.(check bool) (label ^ ": " ^ e) true (found 0)
+  in
+  refused "kernel store"
+    (Mikpoly_core.Kernel_store.load ~path:dir gpu
+       (Mikpoly_core.Config.default gpu));
+  refused "profile store" (Mikpoly_adapt.Profile_store.load ~path:dir gpu);
+  Sys.rmdir dir
+
 (* --- Degradation ladder --- *)
 
 let compile_one compiler =
@@ -490,6 +512,83 @@ let test_ladder_intact_and_missing_store () =
   Alcotest.(check bool) "missing store reported" true (reason <> None);
   Alcotest.(check bool) "missing store means safe mode" true
     (Mikpoly_core.Compiler.safe_mode compiler)
+
+let rungs compiler =
+  let module C = Mikpoly_core.Compiler in
+  let s = C.ladder_stats compiler in
+  [ s.C.full_search; s.C.best_effort; s.C.single_pattern; s.C.safe_generic ]
+
+(* A search cannot fail on any shape, so one that raises is a bug and
+   must surface: under a correction that raises, neither [compile] nor
+   [warm] returns a program, and no rung is counted. *)
+let test_failing_search_raises () =
+  let module C = Mikpoly_core.Compiler in
+  let compiler = C.create gpu in
+  C.set_correction compiler (Some (fun _ _ -> failwith "boom"));
+  Alcotest.check_raises "compile" (Failure "boom") (fun () ->
+      ignore (C.compile compiler (C.gemm compiler (1024, 1024, 1024))));
+  let shapes = List.init 12 (fun i -> (64 * (i + 1), 96, 128)) in
+  List.iter
+    (fun jobs ->
+      Alcotest.check_raises
+        (Printf.sprintf "warm ~jobs:%d" jobs)
+        (Failure "boom")
+        (fun () -> ignore (C.warm ~jobs compiler shapes)))
+    [ 1; 4 ];
+  Alcotest.(check (list int)) "no rung counted" [ 0; 0; 0; 0 ] (rungs compiler);
+  Alcotest.(check int) "nothing cached" 0 (C.cache_stats compiler).C.size
+
+(* [warm] is one batched search of the compiler's kernel set in either
+   mode: compiling warmed shapes returns exactly the programs, costs and
+   tallies a fresh compiler's cold compiles return, with the same rung
+   counts. *)
+let test_warm_equals_cold () =
+  let module C = Mikpoly_core.Compiler in
+  let module P = Mikpoly_core.Polymerize in
+  let rng = Mikpoly_util.Prng.create 0x3A11 in
+  let drawn =
+    List.init 48 (fun _ ->
+        ( Mikpoly_util.Prng.int_in rng 1 2048,
+          Mikpoly_util.Prng.int_in rng 1 2048,
+          Mikpoly_util.Prng.int_in rng 1 2048 ))
+  in
+  (* Repeats exercise warm's de-duplication. *)
+  let shapes = drawn @ [ List.hd drawn; List.nth drawn 7 ] in
+  let tally (c : P.compiled) =
+    Printf.sprintf "%s|%h|%d|%d|%d|%d"
+      (Mikpoly_ir.Program.to_string c.P.program)
+      c.P.predicted_cost c.P.candidates c.P.pruned c.P.pruned_analytic
+      c.P.first_hit
+  in
+  let compile_all c = List.map (fun s -> tally (C.compile c (C.gemm c s))) shapes in
+  let store = temp_path "mikpoly_test_fault_warm.txt" in
+  Mikpoly_core.Kernel_store.save ~path:store (Mikpoly_core.Config.default gpu)
+    (tuned_set ());
+  Corrupt.file Corrupt.Bit_flip ~seed:0x3A ~path:store;
+  let safe () =
+    let c, reason = C.create_resilient ~store_path:store gpu in
+    Alcotest.(check bool) "corrupt store means safe mode" true
+      (reason <> None && C.safe_mode c);
+    c
+  in
+  List.iter
+    (fun (mode, make) ->
+      let cold = make () in
+      let expected = compile_all cold in
+      List.iter
+        (fun jobs ->
+          let warmed = make () in
+          let label = Printf.sprintf "%s, warm ~jobs:%d" mode jobs in
+          Alcotest.(check int) (label ^ ": fresh compiles")
+            (List.length (List.sort_uniq compare shapes))
+            (C.warm ~jobs warmed shapes);
+          Alcotest.(check (list string)) (label ^ ": programs") expected
+            (compile_all warmed);
+          Alcotest.(check (list int)) (label ^ ": rungs") (rungs cold)
+            (rungs warmed))
+        [ 1; 4 ])
+    [ ("tuned", fun () -> C.create gpu); ("safe mode", safe) ];
+  Sys.remove store
 
 (* --- Store loader fuzz ---
 
@@ -995,6 +1094,8 @@ let () =
             test_kernel_store_survives_stale_temp;
           Alcotest.test_case "profile store checksum" `Quick
             test_profile_store_checksum;
+          Alcotest.test_case "store load refuses a directory" `Quick
+            test_store_load_refuses_directory;
           QCheck_alcotest.to_alcotest ~rand:(fuzz_rand ())
             (prop_kernel_store_load ());
           QCheck_alcotest.to_alcotest ~rand:(fuzz_rand ())
@@ -1008,6 +1109,9 @@ let () =
             test_ladder_rung_per_corruption_mode;
           Alcotest.test_case "intact and missing stores" `Quick
             test_ladder_intact_and_missing_store;
+          Alcotest.test_case "a failing search raises" `Quick
+            test_failing_search_raises;
+          Alcotest.test_case "warm equals cold" `Quick test_warm_equals_cold;
         ] );
       ( "chaos scheduler",
         [

@@ -373,8 +373,8 @@ let test_hetero_conserves_and_is_deterministic () =
     "statuses cover the trace exactly once" true
     (statuses_cover_trace tagged o1);
   Alcotest.(check string)
-    "bit-identical digests across runs" o1.Hetero.o_status_digest
-    o2.Hetero.o_status_digest;
+    "bit-identical digests across runs" (Hetero.status_digest o1)
+    (Hetero.status_digest o2);
   Alcotest.(check int)
     "all completed on a quiet plan"
     (List.length tagged)
@@ -400,7 +400,7 @@ let test_hetero_digest_stable_across_jobs () =
       let o4 = run_at 4 in
       Alcotest.(check string)
         "breaker probes and drains don't depend on --jobs"
-        o1.Hetero.o_status_digest o4.Hetero.o_status_digest;
+        (Hetero.status_digest o1) (Hetero.status_digest o4);
       Alcotest.(check bool) "conserved at jobs=1" true o1.Hetero.o_conserved;
       Alcotest.(check bool) "conserved at jobs=4" true o4.Hetero.o_conserved)
 
@@ -453,8 +453,8 @@ let test_hetero_breaker_crash_interplay () =
     "statuses cover the trace exactly once" true
     (statuses_cover_trace tagged o1);
   Alcotest.(check string)
-    "digest deterministic under chaos" o1.Hetero.o_status_digest
-    o2.Hetero.o_status_digest
+    "digest deterministic under chaos" (Hetero.status_digest o1)
+    (Hetero.status_digest o2)
 
 let test_hetero_no_failover_keeps_class_queues () =
   let tagged = trace ~count:8 () in
@@ -534,7 +534,7 @@ let test_hetero_pinned () =
     "63880c8a738694bf steps=50 makespan=0x1.a598ec56a407dp-5 \
      stall=0x1.92a737110e455p-17 caches=2/4;8/5;0/2;6/5;11/5;9/3;0/1;3/6"
     (Printf.sprintf "%s steps=%d makespan=%h stall=%h caches=%s"
-       o.Hetero.o_status_digest o.Hetero.o_fleet.Fleet.steps o.Hetero.o_fleet.Fleet.makespan
+       (Hetero.status_digest o) o.Hetero.o_fleet.Fleet.steps o.Hetero.o_fleet.Fleet.makespan
        o.Hetero.o_fleet.Fleet.compile_stall_seconds
        (String.concat ";"
           (List.map
