@@ -538,23 +538,6 @@ let hetero jobs quick csv out =
   report_tail ~csv ~out ~prefix:"hetero gate failed" E.exp (E.report r)
     (E.json r) (E.gates r)
 
-(* Train and evaluate the learned candidate ranker offline (lib/rank):
-   harvest simulator observations on both platforms, fit the
-   gradient-boosted model and the calibrated-Eq.-2 baseline from the
-   same examples, compare Kendall tau / top-1 regret on held-out shapes
-   and check GPU->NPU transfer, with the acceptance gates asserted hard.
-   The JSON report contains only simulated quantities, so two runs — at
-   any --jobs count — must produce byte-identical files (checked by the
-   CI rank-smoke stage with cmp). *)
-let rank jobs seed quick csv out =
-  Mikpoly_util.Atomic_file.check_target ~path:out;
-  set_jobs jobs;
-  set_seed seed;
-  let module E = Mikpoly_experiments.Exp_rank in
-  let r = E.results ~quick in
-  report_tail ~csv ~out ~prefix:"rank gate failed" E.exp (E.report r)
-    (E.json r) (E.gates r)
-
 (* Run a target under the span tracer and export the observability
    artifacts: a Chrome/Perfetto trace, the flat profile and the metrics
    registry. "serve" drives the full stack (offline tuning at compiler
@@ -632,42 +615,56 @@ let profile jobs target quick npu trace_out top csv_metrics =
     0
   end
 
+(* The event's name and the first key its [args] object names twice.
+   [Json.parse] keeps every field, so a repeated key survives to be found
+   here; most JSON readers would keep one value and drop the other. *)
+let repeated_arg ev =
+  let open Mikpoly_telemetry in
+  let rec first_dup = function
+    | a :: (b :: _ as rest) -> if a = b then Some a else first_dup rest
+    | _ -> None
+  in
+  match Json.member "args" ev with
+  | Some (Json.Obj fields) ->
+    first_dup (List.sort compare (List.map fst fields))
+    |> Option.map (fun key ->
+           match Json.member "name" ev with
+           | Some (Json.String name) -> (name, key)
+           | _ -> ("?", key))
+  | _ -> None
+
+(* A path that cannot be read (missing, a FIFO, a directory) is a bad
+   argument: one stderr line and exit 2. [Atomic_file.read_lines] opens
+   only a regular file, so a FIFO cannot block the check. A readable
+   file that is not a valid trace exits 1. *)
 let validate_trace path =
   let open Mikpoly_telemetry in
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error e ->
-    Printf.eprintf "cannot read %s: %s\n" path e;
-    1
-  | contents -> (
-    match Json.parse contents with
-    | Error e ->
-      Printf.eprintf "%s: %s\n" path e;
-      1
+  let invalid fmt =
+    Printf.ksprintf (fun msg -> Printf.eprintf "%s: %s\n" path msg; 1) fmt
+  in
+  match Mikpoly_util.Atomic_file.read_lines path with
+  | Error e ->
+    Printf.eprintf "cannot read %s\n" e;
+    2
+  | Ok lines -> (
+    match Json.parse (String.concat "\n" lines) with
+    | Error e -> invalid "%s" e
     | Ok json -> (
       match Json.member "traceEvents" json with
-      | Some (Json.List (_ :: _ as events)) ->
+      | Some (Json.List (_ :: _ as events)) -> (
         let spans =
           List.filter
             (fun ev -> Json.member "ph" ev = Some (Json.String "X"))
             events
         in
-        if spans = [] then begin
-          Printf.eprintf "%s: no complete ('X') span events\n" path;
-          1
-        end
-        else begin
+        match List.find_map repeated_arg events with
+        | Some (name, key) -> invalid "event %s repeats args key %S" name key
+        | None when spans = [] -> invalid "no complete ('X') span events"
+        | None ->
           Printf.printf "%s: valid Chrome trace, %d events (%d spans)\n" path
             (List.length events) (List.length spans);
-          0
-        end
-      | _ ->
-        Printf.eprintf "%s: missing or empty traceEvents\n" path;
-        1))
+          0)
+      | _ -> invalid "missing or empty traceEvents"))
 
 let quick_flag =
   Arg.(value & flag & info [ "quick" ] ~doc:"Subsample heavy workloads.")
@@ -884,17 +881,6 @@ let hetero_cmd =
   Cmd.v (Cmd.info "hetero" ~doc)
     Term.(const hetero $ jobs_arg $ quick_flag $ csv_flag $ out_arg "hetero")
 
-let rank_cmd =
-  let doc =
-    "Train the learned candidate ranker offline from simulator \
-     observations, compare it against calibrated Equation 2 on held-out \
-     shapes (both fingerprints), check GPU->NPU transfer, and write a \
-     machine-readable report"
-  in
-  Cmd.v (Cmd.info "rank" ~doc)
-    Term.(
-      const rank $ jobs_arg $ seed_arg $ quick_flag $ csv_flag $ out_arg "rank")
-
 let verify_cmd =
   let doc = "Numerically verify compiled programs against the reference GEMM" in
   let count = Arg.(value & opt int 25 & info [ "count" ] ~docv:"N") in
@@ -938,7 +924,10 @@ let profile_cmd =
       $ csv_metrics)
 
 let validate_trace_cmd =
-  let doc = "Check that FILE is a well-formed, non-empty Chrome trace" in
+  let doc =
+    "Check that FILE is a well-formed, non-empty Chrome trace in which no \
+     event's args repeat a key"
+  in
   let path =
     Arg.(
       required
@@ -951,8 +940,7 @@ let main =
   let doc = "MikPoly dynamic-shape tensor compiler (simulated reproduction)" in
   Cmd.group (Cmd.info "mikpoly_cli" ~doc)
     [ run_cmd; list_cmd; compile_cmd; offline_cmd; patterns_cmd; serve_cmd;
-      adapt_cmd; chaos_cmd; graph_cmd; fleet_cmd; hetero_cmd; rank_cmd;
-      verify_cmd;
+      adapt_cmd; chaos_cmd; graph_cmd; fleet_cmd; hetero_cmd; verify_cmd;
       profile_cmd; validate_trace_cmd ]
 
 (* A malformed command line (an unknown flag, a value of the wrong type)

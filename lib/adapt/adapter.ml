@@ -189,7 +189,7 @@ let create compiler =
       pending_stall = 0.;
     }
   in
-  Compiler.set_observer compiler (Some (observe t));
+  Compiler.set_observer compiler (observe t);
   t
 
 let compiler t = t.compiler

@@ -16,7 +16,7 @@ type eval = {
    single-region (Pattern I) program — the per-region choice Equation 2 is
    asked to make. [(predicted, simulated)] per candidate, in rank order. *)
 let candidates ~(compiler : Compiler.t) ~(exec_hw : Hardware.t) ?correction
-    ?scorer (m, n, k) =
+    (m, n, k) =
   let set = Compiler.kernels compiler in
   Array.to_list set.entries
   |> List.map (fun (e : Kernel_set.entry) ->
@@ -24,27 +24,21 @@ let candidates ~(compiler : Compiler.t) ~(exec_hw : Hardware.t) ?correction
            Cost_model.region_cost Cost_model.Full e ~rows:m ~cols:n ~k_len:k
          in
          let predicted =
-           (* A [scorer] sees the shape as well as the kernel (what a
-              learned ranker needs); a [correction] only the kernel and
-              its raw cost (what calibration learns). [scorer] wins when
-              both are given. Either way the clamp keeps predictions
-              non-negative, so all-tied-at-zero predictions stay a
-              representable outcome and τ-b reports 0 for it, not 1. *)
-           match scorer with
-           | Some f -> Float.max 0. (f (m, n, k) e raw)
-           | None -> (
-             match correction with
-             | Some f -> Float.max 0. (f e raw)
-             | None -> raw)
+           (* The clamp keeps corrected predictions non-negative, so
+              all-tied-at-zero predictions stay a representable outcome
+              and τ-b reports 0 for it, not 1. *)
+           match correction with
+           | Some f -> Float.max 0. (f e raw)
+           | None -> raw
          in
          (predicted, (Simulator.run exec_hw (Load.gemm e.desc ~m ~n ~k)).cycles))
 
-let evaluate ~compiler ~exec_hw ?correction ?scorer shapes =
+let evaluate ~compiler ~exec_hw ?correction shapes =
   if shapes = [] then invalid_arg "Ranking.evaluate: no shapes";
   let taus, regrets =
     List.fold_left
       (fun (taus, regrets) shape ->
-        let pairs = candidates ~compiler ~exec_hw ?correction ?scorer shape in
+        let pairs = candidates ~compiler ~exec_hw ?correction shape in
         (* τ-b ([Stats.kendall_tau]): tied predicted costs are counted in
            the tie terms, never as concordant — a constant predictor
            scores τ = 0, not 1. *)

@@ -24,8 +24,6 @@ val evaluate :
   compiler:Mikpoly_core.Compiler.t ->
   exec_hw:Mikpoly_accel.Hardware.t ->
   ?correction:(Mikpoly_core.Kernel_set.entry -> float -> float) ->
-  ?scorer:
-    (int * int * int -> Mikpoly_core.Kernel_set.entry -> float -> float) ->
   (int * int * int) list ->
   eval
 (** Deterministic: candidates are enumerated in kernel-rank order and ties
@@ -33,7 +31,5 @@ val evaluate :
     ({!Mikpoly_util.Stats.kendall_tau}): tied predictions contribute tie
     terms, never concordances, so a constant predictor scores 0 rather
     than a spurious 1. [correction] scores each candidate through a
-    per-kernel calibration of its raw Eq.-2 cost; [scorer] additionally
-    sees the shape — the hook the learned ranker ({!Mikpoly_rank}) plugs
-    into — and takes precedence when both are given. Raises
+    per-kernel calibration of its raw Eq.-2 cost. Raises
     [Invalid_argument] on an empty shape list. *)

@@ -119,10 +119,11 @@ let default_scorer t =
 (* A cache miss is one search of the compiler's one kernel set: the
    tuned set, or the safe generic set in safe mode. Pattern I over any
    kernel tiles the whole output, so the search has no failing shape, and
-   the rung it lands on is the compiler's mode. *)
-let note_search t =
-  locked t (fun () -> t.searches <- t.searches + 1);
-  Tm.Metrics.incr (if t.safe_mode then m_safe_generic else m_full_search);
+   the rung it lands on is the compiler's mode. [n] searches under one
+   span annotate its rung once. *)
+let note_searches t n =
+  locked t (fun () -> t.searches <- t.searches + n);
+  Tm.Metrics.add (if t.safe_mode then m_safe_generic else m_full_search) n;
   Tm.Tracer.annotate "ladder.rung"
     (if t.safe_mode then "safe-generic" else "full-search")
 
@@ -130,7 +131,7 @@ let search t op =
   let c =
     Polymerize.polymerize ~scorer:(default_scorer t) t.kernels t.config op
   in
-  note_search t;
+  note_searches t 1;
   c
 
 let compile_lookup t op =
@@ -186,7 +187,9 @@ let cached t op =
    the domain pool, so a region amortizes over the whole suite — and each
    result is exactly what a cache-miss compile of that shape would have
    produced (same set, scorer and config, deterministic search), counted
-   as one search. Returns the number of fresh compiles; shapes already
+   as one search. Each batch is one span carrying its rung and search
+   count, so a caller that warms twice under one span repeats no
+   attribute. Returns the number of fresh compiles; shapes already
    cached cost nothing. *)
 let warm ?jobs t shapes =
   match
@@ -195,19 +198,22 @@ let warm ?jobs t shapes =
   with
   | [] -> 0
   | missing ->
-    let keys = Array.of_list missing in
-    let cs =
-      Polymerize.search_batch ~scorer:(default_scorer t) ?jobs t.kernels
-        t.config (Array.map (gemm t) keys)
-    in
-    Array.iteri
-      (fun i c ->
-        note_search t;
-        locked t (fun () ->
-            if not (Hashtbl.mem t.cache keys.(i)) then
-              Hashtbl.replace t.cache keys.(i) c))
-      cs;
-    Array.length cs
+    Tm.Tracer.with_span "compiler.warm" (fun () ->
+        let keys = Array.of_list missing in
+        let cs =
+          Polymerize.search_batch ~scorer:(default_scorer t) ?jobs t.kernels
+            t.config (Array.map (gemm t) keys)
+        in
+        Array.iteri
+          (fun i c ->
+            locked t (fun () ->
+                if not (Hashtbl.mem t.cache keys.(i)) then
+                  Hashtbl.replace t.cache keys.(i) c))
+          cs;
+        let n = Array.length cs in
+        note_searches t n;
+        Tm.Tracer.annotate "searches" (string_of_int n);
+        n)
 
 let cache_stats t =
   locked t (fun () ->
@@ -260,7 +266,7 @@ let set_correction t f = locked t (fun () -> t.correction <- f)
 
 let correction t = locked t (fun () -> t.correction)
 
-let set_observer t f = locked t (fun () -> t.observer <- f)
+let set_observer t f = locked t (fun () -> t.observer <- Some f)
 
 let compile_fresh ?scorer ?instrument t op =
   let scorer = match scorer with Some s -> s | None -> default_scorer t in

@@ -49,16 +49,16 @@ val ladder_stats : t -> ladder_stats
     serving has no "compilation failed" outcome — and a search that
     raises is a bug, which propagates. Mirrored on the always-on
     [compiler.ladder.full_search] and [compiler.ladder.safe_generic]
-    telemetry counters, and annotated on the compile span as
-    [ladder.rung] when tracing. *)
+    telemetry counters, and annotated as [ladder.rung] on the compile
+    span, or once on a {!warm} batch's span, when tracing. *)
 
 val hardware : t -> Mikpoly_accel.Hardware.t
 
 val fingerprint : t -> string
 (** {!Mikpoly_accel.Hardware.fingerprint} of this compiler's hardware —
     the key every on-disk artifact (kernel stores, calibration
-    profiles, rank models) and the heterogeneous fleet's per-class
-    stores are indexed by. *)
+    profiles) and the heterogeneous fleet's per-class stores are
+    indexed by. *)
 
 val config : t -> Config.t
 
@@ -97,7 +97,9 @@ val warm : ?jobs:int -> t -> (int * int * int) list -> int
     passed to it), in both modes. A warmed program is exactly what the
     first cache-miss compile would have produced, each counts as one
     search in {!ladder_stats}, and later [compile] calls for those
-    shapes are pure hits. Warming counts no cache hit or miss. Returns
+    shapes are pure hits. Warming counts no cache hit or miss. When
+    tracing, a batch that searches is one [compiler.warm] span, annotated
+    once with [ladder.rung] and [searches] (its search count). Returns
     the number of fresh compiles performed. The fleet warm store and the
     graph executor's compile stage use this to pay compile cost off the
     request critical path. *)
@@ -155,11 +157,11 @@ type observation = {
 (** One execution's residual-feedback record: per-region predicted vs
     observed cycles for a simulated program run. *)
 
-val set_observer : t -> (observation -> unit) option -> unit
-(** Install (or clear) the residual-feedback hook: every {!simulate} and
+val set_observer : t -> (observation -> unit) -> unit
+(** Install the residual-feedback hook: every {!simulate} and
     {!simulate_observed} call reports its observation to the hook (called
     without the compiler lock held, so the hook may invalidate or
-    recalibrate). With no observer, [simulate] skips the per-region
+    recalibrate). Until one is installed, [simulate] skips the per-region
     envelope machinery entirely. *)
 
 val compile_fresh :

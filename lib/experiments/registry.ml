@@ -28,7 +28,6 @@ let all =
     Exp_graph.exp;
     Exp_fleet.exp;
     Exp_hetero.exp;
-    Exp_rank.exp;
   ]
 
 let find id = List.find_opt (fun (e : Exp.t) -> e.id = id) all

@@ -2,10 +2,9 @@
 
     One backend = one accelerator class (GPU tensor cores or NPU
     cubes), one engine compiled by that class's compiler, and a pinned
-    replica count. Kernel stores, calibration profiles and rank models
-    are all keyed by {!Mikpoly_accel.Hardware.fingerprint}, so each
-    class's artifacts stay separate — the PR-4 fingerprint plumbing is
-    what makes per-class stores free. *)
+    replica count. Kernel stores and calibration profiles are both keyed
+    by {!Mikpoly_accel.Hardware.fingerprint}, so each class's artifacts
+    stay separate and per-class stores come free. *)
 
 type t = {
   bk_name : string;  (** display name, e.g. ["gpu"] / ["npu"] *)

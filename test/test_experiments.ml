@@ -19,7 +19,7 @@ let test_registry_complete () =
       "npu_e2e"; "fig10"; "tab5"; "tab8"; "fig11"; "fig12"; "fig13";
       "case_study"; "ablations"; "winograd"; "fusion"; "inflight"; "batched";
       "costmodel"; "serving"; "adaptation"; "resilience"; "graph"; "fleet";
-      "hetero"; "rank" ]
+      "hetero" ]
   in
   Alcotest.(check (list string)) "registry ids" expected Registry.ids;
   List.iter

@@ -590,6 +590,35 @@ let test_warm_equals_cold () =
     [ ("tuned", fun () -> C.create gpu); ("safe mode", safe) ];
   Sys.remove store
 
+(* A traced [warm] annotates no span twice: a caller that warms two
+   batches under one span gets no repeated attribute key, and each batch's
+   own span counts its searches once. *)
+let test_warm_traced_once () =
+  let module C = Mikpoly_core.Compiler in
+  let module Tracer = Mikpoly_telemetry.Tracer in
+  let compiler = C.create gpu in
+  Tracer.reset ();
+  Tracer.enable ();
+  Fun.protect ~finally:Tracer.disable (fun () ->
+      Tracer.with_span "caller" (fun () ->
+          ignore (C.warm compiler [ (96, 256, 128); (512, 192, 320) ]);
+          ignore
+            (C.warm compiler [ (768, 640, 96); (512, 192, 320); (320, 192, 256) ])));
+  let spans = Tracer.spans () in
+  Tracer.reset ();
+  List.iter
+    (fun (s : Mikpoly_telemetry.Span.t) ->
+      let keys = List.sort compare (List.map fst s.attrs) in
+      Alcotest.(check (list string)) (s.name ^ ": no repeated key")
+        (List.sort_uniq compare keys) keys)
+    spans;
+  Alcotest.(check (list string)) "one search count per batch" [ "2"; "2" ]
+    (List.filter_map
+       (fun (s : Mikpoly_telemetry.Span.t) ->
+         if s.name = "compiler.warm" then List.assoc_opt "searches" s.attrs
+         else None)
+       spans)
+
 (* --- Store loader fuzz ---
 
    Each loader is fed its own artifact after one mutation: a
@@ -1112,6 +1141,8 @@ let () =
           Alcotest.test_case "a failing search raises" `Quick
             test_failing_search_raises;
           Alcotest.test_case "warm equals cold" `Quick test_warm_equals_cold;
+          Alcotest.test_case "traced warm annotates each span once" `Quick
+            test_warm_traced_once;
         ] );
       ( "chaos scheduler",
         [
